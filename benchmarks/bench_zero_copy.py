@@ -41,7 +41,8 @@ from repro.data.hydice import HydiceConfig, HydiceGenerator
 from repro.data.shared import SharedCube
 from repro.experiments.measured import available_cpus
 from repro.scp.pool import ProcessPool, default_start_method
-from repro.scp.stages import PoolStageExecutor
+from repro.scp.stages import TransportStageExecutor
+from repro.scp.transport import ForkedProcessTransport
 
 #: Worker slots of the full benchmark (CI smoke uses --quick's 2).
 WORKERS = 4
@@ -117,7 +118,8 @@ def _run_mode(pool, placed, config, *, workers: int, rounds: int,
     A fresh executor gives the mode its own ``stage_payload_bytes`` ledger;
     the pool (and its warm slots) is shared so neither mode pays spawning.
     """
-    with PoolStageExecutor(pool, workers=workers) as executor:
+    with TransportStageExecutor(ForkedProcessTransport(pool),
+                                workers=workers) as executor:
         result = run_pipeline(placed, config, executor, zero_copy=zero_copy,
                               adaptive_tiles=adaptive)  # warm-up + parity
         if not np.array_equal(result.composite, reference.composite):
@@ -208,7 +210,8 @@ def test_zero_copy_beats_spool_on_bytes(benchmark):
     placed = SharedCube.from_cube(cube)
     try:
         with ProcessPool(warm=2) as pool:
-            with PoolStageExecutor(pool, workers=2) as executor:
+            with TransportStageExecutor(ForkedProcessTransport(pool),
+                                        workers=2) as executor:
                 run_pipeline(placed, config, executor, zero_copy=True,
                              adaptive_tiles=True)  # warm-up
                 benchmark.pedantic(

@@ -7,7 +7,7 @@ manager/worker decomposition on real hardware.  This example measures it on
 
 1. generate a synthetic HYDICE-like cube,
 2. time the sequential spectral-screening PCT reference,
-3. run the identical problem on ``DistributedPCT(backend="process")`` --
+3. run the identical problem on ``engine="distributed", backend="process"`` --
    real OS processes, the cube shared zero-copy between them -- for a sweep
    of worker counts, and
 4. print the measured wall-clock speed-up table and verify the composites

@@ -42,9 +42,6 @@ The library layers underneath (see DESIGN.md for the full inventory):
   reconfiguration, attacks, camouflage,
 * :mod:`repro.core`        -- the spectral-screening PCT fusion algorithm,
 * :mod:`repro.api`         -- the unified facade, registries and sessions.
-
-The constructor-style entry points ``DistributedPCT`` and ``ResilientPCT``
-still work but are deprecated shims over :func:`repro.fuse`.
 """
 
 from .api import (BackendContext, BackendSpec, FusionReport, FusionRequest,
@@ -53,13 +50,13 @@ from .api import (BackendContext, BackendSpec, FusionReport, FusionRequest,
                   open_session, register_backend, register_engine, run_request)
 from .config import (COMPUTE_DTYPES, FusionConfig, PAPER_SETUP, PaperSetup,
                      PartitionConfig, ResilienceConfig, ScreeningConfig)
-from .core import (DistributedPCT, DistributedRunOutcome, FusionResult,
-                   ResilientPCT, ResilientRunOutcome, SpectralScreeningPCT)
+from .core import (DistributedRunOutcome, FusionResult, ResilientRunOutcome,
+                   SpectralScreeningPCT)
 from .core.kernels import compute_names, register_compute
 from .core.profiling import StageTiming
 from .data import HydiceConfig, HydiceGenerator, HyperspectralCube, generate_cube
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     # Unified fusion API
@@ -91,11 +88,9 @@ __all__ = [
     "PartitionConfig",
     "ResilienceConfig",
     "ScreeningConfig",
-    # Engines (constructor style; DistributedPCT/ResilientPCT are deprecated)
-    "DistributedPCT",
+    # Result types and the sequential reference pipeline
     "DistributedRunOutcome",
     "FusionResult",
-    "ResilientPCT",
     "ResilientRunOutcome",
     "SpectralScreeningPCT",
     # Data

@@ -8,8 +8,8 @@ service fusing a stream of requests those costs dominate small runs.
 :class:`FusionSession` keeps both alive between calls:
 
 * a persistent :class:`~repro.scp.pool.ProcessPool` of worker processes that
-  successive runs borrow instead of spawning (see
-  :class:`~repro.scp.pool.PooledProcessBackend`), and
+  successive runs borrow instead of spawning (each run's
+  :class:`~repro.scp.process_backend.ProcessBackend` is handed the pool), and
 * a :class:`~repro.data.shared.SharedCube` placement cache, so fusing the
   same cube again -- a parameter sweep, a retry, a monitoring loop -- never
   re-copies the samples.
@@ -46,12 +46,12 @@ from ..config import FusionConfig
 from ..core.streaming import execute_pipeline_request, validate_pipeline_request
 from ..data.cube import HyperspectralCube
 from ..data.shared import OutputPool, SharedCube
-from ..scp.pool import PooledProcessBackend, ProcessPool
+from ..scp.pool import ProcessPool
+from ..scp.process_backend import ProcessBackend
 from ..scp.registry import BackendSpec
 from ..scp.runtime import Backend
-from ..scp.stages import (PoolStageExecutor, ThreadStageExecutor,
-                          TransportStageExecutor)
-from ..scp.transport import SocketTransport
+from ..scp.stages import TransportStageExecutor
+from ..scp.transport import transport_for_spec
 from .engines import get_engine
 from .request import FusionReport, FusionRequest
 
@@ -224,7 +224,7 @@ class FusionSession:
                 with self._run_lock:
                     backend_instance: Optional[Backend] = None
                     if self._pool is not None:
-                        backend_instance = PooledProcessBackend(self._pool)
+                        backend_instance = ProcessBackend(self._pool)
                     report = self._engine.run(request, backend=backend_instance)
         finally:
             self._unpin(cube)
@@ -330,26 +330,22 @@ class FusionSession:
     def _stage_runtime(self) -> TransportStageExecutor:
         """The session-wide stage executor (created on first pipeline run).
 
-        The backend spec picks the worker transport: ``process`` borrows
-        the session's persistent pool, ``socket`` launches a node agent
-        (its own worker processes, reached over TCP), and the thread specs
-        run on host threads.  Whatever the substrate, the executor object
-        and its chaos/metrics surface are identical.
+        The backend spec picks the worker transport
+        (:func:`~repro.scp.transport.transport_for_spec`): ``process``
+        borrows the session's persistent pool, ``socket`` launches a node
+        agent (its own worker processes, reached over TCP), and the thread
+        specs run on host threads.  Whatever the substrate, the executor
+        object and its chaos/metrics surface are identical.
         """
         with self._lock:
             self._check_open()
             if self._stage_executor is None:
                 workers = max(self._probe_config().partition.workers, 1)
-                if self._pool is not None:
-                    self._stage_executor = PoolStageExecutor(
-                        self._pool, workers=workers, owns_pool=False)
-                elif self._spec is not None and self._spec.name == "socket":
-                    self._stage_executor = TransportStageExecutor(
-                        SocketTransport(workers=workers,
-                                        start_method=self._start_method),
-                        workers=workers)
-                else:
-                    self._stage_executor = ThreadStageExecutor(workers=workers)
+                self._stage_executor = TransportStageExecutor(
+                    transport_for_spec(self._spec, workers=workers,
+                                       pool=self._pool,
+                                       start_method=self._start_method),
+                    workers=workers)
             return self._stage_executor
 
     @property

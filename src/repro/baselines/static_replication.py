@@ -28,8 +28,8 @@ from ..resilience.attack import AttackScenario
 class StaticReplicationPCT(_ResilientPCT):
     """Replicated distributed fusion with regeneration switched off.
 
-    Accepts the same arguments as :class:`~repro.core.resilient.ResilientPCT`
-    (cluster, backend, attack scenario, ...) but forces
+    Accepts the same arguments as the resilient engine
+    (:mod:`repro.core.resilient`: cluster, backend, attack scenario, ...) but forces
     ``resilience.regenerate = False`` so lost replicas stay lost.  A
     ``reassign_timeout`` may be supplied to emulate an application that
     protects itself (manager-level task reassignment) instead of relying on

@@ -1,21 +1,20 @@
 """The paper's primary contribution: the spectral-screening PCT fusion engine.
 
-Three entry points share one algorithm implementation:
+Every engine shares one algorithm implementation:
 
 * :class:`~repro.core.pipeline.SpectralScreeningPCT` -- sequential reference,
-* :class:`~repro.core.distributed.DistributedPCT` -- manager/worker on the
-  SCP runtime (simulated cluster or real threads),
-* :class:`~repro.core.resilient.ResilientPCT` -- the distributed engine with
-  computational resiliency (replication, detection, regeneration) applied.
+* :mod:`~repro.core.distributed` -- manager/worker on the SCP runtime
+  (simulated cluster, real threads or real processes),
+* :mod:`~repro.core.resilient` -- the distributed engine with computational
+  resiliency (replication, detection, regeneration) applied,
+* :mod:`~repro.core.streaming` -- the streaming tile pipeline.
 
-``DistributedPCT`` and ``ResilientPCT`` are deprecated shims kept for
-backward compatibility; new code reaches these engines through
-:func:`repro.fuse` / :func:`repro.open_session` and the engine registry
-(:mod:`repro.api.engines`).
+The engines are reached through :func:`repro.fuse` /
+:func:`repro.open_session` and the engine registry (:mod:`repro.api.engines`).
 """
 
-from .distributed import (MANAGER_NAME, WORKER_PREFIX, DistributedPCT,
-                          DistributedRunOutcome, worker_name)
+from .distributed import (MANAGER_NAME, WORKER_PREFIX, DistributedRunOutcome,
+                          worker_name)
 from .manager import manager_program
 from .messages import (ALL_PHASES, PHASE_COVARIANCE, PHASE_SCREEN,
                        PHASE_TRANSFORM, PORT_HELLO, PORT_RESULT, PORT_TASK,
@@ -24,13 +23,12 @@ from .partition import (SubcubeSpec, decompose, extract_subcube, granularity_for
                         merge_subcubes, reassemble_composite, split_subcube,
                         subcube_pixel_matrix)
 from .pipeline import FusionResult, SpectralScreeningPCT
-from .resilient import ResilientPCT, ResilientRunOutcome
+from .resilient import ResilientRunOutcome
 from .worker import worker_program
 
 __all__ = [
     "MANAGER_NAME",
     "WORKER_PREFIX",
-    "DistributedPCT",
     "DistributedRunOutcome",
     "worker_name",
     "manager_program",
@@ -56,6 +54,5 @@ __all__ = [
     "subcube_pixel_matrix",
     "FusionResult",
     "SpectralScreeningPCT",
-    "ResilientPCT",
     "ResilientRunOutcome",
 ]

@@ -1,8 +1,9 @@
 """Distributed (manager/worker) spectral-screening PCT.
 
-:class:`DistributedPCT` assembles the manager and worker thread programs into
-an SCP :class:`~repro.scp.runtime.Application`, runs it on a chosen backend
-and returns both the fusion output and the run metrics.  Three backends are
+The engine behind ``repro.fuse(cube, engine="distributed")`` assembles the
+manager and worker thread programs into an SCP
+:class:`~repro.scp.runtime.Application`, runs it on a chosen backend and
+returns both the fusion output and the run metrics.  Three backends are
 supported out of the box:
 
 ``backend="sim"``
@@ -28,7 +29,6 @@ sequential :class:`~repro.core.pipeline.SpectralScreeningPCT` reference.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -36,12 +36,11 @@ from ..cluster.machine import Cluster
 from ..cluster.metrics import RunMetrics
 from ..config import FusionConfig
 from ..data.cube import HyperspectralCube
-from ..scp.local_backend import LocalBackend
-from ..scp.process_backend import ProcessBackend
 from ..scp.registry import BackendContext, BackendSpec, create_backend
 from ..scp.runtime import Application, Backend, RunResult
 from ..scp.sim_backend import ProtocolConfig, SimBackend
 from ..scp.topology import CommunicationStructure
+from ..scp.wallclock import WallClockBackend
 from .manager import manager_program
 from .pipeline import FusionResult
 from .worker import worker_program
@@ -200,17 +199,19 @@ class _DistributedPCT:
         """Run the distributed fusion and return result plus metrics."""
         backend = backend or self.make_backend()
         app = self.build_application(cube)
-        run = self._execute(backend, app)
-        return self._package(cube, run)
+        return self._package(self._execute(backend, app))
 
-    def _execute(self, backend: Backend, app: Application) -> RunResult:
+    def _execute(self, backend: Backend, app: Application,
+                 **sim_options) -> RunResult:
+        """Run ``app``; ``sim_options`` reach only the simulated backend
+        (whose virtual-time results depend on the exact call shape)."""
         if isinstance(backend, SimBackend):
-            return backend.run(app)
-        if isinstance(backend, (LocalBackend, ProcessBackend)):
+            return backend.run(app, **sim_options)
+        if isinstance(backend, WallClockBackend):
             return backend.run(app, until_thread=MANAGER_NAME)
         return backend.run(app)
 
-    def _package(self, cube: HyperspectralCube, run: RunResult) -> "DistributedRunOutcome":
+    def _package(self, run: RunResult) -> "DistributedRunOutcome":
         result = run.return_of(MANAGER_NAME)
         if not isinstance(result, FusionResult):
             raise TypeError(f"manager returned {type(result).__name__}, expected FusionResult")
@@ -220,22 +221,4 @@ class _DistributedPCT:
         return DistributedRunOutcome(result=result, metrics=metrics, run=run)
 
 
-class DistributedPCT(_DistributedPCT):
-    """Deprecated constructor-style entry point.
-
-    Kept as a thin shim over the internal engine so existing code keeps
-    working unchanged; new code should call :func:`repro.fuse` (one shot) or
-    :func:`repro.open_session` (repeated workloads) with
-    ``engine="distributed"`` instead.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        warnings.warn(
-            "DistributedPCT is deprecated; use repro.fuse(cube, "
-            "engine='distributed', backend=...) or repro.open_session(...) instead",
-            DeprecationWarning, stacklevel=2)
-        super().__init__(*args, **kwargs)
-
-
-__all__ = ["DistributedPCT", "DistributedRunOutcome", "worker_name",
-           "MANAGER_NAME", "WORKER_PREFIX"]
+__all__ = ["DistributedRunOutcome", "worker_name", "MANAGER_NAME", "WORKER_PREFIX"]

@@ -1,10 +1,11 @@
-"""Resilient distributed fusion: DistributedPCT + computational resiliency.
+"""Resilient distributed fusion: distributed engine + computational resiliency.
 
-:class:`ResilientPCT` is the configuration the paper actually evaluates:
-every worker thread is replicated (level 2 in Section 4), the manager -- the
-sensor -- is not, heartbeat failure detection and dynamic regeneration are
-armed, and the more expensive group-communication protocols (acknowledgement
-and sequencing overheads) are charged by the simulated backend.  An optional
+The engine behind ``repro.fuse(cube, engine="resilient")`` is the
+configuration the paper actually evaluates: every worker thread is
+replicated (level 2 in Section 4), the manager -- the sensor -- is not,
+heartbeat failure detection and dynamic regeneration are armed, and the
+more expensive group-communication protocols (acknowledgement and
+sequencing overheads) are charged by the simulated backend.  An optional
 attack scenario and camouflage policy can be layered on without touching the
 algorithm code.
 
@@ -16,24 +17,16 @@ Figure 4 measures.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
-from ..cluster.machine import Cluster
-from ..cluster.metrics import RunMetrics
 from ..config import FusionConfig, ResilienceConfig
 from ..data.cube import HyperspectralCube
 from ..resilience.attack import AttackScenario
 from ..resilience.coordinator import ResilienceCoordinator, protocol_config_for
 from ..resilience.policy import ReplicationPolicy
-from ..scp.local_backend import LocalBackend
-from ..scp.process_backend import ProcessBackend
-from ..scp.registry import BackendContext, BackendSpec, create_backend
-from ..scp.runtime import Application, Backend, RunResult
-from ..scp.sim_backend import SimBackend
+from ..scp.runtime import Application
 from .distributed import (MANAGER_NAME, DistributedRunOutcome, _DistributedPCT)
-from .pipeline import FusionResult
 
 
 @dataclass
@@ -51,8 +44,13 @@ class ResilientRunOutcome(DistributedRunOutcome):
         return int(self.metrics.failures_injected)
 
 
-class _ResilientPCT:
+class _ResilientPCT(_DistributedPCT):
     """Distributed spectral-screening PCT with computational resiliency.
+
+    Takes the arguments of :class:`~repro.core.distributed._DistributedPCT`
+    (``cluster``, ``backend``, ``n_components``, ``full_projection``,
+    ``prefetch``, ``reassign_timeout``, ``share_replica_results``) except
+    ``protocol``, which is derived from the resilience configuration, plus:
 
     Parameters
     ----------
@@ -60,9 +58,6 @@ class _ResilientPCT:
         Fusion configuration.  ``config.resilience`` supplies the resiliency
         parameters; when it is ``None`` the paper's defaults
         (:class:`~repro.config.ResilienceConfig` with level 2) are used.
-    cluster:
-        Optional cluster model; defaults to the paper's Sun/100BaseT preset
-        sized to the worker count.
     backend:
         ``"sim"`` (default), ``"local"`` or ``"process"``.  On the two real
         backends failure detection relies on immediate death notifications
@@ -77,64 +72,31 @@ class _ResilientPCT:
     """
 
     def __init__(self, config: Optional[FusionConfig] = None, *,
-                 cluster: Optional[Cluster] = None,
-                 backend: Union[str, BackendSpec, Backend] = "sim",
-                 n_components: int = 3,
-                 full_projection: bool = True,
-                 prefetch: int = 2,
-                 reassign_timeout: Optional[float] = None,
                  attack: Optional[AttackScenario] = None,
                  camouflage_period: Optional[float] = None,
-                 share_replica_results: bool = True) -> None:
-        self.config = config or FusionConfig()
-        self.resilience = self.config.resilience or ResilienceConfig()
-        self.cluster = cluster
-        self.backend_choice = backend
-        self.n_components = n_components
-        self.full_projection = full_projection
-        self.prefetch = prefetch
-        self.reassign_timeout = reassign_timeout
+                 share_replica_results: bool = True,
+                 **distributed_options) -> None:
+        config = config or FusionConfig()
+        self.resilience = config.resilience or ResilienceConfig()
+        # The backend context of the base engine, with the resiliency
+        # protocol's cost model charged on the simulated backend.
+        super().__init__(
+            config, protocol=protocol_config_for(self.resilience),
+            share_replica_results=(share_replica_results
+                                   and not self.resilience.execute_replicas),
+            **distributed_options)
         self.attack = attack
         self.camouflage_period = camouflage_period
-        self.share_replica_results = share_replica_results
-        self._distributed = _DistributedPCT(
-            self.config, cluster=cluster, backend=backend, n_components=n_components,
-            full_projection=full_projection, prefetch=prefetch,
-            reassign_timeout=reassign_timeout,
-            share_replica_results=share_replica_results)
 
     # ----------------------------------------------------------------- pieces
-    @property
-    def workers(self) -> int:
-        return self.config.partition.workers
-
     def build_application(self, cube: HyperspectralCube) -> Application:
         """The same manager/worker application, with workers replicated."""
         if self.resilience.replicate_manager:
             raise NotImplementedError(
                 "manager replication is not part of the paper's configuration "
                 "(the manager represents the sensor itself) and is not implemented")
-        return self._distributed.build_application(
+        return super().build_application(
             cube, worker_replicas=self.resilience.replication_level)
-
-    def make_backend(self) -> Backend:
-        """Instantiate the backend with the resiliency protocol cost model.
-
-        Spec strings go through the backend registry
-        (:mod:`repro.scp.registry`); the context charges the resiliency
-        protocol overheads on the simulated backend.
-        """
-        if isinstance(self.backend_choice, Backend):
-            return self.backend_choice
-        context = BackendContext(
-            workers=self.workers, cluster=self.cluster,
-            protocol=protocol_config_for(self.resilience),
-            share_replica_results=(self.share_replica_results
-                                   and not self.resilience.execute_replicas),
-            manager=MANAGER_NAME)
-        backend = create_backend(self.backend_choice, context)
-        self.cluster = context.cluster
-        return backend
 
     # ------------------------------------------------------------------ fuse
     def fuse(self, cube: HyperspectralCube) -> ResilientRunOutcome:
@@ -155,53 +117,18 @@ class _ResilientPCT:
         if self.camouflage_period is not None:
             coordinator.enable_camouflage(
                 period=self.camouflage_period,
-                logical_threads=self._distributed.worker_names(),
+                logical_threads=self.worker_names(),
                 seed=self.config.seed)
 
-        run = self._execute(backend, app, placement)
-        outcome = self._package(run, coordinator)
-        return outcome
-
-    # -------------------------------------------------------------- internals
-    def _execute(self, backend: Backend, app: Application,
-                 placement: Optional[Dict[str, str]]) -> RunResult:
-        if isinstance(backend, SimBackend):
-            return backend.run(app, placement=placement, until_thread=MANAGER_NAME)
-        if isinstance(backend, (LocalBackend, ProcessBackend)):
-            return backend.run(app, until_thread=MANAGER_NAME)
-        return backend.run(app)
-
-    def _package(self, run: RunResult, coordinator: ResilienceCoordinator
-                 ) -> ResilientRunOutcome:
-        result = run.return_of(MANAGER_NAME)
-        if not isinstance(result, FusionResult):
-            raise TypeError(f"manager returned {type(result).__name__}, expected FusionResult")
-        metrics: RunMetrics = run.metrics
-        metrics.workers = self.workers
-        metrics.subcubes = max(self.config.partition.effective_subcubes, self.workers)
-        metrics.replication_level = self.resilience.replication_level
+        run = self._execute(backend, app, placement=placement,
+                            until_thread=MANAGER_NAME)
+        outcome = self._package(run)
+        outcome.metrics.replication_level = self.resilience.replication_level
         report = coordinator.report()
-        result.metadata["resilience"] = report
-        result.metadata["mode"] = "resilient"
-        return ResilientRunOutcome(result=result, metrics=metrics, run=run,
-                                   resilience_report=report)
+        outcome.result.metadata["resilience"] = report
+        outcome.result.metadata["mode"] = "resilient"
+        return ResilientRunOutcome(result=outcome.result, metrics=outcome.metrics,
+                                   run=run, resilience_report=report)
 
 
-class ResilientPCT(_ResilientPCT):
-    """Deprecated constructor-style entry point.
-
-    Kept as a thin shim over the internal engine so existing code keeps
-    working unchanged; new code should call :func:`repro.fuse` (one shot) or
-    :func:`repro.open_session` (repeated workloads) with
-    ``engine="resilient"`` instead.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        warnings.warn(
-            "ResilientPCT is deprecated; use repro.fuse(cube, "
-            "engine='resilient', backend=...) or repro.open_session(...) instead",
-            DeprecationWarning, stacklevel=2)
-        super().__init__(*args, **kwargs)
-
-
-__all__ = ["ResilientPCT", "ResilientRunOutcome"]
+__all__ = ["ResilientRunOutcome"]

@@ -14,10 +14,11 @@ small global reductions, which suggests a *staged dataflow* instead:
                                                                  │
               reassemble ◀── project + colour-map (par) ◀────────┘
 
-Each parallel stage is a set of pure *stage tasks* executed on borrowed
-:class:`~repro.scp.pool.ProcessPool` slots through a
-:class:`~repro.scp.stages.PoolStageExecutor` (or host threads for the
-``local``/``sim`` backend specs).  The two barriers are tiny: merging unique
+Each parallel stage is a set of pure *stage tasks* executed through a
+:class:`~repro.scp.stages.TransportStageExecutor` on whatever workers the
+backend spec names (:func:`~repro.scp.transport.transport_for_spec`:
+:class:`~repro.scp.pool.ProcessPool` slots, a socket node agent, or host
+threads for the ``local``/``sim`` specs).  The two barriers are tiny: merging unique
 sets, a ``bands x bands`` eigen-decomposition and the colour-stretch
 statistics -- all independent of image size.  Because the executor bounds
 the number of tasks in flight, several independent fusions can stream
@@ -59,12 +60,9 @@ from ..config import FusionConfig, ScreeningConfig
 from ..data.cube import CubeError, HyperspectralCube
 from ..data.shared import (OutputPool, SharedComposite, SharedCompositeHandle,
                            SharedCube, output_tile_views)
-from ..scp.pool import PooledProcessBackend, ProcessPool
-from ..scp.registry import BackendSpec
 from ..scp.runtime import Backend
-from ..scp.stages import (PoolStageExecutor, ThreadStageExecutor,
-                          ThroughputEWMA, TransportStageExecutor)
-from ..scp.transport import SocketTransport
+from ..scp.stages import ThroughputEWMA, TransportStageExecutor
+from ..scp.transport import transport_for_spec
 from .kernels import kernel_covariance_sum, kernel_project_and_map
 from .partition import (SubcubeSpec, decompose, extract_subcube,
                         reassemble_composite, subcube_pixel_matrix)
@@ -75,12 +73,6 @@ from .steps.screening import merge_unique_sets, screen_unique_set
 from .steps.statistics import (covariance_matrix, mean_vector,
                                partition_pixel_matrix)
 from .steps.transform import PCTBasis, project, transformation_matrix
-
-#: Backend spec names executed on pool processes, node-agent processes
-#: reached over TCP, and host threads respectively.
-_PROCESS_SPECS = ("process",)
-_SOCKET_SPECS = ("socket",)
-_THREAD_SPECS = ("local", "sim")
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +310,9 @@ def run_pipeline(cube: HyperspectralCube, config: FusionConfig, executor, *,
                  output_pool: Optional[OutputPool] = None) -> FusionResult:
     """Drive one cube through the staged screen/statistics/transform DAG.
 
-    ``executor`` is any stage executor (:class:`PoolStageExecutor` or
-    :class:`ThreadStageExecutor`); several concurrent ``run_pipeline`` calls
-    may share one executor, which is how independent cubes overlap.
+    ``executor`` is a :class:`~repro.scp.stages.TransportStageExecutor` on
+    any transport; several concurrent ``run_pipeline`` calls may share one
+    executor, which is how independent cubes overlap.
 
     ``zero_copy`` selects the result transport of the projection stage:
     workers write tiles straight into a :class:`~repro.data.shared.
@@ -393,7 +385,7 @@ def run_pipeline(cube: HyperspectralCube, config: FusionConfig, executor, *,
                            else default_tile_rows(cube.rows, workers))
     normalize = config.colormap.normalize_components
     use_zero_copy = (zero_copy if zero_copy is not None
-                     else bool(getattr(executor, "uses_processes", False)))
+                     else executor.uses_processes)
     placement: Optional[SharedComposite] = None
     completed = False
     if use_zero_copy:
@@ -492,37 +484,8 @@ def run_pipeline(cube: HyperspectralCube, config: FusionConfig, executor, *,
 
 
 # ---------------------------------------------------------------------------
-# Executor resolution and the registered engine
+# Request execution and the registered engine
 # ---------------------------------------------------------------------------
-
-def make_stage_executor(spec: BackendSpec, *, workers: int,
-                        start_method: Optional[str] = None):
-    """Build a stage executor for a parsed backend spec.
-
-    ``process`` specs get a private :class:`~repro.scp.pool.ProcessPool`
-    (pre-warmed to ``workers`` slots) wrapped in a
-    :class:`~repro.scp.stages.PoolStageExecutor` that owns it; ``socket``
-    specs get a :class:`~repro.scp.transport.SocketTransport` node agent
-    (worker processes reached over TCP frames, results through the same
-    crash-safe spool commit); ``local`` and ``sim`` specs run stages on
-    host threads -- the simulated backend has no meaningful virtual clock
-    for a streaming dataflow, so the engine degrades it to measured wall
-    clock on threads, with identical output.
-    """
-    if spec.name in _PROCESS_SPECS:
-        pool = ProcessPool(start_method=start_method or spec.variant or None,
-                           warm=workers)
-        return PoolStageExecutor(pool, workers=workers, owns_pool=True)
-    if spec.name in _SOCKET_SPECS:
-        transport = SocketTransport(workers=workers, start_method=start_method)
-        return TransportStageExecutor(transport, workers=workers)
-    if spec.name in _THREAD_SPECS:
-        return ThreadStageExecutor(workers=workers)
-    raise ValueError(
-        f"engine 'pipeline' cannot stream on backend {spec.name!r}; "
-        f"supported backend specs: "
-        f"{', '.join(_PROCESS_SPECS + _SOCKET_SPECS + _THREAD_SPECS)}")
-
 
 def validate_pipeline_request(request, *, one_shot: bool) -> None:
     """Reject knobs the pipeline cannot honour, on every entry path.
@@ -591,50 +554,33 @@ class PipelineEngine:
 
     def run(self, request, backend: Optional[Backend] = None):
         validate_pipeline_request(request, one_shot=True)
-        config = request.resolved_config()
-        workers = max(config.partition.workers, 1)
-
-        owned_executor = None
+        spec = request.backend_choice(default="process")
+        if backend is not None or isinstance(spec, Backend):
+            raise ValueError(
+                "engine 'pipeline' executes stage tasks, not SCP programs; "
+                "pass a backend spec string such as 'process:8', not a "
+                "backend instance")
+        workers = max(request.resolved_config().partition.workers, 1)
+        executor = TransportStageExecutor(
+            transport_for_spec(spec, workers=workers), workers=workers)
         placed: Optional[SharedCube] = None
-        if backend is not None:
-            if isinstance(backend, PooledProcessBackend):
-                executor = PoolStageExecutor(backend._pool, workers=workers,
-                                             owns_pool=False)
-                owned_executor = executor
-                label = backend.kind
-                uses_processes = True
-            else:
-                raise ValueError(
-                    "engine 'pipeline' executes stage tasks, not SCP programs; "
-                    "pass a backend spec (e.g. 'process:8') or a "
-                    "PooledProcessBackend, not a bare backend instance")
-        else:
-            spec = request.backend_choice(default="process")
-            if isinstance(spec, Backend):  # an instance smuggled through request
-                raise ValueError(
-                    "engine 'pipeline' executes stage tasks, not SCP programs; "
-                    "pass a backend spec string such as 'process:8'")
-            executor = make_stage_executor(spec, workers=workers)
-            owned_executor = executor
-            label = str(spec)
-            uses_processes = bool(getattr(executor, "uses_processes", False))
         try:
             working = request
-            if uses_processes and not isinstance(request.cube, SharedCube):
+            if executor.uses_processes and not isinstance(request.cube, SharedCube):
                 # Place the samples in shared memory once, so stage tasks
                 # ship a tiny handle instead of pickling the cube per task.
                 placed = SharedCube.from_cube(request.cube)
                 working = request.replace(cube=placed)
-            return execute_pipeline_request(working, executor, backend_label=label)
+            return execute_pipeline_request(working, executor,
+                                            backend_label=str(spec))
         finally:
-            if owned_executor is not None:
-                owned_executor.close()
+            executor.close()
             if placed is not None:
                 placed.close()
 
 
 __all__ = ["PipelineEngine", "AdaptiveTileScheduler", "run_pipeline",
            "execute_pipeline_request", "validate_pipeline_request",
-           "make_stage_executor", "plan_tiles", "default_tile_rows",
+           "plan_tiles", "default_tile_rows",
            "screen_tile", "covariance_partial", "project_tile",
            "project_tile_into"]

@@ -5,7 +5,7 @@ session-wide stage executor the pipeline engine runs on (reached through
 :meth:`repro.api.session.FusionSession.stage_executor`):
 
 * :class:`KillStorm` queues SIGKILLs through the executor's
-  :meth:`~repro.scp.stages.PoolStageExecutor.inject_kill` chaos hook --
+  :meth:`~repro.scp.stages.TransportStageExecutor.inject_kill` chaos hook --
   worker processes die mid-stage exactly as an OOM kill or node loss
   would, and crash recovery re-dispatches their tasks;
 * :class:`Straggler` occupies worker slots with long sleep tasks, so real

@@ -5,20 +5,21 @@ application and resiliency layers are written against: thread programs as
 effect-yielding generators (:mod:`.effects`), explicit communication
 structures (:mod:`.topology`), logical-to-physical routing with duplicate
 suppression (:mod:`.group`, :mod:`.channel`) and three interchangeable
-execution backends -- real threads (:mod:`.local_backend`), real processes
-with shared-memory data placement (:mod:`.process_backend`) and a
-deterministic discrete-event simulation of a workstation cluster
-(:mod:`.sim_backend`).
+execution backends -- real threads (:mod:`.local_backend`) and real
+processes with shared-memory data placement (:mod:`.process_backend`), which
+share one parent-side core (:mod:`.wallclock`), and a deterministic
+discrete-event simulation of a workstation cluster (:mod:`.sim_backend`).
 
 Backends are addressable by name through the registry (:mod:`.registry`,
-spec strings such as ``"process:fork"`` or ``"sim:switched"``), and the
-persistent worker pool (:mod:`.pool`) lets repeated runs reuse live worker
-processes instead of spawning per run.
+spec strings such as ``"process:fork"`` or ``"sim:switched"``).  Every
+process replica runs on a worker-pool slot (:mod:`.pool`); a pool that
+outlives the run lets repeated runs reuse live worker processes.
 
 The streaming pipeline engine executes *stage tasks* rather than SCP
 programs; its worker substrates live behind the transport seam
 (:mod:`.transport` -- in-process threads, forked pool slots, or a socket
-node agent), driven by the unified stage executor (:mod:`.stages`).
+node agent; ``transport_for_spec`` maps a backend spec to one), driven by
+the stage executor (:mod:`.stages`).
 """
 
 from .channel import Mailbox
@@ -29,19 +30,17 @@ from .errors import (DeadlockError, PlacementError, ReceiveTimeout,
                      UnknownDestinationError)
 from .group import Router
 from .local_backend import LocalBackend
-from .pool import PooledProcessBackend, ProcessPool, default_start_method
+from .pool import ProcessPool, default_start_method
 from .process_backend import ProcessBackend
 from .registry import (SIM_PRESETS, BackendContext, BackendSpec, backend_names,
                        create_backend, describe_backends, register_backend)
 from .runtime import (Application, Backend, Context, RunResult, ThreadOutcome,
                       plan_placement)
 from .serialization import ENVELOPE_OVERHEAD_BYTES, Envelope, payload_nbytes
-from .stages import (PoolStageExecutor, StageCrashError, StageError,
-                     ThreadStageExecutor, TransportStageExecutor)
+from .stages import StageCrashError, StageError, TransportStageExecutor
 from .transport import (CommittedResult, ForkedProcessTransport,
                         InProcessTransport, SocketTransport, TaskFrame,
-                        WorkerTransport, create_transport, describe_transports,
-                        register_transport, transport_names)
+                        WorkerTransport, transport_for_spec)
 from .sim_backend import (CONTROL_MESSAGE_BYTES, ProtocolConfig, SimBackend,
                           TaskStatus)
 from .thread import ThreadProgram, ThreadSpec, parse_physical, physical_name
@@ -68,7 +67,6 @@ __all__ = [
     "UnknownDestinationError",
     "Router",
     "LocalBackend",
-    "PooledProcessBackend",
     "ProcessPool",
     "default_start_method",
     "ProcessBackend",
@@ -88,10 +86,8 @@ __all__ = [
     "ENVELOPE_OVERHEAD_BYTES",
     "Envelope",
     "payload_nbytes",
-    "PoolStageExecutor",
     "StageCrashError",
     "StageError",
-    "ThreadStageExecutor",
     "TransportStageExecutor",
     "CommittedResult",
     "ForkedProcessTransport",
@@ -99,10 +95,7 @@ __all__ = [
     "SocketTransport",
     "TaskFrame",
     "WorkerTransport",
-    "create_transport",
-    "describe_transports",
-    "register_transport",
-    "transport_names",
+    "transport_for_spec",
     "CONTROL_MESSAGE_BYTES",
     "ProtocolConfig",
     "SimBackend",

@@ -20,51 +20,34 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Optional
 
-from ..cluster.metrics import MetricsCollector
-from ..logging_utils import get_logger
 from .channel import Mailbox
 from .effects import (Checkpoint, Compute, GetTime, Probe, Recv, Send, Sleep)
-from .errors import (ReceiveTimeout, RuntimeStateError, SCPError,
-                     ThreadCrashedError)
-from .group import Router
-from .runtime import (Application, Backend, Context, RunResult, ThreadOutcome)
+from .errors import ReceiveTimeout, SCPError
+from .runtime import Context
 from .serialization import Envelope
-from .thread import ThreadSpec, physical_name
-
-_LOG = get_logger("scp.local")
+from .thread import ThreadSpec
+from .wallclock import ReplicaTask, WallClockBackend
 
 
 class _KilledSignal(Exception):
     """Internal control-flow exception unwinding a killed thread program."""
 
 
-class _LocalTask:
+class _LocalTask(ReplicaTask):
     def __init__(self, spec: ThreadSpec, replica: int, physical_id: str,
                  ctx: Context) -> None:
-        self.spec = spec
-        self.logical = spec.name
-        self.replica = replica
-        self.physical_id = physical_id
+        super().__init__(spec, replica, physical_id, ctx.incarnation)
         self.ctx = ctx
         self.mailbox = Mailbox(physical_id, dedup=True, thread_safe=True)
         self.gen = None
         self.thread: Optional[threading.Thread] = None
-        self.status = "ready"
-        self.result: Any = None
-        self.error: Optional[str] = None
         self.send_seq = 0
         self.killed = threading.Event()
-        self.daemon = spec.daemon
-        self.incarnation = ctx.incarnation
-
-    @property
-    def alive(self) -> bool:
-        return self.status in ("ready", "running")
 
 
-class LocalBackend(Backend):
+class LocalBackend(WallClockBackend):
     """Shared-memory, real-thread execution backend."""
 
     kind = "local"
@@ -82,74 +65,10 @@ class LocalBackend(Backend):
             Wall-clock safety limit (seconds) applied to :meth:`run` unless
             overridden; prevents wedged tests from hanging forever.
         """
-        if crash_policy not in ("raise", "record"):
-            raise ValueError("crash_policy must be 'raise' or 'record'")
-        self.crash_policy = crash_policy
-        self.default_timeout = default_timeout
-        self.router = Router()
-        self.collector = MetricsCollector()
-        self._tasks: Dict[str, _LocalTask] = {}
-        self._lock = threading.RLock()
-        self._dead_letters: Dict[str, List[Envelope]] = {}
-        self._death_callbacks: List[Callable[[str, str, str], None]] = []
-        self._checkpoints: Dict[str, Any] = {}
-        self._messages = 0
-        self._bytes = 0
-        self._start_time = 0.0
-        self._app: Optional[Application] = None
-        self._ran = False
+        super().__init__(crash_policy=crash_policy, default_timeout=default_timeout)
 
-    # --------------------------------------------------------------- queries
-    @property
-    def now(self) -> float:
-        """Seconds since the run started (wall clock)."""
-        return time.perf_counter() - self._start_time if self._start_time else 0.0
-
-    def live_replicas(self, logical: str) -> List[str]:
-        with self._lock:
-            return [pid for pid in self.router.physical_targets(logical)
-                    if pid in self._tasks and self._tasks[pid].alive]
-
-    def checkpoint_of(self, logical: str) -> Any:
-        with self._lock:
-            return self._checkpoints.get(logical)
-
-    def subscribe_thread_death(self, callback: Callable[[str, str, str], None]) -> None:
-        self._death_callbacks.append(callback)
-
-    # ------------------------------------------------------------------- run
-    def run(self, app: Application, *, timeout: Optional[float] = None,
-            until_thread: Optional[str] = None) -> RunResult:
-        """Run ``app`` on real threads.
-
-        ``until_thread`` names a logical thread whose completion ends the run
-        (remaining threads are shut down by closing their mailboxes), which is
-        how the fusion application terminates its workers deterministically
-        even when a fault-injection campaign interfered with the stop
-        messages.
-        """
-        if self._ran:
-            raise RuntimeStateError("LocalBackend instances are single use; create a new one")
-        self._ran = True
-        app.validate()
-        self._app = app
-        timeout = timeout if timeout is not None else self.default_timeout
-        self._start_time = time.perf_counter()
-
-        with self._lock:
-            for spec in app.specs:
-                for replica in range(spec.replicas):
-                    self._create_task(spec, replica, restored=None, incarnation=0)
-            tasks = list(self._tasks.values())
-        for task in tasks:
-            self._start_task(task)
-
-        deadline = (time.perf_counter() + timeout) if timeout is not None else None
-        self._join(until_thread, deadline)
-        elapsed = time.perf_counter() - self._start_time
-        return self._build_result(elapsed)
-
-    def _join(self, until_thread: Optional[str], deadline: Optional[float]) -> None:
+    # ------------------------------------------------------------- wait loop
+    def _wait(self, until_thread: Optional[str], deadline: Optional[float]) -> None:
         if until_thread is not None:
             self._wait_for_logical(until_thread, deadline)
             # Shut down everything else so joins below terminate quickly.
@@ -191,29 +110,32 @@ class LocalBackend(Backend):
                 return
             time.sleep(0.002)
 
-    # --------------------------------------------------------- task plumbing
-    def _create_task(self, spec: ThreadSpec, replica: int, *, restored: Any,
-                     incarnation: int) -> _LocalTask:
-        pid = physical_name(spec.name, replica)
-        if pid in self._tasks and self._tasks[pid].alive:
-            raise RuntimeStateError(f"physical thread {pid!r} already exists and is alive")
-        ctx = Context(name=spec.name, replica=replica, physical_id=pid, node="local",
-                      params=dict(spec.params), restored=restored, incarnation=incarnation)
-        task = _LocalTask(spec, replica, pid, ctx)
+    # --------------------------------------------------------------- vehicle
+    def _make_task(self, spec: ThreadSpec, replica: int, physical_id: str, *,
+                   restored: Any, incarnation: int) -> _LocalTask:
+        ctx = Context(name=spec.name, replica=replica, physical_id=physical_id,
+                      node="local", params=dict(spec.params), restored=restored,
+                      incarnation=incarnation)
+        task = _LocalTask(spec, replica, physical_id, ctx)
         task.gen = spec.program(ctx, **spec.params)
-        self._tasks[pid] = task
-        self.router.register(spec.name, pid)
-        parked = self._dead_letters.pop(spec.name, [])
-        for envelope in parked:
-            task.mailbox.deposit(envelope)
+        # Parked envelopes go in before any newer send can reach the mailbox
+        # (the task is not registered with the router yet).
+        self._replay_dead_letters(task)
         return task
 
-    def _start_task(self, task: _LocalTask) -> None:
-        thread = threading.Thread(target=self._interpret, args=(task,),
-                                  name=task.physical_id, daemon=True)
-        task.thread = thread
-        task.status = "running"
-        thread.start()
+    def _launch(self, task: _LocalTask) -> None:
+        task.thread = threading.Thread(target=self._interpret, args=(task,),
+                                       name=task.physical_id, daemon=True)
+        task.thread.start()
+
+    def _deliver(self, task: _LocalTask, envelope: Envelope) -> bool:
+        return task.mailbox.deposit(envelope)
+
+    def _terminate(self, task: _LocalTask, reason: str) -> None:
+        # Cooperative: the interpreter notices the flag between effects, and
+        # closing the mailbox wakes a blocked receive.
+        task.killed.set()
+        task.mailbox.close()
 
     # ------------------------------------------------------------ interpreter
     def _interpret(self, task: _LocalTask) -> None:
@@ -230,27 +152,33 @@ class LocalBackend(Backend):
                     else:
                         effect = task.gen.send(value)
                 except StopIteration as stop:
-                    self._finish(task, stop.value)
+                    self._finish(task.physical_id, stop.value)
                     return
                 value, throw = self._execute_effect(task, effect)
         except _KilledSignal:
-            self._mark_killed(task)
+            pass  # kill_thread already recorded the death
         except ReceiveTimeout as err:
-            self._crash(task, f"uncaught ReceiveTimeout: {err}")
+            self._crashed(task, f"uncaught ReceiveTimeout: {err}")
         except Exception as err:  # noqa: BLE001 - program errors are reported
-            self._crash(task, repr(err))
+            self._crashed(task, repr(err))
+
+    def _crashed(self, task: _LocalTask, message: str) -> None:
+        task.mailbox.close()
+        self._crash(task.physical_id, message)
 
     def _execute_effect(self, task: _LocalTask, effect):
         if isinstance(effect, Compute):
             start = time.perf_counter()
             result = effect.fn(*effect.args, **effect.kwargs)
-            elapsed = time.perf_counter() - start
-            with self._lock:
-                self.collector.add_phase(effect.phase, elapsed)
-                self.collector.add_node_busy("local", elapsed)
+            self._record_phase(effect.phase, "local", time.perf_counter() - start)
             return result, None
         if isinstance(effect, Send):
-            self._send(task, effect)
+            task.send_seq += 1
+            self._route(Envelope(
+                src=task.logical, dst=effect.dst, port=effect.port,
+                payload=effect.payload, seq=task.send_seq, key=effect.key,
+                src_physical=task.physical_id, urgent=effect.urgent,
+                send_time=self.now))
             return None, None
         if isinstance(effect, Recv):
             envelope = task.mailbox.wait_matching(effect.port, effect.timeout)
@@ -266,110 +194,11 @@ class LocalBackend(Backend):
             time.sleep(max(0.0, effect.seconds))
             return None, None
         if isinstance(effect, Checkpoint):
-            with self._lock:
-                self._checkpoints[task.logical] = effect.state
+            self._record_checkpoint(task.logical, effect.state)
             return None, None
         if isinstance(effect, GetTime):
             return self.now, None
         raise SCPError(f"program yielded a non-effect object: {effect!r}")
-
-    def _send(self, task: _LocalTask, effect: Send) -> None:
-        task.send_seq += 1
-        envelope = Envelope(src=task.logical, dst=effect.dst, port=effect.port,
-                            payload=effect.payload, seq=task.send_seq, key=effect.key,
-                            src_physical=task.physical_id, urgent=effect.urgent,
-                            send_time=self.now)
-        with self._lock:
-            targets = [pid for pid in self.router.physical_targets(effect.dst)
-                       if pid in self._tasks and self._tasks[pid].alive]
-            if not targets:
-                self._dead_letters.setdefault(effect.dst, []).append(envelope)
-                self.collector.increment("dead_lettered")
-                return
-            self._messages += len(targets)
-            self._bytes += envelope.nbytes * len(targets)
-            mailboxes = [self._tasks[pid].mailbox for pid in targets]
-        for mailbox in mailboxes:
-            accepted = mailbox.deposit(envelope)
-            if not accepted:
-                with self._lock:
-                    self.collector.increment("duplicates_suppressed")
-
-    # ----------------------------------------------------------- termination
-    def _finish(self, task: _LocalTask, result: Any) -> None:
-        with self._lock:
-            task.status = "finished"
-            task.result = result
-            self.router.unregister(task.physical_id)
-
-    def _mark_killed(self, task: _LocalTask) -> None:
-        with self._lock:
-            task.status = "killed"
-            self.router.unregister(task.physical_id)
-
-    def _crash(self, task: _LocalTask, message: str) -> None:
-        with self._lock:
-            task.status = "crashed"
-            task.error = message
-            task.mailbox.close()
-            self.router.unregister(task.physical_id)
-            self.collector.increment("crashes")
-        _LOG.warning("thread %s crashed: %s", task.physical_id, message)
-        for callback in self._death_callbacks:
-            callback(task.physical_id, task.logical, "crashed")
-
-    # --------------------------------------------------- resiliency controls
-    def kill_thread(self, physical_id: str, reason: str = "killed") -> bool:
-        with self._lock:
-            task = self._tasks.get(physical_id)
-            if task is None or not task.alive:
-                return False
-            task.killed.set()
-            task.status = "killed"
-            task.mailbox.close()
-            self.router.unregister(physical_id)
-            if reason == "killed":
-                self.collector.increment("failures_injected")
-        if reason == "killed":
-            for callback in self._death_callbacks:
-                callback(physical_id, task.logical, reason)
-        return True
-
-    def spawn_thread(self, spec: ThreadSpec, *, replica: int, node: Optional[str] = None,
-                     restored: Any = None, incarnation: int = 1) -> str:
-        with self._lock:
-            task = self._create_task(spec, replica, restored=restored,
-                                     incarnation=incarnation)
-            self.collector.increment("replicas_regenerated")
-        self._start_task(task)
-        return task.physical_id
-
-    # ---------------------------------------------------------------- result
-    def _build_result(self, elapsed: float) -> RunResult:
-        returns: Dict[str, Any] = {}
-        outcomes: Dict[str, ThreadOutcome] = {}
-        first_crash: Optional[str] = None
-        with self._lock:
-            for pid, task in self._tasks.items():
-                outcomes[pid] = ThreadOutcome(physical_id=pid, logical=task.logical,
-                                              replica=task.replica, status=task.status,
-                                              result=task.result, error=task.error)
-                if task.status == "finished" and task.logical not in returns:
-                    returns[task.logical] = task.result
-                if task.status == "crashed" and first_crash is None:
-                    first_crash = f"{pid}: {task.error}"
-            workers = sum(1 for s in (self._app.specs if self._app else [])
-                          if s.name.startswith("worker"))
-            replication = max((s.replicas for s in (self._app.specs if self._app else [])),
-                              default=1)
-            metrics = self.collector.finalise(
-                elapsed_seconds=elapsed, backend=self.kind,
-                workers=max(workers, 1), subcubes=0, replication_level=replication,
-                messages=self._messages, bytes_sent=self._bytes)
-        if first_crash is not None and self.crash_policy == "raise":
-            raise ThreadCrashedError(first_crash.split(":")[0], first_crash)
-        return RunResult(returns=returns, outcomes=outcomes, metrics=metrics,
-                         elapsed_seconds=elapsed)
 
 
 __all__ = ["LocalBackend"]

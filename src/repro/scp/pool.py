@@ -1,23 +1,16 @@
-"""Persistent worker-process pool: amortised spawning for repeated runs.
+"""Worker-process pool: the one place SCP worker processes are forked.
 
-:class:`~repro.scp.process_backend.ProcessBackend` spawns one operating-system
-process per physical replica *per run* and tears everything down afterwards.
-For a single fusion that is the right lifecycle, but a service fusing many
-cubes pays the interpreter start-up (hundreds of milliseconds per process
-under the portable ``spawn`` start method) on every request.
-
-This module keeps the processes alive instead:
-
-* :class:`ProcessPool` owns long-lived *slots* -- worker processes running
-  :func:`_pool_child_main`, which sits on its inbox waiting for a program
-  assignment, interprets it with the exact same effect interpreter the
-  one-shot backend uses (:func:`~repro.scp.process_backend._interpret_program`),
-  reports through the pool's shared outbox, and returns to idle.
-* :class:`PooledProcessBackend` is a drop-in :class:`Backend` that borrows
-  slots from a pool instead of spawning processes.  Parent-side routing,
-  metrics, crash detection and regeneration are inherited unchanged from
-  :class:`ProcessBackend`; only the provisioning of execution vehicles
-  differs.
+A service fusing many cubes would pay the interpreter start-up (hundreds of
+milliseconds per process under the portable ``spawn`` start method) on every
+request if each run spawned its own workers.  :class:`ProcessPool` keeps
+the processes alive instead: it owns long-lived *slots* -- worker processes
+running :func:`_pool_child_main`, which sits on its inbox waiting for a
+program assignment, interprets it
+(:func:`~repro.scp.process_backend._interpret_program`), reports through
+the pool's shared outbox, and returns to idle.
+:class:`~repro.scp.process_backend.ProcessBackend` runs every replica on a
+slot: a session's backends borrow from its persistent pool, a one-shot run
+owns a private pool for its lifetime.
 
 The pool grows on demand (a run needing more replicas than there are idle
 slots spawns the difference) and never shrinks on its own; slots whose
@@ -33,22 +26,23 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
-import queue as queue_module
 import threading
-from typing import Any, List, Optional
+from typing import List, Optional
 
-from ..logging_utils import get_logger
 from .errors import RuntimeStateError
-from .process_backend import (_SHUTDOWN, ProcessBackend, _interpret_program,
-                              _ProcessTask)
-
-_LOG = get_logger("scp.pool")
 
 #: First element of a program-assignment tuple deposited on a slot's inbox.
 _ASSIGN = "__scp_pool_assign__"
 
 #: Sentinel asking a pool child to exit its idle loop and terminate.
 _POOL_EXIT = "__scp_pool_exit__"
+
+#: What ``put`` on a slot inbox raises once the queue is already broken:
+#: ValueError (closed queue), OSError (dead feeder pipe), AssertionError
+#: (pre-3.12 closed-queue signalling).  Handlers that merely tolerate a
+#: condemned slot catch exactly these (RPL005); anything else is a real bug
+#: and must surface.
+QUEUE_BROKEN_ERRORS = (ValueError, OSError, AssertionError)
 
 
 def default_start_method() -> str:
@@ -66,14 +60,16 @@ def _pool_child_main(slot_name: str, inbox, outbox) -> None:
     """Idle loop of a pool slot: wait for assignments, interpret, repeat.
 
     A slot accepts two kinds of work: full SCP *program* assignments
-    (interpreted with the shared effect interpreter, exactly as the one-shot
-    process backend does) and short *stage tasks* from the streaming
-    pipeline engine (:mod:`repro.scp.stages`).  Anything else on the inbox
+    (interpreted by the process backend's effect interpreter) and short
+    *stage tasks* from the streaming pipeline engine
+    (:mod:`repro.scp.stages`).  Anything else on the inbox
     -- a stale envelope or shutdown marker from a program that already ended
     -- is dropped, so leftovers of a previous run can never leak into the
     next.
     """
+    # Imported here: both modules import this one for ProcessPool.
     from ..data.shared import release_attachments
+    from .process_backend import _interpret_program
     from .stages import try_run_stage
     while True:
         item = inbox.get()
@@ -82,7 +78,7 @@ def _pool_child_main(slot_name: str, inbox, outbox) -> None:
             # rather than relying on process teardown to release the pages.
             release_attachments()
             return
-        if try_run_stage(item, outbox):
+        if try_run_stage(item):
             continue
         if not (isinstance(item, tuple) and len(item) == 10 and item[0] == _ASSIGN):
             continue
@@ -237,11 +233,7 @@ class ProcessPool:
         for slot in slots:
             try:
                 slot.inbox.put(_POOL_EXIT)
-            # Narrowed (RPL005): only the "queue already broken" failures
-            # are survivable here -- ValueError (closed queue), OSError
-            # (dead feeder pipe), AssertionError (pre-3.12 closed-queue
-            # signalling).  Anything else is a real bug and must surface.
-            except (ValueError, OSError, AssertionError):  # pragma: no cover
+            except QUEUE_BROKEN_ERRORS:  # pragma: no cover
                 pass
         for slot in slots:
             slot.process.join(timeout=1.0)
@@ -261,108 +253,4 @@ class ProcessPool:
         self.close()
 
 
-class PooledProcessBackend(ProcessBackend):
-    """Process backend that borrows replicas from a :class:`ProcessPool`.
-
-    A backend instance is still single use -- parent-side routing state is
-    per run -- but the expensive part, the worker processes, persists in the
-    pool across instances.  Create one per run::
-
-        pool = ProcessPool()
-        result = PooledProcessBackend(pool).run(app, until_thread="manager")
-        result = PooledProcessBackend(pool).run(app2, until_thread="manager")
-        pool.close()
-    """
-
-    kind = "pooled-process"
-
-    def __init__(self, pool: ProcessPool, *, crash_policy: str = "raise",
-                 default_timeout: Optional[float] = 300.0,
-                 shutdown_grace: float = 5.0) -> None:
-        super().__init__(crash_policy=crash_policy, default_timeout=default_timeout,
-                         start_method=pool.start_method, shutdown_grace=shutdown_grace)
-        self._pool = pool
-
-    # --------------------------------------------------------- task plumbing
-    def _make_outbox(self):
-        # Reuse the pool's long-lived report queue; drop anything a previous
-        # run may have left behind so its records cannot bleed into this one.
-        while True:
-            try:
-                self._pool.outbox.get_nowait()
-            except queue_module.Empty:
-                break
-        return self._pool.outbox
-
-    def _provision_task(self, task: _ProcessTask, restored: Any) -> None:
-        task.restored = restored
-        slot = self._pool.acquire()
-        task.slot = slot
-        task.inbox = slot.inbox
-        task.process = slot.process
-
-    def _start_task(self, task: _ProcessTask) -> None:
-        task.status = "running"
-        task.inbox.put((_ASSIGN, task.logical, task.replica, task.physical_id,
-                        task.physical_id, task.spec.program,
-                        self._shared_params[task.logical], task.restored,
-                        task.incarnation, self._epoch))
-        # Only after the assignment: the idle loop drops anything earlier.
-        self._flush_dead_letters(task)
-
-    # ----------------------------------------------------------- termination
-    def kill_thread(self, physical_id: str, reason: str = "killed") -> bool:
-        with self._lock:
-            task = self._tasks.get(physical_id)
-            if task is None or not task.alive:
-                return False
-            task.status = "killed"
-            self.router.unregister(physical_id)
-            if reason == "killed":
-                self.collector.increment("failures_injected")
-            slot = getattr(task, "slot", None)
-            logical = task.logical
-        if slot is not None:
-            if reason == "shutdown":
-                # Ask the child to abandon the program and return to idle;
-                # the slot itself is discarded at cleanup (it may comply
-                # arbitrarily late, so it must not be reused).
-                try:
-                    slot.inbox.put(_SHUTDOWN)
-                except Exception:  # pragma: no cover - queue already closed
-                    pass
-            else:
-                # Fault injection / timeout: SIGKILL the slot for real.
-                self._pool.discard(slot)
-        if reason == "killed":
-            for callback in self._death_callbacks:
-                callback(physical_id, logical, reason)
-        return True
-
-    # --------------------------------------------------------------- cleanup
-    def _cleanup(self) -> None:
-        """Return slots to the pool instead of tearing processes down.
-
-        Only slots whose program provably ended -- a ``finished`` report, or
-        a ``crashed`` report from a program error the child caught (the
-        child is back in its idle loop either way) -- are recycled.  A slot
-        whose process died, or that was shut down mid-program and may still
-        be executing, is discarded so the pool never hands out a slot with
-        an old program attached.
-        """
-        with self._lock:
-            tasks = list(self._tasks.values())
-        for task in tasks:
-            slot = getattr(task, "slot", None)
-            if slot is None:
-                continue
-            if task.status in ("finished", "crashed") and slot.alive:
-                self._pool.release(slot)
-            else:
-                self._pool.discard(slot)
-        for cube in self._shared_cubes:
-            cube.close()
-        self._shared_cubes.clear()
-
-
-__all__ = ["ProcessPool", "PooledProcessBackend", "default_start_method"]
+__all__ = ["ProcessPool", "QUEUE_BROKEN_ERRORS", "default_start_method"]

@@ -1,63 +1,67 @@
 """Process-parallel execution backend: real OS processes, wall-clock time.
 
 This backend runs the *same* thread programs as the simulated and local
-backends, but on genuine :class:`multiprocessing.Process` workers, one per
-physical replica.  Unlike the thread-based :class:`~repro.scp.local_backend.
-LocalBackend` -- which shares a single CPython interpreter and therefore a
-single GIL -- every replica here owns an interpreter of its own, so compute
-phases genuinely overlap on multi-core hosts and the measured wall-clock
-speed-up is real rather than simulated.
+backends, but on genuine operating-system processes -- one
+:class:`~repro.scp.pool.ProcessPool` slot per physical replica.  Unlike the
+thread-based :class:`~repro.scp.local_backend.LocalBackend` -- which shares
+a single CPython interpreter and therefore a single GIL -- every replica
+here owns an interpreter of its own, so compute phases genuinely overlap on
+multi-core hosts and the measured wall-clock speed-up is real rather than
+simulated.
 
 Architecture
 ------------
 The parent process is the *post office*: it owns the logical-to-physical
-:class:`~repro.scp.group.Router` and a single ``outbox`` queue that every
-child writes to.  A child never talks to another child directly; a
-:class:`~repro.scp.effects.Send` becomes a pickled
+:class:`~repro.scp.group.Router` and reads the pool's single ``outbox`` queue
+that every child writes to.  A child never talks to another child directly;
+a :class:`~repro.scp.effects.Send` becomes a pickled
 :class:`~repro.scp.serialization.Envelope` on the outbox, the parent expands
 the logical destination to the live replicas and deposits the envelope on
 each replica's private ``inbox`` queue.  Inside the child the inbox feeds the
 ordinary :class:`~repro.scp.channel.Mailbox`, so port filtering and duplicate
 suppression behave exactly as on the other backends.
 
+The pool is the only place a worker process is forked.  A one-shot run owns
+a private pool and closes it afterwards; a
+:class:`~repro.api.session.FusionSession` hands successive backend instances
+its long-lived pool, so repeated runs reuse live processes.
+
 Bulk problem data is *not* pickled: thread parameters holding a
 :class:`~repro.data.cube.HyperspectralCube` are transparently converted to
 :class:`~repro.data.shared.SharedCube`, whose samples live in a shared-memory
 segment that every process maps zero-copy.
 
-Crash handling mirrors the local backend: a program exception is reported and
-recorded as a ``"crashed"`` outcome (raised as
+Crash handling mirrors the local backend (the parent-side bookkeeping is
+literally shared, see :mod:`repro.scp.wallclock`): a program exception is
+reported and recorded as a ``"crashed"`` outcome (raised as
 :class:`~repro.scp.errors.ThreadCrashedError` after the run under the default
 crash policy), and a process that dies without reporting -- a hard kill, an
 out-of-memory kill, a segfault -- is detected by the parent's liveness sweep.
 Death notifications feed the same ``subscribe_thread_death`` /
 ``spawn_thread`` control interface the resiliency layer drives on the other
-backends, so failed workers can be regenerated as fresh processes mid-run.
+backends, so failed workers can be regenerated on fresh slots mid-run.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import queue as queue_module
-import threading
 import time
 from typing import Any, Callable, Dict, List, Optional
 
-from ..cluster.metrics import MetricsCollector
 from ..data.shared import share_cube_params
 from ..logging_utils import get_logger
 from .channel import Mailbox
 from .effects import Checkpoint, Compute, GetTime, Probe, Recv, Send, Sleep
-from .errors import (ReceiveTimeout, RuntimeStateError, SCPError,
-                     ThreadCrashedError)
-from .group import Router
-from .runtime import Application, Backend, Context, RunResult, ThreadOutcome
+from .errors import ReceiveTimeout, SCPError
+from .pool import _ASSIGN, QUEUE_BROKEN_ERRORS, ProcessPool, _PoolSlot
+from .runtime import Context
 from .serialization import Envelope
-from .thread import ThreadSpec, physical_name
+from .thread import ThreadSpec
+from .wallclock import ReplicaTask, WallClockBackend
 
 _LOG = get_logger("scp.process")
 
-#: Sentinel deposited on a child's inbox to request an orderly exit.
+#: Sentinel deposited on a child's inbox asking it to abandon its program.
 _SHUTDOWN = "__scp_shutdown__"
 
 #: Seconds a process may be dead without a terminal record before the parent
@@ -196,48 +200,42 @@ def _interpret_program(logical: str, replica: int, physical_id: str, node: str,
         outbox.put(("crashed", physical_id, repr(err)))
 
 
-def _child_main(logical: str, replica: int, physical_id: str, node: str,
-                program: Callable, params: Dict[str, Any], restored: Any,
-                incarnation: int, inbox, outbox, epoch: float) -> None:
-    """Entry point of a single-program worker process."""
-    _interpret_program(logical, replica, physical_id, node, program, params,
-                       restored, incarnation, inbox, outbox, epoch)
-
-
 # ---------------------------------------------------------------------------
 # Parent-process side
 # ---------------------------------------------------------------------------
 
-class _ProcessTask:
-    """Parent-side record of one physical replica."""
+class _ProcessTask(ReplicaTask):
+    """Parent-side record of one replica running on a borrowed pool slot."""
 
     def __init__(self, spec: ThreadSpec, replica: int, physical_id: str,
-                 incarnation: int) -> None:
-        self.spec = spec
-        self.logical = spec.name
-        self.replica = replica
-        self.physical_id = physical_id
-        self.incarnation = incarnation
-        self.daemon = spec.daemon
-        self.process: Optional[multiprocessing.process.BaseProcess] = None
-        self.inbox = None
-        self.restored: Any = None
-        self.status = "ready"
-        self.result: Any = None
-        self.error: Optional[str] = None
+                 incarnation: int, slot: _PoolSlot, restored: Any) -> None:
+        super().__init__(spec, replica, physical_id, incarnation)
+        self.slot = slot
+        self.restored = restored
         self.first_seen_dead: Optional[float] = None
 
-    @property
-    def alive(self) -> bool:
-        return self.status in ("ready", "running")
 
+class ProcessBackend(WallClockBackend):
+    """Multi-process execution backend with shared-memory data placement.
 
-class ProcessBackend(Backend):
-    """Multi-process execution backend with shared-memory data placement."""
+    Replicas always run on :class:`~repro.scp.pool.ProcessPool` slots.  Given
+    a ``pool`` the backend borrows from it and hands recyclable slots back
+    afterwards -- a backend instance is single use (parent-side routing
+    state is per run) but the expensive part, the worker processes,
+    persists in the pool across instances::
+
+        with ProcessPool() as pool:
+            result = ProcessBackend(pool).run(app, until_thread="manager")
+            result = ProcessBackend(pool).run(app2, until_thread="manager")
+
+    Given none, it owns a private pool for the one run and closes it in
+    cleanup.
+    """
 
     kind = "process"
 
-    def __init__(self, *, crash_policy: str = "raise",
+    def __init__(self, pool: Optional[ProcessPool] = None, *,
+                 crash_policy: str = "raise",
                  default_timeout: Optional[float] = 300.0,
                  start_method: str = "spawn",
                  shutdown_grace: float = 5.0) -> None:
@@ -245,6 +243,9 @@ class ProcessBackend(Backend):
 
         Parameters
         ----------
+        pool:
+            Slot pool to borrow replicas from; ``None`` creates a private
+            pool per run.  One pool serves one run at a time.
         crash_policy:
             ``"raise"`` re-raises the first program crash as
             :class:`ThreadCrashedError` after the run; ``"record"`` only
@@ -253,90 +254,38 @@ class ProcessBackend(Backend):
             Wall-clock safety limit (seconds) applied to :meth:`run` unless
             overridden; prevents a wedged run from hanging forever.
         start_method:
-            ``multiprocessing`` start method.  ``"spawn"`` (default) is
-            portable and immune to fork-with-threads hazards; ``"fork"``
-            starts faster on Linux.
+            ``multiprocessing`` start method of the private pool.
+            ``"spawn"`` (default) is portable and immune to
+            fork-with-threads hazards; ``"fork"`` starts faster on Linux.
+            A borrowed pool keeps the method it was created with.
         shutdown_grace:
             Seconds stragglers are given to exit on their own once the
             ``until_thread`` has finished, before being shut down.
         """
-        if crash_policy not in ("raise", "record"):
-            raise ValueError("crash_policy must be 'raise' or 'record'")
-        self.crash_policy = crash_policy
-        self.default_timeout = default_timeout
-        self.start_method = start_method
+        super().__init__(crash_policy=crash_policy, default_timeout=default_timeout)
+        self.start_method = pool.start_method if pool is not None else start_method
         self.shutdown_grace = shutdown_grace
-        self.router = Router()
-        self.collector = MetricsCollector()
-        self._mp = multiprocessing.get_context(start_method)
-        self._tasks: Dict[str, _ProcessTask] = {}
-        self._lock = threading.RLock()
-        self._dead_letters: Dict[str, List[Envelope]] = {}
-        self._death_callbacks: List[Callable[[str, str, str], None]] = []
-        self._checkpoints: Dict[str, Any] = {}
+        self._pool = pool
+        self._owns_pool = pool is None
         self._shared_params: Dict[str, Dict[str, Any]] = {}
         self._shared_cubes: List[Any] = []
-        self._outbox = None
-        self._messages = 0
-        self._bytes = 0
         self._epoch = 0.0
-        self._start_time = 0.0
-        self._app: Optional[Application] = None
-        self._ran = False
 
-    # --------------------------------------------------------------- queries
-    @property
-    def now(self) -> float:
-        """Seconds since the run started (wall clock)."""
-        return time.perf_counter() - self._start_time if self._start_time else 0.0
-
-    def live_replicas(self, logical: str) -> List[str]:
-        with self._lock:
-            return [pid for pid in self.router.physical_targets(logical)
-                    if pid in self._tasks and self._tasks[pid].alive]
-
-    def checkpoint_of(self, logical: str) -> Any:
-        with self._lock:
-            return self._checkpoints.get(logical)
-
-    def subscribe_thread_death(self, callback: Callable[[str, str, str], None]) -> None:
-        self._death_callbacks.append(callback)
-
-    # ------------------------------------------------------------------- run
-    def run(self, app: Application, *, timeout: Optional[float] = None,
-            until_thread: Optional[str] = None) -> RunResult:
-        """Run ``app`` on real processes.
-
-        ``until_thread`` names a logical thread whose completion ends the run
-        (stragglers get ``shutdown_grace`` seconds to drain, then are shut
-        down), exactly as on the local backend.
-        """
-        if self._ran:
-            raise RuntimeStateError("ProcessBackend instances are single use; create a new one")
-        self._ran = True
-        app.validate()
-        self._app = app
-        timeout = timeout if timeout is not None else self.default_timeout
-        self._outbox = self._make_outbox()
+    # ----------------------------------------------------- per-run resources
+    def _prepare_run(self) -> None:
+        if self._pool is None:
+            self._pool = ProcessPool(start_method=self.start_method)
+        # The pool's report queue is long-lived; drop anything a previous
+        # run may have left behind so its records cannot bleed into this one.
+        while True:
+            try:
+                self._pool.outbox.get_nowait()
+            except queue_module.Empty:
+                break
         self._epoch = time.monotonic()  # run-relative timestamps (RPL004)
-        self._start_time = time.perf_counter()
 
-        try:
-            with self._lock:
-                tasks = [self._create_task(spec, replica, restored=None, incarnation=0)
-                         for spec in app.specs
-                         for replica in range(spec.replicas)]
-            for task in tasks:
-                self._start_task(task)
-            deadline = (time.perf_counter() + timeout) if timeout is not None else None
-            self._event_loop(until_thread, deadline)
-            elapsed = time.perf_counter() - self._start_time
-            return self._build_result(elapsed)
-        finally:
-            self._cleanup()
-
-    # ------------------------------------------------------------ event loop
-    def _event_loop(self, until_thread: Optional[str], deadline: Optional[float]) -> None:
+    # ------------------------------------------------------------- wait loop
+    def _wait(self, until_thread: Optional[str], deadline: Optional[float]) -> None:
         while True:
             self._pump(0.02)
             self._sweep_dead_processes()
@@ -386,12 +335,13 @@ class ProcessBackend(Backend):
 
     def _pump(self, block_seconds: float) -> int:
         """Process queued child records; returns how many were handled."""
+        outbox = self._pool.outbox
         handled = 0
         block = block_seconds > 0
         while True:
             try:
-                record = (self._outbox.get(timeout=block_seconds) if block
-                          else self._outbox.get_nowait())
+                record = (outbox.get(timeout=block_seconds) if block
+                          else outbox.get_nowait())
             except queue_module.Empty:
                 return handled
             block = False  # only the first get may block
@@ -401,27 +351,17 @@ class ProcessBackend(Backend):
     def _handle_record(self, record: tuple) -> None:
         tag = record[0]
         if tag == "send":
-            envelope = record[2]
-            self._route(envelope)
+            self._route(record[2])
         elif tag == "phase":
-            _, pid, node, phase, seconds = record
-            with self._lock:
-                self.collector.add_phase(phase, seconds)
-                self.collector.add_node_busy(node, seconds)
+            _, _pid, node, phase, seconds = record
+            self._record_phase(phase, node, seconds)
         elif tag == "checkpoint":
             _, logical, state = record
-            with self._lock:
-                self._checkpoints[logical] = state
+            self._record_checkpoint(logical, state)
         elif tag == "finished":
             _, pid, result, suppressed = record
-            with self._lock:
-                task = self._tasks.get(pid)
-                if task is None or not task.alive:
-                    return
-                task.status = "finished"
-                task.result = result
-                self.router.unregister(pid)
-                if suppressed:
+            if self._finish(pid, result) and suppressed:
+                with self._lock:
                     self.collector.increment("duplicates_suppressed", suppressed)
         elif tag == "crashed":
             _, pid, message = record
@@ -429,29 +369,15 @@ class ProcessBackend(Backend):
         else:  # pragma: no cover - protocol bug
             _LOG.warning("unknown child record %r", record)
 
-    def _route(self, envelope: Envelope) -> None:
-        with self._lock:
-            targets = [pid for pid in self.router.physical_targets(envelope.dst)
-                       if pid in self._tasks and self._tasks[pid].alive]
-            if not targets:
-                self._dead_letters.setdefault(envelope.dst, []).append(envelope)
-                self.collector.increment("dead_lettered")
-                return
-            self._messages += len(targets)
-            self._bytes += envelope.nbytes * len(targets)
-            inboxes = [self._tasks[pid].inbox for pid in targets]
-        for inbox in inboxes:
-            inbox.put(envelope)
-
     def _sweep_dead_processes(self) -> None:
         """Detect replicas whose process died without a terminal report."""
         now = time.perf_counter()
         suspicious: List[str] = []
         with self._lock:
             for task in self._tasks.values():
-                if task.status != "running" or task.process is None:
+                if task.status != "running":
                     continue
-                if task.process.exitcode is None:
+                if task.slot.process.exitcode is None:
                     task.first_seen_dead = None
                     continue
                 if task.first_seen_dead is None:
@@ -460,161 +386,75 @@ class ProcessBackend(Backend):
                     suspicious.append(task.physical_id)
         for pid in suspicious:
             with self._lock:
-                task = self._tasks.get(pid)
-                exitcode = task.process.exitcode if task and task.process else None
+                task = self._tasks[pid]
                 # A report may have been handled between the sweep and now.
-                if task is None or task.status != "running":
+                if task.status != "running":
                     continue
+                exitcode = task.slot.process.exitcode
             self._crash(pid, f"process died without reporting (exit code {exitcode})")
 
-    # --------------------------------------------------------- task plumbing
-    def _make_outbox(self):
-        """Create the queue children report through (one per run here; the
-        pooled backend reuses its pool's long-lived outbox instead)."""
-        return self._mp.Queue()
-
-    def _create_task(self, spec: ThreadSpec, replica: int, *, restored: Any,
-                     incarnation: int) -> _ProcessTask:
-        pid = physical_name(spec.name, replica)
-        if pid in self._tasks and self._tasks[pid].alive:
-            raise RuntimeStateError(f"physical thread {pid!r} already exists and is alive")
+    # --------------------------------------------------------------- vehicle
+    def _make_task(self, spec: ThreadSpec, replica: int, physical_id: str, *,
+                   restored: Any, incarnation: int) -> _ProcessTask:
         if spec.name not in self._shared_params:
             params, created = share_cube_params(spec.params)
             self._shared_params[spec.name] = params
             self._shared_cubes.extend(created)
-        task = _ProcessTask(spec, replica, pid, incarnation)
-        self._provision_task(task, restored)
-        self._tasks[pid] = task
-        self.router.register(spec.name, pid)
-        return task
+        return _ProcessTask(spec, replica, physical_id, incarnation,
+                            self._pool.acquire(), restored)
 
-    def _flush_dead_letters(self, task: _ProcessTask) -> None:
-        """Replay buffered envelopes for the task's logical thread.
+    def _launch(self, task: _ProcessTask) -> None:
+        task.slot.inbox.put((_ASSIGN, task.logical, task.replica, task.physical_id,
+                             task.physical_id, task.spec.program,
+                             self._shared_params[task.logical], task.restored,
+                             task.incarnation, self._epoch))
+        # Only after the assignment: the slot's idle loop drops anything
+        # that arrives earlier.
+        self._replay_dead_letters(task)
 
-        Called by :meth:`_start_task` *after* the program is attached to its
-        execution vehicle: a pool slot's idle loop discards anything that
-        arrives before its assignment, so the order matters there.
-        """
-        for envelope in self._dead_letters.pop(task.logical, []):
-            task.inbox.put(envelope)
+    def _deliver(self, task: _ProcessTask, envelope: Envelope) -> bool:
+        try:
+            task.slot.inbox.put(envelope)
+        except QUEUE_BROKEN_ERRORS:
+            # Routing picked the replica, then a kill_thread discarded its
+            # slot: the envelope dies with the replica, as on a real crash.
+            pass
+        return True  # duplicates are suppressed (and counted) child-side
 
-    def _provision_task(self, task: _ProcessTask, restored: Any) -> None:
-        """Attach an inbox and an execution vehicle (a fresh process here,
-        a borrowed pool slot in the pooled subclass) to ``task``."""
-        task.restored = restored
-        task.inbox = self._mp.Queue()
-        task.process = self._mp.Process(
-            target=_child_main,
-            args=(task.logical, task.replica, task.physical_id, task.physical_id,
-                  task.spec.program, self._shared_params[task.logical], restored,
-                  task.incarnation, task.inbox, self._outbox, self._epoch),
-            name=task.physical_id, daemon=True)
-
-    def _start_task(self, task: _ProcessTask) -> None:
-        task.status = "running"
-        task.process.start()
-        self._flush_dead_letters(task)
-
-    # ----------------------------------------------------------- termination
-    def _crash(self, pid: str, message: str) -> None:
-        with self._lock:
-            task = self._tasks.get(pid)
-            if task is None or not task.alive:
-                return
-            task.status = "crashed"
-            task.error = message
-            self.router.unregister(pid)
-            self.collector.increment("crashes")
-            logical = task.logical
-        _LOG.warning("process %s crashed: %s", pid, message)
-        for callback in self._death_callbacks:
-            callback(pid, logical, "crashed")
-
-    # --------------------------------------------------- resiliency controls
-    def kill_thread(self, physical_id: str, reason: str = "killed") -> bool:
-        """Forcefully terminate a replica's process (fault injection)."""
-        with self._lock:
-            task = self._tasks.get(physical_id)
-            if task is None or not task.alive:
-                return False
-            task.status = "killed"
-            self.router.unregister(physical_id)
-            if reason == "killed":
-                self.collector.increment("failures_injected")
-            process = task.process
-            logical = task.logical
-        if process is not None and process.is_alive():
-            if reason == "killed":
-                process.kill()  # SIGKILL: indistinguishable from a real crash
-            else:
-                try:
-                    task.inbox.put(_SHUTDOWN)
-                except Exception:  # pragma: no cover - queue already closed
-                    pass
-                process.join(timeout=1.0)
-                if process.is_alive():
-                    process.kill()
-        if reason == "killed":
-            for callback in self._death_callbacks:
-                callback(physical_id, logical, reason)
-        return True
-
-    def spawn_thread(self, spec: ThreadSpec, *, replica: int, node: Optional[str] = None,
-                     restored: Any = None, incarnation: int = 1) -> str:
-        """Regenerate a replica as a brand-new process while the run goes on."""
-        with self._lock:
-            task = self._create_task(spec, replica, restored=restored,
-                                     incarnation=incarnation)
-            self.collector.increment("replicas_regenerated")
-        self._start_task(task)
-        return task.physical_id
-
-    # ---------------------------------------------------------------- result
-    def _build_result(self, elapsed: float) -> RunResult:
-        returns: Dict[str, Any] = {}
-        outcomes: Dict[str, ThreadOutcome] = {}
-        first_crash: Optional[tuple] = None
-        with self._lock:
-            for pid, task in self._tasks.items():
-                outcomes[pid] = ThreadOutcome(physical_id=pid, logical=task.logical,
-                                              replica=task.replica, status=task.status,
-                                              result=task.result, error=task.error)
-                if task.status == "finished" and task.logical not in returns:
-                    returns[task.logical] = task.result
-                if task.status == "crashed" and first_crash is None:
-                    first_crash = (pid, task.error)
-            workers = sum(1 for s in (self._app.specs if self._app else [])
-                          if s.name.startswith("worker"))
-            replication = max((s.replicas for s in (self._app.specs if self._app else [])),
-                              default=1)
-            metrics = self.collector.finalise(
-                elapsed_seconds=elapsed, backend=self.kind,
-                workers=max(workers, 1), subcubes=0, replication_level=replication,
-                messages=self._messages, bytes_sent=self._bytes)
-        if first_crash is not None and self.crash_policy == "raise":
-            raise ThreadCrashedError(first_crash[0], f"{first_crash[0]}: {first_crash[1]}")
-        return RunResult(returns=returns, outcomes=outcomes, metrics=metrics,
-                         elapsed_seconds=elapsed)
+    def _terminate(self, task: _ProcessTask, reason: str) -> None:
+        if reason == "shutdown":
+            # Ask the child to abandon the program and return to idle; the
+            # slot itself is discarded at cleanup (it may comply arbitrarily
+            # late, so it must not be reused).
+            try:
+                task.slot.inbox.put(_SHUTDOWN)
+            except QUEUE_BROKEN_ERRORS:  # pragma: no cover - slot already discarded
+                pass
+        else:
+            # Fault injection / timeout: SIGKILL the slot for real --
+            # indistinguishable from a genuine crash.
+            self._pool.discard(task.slot)
 
     # --------------------------------------------------------------- cleanup
     def _cleanup(self) -> None:
+        """Hand slots back to the pool; close the pool if it is private.
+
+        Only slots whose program provably ended -- a ``finished`` report, or
+        a ``crashed`` report from a program error the child caught (the
+        child is back in its idle loop either way) -- are recycled.  A slot
+        whose process died, or that was shut down mid-program and may still
+        be executing, is discarded so the pool never hands out a slot with
+        an old program attached.
+        """
         with self._lock:
             tasks = list(self._tasks.values())
         for task in tasks:
-            process = task.process
-            if process is None:
-                continue
-            process.join(timeout=1.0)
-            if process.is_alive():
-                process.kill()
-                process.join(timeout=1.0)
-        for task in tasks:
-            if task.inbox is not None:
-                task.inbox.cancel_join_thread()
-                task.inbox.close()
-        if self._outbox is not None:
-            self._outbox.cancel_join_thread()
-            self._outbox.close()
+            if task.status in ("finished", "crashed") and task.slot.alive:
+                self._pool.release(task.slot)
+            else:
+                self._pool.discard(task.slot)
+        if self._owns_pool and self._pool is not None:
+            self._pool.close()
         for cube in self._shared_cubes:
             cube.close()
         self._shared_cubes.clear()

@@ -1,9 +1,8 @@
 """Backend registry: named execution backends with spec parsing.
 
-Historically every caller that wanted an execution backend went through its
-own ``if backend == "sim": ... elif backend == "local": ...`` ladder
-(`DistributedPCT.make_backend`, `ResilientPCT.make_backend`, the CLI).  This
-module replaces that string dispatch with a single registry:
+Every caller that wants an execution backend (the distributed and resilient
+engines' ``make_backend``, the CLI) resolves it through a single registry
+instead of its own ``if backend == "sim": ... elif ...`` ladder:
 
 * :func:`register_backend` -- decorator adding a named backend factory,
 * :class:`BackendSpec` -- parsed form of a spec string such as
@@ -254,8 +253,8 @@ def _make_process_backend(spec: BackendSpec, context: BackendContext) -> Process
 def _make_socket_backend(spec: BackendSpec, context: BackendContext) -> Backend:
     # The socket transport provides *stage-task* workers, not an SCP program
     # runtime: there is no mailbox routing for manager/worker generator
-    # programs behind it.  The pipeline engine resolves "socket:N" itself
-    # (repro.core.streaming.make_stage_executor); a batch engine asking the
+    # programs behind it.  The pipeline engine resolves "socket:N" through
+    # repro.scp.transport.transport_for_spec; a batch engine asking the
     # registry for it is a configuration error worth a precise message.
     raise ValueError(
         "backend 'socket' provides stage-task workers for the streaming "

@@ -221,8 +221,13 @@ class Backend(abc.ABC):
         """Create an additional physical replica while a run is in progress."""
         raise NotImplementedError(f"{type(self).__name__} does not support dynamic spawning")
 
-    def kill_thread(self, physical_id: str) -> bool:
-        """Forcefully terminate a physical replica (fault injection)."""
+    def kill_thread(self, physical_id: str, reason: str = "killed") -> bool:
+        """Forcefully terminate a physical replica.
+
+        ``reason="killed"`` (the default) is fault injection: it is counted
+        and announced to death subscribers; backends pass other reasons
+        (``"shutdown"``, ``"timeout"``) for their own silent terminations.
+        """
         raise NotImplementedError(f"{type(self).__name__} does not support kill_thread")
 
 

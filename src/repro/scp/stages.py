@@ -22,9 +22,6 @@ This module provides that layer on top of the worker-transport seam
   ``workers`` tasks are in flight and further ``submit`` calls block,
   which is what bounds the memory of a streaming fusion to O(tiles in
   flight) instead of O(cube);
-* :class:`PoolStageExecutor` / :class:`ThreadStageExecutor` -- the
-  historical entry points, now thin shims binding the unified executor
-  to the ``forked-process`` and ``inprocess`` transports;
 * :class:`StageAccountingMixin` -- the kill-request bookkeeping and
   per-stage observability counters every executor shares (one copy,
   identical semantics on threads and processes);
@@ -71,8 +68,7 @@ from .serialization import (ERROR_SUFFIX as _ERROR_SUFFIX,
                             RESULT_SUFFIX as _RESULT_SUFFIX,
                             commit_spool_file as _commit_spool_file)
 from .transport import (STAGE_ASSIGN as _STAGE_ASSIGN, CommittedResult,
-                        ForkedProcessTransport, InProcessTransport, TaskFrame,
-                        WorkerTransport)
+                        TaskFrame, WorkerTransport)
 
 _LOG = get_logger("scp.stages")
 
@@ -144,16 +140,16 @@ class StageCrashError(StageError):
     """
 
 
-def try_run_stage(item: Any, outbox) -> bool:
+def try_run_stage(item: Any) -> bool:
     """Child-side protocol: execute ``item`` if it is a stage task.
 
     Called from the worker's idle loop for every inbox item (pool slots
     and socket-transport workers share this function).  Returns True when
     ``item`` was a stage task (handled here, loop continues), False when
     it is something else (a program assignment, a stale envelope) the
-    caller should interpret itself.  ``outbox`` is unused -- results
-    travel through spool files precisely so no queue is shared with
-    processes that may be SIGKILLed (see the module docstring).
+    caller should interpret itself.  Results travel through spool files,
+    never a queue, precisely so nothing is shared with processes that may
+    be SIGKILLed (see the module docstring).
 
     The stage function runs under a blanket exception guard: a failing task
     commits an error file and leaves the worker healthy and reusable, so
@@ -207,10 +203,8 @@ def _validate_executor_params(workers: int, max_retries: int) -> None:
 class StageAccountingMixin:
     """Kill-request accounting and per-stage observability counters.
 
-    ``PoolStageExecutor`` and ``ThreadStageExecutor`` used to carry their
-    own (divergent) copies of this bookkeeping; it now lives in exactly
-    one place so every executor -- whatever its transport -- exposes
-    identical semantics:
+    Kept apart from the dispatch machinery so every executor -- whatever
+    its transport -- exposes identical semantics:
 
     * :meth:`inject_kill` validates its count *first* (``ValueError`` on
       ``kills < 1`` everywhere), then rejects transports whose workers
@@ -332,8 +326,8 @@ class TransportStageExecutor(StageAccountingMixin):
     transport:
         The worker substrate.  The executor owns it for its lifetime
         (``close()`` closes it); a transport wrapping a shared resource
-        -- e.g. a session's :class:`~repro.scp.pool.ProcessPool` -- keeps
-        that resource alive through its own ``owns_pool`` flag.
+        -- e.g. a session's :class:`~repro.scp.pool.ProcessPool` -- leaves
+        that resource open (it closes only what it created itself).
     workers:
         Maximum stage tasks in flight; the bounded stage queue.  A
         ``submit`` beyond it blocks the caller (backpressure) until a
@@ -602,7 +596,7 @@ class TransportStageExecutor(StageAccountingMixin):
             return
         self._closed = True
         self._router.join(timeout=2.0)
-        if getattr(self._transport, "drain_on_close", False):
+        if self._transport.drain_on_close:
             self._transport.close()  # waits for running thread tasks
             for committed in self._transport.poll_committed():
                 self._resolve(committed)
@@ -626,52 +620,5 @@ class TransportStageExecutor(StageAccountingMixin):
         self.close()
 
 
-class PoolStageExecutor(TransportStageExecutor):
-    """Stage tasks on :class:`~repro.scp.pool.ProcessPool` slots.
-
-    The historical entry point for the ``process:N`` path, now a thin
-    binding of :class:`TransportStageExecutor` to a
-    :class:`~repro.scp.transport.ForkedProcessTransport`.
-
-    Parameters
-    ----------
-    pool:
-        The slot pool tasks borrow from.  The executor owns the pool's
-        spool transport for its lifetime; a pool must not serve a
-        :class:`~repro.scp.pool.PooledProcessBackend` run and a live
-        stage executor at the same time -- the session layer guarantees
-        this by pinning one engine per session.
-    owns_pool:
-        When True the pool is closed together with the executor (the
-        one-shot engine path); sessions keep their pool alive across
-        executors and pass False.
-    """
-
-    def __init__(self, pool, *, workers: int = 4, max_retries: int = 2,
-                 owns_pool: bool = False, poll_interval: float = 0.002) -> None:
-        _validate_executor_params(workers, max_retries)
-        super().__init__(ForkedProcessTransport(pool, owns_pool=owns_pool),
-                         workers=workers, max_retries=max_retries,
-                         poll_interval=poll_interval)
-
-
-class ThreadStageExecutor(TransportStageExecutor):
-    """The stage-executor interface on host threads.
-
-    Used by the ``local`` and ``sim`` backend specs: no processes, no
-    pickling, genuine overlap only where numpy releases the GIL -- but the
-    exact same futures-and-backpressure contract, and bit-identical results
-    (stage tasks are pure functions).  Now a thin binding of
-    :class:`TransportStageExecutor` to an
-    :class:`~repro.scp.transport.InProcessTransport`.
-    """
-
-    def __init__(self, *, workers: int = 4) -> None:
-        _validate_executor_params(workers, 0)
-        super().__init__(InProcessTransport(workers=workers), workers=workers,
-                         max_retries=0)
-
-
-__all__ = ["PoolStageExecutor", "StageAccountingMixin", "StageCrashError",
-           "StageError", "ThreadStageExecutor", "ThroughputEWMA",
-           "TransportStageExecutor", "try_run_stage"]
+__all__ = ["StageAccountingMixin", "StageCrashError", "StageError",
+           "ThroughputEWMA", "TransportStageExecutor", "try_run_stage"]

@@ -1,16 +1,9 @@
 """Worker transports: the one seam between stage executors and workers.
 
-Before this module existed, worker plumbing lived in three divergent
-copies: :class:`~repro.scp.pool.ProcessPool`'s mp-queue slot mailboxes,
-the spool-file commit/sweep machinery inside ``PoolStageExecutor``
-(duplicated almost wholesale in ``ThreadStageExecutor``), and the
-process backend's private child-main.  Every new execution substrate --
-the ROADMAP's ``cluster:host1,host2`` item most of all -- would have
-meant a fourth copy.
-
-A :class:`WorkerTransport` is the narrow contract the unified stage
-executor (:class:`~repro.scp.stages.TransportStageExecutor`) drives
-instead:
+A :class:`WorkerTransport` is the narrow contract the stage executor
+(:class:`~repro.scp.stages.TransportStageExecutor`) drives, so a new
+execution substrate -- the ROADMAP's ``cluster:host1,host2`` item most of
+all -- is one subclass, not another copy of the worker plumbing:
 
 * ``start`` -- pre-provision the worker budget (spawn or attach);
 * ``acquire``/``send`` -- borrow a worker and hand it one task frame;
@@ -19,18 +12,18 @@ instead:
 * ``probe``/``kill`` -- liveness checks and the chaos hard-kill hook;
 * ``release``/``discard``/``close`` -- recycle, condemn, drain.
 
-Three transports ship here, registered in a registry that mirrors the
-engine/backend/rule/scenario ones:
+Three transports ship here; :func:`transport_for_spec` is the one place a
+backend spec is mapped to one of them:
 
-``inprocess``
+``inprocess`` (:class:`InProcessTransport`)
     Host threads inside the session process; no pickling, results
     hand over through an in-memory queue.  Backs the ``local`` and
     ``sim`` specs.
-``forked-process``
+``forked-process`` (:class:`ForkedProcessTransport`)
     Long-lived :class:`~repro.scp.pool.ProcessPool` slots; task frames
     travel over each slot's private mp-queue inbox, results come back
     through spool files.  Backs ``process:N``.
-``socket``
+``socket`` (:class:`SocketTransport`)
     A localhost *node agent* -- a separate ``python -m
     repro.scp.transport`` process -- reached over length-prefixed
     pickled frames on a TCP connection.  The agent owns N worker
@@ -76,6 +69,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 from ..logging_utils import get_logger
 from .errors import RuntimeStateError
 from .pool import ProcessPool, default_start_method
+from .registry import BackendSpec
 from .serialization import (ERROR_SUFFIX, RESULT_SUFFIX, spool_root,
                             unlink_quietly)
 
@@ -173,7 +167,7 @@ def collect_spool(spool_dir: str) -> List[CommittedResult]:
 
 
 # ---------------------------------------------------------------------------
-# The transport contract and registry
+# The transport contract
 # ---------------------------------------------------------------------------
 
 class WorkerTransport:
@@ -185,7 +179,7 @@ class WorkerTransport:
     kill accounting; the transport owns processes, sockets and spools.
     """
 
-    #: Registry name of the transport kind.
+    #: Short name of the transport kind (logs, benchmark labels).
     kind: str = "abstract"
     #: Whether :meth:`kill` can actually SIGKILL a worker (chaos hooks).
     supports_kill: bool = False
@@ -247,55 +241,6 @@ class WorkerTransport:
         raise NotImplementedError
 
 
-#: A transport factory builds a WorkerTransport from keyword arguments.
-TransportFactory = Callable[..., WorkerTransport]
-
-
-@dataclass(frozen=True)
-class _TransportEntry:
-    name: str
-    factory: TransportFactory
-    description: str
-
-
-_TRANSPORTS: Dict[str, _TransportEntry] = {}
-
-
-def register_transport(name: str, *, description: str = "") -> Callable[
-        [TransportFactory], TransportFactory]:
-    """Register a transport factory under ``name`` (decorator).
-
-    Mirrors the engine/backend/rule/scenario registries: unknown names
-    raise a :class:`ValueError` listing what *is* registered.
-    """
-    def decorator(factory: TransportFactory) -> TransportFactory:
-        if name in _TRANSPORTS:
-            raise ValueError(f"transport {name!r} is already registered")
-        _TRANSPORTS[name] = _TransportEntry(name=name, factory=factory,
-                                            description=description)
-        return factory
-    return decorator
-
-
-def transport_names() -> List[str]:
-    """Sorted names of every registered transport."""
-    return sorted(_TRANSPORTS)
-
-
-def describe_transports() -> Dict[str, str]:
-    """``name -> one-line description`` for help text and docs."""
-    return {name: _TRANSPORTS[name].description for name in transport_names()}
-
-
-def create_transport(name: str, **kwargs) -> WorkerTransport:
-    """Build a registered transport by name."""
-    entry = _TRANSPORTS.get(name)
-    if entry is None:
-        raise ValueError(f"unknown transport {name!r}; registered transports: "
-                         f"{', '.join(transport_names())}")
-    return entry.factory(**kwargs)
-
-
 # ---------------------------------------------------------------------------
 # In-process transport (host threads)
 # ---------------------------------------------------------------------------
@@ -305,17 +250,13 @@ def create_transport(name: str, **kwargs) -> WorkerTransport:
 _THREAD_WORKER_REF = "__inprocess_worker__"
 
 
-@register_transport("inprocess",
-                    description="host threads inside the session process "
-                                "(no pickling, GIL-bound compute)")
 class InProcessTransport(WorkerTransport):
     """Stage tasks on host threads; results hand over in memory.
 
     Backs the ``local`` and ``sim`` backend specs.  There is no spool
     and no serialisation: a finished task appends its outcome to an
     in-memory queue and wakes the router, so ``payload_nbytes`` stays 0
-    and the executor's payload accounting stays empty -- exactly the
-    observable contract the old ``ThreadStageExecutor`` had.
+    and the executor's payload accounting stays empty.
     """
 
     kind = "inprocess"
@@ -402,10 +343,6 @@ class InProcessTransport(WorkerTransport):
 # Forked-process transport (ProcessPool slots)
 # ---------------------------------------------------------------------------
 
-@register_transport("forked-process",
-                    description="long-lived ProcessPool slots; task frames on "
-                                "per-slot mp queues, results through the "
-                                "atomic spool commit")
 class ForkedProcessTransport(WorkerTransport):
     """Stage tasks on :class:`~repro.scp.pool.ProcessPool` slots.
 
@@ -421,13 +358,12 @@ class ForkedProcessTransport(WorkerTransport):
     uses_processes = True
 
     def __init__(self, pool: Optional[ProcessPool] = None, *,
-                 start_method: Optional[str] = None,
-                 owns_pool: Optional[bool] = None) -> None:
-        if pool is None:
-            pool = ProcessPool(start_method=start_method)
-            owns_pool = True if owns_pool is None else owns_pool
-        self._pool = pool
-        self._owns_pool = bool(owns_pool)
+                 start_method: Optional[str] = None) -> None:
+        # A borrowed pool (a session's) outlives the transport; without one
+        # the transport owns a private pool and closes it with itself.
+        self._owns_pool = pool is None
+        self._pool = (pool if pool is not None
+                      else ProcessPool(start_method=start_method))
         self._spool = tempfile.mkdtemp(prefix="scp-stages-", dir=spool_root())
         self._closed = False
 
@@ -539,10 +475,6 @@ class _SocketSlot:
         self.busy = False
 
 
-@register_transport("socket",
-                    description="localhost node-agent process over "
-                                "length-prefixed TCP frames; results through "
-                                "the same atomic spool commit")
 class SocketTransport(WorkerTransport):
     """Stage tasks on a node agent reached over a TCP frame stream.
 
@@ -832,6 +764,37 @@ class SocketTransport(WorkerTransport):
 
 
 # ---------------------------------------------------------------------------
+# Backend spec -> transport
+# ---------------------------------------------------------------------------
+
+def transport_for_spec(spec: BackendSpec, *, workers: int,
+                       pool: Optional[ProcessPool] = None,
+                       start_method: Optional[str] = None) -> WorkerTransport:
+    """Build the worker transport a parsed backend spec names.
+
+    The one place a spec becomes a transport; sessions and the one-shot
+    pipeline engine both come through here.  ``process`` specs run on
+    :class:`~repro.scp.pool.ProcessPool` slots -- the caller's ``pool`` when
+    it has one (a session's persistent pool, which outlives the transport),
+    else a private pool the transport owns; ``socket`` specs launch a node
+    agent; ``local`` and ``sim`` run on host threads -- the simulated
+    backend has no meaningful virtual clock for a streaming dataflow, so it
+    degrades to measured wall clock on threads, with identical output.
+    ``start_method`` overrides the spec's variant and the platform default.
+    """
+    if spec.name == "process":
+        return ForkedProcessTransport(pool,
+                                      start_method=start_method or spec.variant)
+    if spec.name == "socket":
+        return SocketTransport(workers=workers, start_method=start_method)
+    if spec.name in ("local", "sim"):
+        return InProcessTransport(workers=workers)
+    raise ValueError(
+        f"backend {spec.name!r} provides no stage-task workers; the "
+        f"streaming pipeline runs on: process, socket, local, sim")
+
+
+# ---------------------------------------------------------------------------
 # Node-agent side (runs as ``python -m repro.scp.transport``)
 # ---------------------------------------------------------------------------
 
@@ -867,7 +830,7 @@ def _socket_worker_main(inbox) -> None:
             return
         if isinstance(item, str) and item == _WORKER_EXIT:
             return
-        try_run_stage(item, None)
+        try_run_stage(item)
 
 
 def _spawn_agent_worker(ctx, incarnation: int) -> _AgentSlot:
@@ -966,10 +929,7 @@ __all__ = [
     "TaskFrame",
     "WorkerTransport",
     "collect_spool",
-    "create_transport",
-    "describe_transports",
-    "register_transport",
-    "transport_names",
+    "transport_for_spec",
 ]
 
 

@@ -9,6 +9,9 @@ bounded safety timeout.
 
 from __future__ import annotations
 
+import os
+from typing import List
+
 from repro.experiments.measured import default_start_method
 from repro.scp.process_backend import ProcessBackend
 
@@ -19,3 +22,16 @@ def fast_backend(**kwargs) -> ProcessBackend:
     kwargs.setdefault("start_method", FAST_START)
     kwargs.setdefault("default_timeout", 120.0)
     return ProcessBackend(**kwargs)
+
+
+#: /dev/shm residue prefixes the leak checks scan for (matches CI's check).
+RESIDUE_PREFIXES = ("psm_", "wnsm_", "scp-stages-")
+
+
+def shm_residue() -> List[str]:
+    """Shared-memory segments and spool directories currently in /dev/shm."""
+    try:
+        names = os.listdir("/dev/shm")
+    except OSError:
+        return []
+    return [n for n in names if n.startswith(RESIDUE_PREFIXES)]

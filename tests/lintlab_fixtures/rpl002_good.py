@@ -3,7 +3,8 @@
 
 import queue
 
-from repro.scp.stages import PoolStageExecutor
+from repro.scp.stages import TransportStageExecutor
+from repro.scp.transport import ForkedProcessTransport
 
 
 def build_thread_queue():
@@ -14,7 +15,7 @@ def build_thread_queue():
 def run_stage(pool, fn, *args):
     # Stage results travel through the atomic-rename spool transport; no
     # queue is ever shared with a process that may be SIGKILLed.
-    executor = PoolStageExecutor(pool)
+    executor = TransportStageExecutor(ForkedProcessTransport(pool))
     try:
         return executor.submit("stage", fn, *args).result()
     finally:

@@ -1,6 +1,5 @@
-"""Unified API: spec parsing, registries, friendly errors, deprecation shims."""
+"""Unified API: spec parsing, registries, friendly errors, the public surface."""
 
-import numpy as np
 import pytest
 
 import repro
@@ -8,8 +7,6 @@ from repro import fuse, open_session
 from repro.api.engines import engine_names, get_engine
 from repro.api.request import FusionRequest
 from repro.config import FusionConfig, PartitionConfig
-from repro.core.distributed import DistributedPCT
-from repro.core.resilient import ResilientPCT
 from repro.scp.local_backend import LocalBackend
 from repro.scp.process_backend import ProcessBackend
 from repro.scp.registry import (BackendContext, BackendSpec, backend_names,
@@ -208,23 +205,11 @@ class TestFusionReport:
 
 
 class TestDeprecationShims:
-    def test_distributed_pct_warns_and_matches_facade(self, tiny_cube, fast_config):
-        with pytest.warns(DeprecationWarning, match="repro.fuse"):
-            engine = DistributedPCT(fast_config)
-        legacy = engine.fuse(tiny_cube)
-        modern = fuse(tiny_cube, engine="distributed", config=fast_config)
-        np.testing.assert_array_equal(legacy.result.composite, modern.composite)
-        assert legacy.elapsed_seconds == pytest.approx(modern.elapsed_seconds)
-
-    def test_resilient_pct_warns_and_matches_facade(self, tiny_cube, fast_config):
-        with pytest.warns(DeprecationWarning, match="repro.fuse"):
-            engine = ResilientPCT(fast_config)
-        legacy = engine.fuse(tiny_cube)
-        modern = fuse(tiny_cube, engine="resilient", config=fast_config)
-        np.testing.assert_array_equal(legacy.result.composite, modern.composite)
-        assert legacy.elapsed_seconds == pytest.approx(modern.elapsed_seconds)
+    """The constructor-style shims are gone; the facade is the surface."""
 
     def test_top_level_exports(self):
+        for shim in ("DistributedPCT", "ResilientPCT"):
+            assert not hasattr(repro, shim), shim
         for name in ("fuse", "open_session", "FusionRequest", "FusionReport",
                      "FusionSession", "BackendSpec", "engine_names",
                      "backend_names", "register_engine", "register_backend"):

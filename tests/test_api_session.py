@@ -1,5 +1,6 @@
 """Fusion sessions and the persistent worker pool underneath them."""
 
+import contextlib
 import threading
 import time
 
@@ -8,9 +9,11 @@ import pytest
 
 from repro import fuse, open_session
 from repro.data.shared import SharedCube
-from repro.scp.pool import PooledProcessBackend, ProcessPool
 from repro.scp.errors import RuntimeStateError
+from repro.scp.pool import ProcessPool, default_start_method
+from repro.scp.process_backend import ProcessBackend
 from repro.scp.runtime import Application
+from repro.scp.serialization import Envelope
 from repro.scp.thread import ThreadSpec
 
 
@@ -77,15 +80,15 @@ class TestPooledBackendReuse:
         with ProcessPool() as pool:
             for _ in range(3):
                 report = fuse(tiny_cube, engine="distributed", config=fast_config,
-                              backend=PooledProcessBackend(pool))
+                              backend=ProcessBackend(pool))
                 np.testing.assert_array_equal(report.composite, reference.composite)
-                assert report.backend == "pooled-process"
+                assert report.backend == "process"
             # manager + 2 workers, spawned exactly once for all three runs.
             assert pool.spawned_processes == 3
 
     def test_backend_instance_is_single_use(self, tiny_cube, fast_config):
         with ProcessPool() as pool:
-            backend = PooledProcessBackend(pool)
+            backend = ProcessBackend(pool)
             fuse(tiny_cube, engine="distributed", config=fast_config, backend=backend)
             with pytest.raises(RuntimeStateError, match="single use"):
                 fuse(tiny_cube, engine="distributed", config=fast_config,
@@ -99,7 +102,7 @@ class TestPooledBackendReuse:
         app.add_thread("sender", _late_sender_program,
                        params={"target": "ghost", "payload": 7, "linger": 1.5})
         with ProcessPool() as pool:
-            backend = PooledProcessBackend(pool)
+            backend = ProcessBackend(pool)
 
             spawned = []
 
@@ -112,6 +115,50 @@ class TestPooledBackendReuse:
             run = backend.run(app)
             assert spawned == ["ghost#0"]
             assert run.return_of("ghost") == 7
+
+    @pytest.mark.parametrize("pooled", [True, False], ids=["borrowed", "private"])
+    def test_kill_between_create_and_start_stays_dead(self, pooled):
+        # Regression: spawn_thread creates a replica under the lock and
+        # starts it outside, so a kill_thread (attack, camouflage) can land
+        # in between.  Starting the replica anyway used to resurrect it:
+        # the assignment was put on the discarded slot's closed inbox
+        # (ValueError on the spawning thread), the sweep then reported the
+        # dead slot as crashed and subscribers saw two deaths.
+        app = Application(name="create-kill-start")
+        app.add_thread("sender", _late_sender_program,
+                       params={"target": "ghost", "payload": 7, "linger": 1.0})
+        with (ProcessPool() if pooled else contextlib.nullcontext()) as pool:
+            backend = ProcessBackend(pool, start_method=default_start_method(),
+                                     crash_policy="record")
+            deaths, errors = [], []
+            backend.subscribe_thread_death(
+                lambda pid, logical, reason: deaths.append((pid, reason)))
+
+            def racer():
+                time.sleep(0.4)
+                spec = ThreadSpec(name="ghost", program=_receiver_program)
+                try:
+                    with backend._lock:
+                        task = backend._create_task(spec, 0, restored=None,
+                                                    incarnation=0)
+                    assert backend.kill_thread("ghost#0")
+                    backend._start_task(task)
+                    # An envelope routed just before the kill is dropped
+                    # with the replica, not raised on the router's thread.
+                    backend._deliver(task, Envelope(src="sender", dst="ghost",
+                                                    port="data", payload=0))
+                except Exception as err:  # noqa: BLE001 - reported below
+                    errors.append(err)
+
+            thread = threading.Thread(target=racer, daemon=True)
+            thread.start()
+            run = backend.run(app)
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            assert errors == []
+            assert deaths == [("ghost#0", "killed")]
+            assert run.outcomes["ghost#0"].status == "killed"
+            assert run.crashed_threads() == []
 
 
 class TestFusionSession:
@@ -348,9 +395,10 @@ class TestStreamingSession:
                 list(session.fuse_stream([tiny_cube], max_inflight=8))
 
     def test_thread_executor_close_rejects_submits_with_typed_error(self):
-        from repro.scp.stages import StageError, ThreadStageExecutor
+        from repro.scp.stages import StageError, TransportStageExecutor
+        from repro.scp.transport import InProcessTransport
 
-        executor = ThreadStageExecutor(workers=1)
+        executor = TransportStageExecutor(InProcessTransport(workers=1), workers=1)
         blocker = executor.submit("screen", time.sleep, 0.5)
         closer = threading.Thread(target=executor.close)
         closer.start()  # blocks on the running task; the flag is set first
@@ -399,19 +447,23 @@ class TestPipelineCrashMatrix:
     def test_exhausted_retry_budget_raises_typed_error(self, tiny_cube,
                                                        fast_config, stage):
         from repro.core.streaming import run_pipeline
-        from repro.scp.stages import PoolStageExecutor, StageCrashError
+        from repro.scp.stages import StageCrashError, TransportStageExecutor
+        from repro.scp.transport import ForkedProcessTransport
 
         with ProcessPool() as pool:
-            with PoolStageExecutor(pool, workers=2, max_retries=0) as executor:
+            with TransportStageExecutor(ForkedProcessTransport(pool), workers=2,
+                                        max_retries=0) as executor:
                 executor.inject_kill(stage, kills=8)
                 with pytest.raises(StageCrashError, match=stage):
                     run_pipeline(tiny_cube, fast_config, executor)
 
     def test_deterministic_stage_errors_are_not_retried(self):
-        from repro.scp.stages import PoolStageExecutor, StageError
+        from repro.scp.stages import StageError, TransportStageExecutor
+        from repro.scp.transport import ForkedProcessTransport
 
         with ProcessPool() as pool:
-            with PoolStageExecutor(pool, workers=1) as executor:
+            with TransportStageExecutor(ForkedProcessTransport(pool),
+                                        workers=1) as executor:
                 future = executor.submit("screen", _explode)
                 with pytest.raises(StageError, match="screen"):
                     future.result(timeout=30)

@@ -8,9 +8,10 @@ decomposition -- on the simulated cluster and on real threads alike.
 import numpy as np
 import pytest
 
+from repro import fuse
 from repro.cluster.presets import shared_memory_smp, sun_ultra_lan, switched_lan
 from repro.config import FusionConfig, PartitionConfig
-from repro.core.distributed import DistributedPCT, worker_name
+from repro.core.distributed import worker_name
 from repro.core.pipeline import SpectralScreeningPCT
 
 
@@ -28,7 +29,7 @@ class TestSimulatedDistributed:
     def test_matches_sequential_reference_exactly(self, small_cube):
         config = make_config(workers=3, subcubes=6)
         sequential = SpectralScreeningPCT(config).fuse(small_cube)
-        outcome = DistributedPCT(config).fuse(small_cube)
+        outcome = fuse(small_cube, engine="distributed", config=config)
         np.testing.assert_array_equal(outcome.result.composite, sequential.composite)
         np.testing.assert_array_equal(outcome.result.components, sequential.components)
         assert outcome.result.unique_set_size == sequential.unique_set_size
@@ -37,7 +38,7 @@ class TestSimulatedDistributed:
         baseline = None
         for workers in (1, 2, 4):
             config = make_config(workers=workers, subcubes=4)
-            outcome = DistributedPCT(config).fuse(small_cube)
+            outcome = fuse(small_cube, engine="distributed", config=config)
             if baseline is None:
                 baseline = outcome.result.composite
             else:
@@ -50,12 +51,12 @@ class TestSimulatedDistributed:
         times = {}
         for workers in (1, 4):
             config = make_config(workers=workers, subcubes=8)
-            times[workers] = DistributedPCT(config).fuse(small_cube).elapsed_seconds
+            times[workers] = fuse(small_cube, engine="distributed", config=config).elapsed_seconds
         assert times[4] < times[1]
 
     def test_metrics_populated(self, small_cube):
         config = make_config(workers=2, subcubes=4)
-        outcome = DistributedPCT(config).fuse(small_cube)
+        outcome = fuse(small_cube, engine="distributed", config=config)
         metrics = outcome.metrics
         assert metrics.backend == "sim"
         assert metrics.workers == 2
@@ -69,42 +70,42 @@ class TestSimulatedDistributed:
 
     def test_all_workers_participate(self, small_cube):
         config = make_config(workers=3, subcubes=6)
-        outcome = DistributedPCT(config).fuse(small_cube)
+        outcome = fuse(small_cube, engine="distributed", config=config)
         busy = outcome.metrics.node_busy_seconds
         worker_nodes = [n for n in busy if n.startswith("sun")]
         assert sum(1 for n in worker_nodes if busy[n] > 0) == 3
 
     def test_worker_outcomes_finished(self, small_cube):
         config = make_config(workers=2, subcubes=4)
-        outcome = DistributedPCT(config).fuse(small_cube)
+        outcome = fuse(small_cube, engine="distributed", config=config)
         for i in range(2):
             status = outcome.run.outcomes[f"{worker_name(i)}#0"].status
             assert status == "finished"
 
     def test_deterministic_across_runs(self, small_cube):
         config = make_config(workers=2, subcubes=4)
-        a = DistributedPCT(config).fuse(small_cube)
-        b = DistributedPCT(config).fuse(small_cube)
+        a = fuse(small_cube, engine="distributed", config=config)
+        b = fuse(small_cube, engine="distributed", config=config)
         assert a.elapsed_seconds == b.elapsed_seconds
         np.testing.assert_array_equal(a.result.composite, b.result.composite)
 
     def test_explicit_cluster_accepted(self, small_cube):
         config = make_config(workers=2, subcubes=4)
         cluster = sun_ultra_lan(2)
-        outcome = DistributedPCT(config, cluster=cluster).fuse(small_cube)
+        outcome = fuse(small_cube, engine="distributed", config=config, cluster=cluster)
         assert outcome.result.composite.shape[0] == small_cube.rows
 
     def test_switched_network_is_not_slower(self, small_cube):
         config = make_config(workers=4, subcubes=8)
-        shared = DistributedPCT(config, cluster=sun_ultra_lan(4)).fuse(small_cube)
-        switched = DistributedPCT(config, cluster=switched_lan(4)).fuse(small_cube)
+        shared = fuse(small_cube, engine="distributed", config=config, cluster=sun_ultra_lan(4))
+        switched = fuse(small_cube, engine="distributed", config=config, cluster=switched_lan(4))
         assert switched.elapsed_seconds <= shared.elapsed_seconds * 1.01
 
     def test_shared_memory_faster_than_lan(self, small_cube):
         """Section 4: the shared-memory variant has no communication overhead."""
         config = make_config(workers=4, subcubes=8)
-        lan = DistributedPCT(config, cluster=sun_ultra_lan(4)).fuse(small_cube)
-        smp = DistributedPCT(config, cluster=shared_memory_smp(4)).fuse(small_cube)
+        lan = fuse(small_cube, engine="distributed", config=config, cluster=sun_ultra_lan(4))
+        smp = fuse(small_cube, engine="distributed", config=config, cluster=shared_memory_smp(4))
         assert smp.elapsed_seconds < lan.elapsed_seconds
 
     def test_granularity_choice_never_changes_the_output(self, small_cube):
@@ -113,39 +114,39 @@ class TestSimulatedDistributed:
         decompositions complete successfully.  (The performance effect of
         Figure 5 is exercised at realistic problem sizes by the benchmark
         harness, where compute dominates the per-message overheads.)"""
-        coarse = DistributedPCT(make_config(workers=4, subcubes=4)).fuse(small_cube)
-        fine = DistributedPCT(make_config(workers=4, subcubes=8)).fuse(small_cube)
+        coarse = fuse(small_cube, engine="distributed", config=make_config(workers=4, subcubes=4))
+        fine = fuse(small_cube, engine="distributed", config=make_config(workers=4, subcubes=8))
         assert coarse.elapsed_seconds > 0 and fine.elapsed_seconds > 0
         assert coarse.result.composite.shape == fine.result.composite.shape
 
     def test_prefetch_depth_one_is_slower_or_equal(self, small_cube):
         config = make_config(workers=2, subcubes=8)
-        no_overlap = DistributedPCT(config, prefetch=1).fuse(small_cube)
-        overlap = DistributedPCT(config, prefetch=2).fuse(small_cube)
+        no_overlap = fuse(small_cube, engine="distributed", config=config, prefetch=1)
+        overlap = fuse(small_cube, engine="distributed", config=config, prefetch=2)
         assert overlap.elapsed_seconds <= no_overlap.elapsed_seconds * 1.001
 
     def test_unknown_backend_rejected(self, small_cube):
         with pytest.raises(ValueError):
-            DistributedPCT(make_config(), backend="quantum").fuse(small_cube)
+            fuse(small_cube, engine="distributed", config=make_config(), backend="quantum")
 
 
 class TestLocalDistributed:
     def test_matches_sequential_reference_exactly(self, small_cube):
         config = make_config(workers=2, subcubes=4)
         sequential = SpectralScreeningPCT(config).fuse(small_cube)
-        outcome = DistributedPCT(config, backend="local").fuse(small_cube)
+        outcome = fuse(small_cube, engine="distributed", config=config, backend="local")
         np.testing.assert_array_equal(outcome.result.composite, sequential.composite)
 
     def test_local_and_sim_backends_agree(self, small_cube):
         config = make_config(workers=3, subcubes=6)
-        sim = DistributedPCT(config, backend="sim").fuse(small_cube)
-        local = DistributedPCT(config, backend="local").fuse(small_cube)
+        sim = fuse(small_cube, engine="distributed", config=config, backend="sim")
+        local = fuse(small_cube, engine="distributed", config=config, backend="local")
         np.testing.assert_array_equal(sim.result.composite, local.result.composite)
         assert sim.result.unique_set_size == local.result.unique_set_size
 
     def test_local_metrics(self, small_cube):
         config = make_config(workers=2, subcubes=4)
-        outcome = DistributedPCT(config, backend="local").fuse(small_cube)
+        outcome = fuse(small_cube, engine="distributed", config=config, backend="local")
         assert outcome.metrics.backend == "local"
         assert outcome.metrics.messages > 0
         assert outcome.elapsed_seconds > 0

@@ -12,11 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from _process_utils import fast_backend
+from _process_utils import fast_backend, shm_residue
+from repro import fuse
 from repro.config import FusionConfig, PartitionConfig, ResilienceConfig
-from repro.core.distributed import MANAGER_NAME, DistributedPCT
+from repro.core.distributed import MANAGER_NAME, _DistributedPCT
 from repro.core.pipeline import SpectralScreeningPCT
-from repro.core.resilient import ResilientPCT
 
 
 def make_config(workers=2, subcubes=4):
@@ -26,7 +26,7 @@ def make_config(workers=2, subcubes=4):
 def test_matches_sequential_reference_exactly(tiny_cube):
     config = make_config(workers=2, subcubes=4)
     sequential = SpectralScreeningPCT(config).fuse(tiny_cube)
-    outcome = DistributedPCT(config, backend=fast_backend()).fuse(tiny_cube)
+    outcome = fuse(tiny_cube, engine="distributed", config=config, backend=fast_backend())
     np.testing.assert_array_equal(outcome.result.composite, sequential.composite)
     np.testing.assert_array_equal(outcome.result.components, sequential.components)
     assert outcome.result.unique_set_size == sequential.unique_set_size
@@ -37,14 +37,14 @@ def test_matches_every_other_backend(small_cube):
     config = make_config(workers=3, subcubes=6)
     sequential = SpectralScreeningPCT(config).fuse(small_cube)
     for backend in ("sim", "local", fast_backend()):
-        outcome = DistributedPCT(config, backend=backend).fuse(small_cube)
+        outcome = fuse(small_cube, engine="distributed", config=config, backend=backend)
         np.testing.assert_array_equal(outcome.result.composite, sequential.composite)
         np.testing.assert_array_equal(outcome.result.components, sequential.components)
 
 
 def test_measured_metrics_are_wall_clock(tiny_cube):
     config = make_config(workers=2, subcubes=4)
-    outcome = DistributedPCT(config, backend=fast_backend()).fuse(tiny_cube)
+    outcome = fuse(tiny_cube, engine="distributed", config=config, backend=fast_backend())
     metrics = outcome.metrics
     assert metrics.backend == "process"
     assert metrics.workers == 2
@@ -68,7 +68,7 @@ def test_hard_process_death_is_detected_and_survivable(small_cube):
 
     config = make_config(workers=2, subcubes=8)
     sequential = SpectralScreeningPCT(config).fuse(small_cube)
-    engine = DistributedPCT(config, backend="process", reassign_timeout=1.0)
+    engine = _DistributedPCT(config, backend="process", reassign_timeout=1.0)
     backend = fast_backend(crash_policy="record", shutdown_grace=0.5)
     app = engine.build_application(small_cube)
 
@@ -77,12 +77,11 @@ def test_hard_process_death_is_detected_and_survivable(small_cube):
         # booting (imports, hello), far before it can drain all eight
         # screening tasks -- the incremental screening kernel finishes
         # phase 1 too quickly for a "sleep a while, then kill" window to be
-        # reliable.  The task is registered before its Process object is
-        # attached, so poll until the pid is observable.
+        # reliable.
         deadline = time.time() + 30.0
         while time.time() < deadline:
             task = backend._tasks.get("worker.0#0")
-            process = task.process if task is not None else None
+            process = task.slot.process if task is not None else None
             if process is not None and process.pid is not None:
                 try:
                     os.kill(process.pid, signal.SIGKILL)
@@ -105,7 +104,7 @@ def test_hard_process_death_is_detected_and_survivable(small_cube):
 def test_killed_worker_is_regenerated_and_parity_holds(small_cube):
     config = make_config(workers=2, subcubes=8)
     sequential = SpectralScreeningPCT(config).fuse(small_cube)
-    engine = DistributedPCT(config, backend="process")
+    engine = _DistributedPCT(config, backend="process")
     backend = fast_backend(crash_policy="record")
     app = engine.build_application(small_cube)
 
@@ -129,8 +128,7 @@ def test_killed_worker_is_regenerated_and_parity_holds(small_cube):
         deadline = time.time() + 30.0
         while time.time() < deadline:
             task = backend._tasks.get("worker.0#0")
-            if task is not None and task.process is not None \
-                    and task.process.pid is not None:
+            if task is not None and task.slot.process.pid is not None:
                 backend.kill_thread("worker.0#0")
                 return
             time.sleep(0.001)
@@ -145,12 +143,53 @@ def test_killed_worker_is_regenerated_and_parity_holds(small_cube):
     assert regenerated and regenerated[0].startswith("worker.0#")
 
 
+def _crashing_manager(ctx, **params):
+    from repro.scp.effects import Sleep
+    yield Sleep(0.05)
+    raise ValueError("boom")
+
+
+def _pool_residue():
+    """Live child pids plus /dev/shm segments and spool directories."""
+    import multiprocessing
+    return ({child.pid for child in multiprocessing.active_children()},
+            set(shm_residue()))
+
+
+@pytest.mark.parametrize("crash", [False, True], ids=["completes", "raises"])
+def test_one_shot_run_closes_its_private_pool(tiny_cube, monkeypatch, crash):
+    # A one-shot process run owns a private worker pool for its lifetime:
+    # whether the run returns or raises, no worker process, shared-memory
+    # segment or spool directory may outlive the call.
+    import multiprocessing
+
+    from repro.scp.errors import ThreadCrashedError
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("fork start method unavailable")
+    children_before, residue_before = _pool_residue()
+    config = make_config(workers=2, subcubes=4)
+    if crash:
+        monkeypatch.setattr("repro.core.distributed.manager_program",
+                            _crashing_manager)
+        with pytest.raises(ThreadCrashedError, match="boom"):
+            fuse(tiny_cube, engine="distributed", config=config,
+                 backend="process:fork")
+    else:
+        report = fuse(tiny_cube, engine="distributed", config=config,
+                      backend="process:fork")
+        assert report.backend == "process:fork"
+    children_after, residue_after = _pool_residue()
+    assert children_after - children_before == set()
+    assert residue_after - residue_before == set()
+
+
 @pytest.mark.slow
 def test_resilient_pct_on_process_backend(tiny_cube):
     config = make_config(workers=2, subcubes=4).with_resilience(
         ResilienceConfig(replication_level=2))
     sequential = SpectralScreeningPCT(config).fuse(tiny_cube)
-    outcome = ResilientPCT(config, backend="process").fuse(tiny_cube)
+    outcome = fuse(tiny_cube, engine="resilient", config=config, backend="process")
     np.testing.assert_array_equal(outcome.result.composite, sequential.composite)
     assert outcome.metrics.replication_level == 2
     assert outcome.result.metadata["mode"] == "resilient"

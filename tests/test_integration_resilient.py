@@ -9,11 +9,10 @@ modest protocol overhead.
 import numpy as np
 import pytest
 
+from repro import fuse
 from repro.baselines.static_replication import StaticReplicationPCT
 from repro.config import FusionConfig, PartitionConfig, ResilienceConfig
-from repro.core.distributed import DistributedPCT
 from repro.core.pipeline import SpectralScreeningPCT
-from repro.core.resilient import ResilientPCT
 from repro.resilience.attack import AttackScenario
 from repro.scp.errors import DeadlockError, SCPError
 
@@ -33,14 +32,14 @@ def reference_result(small_cube):
 
 class TestResilientWithoutAttack:
     def test_output_matches_reference(self, small_cube, reference_result):
-        outcome = ResilientPCT(make_config()).fuse(small_cube)
+        outcome = fuse(small_cube, engine="resilient", config=make_config())
         np.testing.assert_array_equal(outcome.result.composite,
                                       reference_result.composite)
 
     def test_replication_costs_roughly_double(self, small_cube):
         plain_config = FusionConfig(partition=PartitionConfig(workers=2, subcubes=4))
-        plain = DistributedPCT(plain_config).fuse(small_cube)
-        resilient = ResilientPCT(make_config()).fuse(small_cube)
+        plain = fuse(small_cube, engine="distributed", config=plain_config)
+        resilient = fuse(small_cube, engine="resilient", config=make_config())
         slowdown = resilient.elapsed_seconds / plain.elapsed_seconds
         assert 1.3 < slowdown < 2.6
 
@@ -48,22 +47,22 @@ class TestResilientWithoutAttack:
         config = FusionConfig(
             partition=PartitionConfig(workers=2, subcubes=4),
             resilience=ResilienceConfig(replication_level=1))
-        plain = DistributedPCT(FusionConfig(
-            partition=PartitionConfig(workers=2, subcubes=4))).fuse(small_cube)
-        level1 = ResilientPCT(config).fuse(small_cube)
+        plain = fuse(small_cube, engine="distributed", config=FusionConfig(
+            partition=PartitionConfig(workers=2, subcubes=4)))
+        level1 = fuse(small_cube, engine="resilient", config=config)
         np.testing.assert_array_equal(level1.result.composite, plain.result.composite)
         # Without shadows the slowdown is only the protocol overhead.
         assert level1.elapsed_seconds < plain.elapsed_seconds * 1.5
 
     def test_no_failures_no_regenerations(self, small_cube):
-        outcome = ResilientPCT(make_config()).fuse(small_cube)
+        outcome = fuse(small_cube, engine="resilient", config=make_config())
         assert outcome.failures_injected == 0
         assert outcome.replicas_regenerated == 0
         assert outcome.metrics.replication_level == 2
 
     def test_resilience_report_attached(self, small_cube):
-        outcome = ResilientPCT(make_config()).fuse(small_cube)
-        report = outcome.resilience_report
+        outcome = fuse(small_cube, engine="resilient", config=make_config())
+        report = outcome.resilience
         assert set(report["replication"].keys()) >= {"worker.0", "worker.1"}
         assert report["recoveries"] == 0
         assert outcome.result.metadata["mode"] == "resilient"
@@ -71,13 +70,13 @@ class TestResilientWithoutAttack:
     def test_manager_replication_not_supported(self, small_cube):
         config = make_config(replicate_manager=True)
         with pytest.raises(NotImplementedError):
-            ResilientPCT(config).fuse(small_cube)
+            fuse(small_cube, engine="resilient", config=config)
 
 
 class TestResilientUnderAttack:
     def test_single_replica_kill_output_unchanged(self, small_cube, reference_result):
         attack = AttackScenario.single_worker_kill("worker.0", at=0.01)
-        outcome = ResilientPCT(make_config(), attack=attack).fuse(small_cube)
+        outcome = fuse(small_cube, engine="resilient", config=make_config(), attack=attack)
         assert outcome.failures_injected == 1
         np.testing.assert_array_equal(outcome.result.composite,
                                       reference_result.composite)
@@ -86,17 +85,17 @@ class TestResilientUnderAttack:
         """Both replicas of a worker are destroyed; regeneration restores the
         group and the run still completes with the correct output."""
         attack = AttackScenario.group_wipeout("worker.1", at=0.01, replicas=2)
-        outcome = ResilientPCT(make_config(), attack=attack).fuse(small_cube)
+        outcome = fuse(small_cube, engine="resilient", config=make_config(), attack=attack)
         assert outcome.failures_injected == 2
         assert outcome.replicas_regenerated >= 1
         np.testing.assert_array_equal(outcome.result.composite,
                                       reference_result.composite)
-        group = outcome.resilience_report["replication"]["worker.1"]
+        group = outcome.resilience["replication"]["worker.1"]
         assert group["regenerated"] >= 1
 
     def test_node_outage_recovered(self, small_cube, reference_result):
         attack = AttackScenario.node_outage("sun01", at=0.01)
-        outcome = ResilientPCT(make_config(), attack=attack).fuse(small_cube)
+        outcome = fuse(small_cube, engine="resilient", config=make_config(), attack=attack)
         assert outcome.failures_injected >= 1
         np.testing.assert_array_equal(outcome.result.composite,
                                       reference_result.composite)
@@ -104,23 +103,23 @@ class TestResilientUnderAttack:
     def test_sustained_assault_survived(self, small_cube, reference_result):
         attack = AttackScenario.sustained_assault(
             ["worker.0", "worker.1"], start=0.01, interval=0.3, rounds=4, seed=2)
-        outcome = ResilientPCT(make_config(), attack=attack).fuse(small_cube)
+        outcome = fuse(small_cube, engine="resilient", config=make_config(), attack=attack)
         assert outcome.failures_injected >= 2
         np.testing.assert_array_equal(outcome.result.composite,
                                       reference_result.composite)
 
     def test_attack_slows_the_run_down(self, small_cube):
-        quiet = ResilientPCT(make_config()).fuse(small_cube)
+        quiet = fuse(small_cube, engine="resilient", config=make_config())
         attack = AttackScenario.group_wipeout("worker.0", at=0.01, replicas=2)
-        attacked = ResilientPCT(make_config(), attack=attack).fuse(small_cube)
+        attacked = fuse(small_cube, engine="resilient", config=make_config(), attack=attack)
         assert attacked.elapsed_seconds >= quiet.elapsed_seconds
 
     def test_recovery_events_in_report(self, small_cube):
         attack = AttackScenario.group_wipeout("worker.0", at=0.01, replicas=2)
-        outcome = ResilientPCT(make_config(), attack=attack).fuse(small_cube)
-        assert outcome.resilience_report["recoveries"] >= 1
-        assert outcome.resilience_report["attacks_executed"] >= 1
-        assert outcome.resilience_report["reconfigurations"]["completed"] >= 1
+        outcome = fuse(small_cube, engine="resilient", config=make_config(), attack=attack)
+        assert outcome.resilience["recoveries"] >= 1
+        assert outcome.resilience["attacks_executed"] >= 1
+        assert outcome.resilience["reconfigurations"]["completed"] >= 1
 
 
 class TestStaticReplicationBaseline:
@@ -169,22 +168,22 @@ class TestStaticReplicationBaseline:
 
 class TestCamouflage:
     def test_migrations_preserve_output(self, small_cube, reference_result):
-        outcome = ResilientPCT(make_config(), camouflage_period=0.2).fuse(small_cube)
+        outcome = fuse(small_cube, engine="resilient", config=make_config(), camouflage_period=0.2)
         np.testing.assert_array_equal(outcome.result.composite,
                                       reference_result.composite)
-        assert outcome.resilience_report["migrations"] >= 0
+        assert outcome.resilience["migrations"] >= 0
 
     def test_migrations_happen_on_long_runs(self, small_cube):
         config = make_config(workers=2, subcubes=4)
-        outcome = ResilientPCT(config, camouflage_period=0.05).fuse(small_cube)
+        outcome = fuse(small_cube, engine="resilient", config=config, camouflage_period=0.05)
         # The run lasts several multiples of the camouflage period, so at
         # least one migration should have been attempted.
-        assert outcome.resilience_report["migrations"] >= 1
+        assert outcome.resilience["migrations"] >= 1
 
 
 class TestLocalResilient:
     def test_local_backend_with_replication(self, small_cube, reference_result):
         config = make_config(workers=2, subcubes=4)
-        outcome = ResilientPCT(config, backend="local").fuse(small_cube)
+        outcome = fuse(small_cube, engine="resilient", config=config, backend="local")
         np.testing.assert_array_equal(outcome.result.composite,
                                       reference_result.composite)

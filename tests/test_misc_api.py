@@ -61,8 +61,8 @@ class TestTopLevelAPI:
 
     def test_headline_workflow_types(self):
         assert callable(repro.SpectralScreeningPCT)
-        assert callable(repro.DistributedPCT)
-        assert callable(repro.ResilientPCT)
+        assert callable(repro.fuse)
+        assert callable(repro.open_session)
         assert callable(repro.HydiceGenerator)
 
     def test_subpackage_exports_resolve(self):

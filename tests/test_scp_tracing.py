@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import fuse
 from repro.cluster.machine import Cluster
 from repro.cluster.network import LinkSpec, SharedEthernet
 from repro.cluster.node import NodeSpec
 from repro.config import FusionConfig, PartitionConfig
-from repro.core.distributed import DistributedPCT
 from repro.scp.effects import Compute, Recv, Send, Sleep
 from repro.scp.runtime import Application
 from repro.scp.sim_backend import SimBackend
@@ -118,13 +118,13 @@ class TestSimBackendIntegration:
 
     def test_tracing_does_not_change_results(self, small_cube):
         config = FusionConfig(partition=PartitionConfig(workers=2, subcubes=4))
-        plain = DistributedPCT(config).fuse(small_cube)
+        plain = fuse(small_cube, engine="distributed", config=config)
 
         tracer = TraceRecorder()
         from repro.cluster.presets import sun_ultra_lan
         traced_backend = SimBackend(sun_ultra_lan(2), pinned={"manager": "manager"},
                                     tracer=tracer)
-        traced = DistributedPCT(config, backend=traced_backend).fuse(small_cube)
+        traced = fuse(small_cube, engine="distributed", config=config, backend=traced_backend)
 
         np.testing.assert_array_equal(plain.result.composite, traced.result.composite)
         assert traced.elapsed_seconds == pytest.approx(plain.elapsed_seconds)

@@ -15,7 +15,8 @@ from repro.data.cube import CubeError
 from repro.data.hydice import HydiceConfig, HydiceGenerator
 from repro.data.shared import (OutputPool, SharedComposite, owned_segment_names,
                                sweep_owned_segments, write_output_tile)
-from repro.scp.stages import ThreadStageExecutor
+from repro.scp.stages import TransportStageExecutor
+from repro.scp.transport import ForkedProcessTransport, InProcessTransport
 
 
 def _segment_exists(name: str) -> bool:
@@ -265,7 +266,8 @@ class TestZeroCopyParity:
         from repro import fuse
 
         reference = fuse(cube, engine="sequential", config=config)
-        with ThreadStageExecutor(workers=2) as executor:
+        with TransportStageExecutor(InProcessTransport(workers=2),
+                                    workers=2) as executor:
             result = run_pipeline(cube, config, executor,
                                   adaptive_tiles=adaptive, zero_copy=zero_copy)
         np.testing.assert_array_equal(result.composite, reference.composite)
@@ -288,18 +290,19 @@ class TestFailedRunDiscardsPlacement:
     def test_crashed_run_retires_its_output_segment(self, tiny_cube,
                                                     fast_config):
         from repro.scp.pool import ProcessPool
-        from repro.scp.stages import PoolStageExecutor, StageCrashError
+        from repro.scp.stages import StageCrashError
 
         pool = OutputPool(max_segments=2)
         with ProcessPool() as workers:
-            with PoolStageExecutor(workers, workers=2,
-                                   max_retries=0) as executor:
+            with TransportStageExecutor(ForkedProcessTransport(workers),
+                                        workers=2, max_retries=0) as executor:
                 executor.inject_kill("project", kills=8)
                 with pytest.raises(StageCrashError):
                     run_pipeline(tiny_cube, fast_config, executor,
                                  zero_copy=True, output_pool=pool)
             assert pool.segments == 0  # discarded, not returned for reuse
-            with PoolStageExecutor(workers, workers=2) as executor:
+            with TransportStageExecutor(ForkedProcessTransport(workers),
+                                        workers=2) as executor:
                 result = run_pipeline(tiny_cube, fast_config, executor,
                                       zero_copy=True, output_pool=pool)
             assert result.composite.shape == (tiny_cube.rows, tiny_cube.cols, 3)

@@ -25,7 +25,8 @@ from repro.core.partition import reassemble_composite
 from repro.core.streaming import default_tile_rows, plan_tiles, run_pipeline
 from repro.data.hydice import HydiceConfig, HydiceGenerator
 from repro.scp.registry import BackendSpec
-from repro.scp.stages import ThreadStageExecutor
+from repro.scp.stages import TransportStageExecutor
+from repro.scp.transport import InProcessTransport
 
 #: Cases per property; chosen so the whole module stays in tier-1 time.
 CASES = 50
@@ -195,7 +196,8 @@ class TestTilingIsOutputInvariant:
 
     @pytest.fixture(scope="class")
     def executor(self):
-        with ThreadStageExecutor(workers=2) as executor:
+        with TransportStageExecutor(InProcessTransport(workers=2),
+                                    workers=2) as executor:
             yield executor
 
     @pytest.mark.parametrize("bands,rows,cols", SHAPES)

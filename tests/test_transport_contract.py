@@ -21,18 +21,17 @@ import time
 
 import pytest
 
-from repro.scp.pool import ProcessPool
-from repro.scp.stages import (PoolStageExecutor, StageCrashError, StageError,
-                              ThreadStageExecutor, TransportStageExecutor)
-from repro.scp.transport import (SocketTransport, WorkerTransport,
-                                 create_transport, describe_transports,
-                                 register_transport, transport_names)
-
-#: /dev/shm residue prefixes the leak checks scan for (matches CI's check).
-RESIDUE_PREFIXES = ("psm_", "wnsm_", "scp-stages-")
+from _process_utils import shm_residue
+from repro.scp.registry import BackendSpec
+from repro.scp.stages import StageCrashError, StageError, TransportStageExecutor
+from repro.scp.transport import transport_for_spec
 
 TRANSPORTS = ("inprocess", "forked", "socket")
 KILLABLE_TRANSPORTS = ("forked", "socket")
+
+#: The backend spec a user writes to get each transport: the suite builds
+#: its executors the way sessions and ``repro.fuse`` do.
+SPECS = {"inprocess": "local", "forked": "process:2", "socket": "socket:2"}
 
 
 def add(a, b):
@@ -49,23 +48,10 @@ def boom():
 
 
 def make_executor(kind, *, workers=2, max_retries=2):
-    if kind == "inprocess":
-        return ThreadStageExecutor(workers=workers)
-    if kind == "forked":
-        return PoolStageExecutor(ProcessPool(), workers=workers,
-                                 max_retries=max_retries, owns_pool=True)
-    if kind == "socket":
-        return TransportStageExecutor(SocketTransport(workers=workers),
-                                      workers=workers, max_retries=max_retries)
-    raise AssertionError(kind)
-
-
-def shm_residue():
-    try:
-        names = os.listdir("/dev/shm")
-    except OSError:
-        return []
-    return [n for n in names if n.startswith(RESIDUE_PREFIXES)]
+    transport = transport_for_spec(BackendSpec.parse(SPECS[kind]), workers=workers)
+    assert transport.kind == {"forked": "forked-process"}.get(kind, kind)
+    return TransportStageExecutor(transport, workers=workers,
+                                  max_retries=max_retries)
 
 
 # ---------------------------------------------------------------------------
@@ -231,30 +217,3 @@ def test_no_shm_or_spool_residue_after_close(kind):
     executor.close()
     leaked = set(shm_residue()) - before
     assert leaked == set(), f"residue leaked: {sorted(leaked)}"
-
-
-# ---------------------------------------------------------------------------
-# The transport registry mirrors the engine/backend/rule registries
-# ---------------------------------------------------------------------------
-
-def test_registry_names_and_descriptions():
-    assert transport_names() == ["forked-process", "inprocess", "socket"]
-    descriptions = describe_transports()
-    assert set(descriptions) == set(transport_names())
-    assert all(descriptions.values())
-
-
-def test_registry_rejects_unknown_and_duplicate_names():
-    with pytest.raises(ValueError, match="registered transports"):
-        create_transport("carrier-pigeon")
-    with pytest.raises(ValueError, match="already registered"):
-        register_transport("inprocess")(WorkerTransport)
-
-
-def test_create_transport_builds_and_closes():
-    transport = create_transport("inprocess", workers=1)
-    try:
-        assert transport.kind == "inprocess"
-        assert transport.alive_workers() == 1
-    finally:
-        transport.close()
