@@ -6,12 +6,10 @@ helpers by module name regardless of how pytest loads conftest plugins.
 
 from __future__ import annotations
 
-import json
 import os
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List
 
 from repro.config import FusionConfig, PartitionConfig, ResilienceConfig
-from repro.paritylab.ledger import Metric, make_record
 
 #: Spatial scale of the benchmark cubes relative to the paper's 320x320.
 #: Override with the REPRO_BENCH_SCALE environment variable (1.0 = full size).
@@ -44,31 +42,3 @@ def fusion_config(workers: int, subcubes: int, *, resilient: bool = False,
         config = config.with_resilience(ResilienceConfig(
             replication_level=2, regenerate=regenerate, execute_replicas=False))
     return config
-
-
-#: ``(name, value, unit, direction)`` shorthand accepted by
-#: :func:`write_bench_json` alongside full :class:`Metric` instances.
-MetricLike = Union[Metric, Tuple[str, float, str, str]]
-
-
-def write_bench_json(path: str, benchmark: str,
-                     metrics: Sequence[MetricLike], *,
-                     payload: Optional[Dict[str, object]] = None,
-                     verdict: Optional[str] = None,
-                     quick: bool = False) -> Dict[str, object]:
-    """Write one schema-versioned bench record (the ``--json`` artifact).
-
-    Every benchmark converges on this helper so the trend ledger
-    (``repro-fusion bench-ledger``) can ingest any of their artifacts:
-    machine info, git SHA and the metric name/value/unit/direction list
-    all follow :data:`repro.paritylab.ledger.RECORD_SCHEMA`.  The
-    benchmark's full ad-hoc payload is preserved under ``payload``.
-    """
-    normalised = [metric if isinstance(metric, Metric) else Metric(*metric)
-                  for metric in metrics]
-    record = make_record(benchmark, normalised, verdict=verdict,
-                         payload=payload, quick=quick)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2)
-    print(f"wrote {path}")
-    return record

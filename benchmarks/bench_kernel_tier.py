@@ -6,7 +6,7 @@ hot covariance and step-7/8 kernels -- scratch-pooled ``out=`` BLAS for the
 ``numpy`` tier, jit-fused elementwise passes around the *same* BLAS
 reductions for the ``numba`` tier.  This benchmark measures them old vs
 new on the acceptance scene (a synthetic 256x256x64 HYDICE cube;
-``--quick`` shrinks it for the CI smoke job):
+``--quick`` shrinks it for a smoke run):
 
 * **covariance** -- fused centre+SYRK partial over the scene's pixel
   matrix, against :func:`repro.core.steps.statistics.covariance_sum`;
@@ -19,8 +19,8 @@ Before any number is trusted, every backend's outputs are checked
 allowed to change the clock, never a bit.  The acceptance gate asserts a
 **>= 2x** combined covariance+projection speed-up, but only when numba is
 importable (the jit tier is the one making that claim); without numba the
-numpy tier's measured speed-up is recorded ungated so the trend ledger can
-still watch it drift::
+numpy tier's measured speed-up is reported ungated (its gated numbers are
+the ``core.kernels.*`` metrics of ``benchmarks/e2e``)::
 
     python benchmarks/bench_kernel_tier.py --quick --json kernel_tier.json
 """
@@ -28,6 +28,7 @@ still watch it drift::
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from _bench_utils import record_report, write_bench_json
+from _bench_utils import record_report
 from repro.analysis.report import format_table
 from repro.core.kernels import NumbaBackend, resolve_compute
 from repro.core.steps.colormap import color_map, color_map_flops, component_statistics
@@ -55,7 +56,7 @@ ROUNDS = 3
 
 
 def _scene(*, quick: bool):
-    """The acceptance scene (256x256x64; smaller in CI smoke mode)."""
+    """The acceptance scene (256x256x64; smaller in smoke mode)."""
     extent, bands = (96, 32) if quick else (256, 64)
     return HydiceGenerator(HydiceConfig(bands=bands, rows=extent, cols=extent,
                                         seed=7)).generate()
@@ -229,7 +230,7 @@ def check_tier_speedup(sweep: TierSweep) -> str:
 
     The 2x claim belongs to the jit tier, so the gate only arms when numba
     is importable; the always-available numpy tier's measured speed-up is
-    still recorded (ungated) so the trend ledger watches it drift.
+    still reported, ungated.
     """
     best = sweep.best_point()
     if not sweep.numba_available:
@@ -267,7 +268,7 @@ def test_kernel_tier_beats_step_functions(benchmark):
 
 
 # --------------------------------------------------------------------------
-# standalone entry point (CI smoke job artifact)
+# standalone entry point (the kernel-tier CI job runs it with --json)
 # --------------------------------------------------------------------------
 
 def main(argv=None) -> int:
@@ -275,7 +276,7 @@ def main(argv=None) -> int:
         description="Measure the registered compute backends against the "
                     "unfused step functions (bit-identical outputs)")
     parser.add_argument("--quick", action="store_true",
-                        help="96x96x32 scene (CI smoke mode); default is the "
+                        help="96x96x32 scene (smoke mode); default is the "
                              "256x256x64 acceptance scene")
     parser.add_argument("--json", dest="json_path", default=None,
                         help="write the measured sweep to this JSON file")
@@ -287,19 +288,10 @@ def main(argv=None) -> int:
     print(verdict)
 
     if args.json_path:
-        metrics = []
-        for point in sweep.points:
-            metrics.append((f"cov_speedup_{point.compute}",
-                            point.covariance_speedup, "x", "higher"))
-            metrics.append((f"proj_speedup_{point.compute}",
-                            point.projection_speedup, "x", "higher"))
-            metrics.append((f"combined_speedup_{point.compute}",
-                            point.combined_speedup, "x", "higher"))
-            metrics.append((f"proj_gflops_{point.compute}",
-                            point.projection_gflops, "GFLOP/s", "higher"))
-        write_bench_json(args.json_path, "kernel_tier", metrics,
-                         payload=sweep.as_dict(), verdict=verdict,
-                         quick=args.quick)
+        record = {**sweep.as_dict(), "verdict": verdict, "quick": args.quick}
+        with open(args.json_path, "w", encoding="utf-8") as fh:
+            json.dump(record, fh, indent=2)
+        print(f"wrote {args.json_path}")
     return 0
 
 

@@ -1,7 +1,7 @@
 """Fixtures and reporting plumbing for the benchmark harness.
 
 Each benchmark module regenerates one table or figure of the paper's
-evaluation (see DESIGN.md, "Per-experiment index").  Because pytest captures
+evaluation (see README.md, "Tests and benchmarks").  Because pytest captures
 stdout, the regenerated tables are collected into ``_bench_utils.REPORT_SINK``
 and printed from the terminal-summary hook below, so they always appear in
 ``bench_output.txt`` alongside pytest-benchmark's timing table.

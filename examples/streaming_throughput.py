@@ -99,8 +99,8 @@ def main() -> int:
         "stream_cubes_per_second": f"{rate:.2f}",
         "stream_vs_sequential": f"{serial_seconds / stream_seconds:.2f}x",
     }))
-    print("On multi-core hosts the stream row should win; "
-          "benchmarks/bench_pipeline_throughput.py asserts it.")
+    print("On multi-core hosts the stream row should win; benchmarks/e2e "
+          "gates it as throughput_cubes_per_s on the pipe_* workloads.")
     return 0
 
 

@@ -33,7 +33,8 @@ backends register with :func:`repro.register_engine` /
 :func:`repro.register_backend` and become available everywhere, CLI
 included.
 
-The library layers underneath (see DESIGN.md for the full inventory):
+The library layers underneath (the "Layout" section of README.md has the
+full inventory):
 
 * :mod:`repro.data`        -- synthetic HYDICE-like hyper-spectral scenes,
 * :mod:`repro.scp`         -- the SCPlib-like message-passing runtime and
@@ -56,7 +57,7 @@ from .core.kernels import compute_names, register_compute
 from .core.profiling import StageTiming
 from .data import HydiceConfig, HydiceGenerator, HyperspectralCube, generate_cube
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 __all__ = [
     # Unified fusion API

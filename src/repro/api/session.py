@@ -29,10 +29,10 @@ other, with a bounded in-flight window for backpressure::
         for report in session.fuse_stream(cubes):
             serve(report.composite)
 
-``benchmarks/bench_session_reuse.py`` measures the reuse effect (five
-consecutive ``session.fuse`` calls against five one-shot ``repro.fuse``
-calls); ``benchmarks/bench_pipeline_throughput.py`` measures streaming
-throughput (cubes/second for a queue of fusions, pipeline vs serial).
+``benchmarks/e2e`` measures both effects: reuse as ``setup_s``,
+``api.session.open_s``, ``api.session.fuse_repeat_s_p50`` and
+``api.session.spawned_processes``; streaming as ``throughput_cubes_per_s``
+on the ``pipe_*`` workloads and ``baseline.speedup_vs_sequential``.
 """
 
 from __future__ import annotations

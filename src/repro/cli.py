@@ -220,60 +220,12 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="skip the bit-identity check against the "
                                "sequential reference")
     simulate.add_argument("--json", default=None, metavar="PATH",
-                          help="write the ledger-compatible record to PATH")
+                          help="write the simulate report (JSON) to PATH")
     simulate.add_argument("--record-trace", default=None, metavar="PATH",
                           help="save the replayed arrival trace to PATH")
     simulate.add_argument("--replay-trace", default=None, metavar="PATH",
                           help="replay a previously saved trace instead of "
                                "drawing a fresh one")
-
-    ledger = subparsers.add_parser(
-        "bench-ledger", help="benchmark-trend ledger: record, gate and "
-                             "report benchmark JSON artifacts")
-    ledger_sub = ledger.add_subparsers(dest="ledger_command", required=True)
-
-    def _ledger_common(sub):
-        sub.add_argument("--history-dir", default="benchmarks/history",
-                         help="ledger directory of *.jsonl history files "
-                              "(default benchmarks/history)")
-
-    record = ledger_sub.add_parser(
-        "record", help="append benchmark --json artifacts to the history")
-    record.add_argument("files", nargs="+", help="bench record JSON files")
-    _ledger_common(record)
-
-    check = ledger_sub.add_parser(
-        "check", help="gate benchmark --json artifacts against the "
-                      "rolling-median baseline")
-    check.add_argument("files", nargs="+", help="bench record JSON files")
-    _ledger_common(check)
-    check.add_argument("--noise-band", type=float, default=None,
-                       help="allowed fractional drift past the baseline "
-                            "median (default 0.25)")
-    check.add_argument("--window", type=int, default=None,
-                       help="rolling baseline window in records (default 20)")
-    check.add_argument("--min-samples", type=int, default=None,
-                       help="baseline samples required before the gate arms "
-                            "(default 3)")
-    check.add_argument("--ignore-host", action="store_true",
-                       help="compare against history from every host class, "
-                            "not just this one")
-
-    report = ledger_sub.add_parser(
-        "report", help="render the gate table (terminal and, optionally, "
-                       "a GitHub step summary)")
-    report.add_argument("files", nargs="*",
-                        help="bench record JSON files to report on "
-                             "(default: the newest record per benchmark in "
-                             "the history)")
-    _ledger_common(report)
-    report.add_argument("--noise-band", type=float, default=None)
-    report.add_argument("--window", type=int, default=None)
-    report.add_argument("--min-samples", type=int, default=None)
-    report.add_argument("--ignore-host", action="store_true")
-    report.add_argument("--github-summary", default=None, metavar="PATH",
-                        help="also append a markdown table to PATH "
-                             "(e.g. \"$GITHUB_STEP_SUMMARY\")")
     return parser
 
 
@@ -474,6 +426,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                          "(repro-fusion simulate --list shows the library)")
 
     trace = Trace.load(args.replay_trace) if args.replay_trace else None
+    # Fail before the replay, not after it: an unwritable destination would
+    # otherwise discard the whole run (a minute on a kill-storm scenario).
+    # Opening for append raises the OSError the final write would, and
+    # main() turns it into exit 2.
+    for destination in (args.json, args.record_trace):
+        if destination:
+            with open(destination, "a", encoding="utf-8"):
+                pass
     result = run_simulation(args.scenario, engine=args.engine,
                             backend=args.backend, requests=args.requests,
                             seed=args.seed, quick=args.quick, trace=trace,
@@ -496,53 +456,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _ledger_gate_options(args: argparse.Namespace) -> dict:
-    options = {"ignore_host": bool(getattr(args, "ignore_host", False))}
-    if getattr(args, "noise_band", None) is not None:
-        options["noise_band"] = args.noise_band
-    if getattr(args, "window", None) is not None:
-        options["window"] = args.window
-    if getattr(args, "min_samples", None) is not None:
-        options["min_samples"] = args.min_samples
-    return options
-
-
-def _cmd_bench_ledger(args: argparse.Namespace) -> int:
-    from .paritylab.ledger import (BenchLedger, render_markdown_table,
-                                   render_text_table)
-
-    ledger = BenchLedger(args.history_dir)
-    if args.ledger_command == "record":
-        for path in ledger.record_files(args.files):
-            print(f"recorded into {path}")
-        return 0
-
-    if args.ledger_command == "check":
-        checks = ledger.check_files(args.files, **_ledger_gate_options(args))
-        print(render_text_table(checks))
-        regressions = [check for check in checks if check.regressed]
-        for check in regressions:
-            print(f"REGRESSION: {check.describe()}", file=sys.stderr)
-        return 1 if regressions else 0
-
-    # report: gate table over explicit artifacts, or the newest history
-    # record per benchmark (note: a history record's own value is part of
-    # its baseline window in that mode).
-    if args.files:
-        checks = ledger.check_files(args.files, **_ledger_gate_options(args))
-    else:
-        checks = []
-        for record in ledger.latest_records():
-            checks.extend(ledger.check_record(record,
-                                              **_ledger_gate_options(args)))
-    print(render_text_table(checks))
-    if args.github_summary:
-        with open(args.github_summary, "a", encoding="utf-8") as fh:
-            fh.write(render_markdown_table(checks) + "\n")
-        print(f"appended markdown summary to {args.github_summary}")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point of the ``repro-fusion`` console script."""
     parser = _build_parser()
@@ -552,8 +465,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     commands = {"generate": _cmd_generate, "fuse": _cmd_fuse, "sweep": _cmd_sweep,
                 "figure4": _cmd_figure4, "figure5": _cmd_figure5,
                 "fuzz": _cmd_fuzz, "lint": _cmd_lint,
-                "simulate": _cmd_simulate,
-                "bench-ledger": _cmd_bench_ledger}
+                "simulate": _cmd_simulate}
     handler = commands.get(args.command)
     if handler is None:
         parser.error(f"unknown command {args.command!r}")

@@ -32,14 +32,13 @@ its angle to every current member exceeds the threshold.  The hot kernel
   order), not a per-row Python loop of repeated ``vstack``/GEMM calls.
 
 :func:`screen_unique_set_reference` retains the seed implementation verbatim.
-It is the ground truth the equivalence property tests and
-``benchmarks/bench_screening_kernel.py`` compare the incremental kernel
+It is the ground truth the equivalence property tests
+(``tests/test_screening_kernel_property.py``) compare the incremental kernel
 against: both make the same greedy decisions, so their unique sets (and
 every composite derived from them) are bit-identical under the default
 float64 compute dtype -- asserted across random scenes, thresholds,
-chunkings, strides and caps, and re-checked by the benchmark before any
-timing is trusted.  The one theoretical exception is a candidate whose
-cosine to a member lands within one rounding unit (~1e-16) of the
+chunkings, strides and caps.  The one theoretical exception is a candidate
+whose cosine to a member lands within one rounding unit (~1e-16) of the
 threshold: the seed kernel evaluates that cosine twice in different BLAS
 call shapes (chunk matrix, then per-row recheck) and may see two
 roundings, so no single-evaluation kernel can match it on such inputs.
@@ -277,9 +276,9 @@ def screen_unique_set_reference(pixels: np.ndarray, angle_threshold: float, *,
     Re-``vstack``s and re-normalises the whole unique set on every chunk and
     resolves chunk survivors with a per-row Python loop.  The equivalence
     property tests assert :func:`screen_unique_set` reproduces its output
-    bit for bit (see the module docstring for the one-ulp boundary caveat),
-    and ``benchmarks/bench_screening_kernel.py`` measures the incremental
-    kernel's speed-up against it.
+    bit for bit (see the module docstring for the one-ulp boundary caveat);
+    the incremental kernel's own cost is the ``core.steps.screening.s_p50``
+    metric of ``benchmarks/e2e``.
     """
     pixels = np.asarray(pixels, dtype=np.float64)
     _validate_screening_args(pixels, angle_threshold, sample_stride, chunk_size)

@@ -2,7 +2,7 @@
 
 The paper evaluates on proprietary HYDICE airborne spectrometer collections;
 this subpackage provides a deterministic, physically-motivated synthetic
-stand-in (see the substitution table in DESIGN.md): a spectral signature
+stand-in (see the introduction of README.md): a spectral signature
 library (:mod:`.signatures`), scene layout generation with embedded vehicle
 targets (:mod:`.scene`), a sensor noise model (:mod:`.noise`), the
 :class:`~repro.data.cube.HyperspectralCube` container (:mod:`.cube`), the

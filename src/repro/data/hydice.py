@@ -4,10 +4,11 @@ The paper's test data comes from the Hyper-spectral Digital Imagery
 Collection Experiment (HYDICE) airborne spectrometer: 210 channels between
 400 nm and 2.5 um over foliated scenes containing mechanised vehicles, some
 camouflaged.  That data is not publicly distributable, so this module builds
-a synthetic stand-in with the same structural properties (see DESIGN.md,
-substitution table): the scene layout from :mod:`repro.data.scene`, material
-reflectances from :mod:`repro.data.signatures`, a simple solar-illumination
-term, and the sensor-noise model from :mod:`repro.data.noise`.
+a synthetic stand-in with the same structural properties (see the
+introduction of README.md): the scene layout from :mod:`repro.data.scene`,
+material reflectances from :mod:`repro.data.signatures`, a simple
+solar-illumination term, and the sensor-noise model from
+:mod:`repro.data.noise`.
 
 The generator is deterministic given its configuration, and the label map /
 vehicle ground truth is carried in the cube metadata so evaluation code can

@@ -1,35 +1,25 @@
-"""Continuous correctness and performance instrumentation.
+"""Continuous correctness instrumentation.
 
-``paritylab`` is the repo's standing answer to two questions that every
-optimization PR otherwise re-answers by hand:
+``paritylab`` is the repo's standing answer to a question that every
+optimization PR otherwise re-answers by hand: **is the engine matrix still
+differentially correct?**  The paper's claim is that distribution changes
+*how* the fusion runs, never *what* it produces.
+:mod:`repro.paritylab.harness` fuzzes that claim: it samples scenes and
+:class:`~repro.api.request.FusionRequest` shapes from a seeded generator,
+runs every applicable engine x backend combination through
+:func:`repro.fuse`, diffs the composites (bit-for-bit for float64,
+tolerance-tiered for float32), shrinks any failure to a minimal scene and
+serialises it as a JSON repro into the parity corpus.
 
-* **Is the engine matrix still differentially correct?**  The paper's claim
-  is that distribution changes *how* the fusion runs, never *what* it
-  produces.  :mod:`repro.paritylab.harness` fuzzes that claim: it samples
-  scenes and :class:`~repro.api.request.FusionRequest` shapes from a seeded
-  generator, runs every applicable engine x backend combination through
-  :func:`repro.fuse`, diffs the composites (bit-for-bit for float64,
-  tolerance-tiered for float32), shrinks any failure to a minimal scene and
-  serialises it as a JSON repro into the parity corpus.
-
-* **Is the perf trajectory still monotone?**  :mod:`repro.paritylab.ledger`
-  turns every benchmark's ``--json`` artifact into a schema-versioned record
-  appended to a tracked ``benchmarks/history/*.jsonl`` ledger (keyed by host
-  fingerprint and git SHA) and gates each new measurement against a
-  rolling-median baseline with a configurable noise band.
-
-Both surfaces are wired into the CLI (``repro-fusion fuzz`` and
-``repro-fusion bench-ledger {record,check,report}``) and into CI (the
-fuzz-smoke and bench-smoke jobs).
+It is wired into the CLI (``repro-fusion fuzz``) and into CI (the
+fuzz-smoke job: corpus replay + fresh sampling).  Performance is gated
+elsewhere, by ``BENCHMARK.json`` and ``python benchmarks/e2e/run.py compare``.
 """
 
 from .harness import (CaseOutcome, ComboSpec, FuzzResult, ParityCase,
                       ParityViolation, ReplayEntry, fuzz, load_repro,
                       replay_corpus, run_case, sample_case, save_repro,
                       shrink_case)
-from .ledger import (BenchLedger, LedgerError, Metric, MetricCheck, git_sha,
-                     host_fingerprint, host_info, make_record,
-                     render_markdown_table, render_text_table)
 
 __all__ = [
     "CaseOutcome",
@@ -45,14 +35,4 @@ __all__ = [
     "sample_case",
     "save_repro",
     "shrink_case",
-    "BenchLedger",
-    "LedgerError",
-    "Metric",
-    "MetricCheck",
-    "git_sha",
-    "host_fingerprint",
-    "host_info",
-    "make_record",
-    "render_markdown_table",
-    "render_text_table",
 ]

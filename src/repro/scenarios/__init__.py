@@ -7,7 +7,7 @@ chaos profile (what goes wrong while they run).  The built-in library
 thumbnails to 512-band stacks, steady through heavy-tail traffic, SIGKILL
 storms through memory pressure -- and :func:`run_simulation` replays a
 seeded trace of any of them against any engine x backend pair, emitting a
-ledger-compatible throughput/latency/recovery record.
+schema-versioned throughput/latency/recovery report.
 
 ``repro-fusion simulate <scenario>`` is the CLI front door.
 """

@@ -13,8 +13,8 @@
    included) and end-to-end throughput, collects the executor's recovery
    counters, optionally verifies every composite bit-for-bit against the
    sequential reference, and
-5. emits one schema-versioned record the benchmark-trend ledger
-   (``repro-fusion bench-ledger``) ingests unchanged.
+5. emits one schema-versioned JSON report (:data:`SIMULATE_SCHEMA`;
+   ``repro-fusion simulate --json`` writes it as is).
 
 Outstanding chaos kill requests are *cancelled and reported* at the end
 of every replay -- the reused session executor must never leak a kill
@@ -35,11 +35,10 @@ from ..api.facade import fuse
 from ..api.request import FusionReport, FusionRequest
 from ..api.session import FusionSession
 from ..config import FusionConfig, ScreeningConfig
-from ..paritylab.ledger import Metric, make_record
 from .arrivals import Trace, record_trace
 from .registry import Scenario, get_scenario
 
-#: Schema tag of the simulate payload embedded in every ledger record.
+#: Schema tag of the report :meth:`SimulationResult.record` serialises.
 SIMULATE_SCHEMA = "repro-fusion/simulate-report/v1"
 
 #: Requests a ``--quick`` run is capped at (CI smoke sizing).
@@ -52,7 +51,7 @@ class SimulationResult:
 
     ``reports`` holds the live :class:`FusionReport` objects (composites
     included) for callers that verify or post-process; :meth:`record`
-    serialises the measured half into the ledger-compatible form.
+    serialises the measured half into a JSON-ready dict.
     """
 
     scenario: str
@@ -81,38 +80,28 @@ class SimulationResult:
     def latency_percentile(self, q: float) -> float:
         return float(np.percentile(np.asarray(self.latencies_ms), q))
 
-    def metrics(self) -> List[Metric]:
-        """The direction-tagged measurements the trend ledger gates."""
-        return [
-            Metric("throughput_rps", self.throughput_rps,
-                   "requests/s", direction="higher"),
-            Metric("latency_p50_ms", self.latency_percentile(50.0),
-                   "ms", direction="lower"),
-            Metric("latency_p95_ms", self.latency_percentile(95.0),
-                   "ms", direction="lower"),
-        ]
-
     def record(self) -> Dict[str, Any]:
-        """One ledger record (``repro-fusion/bench-record/v1``) whose
-        payload carries the full simulate report."""
-        payload: Dict[str, Any] = {
+        """The JSON-serialisable simulate report (:data:`SIMULATE_SCHEMA`)."""
+        return {
             "schema": SIMULATE_SCHEMA,
             "scenario": self.scenario,
             "engine": self.engine,
             "backend": self.backend,
             "seed": self.seed,
+            "quick": self.quick,
             "requests": self.requests,
             "scene": self.scene_label,
             "arrivals": self.arrivals_label,
             "chaos": self.chaos_label,
+            "throughput_rps": self.throughput_rps,
+            "latency_p50_ms": self.latency_percentile(50.0),
+            "latency_p95_ms": self.latency_percentile(95.0),
             "trace": self.trace.to_dict(),
             "latencies_ms": [round(value, 3) for value in self.latencies_ms],
             "makespan_seconds": self.makespan_seconds,
             "recovery": self.recovery,
             "parity": self.parity,
         }
-        return make_record(f"simulate-{self.scenario}", self.metrics(),
-                           payload=payload, quick=self.quick)
 
     def summary(self) -> str:
         from ..analysis.report import dict_table

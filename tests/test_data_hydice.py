@@ -84,7 +84,7 @@ class TestGeneration:
 
 
 class TestSpectralStructure:
-    """The properties the fusion algorithm depends on (see DESIGN.md)."""
+    """The properties the fusion algorithm depends on (see ``repro.data.hydice``)."""
 
     def test_vehicle_pixels_spectrally_distinct_from_forest(self, small_cube):
         labels = small_cube.metadata["label_map"]

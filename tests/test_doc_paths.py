@@ -1,0 +1,46 @@
+"""Every repository path the docs name must exist.
+
+README.md, CONTRIBUTING.md and the sources under ``src/`` point readers at
+files (``benchmarks/...``, ``tests/...``, ``examples/...``, ``src/...``) and
+at top-level ``*.md`` documents.  A pointer that outlives its target sends
+the reader nowhere, so deleting or renaming a file must update its mentions
+in the same change.
+"""
+
+from __future__ import annotations
+
+import glob
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: ``benchmarks/bench_*.py``-style mentions are globs and need one match.
+PATH_PATTERN = re.compile(r"(?<![\w/.-])(?:benchmarks|tests|examples|src)/[\w./*-]+")
+
+#: ``README.md`` on its own, not the tail of ``benchmarks/e2e/README.md``.
+TOP_LEVEL_MD_PATTERN = re.compile(r"(?<![\w/.-])[A-Za-z][\w-]*\.md\b")
+
+#: Deliberate placeholders: CONTRIBUTING's "add a lint rule" recipe names
+#: the fixture file a contributor is about to create.
+PLACEHOLDERS = {"tests/lintlab_fixtures/rplxxx_bad.py"}
+
+
+def _mentions(text: str):
+    for match in PATH_PATTERN.finditer(text):
+        yield match.group().rstrip(".")
+    yield from TOP_LEVEL_MD_PATTERN.findall(text)
+
+
+@pytest.mark.parametrize("where", ["README.md", "CONTRIBUTING.md", "src"])
+def test_every_named_path_exists(where):
+    target = ROOT / where
+    documents = sorted(target.rglob("*.py")) if target.is_dir() else [target]
+    missing = sorted({f"{document.relative_to(ROOT)}: {mention}"
+                      for document in documents
+                      for mention in _mentions(document.read_text("utf-8"))
+                      if mention not in PLACEHOLDERS
+                      and not glob.glob(str(ROOT / mention))})
+    assert not missing, f"paths named in the docs do not exist: {missing}"

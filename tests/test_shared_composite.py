@@ -279,6 +279,29 @@ class TestZeroCopyParity:
         assert owned_segment_names() == ()  # every placement released
 
 
+    def test_zero_copy_project_stage_returns_acknowledgements_not_pixels(
+            self, cube, config):
+        """The zero-copy contract: O(tiles) acknowledgements, not O(pixels)
+        pickles, come back from the ``project`` stage (byte counts are
+        deterministic, so the 10x floor is not a timing assertion)."""
+        from repro.scp.pool import ProcessPool
+
+        results, project_bytes = {}, {}
+        with ProcessPool() as pool:
+            for zero_copy in (False, True):
+                # A fresh executor per mode: stage_payload_bytes accumulates.
+                with TransportStageExecutor(ForkedProcessTransport(pool),
+                                            workers=2) as executor:
+                    results[zero_copy] = run_pipeline(
+                        cube, config, executor, zero_copy=zero_copy)
+                    project_bytes[zero_copy] = (
+                        executor.stage_payload_bytes["project"])
+        np.testing.assert_array_equal(results[True].composite,
+                                      results[False].composite)
+        assert project_bytes[True] * 10 <= project_bytes[False]
+        assert owned_segment_names() == ()
+
+
 class TestFailedRunDiscardsPlacement:
     """A crashed zero-copy run never returns its segment to the pool.
 
