@@ -18,8 +18,8 @@ name        orchestration                                   backends
 sequential  single-process reference pipeline (Section 3)   -- (inline)
 distributed manager/worker on the SCP runtime (Section 4)   sim, local, process
 resilient   distributed + replication/detection/recovery    sim, local, process
-pipeline    streaming tile-pipelined dataflow on pooled     process, local, sim
-            worker slots (:mod:`repro.core.streaming`)
+pipeline    streaming tile-pipelined dataflow on pooled     process, socket,
+            worker slots (:mod:`repro.core.streaming`)      local, sim
 ==========  ==============================================  ================
 
 All engines produce bit-identical composites for the same request -- that
@@ -39,6 +39,7 @@ from ..core.pipeline import FusionResult, SpectralScreeningPCT
 from ..core.profiling import (StageTiming, build_stage_timings,
                               stage_timings_from_result)
 from ..core.resilient import _ResilientPCT
+from ..registry import Registry
 from ..scp.runtime import Backend
 from .request import FusionReport, FusionRequest
 
@@ -63,7 +64,7 @@ class FusionEngine(Protocol):
         ...
 
 
-_ENGINES: Dict[str, Type[object]] = {}
+_ENGINES: Registry[Type[object]] = Registry("engine")
 
 #: The decorated engine class passes through :func:`register_engine` unchanged.
 _EngineClass = TypeVar("_EngineClass", bound=Type[object])
@@ -72,17 +73,15 @@ _EngineClass = TypeVar("_EngineClass", bound=Type[object])
 def register_engine(name: str) -> Callable[[_EngineClass], _EngineClass]:
     """Class decorator registering a :class:`FusionEngine` under ``name``."""
     def decorator(cls: _EngineClass) -> _EngineClass:
-        if name in _ENGINES:
-            raise ValueError(f"engine {name!r} is already registered")
+        _ENGINES.add(name, cls)
         cls.name = name
-        _ENGINES[name] = cls
         return cls
     return decorator
 
 
 def engine_names() -> List[str]:
     """Sorted names of every registered engine."""
-    return sorted(_ENGINES)
+    return _ENGINES.names()
 
 
 def get_engine(name: str) -> FusionEngine:
@@ -92,12 +91,7 @@ def get_engine(name: str) -> FusionEngine:
     is unknown, so a typo in ``repro.fuse(cube, engine="...")`` is a
     one-line fix.
     """
-    try:
-        cls = _ENGINES[name]
-    except (KeyError, TypeError):
-        raise ValueError(f"unknown engine {name!r}; registered engines: "
-                         f"{', '.join(engine_names())}") from None
-    return cast(FusionEngine, cls())
+    return cast(FusionEngine, _ENGINES.get(name)())
 
 
 def _reject_resilience_options(request: FusionRequest, engine: str) -> None:
@@ -150,14 +144,6 @@ def _reject_pipeline_options(request: FusionRequest, engine: str) -> None:
             f"engine {engine!r} runs its batches serially; max_inflight "
             f"applies to session streams -- use "
             f"repro.open_session(engine='pipeline', max_inflight=...)")
-    if request.adaptive_tiles is not None:
-        raise ValueError(
-            f"engine {engine!r} has no streaming tile scheduler; "
-            f"adaptive_tiles needs engine='pipeline'")
-    if request.zero_copy is not None:
-        raise ValueError(
-            f"engine {engine!r} has no streaming result path to place in "
-            f"shared memory; zero_copy needs engine='pipeline'")
 
 
 @register_engine("sequential")

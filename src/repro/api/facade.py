@@ -38,14 +38,17 @@ def fuse(cube: HyperspectralCube, *,
         The hyper-spectral cube to fuse.
     engine:
         Registered engine name: ``"sequential"`` (default, the in-process
-        reference), ``"distributed"`` or ``"resilient"``.
+        reference), ``"distributed"``, ``"resilient"`` or ``"pipeline"``
+        (streaming tiles on a stage executor).
         :func:`repro.engine_names` lists what is registered.
     backend:
         Backend spec for backend-using engines -- ``"sim"`` (default),
         ``"local"``, ``"process"``, or a parameterised spec such as
         ``"process:8"`` (worker-count hint), ``"process:fork"`` (start
-        method) or ``"sim:switched"`` (cluster preset).  Already-built
-        :class:`~repro.scp.runtime.Backend` instances are accepted too.
+        method), ``"sim:switched"`` (cluster preset) or ``"socket:4"``
+        (workers behind a localhost node agent; pipeline engine only).
+        Already-built :class:`~repro.scp.runtime.Backend` instances are
+        accepted too by the batch engines.
         :func:`repro.backend_names` lists what is registered.
     workers / subcubes:
         Partition overrides (defaults: 4 workers, ``subcubes == workers``).
@@ -54,8 +57,10 @@ def fuse(cube: HyperspectralCube, *,
         are not enough.
     options:
         Any further :class:`~repro.api.request.FusionRequest` field --
-        ``n_components``, ``prefetch``, ``cluster``, and for the resilient
-        engine ``replication``, ``attack``, ``camouflage_period``.
+        ``n_components``, ``prefetch``, ``cluster``, ``compute``,
+        ``compute_dtype``; for the resilient engine ``replication``,
+        ``attack``, ``camouflage_period``; for the pipeline engine
+        ``tile_rows``.
 
     Returns
     -------
@@ -70,6 +75,7 @@ def fuse(cube: HyperspectralCube, *,
     >>> report = repro.fuse(cube, engine="distributed", workers=8)  # simulated
     >>> report = repro.fuse(cube, engine="distributed", backend="process:4")
     >>> report = repro.fuse(cube, engine="resilient", attack=scenario)
+    >>> report = repro.fuse(cube, engine="pipeline", backend="socket:4")
     """
     unknown = set(options) - set(FusionRequest.__dataclass_fields__)
     if unknown:

@@ -79,17 +79,6 @@ class FusionRequest:
     #: :meth:`~repro.api.session.FusionSession.submit` keep in flight
     #: (pipeline engine; other engines run their batches serially).
     max_inflight: Optional[int] = None
-    #: Pipeline engine only: size projection tiles adaptively from the
-    #: measured stage throughput (EWMA of rows/sec) instead of the fixed
-    #: ``tile_rows`` plan.  Like ``tile_rows`` it can never change the
-    #: composite -- scheduling only repartitions the projection rows.
-    #: ``tile_rows`` then sets the initial probe size.
-    adaptive_tiles: Optional[bool] = None
-    #: Pipeline engine only: result transport of the projection stage.
-    #: ``None`` (default) auto-selects -- workers write tiles straight into
-    #: a shared-memory output placement on process executors, thread
-    #: executors return blocks in-process; ``True``/``False`` force it.
-    zero_copy: Optional[bool] = None
     #: Arithmetic precision of the hot kernels (screening and the step-7
     #: projection): ``"float64"`` (default, bit-identical to the seed
     #: arithmetic) or ``"float32"`` (the documented fast mode).  ``None``

@@ -100,10 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fuse.add_argument("--angle-threshold", type=_positive_float, default=None,
                       help="spectral-angle screening threshold in radians "
                            "(default 0.05; must be in (0, pi/2))")
-    fuse.add_argument("--adaptive-tiles", action="store_true",
-                      help="size streaming tiles adaptively from measured "
-                           "stage throughput (pipeline engine only; "
-                           "--tile-rows then sets the initial probe size)")
     fuse.add_argument("--replication", type=_positive_int, default=2)
     fuse.add_argument("--attack", default=None,
                       help="logical worker to attack mid-run (resilient engine only)")
@@ -253,8 +249,6 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
             screening=ScreeningConfig(angle_threshold=args.angle_threshold))
     if args.tile_rows is not None:
         options["tile_rows"] = args.tile_rows
-    if args.adaptive_tiles:
-        options["adaptive_tiles"] = True
     if args.compute_dtype is not None:
         options["compute_dtype"] = args.compute_dtype
     if args.compute is not None:

@@ -217,7 +217,8 @@ class _DistributedPCT:
             raise TypeError(f"manager returned {type(result).__name__}, expected FusionResult")
         metrics = run.metrics
         metrics.workers = self.workers
-        metrics.subcubes = max(self.config.partition.effective_subcubes, self.workers)
+        # What the manager actually decomposed into (clamped to the rows).
+        metrics.subcubes = int(result.metadata["subcubes"])
         return DistributedRunOutcome(result=result, metrics=metrics, run=run)
 
 

@@ -33,7 +33,9 @@ from typing import Callable, Dict, List, Optional, Type, TypeVar
 
 import numpy as np
 
-_COMPUTE_BACKENDS: Dict[str, Type["ComputeBackend"]] = {}
+from ...registry import Registry
+
+_COMPUTE_BACKENDS: Registry[Type["ComputeBackend"]] = Registry("compute backend")
 _INSTANCES: Dict[str, "ComputeBackend"] = {}
 
 #: The decorated backend class passes through :func:`register_compute` unchanged.
@@ -93,17 +95,15 @@ class ComputeBackend:
 def register_compute(name: str) -> Callable[[_BackendClass], _BackendClass]:
     """Class decorator registering a :class:`ComputeBackend` under ``name``."""
     def decorator(cls: _BackendClass) -> _BackendClass:
-        if name in _COMPUTE_BACKENDS:
-            raise ValueError(f"compute backend {name!r} is already registered")
+        _COMPUTE_BACKENDS.add(name, cls)
         cls.name = name
-        _COMPUTE_BACKENDS[name] = cls
         return cls
     return decorator
 
 
 def compute_names() -> List[str]:
     """Sorted names of every registered compute backend."""
-    return sorted(_COMPUTE_BACKENDS)
+    return _COMPUTE_BACKENDS.names()
 
 
 def get_compute(name: str) -> ComputeBackend:
@@ -114,12 +114,7 @@ def get_compute(name: str) -> ComputeBackend:
     one-line fix.  Instances are cached: backends are stateless (scratch
     buffers are thread-local) and resolution happens on every worker task.
     """
-    try:
-        cls = _COMPUTE_BACKENDS[name]
-    except (KeyError, TypeError):
-        raise ValueError(
-            f"unknown compute backend {name!r}; registered compute backends: "
-            f"{', '.join(compute_names())}") from None
+    cls = _COMPUTE_BACKENDS.get(name)
     instance = _INSTANCES.get(name)
     if instance is None:
         instance = _INSTANCES[name] = cls()

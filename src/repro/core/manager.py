@@ -161,7 +161,10 @@ def manager_program(ctx: Context, *, cube: HyperspectralCube,
         raise ValueError("n_components must be >= 3")
     worker_names = list(worker_names)
     screening = config.screening
-    subcubes = max(config.partition.effective_subcubes, len(worker_names))
+    # Clamped like the sequential and pipeline engines: a cube with fewer
+    # rows than sub-cubes decomposes into one-row blocks, some workers idle.
+    subcubes = min(max(config.partition.effective_subcubes, len(worker_names)),
+                   cube.rows)
     subcube_specs = decompose(cube.rows, subcubes)
     bands = cube.bands
 

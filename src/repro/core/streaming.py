@@ -50,8 +50,7 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import FIRST_COMPLETED, wait
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,7 +60,7 @@ from ..data.cube import CubeError, HyperspectralCube
 from ..data.shared import (OutputPool, SharedComposite, SharedCompositeHandle,
                            SharedCube, output_tile_views)
 from ..scp.runtime import Backend
-from ..scp.stages import ThroughputEWMA, TransportStageExecutor
+from ..scp.stages import TransportStageExecutor
 from ..scp.transport import transport_for_spec
 from .kernels import kernel_covariance_sum, kernel_project_and_map
 from .partition import (SubcubeSpec, decompose, extract_subcube,
@@ -102,78 +101,6 @@ def default_tile_rows(rows: int, workers: int) -> int:
     per-task overhead.
     """
     return max(1, math.ceil(rows / max(2 * workers, 1)))
-
-
-class AdaptiveTileScheduler:
-    """Sizes projection tiles from measured stage throughput.
-
-    The paper balances load across heterogeneous workers by over-decomposing
-    and letting fast machines claim more work units; a *fixed* ``tile_rows``
-    reproduces that only when the operator guesses the granularity well.
-    This scheduler removes the guess: it tracks an EWMA of the projection
-    stage's measured rows/second (:class:`~repro.scp.stages.ThroughputEWMA`)
-    and sizes each *next* tile to take roughly ``target_seconds`` at the
-    observed rate, capped by a guided-self-scheduling taper
-    (``remaining / workers``) so the tail of the row range degenerates into
-    small tiles any idle slot can grab -- the load-balancing behaviour of
-    the paper's Figure 5 without a granularity knob.
-
-    Scheduling only *repartitions rows of the projection stage*, which the
-    tiling property tests prove output-invariant (the eigen-decomposition
-    barrier pins one global basis), so adaptivity can never change the
-    composite -- it is a pure throughput control.
-    """
-
-    def __init__(self, rows: int, workers: int, *, initial_tile_rows: int,
-                 target_seconds: float = 0.2, alpha: float = 0.4,
-                 min_tile_rows: int = 1) -> None:
-        if rows < 1:
-            raise ValueError("rows must be >= 1")
-        if initial_tile_rows < 1 or min_tile_rows < 1:
-            raise ValueError("tile sizes must be >= 1")
-        if target_seconds <= 0:
-            raise ValueError("target_seconds must be positive")
-        self._rows = rows
-        self._workers = max(workers, 1)
-        self._initial = initial_tile_rows
-        self._target_seconds = target_seconds
-        self._min_tile_rows = min_tile_rows
-        self._next_row = 0
-        self._issued = 0
-        self._throughput = ThroughputEWMA(alpha=alpha)
-
-    @property
-    def tiles_issued(self) -> int:
-        return self._issued
-
-    @property
-    def throughput(self) -> ThroughputEWMA:
-        return self._throughput
-
-    def record(self, rows: int, seconds: float) -> None:
-        """Feed one completed tile's measured rows/seconds back in."""
-        self._throughput.record(rows, seconds)
-
-    def next_tile(self) -> Optional[SubcubeSpec]:
-        """The next tile to dispatch, or ``None`` when the rows are spent."""
-        remaining = self._rows - self._next_row
-        if remaining <= 0:
-            return None
-        rate = self._throughput.rate()
-        if rate is None:
-            size = self._initial  # probe tiles until a rate is observed
-        else:
-            size = int(rate * self._target_seconds)
-        size = max(self._min_tile_rows, size)
-        # Guided taper: never grab more than an even share of what is left,
-        # so stragglers at the tail can be picked up by whichever slot is
-        # free -- the heterogeneous-worker balance the paper relies on.
-        size = min(size, max(1, math.ceil(remaining / self._workers)), remaining)
-        spec = SubcubeSpec(task_id=self._issued, row_start=self._next_row,
-                           row_stop=self._next_row + size)
-        self._next_row += size
-        self._issued += 1
-        return spec
 
 
 # ---------------------------------------------------------------------------
@@ -244,53 +171,6 @@ def _gather(futures: Sequence) -> List:
     return [future.result() for future in futures]
 
 
-def _drive_projection(submit_tile: Callable, rows: int, workers: int, *,
-                      adaptive: bool, initial_tile_rows: int):
-    """Dispatch the stage-3 tiles and collect their payloads in tile order.
-
-    The fixed path plans every tile upfront (:func:`plan_tiles`); the
-    adaptive path sizes each next tile from the
-    :class:`AdaptiveTileScheduler`'s throughput EWMA as completions come
-    back, keeping up to ``workers`` tiles in flight so the sizing decision
-    is always made with the freshest measurement.
-    """
-    if not adaptive:
-        tiles = plan_tiles(rows, initial_tile_rows)
-        return tiles, _gather([submit_tile(spec) for spec in tiles])
-    scheduler = AdaptiveTileScheduler(rows, workers,
-                                      initial_tile_rows=initial_tile_rows)
-    tiles: List[SubcubeSpec] = []
-    payloads = {}
-    inflight = {}
-    durations = {}
-    while True:
-        while len(inflight) < max(workers, 1):
-            spec = scheduler.next_tile()
-            if spec is None:
-                break
-            tiles.append(spec)
-            future = submit_tile(spec)
-            # The clock starts after submit returns (its backpressure wait
-            # is not task time) and stops in a done callback on the
-            # resolving thread, so each tile gets its own duration rather
-            # than a shared wait()-batch timestamp.
-            started = time.perf_counter()
-            future.add_done_callback(
-                lambda f, tid=spec.task_id, t0=started:
-                    durations.setdefault(tid, time.perf_counter() - t0))
-            inflight[future] = spec
-        if not inflight:
-            break
-        done, _ = wait(list(inflight), return_when=FIRST_COMPLETED)
-        for future in done:
-            spec = inflight.pop(future)
-            payloads[spec.task_id] = future.result()  # surfaces stage errors
-            elapsed = durations.get(spec.task_id)
-            if elapsed is not None:
-                scheduler.record(spec.rows, elapsed)
-    return tiles, [payloads[index] for index in range(len(tiles))]
-
-
 def _validate_row_coverage(acks: Sequence[Tuple[int, int]], rows: int) -> None:
     """Assert the acknowledged zero-copy writes tile the rows exactly once."""
     covered = np.zeros(rows, dtype=bool)
@@ -305,8 +185,7 @@ def _validate_row_coverage(acks: Sequence[Tuple[int, int]], rows: int) -> None:
 
 def run_pipeline(cube: HyperspectralCube, config: FusionConfig, executor, *,
                  n_components: int = 3, full_projection: bool = True,
-                 tile_rows: Optional[int] = None, adaptive_tiles: bool = False,
-                 zero_copy: Optional[bool] = None,
+                 tile_rows: Optional[int] = None,
                  output_pool: Optional[OutputPool] = None) -> FusionResult:
     """Drive one cube through the staged screen/statistics/transform DAG.
 
@@ -314,16 +193,14 @@ def run_pipeline(cube: HyperspectralCube, config: FusionConfig, executor, *,
     any transport; several concurrent ``run_pipeline`` calls may share one
     executor, which is how independent cubes overlap.
 
-    ``zero_copy`` selects the result transport of the projection stage:
-    workers write tiles straight into a :class:`~repro.data.shared.
-    SharedComposite` placement (``True``; the default on process-backed
-    executors, where the alternative is pickling every tile through the
-    spool) or return them as pickled blocks (``False``; the default on
-    thread executors, which share the driver's address space anyway).
-    ``adaptive_tiles`` switches the projection tiling from the fixed
-    ``tile_rows`` plan to the :class:`AdaptiveTileScheduler`.  Neither knob
-    can change the composite -- tiling is output-invariant past the
-    eigen-decomposition barrier and both transports carry identical bytes.
+    The executor decides the result path of the projection stage: on
+    process-backed executors (``executor.uses_processes``) workers write
+    tiles straight into a :class:`~repro.data.shared.SharedComposite`
+    placement, where the alternative would be pickling every tile through
+    the spool; thread executors share the driver's address space and
+    return the blocks in-process.  Both paths carry identical bytes, and
+    ``tile_rows`` cannot change the composite either -- tiling is
+    output-invariant past the eigen-decomposition barrier.
     ``output_pool`` lets sessions reuse placement segments across runs.
     """
     reference = SpectralScreeningPCT(config, n_components=n_components,
@@ -377,15 +254,14 @@ def run_pipeline(cube: HyperspectralCube, config: FusionConfig, executor, *,
     stretch_mean, stretch_std = component_statistics(project(unique, stats_basis))
     _stage_done("eigendecomposition", stage_marks["eigendecomposition"])
 
-    # Stage 3: per-tile projection + colour mapping (parallel).  Tiles are
-    # either returned as pickled blocks and reassembled here (spool path)
-    # or written by the workers straight into a shared-memory output
-    # placement and acknowledged as row ranges (zero-copy path).
+    # Stage 3: per-tile projection + colour mapping (parallel).  Process
+    # workers write straight into a shared-memory output placement and
+    # acknowledge row ranges (zero-copy path); thread workers return their
+    # blocks in-process and the driver reassembles them here.
     effective_tile_rows = (tile_rows if tile_rows is not None
                            else default_tile_rows(cube.rows, workers))
     normalize = config.colormap.normalize_components
-    use_zero_copy = (zero_copy if zero_copy is not None
-                     else executor.uses_processes)
+    use_zero_copy = executor.uses_processes
     placement: Optional[SharedComposite] = None
     completed = False
     if use_zero_copy:
@@ -395,24 +271,16 @@ def run_pipeline(cube: HyperspectralCube, config: FusionConfig, executor, *,
                                                  n_components))
     try:
         if use_zero_copy:
-            out_handle = placement.handle()
-
-            def submit_tile(spec: SubcubeSpec):
-                return executor.submit("project", project_tile_into, cube,
-                                       spec, basis, n_components, normalize,
-                                       stretch_mean, stretch_std, out_handle,
-                                       compute_dtype, compute)
+            task, placed_args = project_tile_into, (placement.handle(),)
         else:
-            def submit_tile(spec: SubcubeSpec):
-                return executor.submit("project", project_tile, cube, spec,
-                                       basis, n_components, normalize,
-                                       stretch_mean, stretch_std,
-                                       compute_dtype, compute)
-
+            task, placed_args = project_tile, ()
         stage_marks["projection"] = time.perf_counter()
-        tiles, payloads = _drive_projection(submit_tile, cube.rows, workers,
-                                            adaptive=adaptive_tiles,
-                                            initial_tile_rows=effective_tile_rows)
+        tiles = plan_tiles(cube.rows, effective_tile_rows)
+        payloads = _gather([
+            executor.submit("project", task, cube, spec, basis, n_components,
+                            normalize, stretch_mean, stretch_std, *placed_args,
+                            compute_dtype, compute)
+            for spec in tiles])
         _stage_done("projection", stage_marks["projection"])
         if use_zero_copy:
             _validate_row_coverage(payloads, cube.rows)
@@ -468,7 +336,6 @@ def run_pipeline(cube: HyperspectralCube, config: FusionConfig, executor, *,
         "stretch_std": stretch_std,
         "tile_rows": effective_tile_rows,
         "tiles": len(tiles),
-        "tile_scheduler": "adaptive" if adaptive_tiles else "fixed",
         "zero_copy": use_zero_copy,
         "stage_tasks": len(screen_futures) + len(cov_futures) + len(tiles),
         "compute_dtype": compute_dtype,
@@ -529,8 +396,6 @@ def execute_pipeline_request(request, executor, *, backend_label: str,
                           n_components=request.n_components,
                           full_projection=request.full_projection,
                           tile_rows=request.tile_rows,
-                          adaptive_tiles=bool(request.adaptive_tiles),
-                          zero_copy=request.zero_copy,
                           output_pool=output_pool)
     elapsed = time.perf_counter() - start
     metrics = RunMetrics(elapsed_seconds=elapsed, backend=backend_label,
@@ -579,7 +444,7 @@ class PipelineEngine:
                 placed.close()
 
 
-__all__ = ["PipelineEngine", "AdaptiveTileScheduler", "run_pipeline",
+__all__ = ["PipelineEngine", "run_pipeline",
            "execute_pipeline_request", "validate_pipeline_request",
            "plan_tiles", "default_tile_rows",
            "screen_tile", "covariance_partial", "project_tile",

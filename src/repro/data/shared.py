@@ -20,7 +20,7 @@ Output placements
 :class:`SharedComposite` is the mirror image for fusion *outputs*: one
 preallocated segment holding a run's component and composite arrays, into
 which projection/colour-map stage tasks write their tiles directly
-(:func:`write_output_tile`).  The tile results then travel back to the
+(:func:`output_tile_views`).  The tile results then travel back to the
 driver as tiny row-range acknowledgements instead of pickled arrays -- the
 streaming engine's zero-copy result path.  Placements are *pin-counted*:
 a pinned placement (one an in-flight run is writing into) can neither be
@@ -318,7 +318,7 @@ class SharedComposite:
     by a ``(rows, cols, 3)`` float64 colour composite.  The driver creates
     the placement (:meth:`create`), ships the tiny :meth:`handle` with each
     projection task, and the workers write their tiles straight into the
-    mapped pages (:func:`write_output_tile`) -- the result path carries row
+    mapped pages (:func:`output_tile_views`) -- the result path carries row
     ranges, not pixel data.
 
     Placements are pin-counted.  :meth:`pin` marks the placement in use by
@@ -419,24 +419,6 @@ class SharedComposite:
         if do_close:
             self.close()
 
-    # -------------------------------------------------------------- writing
-    def write_rows(self, row_start: int, row_stop: int,
-                   components_block: np.ndarray,
-                   composite_block: np.ndarray) -> None:
-        """Write one tile's rows into both output arrays.
-
-        Writers own disjoint row ranges (the driver's tile plan partitions
-        the rows), so no synchronisation is needed; re-writing a range after
-        a crash retry is idempotent because stage tasks are deterministic.
-        """
-        if self._closed:
-            raise CubeError("output placement segment has been released")
-        if not 0 <= row_start < row_stop <= self.rows:
-            raise ValueError(f"tile rows {row_start}:{row_stop} out of range "
-                             f"for a {self.rows}-row placement")
-        self.components[row_start:row_stop] = components_block
-        self.composite[row_start:row_stop] = composite_block
-
     # ------------------------------------------------------------- lifecycle
     def close(self, *, _force: bool = False) -> None:
         """Release the mapping; the owner also unlinks the segment.
@@ -512,9 +494,8 @@ def _attach_output(handle: SharedCompositeHandle) -> SharedComposite:
 
     The pin is taken under the cache lock and eviction only considers
     unpinned entries, so a concurrent writer's placement can never be
-    closed out from under its in-progress :meth:`~SharedComposite.
-    write_rows` -- the cache transiently exceeds its bound instead when
-    every entry is in use.
+    closed out from under its in-progress tile write -- the cache
+    transiently exceeds its bound instead when every entry is in use.
     """
     evicted: List[SharedComposite] = []
     with _attachments_lock:
@@ -537,23 +518,6 @@ def _attach_output(handle: SharedCompositeHandle) -> SharedComposite:
     return cached
 
 
-def write_output_tile(handle: SharedCompositeHandle, row_start: int,
-                      row_stop: int, components_block: np.ndarray,
-                      composite_block: np.ndarray) -> Tuple[int, int]:
-    """Worker-side: write one projected tile into the output placement.
-
-    Returns the written row range -- the only payload that travels back to
-    the driver on the zero-copy result path.
-    """
-    placement = _attach_output(handle)  # pinned for the duration of the write
-    try:
-        placement.write_rows(row_start, row_stop, components_block,
-                             composite_block)
-    finally:
-        placement.unpin()
-    return row_start, row_stop
-
-
 @contextmanager
 def output_tile_views(handle: SharedCompositeHandle, row_start: int,
                       row_stop: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
@@ -561,11 +525,12 @@ def output_tile_views(handle: SharedCompositeHandle, row_start: int,
 
     Yields ``(components_view, composite_view)`` pointing straight into the
     shared placement, so a compute kernel's ``out=`` path writes the tile
-    without the compute-then-copy of :func:`write_output_tile`.  The
-    placement stays pinned (attach-cached, safe against eviction) for the
-    duration of the ``with`` block; the same disjoint-row-ownership and
-    deterministic-retry arguments apply -- rewriting a killed tile's range
-    produces the same bytes.
+    in place, with no tile-sized temporary to copy from.  The placement
+    stays pinned (attach-cached, safe against eviction) for the duration
+    of the ``with`` block.  Writers own disjoint row ranges (the driver's
+    tile plan partitions the rows), so no synchronisation is needed, and
+    rewriting a killed tile's range after a crash retry produces the same
+    bytes because stage tasks are deterministic.
     """
     placement = _attach_output(handle)
     try:
@@ -737,6 +702,6 @@ def share_cube_params(params: Dict[str, object]) -> Tuple[Dict[str, object], lis
 
 __all__ = ["SharedCube", "SharedCubeHandle", "SharedComposite",
            "SharedCompositeHandle", "OutputPool", "SegmentRegistry",
-           "share_cube_params", "write_output_tile", "output_tile_views",
+           "share_cube_params", "output_tile_views",
            "release_attachments",
            "owned_segment_names", "sweep_owned_segments"]

@@ -12,7 +12,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import PurePosixPath
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, TypeVar
+from typing import TYPE_CHECKING, Iterator, List, Type, TypeVar
+
+from ..registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from .findings import Finding
@@ -80,9 +82,9 @@ class Rule:
                        col=getattr(node, "col_offset", 0))
 
 
-_RULES: Dict[str, type] = {}
+_RULES: Registry[Type[Rule]] = Registry("lint rule", plural="rules")
 
-R = TypeVar("R", bound=type)
+R = TypeVar("R", bound=Type[Rule])
 
 
 def register_rule(cls: R) -> R:
@@ -90,22 +92,20 @@ def register_rule(cls: R) -> R:
     code = getattr(cls, "code", "")
     if not code:
         raise ValueError(f"rule class {cls.__name__} defines no code")
-    if code in _RULES:
-        raise ValueError(f"lint rule {code!r} is already registered")
-    _RULES[code] = cls
+    _RULES.add(code, cls)
     return cls
 
 
 def rule_codes() -> List[str]:
     """Sorted codes of every registered rule."""
     _ensure_builtin_rules()
-    return sorted(_RULES)
+    return _RULES.names()
 
 
 def all_rules() -> List[Rule]:
     """One instance of every registered rule, sorted by code."""
     _ensure_builtin_rules()
-    return [_RULES[code]() for code in sorted(_RULES)]
+    return [_RULES.get(code)() for code in _RULES.names()]
 
 
 def get_rule(code: str) -> Rule:
@@ -115,12 +115,7 @@ def get_rule(code: str) -> Rule:
     ``code`` is unknown, matching the engine/backend registry behaviour.
     """
     _ensure_builtin_rules()
-    try:
-        cls = _RULES[code]
-    except KeyError:
-        raise ValueError(f"unknown lint rule {code!r}; registered rules: "
-                         f"{', '.join(sorted(_RULES))}") from None
-    return cls()
+    return _RULES.get(code)()
 
 
 def _ensure_builtin_rules() -> None:
@@ -128,8 +123,6 @@ def _ensure_builtin_rules() -> None:
     # works while rules.py itself is still initialising.
     from . import rules  # noqa: F401
 
-
-RuleFactory = Callable[[], Rule]
 
 __all__ = ["LintContext", "Rule", "register_rule", "rule_codes",
            "all_rules", "get_rule"]

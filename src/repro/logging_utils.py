@@ -1,16 +1,14 @@
-"""Rank-aware structured logging helpers.
+"""Logging helpers: the library's logger tree and its stderr set-up.
 
-The distributed runtime spawns many logical threads (manager, workers, shadow
-replicas, detectors).  During debugging it is essential that every log record
-carries the logical identity of its emitter and -- in simulation -- the virtual
-time at which it happened.  This module provides a tiny adapter that injects
-those fields without forcing every call site to repeat them.
+Every module logs under the ``repro.`` namespace (:func:`get_logger`), so an
+embedding application controls the whole tree from one place; the CLI and
+the examples switch it on with :func:`configure_basic_logging` and the
+benchmarks switch it off with :func:`silence`.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import Any, MutableMapping
 
 _ROOT_NAME = "repro"
 
@@ -18,33 +16,6 @@ _ROOT_NAME = "repro"
 def get_logger(component: str) -> logging.Logger:
     """Return the library logger for ``component`` (e.g. ``"scp.runtime"``)."""
     return logging.getLogger(f"{_ROOT_NAME}.{component}")
-
-
-class ThreadLogAdapter(logging.LoggerAdapter):
-    """Logger adapter that prefixes records with thread identity and time.
-
-    Parameters
-    ----------
-    logger:
-        Base logger to wrap.
-    identity:
-        Logical thread name, e.g. ``"worker.3#1"`` for replica 1 of worker 3.
-    clock:
-        Optional zero-argument callable returning the current (virtual or
-        wall-clock) time in seconds.
-    """
-
-    def __init__(self, logger: logging.Logger, identity: str, clock=None) -> None:
-        super().__init__(logger, {"identity": identity})
-        self._identity = identity
-        self._clock = clock
-
-    def process(self, msg: Any, kwargs: MutableMapping[str, Any]):
-        if self._clock is not None:
-            prefix = f"[t={self._clock():.6f}][{self._identity}]"
-        else:
-            prefix = f"[{self._identity}]"
-        return f"{prefix} {msg}", kwargs
 
 
 def configure_basic_logging(level: int = logging.INFO,
@@ -67,4 +38,4 @@ def silence() -> None:
     logging.getLogger(_ROOT_NAME).setLevel(logging.CRITICAL + 1)
 
 
-__all__ = ["get_logger", "ThreadLogAdapter", "configure_basic_logging", "silence"]
+__all__ = ["get_logger", "configure_basic_logging", "silence"]

@@ -77,10 +77,8 @@ class ComboSpec:
 
     engine: str
     backend: str
-    #: Pipeline engine only: streaming tile size / scheduler / transport.
+    #: Pipeline engine only: streaming tile size.
     tile_rows: Optional[int] = None
-    adaptive_tiles: bool = False
-    zero_copy: Optional[bool] = None
     #: Resilient engine only: replication level override.
     replication: Optional[int] = None
 
@@ -88,10 +86,6 @@ class ComboSpec:
         parts = [self.engine, self.backend]
         if self.tile_rows is not None:
             parts.append(f"tile={self.tile_rows}")
-        if self.adaptive_tiles:
-            parts.append("adaptive")
-        if self.zero_copy is not None:
-            parts.append("zero-copy" if self.zero_copy else "spool")
         if self.replication is not None:
             parts.append(f"repl={self.replication}")
         return "/".join(parts)
@@ -101,10 +95,6 @@ class ComboSpec:
         options: Dict[str, object] = {}
         if self.tile_rows is not None:
             options["tile_rows"] = self.tile_rows
-        if self.adaptive_tiles:
-            options["adaptive_tiles"] = True
-        if self.zero_copy is not None:
-            options["zero_copy"] = self.zero_copy
         if self.replication is not None:
             options["replication"] = self.replication
         return options
@@ -112,16 +102,14 @@ class ComboSpec:
     def to_dict(self) -> Dict[str, object]:
         return {"engine": self.engine, "backend": self.backend,
                 "tile_rows": self.tile_rows,
-                "adaptive_tiles": self.adaptive_tiles,
-                "zero_copy": self.zero_copy,
                 "replication": self.replication}
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ComboSpec":
+        # Unknown keys are ignored, so parity-case/v1 files written by
+        # builds that still had per-combo knobs since removed keep replaying.
         return cls(engine=str(data["engine"]), backend=str(data["backend"]),
                    tile_rows=data.get("tile_rows"),
-                   adaptive_tiles=bool(data.get("adaptive_tiles", False)),
-                   zero_copy=data.get("zero_copy"),
                    replication=data.get("replication"))
 
 
@@ -235,23 +223,13 @@ def sample_case(rng: random.Random) -> ParityCase:
     for engine in FUZZ_ENGINES:
         backend = _sample_backend(rng)
         tile_rows = None
-        adaptive = False
-        zero_copy: Optional[bool] = None
         replication: Optional[int] = None
         if engine == "pipeline":
             tile_rows = rng.choice([None, 1, 2, 5, 9, 16])
-            adaptive = rng.random() < 0.3
-            # Forcing the shared-memory result path is only meaningful on
-            # process executors; threads return blocks in-process.
-            choices: List[Optional[bool]] = [None, False]
-            if backend == "process":
-                choices.append(True)
-            zero_copy = rng.choice(choices)
         elif engine == "resilient":
             replication = rng.choice([None, 2])
         combos.append(ComboSpec(engine=engine, backend=backend,
-                                tile_rows=tile_rows, adaptive_tiles=adaptive,
-                                zero_copy=zero_copy, replication=replication))
+                                tile_rows=tile_rows, replication=replication))
     rows = rng.choice([16, 24, 32, 40, 48])
     cols = rng.choice([16, 24, 32, 40, 48])
     # Any sampled size can host targets now -- the scene generator has a
@@ -476,8 +454,7 @@ def _shrink_candidates(case: ParityCase) -> Iterator[ParityCase]:
         yield replace(case, compute="numpy")
     # Knob simplification: a repro that fires without the optional knobs is
     # a strictly better repro.
-    simplified = tuple(replace(combo, tile_rows=None, adaptive_tiles=False,
-                               zero_copy=None, replication=None)
+    simplified = tuple(replace(combo, tile_rows=None, replication=None)
                        for combo in case.combos)
     if simplified != case.combos:
         yield replace(case, combos=simplified)

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..registry import Registry
 from .arrivals import ArrivalProcess
 from .chaos import ChaosProfile
 from .scenes import SceneSpec
@@ -65,36 +66,28 @@ class Scenario:
                 raise ValueError("sweep thresholds must be positive")
 
 
-_SCENARIOS: Dict[str, Scenario] = {}
+_SCENARIOS: Registry[Scenario] = Registry(
+    "scenario", hint="(repro-fusion simulate --list shows details)")
 
 
 def register_scenario(scenario: Scenario) -> Scenario:
     """Register ``scenario`` under its name; returns it for chaining."""
-    if scenario.name in _SCENARIOS:
-        raise ValueError(f"scenario {scenario.name!r} is already registered")
-    _SCENARIOS[scenario.name] = scenario
-    return scenario
+    return _SCENARIOS.add(scenario.name, scenario)
 
 
 def scenario_names() -> List[str]:
     """Sorted names of every registered scenario."""
-    return sorted(_SCENARIOS)
+    return _SCENARIOS.names()
 
 
 def describe_scenarios() -> Dict[str, str]:
     """``name -> one-line description`` for help text and docs."""
-    return {name: _SCENARIOS[name].description for name in scenario_names()}
+    return {name: _SCENARIOS.get(name).description for name in scenario_names()}
 
 
 def get_scenario(name: str) -> Scenario:
     """Look up a registered scenario; unknown names raise actionably."""
-    scenario = _SCENARIOS.get(name)
-    if scenario is None:
-        raise ValueError(
-            f"unknown scenario {name!r}; registered scenarios: "
-            f"{', '.join(scenario_names())} "
-            f"(repro-fusion simulate --list shows details)")
-    return scenario
+    return _SCENARIOS.get(name)
 
 
 __all__ = ["Scenario", "register_scenario", "scenario_names",

@@ -41,6 +41,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..cluster.machine import Cluster
 from ..cluster.presets import shared_memory_smp, sun_ultra_lan, switched_lan
+from ..registry import Registry
 from .local_backend import LocalBackend
 from .process_backend import ProcessBackend
 from .runtime import Backend
@@ -83,14 +84,13 @@ BackendFactory = Callable[["BackendSpec", BackendContext], Backend]
 
 @dataclass(frozen=True)
 class _BackendEntry:
-    name: str
     factory: BackendFactory
     #: Allowed variant keywords; ``None`` means any, ``()`` means none.
     variants: Optional[Tuple[str, ...]]
     description: str
 
 
-_BACKENDS: Dict[str, _BackendEntry] = {}
+_BACKENDS: Registry[_BackendEntry] = Registry("backend")
 
 
 def register_backend(name: str, *, variants: Optional[Tuple[str, ...]] = (),
@@ -102,27 +102,20 @@ def register_backend(name: str, *, variants: Optional[Tuple[str, ...]] = (),
     accepts all.
     """
     def decorator(factory: BackendFactory) -> BackendFactory:
-        if name in _BACKENDS:
-            raise ValueError(f"backend {name!r} is already registered")
-        _BACKENDS[name] = _BackendEntry(name=name, factory=factory,
-                                        variants=variants, description=description)
+        _BACKENDS.add(name, _BackendEntry(factory=factory, variants=variants,
+                                          description=description))
         return factory
     return decorator
 
 
 def backend_names() -> List[str]:
     """Sorted names of every registered backend."""
-    return sorted(_BACKENDS)
+    return _BACKENDS.names()
 
 
 def describe_backends() -> Dict[str, str]:
     """``name -> one-line description`` for help text and docs."""
-    return {name: _BACKENDS[name].description for name in backend_names()}
-
-
-def _unknown_backend(name: str) -> ValueError:
-    return ValueError(f"unknown backend {name!r}; registered backends: "
-                      f"{', '.join(backend_names())}")
+    return {name: _BACKENDS.get(name).description for name in backend_names()}
 
 
 @dataclass(frozen=True)
@@ -150,8 +143,7 @@ class BackendSpec:
     def parse(cls, spec: Union[str, "BackendSpec"]) -> "BackendSpec":
         """Parse ``"name[:token...]"`` into a validated :class:`BackendSpec`."""
         if isinstance(spec, BackendSpec):
-            if spec.name not in _BACKENDS:
-                raise _unknown_backend(spec.name)
+            _BACKENDS.get(spec.name)  # unknown names raise, listing the registry
             return spec
         if not isinstance(spec, str) or not spec.strip():
             raise ValueError(f"backend spec must be a non-empty string or BackendSpec, "
@@ -160,8 +152,6 @@ class BackendSpec:
         tokens = [token.strip() for token in spec.split(":")]
         name = tokens[0]
         entry = _BACKENDS.get(name)
-        if entry is None:
-            raise _unknown_backend(name)
         variant: Optional[str] = None
         workers: Optional[int] = None
         for token in tokens[1:]:
@@ -209,7 +199,7 @@ def create_backend(spec: Union[str, BackendSpec, Backend],
         return spec
     parsed = BackendSpec.parse(spec)
     context = context if context is not None else BackendContext()
-    return _BACKENDS[parsed.name].factory(parsed, context)
+    return _BACKENDS.get(parsed.name).factory(parsed, context)
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,9 @@ This module provides that layer on top of the worker-transport seam
   task on a fresh worker, and enforces *backpressure*: at most
   ``workers`` tasks are in flight and further ``submit`` calls block,
   which is what bounds the memory of a streaming fusion to O(tiles in
-  flight) instead of O(cube);
-* :class:`StageAccountingMixin` -- the kill-request bookkeeping and
-  per-stage observability counters every executor shares (one copy,
-  identical semantics on threads and processes);
+  flight) instead of O(cube); it also keeps the kill-request bookkeeping
+  and the per-stage observability counters (identical semantics on
+  threads and processes, because there is one executor);
 * a typed error taxonomy (:class:`StageError`, :class:`StageCrashError`)
   so a stream either completes or fails cleanly -- never hangs.
 
@@ -77,46 +76,8 @@ _LOG = get_logger("scp.stages")
 #: is picked up by the scan within one poll tick).
 _DEATH_CONFIRM_SECONDS = 0.25
 
-
-class ThroughputEWMA:
-    """Exponentially weighted moving average of a stage's throughput.
-
-    Observations are ``(units, seconds)`` pairs (for the streaming engine:
-    rows projected and the task's measured wall clock); :meth:`rate` is the
-    smoothed units-per-second estimate the adaptive tile scheduler sizes
-    the next tile from.  Thread-safe: stream drivers record from their own
-    threads.
-    """
-
-    def __init__(self, alpha: float = 0.4) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        self._alpha = alpha
-        self._rate: Optional[float] = None
-        self._observations = 0
-        self._lock = threading.Lock()
-
-    def record(self, units: float, seconds: float) -> None:
-        """Fold one ``units``-in-``seconds`` observation into the average."""
-        if units < 0:
-            raise ValueError("units must be >= 0")
-        observed = units / max(seconds, 1e-9)
-        with self._lock:
-            self._observations += 1
-            if self._rate is None:
-                self._rate = observed
-            else:
-                self._rate = self._alpha * observed + (1 - self._alpha) * self._rate
-
-    @property
-    def observations(self) -> int:
-        with self._lock:
-            return self._observations
-
-    def rate(self) -> Optional[float]:
-        """Smoothed units/second, or ``None`` before the first observation."""
-        with self._lock:
-            return self._rate
+#: Seconds the router sleeps between commit scans while work is in flight.
+_POLL_INTERVAL_SECONDS = 0.002
 
 
 class StageError(SCPError):
@@ -177,7 +138,7 @@ class _PendingStage:
     """Parent-side record of one in-flight stage task."""
 
     __slots__ = ("task_id", "stage", "fn", "args", "kwargs", "future",
-                 "ref", "attempt", "first_seen_dead", "dispatched_at")
+                 "ref", "attempt", "first_seen_dead")
 
     def __init__(self, task_id: int, stage: str, fn: Callable,
                  args: Tuple, kwargs: Dict) -> None:
@@ -190,135 +151,9 @@ class _PendingStage:
         self.ref = None
         self.attempt = 0
         self.first_seen_dead: Optional[float] = None
-        self.dispatched_at: float = 0.0
 
 
-def _validate_executor_params(workers: int, max_retries: int) -> None:
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if max_retries < 0:
-        raise ValueError("max_retries must be >= 0")
-
-
-class StageAccountingMixin:
-    """Kill-request accounting and per-stage observability counters.
-
-    Kept apart from the dispatch machinery so every executor -- whatever
-    its transport -- exposes identical semantics:
-
-    * :meth:`inject_kill` validates its count *first* (``ValueError`` on
-      ``kills < 1`` everywhere), then rejects transports whose workers
-      cannot be SIGKILLed (``NotImplementedError`` on host threads);
-    * :attr:`pending_kills` / :meth:`cancel_kills` report and withdraw
-      requests that have not fired, so a reused session executor can
-      never leak a kill into its next run;
-    * :attr:`retries`, :attr:`kills_delivered`,
-      :attr:`stage_payload_bytes` and :attr:`stage_throughput` are the
-      chaos/performance observables the scenario simulator and the
-      benchmarks read.
-
-    The host class provides ``self._lock`` (a ``threading.Lock``) and a
-    ``supports_kill`` property.
-    """
-
-    def _init_accounting(self) -> None:
-        #: Tasks re-dispatched after their worker died (chaos metric).
-        self.retries = 0
-        #: Result-payload bytes read back through the spool, per stage.
-        #: The zero-copy benchmark's primary observable: with shared-memory
-        #: output placement the ``project`` stage's entry collapses from
-        #: O(pixels) pickled arrays to O(1) row-range acknowledgements.
-        #: Stays empty on in-process transports (nothing is serialised).
-        self.stage_payload_bytes: Dict[str, int] = {}
-        #: Injected kills that actually fired, per stage (chaos
-        #: observability: recovery metrics diff this against ``retries``).
-        self.kills_delivered: Dict[str, int] = {}
-        #: Smoothed tasks/second per stage (heterogeneous-worker signal).
-        self.stage_throughput: Dict[str, ThroughputEWMA] = {}
-        self._kill_requests: Dict[str, int] = {}
-
-    @property
-    def supports_kill(self) -> bool:  # overridden by the host class
-        return False
-
-    def inject_kill(self, stage: str, kills: int = 1) -> None:
-        """Chaos hook: SIGKILL the worker of the next ``kills`` tasks of
-        ``stage`` right after dispatch, exactly as a mid-stage OOM kill or
-        node loss would.  The crash-matrix tests drive every pipeline stage
-        through this and assert the stream still completes bit-identically
-        (retry budget permitting) or fails with a typed error.
-
-        A request only fires when a task of ``stage`` actually dispatches.
-        On a long-lived session executor an unconsumed request would
-        otherwise leak into the *next* run (an empty stream, a stage name
-        that never dispatches); callers injecting chaos should drain
-        leftovers with :meth:`cancel_kills` at the end of each run --
-        :attr:`pending_kills` makes the leak observable.
-        """
-        if kills < 1:
-            raise ValueError("kills must be >= 1")
-        if not self.supports_kill:
-            raise NotImplementedError(
-                "thread-backed stage executors cannot lose a worker to "
-                "SIGKILL; use a 'process' or 'socket' backend spec to "
-                "exercise crash recovery")
-        with self._lock:
-            self._kill_requests[stage] = self._kill_requests.get(stage, 0) + kills
-
-    @property
-    def pending_kills(self) -> Dict[str, int]:
-        """Outstanding :meth:`inject_kill` requests that have not fired yet."""
-        with self._lock:
-            return {stage: count for stage, count
-                    in self._kill_requests.items() if count > 0}
-
-    def cancel_kills(self, stage: Optional[str] = None) -> Dict[str, int]:
-        """Withdraw outstanding kill requests (all stages, or just ``stage``).
-
-        Returns what was cancelled, so chaos harnesses can both clean up
-        after a run and report how many injected kills never dispatched.
-        """
-        with self._lock:
-            if stage is None:
-                cancelled = {name: count for name, count
-                             in self._kill_requests.items() if count > 0}
-                self._kill_requests.clear()
-            else:
-                count = self._kill_requests.pop(stage, 0)
-                cancelled = {stage: count} if count > 0 else {}
-        return cancelled
-
-    def _take_kill_request_locked(self, stage: str) -> bool:
-        """Consume one kill request for ``stage`` (caller holds the lock)."""
-        count = self._kill_requests.get(stage, 0)
-        if count <= 0:
-            return False
-        if count == 1:
-            # Drop exhausted entries so pending_kills only reports
-            # requests that can still fire.
-            del self._kill_requests[stage]
-        else:
-            self._kill_requests[stage] = count - 1
-        return True
-
-    def _note_payload(self, stage: str, nbytes: int) -> None:
-        with self._lock:
-            self.stage_payload_bytes[stage] = (
-                self.stage_payload_bytes.get(stage, 0) + nbytes)
-
-    def _note_kill_delivered(self, stage: str) -> None:
-        with self._lock:
-            self.kills_delivered[stage] = self.kills_delivered.get(stage, 0) + 1
-
-    def _note_task_done(self, stage: str, dispatched_at: float) -> None:
-        ewma = self.stage_throughput.get(stage)
-        if ewma is None:
-            with self._lock:
-                ewma = self.stage_throughput.setdefault(stage, ThroughputEWMA())
-        ewma.record(1.0, time.monotonic() - dispatched_at)
-
-
-class TransportStageExecutor(StageAccountingMixin):
+class TransportStageExecutor:
     """Dispatch stage tasks onto the workers of a :class:`WorkerTransport`.
 
     Parameters
@@ -340,12 +175,14 @@ class TransportStageExecutor(StageAccountingMixin):
     """
 
     def __init__(self, transport: WorkerTransport, *, workers: int = 4,
-                 max_retries: int = 2, poll_interval: float = 0.002) -> None:
-        _validate_executor_params(workers, max_retries)
+                 max_retries: int = 2) -> None:
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        if max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
         self._transport = transport
         self._workers = workers
         self._max_retries = max_retries
-        self._poll_interval = poll_interval
         self._slots_free = threading.BoundedSemaphore(workers)
         self._pending: Dict[int, _PendingStage] = {}
         #: Crash-retry tasks waiting for a warm worker (see _flush_deferred).
@@ -353,7 +190,18 @@ class TransportStageExecutor(StageAccountingMixin):
         self._lock = threading.Lock()
         self._ids = itertools.count()
         self._closed = False
-        self._init_accounting()
+        #: Tasks re-dispatched after their worker died (chaos metric).
+        self.retries = 0
+        #: Result-payload bytes read back through the spool, per stage.
+        #: The zero-copy path's primary observable: with shared-memory
+        #: output placement the ``project`` stage's entry is O(1) row-range
+        #: acknowledgements per tile instead of O(pixels) pickled arrays.
+        #: Stays empty on in-process transports (nothing is serialised).
+        self.stage_payload_bytes: Dict[str, int] = {}
+        #: Injected kills that actually fired, per stage (chaos
+        #: observability: recovery metrics diff this against ``retries``).
+        self.kills_delivered: Dict[str, int] = {}
+        self._kill_requests: Dict[str, int] = {}
         # Pre-provision the worker budget from the constructing thread:
         # steady-state dispatches then find idle workers instead of
         # spawning from driver or router threads (forking there can race
@@ -425,6 +273,70 @@ class TransportStageExecutor(StageAccountingMixin):
             raise
         return record.future
 
+    # ---------------------------------------------------------------- chaos
+    def inject_kill(self, stage: str, kills: int = 1) -> None:
+        """Chaos hook: SIGKILL the worker of the next ``kills`` tasks of
+        ``stage`` right after dispatch, exactly as a mid-stage OOM kill or
+        node loss would.  The crash-matrix tests drive every pipeline stage
+        through this and assert the stream still completes bit-identically
+        (retry budget permitting) or fails with a typed error.
+
+        A request only fires when a task of ``stage`` actually dispatches.
+        On a long-lived session executor an unconsumed request would
+        otherwise leak into the *next* run (an empty stream, a stage name
+        that never dispatches); callers injecting chaos should drain
+        leftovers with :meth:`cancel_kills` at the end of each run --
+        :attr:`pending_kills` makes the leak observable.
+
+        The count is validated *first* (``ValueError`` on every transport),
+        then the capability (``NotImplementedError`` on host threads).
+        """
+        if kills < 1:
+            raise ValueError("kills must be >= 1")
+        if not self.supports_kill:
+            raise NotImplementedError(
+                "thread-backed stage executors cannot lose a worker to "
+                "SIGKILL; use a 'process' or 'socket' backend spec to "
+                "exercise crash recovery")
+        with self._lock:
+            self._kill_requests[stage] = self._kill_requests.get(stage, 0) + kills
+
+    @property
+    def pending_kills(self) -> Dict[str, int]:
+        """Outstanding :meth:`inject_kill` requests that have not fired yet."""
+        with self._lock:
+            return {stage: count for stage, count
+                    in self._kill_requests.items() if count > 0}
+
+    def cancel_kills(self, stage: Optional[str] = None) -> Dict[str, int]:
+        """Withdraw outstanding kill requests (all stages, or just ``stage``).
+
+        Returns what was cancelled, so chaos harnesses can both clean up
+        after a run and report how many injected kills never dispatched.
+        """
+        with self._lock:
+            if stage is None:
+                cancelled = {name: count for name, count
+                             in self._kill_requests.items() if count > 0}
+                self._kill_requests.clear()
+            else:
+                count = self._kill_requests.pop(stage, 0)
+                cancelled = {stage: count} if count > 0 else {}
+        return cancelled
+
+    def _take_kill_request_locked(self, stage: str) -> bool:
+        """Consume one kill request for ``stage`` (caller holds the lock)."""
+        count = self._kill_requests.get(stage, 0)
+        if count <= 0:
+            return False
+        if count == 1:
+            # Drop exhausted entries so pending_kills only reports
+            # requests that can still fire.
+            del self._kill_requests[stage]
+        else:
+            self._kill_requests[stage] = count - 1
+        return True
+
     # ------------------------------------------------------------- dispatch
     def _dispatch(self, record: _PendingStage, ref) -> None:
         with self._lock:
@@ -438,7 +350,6 @@ class TransportStageExecutor(StageAccountingMixin):
                 record.ref = ref
                 record.first_seen_dead = None
                 record.attempt += 1
-                record.dispatched_at = time.monotonic()
                 chaos = self._take_kill_request_locked(record.stage)
         if abandoned:
             self._transport.release(ref)
@@ -448,7 +359,9 @@ class TransportStageExecutor(StageAccountingMixin):
             fn=record.fn, args=record.args, kwargs=record.kwargs))
         if chaos:
             self._transport.kill(ref)
-            self._note_kill_delivered(record.stage)
+            with self._lock:
+                self.kills_delivered[record.stage] = (
+                    self.kills_delivered.get(record.stage, 0) + 1)
 
     # --------------------------------------------------------------- router
     def _route(self) -> None:
@@ -469,7 +382,8 @@ class TransportStageExecutor(StageAccountingMixin):
             self._sweep()
             # Tight polling only while work is in flight; an idle session's
             # router must not spin the CPU.
-            self._transport.wait(self._poll_interval if self._pending else 0.05)
+            self._transport.wait(_POLL_INTERVAL_SECONDS if self._pending
+                                 else 0.05)
 
     def _resolve(self, committed: CommittedResult) -> bool:
         with self._lock:
@@ -485,8 +399,10 @@ class TransportStageExecutor(StageAccountingMixin):
             self._transport.release(record.ref)
         self._slots_free.release()
         if committed.payload_nbytes:
-            self._note_payload(record.stage, committed.payload_nbytes)
-        self._note_task_done(record.stage, record.dispatched_at)
+            with self._lock:
+                self.stage_payload_bytes[record.stage] = (
+                    self.stage_payload_bytes.get(record.stage, 0)
+                    + committed.payload_nbytes)
         if committed.crash:  # the commit happened, so this is abnormal
             record.future.set_exception(StageCrashError(
                 record.stage, str(committed.value)))
@@ -620,5 +536,5 @@ class TransportStageExecutor(StageAccountingMixin):
         self.close()
 
 
-__all__ = ["StageAccountingMixin", "StageCrashError", "StageError",
-           "ThroughputEWMA", "TransportStageExecutor", "try_run_stage"]
+__all__ = ["StageCrashError", "StageError", "TransportStageExecutor",
+           "try_run_stage"]

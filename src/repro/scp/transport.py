@@ -24,9 +24,9 @@ backend spec is mapped to one of them:
     travel over each slot's private mp-queue inbox, results come back
     through spool files.  Backs ``process:N``.
 ``socket`` (:class:`SocketTransport`)
-    A localhost *node agent* -- a separate ``python -m
-    repro.scp.transport`` process -- reached over length-prefixed
-    pickled frames on a TCP connection.  The agent owns N worker
+    A localhost *node agent* -- a separate interpreter running
+    :func:`_agent_cli` -- reached over length-prefixed pickled frames
+    on a TCP connection.  The agent owns N worker
     processes; the parent never shares a queue with anything it might
     SIGKILL, and results still travel through the very same spool
     commit as the forked transport.  Backs ``socket:N`` and is the
@@ -478,8 +478,9 @@ class _SocketSlot:
 class SocketTransport(WorkerTransport):
     """Stage tasks on a node agent reached over a TCP frame stream.
 
-    The parent launches ``python -m repro.scp.transport`` as the *node
-    agent*, which connects back, spawns ``workers`` worker processes,
+    The parent launches a fresh interpreter running :func:`_agent_cli`
+    (``python -c``, see :meth:`_spawn_agent`) as the *node agent*, which
+    connects back, spawns ``workers`` worker processes,
     and relays task frames to their private inboxes.  Results bypass
     the socket entirely: workers commit to the parent's tmpfs spool
     with the shared atomic rename, so a SIGKILL anywhere -- one worker
@@ -795,7 +796,7 @@ def transport_for_spec(spec: BackendSpec, *, workers: int,
 
 
 # ---------------------------------------------------------------------------
-# Node-agent side (runs as ``python -m repro.scp.transport``)
+# Node-agent side (the ``python -c`` interpreter ``_spawn_agent`` launches)
 # ---------------------------------------------------------------------------
 
 class _AgentSlot:
@@ -913,7 +914,8 @@ def _node_agent_main(port: int, workers: int, inc_base: int,
 
 def _agent_cli(argv: List[str]) -> int:
     if len(argv) != 4:
-        print("usage: python -m repro.scp.transport "
+        print('usage: python -c "import sys; from repro.scp.transport '
+              'import _agent_cli; sys.exit(_agent_cli(sys.argv[1:]))" '
               "<port> <workers> <inc_base> <start_method>", file=sys.stderr)
         return 2
     _node_agent_main(int(argv[0]), int(argv[1]), int(argv[2]), argv[3])
@@ -932,6 +934,3 @@ __all__ = [
     "transport_for_spec",
 ]
 
-
-if __name__ == "__main__":  # pragma: no cover - exercised as a subprocess
-    sys.exit(_agent_cli(sys.argv[1:]))

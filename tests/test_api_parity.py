@@ -71,6 +71,23 @@ def test_pipeline_tile_rows_is_output_invariant(tiny_cube, reference, tile_rows)
     np.testing.assert_array_equal(report.composite, reference.composite)
 
 
+@pytest.mark.parametrize("backend", ["local", "sim"])
+@pytest.mark.parametrize("engine", ["distributed", "resilient", "pipeline"])
+def test_cube_with_fewer_rows_than_subcubes_keeps_parity(tiny_cube, engine,
+                                                         backend):
+    """A cube smaller than the decomposition clamps it; nothing crashes.
+
+    Regression: the manager handed ``max(subcubes, workers)`` to
+    ``decompose`` unclamped, so the two batch engines died on a 3-row cube
+    with four workers while ``sequential`` and ``pipeline`` succeeded.
+    """
+    sliver = tiny_cube.spatial_subset(slice(0, 3), slice(0, tiny_cube.cols))
+    reference = fuse(sliver, engine="sequential", workers=4)
+    report = fuse(sliver, engine=engine, backend=backend, workers=4)
+    np.testing.assert_array_equal(report.composite, reference.composite)
+    assert report.unique_set_size == reference.unique_set_size
+
+
 def test_fuse_stream_fuse_many_and_loop_are_equivalent(tiny_cube, small_cube):
     """One batch, three API shapes, one answer.
 

@@ -343,17 +343,15 @@ class TestStreamingSession:
         with pytest.raises(RuntimeError, match="closed"):
             session.fuse_stream(iter([]))
 
-    def test_adaptive_stream_is_bit_identical_and_reuses_placements(
+    def test_stream_is_bit_identical_and_reuses_placements(
             self, tiny_cube, fast_config):
         reference = fuse(tiny_cube, config=fast_config)
         with open_session(engine="pipeline", backend="process",
                           config=fast_config, max_inflight=2) as session:
-            reports = list(session.fuse_stream([tiny_cube] * 4,
-                                               adaptive_tiles=True))
+            reports = list(session.fuse_stream([tiny_cube] * 4))
             for report in reports:
                 np.testing.assert_array_equal(report.composite,
                                               reference.composite)
-                assert report.result.metadata["tile_scheduler"] == "adaptive"
                 assert report.result.metadata["zero_copy"] is True
             # The output placements were served by the bounded session pool
             # (streams of one shape never allocate per run)...
@@ -424,22 +422,20 @@ class TestPipelineCrashMatrix:
 
     @pytest.mark.flaky(reruns=2)
     @pytest.mark.parametrize("stage", STAGES)
-    @pytest.mark.parametrize("zero_copy", [True, False],
-                             ids=["zero-copy", "spool"])
     def test_stream_survives_slot_kill_bit_identically(self, tiny_cube,
-                                                       fast_config, stage,
-                                                       zero_copy):
-        # Both result transports must survive the kill: the zero-copy path
-        # re-writes its (disjoint, deterministic) rows on retry, the spool
-        # path re-pickles the block.
+                                                       fast_config, stage):
+        # Both result paths survive the kill: the project stage re-writes
+        # its (disjoint, deterministic) rows into the output placement on
+        # retry, the screen and covariance stages re-pickle their result
+        # through the spool.
         reference = fuse(tiny_cube, config=fast_config)
         with open_session(engine="pipeline", backend="process",
                           config=fast_config) as session:
             executor = session._stage_runtime()
             executor.inject_kill(stage)
-            report = session.fuse(tiny_cube, zero_copy=zero_copy)
+            report = session.fuse(tiny_cube)
             assert executor.retries >= 1
-            assert report.result.metadata["zero_copy"] is zero_copy
+            assert report.result.metadata["zero_copy"] is True
             np.testing.assert_array_equal(report.composite, reference.composite)
 
     @pytest.mark.flaky(reruns=2)

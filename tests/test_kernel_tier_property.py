@@ -370,7 +370,7 @@ class TestRegistry:
             @register_compute("numpy")
             class Rogue(kernel_registry.ComputeBackend):
                 pass
-        assert kernel_registry._COMPUTE_BACKENDS["numpy"] is NumpyBackend
+        assert kernel_registry._COMPUTE_BACKENDS.get("numpy") is NumpyBackend
 
     def test_registry_is_open_for_new_tiers(self):
         # The documented extension point: one decorated class, like engines.
@@ -389,7 +389,7 @@ class TestRegistry:
                 backend = resolve_compute("test-tier")
             assert isinstance(backend, NumpyBackend)
         finally:
-            kernel_registry._COMPUTE_BACKENDS.pop("test-tier", None)
+            kernel_registry._COMPUTE_BACKENDS._items.pop("test-tier", None)
             kernel_registry._INSTANCES.pop("test-tier", None)
             kernel_registry._DEGRADED_WARNED.discard("test-tier")
 

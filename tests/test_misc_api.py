@@ -8,8 +8,7 @@ import pytest
 import repro
 from repro.core.pipeline import FusionResult
 from repro.core.steps.transform import PCTBasis
-from repro.logging_utils import (ThreadLogAdapter, configure_basic_logging,
-                                 get_logger, silence)
+from repro.logging_utils import configure_basic_logging, get_logger, silence
 from repro.scp.effects import Compute, Probe, Recv, Send, Sleep
 
 
@@ -17,27 +16,6 @@ class TestLoggingUtils:
     def test_get_logger_namespacing(self):
         logger = get_logger("scp.runtime")
         assert logger.name == "repro.scp.runtime"
-
-    def test_thread_log_adapter_prefixes_identity(self):
-        records = []
-
-        class Collector(logging.Handler):
-            def emit(self, record):
-                records.append(record.getMessage())
-
-        logger = logging.getLogger("repro.test.adapter")
-        logger.addHandler(Collector())
-        logger.setLevel(logging.INFO)
-        adapter = ThreadLogAdapter(logger, "worker.3#1", clock=lambda: 1.25)
-        adapter.info("hello")
-        assert records and "[worker.3#1]" in records[0]
-        assert "t=1.25" in records[0]
-
-    def test_adapter_without_clock(self):
-        logger = logging.getLogger("repro.test.adapter2")
-        adapter = ThreadLogAdapter(logger, "manager#0")
-        message, _ = adapter.process("status", {})
-        assert message.startswith("[manager#0]")
 
     def test_configure_and_silence(self):
         configure_basic_logging(level=logging.WARNING)

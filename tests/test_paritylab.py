@@ -85,6 +85,12 @@ def test_case_round_trips_through_dict_with_stable_id():
     assert clone == case
     assert clone.case_id() == case.case_id()
     assert len(case.case_id()) == 12
+    # Corpus files written by builds that had since-removed per-combo knobs
+    # carry extra keys; they must keep loading (and so replaying).
+    legacy = case.to_dict()
+    for combo in legacy["combos"]:
+        combo["knob_of_an_older_build"] = True
+    assert ParityCase.from_dict(legacy) == case
 
 
 def test_foreign_case_schema_is_rejected():

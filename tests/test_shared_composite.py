@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from repro.config import FusionConfig, PartitionConfig, ScreeningConfig
-from repro.core.streaming import AdaptiveTileScheduler, run_pipeline
+from repro.core.streaming import run_pipeline
 from repro.data.cube import CubeError
 from repro.data.hydice import HydiceConfig, HydiceGenerator
-from repro.data.shared import (OutputPool, SharedComposite, owned_segment_names,
-                               sweep_owned_segments, write_output_tile)
+from repro.data.shared import (OutputPool, SharedComposite, output_tile_views,
+                               owned_segment_names, sweep_owned_segments)
 from repro.scp.stages import TransportStageExecutor
-from repro.scp.transport import ForkedProcessTransport, InProcessTransport
+from repro.scp.transport import ForkedProcessTransport
 
 
 def _segment_exists(name: str) -> bool:
@@ -30,8 +30,10 @@ class TestSharedComposite:
             components = np.arange(3 * 5 * 3, dtype=np.float64).reshape(3, 5, 3)
             composite = components + 1000.0
             # The worker-side entry point: attach through the handle, write.
-            ack = write_output_tile(handle, 2, 5, components, composite)
-            assert ack == (2, 5)
+            with output_tile_views(handle, 2, 5) as (components_view,
+                                                     composite_view):
+                components_view[...] = components
+                composite_view[...] = composite
             np.testing.assert_array_equal(out.components[2:5], components)
             np.testing.assert_array_equal(out.composite[2:5], composite)
             # Rows outside the tile stay untouched (zero-initialised pages).
@@ -50,17 +52,22 @@ class TestSharedComposite:
 
     def test_out_of_range_writes_are_rejected(self):
         with SharedComposite.create(4, 3) as out:
-            block = np.zeros((2, 3, 3))
             with pytest.raises(ValueError, match="out of range"):
-                out.write_rows(3, 5, block, block)
+                with output_tile_views(out.handle(), 3, 5):
+                    pass
 
     def test_handle_and_write_refused_after_close(self):
         out = SharedComposite.create(4, 3)
+        handle = out.handle()
         out.close()
         with pytest.raises(CubeError):
             out.handle()
-        with pytest.raises(CubeError):
-            out.write_rows(0, 1, np.zeros((1, 3, 3)), np.zeros((1, 3, 3)))
+        # The owner's close unlinked the segment and evicted the cached
+        # attachment, so a late writer fails at attach -- it can never
+        # write into released pages.
+        with pytest.raises(FileNotFoundError):
+            with output_tile_views(handle, 0, 1):
+                pass
 
     def test_double_close_is_idempotent(self):
         out = SharedComposite.create(4, 3)
@@ -198,54 +205,8 @@ class TestSegmentRegistry:
         assert name not in owned_segment_names()
 
 
-class TestAdaptiveTileScheduler:
-    def test_tiles_partition_the_rows_for_any_recorded_rates(self):
-        rng = np.random.default_rng(2028)
-        for _ in range(50):
-            rows = int(rng.integers(1, 400))
-            workers = int(rng.integers(1, 9))
-            scheduler = AdaptiveTileScheduler(rows, workers,
-                                              initial_tile_rows=int(rng.integers(1, 32)))
-            tiles = []
-            while (spec := scheduler.next_tile()) is not None:
-                tiles.append(spec)
-                if rng.random() < 0.8:  # feedback arrives asynchronously
-                    scheduler.record(spec.rows, float(rng.uniform(1e-4, 0.5)))
-            assert tiles[0].row_start == 0 and tiles[-1].row_stop == rows
-            for a, b in zip(tiles, tiles[1:]):
-                assert a.row_stop == b.row_start
-            assert [t.task_id for t in tiles] == list(range(len(tiles)))
-
-    def test_tile_size_follows_measured_throughput(self):
-        fast = AdaptiveTileScheduler(10_000, 4, initial_tile_rows=8,
-                                     target_seconds=0.2)
-        slow = AdaptiveTileScheduler(10_000, 4, initial_tile_rows=8,
-                                     target_seconds=0.2)
-        fast.record(100, 0.01)   # 10k rows/s -> ~2000-row tiles before taper
-        slow.record(100, 1.0)    # 100 rows/s -> ~20-row tiles
-        fast.next_tile()  # consume one tile each so both are mid-range
-        fast_size = fast.next_tile().rows
-        slow.next_tile()
-        slow_size = slow.next_tile().rows
-        assert fast_size > slow_size
-
-    def test_taper_never_exceeds_the_fair_share_of_remaining_rows(self):
-        scheduler = AdaptiveTileScheduler(100, 4, initial_tile_rows=8)
-        scheduler.record(1_000_000, 0.001)  # absurd rate: taper must clamp
-        spec = scheduler.next_tile()
-        assert spec.rows <= 25  # ceil(100 / 4)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AdaptiveTileScheduler(0, 2, initial_tile_rows=4)
-        with pytest.raises(ValueError):
-            AdaptiveTileScheduler(10, 2, initial_tile_rows=0)
-        with pytest.raises(ValueError):
-            AdaptiveTileScheduler(10, 2, initial_tile_rows=4, target_seconds=0)
-
-
 class TestZeroCopyParity:
-    """The zero-copy transport and adaptive scheduling never change outputs."""
+    """Neither result path changes outputs; the executor picks the path."""
 
     @pytest.fixture(scope="class")
     def cube(self):
@@ -259,25 +220,24 @@ class TestZeroCopyParity:
             screening=ScreeningConfig(angle_threshold=0.05, max_unique=256),
             partition=PartitionConfig(workers=2, subcubes=2))
 
-    @pytest.mark.parametrize("adaptive", [False, True])
-    @pytest.mark.parametrize("zero_copy", [False, True])
+    @pytest.mark.parametrize("kind", ["local", "process"])
     def test_every_transport_x_scheduler_matches_sequential(
-            self, cube, config, adaptive, zero_copy):
+            self, cube, config, kind):
         from repro import fuse
+        from repro.scp.registry import BackendSpec
+        from repro.scp.transport import transport_for_spec
 
         reference = fuse(cube, engine="sequential", config=config)
-        with TransportStageExecutor(InProcessTransport(workers=2),
-                                    workers=2) as executor:
-            result = run_pipeline(cube, config, executor,
-                                  adaptive_tiles=adaptive, zero_copy=zero_copy)
+        transport = transport_for_spec(BackendSpec.parse(kind), workers=2)
+        with TransportStageExecutor(transport, workers=2) as executor:
+            result = run_pipeline(cube, config, executor)
+            uses_processes = executor.uses_processes
         np.testing.assert_array_equal(result.composite, reference.composite)
         np.testing.assert_array_equal(result.components,
                                       reference.result.components)
-        assert result.metadata["zero_copy"] is zero_copy
-        assert result.metadata["tile_scheduler"] == (
-            "adaptive" if adaptive else "fixed")
+        assert uses_processes is (kind == "process")
+        assert result.metadata["zero_copy"] is uses_processes
         assert owned_segment_names() == ()  # every placement released
-
 
     def test_zero_copy_project_stage_returns_acknowledgements_not_pixels(
             self, cube, config):
@@ -286,19 +246,15 @@ class TestZeroCopyParity:
         deterministic, so the 10x floor is not a timing assertion)."""
         from repro.scp.pool import ProcessPool
 
-        results, project_bytes = {}, {}
         with ProcessPool() as pool:
-            for zero_copy in (False, True):
-                # A fresh executor per mode: stage_payload_bytes accumulates.
-                with TransportStageExecutor(ForkedProcessTransport(pool),
-                                            workers=2) as executor:
-                    results[zero_copy] = run_pipeline(
-                        cube, config, executor, zero_copy=zero_copy)
-                    project_bytes[zero_copy] = (
-                        executor.stage_payload_bytes["project"])
-        np.testing.assert_array_equal(results[True].composite,
-                                      results[False].composite)
-        assert project_bytes[True] * 10 <= project_bytes[False]
+            with TransportStageExecutor(ForkedProcessTransport(pool),
+                                        workers=2) as executor:
+                result = run_pipeline(cube, config, executor)
+                project_bytes = executor.stage_payload_bytes["project"]
+        assert result.metadata["zero_copy"] is True
+        assert project_bytes <= 64 * result.metadata["tiles"]
+        assert project_bytes * 10 <= (result.components.nbytes
+                                      + result.composite.nbytes)
         assert owned_segment_names() == ()
 
 
@@ -322,12 +278,12 @@ class TestFailedRunDiscardsPlacement:
                 executor.inject_kill("project", kills=8)
                 with pytest.raises(StageCrashError):
                     run_pipeline(tiny_cube, fast_config, executor,
-                                 zero_copy=True, output_pool=pool)
+                                 output_pool=pool)
             assert pool.segments == 0  # discarded, not returned for reuse
             with TransportStageExecutor(ForkedProcessTransport(workers),
                                         workers=2) as executor:
                 result = run_pipeline(tiny_cube, fast_config, executor,
-                                      zero_copy=True, output_pool=pool)
+                                      output_pool=pool)
             assert result.composite.shape == (tiny_cube.rows, tiny_cube.cols, 3)
             assert pool.segments == 1
         pool.close()

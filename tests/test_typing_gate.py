@@ -30,6 +30,7 @@ PYPROJECT = REPO_ROOT / "pyproject.toml"
 #: files list may grow beyond this but never drop one of these.
 REQUIRED_SURFACE = (
     "src/repro/config.py",
+    "src/repro/registry.py",
     "src/repro/scp/registry.py",
     "src/repro/data/shared.py",
     "src/repro/api",
