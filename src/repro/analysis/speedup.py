@@ -69,11 +69,6 @@ class SpeedupCurve:
         """Parallel efficiency (speed-up divided by processor count)."""
         return {p: s / p for p, s in self.speedup(baseline_seconds).items()}
 
-    def fraction_of_linear(self, baseline_seconds: Optional[float] = None) -> Dict[int, float]:
-        """Identical to :meth:`efficiency`; named after the paper's phrasing
-        ("operates within 20% of linear speedup" means this value >= 0.8)."""
-        return self.efficiency(baseline_seconds)
-
     def worst_efficiency(self, baseline_seconds: Optional[float] = None) -> float:
         eff = self.efficiency(baseline_seconds)
         return min(eff.values())

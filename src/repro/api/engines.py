@@ -174,7 +174,8 @@ class SequentialEngine:
         elapsed = time.perf_counter() - start
         metrics = RunMetrics(elapsed_seconds=elapsed, backend="sequential",
                              workers=1,
-                             subcubes=config.partition.effective_subcubes)
+                             subcubes=min(config.partition.effective_subcubes,
+                                          request.cube.rows))
         return FusionReport(result=result, metrics=metrics,
                             engine=self.name, backend="inline",
                             stage_timings=stage_timings_from_result(result))
@@ -196,9 +197,7 @@ class DistributedEngine:
             n_components=request.n_components,
             full_projection=request.full_projection,
             prefetch=request.prefetch,
-            reassign_timeout=request.reassign_timeout,
-            protocol=request.protocol,
-            share_replica_results=request.share_replica_results)
+            reassign_timeout=request.reassign_timeout)
         outcome = impl.fuse(request.cube)
         label = backend.kind if backend is not None else request.backend_label()
         return FusionReport(result=outcome.result, metrics=outcome.metrics,
@@ -222,11 +221,6 @@ class ResilientEngine:
     def run(self, request: FusionRequest,
             backend: Optional[Backend] = None) -> FusionReport:
         _reject_pipeline_options(request, self.name)
-        if request.protocol is not None:
-            raise ValueError(
-                "engine 'resilient' derives its protocol cost model from the "
-                "resilience configuration; set config.resilience instead of "
-                "passing protocol=...")
         impl = _ResilientPCT(
             request.resolved_config(), cluster=request.cluster,
             backend=backend if backend is not None else request.backend_choice(),
@@ -235,8 +229,7 @@ class ResilientEngine:
             prefetch=request.prefetch,
             reassign_timeout=request.reassign_timeout,
             attack=request.attack,
-            camouflage_period=request.camouflage_period,
-            share_replica_results=request.share_replica_results)
+            camouflage_period=request.camouflage_period)
         outcome = impl.fuse(request.cube)
         label = backend.kind if backend is not None else request.backend_label()
         return FusionReport(result=outcome.result, metrics=outcome.metrics,

@@ -32,7 +32,6 @@ from ..data.cube import HyperspectralCube
 from ..resilience.attack import AttackScenario
 from ..scp.registry import BackendSpec
 from ..scp.runtime import Backend, RunResult
-from ..scp.sim_backend import ProtocolConfig
 
 
 @dataclass
@@ -61,8 +60,6 @@ class FusionRequest:
     prefetch: int = 2
     reassign_timeout: Optional[float] = None
     cluster: Optional[Cluster] = None
-    protocol: Optional[ProtocolConfig] = None
-    share_replica_results: bool = True
     #: Resilient engine only: worker replication level (paper default 2).
     replication: Optional[int] = None
     #: Resilient engine only: scripted attack injected during the run.
@@ -85,8 +82,7 @@ class FusionRequest:
     #: keeps whatever ``config`` says.
     compute_dtype: Optional[str] = None
     #: Compute backend of the hot kernels (:func:`repro.compute_names` lists
-    #: the registered tiers): ``"numpy"`` (reference) or ``"numba"``
-    #: (jit-fused; degrades to numpy with a warning when numba is missing).
+    #: the registered tiers; ``"numpy"``, the reference, is the only one).
     #: Bit-identical in float64 on every engine and transport.  ``None``
     #: keeps whatever ``config`` says.
     compute: Optional[str] = None
@@ -119,8 +115,7 @@ class FusionRequest:
                 partition.subcubes if self.config is not None
                 and (partition.subcubes is None or partition.subcubes >= new_workers)
                 else None)
-            partition = PartitionConfig(workers=new_workers, subcubes=new_subcubes,
-                                        axis=partition.axis)
+            partition = PartitionConfig(workers=new_workers, subcubes=new_subcubes)
             base = dataclasses.replace(base, partition=partition)
         if self.replication is not None:
             resilience = base.resilience if base.resilience is not None else ResilienceConfig()

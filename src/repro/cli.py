@@ -109,10 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            "reference, float32 is the documented fast mode")
     fuse.add_argument("--compute", choices=compute_names(), default=None,
                       help="compute backend of the hot kernels; numpy "
-                           "(default) is the always-available reference, "
-                           "numba is the jit-fused tier (bit-identical in "
-                           "float64, degrades to numpy with a warning when "
-                           "numba is not installed)")
+                           "(default) is the reference and the one "
+                           "registered tier")
     fuse.add_argument("--profile", action="store_true",
                       help="print the per-stage profile (seconds, rows/s, "
                            "effective GFLOP/s) after the fusion summary")

@@ -78,9 +78,6 @@ class Cluster:
         """Return the node name hosting ``thread_id`` or None if unplaced/dead."""
         return self._placement.get(thread_id)
 
-    def threads_on(self, node_name: str) -> List[str]:
-        return [tid for tid, loc in self._placement.items() if loc == node_name]
-
     def co_located(self, thread_a: str, thread_b: str) -> bool:
         loc_a = self._placement.get(thread_a)
         return loc_a is not None and loc_a == self._placement.get(thread_b)
@@ -98,7 +95,7 @@ class Cluster:
             raise ClusterError(f"thread {thread_id!r} is not placed on any node")
         node = self.node(node_name)
         seconds = node.compute_seconds(flop)
-        node.charge_compute(flop, seconds)
+        node.charge_compute(seconds)
         return seconds
 
     # ----------------------------------------------------------------- comms
@@ -147,10 +144,6 @@ class Cluster:
         if elapsed <= 0:
             return {name: 0.0 for name in self._order}
         return {name: self._nodes[name].busy_time / elapsed for name in self._order}
-
-    def reset_accounting(self) -> None:
-        """Clear per-run counters while keeping topology and placements."""
-        self.interconnect.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         up = sum(1 for n in self.nodes() if n.alive)

@@ -19,7 +19,7 @@ the resource manager when it places regenerated replicas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from ..logging_utils import get_logger
 
@@ -78,7 +78,6 @@ class Node:
         self._alive = True
         self._hosted: Dict[str, HostedThread] = {}
         self._busy_time = 0.0
-        self._compute_ops = 0.0
 
     # ----------------------------------------------------------------- state
     @property
@@ -90,10 +89,6 @@ class Node:
         return self._alive
 
     @property
-    def hosted_threads(self) -> List[str]:
-        return list(self._hosted)
-
-    @property
     def load(self) -> int:
         """Number of threads currently placed on this node."""
         return len(self._hosted)
@@ -102,11 +97,6 @@ class Node:
     def busy_time(self) -> float:
         """Accumulated compute seconds charged to this node."""
         return self._busy_time
-
-    @property
-    def compute_ops(self) -> float:
-        """Accumulated floating point operations charged to this node."""
-        return self._compute_ops
 
     @property
     def memory_used(self) -> int:
@@ -159,10 +149,9 @@ class Node:
         share = min(1.0, self.spec.cores / concurrent)
         return flop / (self.spec.flops * share)
 
-    def charge_compute(self, flop: float, seconds: float) -> None:
-        """Record compute work actually charged against this node."""
+    def charge_compute(self, seconds: float) -> None:
+        """Record compute seconds actually charged against this node."""
         self._busy_time += seconds
-        self._compute_ops += flop
 
     # --------------------------------------------------------------- failure
     def fail(self) -> Set[str]:

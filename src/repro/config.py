@@ -76,17 +76,8 @@ class ScreeningConfig:
 class ColorMapConfig:
     """Parameters of the human-centred colour mapping (algorithm step 8)."""
 
-    #: Number of principal components mapped to colour opponency channels.
-    components: int = 3
-    #: Output sample range; the paper produces 8-bit composites.
-    output_bits: int = 8
     #: Whether to stretch each opponency channel to +-128 before mixing.
     normalize_components: bool = True
-
-    def __post_init__(self) -> None:
-        _require(self.components == 3,
-                 "the human-centred colour mapping is defined for exactly 3 components")
-        _require(self.output_bits in (8, 16), "output_bits must be 8 or 16")
 
 
 @dataclass(frozen=True)
@@ -99,15 +90,11 @@ class PartitionConfig:
     #: ``workers``, ``2 * workers`` and ``3 * workers``; ``None`` means equal
     #: to ``workers``.
     subcubes: Optional[int] = None
-    #: Split axis: 0 partitions rows of the scene (the paper partitions the
-    #: spatial extent, each part being "a set of pixel vectors").
-    axis: int = 0
 
     def __post_init__(self) -> None:
         _require(self.workers >= 1, "workers must be >= 1")
         _require(self.subcubes is None or self.subcubes >= self.workers,
                  "subcubes must be None or >= workers")
-        _require(self.axis in (0, 1), "axis must be 0 (rows) or 1 (columns)")
 
     @property
     def effective_subcubes(self) -> int:
@@ -121,8 +108,6 @@ class ResilienceConfig:
     #: Replication level for mission-critical (worker) threads.  Level 1 means
     #: no shadow copies; the paper's experiment uses level 2.
     replication_level: int = 2
-    #: Whether the manager (the sensor itself in the paper) is replicated.
-    replicate_manager: bool = False
     #: Heartbeat period used by the failure detector, in (virtual) seconds.
     heartbeat_period: float = 0.25
     #: Number of missed heartbeats before a replica is declared failed.
@@ -169,13 +154,11 @@ class FusionConfig:
     #: at the cost of composites that only match to single precision.
     compute_dtype: str = "float64"
     #: Compute backend of the hot kernels (the registry in
-    #: :mod:`repro.core.kernels`): ``"numpy"`` (default, the always-available
-    #: reference) or ``"numba"`` (jit-fused elementwise passes around the
-    #: same BLAS reductions; degrades to numpy with a warning when numba is
-    #: not installed).  Orthogonal to ``compute_dtype``: the backend picks
-    #: *how* the arithmetic runs, the dtype picks its precision, and every
-    #: backend is bit-identical in float64 -- the policy can change
-    #: throughput, never bytes.
+    #: :mod:`repro.core.kernels`): ``"numpy"`` (default, the reference) is
+    #: the one registered tier.  Orthogonal to ``compute_dtype``: the
+    #: backend picks *how* the arithmetic runs, the dtype picks its
+    #: precision, and every backend is bit-identical in float64 -- the
+    #: policy can change throughput, never bytes.
     compute: str = "numpy"
 
     def __post_init__(self) -> None:

@@ -39,7 +39,6 @@ from ..data.cube import HyperspectralCube
 from ..scp.registry import BackendContext, BackendSpec, create_backend
 from ..scp.runtime import Application, Backend, RunResult
 from ..scp.sim_backend import ProtocolConfig, SimBackend
-from ..scp.topology import CommunicationStructure
 from ..scp.wallclock import WallClockBackend
 from .manager import manager_program
 from .pipeline import FusionResult
@@ -144,10 +143,7 @@ class _DistributedPCT:
         ``worker_replicas`` is the replication level applied to every worker
         thread (the manager is never replicated, as in the paper).
         """
-        structure = CommunicationStructure.manager_worker(self.workers,
-                                                          manager=MANAGER_NAME,
-                                                          worker_prefix=WORKER_PREFIX)
-        app = Application(structure, name="spectral-screening-pct")
+        app = Application(name="spectral-screening-pct")
         app.add_thread(
             MANAGER_NAME, manager_program,
             params={

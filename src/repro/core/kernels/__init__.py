@@ -8,15 +8,11 @@ selected by the ``compute=`` policy string carried on
 :class:`~repro.config.FusionConfig` -- never by a pickled function, so
 forked and socket-transport workers resolve the same kernel by name.
 
-Registered tiers:
+Registered tier:
 
 ``numpy``
-    The always-available reference (:mod:`.numpy_backend`): scratch-pooled
-    centring, ``out=`` GEMMs, in-place colour chain.  Defines the bits.
-``numba``
-    Jit-fused elementwise passes around the *same* BLAS reductions
-    (:mod:`.numba_backend`); degrades to ``numpy`` with a warning when
-    numba is not installed.
+    The reference (:mod:`.numpy_backend`): scratch-pooled centring,
+    ``out=`` GEMMs, in-place colour chain.  Defines the bits.
 
 The module-level ``kernel_*`` functions are the picklable dispatch surface
 worker tasks use: plain functions taking the compute name as data.
@@ -29,23 +25,14 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .registry import (ComputeBackend, compute_names, get_compute,
-                       register_compute, resolve_compute)
+                       register_compute)
 from .numpy_backend import NumpyBackend
-from .numba_backend import NumbaBackend
 
 
 def kernel_covariance_sum(pixels: np.ndarray, mean: np.ndarray,
                           compute: str = "numpy") -> np.ndarray:
     """Covariance partial through the named compute backend (picklable)."""
-    return resolve_compute(compute).covariance_sum(pixels, mean)
-
-
-def kernel_project_block(block: np.ndarray, basis, *,
-                         compute_dtype=np.float64,
-                         compute: str = "numpy") -> np.ndarray:
-    """Sub-cube projection through the named compute backend (picklable)."""
-    return resolve_compute(compute).project_block(
-        block, basis, compute_dtype=compute_dtype)
+    return get_compute(compute).covariance_sum(pixels, mean)
 
 
 def kernel_project_and_map(block: np.ndarray, basis, *, n_components: int,
@@ -56,7 +43,7 @@ def kernel_project_and_map(block: np.ndarray, basis, *, n_components: int,
                            composite_out: Optional[np.ndarray] = None
                            ) -> Tuple[np.ndarray, np.ndarray]:
     """Fused step-7/8 tile through the named compute backend (picklable)."""
-    return resolve_compute(compute).project_and_map(
+    return get_compute(compute).project_and_map(
         block, basis, n_components=n_components, normalize=normalize,
         stretch_mean=stretch_mean, stretch_std=stretch_std,
         compute_dtype=compute_dtype, components_out=components_out,
@@ -64,6 +51,5 @@ def kernel_project_and_map(block: np.ndarray, basis, *, n_components: int,
 
 
 __all__ = ["ComputeBackend", "register_compute", "compute_names",
-           "get_compute", "resolve_compute", "NumpyBackend", "NumbaBackend",
-           "kernel_covariance_sum", "kernel_project_block",
-           "kernel_project_and_map"]
+           "get_compute", "NumpyBackend",
+           "kernel_covariance_sum", "kernel_project_and_map"]

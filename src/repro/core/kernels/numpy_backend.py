@@ -1,6 +1,6 @@
-"""The ``numpy`` compute backend: the always-available reference tier.
+"""The ``numpy`` compute backend: the reference tier.
 
-This backend defines the output bits every other tier must reproduce.  It
+This backend defines the output bits any other tier must reproduce.  It
 is *not* a naive transliteration of the step functions, though -- it removes
 the per-call allocation traffic the generic expressions pay while keeping
 every floating-point operation identical:
@@ -107,8 +107,6 @@ def _stretch_statistics(stretch_mean: np.ndarray, stretch_std: np.ndarray,
 @register_compute("numpy")
 class NumpyBackend(ComputeBackend):
     """Reference kernels: numpy/BLAS with scratch reuse and ``out=`` paths."""
-
-    fallback = None
 
     # ------------------------------------------------------------ covariance
     def covariance_sum(self, pixels: np.ndarray, mean: np.ndarray) -> np.ndarray:

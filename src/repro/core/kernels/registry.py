@@ -10,11 +10,9 @@ plain strings so forked and socket-transport workers re-resolve the kernel
 by name instead of unpickling functions.
 
 Backends are registered by name with :func:`register_compute` and looked up
-with :func:`get_compute`; :func:`resolve_compute` additionally applies the
-degradation policy (an unavailable backend falls back to its declared
-fallback with a warning -- ``compute="numba"`` without numba installed runs
-the numpy reference instead of failing).  The registry is deliberately open:
-a ``cupy`` tier later is one decorated class, exactly like adding an engine.
+with :func:`get_compute`.  ``numpy`` is the one registered tier; the
+registry stays open, so another tier is one decorated class, exactly like
+adding an engine.
 
 Contract
 --------
@@ -28,7 +26,6 @@ it can change throughput, never bytes.
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, List, Optional, Type, TypeVar
 
 import numpy as np
@@ -46,26 +43,11 @@ class ComputeBackend:
     """Base class of the registered kernel tiers.
 
     Subclasses implement the three hot kernels (plus the matrix-level
-    ``project`` they share); the base class holds the registry metadata and
-    the availability hook the degradation policy consults.
-
-    Attributes
-    ----------
-    name:
-        Registered name (filled in by :func:`register_compute`).
-    fallback:
-        Name of the backend :func:`resolve_compute` degrades to when
-        :meth:`available` is ``False``.  ``None`` means the backend has no
-        soft dependency and must always work (the ``numpy`` reference).
+    ``project`` they share); the base class holds the registered ``name``
+    (filled in by :func:`register_compute`).
     """
 
     name: str = "?"
-    fallback: Optional[str] = None
-
-    @classmethod
-    def available(cls) -> bool:
-        """Whether the backend's soft dependencies import on this host."""
-        return True
 
     # -- the kernel surface; subclasses override ---------------------------
     def covariance_sum(self, pixels: np.ndarray, mean: np.ndarray) -> np.ndarray:
@@ -107,7 +89,7 @@ def compute_names() -> List[str]:
 
 
 def get_compute(name: str) -> ComputeBackend:
-    """The backend registered under ``name`` (no degradation policy).
+    """The backend registered under ``name``.
 
     Raises a :class:`ValueError` listing the registered names when ``name``
     is unknown, so a typo in ``repro.fuse(cube, compute="...")`` is a
@@ -121,35 +103,5 @@ def get_compute(name: str) -> ComputeBackend:
     return instance
 
 
-#: Backends that already warned about degrading, so a tiled run emits one
-#: warning, not one per stage task.
-_DEGRADED_WARNED: set = set()
-
-
-def resolve_compute(name: str) -> ComputeBackend:
-    """The backend to actually run: ``name``, or its fallback when missing.
-
-    ``compute="numba"`` on a host without numba degrades to the ``numpy``
-    reference with a :class:`RuntimeWarning` (once per process) instead of
-    failing -- the policy is an acceleration hint, never a correctness knob,
-    because every tier is bit-identical in float64 anyway.
-    """
-    backend = get_compute(name)
-    if backend.available():
-        return backend
-    if backend.fallback is None:  # pragma: no cover - reference always available
-        raise ValueError(f"compute backend {name!r} is unavailable on this "
-                         f"host and declares no fallback")
-    if name not in _DEGRADED_WARNED:
-        _DEGRADED_WARNED.add(name)
-        warnings.warn(
-            f"compute backend {name!r} is not available on this host "
-            f"(soft dependency not installed); degrading to "
-            f"{backend.fallback!r}. Install the 'accel' extra "
-            f"(pip install repro-fusion[accel]) for the {name!r} tier.",
-            RuntimeWarning, stacklevel=2)
-    return resolve_compute(backend.fallback)
-
-
 __all__ = ["ComputeBackend", "register_compute", "compute_names",
-           "get_compute", "resolve_compute"]
+           "get_compute"]

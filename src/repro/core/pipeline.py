@@ -85,8 +85,8 @@ class SpectralScreeningPCT:
         When True (default, the paper's formulation) step 7 projects every
         pixel onto *all* eigenvectors of the covariance and the first
         ``n_components`` are kept afterwards.  When False only the leading
-        ``n_components`` eigenvectors are applied, an optimisation the
-        projection-rank ablation benchmark quantifies.
+        ``n_components`` eigenvectors are applied, which shrinks the step-7
+        GEMM from ``bands`` to ``n_components`` output columns.
     """
 
     def __init__(self, config: Optional[FusionConfig] = None, *, n_components: int = 3,
@@ -114,13 +114,13 @@ class SpectralScreeningPCT:
         ``metadata["stage_invocations"]``, from which the engine layer
         derives :attr:`~repro.api.request.FusionReport.stage_timings`.
         """
-        from .kernels import resolve_compute
+        from .kernels import get_compute
 
         screening = self.config.screening
         subcubes = self.config.partition.effective_subcubes
         compute_dtype = self.config.compute_dtype
         compute = self.config.compute
-        kernel = resolve_compute(compute)
+        kernel = get_compute(compute)
         stage_seconds: Dict[str, float] = {}
         stage_rows: Dict[str, int] = {}
         stage_invocations: Dict[str, int] = {}

@@ -49,8 +49,9 @@ class _ResilientPCT(_DistributedPCT):
 
     Takes the arguments of :class:`~repro.core.distributed._DistributedPCT`
     (``cluster``, ``backend``, ``n_components``, ``full_projection``,
-    ``prefetch``, ``reassign_timeout``, ``share_replica_results``) except
-    ``protocol``, which is derived from the resilience configuration, plus:
+    ``prefetch``, ``reassign_timeout``) except ``protocol`` and
+    ``share_replica_results``, which are derived from the resilience
+    configuration, plus:
 
     Parameters
     ----------
@@ -74,7 +75,6 @@ class _ResilientPCT(_DistributedPCT):
     def __init__(self, config: Optional[FusionConfig] = None, *,
                  attack: Optional[AttackScenario] = None,
                  camouflage_period: Optional[float] = None,
-                 share_replica_results: bool = True,
                  **distributed_options) -> None:
         config = config or FusionConfig()
         self.resilience = config.resilience or ResilienceConfig()
@@ -82,8 +82,7 @@ class _ResilientPCT(_DistributedPCT):
         # protocol's cost model charged on the simulated backend.
         super().__init__(
             config, protocol=protocol_config_for(self.resilience),
-            share_replica_results=(share_replica_results
-                                   and not self.resilience.execute_replicas),
+            share_replica_results=not self.resilience.execute_replicas,
             **distributed_options)
         self.attack = attack
         self.camouflage_period = camouflage_period
@@ -91,10 +90,6 @@ class _ResilientPCT(_DistributedPCT):
     # ----------------------------------------------------------------- pieces
     def build_application(self, cube: HyperspectralCube) -> Application:
         """The same manager/worker application, with workers replicated."""
-        if self.resilience.replicate_manager:
-            raise NotImplementedError(
-                "manager replication is not part of the paper's configuration "
-                "(the manager represents the sensor itself) and is not implemented")
         return super().build_application(
             cube, worker_replicas=self.resilience.replication_level)
 

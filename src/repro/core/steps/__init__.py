@@ -10,8 +10,7 @@ simulated backend's cost model:
 """
 
 from .colormap import (OPPONENCY_MATRIX, color_map, color_map_flops,
-                       component_statistics, composite_from_block, luminance,
-                       stretch_components)
+                       component_statistics, luminance, stretch_components)
 from .screening import (UniqueSetBuffer, merge_flops, merge_unique_sets,
                         normalize_rows, screen_unique_set,
                         screen_unique_set_reference, screening_flops,
@@ -28,7 +27,6 @@ __all__ = [
     "color_map",
     "color_map_flops",
     "component_statistics",
-    "composite_from_block",
     "luminance",
     "stretch_components",
     "UniqueSetBuffer",

@@ -134,14 +134,6 @@ def color_map(components: np.ndarray, *, normalize: bool = True,
     return rgb
 
 
-def composite_from_block(component_block: np.ndarray, *, mean: Optional[np.ndarray] = None,
-                         std: Optional[np.ndarray] = None, clip_sigma: float = 2.5,
-                         as_uint8: bool = False) -> np.ndarray:
-    """Convenience wrapper used by workers: block of components -> RGB block."""
-    return color_map(component_block, normalize=True, mean=mean, std=std,
-                     clip_sigma=clip_sigma, as_uint8=as_uint8)
-
-
 def luminance(rgb: np.ndarray) -> np.ndarray:
     """Rec.601 luminance of an RGB composite (used by contrast metrics)."""
     rgb = np.asarray(rgb, dtype=np.float64)
@@ -164,7 +156,6 @@ __all__ = [
     "component_statistics",
     "stretch_components",
     "color_map",
-    "composite_from_block",
     "luminance",
     "color_map_flops",
 ]

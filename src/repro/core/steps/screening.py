@@ -216,9 +216,9 @@ def screen_unique_set(pixels: np.ndarray, angle_threshold: float, *,
         ``(unique, bands)`` float64 array of unique pixel vectors.
     """
     # Imported lazily: the kernels package imports this module's siblings.
-    from ..kernels import resolve_compute
+    from ..kernels import get_compute
 
-    kernel = resolve_compute(compute)
+    kernel = get_compute(compute)
     pixels = np.asarray(pixels, dtype=np.float64)
     _validate_screening_args(pixels, angle_threshold, sample_stride, chunk_size)
     if sample_stride > 1:

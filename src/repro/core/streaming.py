@@ -372,10 +372,6 @@ def validate_pipeline_request(request, *, one_shot: bool) -> None:
             "stream, which a one-shot run does not have; use "
             "repro.open_session(engine='pipeline', "
             "max_inflight=...).fuse_stream(cubes)")
-    if request.protocol is not None:
-        raise ValueError("engine 'pipeline' measures wall clock and has no "
-                         "protocol cost model; protocol= applies to the "
-                         "simulated backend of the other engines")
 
 
 def execute_pipeline_request(request, executor, *, backend_label: str,
@@ -400,7 +396,8 @@ def execute_pipeline_request(request, executor, *, backend_label: str,
     elapsed = time.perf_counter() - start
     metrics = RunMetrics(elapsed_seconds=elapsed, backend=backend_label,
                          workers=config.partition.workers,
-                         subcubes=config.partition.effective_subcubes)
+                         subcubes=min(config.partition.effective_subcubes,
+                                      request.cube.rows))
     return FusionReport(result=result, metrics=metrics, engine="pipeline",
                         backend=backend_label,
                         stage_timings=stage_timings_from_result(result))

@@ -71,7 +71,8 @@ def _compute_covariance(task: TaskAssignment, config: FusionConfig) -> Compute:
 
 
 def _transform_and_map(block: np.ndarray, basis, stretch_mean, stretch_std,
-                       keep_components: int, compute_dtype: str = "float64",
+                       keep_components: int, normalize: bool = True,
+                       compute_dtype: str = "float64",
                        compute: str = "numpy") -> Dict[str, np.ndarray]:
     """Steps 7-8 fused into one call: project a sub-cube and colour-map it.
 
@@ -82,7 +83,7 @@ def _transform_and_map(block: np.ndarray, basis, stretch_mean, stretch_std,
     pick it by name rather than by a pickled function.
     """
     components, rgb = kernel_project_and_map(
-        block, basis, n_components=keep_components, normalize=True,
+        block, basis, n_components=keep_components, normalize=normalize,
         stretch_mean=stretch_mean, stretch_std=stretch_std,
         compute_dtype=compute_dtype, compute=compute)
     return {"components": components, "rgb": rgb}
@@ -100,6 +101,7 @@ def _compute_transform(task: TaskAssignment, config: FusionConfig) -> Compute:
              + color_map_flops(n_pixels))
     return Compute(fn=_transform_and_map,
                    args=(block, basis, stretch_mean, stretch_std, keep,
+                         config.colormap.normalize_components,
                          config.compute_dtype, config.compute),
                    flops=flops, phase="transform")
 
@@ -115,7 +117,8 @@ def worker_program(ctx: Context, *, manager: str = "manager",
     manager:
         Logical name of the manager thread.
     config:
-        Fusion configuration (screening thresholds are the only part used).
+        Fusion configuration (screening thresholds, colour-map
+        normalisation and the compute policy are the parts used).
     """
     config = config or FusionConfig()
     tasks_completed = 0

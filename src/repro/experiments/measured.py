@@ -71,9 +71,6 @@ class MeasuredSpeedupResult:
     def efficiency(self) -> Dict[int, float]:
         return self.curve.efficiency(baseline_seconds=self.sequential_seconds)
 
-    def best_speedup(self) -> float:
-        return max(self.speedup().values())
-
     def table(self) -> str:
         speedup = self.speedup()
         efficiency = self.efficiency()

@@ -40,7 +40,6 @@ import numpy as np
 from ..api.facade import fuse
 from ..api.request import FusionReport
 from ..config import FusionConfig, PartitionConfig, ScreeningConfig
-from ..core.kernels import NumbaBackend
 from ..data.cube import HyperspectralCube
 from ..data.hydice import HydiceConfig, HydiceGenerator
 from ..data.scene import target_capacity
@@ -249,10 +248,6 @@ def sample_case(rng: random.Random) -> ParityCase:
         workers=workers,
         subcubes=workers * rng.choice([1, 2, 3]),
         compute_dtype="float64" if rng.random() < 0.7 else "float32",
-        # The jit tier joins the sampled space only where numba can actually
-        # compile; degraded-to-numpy runs would all be the numpy point.
-        compute=("numba" if NumbaBackend.available() and rng.random() < 0.4
-                 else "numpy"),
         combos=tuple(combos))
 
 
@@ -450,8 +445,6 @@ def _shrink_candidates(case: ParityCase) -> Iterator[ParityCase]:
         yield replace(case, vehicles=1, camouflaged=0)
     if case.vehicles > 0:
         yield replace(case, vehicles=0, camouflaged=0)
-    if case.compute != "numpy":
-        yield replace(case, compute="numpy")
     # Knob simplification: a repro that fires without the optional knobs is
     # a strictly better repro.
     simplified = tuple(replace(combo, tile_rows=None, replication=None)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from ..logging_utils import get_logger
-from ..scp.topology import CommunicationStructure
 
 _LOG = get_logger("resilience.reconfigure")
 
@@ -36,38 +35,23 @@ class ReconfigurationRecord:
     failed_physical: str
     replacement_physical: Optional[str]
     node: Optional[str]
-    structure_generation: int
     reason: str = "regeneration"
 
 
 class ReconfigurationProtocol:
     """Orders the steps of a reconfiguration and keeps an audit trail."""
 
-    def __init__(self, structure: Optional[CommunicationStructure] = None) -> None:
-        self.structure = structure
+    def __init__(self) -> None:
         self._records: List[ReconfigurationRecord] = []
 
     # ----------------------------------------------------------------- steps
     def begin(self, *, time: float, logical: str, failed_physical: str,
               reason: str = "regeneration") -> ReconfigurationRecord:
-        """Open a reconfiguration transaction for a failed replica.
-
-        The communication structure's generation counter is bumped so that
-        any component caching routing decisions can detect staleness -- this
-        is the explicit-representation property the paper requires of SCPlib
-        applications.
-        """
-        generation = 0
-        if self.structure is not None:
-            # Touching the structure bumps its generation; the logical thread
-            # itself remains declared because the replacement keeps its name.
-            if self.structure.has_thread(logical):
-                self.structure.add_thread(logical)
-            generation = self.structure.generation
+        """Open a reconfiguration transaction for a failed replica."""
         record = ReconfigurationRecord(time=time, logical=logical,
                                        failed_physical=failed_physical,
                                        replacement_physical=None, node=None,
-                                       structure_generation=generation, reason=reason)
+                                       reason=reason)
         self._records.append(record)
         return record
 
@@ -76,8 +60,6 @@ class ReconfigurationProtocol:
         """Close the transaction once the replacement replica is live."""
         record.replacement_physical = replacement_physical
         record.node = node
-        if self.structure is not None:
-            record.structure_generation = self.structure.generation
         _LOG.info("reconfigured %s: %s -> %s on %s", record.logical,
                   record.failed_physical, replacement_physical, node)
         return record

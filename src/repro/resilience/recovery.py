@@ -177,8 +177,5 @@ class RecoveryService:
     def failed_recoveries(self) -> List[RecoveryEvent]:
         return [e for e in self._events if not e.succeeded]
 
-    def recovery_count(self) -> int:
-        return len(self.successful_recoveries())
-
 
 __all__ = ["RecoveryService", "RecoveryEvent"]

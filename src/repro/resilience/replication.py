@@ -133,12 +133,6 @@ class ReplicationManager:
         """Groups currently running below their target replication level."""
         return [g for g in self._groups.values() if g.deficit > 0]
 
-    def total_regenerated(self) -> int:
-        return sum(g.regenerated for g in self._groups.values())
-
-    def total_lost(self) -> int:
-        return sum(g.lost for g in self._groups.values())
-
     def summary(self) -> Dict[str, Dict[str, int]]:
         """Per-group counters for reports and tests."""
         return {

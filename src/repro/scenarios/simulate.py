@@ -18,8 +18,8 @@
 
 Outstanding chaos kill requests are *cancelled and reported* at the end
 of every replay -- the reused session executor must never leak a kill
-into a later run (the accounting bug this PR fixes in
-:mod:`repro.scp.stages`).
+into a later run (:meth:`~repro.scp.stages.TransportStageExecutor.
+cancel_kills` does the accounting).
 """
 
 from __future__ import annotations

@@ -2,10 +2,9 @@
 
 This subpackage provides the message-passing substrate the paper's
 application and resiliency layers are written against: thread programs as
-effect-yielding generators (:mod:`.effects`), explicit communication
-structures (:mod:`.topology`), logical-to-physical routing with duplicate
-suppression (:mod:`.group`, :mod:`.channel`) and three interchangeable
-execution backends -- real threads (:mod:`.local_backend`) and real
+effect-yielding generators (:mod:`.effects`), logical-to-physical routing
+with duplicate suppression (:mod:`.group`, :mod:`.channel`) and three
+interchangeable execution backends -- real threads (:mod:`.local_backend`) and real
 processes with shared-memory data placement (:mod:`.process_backend`), which
 share one parent-side core (:mod:`.wallclock`), and a deterministic
 discrete-event simulation of a workstation cluster (:mod:`.sim_backend`).
@@ -44,7 +43,6 @@ from .transport import (CommittedResult, ForkedProcessTransport,
 from .sim_backend import (CONTROL_MESSAGE_BYTES, ProtocolConfig, SimBackend,
                           TaskStatus)
 from .thread import ThreadProgram, ThreadSpec, parse_physical, physical_name
-from .topology import ChannelDecl, CommunicationStructure
 from .tracing import (ComputeInterval, LifecycleEvent, MessageRecord,
                       TraceRecorder)
 
@@ -104,8 +102,6 @@ __all__ = [
     "ThreadSpec",
     "parse_physical",
     "physical_name",
-    "ChannelDecl",
-    "CommunicationStructure",
     "ComputeInterval",
     "LifecycleEvent",
     "MessageRecord",

@@ -46,9 +46,6 @@ class Router:
         return logical
 
     # --------------------------------------------------------------- queries
-    def knows_logical(self, logical: str) -> bool:
-        return logical in self._logical_to_physical
-
     def physical_targets(self, logical: str) -> List[str]:
         """Live physical replicas of ``logical`` (possibly empty)."""
         return list(self._logical_to_physical.get(logical, []))
@@ -59,9 +56,6 @@ class Router:
         except KeyError:
             # Fall back to parsing; useful for threads that died already.
             return parse_physical(physical_id)[0]
-
-    def replica_count(self, logical: str) -> int:
-        return len(self._logical_to_physical.get(logical, []))
 
     def all_logical(self) -> List[str]:
         return sorted(self._logical_to_physical)

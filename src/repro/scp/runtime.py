@@ -4,8 +4,7 @@ This module defines the objects shared by the local and simulated backends:
 
 * :class:`Context` -- what a thread program sees (its identity, parameters
   and any state restored after regeneration),
-* :class:`Application` -- the declarative bundle of thread specifications and
-  the communication structure,
+* :class:`Application` -- the declarative bundle of thread specifications,
 * :class:`RunResult` -- return values, per-thread outcomes and run metrics,
 * :class:`Backend` -- the abstract execution interface, and
 * :func:`plan_placement` -- the default round-robin placement of replicas on
@@ -22,7 +21,6 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 from ..cluster.metrics import RunMetrics
 from .errors import PlacementError, RuntimeStateError
 from .thread import ThreadSpec, physical_name
-from .topology import CommunicationStructure
 
 
 @dataclass
@@ -97,14 +95,10 @@ class RunResult:
 
 
 class Application:
-    """A set of thread specifications plus their communication structure."""
+    """A named set of thread specifications."""
 
-    def __init__(self, structure: Optional[CommunicationStructure] = None,
-                 *, enforce_structure: bool = False, name: str = "app") -> None:
+    def __init__(self, *, name: str = "app") -> None:
         self.name = name
-        self.structure = structure if structure is not None else CommunicationStructure()
-        #: When True, sends along undeclared channels raise inside the program.
-        self.enforce_structure = enforce_structure
         self._specs: Dict[str, ThreadSpec] = {}
 
     # ----------------------------------------------------------------- specs
@@ -112,8 +106,6 @@ class Application:
         if spec.name in self._specs:
             raise RuntimeStateError(f"thread {spec.name!r} declared twice")
         self._specs[spec.name] = spec
-        if not self.structure.has_thread(spec.name):
-            self.structure.add_thread(spec.name)
         return spec
 
     def add_thread(self, name: str, program, *, replicas: int = 1, params: Optional[dict] = None,
@@ -135,14 +127,7 @@ class Application:
         except KeyError:
             raise RuntimeStateError(f"unknown thread {name!r}") from None
 
-    def logical_names(self) -> List[str]:
-        return list(self._specs)
-
-    def connect(self, src: str, dst: str, port: str, *, bidirectional: bool = False) -> None:
-        self.structure.connect(src, dst, port, bidirectional=bidirectional)
-
     def validate(self) -> None:
-        self.structure.validate()
         if not self._specs:
             raise RuntimeStateError("application declares no threads")
 

@@ -170,7 +170,6 @@ class SimBackend(Backend):
         self._heartbeat: Optional[Tuple[float, Any, str]] = None
         self._ran = False
         self._until_thread: Optional[str] = None
-        self._dropped_messages = 0
 
     # ------------------------------------------------------------------ time
     @property
@@ -193,18 +192,9 @@ class SimBackend(Backend):
         return [pid for pid in self.router.physical_targets(logical)
                 if pid in self._tasks and self._tasks[pid].alive]
 
-    def all_tasks(self) -> List[_SimTask]:
-        return list(self._tasks.values())
-
     def checkpoint_of(self, logical: str) -> Any:
         """Most recent checkpointed state of a logical thread (or None)."""
         return self._checkpoints.get(logical)
-
-    @property
-    def dropped_messages(self) -> int:
-        """Messages addressed to logical threads with no live replica and no
-        dead-letter retention (should stay zero in resilient runs)."""
-        return self._dropped_messages
 
     def subscribe_thread_death(self, callback: Callable[[str, str, str], None]) -> None:
         """Register ``callback(physical_id, logical, reason)`` on abnormal death."""
@@ -386,11 +376,6 @@ class SimBackend(Backend):
 
     # ------------------------------------------------------------------ send
     def _handle_send(self, task: _SimTask, effect: Send) -> None:
-        if (self._app is not None and self._app.enforce_structure
-                and not effect.urgent
-                and not self._app.structure.allows(task.logical, effect.dst, effect.port)):
-            self._crash(task, f"undeclared channel {task.logical}->{effect.dst}:{effect.port}")
-            return
         task.send_seq += 1
         envelope = Envelope(src=task.logical, dst=effect.dst, port=effect.port,
                             payload=effect.payload, seq=task.send_seq, key=effect.key,

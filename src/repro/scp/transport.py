@@ -2,8 +2,8 @@
 
 A :class:`WorkerTransport` is the narrow contract the stage executor
 (:class:`~repro.scp.stages.TransportStageExecutor`) drives, so a new
-execution substrate -- the ROADMAP's ``cluster:host1,host2`` item most of
-all -- is one subclass, not another copy of the worker plumbing:
+execution substrate is one subclass, not another copy of the worker
+plumbing:
 
 * ``start`` -- pre-provision the worker budget (spawn or attach);
 * ``acquire``/``send`` -- borrow a worker and hand it one task frame;

@@ -138,9 +138,13 @@ class TestFuseFacadeErrors:
             fuse(tiny_cube, attack=object())
 
     def test_resilient_rejects_raw_protocol(self, tiny_cube):
-        from repro.scp.sim_backend import ProtocolConfig
-        with pytest.raises(ValueError, match="config.resilience"):
-            fuse(tiny_cube, engine="resilient", protocol=ProtocolConfig())
+        # The cost model comes from config.resilience; protocol= and
+        # share_replica_results= are not request fields, so the generic
+        # validation names the offender and lists what is valid.
+        for option in ("protocol", "share_replica_results"):
+            with pytest.raises(ValueError, match=rf"unknown fuse option\(s\) "
+                                                 rf"\['{option}'\]; valid options"):
+                fuse(tiny_cube, engine="resilient", **{option: None})
 
     def test_sequential_rejects_explicit_backend(self, tiny_cube):
         # Silently running inline would let `fuse(cube, backend="process:8")`

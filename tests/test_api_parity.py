@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from repro import fuse
-from repro.config import FusionConfig, PartitionConfig, ScreeningConfig
+from repro.config import (ColorMapConfig, FusionConfig, PartitionConfig,
+                          ScreeningConfig)
+from repro.data.hydice import HydiceConfig, HydiceGenerator
 
 #: One request shape shared by every run in this module.  The sequential
 #: reference must use the same partition (screening decomposition and
@@ -86,6 +88,26 @@ def test_cube_with_fewer_rows_than_subcubes_keeps_parity(tiny_cube, engine,
     report = fuse(sliver, engine=engine, backend=backend, workers=4)
     np.testing.assert_array_equal(report.composite, reference.composite)
     assert report.unique_set_size == reference.unique_set_size
+    # Every engine reports the decomposition that actually ran (three
+    # one-row blocks), not the four that were asked for.
+    assert report.metrics.subcubes == reference.metrics.subcubes == 3
+
+
+@pytest.mark.parametrize("backend", ["local", "sim"])
+@pytest.mark.parametrize("engine", ["distributed", "resilient", "pipeline"])
+def test_unnormalised_colour_map_keeps_parity(engine, backend):
+    """``normalize_components=False`` reaches every engine's step 8.
+
+    Regression: the batch engines' worker hard-coded the stretch on, so
+    their composites sat up to 0.66 away from the sequential reference.
+    """
+    cube = HydiceGenerator(HydiceConfig(bands=16, rows=24, cols=24,
+                                        seed=1)).generate()
+    config = FusionConfig(colormap=ColorMapConfig(normalize_components=False))
+    reference = fuse(cube, engine="sequential", workers=2, config=config)
+    report = fuse(cube, engine=engine, backend=backend, workers=2,
+                  config=config)
+    assert np.array_equal(report.composite, reference.composite)
 
 
 def test_fuse_stream_fuse_many_and_loop_are_equivalent(tiny_cube, small_cube):

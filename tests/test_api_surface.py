@@ -30,8 +30,6 @@ REQUEST_FIELDS = [
     ("prefetch", 2),
     ("reassign_timeout", None),
     ("cluster", None),
-    ("protocol", None),
-    ("share_replica_results", True),
     ("replication", None),
     ("attack", None),
     ("camouflage_period", None),

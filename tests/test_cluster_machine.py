@@ -39,7 +39,7 @@ class TestPlacement:
         cluster = make_cluster()
         cluster.place("t1", "n0", memory_bytes=100)
         assert cluster.location_of("t1") == "n0"
-        assert cluster.threads_on("n0") == ["t1"]
+        assert cluster.node("n0").hosts("t1")
 
     def test_double_placement_rejected(self):
         cluster = make_cluster()

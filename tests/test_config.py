@@ -54,16 +54,11 @@ class TestPartitionConfig:
         with pytest.raises(ConfigurationError):
             PartitionConfig(workers=4, subcubes=2)
 
-    def test_rejects_bad_axis(self):
-        with pytest.raises(ConfigurationError):
-            PartitionConfig(workers=2, axis=2)
-
 
 class TestResilienceConfig:
     def test_paper_defaults(self):
         config = ResilienceConfig()
         assert config.replication_level == 2
-        assert config.replicate_manager is False
         assert config.regenerate is True
 
     def test_rejects_zero_replication(self):
@@ -105,7 +100,7 @@ class TestFusionConfig:
     def test_nested_defaults(self):
         config = FusionConfig()
         assert config.screening.angle_threshold > 0
-        assert config.colormap.components == 3
+        assert config.colormap.normalize_components is True
 
 
 class TestPaperSetup:

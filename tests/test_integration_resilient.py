@@ -67,11 +67,6 @@ class TestResilientWithoutAttack:
         assert report["recoveries"] == 0
         assert outcome.result.metadata["mode"] == "resilient"
 
-    def test_manager_replication_not_supported(self, small_cube):
-        config = make_config(replicate_manager=True)
-        with pytest.raises(NotImplementedError):
-            fuse(small_cube, engine="resilient", config=config)
-
 
 class TestResilientUnderAttack:
     def test_single_replica_kill_output_unchanged(self, small_cube, reference_result):

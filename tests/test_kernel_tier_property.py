@@ -1,4 +1,4 @@
-"""Property suite for the pluggable compute-kernel tier (PR 10 tentpole).
+"""Property suite for the pluggable compute-kernel tier.
 
 The tier's contract (:mod:`repro.core.kernels.registry`): every registered
 compute backend produces **bit-identical** float64 results to the unfused
@@ -12,20 +12,15 @@ never bytes.  This suite asserts that contract kernel by kernel:
   :func:`repro.core.steps.transform.project` / ``project_cube_block``;
 * the fused step-7/8 tile (``project_and_map``, with and without the
   zero-copy ``*_out`` destinations) against ``project_cube_block`` followed
-  by :func:`repro.core.steps.colormap.color_map`;
-* the screening survivor elimination across backends.
+  by :func:`repro.core.steps.colormap.color_map`.
 
-The ``numba`` tier is exercised *directly* through its plain-Python kernel
-bodies -- ``get_compute("numba")`` applies no degradation policy, and the
-bodies are ordinary numpy-semantics functions that ``@njit`` merely
-compiles when numba is present -- so the jit tier's arithmetic is verified
-even on hosts without numba.  Registry mechanics (unknown names, duplicate
-registration, caching, the degrade-with-warning policy) and the policy
-threading through ``FusionConfig``/``FusionRequest``/the engines and
-paritylab round out the suite.
+Registry mechanics (unknown names, duplicate registration, caching, the
+open extension point) and the policy threading through
+``FusionConfig``/``FusionRequest``/the engines and paritylab round out the
+suite.
 """
 
-import warnings
+import contextlib
 
 import numpy as np
 import pytest
@@ -34,10 +29,9 @@ from hypothesis import strategies as st
 
 import repro
 from repro.config import ConfigurationError, FusionConfig
-from repro.core.kernels import (NumbaBackend, NumpyBackend, compute_names,
-                                get_compute, kernel_covariance_sum,
-                                kernel_project_and_map, kernel_project_block,
-                                register_compute, resolve_compute)
+from repro.core.kernels import (NumpyBackend, compute_names, get_compute,
+                                kernel_covariance_sum, kernel_project_and_map,
+                                register_compute)
 from repro.core.kernels import registry as kernel_registry
 from repro.core.steps.colormap import color_map, component_statistics
 from repro.core.steps.statistics import covariance_sum, mean_vector
@@ -49,9 +43,28 @@ from repro.data.hydice import HydiceConfig, HydiceGenerator
 
 COMMON_SETTINGS = dict(max_examples=40, deadline=None)
 
-#: Both registered tiers; the numba entries run the plain-Python kernel
-#: bodies when numba is not installed (see the module docstring).
-BACKENDS = [get_compute("numpy"), get_compute("numba")]
+#: Every registered tier (today the numpy reference alone).
+BACKENDS = [get_compute(name) for name in compute_names()]
+
+
+@contextlib.contextmanager
+def registered_test_tier():
+    """A second registered tier, so policy threading is observable."""
+    @register_compute("test-tier")
+    class TestTier(NumpyBackend):
+        pass
+
+    try:
+        yield "test-tier"
+    finally:
+        kernel_registry._COMPUTE_BACKENDS._items.pop("test-tier", None)
+        kernel_registry._INSTANCES.pop("test-tier", None)
+
+
+@pytest.fixture
+def extra_tier():
+    with registered_test_tier() as name:
+        yield name
 
 
 def pixel_matrices(min_pixels=4, max_pixels=300, min_bands=3, max_bands=24):
@@ -276,9 +289,6 @@ class TestProjectAndMap:
         np.testing.assert_array_equal(
             kernel_covariance_sum(pixels, mean, compute="numpy"),
             covariance_sum(pixels, mean))
-        np.testing.assert_array_equal(
-            kernel_project_block(block, basis, compute="numpy"),
-            project_cube_block(block, basis))
         components, composite = kernel_project_and_map(
             block, basis, n_components=3, normalize=True,
             stretch_mean=stretch_mean, stretch_std=stretch_std,
@@ -306,10 +316,11 @@ class TestEliminateSurvivors:
         cos_threshold = np.float64(np.cos(threshold))
         ref_admitted, ref_rows = get_compute("numpy").eliminate_survivors(
             survivors, rows, cos_threshold, room=room)
-        admitted, admitted_rows = get_compute("numba").eliminate_survivors(
-            survivors, rows, cos_threshold, room=room)
-        np.testing.assert_array_equal(admitted, ref_admitted)
-        np.testing.assert_array_equal(admitted_rows, ref_rows)
+        for backend in BACKENDS:
+            admitted, admitted_rows = backend.eliminate_survivors(
+                survivors, rows, cos_threshold, room=room)
+            np.testing.assert_array_equal(admitted, ref_admitted)
+            np.testing.assert_array_equal(admitted_rows, ref_rows)
 
     @given(pixels=pixel_matrices(max_pixels=150),
            threshold=st.floats(0.01, 0.4),
@@ -318,16 +329,13 @@ class TestEliminateSurvivors:
     @settings(**COMMON_SETTINGS)
     def test_screening_output_is_compute_invariant(self, pixels, threshold,
                                                    cap, chunk_size):
-        # End-to-end through screen_unique_set: the compute policy (real jit
-        # tier with numba installed, degraded-to-numpy without) never changes
-        # the unique set.
+        # End-to-end through screen_unique_set: the compute policy never
+        # changes the unique set.
         reference = screen_unique_set(pixels, threshold, max_unique=cap,
                                       chunk_size=chunk_size, compute="numpy")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with registered_test_tier() as tier:
             via_policy = screen_unique_set(pixels, threshold, max_unique=cap,
-                                           chunk_size=chunk_size,
-                                           compute="numba")
+                                           chunk_size=chunk_size, compute=tier)
         np.testing.assert_array_equal(via_policy, reference)
 
     def test_room_zero_admits_nothing(self):
@@ -349,7 +357,7 @@ class TestRegistry:
     def test_compute_names_sorted_and_complete(self):
         names = compute_names()
         assert names == sorted(names)
-        assert {"numpy", "numba"} <= set(names)
+        assert names == ["numpy"]
         assert repro.compute_names() == names
 
     def test_unknown_name_error_lists_backends(self):
@@ -363,7 +371,6 @@ class TestRegistry:
     def test_instances_are_cached(self):
         assert get_compute("numpy") is get_compute("numpy")
         assert isinstance(get_compute("numpy"), NumpyBackend)
-        assert isinstance(get_compute("numba"), NumbaBackend)
 
     def test_duplicate_registration_raises(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -372,26 +379,11 @@ class TestRegistry:
                 pass
         assert kernel_registry._COMPUTE_BACKENDS.get("numpy") is NumpyBackend
 
-    def test_registry_is_open_for_new_tiers(self):
+    def test_registry_is_open_for_new_tiers(self, extra_tier):
         # The documented extension point: one decorated class, like engines.
-        @register_compute("test-tier")
-        class TestTier(kernel_registry.ComputeBackend):
-            fallback = "numpy"
-
-            @classmethod
-            def available(cls):
-                return False
-
-        try:
-            assert "test-tier" in compute_names()
-            kernel_registry._DEGRADED_WARNED.discard("test-tier")
-            with pytest.warns(RuntimeWarning, match="degrading to 'numpy'"):
-                backend = resolve_compute("test-tier")
-            assert isinstance(backend, NumpyBackend)
-        finally:
-            kernel_registry._COMPUTE_BACKENDS._items.pop("test-tier", None)
-            kernel_registry._INSTANCES.pop("test-tier", None)
-            kernel_registry._DEGRADED_WARNED.discard("test-tier")
+        assert extra_tier in compute_names()
+        assert get_compute(extra_tier).name == extra_tier
+        assert FusionConfig(compute=extra_tier).compute == extra_tier
 
     def test_base_class_kernels_are_abstract(self):
         backend = kernel_registry.ComputeBackend()
@@ -400,80 +392,49 @@ class TestRegistry:
             backend.covariance_sum(pixels, np.ones(2))
 
 
-@pytest.mark.skipif(NumbaBackend.available(),
-                    reason="degradation only fires when numba is missing")
-class TestDegradation:
-    def test_resolve_degrades_to_numpy_with_one_warning(self):
-        kernel_registry._DEGRADED_WARNED.discard("numba")
-        try:
-            with pytest.warns(RuntimeWarning) as caught:
-                backend = resolve_compute("numba")
-            assert isinstance(backend, NumpyBackend)
-            messages = [str(w.message) for w in caught
-                        if issubclass(w.category, RuntimeWarning)]
-            assert any("degrading to 'numpy'" in m for m in messages)
-            assert any("repro-fusion[accel]" in m for m in messages)
-            # Warned once per process: the second resolution is silent.
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert isinstance(resolve_compute("numba"), NumpyBackend)
-        finally:
-            kernel_registry._DEGRADED_WARNED.add("numba")
-
-    def test_get_compute_applies_no_degradation(self):
-        # Selection and degradation are separate: get_compute returns the
-        # real numba tier (whose plain-Python bodies this suite runs).
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert isinstance(get_compute("numba"), NumbaBackend)
-
-
 # --------------------------------------------------------------------------
 # Policy threading: config, request, engines, paritylab
 # --------------------------------------------------------------------------
 
 class TestPolicyThreading:
     def test_config_validates_compute_name(self):
-        with pytest.raises(ConfigurationError, match="compute must be one of"):
+        with pytest.raises(ConfigurationError,
+                           match=r"compute must be one of \('numpy',\), "
+                                 r"got 'fortran'"):
             FusionConfig(compute="fortran")
         assert FusionConfig().compute == "numpy"
-        assert FusionConfig(compute="numba").compute == "numba"
 
-    def test_request_merges_compute_policy(self):
+    def test_request_merges_compute_policy(self, extra_tier):
         cube = HydiceGenerator(HydiceConfig(bands=8, rows=24, cols=24,
                                             seed=2)).generate()
         assert repro.FusionRequest(cube).resolved_config().compute == "numpy"
-        request = repro.FusionRequest(cube, compute="numba")
-        assert request.resolved_config().compute == "numba"
-        base = FusionConfig(compute="numba")
+        request = repro.FusionRequest(cube, compute=extra_tier)
+        assert request.resolved_config().compute == extra_tier
+        base = FusionConfig(compute=extra_tier)
         assert repro.FusionRequest(
-            cube, config=base).resolved_config().compute == "numba"
+            cube, config=base).resolved_config().compute == extra_tier
 
-    def test_engines_are_compute_invariant_and_echo_the_policy(self):
+    def test_engines_are_compute_invariant_and_echo_the_policy(self, extra_tier):
         cube = HydiceGenerator(HydiceConfig(bands=8, rows=24, cols=24,
                                             seed=3)).generate()
         reference = repro.fuse(cube, compute="numpy")
         assert reference.result.metadata["compute"] == "numpy"
-        with warnings.catch_warnings():
-            # Degraded-to-numpy on hosts without numba (warning already
-            # asserted above); with numba installed this runs the jit tier.
-            warnings.simplefilter("ignore", RuntimeWarning)
-            via_numba = repro.fuse(cube, compute="numba")
-            pipelined = repro.fuse(cube, engine="pipeline", backend="local:2",
-                                   workers=2, compute="numba")
-        assert via_numba.result.metadata["compute"] == "numba"
-        assert pipelined.result.metadata["compute"] == "numba"
-        np.testing.assert_array_equal(via_numba.composite, reference.composite)
+        via_tier = repro.fuse(cube, compute=extra_tier)
+        pipelined = repro.fuse(cube, engine="pipeline", backend="local:2",
+                               workers=2, compute=extra_tier)
+        assert via_tier.result.metadata["compute"] == extra_tier
+        assert pipelined.result.metadata["compute"] == extra_tier
+        np.testing.assert_array_equal(via_tier.composite, reference.composite)
         matched = repro.fuse(cube, workers=2, compute="numpy")
         np.testing.assert_array_equal(pipelined.composite, matched.composite)
 
-    def test_parity_case_carries_the_compute_policy(self):
+    def test_parity_case_carries_the_compute_policy(self, extra_tier):
         from repro.paritylab.harness import ParityCase, sample_case
         import random
 
         case = ParityCase(bands=8, rows=32, cols=32, scene_seed=1,
-                          compute="numba")
-        assert case.config().compute == "numba"
+                          compute=extra_tier)
+        assert case.config().compute == extra_tier
         assert ParityCase.from_dict(case.to_dict()) == case
         assert case.case_id() != ParityCase(bands=8, rows=32, cols=32,
                                             scene_seed=1).case_id()
@@ -482,15 +443,6 @@ class TestPolicyThreading:
         legacy = case.to_dict()
         del legacy["compute"]
         assert ParityCase.from_dict(legacy).compute == "numpy"
-        if not NumbaBackend.available():
-            # The sampler never draws a tier that would only run degraded.
-            rng = random.Random(7)
-            assert all(sample_case(rng).compute == "numpy" for _ in range(25))
-
-    def test_parity_shrink_prefers_the_reference_tier(self):
-        from repro.paritylab.harness import ParityCase, _shrink_candidates
-
-        case = ParityCase(bands=8, rows=32, cols=32, scene_seed=1,
-                          compute="numba")
-        assert any(candidate.compute == "numpy"
-                   for candidate in _shrink_candidates(case))
+        # The sampler has no compute axis: every drawn case is the reference.
+        rng = random.Random(7)
+        assert all(sample_case(rng).compute == "numpy" for _ in range(25))

@@ -8,7 +8,6 @@ from repro.resilience.detector import HeartbeatFailureDetector
 from repro.resilience.reconfigure import ReconfigurationProtocol
 from repro.resilience.resource import ResourceManager
 from repro.scp.errors import PlacementError
-from repro.scp.topology import CommunicationStructure
 
 
 class FakeClock:
@@ -170,8 +169,7 @@ class TestResourceManager:
 
 class TestReconfigurationProtocol:
     def test_begin_complete_cycle(self):
-        structure = CommunicationStructure.manager_worker(2)
-        protocol = ReconfigurationProtocol(structure)
+        protocol = ReconfigurationProtocol()
         record = protocol.begin(time=1.0, logical="worker.0",
                                 failed_physical="worker.0#0")
         protocol.complete(record, replacement_physical="worker.0#2", node="sun03")
@@ -186,13 +184,6 @@ class TestReconfigurationProtocol:
         protocol.abort(record, "no resources")
         assert len(protocol.aborted()) == 1
         assert protocol.completed() == []
-
-    def test_generation_bumped(self):
-        structure = CommunicationStructure.manager_worker(1)
-        before = structure.generation
-        protocol = ReconfigurationProtocol(structure)
-        protocol.begin(time=0.0, logical="worker.0", failed_physical="worker.0#0")
-        assert structure.generation > before
 
     def test_summary(self):
         protocol = ReconfigurationProtocol()

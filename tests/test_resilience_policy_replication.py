@@ -138,8 +138,6 @@ class TestReplicaGroup:
         summary = manager.summary()
         assert summary["worker.0"]["lost"] == 1
         assert summary["worker.0"]["regenerated"] == 1
-        assert manager.total_lost() == 1
-        assert manager.total_regenerated() == 1
 
     def test_unknown_group_lookup_raises(self):
         with pytest.raises(KeyError):

@@ -141,7 +141,7 @@ class TestRecoveryService:
     def test_event_log(self):
         recovery, *_ = make_recovery()
         recovery.on_replica_lost("worker.0#0")
-        assert recovery.recovery_count() == 1
+        assert len(recovery.successful_recoveries()) == 1
         assert len(recovery.events) == 1
 
 

@@ -5,7 +5,6 @@ import pytest
 from repro.scp.errors import PlacementError, RuntimeStateError
 from repro.scp.runtime import Application, RunResult, ThreadOutcome, plan_placement
 from repro.scp.thread import ThreadSpec
-from repro.scp.topology import CommunicationStructure
 
 
 def dummy_program(ctx):
@@ -13,11 +12,10 @@ def dummy_program(ctx):
 
 
 class TestApplication:
-    def test_add_thread_registers_in_structure(self):
+    def test_add_thread_registers_spec(self):
         app = Application()
-        app.add_thread("manager", dummy_program)
-        assert app.structure.has_thread("manager")
-        assert app.logical_names() == ["manager"]
+        spec = app.add_thread("manager", dummy_program)
+        assert app.specs == [spec]
 
     def test_duplicate_thread_rejected(self):
         app = Application()
@@ -35,21 +33,6 @@ class TestApplication:
     def test_validate_requires_threads(self):
         with pytest.raises(RuntimeStateError):
             Application().validate()
-
-    def test_connect_goes_through_structure(self):
-        app = Application()
-        app.add_thread("a", dummy_program)
-        app.add_thread("b", dummy_program)
-        app.connect("a", "b", "data")
-        assert app.structure.allows("a", "b", "data")
-
-    def test_prebuilt_structure_accepted(self):
-        structure = CommunicationStructure.manager_worker(2)
-        app = Application(structure)
-        app.add_thread("manager", dummy_program)
-        app.add_thread("worker.0", dummy_program)
-        app.add_thread("worker.1", dummy_program)
-        app.validate()
 
 
 class TestPlanPlacement:

@@ -248,20 +248,6 @@ class TestErrorPaths:
         with pytest.raises(SCPError):
             make_backend().run(app, time_limit=1.0)
 
-    def test_undeclared_channel_rejected_when_enforced(self):
-        def chatty(ctx):
-            yield Send(dst="other", port="data", payload=1)
-
-        def other(ctx):
-            yield Recv(port="data", timeout=5.0)
-
-        app = Application(enforce_structure=True)
-        app.add_thread("chatty", chatty)
-        app.add_thread("other", other)
-        # No channel declared chatty -> other.
-        with pytest.raises(ThreadCrashedError):
-            make_backend().run(app)
-
 
 # ---------------------------------------------------------------------------
 # Replication semantics at the runtime level

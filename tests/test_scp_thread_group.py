@@ -69,7 +69,6 @@ class TestRouter:
         router.register("worker.0", "worker.0#0")
         router.register("worker.0", "worker.0#1")
         assert router.physical_targets("worker.0") == ["worker.0#0", "worker.0#1"]
-        assert router.replica_count("worker.0") == 2
 
     def test_duplicate_physical_registration_rejected(self):
         router = Router()

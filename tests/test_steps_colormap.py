@@ -5,8 +5,7 @@ import pytest
 
 from repro.core.steps.colormap import (OPPONENCY_MATRIX, color_map,
                                        color_map_flops, component_statistics,
-                                       composite_from_block, luminance,
-                                       stretch_components)
+                                       luminance, stretch_components)
 
 
 def random_components(shape=(16, 16, 3), seed=0, scale=100.0):
@@ -120,17 +119,17 @@ class TestColorMap:
     def test_global_statistics_remove_block_seams(self):
         components = random_components(shape=(32, 16, 3), seed=5)
         mean, std = component_statistics(components)
-        top = composite_from_block(components[:16], mean=mean, std=std)
-        bottom = composite_from_block(components[16:], mean=mean, std=std)
+        top = color_map(components[:16], mean=mean, std=std)
+        bottom = color_map(components[16:], mean=mean, std=std)
         stitched = np.concatenate([top, bottom], axis=0)
         whole = color_map(components, mean=mean, std=std)
         np.testing.assert_allclose(stitched, whole)
 
     def test_without_global_statistics_blocks_differ(self):
         components = random_components(shape=(32, 16, 3), seed=6)
-        top_self = composite_from_block(components[:16])
+        top_self = color_map(components[:16])
         mean, std = component_statistics(components)
-        top_global = composite_from_block(components[:16], mean=mean, std=std)
+        top_global = color_map(components[:16], mean=mean, std=std)
         assert not np.allclose(top_self, top_global)
 
     def test_normalize_disabled_uses_raw_values(self):
