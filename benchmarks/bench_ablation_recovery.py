@@ -15,23 +15,10 @@ import pytest
 
 from _bench_utils import fusion_config, record_report
 from repro.analysis.report import format_table
-from repro.baselines.static_replication import StaticReplicationPCT
+from repro.baselines.static_replication import fuse_static_replication
 from repro.core.pipeline import SpectralScreeningPCT
 from repro import fuse
 from repro.resilience.attack import AttackScenario
-
-
-class _FacadeEngine:
-    """Give the facade the same ``.fuse(cube)`` shape as the baseline engine
-    so both variants run through one loop (FusionReport already exposes
-    ``elapsed_seconds``/``failures_injected``/``replicas_regenerated``)."""
-
-    def __init__(self, config, attack=None):
-        self.config = config
-        self.attack = attack
-
-    def fuse(self, cube):
-        return fuse(cube, engine="resilient", config=self.config, attack=self.attack)
 
 
 def scenarios(workers=4):
@@ -54,15 +41,15 @@ def recovery_results(small_eval_cube):
     rows = []
     outcomes = {}
     for scenario_name, scenario in scenarios(workers).items():
-        for variant_name, factory in {
-            "resilient": lambda s: _FacadeEngine(
-                fusion_config(workers, subcubes, resilient=True), attack=s),
-            "static replication + reassignment": lambda s: StaticReplicationPCT(
-                fusion_config(workers, subcubes, resilient=True), attack=s,
+        for variant_name, run in {
+            "resilient": lambda s: fuse(
+                cube, engine="resilient",
+                config=fusion_config(workers, subcubes, resilient=True), attack=s),
+            "static replication + reassignment": lambda s: fuse_static_replication(
+                cube, fusion_config(workers, subcubes, resilient=True), attack=s,
                 reassign_timeout=5.0),
         }.items():
-            engine = factory(scenario)
-            outcome = engine.fuse(cube)
+            outcome = run(scenario)
             correct = bool(np.array_equal(outcome.result.composite, reference.composite))
             rows.append([scenario_name, variant_name, outcome.elapsed_seconds,
                          outcome.failures_injected, outcome.replicas_regenerated,

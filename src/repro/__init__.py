@@ -51,13 +51,12 @@ from .api import (BackendContext, BackendSpec, FusionReport, FusionRequest,
                   open_session, register_backend, register_engine, run_request)
 from .config import (COMPUTE_DTYPES, FusionConfig, PAPER_SETUP, PaperSetup,
                      PartitionConfig, ResilienceConfig, ScreeningConfig)
-from .core import (DistributedRunOutcome, FusionResult, ResilientRunOutcome,
-                   SpectralScreeningPCT)
+from .core import FusionResult, SpectralScreeningPCT
 from .core.kernels import compute_names, register_compute
 from .core.profiling import StageTiming
 from .data import HydiceConfig, HydiceGenerator, HyperspectralCube, generate_cube
 
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
 __all__ = [
     # Unified fusion API
@@ -89,10 +88,8 @@ __all__ = [
     "PartitionConfig",
     "ResilienceConfig",
     "ScreeningConfig",
-    # Result types and the sequential reference pipeline
-    "DistributedRunOutcome",
+    # The algorithm-level result and the sequential reference pipeline
     "FusionResult",
-    "ResilientRunOutcome",
     "SpectralScreeningPCT",
     # Data
     "HydiceConfig",

@@ -7,12 +7,11 @@ path (:meth:`FusionRequest.resolved_config`) replacing the ad-hoc
 ``FusionConfig`` assembly that used to be duplicated across the CLI, the
 experiments and the benchmarks.
 
-:class:`FusionReport` is the single result object every engine returns.  It
-unifies the three historical result shapes -- the sequential engine's bare
-:class:`~repro.core.pipeline.FusionResult`, the distributed engine's
-``DistributedRunOutcome`` (result + metrics + raw run) and the resilient
-engine's ``ResilientRunOutcome`` (the same plus a resiliency report) -- so
-callers stop caring which engine produced their composite.
+:class:`FusionReport` is the single result object every engine returns:
+the :class:`~repro.core.pipeline.FusionResult`, the run metrics and -- where
+an SCP backend or the resiliency layer was involved -- the raw run and the
+resiliency report, so callers stop caring which engine produced their
+composite.
 """
 
 from __future__ import annotations

@@ -48,7 +48,7 @@ from ..data.cube import HyperspectralCube
 from ..data.shared import OutputPool, SharedCube
 from ..scp.pool import ProcessPool
 from ..scp.process_backend import ProcessBackend
-from ..scp.registry import BackendSpec
+from ..scp.registry import BackendSpec, create_backend
 from ..scp.runtime import Backend
 from ..scp.stages import TransportStageExecutor
 from ..scp.transport import transport_for_spec
@@ -126,6 +126,12 @@ class FusionSession:
         self._spec: Optional[BackendSpec] = (
             BackendSpec.parse(backend) if backend is not None else None)
 
+        if (self._spec is not None and self._spec.name == "socket"
+                and self._engine.name != "pipeline"):
+            # A node agent runs stage tasks, not SCP programs: let the
+            # registry's factory raise its actionable error now rather than
+            # at the first fuse(), after a cube was copied into /dev/shm.
+            create_backend(self._spec)
         self._start_method = start_method
         self._pool: Optional[ProcessPool] = None
         if self._spec is not None and self._spec.name == "process":
@@ -151,7 +157,7 @@ class FusionSession:
         self._driver_width: Optional[int] = None
         self._output_pool: Optional[OutputPool] = None
         if warm and self._pool is not None:
-            self._pool.ensure(self._warm_target())
+            self._pool.ensure(self._engine.slots_needed(self._probe_config()))
 
     # --------------------------------------------------------------- queries
     @property
@@ -175,18 +181,6 @@ class FusionSession:
     def closed(self) -> bool:
         return self._closed
 
-    def _warm_target(self) -> int:
-        """Replicas the configured run shape needs: workers x replication,
-        plus the manager (pipeline stage slots carry no manager)."""
-        config = self._probe_config()
-        if self.engine == "pipeline":
-            return config.partition.workers
-        replication = 1
-        if self.engine == "resilient":
-            resilience = config.resilience
-            replication = resilience.replication_level if resilience is not None else 2
-        return config.partition.workers * replication + 1
-
     def _probe_config(self) -> FusionConfig:
         probe = FusionRequest(cube=None, engine=self.engine,  # type: ignore[arg-type]
                               backend=self._spec, **self._defaults)
@@ -203,8 +197,14 @@ class FusionSession:
         self._check_open()
         self._check_overrides(overrides)
         merged = {**self._defaults, **overrides}
-        request = FusionRequest(cube=self._place(cube), engine=self.engine,
+        request = FusionRequest(cube=cube, engine=self.engine,
                                 backend=self._spec, **merged)
+        if self.engine != "pipeline":
+            # Before placement: a rejected option must not cost a copy of
+            # the cube into shared memory (the pipeline branch validates
+            # below, on the path it shares with the one-shot engine).
+            self._engine.validate(request)
+        request.cube = self._place(cube)
         try:
             if self.engine == "pipeline":
                 # Pipeline runs share one long-lived stage executor, so

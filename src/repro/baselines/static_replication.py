@@ -17,39 +17,33 @@ under the same attack scenarios and tabulates completion and run time.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Any, Optional
 
+from ..api.facade import fuse
+from ..api.request import FusionReport
 from ..config import FusionConfig, ResilienceConfig
-from ..core.resilient import ResilientRunOutcome, _ResilientPCT
 from ..data.cube import HyperspectralCube
-from ..resilience.attack import AttackScenario
 
 
-class StaticReplicationPCT(_ResilientPCT):
+def fuse_static_replication(cube: HyperspectralCube,
+                            config: Optional[FusionConfig] = None,
+                            **options: Any) -> FusionReport:
     """Replicated distributed fusion with regeneration switched off.
 
-    Accepts the same arguments as the resilient engine
-    (:mod:`repro.core.resilient`: cluster, backend, attack scenario, ...) but forces
+    Runs the resilient engine (``options`` are :func:`repro.fuse` options:
+    backend, cluster, attack scenario, ...) but forces
     ``resilience.regenerate = False`` so lost replicas stay lost.  A
     ``reassign_timeout`` may be supplied to emulate an application that
     protects itself (manager-level task reassignment) instead of relying on
     the library.
     """
-
-    def __init__(self, config: Optional[FusionConfig] = None, *,
-                 attack: Optional[AttackScenario] = None,
-                 reassign_timeout: Optional[float] = None,
-                 **kwargs) -> None:
-        config = config or FusionConfig()
-        resilience = config.resilience or ResilienceConfig()
-        static_resilience = dataclasses.replace(resilience, regenerate=False)
-        config = config.with_resilience(static_resilience)
-        super().__init__(config, attack=attack, reassign_timeout=reassign_timeout, **kwargs)
-
-    def fuse(self, cube: HyperspectralCube) -> ResilientRunOutcome:
-        outcome = super().fuse(cube)
-        outcome.result.metadata["mode"] = "static-replication"
-        return outcome
+    config = config or FusionConfig()
+    resilience = config.resilience or ResilienceConfig()
+    config = config.with_resilience(
+        dataclasses.replace(resilience, regenerate=False))
+    report = fuse(cube, engine="resilient", config=config, **options)
+    report.result.metadata["mode"] = "static-replication"
+    return report
 
 
-__all__ = ["StaticReplicationPCT"]
+__all__ = ["fuse_static_replication"]

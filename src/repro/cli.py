@@ -254,9 +254,6 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     if args.engine == "resilient":
         options["replication"] = args.replication
         if args.attack:
-            if BackendSpec.parse(args.backend).name != "sim":
-                raise SystemExit("scripted attacks need the simulated backend's "
-                                 "virtual clock; use --backend sim with --attack")
             options["attack"] = AttackScenario.single_worker_kill(args.attack, at=1.0)
     report = api_fuse(cube, engine=args.engine, backend=backend,
                       workers=args.workers, subcubes=args.subcubes, **options)

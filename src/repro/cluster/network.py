@@ -171,11 +171,6 @@ class SwitchedNetwork(BaseInterconnect):
         self._account(nbytes, wire)
         return start, finish
 
-    def reset(self) -> None:
-        super().reset()
-        self._tx_free_at.clear()
-        self._rx_free_at.clear()
-
 
 class SharedMemoryInterconnect(BaseInterconnect):
     """In-memory hand-off used by the shared-memory (SMP) ablation."""

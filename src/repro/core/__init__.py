@@ -3,17 +3,17 @@
 Every engine shares one algorithm implementation:
 
 * :class:`~repro.core.pipeline.SpectralScreeningPCT` -- sequential reference,
-* :mod:`~repro.core.distributed` -- manager/worker on the SCP runtime
-  (simulated cluster, real threads or real processes),
-* :mod:`~repro.core.resilient` -- the distributed engine with computational
-  resiliency (replication, detection, regeneration) applied,
+* :mod:`~repro.core.distributed` -- the manager/worker application on the
+  SCP runtime (simulated cluster, real threads or real processes), run
+  plain by the ``distributed`` engine and with computational resiliency
+  (replication, detection, regeneration) by the ``resilient`` engine,
 * :mod:`~repro.core.streaming` -- the streaming tile pipeline.
 
 The engines are reached through :func:`repro.fuse` /
 :func:`repro.open_session` and the engine registry (:mod:`repro.api.engines`).
 """
 
-from .distributed import (MANAGER_NAME, WORKER_PREFIX, DistributedRunOutcome,
+from .distributed import (MANAGER_NAME, WORKER_PREFIX, build_application,
                           worker_name)
 from .manager import manager_program
 from .messages import (ALL_PHASES, PHASE_COVARIANCE, PHASE_SCREEN,
@@ -23,13 +23,12 @@ from .partition import (SubcubeSpec, decompose, extract_subcube, granularity_for
                         merge_subcubes, reassemble_composite, split_subcube,
                         subcube_pixel_matrix)
 from .pipeline import FusionResult, SpectralScreeningPCT
-from .resilient import ResilientRunOutcome
 from .worker import worker_program
 
 __all__ = [
     "MANAGER_NAME",
     "WORKER_PREFIX",
-    "DistributedRunOutcome",
+    "build_application",
     "worker_name",
     "manager_program",
     "worker_program",
@@ -54,5 +53,4 @@ __all__ = [
     "subcube_pixel_matrix",
     "FusionResult",
     "SpectralScreeningPCT",
-    "ResilientRunOutcome",
 ]

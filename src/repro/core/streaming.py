@@ -414,8 +414,15 @@ class PipelineEngine:
 
     uses_backend = True
 
-    def run(self, request, backend: Optional[Backend] = None):
+    def validate(self, request, backend: Optional[Backend] = None) -> None:
         validate_pipeline_request(request, one_shot=True)
+
+    def slots_needed(self, config) -> int:
+        """One pool slot per worker (stage slots carry no manager)."""
+        return config.partition.workers
+
+    def run(self, request, backend: Optional[Backend] = None):
+        self.validate(request, backend)
         spec = request.backend_choice(default="process")
         if backend is not None or isinstance(spec, Backend):
             raise ValueError(

@@ -69,14 +69,6 @@ class SceneLayout:
     abundance: np.ndarray
     vehicles: List[VehiclePlacement] = field(default_factory=list)
 
-    @property
-    def rows(self) -> int:
-        return self.labels.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.labels.shape[1]
-
     def material_index(self, name: str) -> int:
         try:
             return self.materials.index(name)

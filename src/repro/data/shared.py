@@ -598,10 +598,6 @@ class OutputPool:
         with self._lock:
             return len(self._segments)
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def acquire(self, rows: int, cols: int, n_components: int = 3) -> SharedComposite:
         """Borrow a pinned placement of the requested output shape."""
         with self._lock:

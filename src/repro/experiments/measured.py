@@ -86,25 +86,6 @@ class MeasuredSpeedupResult:
                   f"{self.available_cpus} usable CPUs)")
         return f"{header}\n{self.table()}"
 
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-serialisable summary (written by the benchmark artifact)."""
-        return {
-            "backend": self.backend,
-            "available_cpus": self.available_cpus,
-            "sequential_seconds": self.sequential_seconds,
-            "runs": [
-                {
-                    "workers": point.processors,
-                    "elapsed_seconds": point.elapsed_seconds,
-                    "speedup": self.speedup()[point.processors],
-                    "phase_seconds": dict(
-                        self.per_run_metrics[point.processors].phase_seconds)
-                    if point.processors in self.per_run_metrics else {},
-                }
-                for point in self.curve.sorted_points()
-            ],
-        }
-
 
 def run_measured_speedup(cube: HyperspectralCube, *,
                          processors: Sequence[int] = (1, 2, 4),

@@ -58,9 +58,8 @@ class ForkSafeLock:
     -- a forked child must never trust caches mutated by parent threads
     it did not inherit.
 
-    The wrapper supports the context-manager protocol plus
-    ``acquire``/``release``/``locked``, covering every idiom a plain
-    ``threading.Lock`` is used with in this codebase.
+    The wrapper supports the context-manager protocol, the one idiom a
+    module-level lock is used with in this codebase.
     """
 
     def __init__(self, on_reset: Optional[Callable[[], None]] = None) -> None:
@@ -80,15 +79,6 @@ class ForkSafeLock:
                 pass           # be able to poison the child at birth
 
     # ---------------------------------------------------------------- facade
-    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
-        return self._lock.acquire(blocking, timeout)
-
-    def release(self) -> None:
-        self._lock.release()
-
-    def locked(self) -> bool:
-        return self._lock.locked()
-
     def __enter__(self) -> bool:
         return self._lock.__enter__()
 

@@ -58,10 +58,6 @@ class Suppression:
     directive: str = ""
     used: bool = False
 
-    def describe(self) -> str:
-        state = "used" if self.used else "dead"
-        return f"{self.path}:{self.line}: {state} suppression of {self.code} ({self.directive})"
-
     def to_json(self) -> Dict[str, object]:
         return {
             "code": self.code,

@@ -81,14 +81,6 @@ class ComboSpec:
     #: Resilient engine only: replication level override.
     replication: Optional[int] = None
 
-    def label(self) -> str:
-        parts = [self.engine, self.backend]
-        if self.tile_rows is not None:
-            parts.append(f"tile={self.tile_rows}")
-        if self.replication is not None:
-            parts.append(f"repl={self.replication}")
-        return "/".join(parts)
-
     def request_options(self) -> Dict[str, object]:
         """The FusionRequest keyword arguments this combo adds."""
         options: Dict[str, object] = {}

@@ -134,9 +134,6 @@ class CamouflagePolicy:
         return record
 
     # --------------------------------------------------------------- reports
-    def migrations(self) -> List[MigrationRecord]:
-        return list(self.records)
-
     def successful_migrations(self) -> int:
         return sum(1 for r in self.records if r.succeeded)
 

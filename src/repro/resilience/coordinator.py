@@ -1,7 +1,7 @@
 """Resilience coordinator: wiring the library onto an application run.
 
 The coordinator is the single object an application (or the
-resilient engine, :mod:`repro.core.resilient`) has to create in order
+``resilient`` engine, :mod:`repro.api.engines`) has to create in order
 to obtain computational resiliency.  Given an execution backend, a cluster
 model and a :class:`~repro.config.ResilienceConfig`, it
 

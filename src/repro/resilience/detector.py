@@ -122,9 +122,6 @@ class HeartbeatFailureDetector:
     def watched(self) -> List[str]:
         return sorted(self._last_seen)
 
-    def suspected(self) -> List[str]:
-        return sorted(self._suspected)
-
     def suspicion_history(self) -> List[SuspicionRecord]:
         return list(self._history)
 

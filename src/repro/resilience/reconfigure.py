@@ -70,10 +70,6 @@ class ReconfigurationProtocol:
         _LOG.warning("reconfiguration of %s aborted: %s", record.logical, reason)
 
     # --------------------------------------------------------------- reports
-    @property
-    def records(self) -> List[ReconfigurationRecord]:
-        return list(self._records)
-
     def completed(self) -> List[ReconfigurationRecord]:
         return [r for r in self._records if r.replacement_physical is not None]
 

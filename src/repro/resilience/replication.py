@@ -101,9 +101,6 @@ class ReplicationManager:
     def has_group(self, logical: str) -> bool:
         return logical in self._groups
 
-    def groups(self) -> List[ReplicaGroup]:
-        return list(self._groups.values())
-
     # ------------------------------------------------------------ membership
     def record_death(self, physical_id: str) -> Optional[ReplicaGroup]:
         """Mark a physical replica as dead.

@@ -59,7 +59,8 @@ class LocalBackend(WallClockBackend):
         Parameters
         ----------
         crash_policy:
-            ``"raise"`` re-raises the first program exception after the run;
+            ``"raise"`` re-raises the first program exception after the run
+            (unless the run's ``until_thread`` finished regardless);
             ``"record"`` only records it in the outcomes.
         default_timeout:
             Wall-clock safety limit (seconds) applied to :meth:`run` unless

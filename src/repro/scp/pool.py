@@ -1,16 +1,21 @@
-"""Worker-process pool: the one place SCP worker processes are forked.
+"""Worker-process pool: the one place worker processes are forked.
 
 A service fusing many cubes would pay the interpreter start-up (hundreds of
 milliseconds per process under the portable ``spawn`` start method) on every
 request if each run spawned its own workers.  :class:`ProcessPool` keeps
 the processes alive instead: it owns long-lived *slots* -- worker processes
-running :func:`_pool_child_main`, which sits on its inbox waiting for a
-program assignment, interprets it
-(:func:`~repro.scp.process_backend._interpret_program`), reports through
-the pool's shared outbox, and returns to idle.
-:class:`~repro.scp.process_backend.ProcessBackend` runs every replica on a
-slot: a session's backends borrow from its persistent pool, a one-shot run
-owns a private pool for its lifetime.
+running :func:`_pool_child_main`, the one idle loop in the repo, which sits
+on its inbox waiting for a program assignment
+(:func:`~repro.scp.process_backend._interpret_program`, reporting through
+the pool's shared outbox) or a stage task
+(:func:`~repro.scp.stages.try_run_stage`, committing to a spool file), and
+returns to idle.  Every worker process is such a slot:
+:class:`~repro.scp.process_backend.ProcessBackend` runs each replica on one
+(a session's backends borrow from its persistent pool, a one-shot run owns a
+private pool for its lifetime), the forked stage transport dispatches onto
+them, and the socket transport's node agent holds its workers in a pool of
+its own -- so how a worker is spawned, retired and orphaned cannot differ
+by substrate.
 
 The pool grows on demand (a run needing more replicas than there are idle
 slots spawns the difference) and never shrinks on its own; slots whose
@@ -26,6 +31,8 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
+import queue as queue_module
 import threading
 from typing import List, Optional
 
@@ -36,6 +43,13 @@ _ASSIGN = "__scp_pool_assign__"
 
 #: Sentinel asking a pool child to exit its idle loop and terminate.
 _POOL_EXIT = "__scp_pool_exit__"
+
+#: Seconds a slot's process may be observed dead without a terminal record
+#: (an SCP report, a committed spool file) before its owner declares the
+#: work lost -- gives a queue feeder or a rename that raced the death time
+#: to land.  Shared by the process backend's and the stage executor's
+#: liveness sweeps.
+_DEATH_CONFIRM_SECONDS = 0.25
 
 #: What ``put`` on a slot inbox raises once the queue is already broken:
 #: ValueError (closed queue), OSError (dead feeder pipe), AssertionError
@@ -66,18 +80,27 @@ def _pool_child_main(slot_name: str, inbox, outbox) -> None:
     -- a stale envelope or shutdown marker from a program that already ended
     -- is dropped, so leftovers of a previous run can never leak into the
     next.
+
+    The slot also self-terminates when orphaned: a parent that was
+    SIGKILLed (a session's process, a node agent) can send no exit marker,
+    so an idle slot re-checks its parent once a second.
     """
     # Imported here: both modules import this one for ProcessPool.
     from ..data.shared import release_attachments
     from .process_backend import _interpret_program
     from .stages import try_run_stage
+    parent = os.getppid()
     while True:
-        item = inbox.get()
+        try:
+            item = inbox.get(timeout=1.0)
+        except queue_module.Empty:
+            if os.getppid() != parent:  # the slot's owner died underneath us
+                break
+            continue
+        except (OSError, ValueError):  # inbox torn down: nothing left to do
+            break
         if isinstance(item, str) and item == _POOL_EXIT:
-            # Drop any cached output-placement mappings deterministically
-            # rather than relying on process teardown to release the pages.
-            release_attachments()
-            return
+            break
         if try_run_stage(item):
             continue
         if not (isinstance(item, tuple) and len(item) == 10 and item[0] == _ASSIGN):
@@ -86,6 +109,9 @@ def _pool_child_main(slot_name: str, inbox, outbox) -> None:
          restored, incarnation, epoch) = item
         _interpret_program(logical, replica, physical_id, node, program,
                            params, restored, incarnation, inbox, outbox, epoch)
+    # Drop any cached output-placement mappings deterministically rather
+    # than relying on process teardown to release the pages.
+    release_attachments()
 
 
 class _PoolSlot:

@@ -35,8 +35,9 @@ Crash handling mirrors the local backend (the parent-side bookkeeping is
 literally shared, see :mod:`repro.scp.wallclock`): a program exception is
 reported and recorded as a ``"crashed"`` outcome (raised as
 :class:`~repro.scp.errors.ThreadCrashedError` after the run under the default
-crash policy), and a process that dies without reporting -- a hard kill, an
-out-of-memory kill, a segfault -- is detected by the parent's liveness sweep.
+crash policy, unless the awaited thread finished anyway), and a process
+that dies without reporting -- a hard kill, an out-of-memory kill, a
+segfault -- is detected by the parent's liveness sweep.
 Death notifications feed the same ``subscribe_thread_death`` /
 ``spawn_thread`` control interface the resiliency layer drives on the other
 backends, so failed workers can be regenerated on fresh slots mid-run.
@@ -44,6 +45,7 @@ backends, so failed workers can be regenerated on fresh slots mid-run.
 
 from __future__ import annotations
 
+import os
 import queue as queue_module
 import time
 from typing import Any, Callable, Dict, List, Optional
@@ -53,7 +55,8 @@ from ..logging_utils import get_logger
 from .channel import Mailbox
 from .effects import Checkpoint, Compute, GetTime, Probe, Recv, Send, Sleep
 from .errors import ReceiveTimeout, SCPError
-from .pool import _ASSIGN, QUEUE_BROKEN_ERRORS, ProcessPool, _PoolSlot
+from .pool import (_ASSIGN, _DEATH_CONFIRM_SECONDS, QUEUE_BROKEN_ERRORS,
+                   ProcessPool, _PoolSlot)
 from .runtime import Context
 from .serialization import Envelope
 from .thread import ThreadSpec
@@ -63,10 +66,6 @@ _LOG = get_logger("scp.process")
 
 #: Sentinel deposited on a child's inbox asking it to abandon its program.
 _SHUTDOWN = "__scp_shutdown__"
-
-#: Seconds a process may be dead without a terminal record before the parent
-#: declares it crashed (gives the queue feeder time to flush a late report).
-_DEATH_CONFIRM_SECONDS = 0.25
 
 #: Spacing of the duplicate-suppression sequence ranges of successive
 #: incarnations, so a regenerated replica's un-keyed messages are never
@@ -101,6 +100,7 @@ def _interpret_program(logical: str, replica: int, physical_id: str, node: str,
                   incarnation=incarnation)
     mailbox = Mailbox(physical_id, dedup=True, thread_safe=False)
     send_seq = incarnation * _INCARNATION_SEQ_STRIDE
+    parent = os.getppid()
 
     def now() -> float:
         # Monotonic (RPL004): envelope timestamps are run-relative
@@ -137,6 +137,11 @@ def _interpret_program(logical: str, replica: int, physical_id: str, node: str,
             try:
                 item = inbox.get(timeout=wait)
             except queue_module.Empty:
+                if os.getppid() != parent:
+                    # The backend's process was killed: nothing will ever
+                    # arrive, so hand control back to the slot's idle
+                    # loop, whose own orphan check ends the process.
+                    raise _ShutdownSignal()
                 continue
             absorb(item)
 
@@ -248,7 +253,8 @@ class ProcessBackend(WallClockBackend):
             pool per run.  One pool serves one run at a time.
         crash_policy:
             ``"raise"`` re-raises the first program crash as
-            :class:`ThreadCrashedError` after the run; ``"record"`` only
+            :class:`ThreadCrashedError` after the run (unless the run's
+            ``until_thread`` finished regardless); ``"record"`` only
             records it in the outcomes.
         default_timeout:
             Wall-clock safety limit (seconds) applied to :meth:`run` unless

@@ -1,7 +1,7 @@
 """Backend registry: named execution backends with spec parsing.
 
 Every caller that wants an execution backend (the distributed and resilient
-engines' ``make_backend``, the CLI) resolves it through a single registry
+engines, the CLI) resolves it through a single registry
 instead of its own ``if backend == "sim": ... elif ...`` ladder:
 
 * :func:`register_backend` -- decorator adding a named backend factory,

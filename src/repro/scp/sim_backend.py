@@ -182,12 +182,6 @@ class SimBackend(Backend):
         return self.engine.schedule(delay, callback, label)
 
     # --------------------------------------------------------------- queries
-    def task(self, physical_id: str) -> _SimTask:
-        try:
-            return self._tasks[physical_id]
-        except KeyError:
-            raise RuntimeStateError(f"unknown physical thread {physical_id!r}") from None
-
     def live_replicas(self, logical: str) -> List[str]:
         return [pid for pid in self.router.physical_targets(logical)
                 if pid in self._tasks and self._tasks[pid].alive]

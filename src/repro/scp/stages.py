@@ -12,8 +12,9 @@ This module provides that layer on top of the worker-transport seam
 (:mod:`repro.scp.transport`):
 
 * a tiny child-side task protocol (:func:`try_run_stage`) the pool's idle
-  loop and the socket transport's workers both understand, so stage tasks
-  execute on whatever substrate the transport provides;
+  loop understands -- every process worker, forked or behind a node agent,
+  is a pool slot -- so stage tasks execute on whatever substrate the
+  transport provides;
 * :class:`TransportStageExecutor` -- the parent-side dispatcher: it
   borrows a worker per task from its transport, routes committed results
   back to per-task futures, sweeps for workers that died mid-task
@@ -63,6 +64,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..logging_utils import get_logger
 from .errors import SCPError
+from .pool import _DEATH_CONFIRM_SECONDS
 from .serialization import (ERROR_SUFFIX as _ERROR_SUFFIX,
                             RESULT_SUFFIX as _RESULT_SUFFIX,
                             commit_spool_file as _commit_spool_file)
@@ -70,11 +72,6 @@ from .transport import (STAGE_ASSIGN as _STAGE_ASSIGN, CommittedResult,
                         TaskFrame, WorkerTransport)
 
 _LOG = get_logger("scp.stages")
-
-#: Seconds a worker may be observed dead without a committed spool file
-#: before its task is re-dispatched (a result committed just before death
-#: is picked up by the scan within one poll tick).
-_DEATH_CONFIRM_SECONDS = 0.25
 
 #: Seconds the router sleeps between commit scans while work is in flight.
 _POLL_INTERVAL_SECONDS = 0.002
@@ -104,13 +101,12 @@ class StageCrashError(StageError):
 def try_run_stage(item: Any) -> bool:
     """Child-side protocol: execute ``item`` if it is a stage task.
 
-    Called from the worker's idle loop for every inbox item (pool slots
-    and socket-transport workers share this function).  Returns True when
-    ``item`` was a stage task (handled here, loop continues), False when
-    it is something else (a program assignment, a stale envelope) the
-    caller should interpret itself.  Results travel through spool files,
-    never a queue, precisely so nothing is shared with processes that may
-    be SIGKILLed (see the module docstring).
+    Called from the pool slot's idle loop for every inbox item.  Returns
+    True when ``item`` was a stage task (handled here, loop continues),
+    False when it is something else (a program assignment, a stale
+    envelope) the caller should interpret itself.  Results travel through
+    spool files, never a queue, precisely so nothing is shared with
+    processes that may be SIGKILLed (see the module docstring).
 
     The stage function runs under a blanket exception guard: a failing task
     commits an error file and leaves the worker healthy and reusable, so

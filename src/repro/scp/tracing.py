@@ -50,10 +50,6 @@ class MessageRecord:
     send_time: float
     deliver_time: float
 
-    @property
-    def latency(self) -> float:
-        return self.deliver_time - self.send_time
-
 
 @dataclass(frozen=True)
 class LifecycleEvent:

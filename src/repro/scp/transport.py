@@ -26,12 +26,13 @@ backend spec is mapped to one of them:
 ``socket`` (:class:`SocketTransport`)
     A localhost *node agent* -- a separate interpreter running
     :func:`_agent_cli` -- reached over length-prefixed pickled frames
-    on a TCP connection.  The agent owns N worker
-    processes; the parent never shares a queue with anything it might
-    SIGKILL, and results still travel through the very same spool
-    commit as the forked transport.  Backs ``socket:N`` and is the
-    stepping stone to multi-host ``cluster:`` specs: pointing the frame
-    stream at a remote agent is a configuration change, not a rewrite.
+    on a TCP connection.  The agent owns N worker processes (pool slots
+    of its own :class:`~repro.scp.pool.ProcessPool`); the parent never
+    shares a queue with anything it might SIGKILL, and results still
+    travel through the very same spool commit as the forked transport.
+    Backs ``socket:N`` and is the stepping stone to multi-host
+    ``cluster:`` specs: pointing the frame stream at a remote agent is a
+    configuration change, not a rewrite.
 
 Crash-safety invariants (kept here, in one place lintlab can see):
 
@@ -49,10 +50,8 @@ from __future__ import annotations
 
 import collections
 import itertools
-import multiprocessing
 import os
 import pickle
-import queue as queue_module
 import select
 import shutil
 import socket as socket_module
@@ -78,9 +77,6 @@ _LOG = get_logger("scp.transport")
 #: First element of a stage-task tuple deposited on a worker's inbox.
 #: (Re-exported by :mod:`repro.scp.stages` for the child-side protocol.)
 STAGE_ASSIGN = "__scp_stage_assign__"
-
-#: Sentinel asking a socket-transport worker to exit its idle loop.
-_WORKER_EXIT = "__scp_worker_exit__"
 
 #: Seconds the parent waits for a freshly launched node agent to call back.
 _AGENT_CONNECT_TIMEOUT = 15.0
@@ -366,11 +362,6 @@ class ForkedProcessTransport(WorkerTransport):
                       else ProcessPool(start_method=start_method))
         self._spool = tempfile.mkdtemp(prefix="scp-stages-", dir=spool_root())
         self._closed = False
-
-    @property
-    def pool(self) -> ProcessPool:
-        """The slot pool (sessions share one pool across executors)."""
-        return self._pool
 
     def start(self, workers: int) -> None:
         if not self._pool.closed:
@@ -799,75 +790,25 @@ def transport_for_spec(spec: BackendSpec, *, workers: int,
 # Node-agent side (the ``python -c`` interpreter ``_spawn_agent`` launches)
 # ---------------------------------------------------------------------------
 
-class _AgentSlot:
-    """Agent-side record of one worker process and its private inbox."""
-
-    __slots__ = ("process", "inbox", "incarnation")
-
-    def __init__(self, process, inbox, incarnation: int) -> None:
-        self.process = process
-        self.inbox = inbox
-        self.incarnation = incarnation
-
-
-def _socket_worker_main(inbox) -> None:
-    """Idle loop of a socket-transport worker: run stage tasks, commit.
-
-    Results go straight to the parent-owned spool directory named in
-    each task frame -- never back through the inbox or the socket.  The
-    worker also self-terminates when orphaned (its parent, the node
-    agent, was SIGKILLed), so a whole-agent kill leaves no strays.
-    """
-    from .stages import try_run_stage
-    parent = os.getppid()
-    while True:
-        try:
-            item = inbox.get(timeout=1.0)
-        except queue_module.Empty:
-            if os.getppid() != parent:  # the node agent died underneath us
-                return
-            continue
-        except (OSError, ValueError):  # inbox torn down: nothing left to do
-            return
-        if isinstance(item, str) and item == _WORKER_EXIT:
-            return
-        try_run_stage(item)
-
-
-def _spawn_agent_worker(ctx, incarnation: int) -> _AgentSlot:
-    inbox = ctx.Queue()
-    process = ctx.Process(target=_socket_worker_main, args=(inbox,),
-                          name=f"scp-socket-worker-{incarnation}", daemon=True)
-    process.start()
-    return _AgentSlot(process, inbox, incarnation)
-
-
-def _agent_retire_slot(slot: _AgentSlot) -> None:
-    if slot.process.exitcode is None:
-        slot.process.kill()
-    slot.process.join(timeout=1.0)
-    slot.inbox.cancel_join_thread()
-    slot.inbox.close()
-
-
-def _agent_handle(ctx, slots: List[_AgentSlot], frame: Tuple) -> None:
+def _agent_handle(pool: ProcessPool, slots: List[Any], incarnations: List[int],
+                  frame: Tuple) -> None:
     kind = frame[0]
     if kind == "task":
         _, index, incarnation, task_id, attempt, spool_dir, fn, args, kwargs = frame
-        slot = slots[index]
-        if slot.incarnation != incarnation:
+        if incarnations[index] != incarnation:
             return  # task aimed at an incarnation a reset already replaced
-        slot.inbox.put((STAGE_ASSIGN, task_id, attempt, spool_dir,
-                        fn, args, kwargs))
+        slots[index].inbox.put((STAGE_ASSIGN, task_id, attempt, spool_dir,
+                                fn, args, kwargs))
     elif kind == "kill":
         _, index, incarnation = frame
         slot = slots[index]
-        if slot.incarnation == incarnation and slot.process.exitcode is None:
+        if incarnations[index] == incarnation and slot.process.exitcode is None:
             slot.process.kill()
     elif kind == "reset":
         _, index, incarnation = frame
-        _agent_retire_slot(slots[index])
-        slots[index] = _spawn_agent_worker(ctx, incarnation)
+        pool.discard(slots[index])
+        slots[index] = pool.acquire()
+        incarnations[index] = incarnation
 
 
 def _node_agent_main(port: int, workers: int, inc_base: int,
@@ -876,16 +817,23 @@ def _node_agent_main(port: int, workers: int, inc_base: int,
 
     Single-threaded: connect back to the parent, spawn the worker
     processes, then multiplex frame handling with a worker-liveness
-    sweep on a short ``select`` timeout.  Worker deaths are reported as
-    ``worker-dead`` frames; parent death (connection EOF) tears the
-    whole agent down, workers included.
+    sweep on a short ``select`` timeout.  The workers are ordinary
+    :class:`~repro.scp.pool.ProcessPool` slots, each held (busy) under one
+    index of the agent's index -> incarnation table for its whole life; a
+    ``reset`` frame discards the slot and acquires a fresh one.  Worker
+    deaths are reported as ``worker-dead`` frames; parent death (connection
+    EOF) tears the whole agent down, workers included -- and should the
+    agent itself be SIGKILLed, the slots' own orphan check ends them.
+    Results go straight to the parent-owned spool directory named in each
+    task frame -- never back through an inbox, the pool's outbox or the
+    socket.
     """
     conn = socket_module.create_connection(("127.0.0.1", port))
     conn.setsockopt(socket_module.IPPROTO_TCP, socket_module.TCP_NODELAY, 1)
-    ctx = multiprocessing.get_context(start_method)
     send_lock = threading.Lock()
-    slots = [_spawn_agent_worker(ctx, inc_base + index)
-             for index in range(workers)]
+    pool = ProcessPool(start_method=start_method)
+    slots = [pool.acquire() for _ in range(workers)]
+    incarnations = [inc_base + index for index in range(workers)]
     reported: set = set()
     try:
         while True:
@@ -894,18 +842,19 @@ def _node_agent_main(port: int, workers: int, inc_base: int,
                 frame = _recv_frame(conn)
                 if frame is None or frame[0] == "shutdown":
                     return
-                _agent_handle(ctx, slots, frame)
+                _agent_handle(pool, slots, incarnations, frame)
             for index, slot in enumerate(slots):
                 if (slot.process.exitcode is not None
-                        and (index, slot.incarnation) not in reported):
-                    reported.add((index, slot.incarnation))
-                    _send_frame(conn, ("worker-dead", index, slot.incarnation),
+                        and (index, incarnations[index]) not in reported):
+                    reported.add((index, incarnations[index]))
+                    _send_frame(conn, ("worker-dead", index, incarnations[index]),
                                 send_lock)
     except OSError:
         return  # parent gone mid-frame; cleanup below still runs
     finally:
         for slot in slots:
-            _agent_retire_slot(slot)
+            pool.discard(slot)  # mid-task or idle: kill, never wait
+        pool.close()
         try:
             conn.close()
         except OSError:  # pragma: no cover

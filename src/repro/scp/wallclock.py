@@ -146,7 +146,11 @@ class WallClockBackend(Backend):
         ``until_thread`` names a logical thread whose completion ends the
         run (the remaining replicas are shut down), which is how the fusion
         application terminates its workers deterministically even when a
-        fault-injection campaign interfered with the stop messages.
+        fault-injection campaign interfered with the stop messages.  Once it
+        has finished, a replica crash along the way was *survived* -- the
+        group carried on, or the resiliency layer regenerated the replica --
+        and is recorded in the outcomes rather than raised, whatever the
+        crash policy.
         """
         if self._ran:
             raise RuntimeStateError(
@@ -166,7 +170,8 @@ class WallClockBackend(Backend):
                 self._start_task(task)
             deadline = (time.perf_counter() + timeout) if timeout is not None else None
             self._wait(until_thread, deadline)
-            return self._build_result(time.perf_counter() - self._start_time)
+            return self._build_result(time.perf_counter() - self._start_time,
+                                      until_thread)
         finally:
             self._cleanup()
 
@@ -285,7 +290,8 @@ class WallClockBackend(Backend):
         return task.physical_id
 
     # ---------------------------------------------------------------- result
-    def _build_result(self, elapsed: float) -> RunResult:
+    def _build_result(self, elapsed: float,
+                      until_thread: Optional[str]) -> RunResult:
         returns: Dict[str, Any] = {}
         outcomes: Dict[str, ThreadOutcome] = {}
         first_crash: Optional[tuple] = None
@@ -305,7 +311,8 @@ class WallClockBackend(Backend):
                 elapsed_seconds=elapsed, backend=self.kind,
                 workers=max(workers, 1), subcubes=0, replication_level=replication,
                 messages=self._messages, bytes_sent=self._bytes)
-        if first_crash is not None and self.crash_policy == "raise":
+        if (first_crash is not None and self.crash_policy == "raise"
+                and until_thread not in returns):
             raise ThreadCrashedError(first_crash[0], f"{first_crash[0]}: {first_crash[1]}")
         return RunResult(returns=returns, outcomes=outcomes, metrics=metrics,
                          elapsed_seconds=elapsed)

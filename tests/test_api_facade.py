@@ -7,6 +7,7 @@ from repro import fuse, open_session
 from repro.api.engines import engine_names, get_engine
 from repro.api.request import FusionRequest
 from repro.config import FusionConfig, PartitionConfig
+from repro.resilience.attack import AttackScenario
 from repro.scp.local_backend import LocalBackend
 from repro.scp.process_backend import ProcessBackend
 from repro.scp.registry import (BackendContext, BackendSpec, backend_names,
@@ -136,6 +137,29 @@ class TestFuseFacadeErrors:
             fuse(tiny_cube, engine="distributed", replication=2)
         with pytest.raises(ValueError, match="engine='resilient'"):
             fuse(tiny_cube, attack=object())
+
+    @pytest.mark.parametrize("backend", ["local", "process"])
+    @pytest.mark.parametrize("option, value", [
+        ("attack", AttackScenario.single_worker_kill("worker.0", at=0.01)),
+        ("camouflage_period", 0.2)])
+    def test_scripted_faults_need_the_simulated_clock(self, tiny_cube, backend,
+                                                      option, value):
+        # Attacks and camouflage are scheduled on the sim backend's virtual
+        # clock; on a wall-clock backend the request fails typed, naming
+        # the option and the backend, before anything is spawned.
+        import multiprocessing
+        children = set(multiprocessing.active_children())
+        with pytest.raises(ValueError, match=rf"{option}=.*'{backend}'.*backend='sim'"):
+            fuse(tiny_cube, engine="resilient", backend=backend, workers=2,
+                 **{option: value})
+        assert set(multiprocessing.active_children()) == children
+
+    @pytest.mark.parametrize("engine", ["distributed", "resilient"])
+    def test_batch_engines_reject_the_socket_backend(self, tiny_cube, engine):
+        # A node agent runs stage tasks, not SCP programs.
+        with pytest.raises(ValueError, match="stage-task workers for the "
+                                             "streaming pipeline engine only"):
+            fuse(tiny_cube, engine=engine, backend="socket:2")
 
     def test_resilient_rejects_raw_protocol(self, tiny_cube):
         # The cost model comes from config.resilience; protocol= and

@@ -1,14 +1,21 @@
 """Fusion sessions and the persistent worker pool underneath them."""
 
 import contextlib
+import os
+import shutil
+import signal
+import subprocess
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from _process_utils import shm_residue
 from repro import fuse, open_session
-from repro.data.shared import SharedCube
+from repro.data.shared import SharedCube, owned_segment_names
+from repro.resilience.attack import AttackScenario
 from repro.scp.errors import RuntimeStateError
 from repro.scp.pool import ProcessPool, default_start_method
 from repro.scp.process_backend import ProcessBackend
@@ -260,6 +267,125 @@ class TestFusionSession:
             report = session.fuse(tiny_cube)
             np.testing.assert_array_equal(report.composite, reference.composite)
             assert report.resilience is not None
+
+
+    @pytest.mark.parametrize("option, value", [
+        ("attack", AttackScenario.single_worker_kill("worker.0", at=0.01)),
+        ("camouflage_period", 0.2)])
+    def test_scripted_faults_rejected_before_anything_is_spawned_or_placed(
+            self, tiny_cube, fast_config, option, value):
+        with open_session(engine="resilient", backend="process:2",
+                          config=fast_config) as session:
+            spawned, segments = session.spawned_processes, owned_segment_names()
+            with pytest.raises(ValueError, match=rf"{option}=.*'process:2'"):
+                session.fuse(tiny_cube, **{option: value})
+            assert session.spawned_processes == spawned
+            assert owned_segment_names() == segments
+            assert session.cubes_placed == 0
+
+    @pytest.mark.parametrize("engine", ["distributed", "resilient"])
+    def test_batch_engine_on_socket_fails_at_open(self, engine):
+        # Not at the first fuse(), after a cube was already copied into
+        # /dev/shm: the socket backend has no SCP program runtime.
+        with pytest.raises(ValueError, match="stage-task workers for the "
+                                             "streaming pipeline engine only"):
+            open_session(engine=engine, backend="socket:2")
+
+
+_ORPHAN_SCRIPT = """
+import multiprocessing, os, sys, time
+import repro
+from repro.data.hydice import HydiceConfig, HydiceGenerator
+
+def descendants(pid):
+    found = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat") as fh:
+                    ppid = int(fh.read().rsplit(")", 1)[1].split()[1])
+            except (OSError, IndexError, ValueError):
+                continue
+            if ppid == pid:
+                found += [int(entry)] + descendants(int(entry))
+    return found
+
+def stuck(ctx):
+    from repro.scp.effects import Recv
+    yield Recv(port="never")
+
+if __name__ == "__main__":
+    if sys.argv[1] == "scp-program":
+        # Two replicas blocked mid-program on a one-shot process backend.
+        import threading
+        from repro.scp.process_backend import ProcessBackend
+        from repro.scp.runtime import Application
+        app = Application()
+        app.add_thread("a", stuck)
+        app.add_thread("b", stuck)
+        backend = ProcessBackend(start_method="fork")
+        threading.Thread(target=backend.run, args=(app,), daemon=True).start()
+        while sum(t.status == "running" for t in list(backend._tasks.values())) < 2:
+            time.sleep(0.01)
+        time.sleep(0.5)
+    else:
+        cube = HydiceGenerator(HydiceConfig(bands=16, rows=32, cols=32, seed=3)).generate()
+        session = repro.open_session(engine="pipeline", backend=sys.argv[1])
+        session.fuse(cube)
+    tracker = getattr(multiprocessing.resource_tracker._resource_tracker, "_pid", None)
+    print(" ".join(str(pid) for pid in descendants(os.getpid()) if pid != tracker),
+          flush=True)
+    time.sleep(120)
+"""
+
+
+def _alive(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs procfs")
+@pytest.mark.parametrize("backend", ["process:2", "socket:2", "scp-program"])
+def test_sigkilled_owner_leaves_no_orphan_workers(tmp_path, backend):
+    # SIGKILL gives the owner no chance to close its session or backend; the
+    # workers (idle pool slots, the node agent and its slots, replicas
+    # blocked mid-program) must notice and exit on their own instead of
+    # idling under pid 1 for ever.
+    script = tmp_path / "orphan_owner.py"
+    script.write_text(_ORPHAN_SCRIPT)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    residue_before = set(shm_residue())
+    owner = subprocess.Popen([sys.executable, str(script), backend],
+                             stdout=subprocess.PIPE, text=True, env=env)
+    try:
+        workers = [int(pid) for pid in owner.stdout.readline().split()]
+        assert len(workers) >= 2
+    finally:
+        owner.kill()
+        owner.wait()
+        owner.stdout.close()
+    deadline = time.monotonic() + 3.0
+    while time.monotonic() < deadline and any(_alive(pid) for pid in workers):
+        time.sleep(0.05)
+    survivors = [pid for pid in workers if _alive(pid)]
+    for pid in survivors:
+        os.kill(pid, signal.SIGKILL)
+    # The killed owner could not remove what it owned: its resource tracker
+    # unlinks the segments once the last worker is gone, the spool directory
+    # is swept here.
+    while time.monotonic() < deadline + 2.0 and any(
+            not name.startswith("scp-stages-")
+            for name in set(shm_residue()) - residue_before):
+        time.sleep(0.05)
+    for name in set(shm_residue()) - residue_before:
+        path = os.path.join("/dev/shm", name)
+        with contextlib.suppress(FileNotFoundError):  # the tracker got there
+            shutil.rmtree(path) if os.path.isdir(path) else os.unlink(path)
+    assert survivors == []
 
 
 class TestStreamingSession:

@@ -6,7 +6,7 @@ import pytest
 from repro.cli import main
 from repro.cluster.presets import sun_ultra_lan
 from repro.config import ResilienceConfig
-from repro.core.distributed import _DistributedPCT
+from repro.core.distributed import build_application
 from repro.resilience.coordinator import (ResilienceCoordinator,
                                           protocol_config_for)
 from repro.scp.sim_backend import SimBackend
@@ -64,8 +64,7 @@ class TestCoordinatorWiring:
         assert protocol.per_message_cpu_s == pytest.approx(0.2 * 1.5e-3)
 
     def test_attach_returns_placement_for_sim_backend(self, small_cube, resilient_config):
-        engine = _DistributedPCT(resilient_config)
-        app = engine.build_application(small_cube, worker_replicas=2)
+        app = build_application(small_cube, resilient_config, worker_replicas=2)
         cluster = sun_ultra_lan(2)
         backend = SimBackend(cluster, pinned={"manager": "manager"})
         coordinator = ResilienceCoordinator(backend, cluster,
@@ -79,8 +78,7 @@ class TestCoordinatorWiring:
             assert placement[f"worker.{i}#0"] != placement[f"worker.{i}#1"]
 
     def test_attach_twice_rejected(self, small_cube, resilient_config):
-        engine = _DistributedPCT(resilient_config)
-        app = engine.build_application(small_cube, worker_replicas=2)
+        app = build_application(small_cube, resilient_config, worker_replicas=2)
         cluster = sun_ultra_lan(2)
         backend = SimBackend(cluster)
         coordinator = ResilienceCoordinator(backend, cluster, resilient_config.resilience)
@@ -96,8 +94,7 @@ class TestCoordinatorWiring:
             coordinator.enable_camouflage(period=1.0, logical_threads=["worker.0"])
 
     def test_report_before_run(self, small_cube, resilient_config):
-        engine = _DistributedPCT(resilient_config)
-        app = engine.build_application(small_cube, worker_replicas=2)
+        app = build_application(small_cube, resilient_config, worker_replicas=2)
         cluster = sun_ultra_lan(2)
         backend = SimBackend(cluster)
         coordinator = ResilienceCoordinator(backend, cluster, resilient_config.resilience)

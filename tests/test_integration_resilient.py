@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro import fuse
-from repro.baselines.static_replication import StaticReplicationPCT
+from repro.baselines.static_replication import fuse_static_replication
 from repro.config import FusionConfig, PartitionConfig, ResilienceConfig
 from repro.core.pipeline import SpectralScreeningPCT
 from repro.resilience.attack import AttackScenario
@@ -122,7 +122,7 @@ class TestStaticReplicationBaseline:
         """Static replication degrades gracefully: one replica lost, the other
         carries the work -- but nothing is regenerated."""
         attack = AttackScenario.single_worker_kill("worker.0", at=0.01)
-        outcome = StaticReplicationPCT(make_config(), attack=attack).fuse(small_cube)
+        outcome = fuse_static_replication(small_cube, make_config(), attack=attack)
         assert outcome.failures_injected == 1
         assert outcome.replicas_regenerated == 0
         np.testing.assert_array_equal(outcome.result.composite,
@@ -133,14 +133,23 @@ class TestStaticReplicationBaseline:
         """Losing every replica of a worker exceeds what static replication can
         tolerate: the run cannot finish (it deadlocks or exceeds its budget)."""
         attack = AttackScenario.group_wipeout("worker.0", at=0.01, replicas=2)
-        engine = StaticReplicationPCT(make_config(), attack=attack)
-        backend = engine.make_backend()
-        app = engine.build_application(small_cube)
-        from repro.resilience.coordinator import ResilienceCoordinator
+        from repro.core.distributed import MANAGER_NAME, build_application
+        from repro.resilience.coordinator import (ResilienceCoordinator,
+                                                  protocol_config_for)
         from repro.resilience.policy import ReplicationPolicy
+        from repro.scp.registry import BackendContext, create_backend
+        config = make_config(regenerate=False)
+        resilience = config.resilience
+        context = BackendContext(
+            workers=config.partition.workers, manager=MANAGER_NAME,
+            protocol=protocol_config_for(resilience),
+            share_replica_results=not resilience.execute_replicas)
+        backend = create_backend("sim", context)
+        app = build_application(small_cube, config,
+                                worker_replicas=resilience.replication_level)
         coordinator = ResilienceCoordinator(
-            backend, engine.cluster, engine.resilience,
-            policy=ReplicationPolicy.from_config(engine.resilience),
+            backend, context.cluster, resilience,
+            policy=ReplicationPolicy.from_config(resilience),
             pinned={"manager": "manager"})
         placement = coordinator.attach(app)
         coordinator.arm_attack(attack)
@@ -154,8 +163,8 @@ class TestStaticReplicationBaseline:
         configuration completes despite the wipe-out (the application, not the
         library, provides the fault tolerance)."""
         attack = AttackScenario.group_wipeout("worker.0", at=0.01, replicas=2)
-        outcome = StaticReplicationPCT(make_config(), attack=attack,
-                                       reassign_timeout=1.0).fuse(small_cube)
+        outcome = fuse_static_replication(small_cube, make_config(), attack=attack,
+                                          reassign_timeout=1.0)
         assert outcome.replicas_regenerated == 0
         np.testing.assert_array_equal(outcome.result.composite,
                                       reference_result.composite)

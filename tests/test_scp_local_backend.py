@@ -4,11 +4,59 @@ import time
 
 import pytest
 
+from _process_utils import fast_backend
 from repro.scp.effects import (Checkpoint, Compute, GetTime, Probe, Recv, Send,
                                Sleep)
 from repro.scp.errors import ReceiveTimeout, SCPError, ThreadCrashedError
 from repro.scp.local_backend import LocalBackend
 from repro.scp.runtime import Application
+
+
+# The probe cases run on both wall-clock backends, so their programs live at
+# module level (the process backend pickles them to its workers).
+
+def _probe_producer(ctx):
+    yield Send(dst="consumer", port="data", payload=1)
+    return None
+
+
+def _probe_consumer(ctx):
+    yield Sleep(seconds=0.1)
+    return (yield Probe(port="data"))
+
+
+def _check_probe(backend):
+    app = Application()
+    app.add_thread("producer", _probe_producer)
+    app.add_thread("consumer", _probe_consumer)
+    assert backend.run(app).return_of("consumer") is True
+
+
+def _dedup_client(ctx):
+    yield Send(dst="echo", port="request", payload=3, key=("req", 0))
+    replies = []
+    first = yield Recv(port="reply", timeout=5.0)
+    replies.append(first.payload)
+    # A second copy (from the other replica) must never be delivered.
+    extra = yield Probe(port="reply")
+    return replies, extra
+
+
+def _dedup_echo(ctx):
+    msg = yield Recv(port="request", timeout=5.0)
+    yield Send(dst="client", port="reply", payload=msg.payload * 2,
+               key=("reply", 0))
+    return "ok"
+
+
+def _check_replicated_responder_deduplicated(backend):
+    app = Application()
+    app.add_thread("client", _dedup_client)
+    app.add_thread("echo", _dedup_echo, replicas=2)
+    result = backend.run(app, until_thread="client", timeout=10.0)
+    replies, extra = result.return_of("client")
+    assert replies == [6]
+    assert extra is False
 
 
 class TestBasicExecution:
@@ -81,18 +129,10 @@ class TestBasicExecution:
         assert LocalBackend().run(app).return_of("solo") >= 0.04
 
     def test_probe(self):
-        def producer(ctx):
-            yield Send(dst="consumer", port="data", payload=1)
-            return None
+        _check_probe(LocalBackend())
 
-        def consumer(ctx):
-            yield Sleep(seconds=0.1)
-            return (yield Probe(port="data"))
-
-        app = Application()
-        app.add_thread("producer", producer)
-        app.add_thread("consumer", consumer)
-        assert LocalBackend().run(app).return_of("consumer") is True
+    def test_probe_on_process_backend(self):
+        _check_probe(fast_backend())
 
     def test_checkpoint_visible(self):
         def program(ctx):
@@ -178,28 +218,10 @@ class TestErrorPaths:
 
 class TestReplicationAndControl:
     def test_replicated_responder_deduplicated(self):
-        def client(ctx):
-            yield Send(dst="echo", port="request", payload=3, key=("req", 0))
-            replies = []
-            first = yield Recv(port="reply", timeout=5.0)
-            replies.append(first.payload)
-            # A second copy (from the other replica) must never be delivered.
-            extra = yield Probe(port="reply")
-            return replies, extra
+        _check_replicated_responder_deduplicated(LocalBackend())
 
-        def echo(ctx):
-            msg = yield Recv(port="request", timeout=5.0)
-            yield Send(dst="client", port="reply", payload=msg.payload * 2,
-                       key=("reply", 0))
-            return "ok"
-
-        app = Application()
-        app.add_thread("client", client)
-        app.add_thread("echo", echo, replicas=2)
-        result = LocalBackend().run(app, until_thread="client", timeout=10.0)
-        replies, extra = result.return_of("client")
-        assert replies == [6]
-        assert extra is False
+    def test_replicated_responder_deduplicated_on_process_backend(self):
+        _check_replicated_responder_deduplicated(fast_backend())
 
     def test_kill_thread_marks_outcome(self):
         def victim(ctx):
