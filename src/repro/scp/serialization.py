@@ -15,7 +15,10 @@ ever crosses a process boundary on the crash-safe paths
 then :func:`os.rename` into place.  A SIGKILL either commits a complete
 file or leaves nothing; readers never observe a torn write.  Every
 transport reuses :func:`commit_spool_file` rather than growing its own
-rename-commit implementation.
+rename-commit implementation.  Beside the commit sits the *doorbell*
+(:func:`ring_doorbell`): one byte into the spool's FIFO telling the owner a
+scan is worth making now.  It is a hint and carries no information -- the
+directory scan stays the only thing that says what was committed.
 """
 
 from __future__ import annotations
@@ -36,6 +39,10 @@ ENVELOPE_OVERHEAD_BYTES = 96
 #: the transports scan for.
 RESULT_SUFFIX = ".result"
 ERROR_SUFFIX = ".error"
+
+#: Name of the wake-up FIFO inside a spool directory (no result/error suffix,
+#: so the scan skips it; removed with the directory).
+DOORBELL_NAME = "doorbell"
 
 
 def spool_root() -> Optional[str]:
@@ -64,6 +71,29 @@ def commit_spool_file(spool_dir: str, name: str, payload: bytes) -> None:
     with open(partial, "wb") as fh:
         fh.write(payload)
     os.rename(partial, final)
+
+
+def ring_doorbell(spool_dir: str) -> None:
+    """Hint the owner of ``spool_dir`` that a commit landed (never blocks).
+
+    Called *after* the atomic rename.  Open, write one byte, close: the
+    writer holds no descriptor and no lock between rings, so a SIGKILL
+    anywhere in here tears nothing.  Every way this can fail -- no doorbell
+    (the spool's filesystem has no FIFOs), no reader, the spool removed by
+    ``close()``, a full pipe -- loses a hint the owner's safety-net scan
+    makes up for, so all of them are swallowed.
+    """
+    try:
+        fd = os.open(os.path.join(spool_dir, DOORBELL_NAME),
+                     os.O_WRONLY | os.O_NONBLOCK)
+    except OSError:
+        return
+    try:
+        os.write(fd, b"\0")
+    except OSError:  # full pipe: a wake-up is already pending
+        pass
+    finally:
+        os.close(fd)
 
 
 def payload_nbytes(payload: Any) -> int:
@@ -154,12 +184,14 @@ class Envelope:
 
 
 __all__ = [
+    "DOORBELL_NAME",
     "ENVELOPE_OVERHEAD_BYTES",
     "ERROR_SUFFIX",
     "Envelope",
     "RESULT_SUFFIX",
     "commit_spool_file",
     "payload_nbytes",
+    "ring_doorbell",
     "spool_root",
     "unlink_quietly",
 ]

@@ -51,6 +51,20 @@ the result path, and the router can never block -- which is what makes
 the "completes or fails typed, never hangs" contract hold.  This
 invariant now lives in :mod:`repro.scp.transport`, where every transport
 (forked pool slots and socket node agents alike) reuses it.
+
+The router does not *poll* for those files, though: it sleeps in the
+transport's ``wait`` until something may have changed.  ``submit`` and
+``close`` wake it, a worker rings the spool's doorbell after its rename
+(one byte into a FIFO: a hint to scan now, never the result -- a lost
+ring costs one 50 ms safety-net timeout, and :attr:`TransportStageExecutor.
+late_commits` counts the commits found that way), and the death of a
+worker with a task in flight ends the wait through its process sentinel
+or the node agent's ``worker-dead`` frame.  A worker the transport can
+certify *reaped* can commit nothing more and whatever it renamed before
+dying is already visible, so its task is retried after one more scan;
+the timed ``_DEATH_CONFIRM_SECONDS`` window remains only for a ref whose
+transport cannot say so -- a lost node agent, whose orphaned workers may
+still be running.
 """
 
 from __future__ import annotations
@@ -67,14 +81,20 @@ from .errors import SCPError
 from .pool import _DEATH_CONFIRM_SECONDS
 from .serialization import (ERROR_SUFFIX as _ERROR_SUFFIX,
                             RESULT_SUFFIX as _RESULT_SUFFIX,
-                            commit_spool_file as _commit_spool_file)
+                            commit_spool_file as _commit_spool_file,
+                            ring_doorbell as _ring_doorbell)
 from .transport import (STAGE_ASSIGN as _STAGE_ASSIGN, CommittedResult,
                         TaskFrame, WorkerTransport)
 
 _LOG = get_logger("scp.stages")
 
-#: Seconds the router sleeps between commit scans while work is in flight.
-_POLL_INTERVAL_SECONDS = 0.002
+#: Longest the router sleeps with work in flight: the safety net behind a
+#: lost doorbell ring, and the tick of the timed death confirmation.
+_SAFETY_NET_SECONDS = 0.05
+
+#: Longest an idle router sleeps.  Nothing can commit while nothing is in
+#: flight and ``submit``/``close`` wake it, so this is only a backstop.
+_IDLE_BACKSTOP_SECONDS = 5.0
 
 
 class StageError(SCPError):
@@ -106,7 +126,8 @@ def try_run_stage(item: Any) -> bool:
     False when it is something else (a program assignment, a stale
     envelope) the caller should interpret itself.  Results travel through
     spool files, never a queue, precisely so nothing is shared with
-    processes that may be SIGKILLed (see the module docstring).
+    processes that may be SIGKILLed (see the module docstring); the
+    doorbell is rung after the rename so the owner scans now.
 
     The stage function runs under a blanket exception guard: a failing task
     commits an error file and leaves the worker healthy and reusable, so
@@ -122,11 +143,13 @@ def try_run_stage(item: Any) -> bool:
         except Exception as err:  # noqa: BLE001 - task errors reported, not fatal
             _commit_spool_file(spool_dir, stem + _ERROR_SUFFIX,
                                repr(err).encode("utf-8", "replace"))
-            return True
-        _commit_spool_file(spool_dir, stem + _RESULT_SUFFIX,
-                           pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
+        else:
+            _commit_spool_file(spool_dir, stem + _RESULT_SUFFIX,
+                               pickle.dumps(result,
+                                            protocol=pickle.HIGHEST_PROTOCOL))
     except Exception:  # spool dir gone: the executor was closed underneath
-        pass           # this task; keep the worker alive regardless
+        return True    # this task; keep the worker alive regardless
+    _ring_doorbell(spool_dir)
     return True
 
 
@@ -188,6 +211,14 @@ class TransportStageExecutor:
         self._closed = False
         #: Tasks re-dispatched after their worker died (chaos metric).
         self.retries = 0
+        #: Commits first found by a scan that followed a *timed-out* wait:
+        #: the hint that should have announced them was lost or absent.
+        #: What makes event-drivenness testable without a stopwatch: 0 in a
+        #: healthy run, about one per task once rings stop arriving.  (The
+        #: one benign source is a safety-net timeout that beats a ring by
+        #: microseconds -- a few per thousand requests, and only where tasks
+        #: leave 50 ms of silence, e.g. while a killed worker is respawned.)
+        self.late_commits = 0
         #: Result-payload bytes read back through the spool, per stage.
         #: The zero-copy path's primary observable: with shared-memory
         #: output placement the ``project`` stage's entry is O(1) row-range
@@ -267,6 +298,7 @@ class TransportStageExecutor:
                 self._pending.pop(record.task_id, None)
             self._slots_free.release()
             raise
+        self._transport.wake()  # an idle router sleeps until told
         return record.future
 
     # ---------------------------------------------------------------- chaos
@@ -361,25 +393,30 @@ class TransportStageExecutor:
 
     # --------------------------------------------------------------- router
     def _route(self) -> None:
-        """Collect committed results; sweep for dead workers.
+        """Collect committed results; sweep for dead workers; sleep until
+        the transport says something may have changed.
 
         The router reads no queue that a SIGKILLed worker could corrupt --
         commits arrive through the transport's crash-safe path (spool scan
         or in-memory hand-off), so it can never block (the property the
-        crash matrix leans on).
+        crash matrix leans on).  What wakes it is only ever a hint; the
+        scan decides.
         """
+        woken = True
         while not self._closed:
-            resolved = 0
-            for committed in self._transport.poll_committed():
-                if self._resolve(committed):
-                    resolved += 1
+            resolved = self._collect()
+            if not woken:
+                self.late_commits += resolved
             if resolved:
                 self._flush_deferred()  # the resolves just freed workers
             self._sweep()
-            # Tight polling only while work is in flight; an idle session's
-            # router must not spin the CPU.
-            self._transport.wait(_POLL_INTERVAL_SECONDS if self._pending
-                                 else 0.05)
+            woken = self._transport.wait(_SAFETY_NET_SECONDS if self._pending
+                                         else _IDLE_BACKSTOP_SECONDS)
+
+    def _collect(self) -> int:
+        """One authoritative scan: resolve what was committed; the count."""
+        return sum(1 for committed in self._transport.poll_committed()
+                   if self._resolve(committed))
 
     def _resolve(self, committed: CommittedResult) -> bool:
         with self._lock:
@@ -417,19 +454,34 @@ class TransportStageExecutor:
         return True
 
     def _sweep(self) -> None:
-        """Detect workers that died mid-task; retry or fail their tasks."""
+        """Detect workers that died mid-task; retry or fail their tasks.
+
+        A worker the transport certifies *reaped* needs no timer: it can
+        commit nothing more, so one scan made after the death was observed
+        sees everything it ever renamed, and a task still pending after
+        that scan is lost.  Only a ref whose transport cannot say so waits
+        out ``_DEATH_CONFIRM_SECONDS``.
+        """
         now = time.monotonic()
-        confirmed = []
+        lost = []
+        reaped = False
         with self._lock:
             for record in self._pending.values():
                 if record.ref is None or self._transport.probe(record.ref):
                     record.first_seen_dead = None
-                    continue
-                if record.first_seen_dead is None:
+                elif self._transport.reaped(record.ref):
+                    reaped = True
+                    lost.append(record)
+                elif record.first_seen_dead is None:
                     record.first_seen_dead = now
                 elif now - record.first_seen_dead >= _DEATH_CONFIRM_SECONDS:
-                    confirmed.append(record)
-        for record in confirmed:
+                    lost.append(record)
+        if reaped:
+            self._collect()
+            with self._lock:
+                lost = [record for record in lost
+                        if record.task_id in self._pending]
+        for record in lost:
             self._transport.discard(record.ref)
             if record.attempt <= self._max_retries:
                 self.retries += 1
@@ -507,6 +559,7 @@ class TransportStageExecutor:
         if self._closed:
             return
         self._closed = True
+        self._transport.wake()  # the router may be asleep until woken
         self._router.join(timeout=2.0)
         if self._transport.drain_on_close:
             self._transport.close()  # waits for running thread tasks

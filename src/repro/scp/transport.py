@@ -9,7 +9,11 @@ plumbing:
 * ``acquire``/``send`` -- borrow a worker and hand it one task frame;
 * ``poll_committed`` -- collect results that were durably *committed*
   (an atomic spool rename, or an in-memory hand-off for host threads);
-* ``probe``/``kill`` -- liveness checks and the chaos hard-kill hook;
+* ``wait``/``wake`` -- park the router until a commit, a worker death or
+  a ``wake()`` (level-triggered), and say whether an event or the clock
+  ended the wait;
+* ``probe``/``reaped``/``kill`` -- liveness, the death certificate that
+  spares a timed confirmation, and the chaos hard-kill hook;
 * ``release``/``discard``/``close`` -- recycle, condemn, drain.
 
 Three transports ship here; :func:`transport_for_spec` is the one place a
@@ -40,6 +44,15 @@ Crash-safety invariants (kept here, in one place lintlab can see):
   worker -- workers commit pickled results to tmpfs spool files with an
   atomic rename (:func:`repro.scp.serialization.commit_spool_file`) and
   parents discover completions by directory scan;
+* the spool's *doorbell* -- a FIFO inside the spool directory that a
+  worker writes one byte to after its rename
+  (:func:`repro.scp.serialization.ring_doorbell`) and the owning
+  transport sleeps on in ``poll`` -- is a hint, never the source of
+  truth: a byte says "scan now" and nothing else, so a SIGKILLed writer
+  can tear nothing and holds no lock, a lost, absent or surplus ring
+  costs one safety-net timeout or one empty scan, and ``collect_spool``
+  alone decides what was committed.  That is why a doorbell pipe is
+  allowed where a result pipe is not;
 * multiprocessing queues appear only between a parent and workers it
   alone manages, and a condemned worker's queue is released with
   ``cancel_join_thread`` so a feeder thread can never wedge shutdown;
@@ -63,14 +76,15 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional, Set,
+                    Tuple)
 
 from ..logging_utils import get_logger
 from .errors import RuntimeStateError
 from .pool import ProcessPool, default_start_method
 from .registry import BackendSpec
-from .serialization import (ERROR_SUFFIX, RESULT_SUFFIX, spool_root,
-                            unlink_quietly)
+from .serialization import (DOORBELL_NAME, ERROR_SUFFIX, RESULT_SUFFIX,
+                            spool_root, unlink_quietly)
 
 _LOG = get_logger("scp.transport")
 
@@ -80,6 +94,10 @@ STAGE_ASSIGN = "__scp_stage_assign__"
 
 #: Seconds the parent waits for a freshly launched node agent to call back.
 _AGENT_CONNECT_TIMEOUT = 15.0
+
+#: Commit-scan interval of a transport whose spool could not get a doorbell
+#: (``os.mkfifo`` failed) -- the one timed scan left in the module.
+_NO_DOORBELL_SCAN_SECONDS = 0.005
 
 
 @dataclass(frozen=True)
@@ -120,8 +138,8 @@ def collect_spool(spool_dir: str) -> List[CommittedResult]:
     The shared read half of the spool protocol: both process transports
     commit results as ``{task_id}-{attempt}.result`` / ``.error`` files
     (atomic rename; see :mod:`repro.scp.serialization`) and this scan
-    picks them up.  In-progress ``.tmp`` files and foreign names are
-    ignored; consumed files are unlinked.
+    picks them up.  In-progress ``.tmp`` files and foreign names (the
+    doorbell FIFO) are ignored; consumed files are unlinked.
     """
     try:
         names = os.listdir(spool_dir)
@@ -134,7 +152,7 @@ def collect_spool(spool_dir: str) -> List[CommittedResult]:
         elif name.endswith(ERROR_SUFFIX):
             error = True
         else:
-            continue  # an in-progress .tmp
+            continue  # an in-progress .tmp, or the doorbell
         stem = name.rsplit(".", 1)[0]
         try:
             task_id, attempt = (int(part) for part in stem.split("-"))
@@ -160,6 +178,91 @@ def collect_spool(spool_dir: str) -> List[CommittedResult]:
                                          value=value, error=error, crash=crash,
                                          payload_nbytes=nbytes))
     return committed
+
+
+class _Doorbell:
+    """Owner side of a spool's wake-up FIFO; both process transports wait here.
+
+    The FIFO is held ``O_RDWR | O_NONBLOCK``: a writer always exists, so
+    workers coming and going never produce EOF, and :meth:`ring` is the
+    owner writing to its own doorbell.  Workers ring it by path
+    (:func:`repro.scp.serialization.ring_doorbell`) -- the path travels with
+    every task, which reaches workers no inherited descriptor could (a pool
+    warmed before the spool existed, a node agent's grandchildren).  Pending
+    bytes keep the FIFO readable until the next :meth:`wait` drains them, so
+    a ring that lands before the wait is not lost.
+
+    Where the spool's filesystem has no FIFOs the transport still works:
+    :meth:`wait` degrades to a short timed sleep and reports every wait as
+    timed out.
+    """
+
+    def __init__(self, spool_dir: str) -> None:
+        self._lock = threading.Lock()  # ring()/drain never touch a closed fd
+        self._fd: Optional[int] = None
+        path = os.path.join(spool_dir, DOORBELL_NAME)
+        try:
+            os.mkfifo(path)
+            self._fd = os.open(path, os.O_RDWR | os.O_NONBLOCK)
+        except OSError as err:
+            _LOG.warning("no commit doorbell in %s (%r); falling back to a "
+                         "timed spool scan", spool_dir, err)
+
+    def ring(self) -> None:
+        with self._lock:
+            if self._fd is None:
+                return
+            try:
+                os.write(self._fd, b"\0")
+            except OSError:  # full pipe: a wake-up is already pending
+                pass
+
+    def wait(self, timeout: float, sentinels: Iterable[int] = ()) -> List[int]:
+        """Sleep until rung, until a process sentinel fires, or ``timeout``;
+        returns the descriptors that ended the wait (empty: the clock did).
+        The FIFO is drained here, *before* the caller scans: a commit racing
+        the drain leaves either its byte or its file for the scan that
+        follows."""
+        fd = self._fd
+        if fd is None:
+            time.sleep(min(timeout, _NO_DOORBELL_SCAN_SECONDS))
+            return []
+        # poll(), not select(): a long-lived session process may hold more
+        # descriptors than FD_SETSIZE, and a descriptor closed underneath a
+        # late router reads as POLLNVAL instead of raising.
+        poller = select.poll()
+        for watched in (fd, *sentinels):
+            poller.register(watched, select.POLLIN)
+        fired = [ready for ready, _ in poller.poll(timeout * 1000.0)]
+        if fd in fired:
+            with self._lock:
+                if self._fd is not None:
+                    try:
+                        os.read(fd, 65536)  # the whole pipe in one read
+                    except BlockingIOError:  # spurious readiness
+                        pass
+        return fired
+
+    def close(self) -> None:
+        with self._lock:
+            fd, self._fd = self._fd, None
+        if fd is not None:
+            os.close(fd)
+
+
+def _join_fired(watched: Dict[int, Any], fired: Iterable[Any]) -> None:
+    """Reap the processes among ``watched`` (sentinel -> process) whose
+    sentinel is in ``fired``.
+
+    A sentinel fires when the dying process closes its descriptors, a moment
+    before it can be reaped.  Wait that moment out (as ``Process.join``
+    itself does) or the liveness check that follows would still see the
+    process alive and its caller spin on the readable sentinel.
+    """
+    for descriptor in fired:
+        process = watched.get(descriptor)
+        if process is not None:
+            process.join()
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +311,16 @@ class WorkerTransport:
         """Liveness: is the worker behind ``ref`` still able to commit?"""
         raise NotImplementedError
 
+    def reaped(self, ref) -> bool:
+        """Death certificate for a ``ref`` that probes dead: has its process
+        been *reaped* (exit status collected)?  Such a worker can commit
+        nothing more and whatever it renamed before dying is visible to the
+        next scan, so the executor scans once more and retries at once.
+        ``False`` means the transport cannot say (a lost node agent's
+        orphaned workers may still be running) and sends the executor
+        through its timed confirmation window instead."""
+        raise NotImplementedError
+
     def kill(self, ref) -> None:
         """Hard-kill (SIGKILL) the worker behind ``ref`` (chaos hook)."""
         raise NotImplementedError
@@ -224,9 +337,18 @@ class WorkerTransport:
         """Collect results committed since the last poll (consuming)."""
         raise NotImplementedError
 
-    def wait(self, timeout: float) -> None:
-        """Router idle hook: sleep up to ``timeout`` awaiting commits."""
-        time.sleep(timeout)
+    def wait(self, timeout: float) -> bool:
+        """Park the router until something may have changed -- a commit, the
+        death of a worker with a task in flight, a :meth:`wake` -- or
+        ``timeout`` seconds pass.  Returns ``True`` when woken, ``False``
+        when the clock ran out.  Level-triggered: an event that lands
+        before the call makes it return at once."""
+        raise NotImplementedError
+
+    def wake(self) -> None:
+        """End the current (or the next) :meth:`wait` early.  Thread-safe;
+        the executor calls it after every dispatch and from ``close()``."""
+        raise NotImplementedError
 
     def alive_workers(self) -> int:
         """Live workers, busy or idle (0 signals total substrate loss)."""
@@ -298,6 +420,9 @@ class InProcessTransport(WorkerTransport):
     def probe(self, ref) -> bool:
         return True  # host threads cannot be SIGKILLed out from under us
 
+    def reaped(self, ref) -> bool:
+        return False
+
     def kill(self, ref) -> None:
         raise NotImplementedError(
             "thread-backed stage executors cannot lose a worker to SIGKILL; "
@@ -318,12 +443,13 @@ class InProcessTransport(WorkerTransport):
             except IndexError:
                 return committed
 
-    def wait(self, timeout: float) -> None:
-        # Event-driven instead of sleep-polling: a commit wakes the router
-        # immediately, keeping thread-backed latency on par with the old
-        # callback-driven executor.
-        self._wakeup.wait(timeout)
-        self._wakeup.clear()
+    def wait(self, timeout: float) -> bool:
+        woken = self._wakeup.wait(timeout)
+        self._wakeup.clear()  # before the caller's scan: a later set() stays
+        return woken
+
+    def wake(self) -> None:
+        self._wakeup.set()
 
     def alive_workers(self) -> int:
         return self._workers
@@ -361,6 +487,14 @@ class ForkedProcessTransport(WorkerTransport):
         self._pool = (pool if pool is not None
                       else ProcessPool(start_method=start_method))
         self._spool = tempfile.mkdtemp(prefix="scp-stages-", dir=spool_root())
+        self._doorbell = _Doorbell(self._spool)
+        #: Slots with a task in flight: their process sentinels join the
+        #: doorbell in wait(), so a death mid-task is an event, not a poll.
+        #: A dead process's sentinel stays readable for ever; it leaves the
+        #: set through discard(), which the executor calls the moment it
+        #: sees the death.
+        self._busy: Set[Any] = set()
+        self._busy_lock = threading.Lock()
         self._closed = False
 
     def start(self, workers: int) -> None:
@@ -371,23 +505,42 @@ class ForkedProcessTransport(WorkerTransport):
         return self._pool.acquire(allow_spawn=spawn)
 
     def send(self, ref, frame: TaskFrame) -> None:
+        with self._busy_lock:
+            self._busy.add(ref)
         ref.inbox.put((STAGE_ASSIGN, frame.task_id, frame.attempt, self._spool,
                        frame.fn, frame.args, frame.kwargs))
 
     def probe(self, ref) -> bool:
         return ref.process.exitcode is None
 
+    def reaped(self, ref) -> bool:
+        return ref.process.exitcode is not None  # reading it is the reaping
+
     def kill(self, ref) -> None:
         ref.process.kill()
 
     def release(self, ref) -> None:
+        with self._busy_lock:
+            self._busy.discard(ref)
         self._pool.release(ref)
 
     def discard(self, ref) -> None:
+        with self._busy_lock:
+            self._busy.discard(ref)
         self._pool.discard(ref)
 
     def poll_committed(self) -> List[CommittedResult]:
         return collect_spool(self._spool)
+
+    def wait(self, timeout: float) -> bool:
+        with self._busy_lock:
+            watched = {ref.process.sentinel: ref.process for ref in self._busy}
+        fired = self._doorbell.wait(timeout, watched)
+        _join_fired(watched, fired)
+        return bool(fired)
+
+    def wake(self) -> None:
+        self._doorbell.ring()
 
     def alive_workers(self) -> int:
         return self._pool.size
@@ -398,6 +551,7 @@ class ForkedProcessTransport(WorkerTransport):
         self._closed = True
         if self._owns_pool:
             self._pool.close()
+        self._doorbell.close()
         shutil.rmtree(self._spool, ignore_errors=True)
 
 
@@ -475,11 +629,16 @@ class SocketTransport(WorkerTransport):
     and relays task frames to their private inboxes.  Results bypass
     the socket entirely: workers commit to the parent's tmpfs spool
     with the shared atomic rename, so a SIGKILL anywhere -- one worker
-    or the whole agent -- can never tear the result path.  Worker
-    deaths are reported back as ``worker-dead`` frames; a dead agent is
-    detected by connection EOF (plus process polling) and restarted on
-    the next ``acquire(spawn=True)``, which is exactly the executor's
-    total-loss retry path.
+    or the whole agent -- can never tear the result path.  Nor does a
+    commit need a frame on the stream: workers ring the spool's doorbell
+    by path, exactly as forked workers do.  Worker deaths are reported
+    back as ``worker-dead`` frames the moment the agent reaps the worker
+    (the reader thread rings the doorbell, and the frame is the ref's
+    death certificate, see :meth:`reaped`); a dead agent is detected by
+    connection EOF (plus process polling) and restarted on the next
+    ``acquire(spawn=True)``, which is exactly the executor's total-loss
+    retry path -- taken only after the timed confirmation window, because
+    nothing reaped the agent's orphaned workers.
 
     Slot *incarnations* make refs ABA-safe: every reset/restart bumps
     the slot's incarnation, so a stale ref from before a respawn can
@@ -497,6 +656,7 @@ class SocketTransport(WorkerTransport):
         self._workers = workers
         self._start_method = start_method or default_start_method()
         self._spool = tempfile.mkdtemp(prefix="scp-stages-", dir=spool_root())
+        self._doorbell = _Doorbell(self._spool)
         self._lock = threading.Lock()          # slot/agent state
         self._send_lock = threading.Lock()     # frame-stream serialisation
         self._respawn_lock = threading.Lock()  # one restart at a time
@@ -601,7 +761,8 @@ class SocketTransport(WorkerTransport):
             self.agent_restarts += 1
 
     def _reader_main(self, conn: socket_module.socket) -> None:
-        """Drain agent->parent frames (worker deaths); EOF marks agent dead."""
+        """Drain agent->parent frames (worker deaths); EOF marks agent dead.
+        Either is an event the router must see now: ring the doorbell."""
         while True:
             frame = _recv_frame(conn)
             if frame is None:
@@ -613,9 +774,11 @@ class SocketTransport(WorkerTransport):
                         slot = self._slots[index]
                         if slot.incarnation == incarnation:
                             slot.alive = False
+                self._doorbell.ring()
         with self._lock:
             if conn is self._conn:
                 self._agent_alive = False
+        self._doorbell.ring()
 
     def _send(self, obj: Any) -> bool:
         """Best-effort frame send; a broken stream marks the agent dead."""
@@ -708,6 +871,17 @@ class SocketTransport(WorkerTransport):
             slot = self._slots[ref.index]
             return slot.incarnation == ref.incarnation and slot.alive
 
+    def reaped(self, ref: _SocketWorkerRef) -> bool:
+        # Only a ``worker-dead`` frame for the ref's own incarnation is a
+        # death certificate (the agent sends it after reaping the worker).
+        # A lost agent proves nothing about its workers, and a restarted
+        # one has new incarnations.
+        with self._lock:
+            if not 0 <= ref.index < len(self._slots):
+                return False
+            slot = self._slots[ref.index]
+            return slot.incarnation == ref.incarnation and not slot.alive
+
     def kill(self, ref: _SocketWorkerRef) -> None:
         self._send(("kill", ref.index, ref.incarnation))
 
@@ -721,7 +895,6 @@ class SocketTransport(WorkerTransport):
                     slot.busy = False
 
     def discard(self, ref: _SocketWorkerRef) -> None:
-        reset_frame: Optional[Tuple] = None
         with self._lock:
             if self._closed or not self._agent_ok_locked():
                 return  # a dead agent took the worker with it
@@ -730,15 +903,25 @@ class SocketTransport(WorkerTransport):
             slot = self._slots[ref.index]
             if slot.incarnation != ref.incarnation:
                 return  # already recycled under a newer incarnation
-            incarnation = next(self._incs)
-            slot.incarnation = incarnation
+            recycled = _SocketWorkerRef(ref.index, next(self._incs))
+            slot.incarnation = recycled.incarnation
             slot.alive = True
-            slot.busy = False
-            reset_frame = ("reset", ref.index, incarnation)
-        self._send(reset_frame)
+            # The slot stays busy until its reset frame is on the stream: a
+            # driver thread that acquired it in between could get its task
+            # frame out first, and the agent drops a task whose incarnation
+            # it has not been told about yet -- a task nobody would retry.
+            slot.busy = True
+        self._send(("reset", recycled.index, recycled.incarnation))
+        self.release(recycled)
 
     def poll_committed(self) -> List[CommittedResult]:
         return collect_spool(self._spool)
+
+    def wait(self, timeout: float) -> bool:
+        return bool(self._doorbell.wait(timeout))
+
+    def wake(self) -> None:
+        self._doorbell.ring()
 
     def alive_workers(self) -> int:
         with self._lock:
@@ -752,6 +935,7 @@ class SocketTransport(WorkerTransport):
         self._send(("shutdown",))
         self._closed = True
         self._teardown_agent()
+        self._doorbell.close()
         shutil.rmtree(self._spool, ignore_errors=True)
 
 
@@ -816,8 +1000,10 @@ def _node_agent_main(port: int, workers: int, inc_base: int,
     """Control loop of the node agent.
 
     Single-threaded: connect back to the parent, spawn the worker
-    processes, then multiplex frame handling with a worker-liveness
-    sweep on a short ``select`` timeout.  The workers are ordinary
+    processes, then sleep in one ``select`` on the connection and the
+    workers' process sentinels, so a frame is handled and a death is
+    reported the moment it happens (the timeout is only a backstop).  The
+    workers are ordinary
     :class:`~repro.scp.pool.ProcessPool` slots, each held (busy) under one
     index of the agent's index -> incarnation table for its whole life; a
     ``reset`` frame discards the slot and acquires a fresh one.  Worker
@@ -837,8 +1023,13 @@ def _node_agent_main(port: int, workers: int, inc_base: int,
     reported: set = set()
     try:
         while True:
-            readable, _, _ = select.select([conn], [], [], 0.05)
-            if readable:
+            # A reported death leaves the set: its sentinel stays readable.
+            watched = {slot.process.sentinel: slot.process
+                       for index, slot in enumerate(slots)
+                       if (index, incarnations[index]) not in reported}
+            readable, _, _ = select.select([conn, *watched], [], [], 1.0)
+            _join_fired(watched, readable)  # so the sweep below reports them
+            if conn in readable:
                 frame = _recv_frame(conn)
                 if frame is None or frame[0] == "shutdown":
                     return

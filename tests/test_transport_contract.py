@@ -7,6 +7,13 @@ regardless of substrate: submit/result round trips, typed deterministic
 errors, crash retry after a mid-task SIGKILL, typed close-drain, identical
 kill-accounting semantics, and zero /dev/shm or spool residue.
 
+Since the router became event-driven (v1.16) the battery also holds the
+``wait``/``wake`` contract, the doorbell-is-a-hint rule (absent, unlinked
+or full, nothing hangs and nothing is lost), death-by-reaping instead of a
+timed confirmation, and "an idle or waiting router does not spin" -- judged
+by ``late_commits`` and ``wait()`` counts rather than by a stopwatch
+wherever a count can say it.
+
 The task functions live at module level on purpose: the socket transport's
 node agent is a fresh interpreter that unpickles them *by reference*, so
 anything a stage runs must be importable -- which is also the executor's
@@ -17,14 +24,22 @@ from __future__ import annotations
 
 import os
 import signal
+import statistics
+import sys
+import threading
 import time
 
 import pytest
 
+import repro
 from _process_utils import shm_residue
+from repro.scp.pool import ProcessPool
 from repro.scp.registry import BackendSpec
-from repro.scp.stages import StageCrashError, StageError, TransportStageExecutor
-from repro.scp.transport import transport_for_spec
+from repro.scp.serialization import DOORBELL_NAME, ring_doorbell
+from repro.scp.stages import (StageCrashError, StageError,
+                              TransportStageExecutor, try_run_stage)
+from repro.scp.transport import (STAGE_ASSIGN, ForkedProcessTransport, TaskFrame,
+                                 transport_for_spec)
 
 TRANSPORTS = ("inprocess", "forked", "socket")
 KILLABLE_TRANSPORTS = ("forked", "socket")
@@ -47,11 +62,31 @@ def boom():
     raise ValueError("kaboom")
 
 
-def make_executor(kind, *, workers=2, max_retries=2):
+def make_transport(kind, *, workers=2):
     transport = transport_for_spec(BackendSpec.parse(SPECS[kind]), workers=workers)
     assert transport.kind == {"forked": "forked-process"}.get(kind, kind)
-    return TransportStageExecutor(transport, workers=workers,
-                                  max_retries=max_retries)
+    return transport
+
+
+def make_executor(kind, *, workers=2, max_retries=2):
+    return TransportStageExecutor(make_transport(kind, workers=workers),
+                                  workers=workers, max_retries=max_retries)
+
+
+class CountingTransport:
+    """Delegates to a real transport and counts the router's ``wait()`` calls:
+    a router spinning on a dead sentinel or a dead socket shows as a number."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.waits = 0
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def wait(self, timeout):
+        self.waits += 1
+        return self._inner.wait(timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +183,19 @@ def test_close_fails_in_flight_tasks_typed(kind):
     assert executor.in_flight == 0
 
 
+@pytest.mark.parametrize("kind", TRANSPORTS)
+def test_close_of_idle_executor_is_prompt_and_leaks_no_router(kind):
+    """An idle router sleeps until woken; close() must wake it rather than
+    wait out its backstop (or the 2 s join timeout) and leave it running."""
+    executor = make_executor(kind)
+    assert executor.submit("screen", add, 1, 2).result(timeout=60) == 3
+    time.sleep(0.1)  # the router is parked in its idle wait by now
+    started = time.monotonic()
+    executor.close()
+    assert time.monotonic() - started < 0.5
+    assert not executor._router.is_alive()
+
+
 def test_inprocess_close_drains_running_tasks():
     """Host threads cannot be abandoned mid-task: close() waits for the
     running task and its result resolves normally (graceful drain)."""
@@ -217,3 +265,285 @@ def test_no_shm_or_spool_residue_after_close(kind):
     executor.close()
     leaked = set(shm_residue()) - before
     assert leaked == set(), f"residue leaked: {sorted(leaked)}"
+
+
+# ---------------------------------------------------------------------------
+# wait / wake, and the doorbell as a hint beside the authoritative scan
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", TRANSPORTS)
+def test_wake_before_wait_is_not_lost(kind):
+    """Level-triggered: a wake() that lands first ends the next wait() at
+    once, and is consumed by it."""
+    transport = make_transport(kind)
+    try:
+        transport.wake()
+        started = time.monotonic()
+        assert transport.wait(5.0) is True
+        assert time.monotonic() - started < 1.0
+        assert transport.wait(0.01) is False
+    finally:
+        transport.close()
+
+
+@pytest.mark.parametrize("kind", TRANSPORTS)
+def test_poll_committed_needs_no_wait(kind):
+    """A bare transport driven without an executor and without wait() --
+    the shape of the benchmark's round-trip probe -- still sees the commit:
+    the scan is the source of truth, the doorbell only a hint."""
+    transport = make_transport(kind)
+    try:
+        transport.start(2)
+        for task_id in range(3):
+            ref = transport.acquire()
+            transport.send(ref, TaskFrame(task_id=task_id, attempt=1,
+                                          stage="probe", fn=add,
+                                          args=(task_id, 1), kwargs={}))
+            deadline = time.monotonic() + 30.0
+            committed = []
+            while not committed and time.monotonic() < deadline:
+                committed = transport.poll_committed()
+                time.sleep(0.0005)
+            transport.release(ref)
+            assert [(c.task_id, c.value) for c in committed] == [(task_id,
+                                                                  task_id + 1)]
+    finally:
+        transport.close()
+
+
+@pytest.mark.parametrize("kind", KILLABLE_TRANSPORTS)
+def test_dependent_hops_are_event_driven(kind):
+    """20 dependent no-ops: every commit is announced (no commit waits for
+    the safety net) and a hop costs the substrate, not a 50 ms quantum."""
+    with make_executor(kind) as executor:
+        total = executor.submit("probe", add, 0, 0).result(timeout=60)
+        hops = []
+        for _ in range(20):
+            started = time.perf_counter()
+            total = executor.submit("probe", add, total, 1).result(timeout=60)
+            hops.append(time.perf_counter() - started)
+        assert total == 20
+        assert executor.late_commits == 0
+        assert statistics.median(hops) < 0.025
+
+
+@pytest.mark.parametrize("kind", KILLABLE_TRANSPORTS)
+def test_no_doorbell_degrades_to_a_timed_scan(kind, monkeypatch):
+    """A spool filesystem without FIFOs must not fail construction; commits
+    are then found by the timed scan, every one of them counted late."""
+    def no_fifos(path, *args, **kwargs):
+        raise OSError(1, "Operation not permitted", path)
+
+    monkeypatch.setattr(os, "mkfifo", no_fifos)
+    executor = make_executor(kind)
+    monkeypatch.undo()
+    with executor:
+        assert not os.path.exists(
+            os.path.join(executor.transport._spool, DOORBELL_NAME))
+        futures = [executor.submit("screen", add, i, 1) for i in range(6)]
+        assert [f.result(timeout=60) for f in futures] == list(range(1, 7))
+    assert executor.late_commits == 6  # read once close() joined the router
+
+
+@pytest.mark.parametrize("kind", KILLABLE_TRANSPORTS)
+def test_unlinked_doorbell_costs_only_the_safety_net(kind):
+    with make_executor(kind) as executor:
+        assert executor.submit("screen", add, 1, 1).result(timeout=60) == 2
+        os.unlink(os.path.join(executor.transport._spool, DOORBELL_NAME))
+        for i in range(3):
+            started = time.monotonic()
+            # Slow enough that submit's own wake-up is spent before the commit.
+            assert executor.submit("screen", slow_add, i, 1,
+                                   0.02).result(timeout=60) == i + 1
+            assert time.monotonic() - started < 1.0
+    assert executor.late_commits == 3  # read once close() joined the router
+
+
+@pytest.mark.parametrize("kind", KILLABLE_TRANSPORTS)
+def test_full_doorbell_pipe_blocks_nobody(kind):
+    with make_executor(kind) as executor:
+        spool = executor.transport._spool
+        fd = os.open(os.path.join(spool, DOORBELL_NAME),
+                     os.O_WRONLY | os.O_NONBLOCK)
+        try:
+            with pytest.raises(BlockingIOError):  # the router drains as we
+                for _ in range(64):               # fill: out-write it
+                    os.write(fd, b"\0" * 65536)
+            ring_doorbell(spool)  # EAGAIN or not: swallowed, never blocks
+        finally:
+            os.close(fd)
+        futures = [executor.submit("screen", add, i, 1) for i in range(4)]
+        assert [f.result(timeout=60) for f in futures] == [1, 2, 3, 4]
+
+
+def test_worker_survives_a_spool_removed_underneath_it():
+    """close() removes the spool while an abandoned task may still run: the
+    failed commit and the failed ring must both leave the worker alive."""
+    gone = os.path.join(os.sep, "nonexistent", "scp-stages-gone")
+    ring_doorbell(gone)
+    assert try_run_stage((STAGE_ASSIGN, 1, 1, gone, add, (1, 2), {})) is True
+    with ProcessPool(warm=1) as pool:
+        transport = ForkedProcessTransport(pool)
+        ref = transport.acquire()
+        transport.send(ref, TaskFrame(task_id=0, attempt=1, stage="screen",
+                                      fn=slow_add, args=(1, 2), kwargs={}))
+        transport.close()  # the borrowed pool outlives it; the spool is gone
+        transport.release(ref)
+        time.sleep(0.6)    # the task finishes into the removed spool
+        with TransportStageExecutor(ForkedProcessTransport(pool),
+                                    workers=1) as executor:
+            assert executor.submit("screen", add, 40, 2).result(timeout=60) == 42
+        assert pool.spawned_processes == 1 and ref.process.is_alive()
+
+
+# ---------------------------------------------------------------------------
+# Death is an event: reaped => one more scan, lost agent => timed window
+# ---------------------------------------------------------------------------
+
+@pytest.mark.flaky(reruns=2)
+@pytest.mark.parametrize("kind", KILLABLE_TRANSPORTS)
+def test_reaped_worker_is_retried_without_a_timed_confirmation(kind):
+    """A SIGKILLed 50 ms task comes back in well under the 0.25 s window
+    the timed confirmation alone used to cost."""
+    with make_executor(kind) as executor:
+        assert executor.submit("screen", add, 1, 1).result(timeout=60) == 2
+        executor.inject_kill("screen")
+        started = time.monotonic()
+        assert executor.submit("screen", slow_add, 20, 22,
+                               0.05).result(timeout=60) == 42
+        assert time.monotonic() - started < 0.2
+        assert executor.retries == 1
+        assert executor.kills_delivered == {"screen": 1}
+
+
+@pytest.mark.parametrize("kind", KILLABLE_TRANSPORTS)
+def test_kill_after_commit_resolves_once_and_ignores_the_stale_attempt(kind):
+    """A no-op commits before the SIGKILL lands (or is lost with its worker
+    -- both orders occur): its result, and that of the dependent task that
+    may be handed the dying worker, must each arrive exactly once."""
+    with make_executor(kind) as executor:
+        for round_ in range(6):
+            executor.inject_kill("covariance")
+            first = executor.submit("covariance", add, round_, 1)
+            second = executor.submit("project", add, first.result(timeout=60), 1)
+            assert second.result(timeout=60) == round_ + 2
+        assert executor.in_flight == 0
+        assert executor.kills_delivered == {"covariance": 6}
+        assert executor.retries <= 12  # at most both tasks of a round
+        assert executor._router.is_alive()  # no double resolution killed it
+        time.sleep(0.1)
+        assert os.listdir(executor.transport._spool) == [DOORBELL_NAME]
+
+
+def test_socket_slot_is_not_handed_out_before_its_reset_frame_is_sent():
+    """discard() recycles a slot under a new incarnation and tells the agent
+    with a ``reset`` frame.  A driver thread acquiring the slot in between
+    could get its task frame onto the stream first; the agent drops a task
+    whose incarnation it has not heard of, and nobody would retry it (seen as
+    a hung request once retries became immediate)."""
+    transport = make_transport("socket")
+    try:
+        transport.start(2)
+        doomed, _sibling = transport.acquire(), transport.acquire()
+        resetting = threading.Event()
+        real_send = transport._send
+
+        def slow_reset(frame):
+            if frame[0] == "reset":
+                resetting.set()
+                time.sleep(0.1)
+            return real_send(frame)
+
+        transport._send = slow_reset
+        discarder = threading.Thread(target=transport.discard, args=(doomed,))
+        discarder.start()
+        assert resetting.wait(timeout=10)
+        assert transport.acquire(spawn=False) is None  # not yet: reset unsent
+        discarder.join(timeout=10)
+        assert not discarder.is_alive()
+        fresh = transport.acquire(spawn=False)
+        assert (fresh.index, fresh.incarnation != doomed.incarnation) == (
+            doomed.index, True)
+        transport.send(fresh, TaskFrame(task_id=7, attempt=1, stage="probe",
+                                        fn=add, args=(40, 2), kwargs={}))
+        deadline = time.monotonic() + 30.0
+        committed = []
+        while not committed and time.monotonic() < deadline:
+            transport.wait(0.05)
+            committed = transport.poll_committed()
+        assert [(c.task_id, c.value) for c in committed] == [(7, 42)]
+    finally:
+        transport.close()
+
+
+# ---------------------------------------------------------------------------
+# No spin: idle, waiting for a busy sibling, waiting out a lost agent
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("backend", ["process:2", "socket:2"])
+def test_idle_pipeline_session_burns_no_cpu(tiny_cube, backend):
+    with repro.open_session(engine="pipeline", backend=backend) as session:
+        session.fuse(tiny_cube)
+        time.sleep(0.1)
+        before = time.process_time()
+        time.sleep(1.0)
+        assert time.process_time() - before < 0.05
+
+
+@pytest.mark.flaky(reruns=2)
+def test_router_does_not_spin_while_a_retry_waits_for_a_busy_sibling():
+    """The killed worker's sentinel stays readable for ever; it must have
+    left the wait set by the time its task waits for the surviving worker."""
+    transport = CountingTransport(make_transport("forked"))
+    with TransportStageExecutor(transport, workers=2) as executor:
+        busy = executor.submit("screen", slow_add, 1, 1, 1.0)
+        executor.inject_kill("project")
+        waits = transport.waits
+        killed = executor.submit("project", slow_add, 2, 2, 0.05)
+        assert killed.result(timeout=60) == 4
+        assert busy.result(timeout=60) == 2
+        assert executor.retries == 1
+        assert transport.waits - waits < 50
+
+
+@pytest.mark.flaky(reruns=2)
+def test_router_does_not_spin_through_a_lost_agents_confirmation_window():
+    transport = CountingTransport(make_transport("socket"))
+    with TransportStageExecutor(transport, workers=2) as executor:
+        assert executor.submit("screen", add, 1, 1).result(timeout=60) == 2
+        waits = transport.waits
+        future = executor.submit("screen", slow_add, 2, 3)
+        os.kill(transport.agent_pid, signal.SIGKILL)
+        assert future.result(timeout=60) == 5
+        assert transport.agent_restarts == 1 and executor.retries == 1
+        assert transport.waits - waits < 50
+
+
+def test_concurrent_submitters_keep_the_wait_set_consistent():
+    """More driver threads than cores, a shortened switch interval: every
+    result arrives, and no worker is left in the forked transport's
+    sentinel wait set (a lost update there would spin or miss a death)."""
+    results = {}
+
+    def driver(base):
+        for i in range(25):
+            results[base + i] = executor.submit(
+                "screen", add, base + i, 1).result(timeout=60)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with make_executor("forked", workers=3) as executor:
+            threads = [threading.Thread(target=driver, args=(100 * n,))
+                       for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == {100 * n + i: 100 * n + i + 1
+                               for n in range(6) for i in range(25)}
+            assert executor.in_flight == 0
+            assert executor.transport._busy == set()
+    finally:
+        sys.setswitchinterval(interval)
