@@ -159,9 +159,11 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--corpus", default="tests/parity_corpus",
                       help="parity corpus directory (replayed with --replay; "
                            "default tests/parity_corpus)")
-    fuzz.add_argument("--failures-dir", default=None,
-                      help="where new failure repros are written "
-                           "(default: the corpus directory)")
+    fuzz.add_argument("--failures-dir", default=".fuzz-failures",
+                      help="where new failure repros are written (default "
+                           ".fuzz-failures, git-ignored: a red fuzz never "
+                           "dirties the tracked corpus; promote a repro "
+                           "into --corpus by hand)")
     fuzz.add_argument("--replay", action="store_true",
                       help="replay the committed corpus instead of fuzzing "
                            "fresh cases")
@@ -374,9 +376,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         print(f"corpus replay: {len(entries)} repro(s) green")
         return 0
 
-    failures_dir = args.failures_dir if args.failures_dir else args.corpus
     result = harness.fuzz(seconds=args.seconds, seed=args.seed,
-                          corpus_dir=failures_dir, max_cases=args.max_cases,
+                          corpus_dir=args.failures_dir, max_cases=args.max_cases,
                           shrink=not args.no_shrink)
     print(result.summary())
     return 0 if result.ok else 1

@@ -44,13 +44,63 @@ reference for the same :class:`~repro.api.request.FusionRequest`:
   untiled result exactly.  ``tile_rows`` therefore only tunes streaming
   granularity, never the output, which is what the tiling property tests
   assert for arbitrary cube shapes and tilings.
+
+Placement
+---------
+The paper's Figure 5 is a granularity trade: over-decompose 2-3x to overlap,
+and lose once the per-unit overhead beats the unit's work.  Spreading one
+request over the workers costs it eight or more hops and four barriers in
+its driver thread, whatever its size; below a measured crossover that costs
+more than the kernels it spreads, and small cubes are better parallelised
+*across* the stream (``max_inflight``) than within themselves.
+
+So :func:`execute_pipeline_request` decides, once per request and from its
+shape alone, *where* the stage tasks run -- never how the work is cut:
+
+* ``cube.pixels * cube.bands <=`` :data:`WHOLE_REQUEST_MAX_SAMPLES` --
+  placement ``"request"``: one stage task (:func:`fuse_whole_request`) runs
+  :func:`run_pipeline` itself on one worker, against an inline executor
+  (submit = run now).  The driver only borrows the output placement, waits
+  for the one future and copies the arrays out: zero barriers.
+* larger -- placement ``"stages"``: :func:`run_pipeline` runs in the driver
+  and submits per-stage tasks to the shared executor, as described above.
+
+Both placements execute the same :func:`run_pipeline`: the same
+``decompose``, the same ``merge_unique_sets`` order, the same
+``partition_pixel_matrix(unique, workers)`` and the same tile plan (explicit
+``tile_rows`` / ``subcubes`` are honoured inside the worker), so the bits
+cannot differ -- ``tests/test_streaming_placement.py`` holds the two
+against each other and against the sequential reference on both sides of
+the constant.  The decision is transport-blind (on thread transports the
+whole-request task hands its result over in-process, exactly as tiles are)
+and has no knob: no request field, session option, flag or environment
+variable selects it.  The constant's docstring carries the measured table
+(``benchmarks/bench_fig5_granularity.py``).  The report says what happened:
+``metadata["placement"]``, ``metadata["stage_tasks"]`` (tasks through the
+executor: 1 for a whole request) next to ``stage_invocations`` (kernel
+calls per stage, the same on both); stage clocks are taken where the stage
+ran.
+
+Chaos keeps working because a whole-request task declares the stages it
+``covers`` and :meth:`~repro.scp.stages.TransportStageExecutor.inject_kill`
+fires on the next task that *runs* a stage.  A failed or abandoned whole
+request discards its placement like a failed split run does (a straggler
+may still be writing); a retried one rewrites the same bytes.
+
+Not here: running the covariance partials in the driver for split requests
+(they cost ~1-2 ms of a ~50 ms request).  ``benchmarks/e2e`` fails a
+kill-storm run in which a stage that was sent a kill dispatched no task, so
+that change has to arrive together with a benchmark change of its own.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from concurrent.futures import Future
+from contextlib import contextmanager
+from dataclasses import replace
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -183,10 +233,47 @@ def _validate_row_coverage(acks: Sequence[Tuple[int, int]], rows: int) -> None:
         raise ValueError(f"output placement is missing {missing} rows")
 
 
+@contextmanager
+def _borrowed_placement(output_pool: Optional[OutputPool], rows: int, cols: int,
+                        n_components: int) -> Iterator[SharedComposite]:
+    """One run's output placement: reusable after success, retired after failure.
+
+    A block that raises may leave straggler tasks still writing into the
+    segment (workers are not cancelled when the driver gives up), so the
+    placement is discarded then, never reissued to another run.
+    """
+    if output_pool is None:
+        with SharedComposite.create(rows, cols, n_components) as placement:
+            yield placement
+        return
+    placement = output_pool.acquire(rows, cols, n_components)
+    try:
+        yield placement
+    except BaseException:
+        output_pool.discard(placement)
+        raise
+    output_pool.release(placement)
+
+
+def _copy_out(placement: SharedComposite) -> Tuple[np.ndarray, np.ndarray]:
+    """``(components, composite)`` copied out of a fully written placement."""
+    components = np.array(placement.components)
+    composite = np.array(placement.composite)
+    if placement.closed:
+        # A racing session.close() force-released the placement (only
+        # possible for a direct fuse() the close cannot join); the copies
+        # above may be the swapped-out stubs, so fail loudly rather than
+        # return corrupt pixels.
+        raise CubeError("output placement was released under the run "
+                        "(session closed mid-fuse)")
+    return components, composite
+
+
 def run_pipeline(cube: HyperspectralCube, config: FusionConfig, executor, *,
                  n_components: int = 3, full_projection: bool = True,
                  tile_rows: Optional[int] = None,
-                 output_pool: Optional[OutputPool] = None) -> FusionResult:
+                 output_pool: Optional[OutputPool] = None,
+                 out: Optional[SharedCompositeHandle] = None) -> FusionResult:
     """Drive one cube through the staged screen/statistics/transform DAG.
 
     ``executor`` is a :class:`~repro.scp.stages.TransportStageExecutor` on
@@ -202,6 +289,13 @@ def run_pipeline(cube: HyperspectralCube, config: FusionConfig, executor, *,
     ``tile_rows`` cannot change the composite either -- tiling is
     output-invariant past the eigen-decomposition barrier.
     ``output_pool`` lets sessions reuse placement segments across runs.
+
+    ``out`` names a placement the *caller* owns: the tiles are written into
+    it whatever the executor, and the returned result carries zero-row
+    ``composite`` / ``components`` -- the pixels are in the placement, for
+    the caller to copy out.  That is how a whole-request task
+    (:func:`fuse_whole_request`) runs this driver inside a worker without
+    shipping an array back through the spool.
     """
     reference = SpectralScreeningPCT(config, n_components=n_components,
                                      full_projection=full_projection)
@@ -261,56 +355,38 @@ def run_pipeline(cube: HyperspectralCube, config: FusionConfig, executor, *,
     effective_tile_rows = (tile_rows if tile_rows is not None
                            else default_tile_rows(cube.rows, workers))
     normalize = config.colormap.normalize_components
-    use_zero_copy = executor.uses_processes
-    placement: Optional[SharedComposite] = None
-    completed = False
-    if use_zero_copy:
-        placement = (output_pool.acquire(cube.rows, cube.cols, n_components)
-                     if output_pool is not None
-                     else SharedComposite.create(cube.rows, cube.cols,
-                                                 n_components))
-    try:
-        if use_zero_copy:
-            task, placed_args = project_tile_into, (placement.handle(),)
-        else:
-            task, placed_args = project_tile, ()
+    use_zero_copy = out is not None or executor.uses_processes
+    tiles = plan_tiles(cube.rows, effective_tile_rows)
+
+    def _project(task: Callable, *placed_args: SharedCompositeHandle) -> List:
         stage_marks["projection"] = time.perf_counter()
-        tiles = plan_tiles(cube.rows, effective_tile_rows)
         payloads = _gather([
             executor.submit("project", task, cube, spec, basis, n_components,
                             normalize, stretch_mean, stretch_std, *placed_args,
                             compute_dtype, compute)
             for spec in tiles])
         _stage_done("projection", stage_marks["projection"])
-        if use_zero_copy:
+        if placed_args:
             _validate_row_coverage(payloads, cube.rows)
-            components = np.array(placement.components)
-            composite = np.array(placement.composite)
-            if placement.closed:
-                # A racing session.close() force-released the placement
-                # (only possible for a direct fuse() the close cannot
-                # join); the copies above may be the swapped-out stubs, so
-                # fail loudly rather than return corrupt pixels.
-                raise CubeError("output placement was released under the "
-                                "run (session closed mid-fuse)")
-        else:
-            components = reassemble_composite(
-                [(spec, block[0]) for spec, block in zip(tiles, payloads)],
-                cube.rows, cube.cols, channels=n_components)
-            composite = reassemble_composite(
-                [(spec, block[1]) for spec, block in zip(tiles, payloads)],
-                cube.rows, cube.cols, channels=3)
-        completed = True
-    finally:
-        if placement is not None:
-            if output_pool is not None and completed:
-                output_pool.release(placement)
-            elif output_pool is not None:
-                # Failed run: straggler tile tasks may still be writing, so
-                # the segment is retired, never reissued to another run.
-                output_pool.discard(placement)
-            else:
-                placement.close()
+        return payloads
+
+    if out is not None:
+        _project(project_tile_into, out)
+        components = np.empty((0, cube.cols, n_components))
+        composite = np.empty((0, cube.cols, 3))
+    elif use_zero_copy:
+        with _borrowed_placement(output_pool, cube.rows, cube.cols,
+                                 n_components) as placement:
+            _project(project_tile_into, placement.handle())
+            components, composite = _copy_out(placement)
+    else:
+        payloads = _project(project_tile)
+        components = reassemble_composite(
+            [(spec, block[0]) for spec, block in zip(tiles, payloads)],
+            cube.rows, cube.cols, channels=n_components)
+        composite = reassemble_composite(
+            [(spec, block[1]) for spec, block in zip(tiles, payloads)],
+            cube.rows, cube.cols, channels=3)
 
     phase_flops = reference.estimate_phase_flops(cube, unique.shape[0])
     stage_rows = {"screening": cube.pixels, "mean": int(unique.shape[0]),
@@ -337,6 +413,11 @@ def run_pipeline(cube: HyperspectralCube, config: FusionConfig, executor, *,
         "tile_rows": effective_tile_rows,
         "tiles": len(tiles),
         "zero_copy": use_zero_copy,
+        # Where the work ran and how many tasks that put through the
+        # executor; run_whole_request overwrites both ("request", 1) on
+        # the result of the run it placed inside one task.
+        # stage_invocations below keeps the per-stage kernel counts.
+        "placement": "stages",
         "stage_tasks": len(screen_futures) + len(cov_futures) + len(tiles),
         "compute_dtype": compute_dtype,
         "compute": compute,
@@ -374,6 +455,102 @@ def validate_pipeline_request(request, *, one_shot: bool) -> None:
             "max_inflight=...).fuse_stream(cubes)")
 
 
+#: Largest request, in samples (``cube.pixels * cube.bands``), that is placed
+#: *whole*: one stage task runs all of :func:`run_pipeline` on one worker.
+#: Larger requests are split into per-stage tasks across the workers.
+#:
+#: Measured, not derived: ``benchmarks/bench_fig5_granularity.py`` (the
+#: "measured" series; re-run it before changing this -- CONTRIBUTING,
+#: "Changing the plan constant").  On the 2-vCPU build host, ``process:2``,
+#: one BLAS thread, warm executor, 3 s closed loops, split -> whole:
+#:
+#: ====================  =====================  ======================
+#: scene (samples)       1 client, p50 latency  4 outstanding, cubes/s
+#: ====================  =====================  ======================
+#: 64x64x32     (131 k)  15.1 -> 12.0 ms        63.7 -> 111.8
+#: 96x96x32     (295 k)  18.0 -> 17.1 ms        60.2 -> 114.3
+#: 128x128x32   (524 k)  23.1 -> 25.6 ms        48.4 -> 84.5
+#: 96x96x64     (590 k)  32.9 -> 34.3 ms        31.5 -> 56.1
+#: 128x128x64  (1.05 M)  33.1 -> 35.7 ms        33.6 -> 47.1
+#: 256x256x64   (4.2 M)  91.1 -> 151.2 ms       12.2 -> 13.5
+#: ====================  =====================  ======================
+#:
+#: Whole wins on both loops up to 295 k samples and wins under load at every
+#: size, but a lone client pays for it from ~400 k up (three more seeds
+#: each: 112x112x32 one win and two losses of ~12 %, 128x128x32 -6 to
+#: -18 %).  ``1 << 18`` is the largest power of two at which whole lost on
+#: neither loop in any run made.  Whatever it becomes, it must stay strictly
+#: below 1 048 576: 128x128x64 is faster split for a single client, and a
+#: request that size must keep dispatching ``screen`` / ``covariance`` /
+#: ``project`` tasks for stage-targeted chaos (``benchmarks/e2e``'s
+#: ``socket_killstorm``) to land on.
+WHOLE_REQUEST_MAX_SAMPLES = 1 << 18
+
+#: Labels of the stage tasks :func:`run_pipeline` submits -- the stages a
+#: whole-request task covers, for :meth:`~repro.scp.stages.
+#: TransportStageExecutor.inject_kill`.
+STAGE_LABELS = ("screen", "covariance", "project")
+
+
+class _InlineStages:
+    """The executor of a whole-request task: ``submit`` runs the stage task
+    now, on the calling worker, and returns its resolved future."""
+
+    uses_processes = False
+
+    def submit(self, stage: str, fn: Callable, *args, **kwargs) -> Future:
+        future: Future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
+def fuse_whole_request(cube: HyperspectralCube, config: FusionConfig,
+                       n_components: int, full_projection: bool,
+                       tile_rows: Optional[int],
+                       out: Optional[SharedCompositeHandle] = None) -> FusionResult:
+    """Stage task covering a whole request: every stage, on this worker.
+
+    Calls :func:`run_pipeline` -- same decomposition, same merge order, same
+    unique-set partition, same tiling as a split request, so the same bits --
+    against an inline executor.  With ``out`` (process transports) the tiles
+    land in the caller's placement and no array rides the result spool;
+    without it (host threads) the full result is handed over in-process.
+    Pure and deterministic like every stage task: a retry after a worker
+    death rewrites the same bytes into the same placement.
+    """
+    return run_pipeline(cube, config, _InlineStages(),
+                        n_components=n_components,
+                        full_projection=full_projection, tile_rows=tile_rows,
+                        out=out)
+
+
+def run_whole_request(request, config: FusionConfig, executor,
+                      output_pool: Optional[OutputPool] = None) -> FusionResult:
+    """Place ``request`` whole: one slot task, zero barriers in the driver.
+
+    :func:`execute_pipeline_request` picks this placement by size; the
+    Figure-5 script calls it directly to measure it past the constant.
+    """
+    cube = request.cube
+
+    def _whole(out: Optional[SharedCompositeHandle] = None) -> FusionResult:
+        return executor.submit("request", fuse_whole_request, cube, config,
+                               request.n_components, request.full_projection,
+                               request.tile_rows, out,
+                               covers=STAGE_LABELS).result()
+
+    if executor.uses_processes:
+        with _borrowed_placement(output_pool, cube.rows, cube.cols,
+                                 request.n_components) as placement:
+            result = _whole(placement.handle())
+            components, composite = _copy_out(placement)
+        result = replace(result, components=components, composite=composite)
+    else:
+        result = _whole()
+    result.metadata.update(placement="request", stage_tasks=1)
+    return result
+
+
 def execute_pipeline_request(request, executor, *, backend_label: str,
                              output_pool: Optional[OutputPool] = None):
     """Run one :class:`~repro.api.request.FusionRequest` on ``executor``.
@@ -383,16 +560,25 @@ def execute_pipeline_request(request, executor, *, backend_label: str,
     every in-flight cube; sessions also pass their reusable ``output_pool``
     of zero-copy placements).  Returns the unified
     :class:`~repro.api.request.FusionReport`.
+
+    This is where the request is *placed* (see the module docstring): at or
+    below :data:`WHOLE_REQUEST_MAX_SAMPLES` it runs as one slot task, above
+    it as per-stage tasks.  ``report.result.metadata["placement"]`` says
+    which.
     """
     from ..api.request import FusionReport
 
     config = request.resolved_config()
+    cube = request.cube
     start = time.perf_counter()
-    result = run_pipeline(request.cube, config, executor,
-                          n_components=request.n_components,
-                          full_projection=request.full_projection,
-                          tile_rows=request.tile_rows,
-                          output_pool=output_pool)
+    if cube.pixels * cube.bands <= WHOLE_REQUEST_MAX_SAMPLES:
+        result = run_whole_request(request, config, executor, output_pool)
+    else:
+        result = run_pipeline(cube, config, executor,
+                              n_components=request.n_components,
+                              full_projection=request.full_projection,
+                              tile_rows=request.tile_rows,
+                              output_pool=output_pool)
     elapsed = time.perf_counter() - start
     metrics = RunMetrics(elapsed_seconds=elapsed, backend=backend_label,
                          workers=config.partition.workers,
@@ -450,6 +636,8 @@ class PipelineEngine:
 
 __all__ = ["PipelineEngine", "run_pipeline",
            "execute_pipeline_request", "validate_pipeline_request",
+           "WHOLE_REQUEST_MAX_SAMPLES", "STAGE_LABELS", "fuse_whole_request",
+           "run_whole_request",
            "plan_tiles", "default_tile_rows",
            "screen_tile", "covariance_partial", "project_tile",
            "project_tile_into"]

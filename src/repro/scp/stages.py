@@ -74,7 +74,7 @@ import pickle
 import threading
 import time
 from concurrent.futures import Future
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..logging_utils import get_logger
 from .errors import SCPError
@@ -156,13 +156,16 @@ def try_run_stage(item: Any) -> bool:
 class _PendingStage:
     """Parent-side record of one in-flight stage task."""
 
-    __slots__ = ("task_id", "stage", "fn", "args", "kwargs", "future",
+    __slots__ = ("task_id", "stage", "runs", "fn", "args", "kwargs", "future",
                  "ref", "attempt", "first_seen_dead")
 
-    def __init__(self, task_id: int, stage: str, fn: Callable,
-                 args: Tuple, kwargs: Dict) -> None:
+    def __init__(self, task_id: int, stage: str, covers: Sequence[str],
+                 fn: Callable, args: Tuple, kwargs: Dict) -> None:
         self.task_id = task_id
         self.stage = stage
+        #: Every stage whose work this task runs: its own label, then the
+        #: stages it covers.  An armed kill on any of them fires on it.
+        self.runs: Tuple[str, ...] = (stage, *covers)
         self.fn = fn
         self.args = args
         self.kwargs = kwargs
@@ -268,16 +271,21 @@ class TransportStageExecutor:
         """Whether results cross a process boundary (zero-copy payoff)."""
         return self._transport.uses_processes
 
-    def submit(self, stage: str, fn: Callable, *args, **kwargs) -> Future:
+    def submit(self, stage: str, fn: Callable, *args,
+               covers: Sequence[str] = (), **kwargs) -> Future:
         """Queue one stage task; returns its future.
 
         Blocks while ``workers`` tasks are already in flight -- that is the
         bounded stage queue providing backpressure to the tile producers.
+
+        ``covers`` names further stages whose work this one task *runs* (a
+        whole-request task runs screening, covariance and projection), so
+        :meth:`inject_kill` on any of them still finds a task to fire on.
         """
         while not self._slots_free.acquire(timeout=0.1):
             if self._closed:
                 raise StageError(stage, "stage executor is closed")
-        record = _PendingStage(next(self._ids), stage, fn, args, kwargs)
+        record = _PendingStage(next(self._ids), stage, covers, fn, args, kwargs)
         with self._lock:
             # Re-checked under the lock: close() drains _pending under the
             # same lock after setting _closed, so a racing submit either
@@ -303,13 +311,22 @@ class TransportStageExecutor:
 
     # ---------------------------------------------------------------- chaos
     def inject_kill(self, stage: str, kills: int = 1) -> None:
-        """Chaos hook: SIGKILL the worker of the next ``kills`` tasks of
-        ``stage`` right after dispatch, exactly as a mid-stage OOM kill or
-        node loss would.  The crash-matrix tests drive every pipeline stage
-        through this and assert the stream still completes bit-identically
-        (retry budget permitting) or fails with a typed error.
+        """Chaos hook: SIGKILL the worker of the next ``kills`` tasks that
+        *run* ``stage`` right after dispatch, exactly as a mid-stage OOM
+        kill or node loss would.  The crash-matrix tests drive every
+        pipeline stage through this and assert the stream still completes
+        bit-identically (retry budget permitting) or fails with a typed
+        error.
 
-        A request only fires when a task of ``stage`` actually dispatches.
+        A task runs the stage it is labelled with and every stage it
+        ``covers`` (see :meth:`submit`).  One dispatch takes one armed kill
+        from *each* stage the task runs, its worker is killed once, and
+        :attr:`kills_delivered` credits every stage taken -- so a kill armed
+        on ``"screen"`` fires whether the request was split into stage tasks
+        or placed whole, and one kill per stage armed before a whole request
+        costs it one retry, not three.
+
+        A request only fires when a task running ``stage`` actually dispatches.
         On a long-lived session executor an unconsumed request would
         otherwise leak into the *next* run (an empty stream, a stage name
         that never dispatches); callers injecting chaos should drain
@@ -372,13 +389,14 @@ class TransportStageExecutor:
                 # close() failed this task between registration and dispatch;
                 # hand the unused worker straight back.
                 abandoned = True
-                chaos = False
+                chaos = []
             else:
                 abandoned = False
                 record.ref = ref
                 record.first_seen_dead = None
                 record.attempt += 1
-                chaos = self._take_kill_request_locked(record.stage)
+                chaos = [stage for stage in record.runs
+                         if self._take_kill_request_locked(stage)]
         if abandoned:
             self._transport.release(ref)
             return
@@ -388,8 +406,9 @@ class TransportStageExecutor:
         if chaos:
             self._transport.kill(ref)
             with self._lock:
-                self.kills_delivered[record.stage] = (
-                    self.kills_delivered.get(record.stage, 0) + 1)
+                for stage in chaos:
+                    self.kills_delivered[stage] = (
+                        self.kills_delivered.get(stage, 0) + 1)
 
     # --------------------------------------------------------------- router
     def _route(self) -> None:

@@ -7,7 +7,9 @@ patch is visible to the executing code.
 
 from __future__ import annotations
 
+import functools
 import random
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +220,23 @@ def test_fuzz_shrinks_and_records_a_planted_failure(tmp_path,
     assert case.bands == harness.MIN_BANDS
     assert any(v.kind == "composite" for v in violations)
     assert note == "recorded by repro-fusion fuzz"
+
+
+def test_cli_fuzz_failures_never_land_in_the_tracked_corpus(
+        tmp_path, monkeypatch, capsys, broken_projection):
+    # Regression: without --failures-dir a red fuzz wrote its repros into
+    # --corpus (default tests/parity_corpus), dirtying the tracked tree and
+    # re-opening on the next tier-1 replay.
+    corpus = tmp_path / "tests" / "parity_corpus"
+    shutil.copytree(Path(__file__).parent / "parity_corpus", corpus)
+    before = {path.name: path.read_bytes() for path in corpus.iterdir()}
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(harness, "fuzz", functools.partial(
+        fuzz, sampler=lambda rng: PIPELINE_CASE))
+    assert cli.main(["fuzz", "--seconds", "60", "--max-cases", "1"]) == 1
+    assert "parity failures : 1" in capsys.readouterr().out
+    assert {path.name: path.read_bytes() for path in corpus.iterdir()} == before
+    assert len(list((tmp_path / ".fuzz-failures").glob("repro-*.json"))) == 1
 
 
 def test_cli_replay_gates_on_the_corpus(tmp_path, capsys, broken_projection):
