@@ -217,10 +217,10 @@ class FusionSession:
                                                   backend_label=self.backend,
                                                   output_pool=self._output_runtime())
             else:
-                # One pool serves one program run at a time (its shared
-                # outbox would cross reports), so batch-engine runs are
-                # serialised even when submit() drivers and direct fuse()
-                # callers overlap.
+                # Batch-engine runs are serialised even when submit()
+                # drivers and direct fuse() callers overlap: two at once
+                # would grow the pool past the session's slot budget, forking
+                # from one thread while another's inbox feeders hold locks.
                 with self._run_lock:
                     backend_instance: Optional[Backend] = None
                     if self._pool is not None:
@@ -298,8 +298,8 @@ class FusionSession:
 
     def _max_inflight(self, overrides: Optional[Dict[str, Any]] = None) -> int:
         if self.engine != "pipeline":
-            # Backends of the batch engines run one fusion at a time (one
-            # pool outbox per run); the stream still flows, just serially.
+            # Backends of the batch engines run one fusion at a time (see
+            # ``_run_lock`` in fuse()); the stream still flows, just serially.
             return 1
         merged = {**self._defaults, **(overrides or {})}
         inflight = merged.get("max_inflight")

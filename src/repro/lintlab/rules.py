@@ -30,13 +30,12 @@ from .registry import LintContext, Rule, register_rule
 #: atexit sweep guarantees zero /dev/shm residue (PR 4).
 SHARED_MEMORY_SANCTUARY = ("repro/data/shared.py",)
 
-#: Modules allowed to build multiprocessing queues/pipes: the SCP replica
-#: mailboxes, whose feeder threads the backends own and drain, and the
-#: worker-transport seam (task-frame inboxes written only by the parent
-#: that owns the worker).  Stage results must use the atomic-rename spool
-#: transport instead (PR 3, PR 9).
-QUEUE_SANCTUARY = ("repro/scp/pool.py", "repro/scp/process_backend.py",
-                   "repro/scp/transport.py")
+#: The one module allowed to build a multiprocessing queue: every queue the
+#: pool constructs is a slot's inbox, written only by the parent that owns
+#: the slot and read only by that slot -- the direction a SIGKILLed worker
+#: cannot tear.  Everything a worker reports (stage results since PR 3/PR 9,
+#: SCP replica records since PR 23) is an atomic-rename spool commit.
+QUEUE_SANCTUARY = ("repro/scp/pool.py",)
 
 #: The fork-safe primitives module RPL003 points at.
 FORKSAFE_SANCTUARY = ("repro/forksafe.py",)
@@ -150,12 +149,13 @@ _MP_BASES = ("multiprocessing", "mp", "ctx", "_ctx", "_mp", "get_context")
 class KillableQueueTransportRule(Rule):
     code = "RPL002"
     name = "queue-shared-with-killable-worker"
-    summary = ("multiprocessing Queue/Pipe outside the sanctioned SCP "
-               "mailbox modules; stage results must use the atomic-rename "
-               "spool transport (repro.scp.stages)")
+    summary = ("multiprocessing Queue/Pipe built outside repro/scp/pool.py "
+               "(parent-written slot inboxes); whatever a worker reports must "
+               "be an atomic-rename spool commit "
+               "(repro.scp.serialization.commit_spool_file)")
     rationale = ("PR 3: a SIGKILLed worker can die holding a queue's "
                  "write-lock or mid-pickle, wedging every later reader; "
-                 "the spool transport cannot be torn")
+                 "a spool commit cannot be torn")
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         if ctx.in_module(*QUEUE_SANCTUARY):

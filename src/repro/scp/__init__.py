@@ -25,8 +25,7 @@ from .channel import Mailbox
 from .effects import (Checkpoint, Compute, Effect, GetTime, Probe, Recv, Send,
                       Sleep)
 from .errors import (DeadlockError, PlacementError, ReceiveTimeout,
-                     RuntimeStateError, SCPError, ThreadCrashedError,
-                     UnknownDestinationError)
+                     RuntimeStateError, SCPError, ThreadCrashedError)
 from .group import Router
 from .local_backend import LocalBackend
 from .pool import ProcessPool, default_start_method
@@ -62,7 +61,6 @@ __all__ = [
     "RuntimeStateError",
     "SCPError",
     "ThreadCrashedError",
-    "UnknownDestinationError",
     "Router",
     "LocalBackend",
     "ProcessPool",

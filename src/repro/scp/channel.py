@@ -149,14 +149,6 @@ class Mailbox:
         self._queue.clear()
         return pending
 
-    def import_seen_keys(self, keys: Set[Tuple]) -> None:
-        """Seed the duplicate-suppression set (state handed to a regenerated
-        replica so it does not reprocess messages its predecessor consumed)."""
-        self._seen_keys |= set(keys)
-
-    def seen_keys(self) -> Set[Tuple]:
-        return set(self._seen_keys)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Mailbox {self.owner} pending={self.pending} closed={self._closed}>"
 

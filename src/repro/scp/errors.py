@@ -12,10 +12,6 @@ class SCPError(RuntimeError):
     """Base class of all SCP runtime errors."""
 
 
-class UnknownDestinationError(SCPError):
-    """A message was addressed to a logical name with no live binding."""
-
-
 class ThreadCrashedError(SCPError):
     """A thread program raised an unhandled exception.
 
@@ -57,7 +53,6 @@ class DeadlockError(SCPError):
 
 __all__ = [
     "SCPError",
-    "UnknownDestinationError",
     "ThreadCrashedError",
     "ReceiveTimeout",
     "RuntimeStateError",

@@ -13,9 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from .errors import UnknownDestinationError
-from .thread import parse_physical
-
 
 class Router:
     """Mapping between logical thread names and live physical replicas."""
@@ -49,32 +46,6 @@ class Router:
     def physical_targets(self, logical: str) -> List[str]:
         """Live physical replicas of ``logical`` (possibly empty)."""
         return list(self._logical_to_physical.get(logical, []))
-
-    def logical_of(self, physical_id: str) -> str:
-        try:
-            return self._physical_to_logical[physical_id]
-        except KeyError:
-            # Fall back to parsing; useful for threads that died already.
-            return parse_physical(physical_id)[0]
-
-    def all_logical(self) -> List[str]:
-        return sorted(self._logical_to_physical)
-
-    def all_physical(self) -> List[str]:
-        return sorted(self._physical_to_logical)
-
-    def require_targets(self, logical: str) -> List[str]:
-        """Like :meth:`physical_targets` but raising when the logical name was
-        never registered (a genuine addressing bug rather than a failure)."""
-        if logical not in self._logical_to_physical:
-            raise UnknownDestinationError(
-                f"no thread named {logical!r} is known to the router; "
-                f"known: {self.all_logical()}")
-        return self.physical_targets(logical)
-
-    def snapshot(self) -> Dict[str, List[str]]:
-        """Copy of the logical -> physical map (for tests and reports)."""
-        return {k: list(v) for k, v in self._logical_to_physical.items()}
 
 
 __all__ = ["Router"]

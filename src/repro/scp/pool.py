@@ -6,25 +6,22 @@ request if each run spawned its own workers.  :class:`ProcessPool` keeps
 the processes alive instead: it owns long-lived *slots* -- worker processes
 running :func:`_pool_child_main`, the one idle loop in the repo, which sits
 on its inbox waiting for a program assignment
-(:func:`~repro.scp.process_backend._interpret_program`, reporting through
-the pool's shared outbox) or a stage task
-(:func:`~repro.scp.stages.try_run_stage`, committing to a spool file), and
-returns to idle.  Every worker process is such a slot:
-:class:`~repro.scp.process_backend.ProcessBackend` runs each replica on one
-(a session's backends borrow from its persistent pool, a one-shot run owns a
-private pool for its lifetime), the forked stage transport dispatches onto
-them, and the socket transport's node agent holds its workers in a pool of
-its own -- so how a worker is spawned, retired and orphaned cannot differ
-by substrate.
+(:func:`~repro.scp.process_backend._interpret_program`) or a stage task
+(:func:`~repro.scp.stages.try_run_stage`) -- both report by committing files
+to their owner's spool -- and returns to idle.  The inbox is the only queue
+a slot touches: the pool's owner alone writes it, the slot alone reads it,
+the one direction a SIGKILLed slot cannot tear.  Every worker process is such
+a slot: :class:`~repro.scp.process_backend.ProcessBackend` runs each replica
+on one (a session's backends borrow from its persistent pool, a one-shot run
+owns a private pool), the forked stage transport dispatches onto them, and
+the socket transport's node agent holds its workers in a pool of its own --
+so how a worker is spawned, retired and orphaned cannot differ by substrate.
 
 The pool grows on demand (a run needing more replicas than there are idle
 slots spawns the difference) and never shrinks on its own; slots whose
 process died, was fault-injected, or may still be executing an abandoned
 program are discarded rather than reused, so a recycled slot is always
-genuinely idle.  One pool serves one run at a time -- interleaving two
-concurrent runs over the same outbox would cross their reports -- which is
-exactly the serial reuse pattern :class:`repro.api.session.FusionSession`
-needs.
+genuinely idle.
 """
 
 from __future__ import annotations
@@ -38,18 +35,12 @@ from typing import List, Optional
 
 from .errors import RuntimeStateError
 
-#: First element of a program-assignment tuple deposited on a slot's inbox.
+#: First element of a program-assignment tuple deposited on a slot's inbox;
+#: the rest are ``_interpret_program``'s arguments after ``inbox``.
 _ASSIGN = "__scp_pool_assign__"
 
 #: Sentinel asking a pool child to exit its idle loop and terminate.
 _POOL_EXIT = "__scp_pool_exit__"
-
-#: Seconds a slot's process may be observed dead without a terminal record
-#: (an SCP report, a committed spool file) before its owner declares the
-#: work lost -- gives a queue feeder or a rename that raced the death time
-#: to land.  Shared by the process backend's and the stage executor's
-#: liveness sweeps.
-_DEATH_CONFIRM_SECONDS = 0.25
 
 #: What ``put`` on a slot inbox raises once the queue is already broken:
 #: ValueError (closed queue), OSError (dead feeder pipe), AssertionError
@@ -70,16 +61,15 @@ def default_start_method() -> str:
     return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 
-def _pool_child_main(slot_name: str, inbox, outbox) -> None:
+def _pool_child_main(slot_name: str, inbox) -> None:
     """Idle loop of a pool slot: wait for assignments, interpret, repeat.
 
     A slot accepts two kinds of work: full SCP *program* assignments
     (interpreted by the process backend's effect interpreter) and short
     *stage tasks* from the streaming pipeline engine
-    (:mod:`repro.scp.stages`).  Anything else on the inbox
-    -- a stale envelope or shutdown marker from a program that already ended
-    -- is dropped, so leftovers of a previous run can never leak into the
-    next.
+    (:mod:`repro.scp.stages`).  Anything else on the inbox -- a stale envelope
+    or shutdown marker from a program that already ended -- is dropped, so
+    leftovers of a previous run can never leak into the next.
 
     The slot also self-terminates when orphaned: a parent that was
     SIGKILLed (a session's process, a node agent) can send no exit marker,
@@ -103,12 +93,8 @@ def _pool_child_main(slot_name: str, inbox, outbox) -> None:
             break
         if try_run_stage(item):
             continue
-        if not (isinstance(item, tuple) and len(item) == 10 and item[0] == _ASSIGN):
-            continue
-        (_, logical, replica, physical_id, node, program, params,
-         restored, incarnation, epoch) = item
-        _interpret_program(logical, replica, physical_id, node, program,
-                           params, restored, incarnation, inbox, outbox, epoch)
+        if isinstance(item, tuple) and len(item) == 12 and item[0] == _ASSIGN:
+            _interpret_program(inbox, *item[1:])
     # Drop any cached output-placement mappings deterministically rather
     # than relying on process teardown to release the pages.
     release_attachments()
@@ -145,7 +131,6 @@ class ProcessPool:
     def __init__(self, *, start_method: Optional[str] = None, warm: int = 0) -> None:
         self.start_method = start_method or default_start_method()
         self._ctx = multiprocessing.get_context(self.start_method)
-        self.outbox = self._ctx.Queue()
         self._slots: List[_PoolSlot] = []
         self._lock = threading.Lock()
         self._names = itertools.count()
@@ -214,8 +199,7 @@ class ProcessPool:
         """Remove a slot from the pool and terminate its process.
 
         Used for fault injection, timeouts, and any slot that may still be
-        executing an abandoned program -- reusing such a slot could leak a
-        stale report into a later run.  The slot's inbox is released here
+        executing an abandoned program.  The slot's inbox is released here
         too: its feeder thread would otherwise block interpreter shutdown
         on data buffered for the killed process.
         """
@@ -232,7 +216,7 @@ class ProcessPool:
         name = f"scp-pool-{next(self._names)}"
         inbox = self._ctx.Queue()
         process = self._ctx.Process(target=_pool_child_main,
-                                    args=(name, inbox, self.outbox),
+                                    args=(name, inbox),
                                     name=name, daemon=True)
         process.start()
         self.spawned_processes += 1
@@ -269,8 +253,6 @@ class ProcessPool:
         for slot in slots:
             slot.inbox.cancel_join_thread()
             slot.inbox.close()
-        self.outbox.cancel_join_thread()
-        self.outbox.close()
 
     def __enter__(self) -> "ProcessPool":
         return self

@@ -12,13 +12,16 @@ simulated.
 Architecture
 ------------
 The parent process is the *post office*: it owns the logical-to-physical
-:class:`~repro.scp.group.Router` and reads the pool's single ``outbox`` queue
-that every child writes to.  A child never talks to another child directly;
-a :class:`~repro.scp.effects.Send` becomes a pickled
-:class:`~repro.scp.serialization.Envelope` on the outbox, the parent expands
-the logical destination to the live replicas and deposits the envelope on
-each replica's private ``inbox`` queue.  Inside the child the inbox feeds the
-ordinary :class:`~repro.scp.channel.Mailbox`, so port filtering and duplicate
+:class:`~repro.scp.group.Router` and the run's *spool* directory.  A child
+never talks to another child and never writes to a queue (a SIGKILLed writer
+tears one for every reader, see :mod:`repro.scp.stages`): a
+:class:`~repro.scp.effects.Send` becomes a pickled
+:class:`~repro.scp.serialization.Envelope` committed to the spool by atomic
+rename; the parent, asleep on the spool's doorbell and the replicas' process
+sentinels, scans, expands the logical destination to the live replicas and
+puts the envelope on each one's private ``inbox`` queue, which it alone
+writes.  In the child the inbox feeds the ordinary
+:class:`~repro.scp.channel.Mailbox`, so port filtering and duplicate
 suppression behave exactly as on the other backends.
 
 The pool is the only place a worker process is forked.  A one-shot run owns
@@ -37,7 +40,7 @@ reported and recorded as a ``"crashed"`` outcome (raised as
 :class:`~repro.scp.errors.ThreadCrashedError` after the run under the default
 crash policy, unless the awaited thread finished anyway), and a process
 that dies without reporting -- a hard kill, an out-of-memory kill, a
-segfault -- is detected by the parent's liveness sweep.
+segfault -- is declared crashed once reaped and scanned for one last time.
 Death notifications feed the same ``subscribe_thread_death`` /
 ``spawn_thread`` control interface the resiliency layer drives on the other
 backends, so failed workers can be regenerated on fresh slots mid-run.
@@ -46,7 +49,10 @@ backends, so failed workers can be regenerated on fresh slots mid-run.
 from __future__ import annotations
 
 import os
+import pickle
 import queue as queue_module
+import shutil
+import tempfile
 import time
 from typing import Any, Callable, Dict, List, Optional
 
@@ -55,10 +61,11 @@ from ..logging_utils import get_logger
 from .channel import Mailbox
 from .effects import Checkpoint, Compute, GetTime, Probe, Recv, Send, Sleep
 from .errors import ReceiveTimeout, SCPError
-from .pool import (_ASSIGN, _DEATH_CONFIRM_SECONDS, QUEUE_BROKEN_ERRORS,
-                   ProcessPool, _PoolSlot)
+from .pool import _ASSIGN, QUEUE_BROKEN_ERRORS, ProcessPool, _PoolSlot
 from .runtime import Context
-from .serialization import Envelope
+from .serialization import (RESULT_SUFFIX, CommittedResult, Envelope, _Doorbell,
+                            _join_fired, collect_spool, commit_spool_file,
+                            ring_doorbell, spool_root)
 from .thread import ThreadSpec
 from .wallclock import ReplicaTask, WallClockBackend
 
@@ -73,27 +80,31 @@ _SHUTDOWN = "__scp_shutdown__"
 _INCARNATION_SEQ_STRIDE = 1_000_000
 
 
-class _ShutdownSignal(Exception):
-    """Internal control flow: the parent asked this child to exit."""
+class _ShutdownSignal(BaseException):
+    """Internal control flow: the parent asked this child to abandon its
+    program (a ``BaseException`` so no program-error handler swallows it)."""
 
 
 # ---------------------------------------------------------------------------
 # Child-process side
 # ---------------------------------------------------------------------------
 
-def _interpret_program(logical: str, replica: int, physical_id: str, node: str,
-                       program: Callable, params: Dict[str, Any], restored: Any,
-                       incarnation: int, inbox, outbox, epoch: float) -> None:
+def _interpret_program(inbox, logical: str, replica: int, physical_id: str,
+                       node: str, program: Callable, params: Dict[str, Any],
+                       restored: Any, incarnation: int, epoch: float,
+                       spool_dir: str, uid: int) -> None:
     """Interpret one thread program inside a worker process.
 
-    Everything observable leaves through ``outbox`` as small tagged tuples:
-    ``("send", pid, envelope)``, ``("phase", pid, node, name, seconds)``,
-    ``("checkpoint", logical, state)``, ``("finished", pid, result, dups)``
-    and ``("crashed", pid, message)``.
+    Everything observable leaves as small tagged tuples -- ``("send",
+    envelope)``, ``("phase", name, node, seconds)``, ``("checkpoint", state)``,
+    ``("finished", result, dups)`` and ``("crashed", message)`` -- each
+    committed to ``spool_dir`` as ``{uid}-{seq}.result`` (``uid`` names this
+    launch to the parent, ``seq`` counts its records from 0).
 
-    Returns normally both when the program runs to completion and when the
-    parent requests a shutdown mid-program, so a long-lived pool worker
-    (:mod:`repro.scp.pool`) can call this in a loop, one program per run.
+    Returns normally when the program runs to completion, when the parent
+    requests a shutdown mid-program and when the run's spool is already gone,
+    so a long-lived pool worker (:mod:`repro.scp.pool`) can call this in a
+    loop, one program per run.
     """
     ctx = Context(name=logical, replica=replica, physical_id=physical_id,
                   node=node, params=dict(params), restored=restored,
@@ -101,6 +112,21 @@ def _interpret_program(logical: str, replica: int, physical_id: str, node: str,
     mailbox = Mailbox(physical_id, dedup=True, thread_safe=False)
     send_seq = incarnation * _INCARNATION_SEQ_STRIDE
     parent = os.getppid()
+    committed = 0
+
+    def report(*record: Any) -> None:
+        # A number is spent only on a commit: a record pickle or the spool
+        # refuses leaves no hole for the crash record that follows to wait behind.
+        nonlocal committed
+        payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+        try:
+            commit_spool_file(spool_dir, f"{uid}-{committed}{RESULT_SUFFIX}", payload)
+        except OSError:
+            if os.path.isdir(spool_dir):
+                raise
+            raise _ShutdownSignal() from None  # the run is over, its spool removed
+        committed += 1
+        ring_doorbell(spool_dir)
 
     def now() -> float:
         # Monotonic (RPL004): envelope timestamps are run-relative
@@ -150,8 +176,7 @@ def _interpret_program(logical: str, replica: int, physical_id: str, node: str,
         if isinstance(effect, Compute):
             start = time.perf_counter()
             result = effect.fn(*effect.args, **effect.kwargs)
-            outbox.put(("phase", physical_id, node, effect.phase,
-                        time.perf_counter() - start))
+            report("phase", effect.phase, node, time.perf_counter() - start)
             return result
         if isinstance(effect, Send):
             send_seq += 1
@@ -159,7 +184,7 @@ def _interpret_program(logical: str, replica: int, physical_id: str, node: str,
                                 payload=effect.payload, seq=send_seq,
                                 key=effect.key, src_physical=physical_id,
                                 urgent=effect.urgent, send_time=now())
-            outbox.put(("send", physical_id, envelope))
+            report("send", envelope)
             return None
         if isinstance(effect, Recv):
             return do_recv(effect)
@@ -170,7 +195,7 @@ def _interpret_program(logical: str, replica: int, physical_id: str, node: str,
             time.sleep(max(0.0, effect.seconds))
             return None
         if isinstance(effect, Checkpoint):
-            outbox.put(("checkpoint", logical, effect.state))
+            report("checkpoint", effect.state)
             return None
         if isinstance(effect, GetTime):
             return now()
@@ -180,29 +205,27 @@ def _interpret_program(logical: str, replica: int, physical_id: str, node: str,
     value: Any = None
     throw: Optional[BaseException] = None
     try:
-        while True:
-            try:
-                if throw is not None:
-                    exc, throw = throw, None
-                    effect = gen.throw(exc)
-                else:
-                    effect = gen.send(value)
-            except StopIteration as stop:
-                outbox.put(("finished", physical_id, stop.value,
-                            mailbox.suppressed_duplicates))
-                return
-            try:
-                value = execute(effect)
-            except _ShutdownSignal:
-                raise
-            except ReceiveTimeout as err:
-                value, throw = None, err
+        try:
+            while True:
+                try:
+                    if throw is not None:
+                        exc, throw = throw, None
+                        effect = gen.throw(exc)
+                    else:
+                        effect = gen.send(value)
+                except StopIteration as stop:
+                    report("finished", stop.value, mailbox.suppressed_duplicates)
+                    return
+                try:
+                    value = execute(effect)
+                except ReceiveTimeout as err:
+                    value, throw = None, err
+        except ReceiveTimeout as err:
+            report("crashed", f"uncaught ReceiveTimeout: {err}")
+        except Exception as err:  # noqa: BLE001 - program errors (and records
+            report("crashed", repr(err))  # pickle refuses) are reported
     except _ShutdownSignal:
         return
-    except ReceiveTimeout as err:
-        outbox.put(("crashed", physical_id, f"uncaught ReceiveTimeout: {err}"))
-    except Exception as err:  # noqa: BLE001 - program errors are reported
-        outbox.put(("crashed", physical_id, repr(err)))
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +236,15 @@ class _ProcessTask(ReplicaTask):
     """Parent-side record of one replica running on a borrowed pool slot."""
 
     def __init__(self, spec: ThreadSpec, replica: int, physical_id: str,
-                 incarnation: int, slot: _PoolSlot, restored: Any) -> None:
+                 incarnation: int, slot: _PoolSlot, restored: Any, uid: int) -> None:
         super().__init__(spec, replica, physical_id, incarnation)
         self.slot = slot
         self.restored = restored
-        self.first_seen_dead: Optional[float] = None
+        self.uid = uid
+        #: Records read ahead of a predecessor, by sequence number, and the
+        #: number of the next one to handle (see ``_pump``).
+        self.held: Dict[int, CommittedResult] = {}
+        self.next_seq = 0
 
 
 class ProcessBackend(WallClockBackend):
@@ -250,7 +277,7 @@ class ProcessBackend(WallClockBackend):
         ----------
         pool:
             Slot pool to borrow replicas from; ``None`` creates a private
-            pool per run.  One pool serves one run at a time.
+            pool per run.
         crash_policy:
             ``"raise"`` re-raises the first program crash as
             :class:`ThreadCrashedError` after the run (unless the run's
@@ -276,25 +303,24 @@ class ProcessBackend(WallClockBackend):
         self._shared_params: Dict[str, Dict[str, Any]] = {}
         self._shared_cubes: List[Any] = []
         self._epoch = 0.0
+        self._spool: Optional[str] = None
+        #: Every vehicle launched, indexed by the ``uid`` its records carry: a
+        #: regenerated replica cannot be taken for its predecessor.
+        self._vehicles: List[_ProcessTask] = []
 
     # ----------------------------------------------------- per-run resources
     def _prepare_run(self) -> None:
+        # This run's alone: a pool that outlives it carries nothing over.
+        self._spool = tempfile.mkdtemp(prefix="scp-stages-", dir=spool_root())
+        self._doorbell = _Doorbell(self._spool)
         if self._pool is None:
             self._pool = ProcessPool(start_method=self.start_method)
-        # The pool's report queue is long-lived; drop anything a previous
-        # run may have left behind so its records cannot bleed into this one.
-        while True:
-            try:
-                self._pool.outbox.get_nowait()
-            except queue_module.Empty:
-                break
         self._epoch = time.monotonic()  # run-relative timestamps (RPL004)
 
     # ------------------------------------------------------------- wait loop
     def _wait(self, until_thread: Optional[str], deadline: Optional[float]) -> None:
         while True:
             self._pump(0.02)
-            self._sweep_dead_processes()
             with self._lock:
                 if until_thread is not None:
                     group = [t for t in self._tasks.values() if t.logical == until_thread]
@@ -318,7 +344,6 @@ class ProcessBackend(WallClockBackend):
         grace_end = time.perf_counter() + self.shutdown_grace
         while True:
             self._pump(0.02)
-            self._sweep_dead_processes()
             with self._lock:
                 pending = [t for t in self._tasks.values() if t.alive and not t.daemon
                            and t.logical != until_thread]
@@ -333,71 +358,59 @@ class ProcessBackend(WallClockBackend):
             leftovers = [t for t in self._tasks.values() if t.alive]
         for task in leftovers:
             self.kill_thread(task.physical_id, reason="shutdown")
-        # Collect any last reports (a worker may have finished during the
-        # sweep above) without blocking on an empty queue.
-        for _ in range(50):
-            if not self._pump(0.0):
-                break
+        self._pump(0.0)  # a worker may have finished during the sweep above
 
     def _pump(self, block_seconds: float) -> int:
-        """Process queued child records; returns how many were handled."""
-        outbox = self._pool.outbox
-        handled = 0
-        block = block_seconds > 0
-        while True:
-            try:
-                record = (outbox.get(timeout=block_seconds) if block
-                          else outbox.get_nowait())
-            except queue_module.Empty:
-                return handled
-            block = False  # only the first get may block
-            self._handle_record(record)
-            handled += 1
+        """Sleep until a commit, a replica's death or the timeout, then handle
+        what the spool holds; returns how many records were handled.
 
-    def _handle_record(self, record: tuple) -> None:
-        tag = record[0]
+        The directory may list a replica's record *n+1* and miss *n*, renamed
+        a moment earlier, so a record waits for its predecessors.  A replica
+        reaped before the scan can commit nothing more and all it renamed is
+        listed: still ``running`` afterwards, it died without reporting.
+        """
+        with self._lock:
+            running = [t for t in self._tasks.values() if t.status == "running"]
+        if block_seconds > 0:
+            # Not the dead: their sentinels stay readable for ever.
+            watched = {task.slot.process.sentinel: task.slot.process
+                       for task in running if task.slot.process.exitcode is None}
+            _join_fired(watched, self._doorbell.wait(block_seconds, watched))
+        reaped = [task for task in running if task.slot.process.exitcode is not None]
+        for item in collect_spool(self._spool):  # named {uid}-{seq}
+            self._vehicles[item.task_id].held[item.attempt] = item
+        handled = 0
+        for task in list(self._vehicles):
+            while task.next_seq in task.held:
+                item = task.held.pop(task.next_seq)
+                task.next_seq += 1
+                # A commit that cannot be read back costs the run its replica.
+                record = ("crashed", item.value) if item.crash else item.value
+                self._handle_record(task, *record)
+                handled += 1
+        for task in reaped:
+            self._crash(task.physical_id, "process died without reporting "
+                        f"(exit code {task.slot.process.exitcode})")
+        return handled
+
+    def _handle_record(self, task: _ProcessTask, tag: str, *fields: Any) -> None:
         if tag == "send":
-            self._route(record[2])
+            self._route(*fields)
         elif tag == "phase":
-            _, _pid, node, phase, seconds = record
-            self._record_phase(phase, node, seconds)
+            self._record_phase(*fields)
         elif tag == "checkpoint":
-            _, logical, state = record
-            self._record_checkpoint(logical, state)
+            self._record_checkpoint(task.logical, *fields)
+        elif not task.alive:
+            pass  # declared dead already; a successor may hold its name by now
         elif tag == "finished":
-            _, pid, result, suppressed = record
-            if self._finish(pid, result) and suppressed:
+            result, suppressed = fields
+            if self._finish(task.physical_id, result) and suppressed:
                 with self._lock:
                     self.collector.increment("duplicates_suppressed", suppressed)
         elif tag == "crashed":
-            _, pid, message = record
-            self._crash(pid, message)
+            self._crash(task.physical_id, *fields)
         else:  # pragma: no cover - protocol bug
-            _LOG.warning("unknown child record %r", record)
-
-    def _sweep_dead_processes(self) -> None:
-        """Detect replicas whose process died without a terminal report."""
-        now = time.perf_counter()
-        suspicious: List[str] = []
-        with self._lock:
-            for task in self._tasks.values():
-                if task.status != "running":
-                    continue
-                if task.slot.process.exitcode is None:
-                    task.first_seen_dead = None
-                    continue
-                if task.first_seen_dead is None:
-                    task.first_seen_dead = now
-                elif now - task.first_seen_dead >= _DEATH_CONFIRM_SECONDS:
-                    suspicious.append(task.physical_id)
-        for pid in suspicious:
-            with self._lock:
-                task = self._tasks[pid]
-                # A report may have been handled between the sweep and now.
-                if task.status != "running":
-                    continue
-                exitcode = task.slot.process.exitcode
-            self._crash(pid, f"process died without reporting (exit code {exitcode})")
+            _LOG.warning("unknown child record %r", (tag, *fields))
 
     # --------------------------------------------------------------- vehicle
     def _make_task(self, spec: ThreadSpec, replica: int, physical_id: str, *,
@@ -406,14 +419,16 @@ class ProcessBackend(WallClockBackend):
             params, created = share_cube_params(spec.params)
             self._shared_params[spec.name] = params
             self._shared_cubes.extend(created)
-        return _ProcessTask(spec, replica, physical_id, incarnation,
-                            self._pool.acquire(), restored)
+        task = _ProcessTask(spec, replica, physical_id, incarnation,
+                            self._pool.acquire(), restored, len(self._vehicles))
+        self._vehicles.append(task)
+        return task
 
     def _launch(self, task: _ProcessTask) -> None:
         task.slot.inbox.put((_ASSIGN, task.logical, task.replica, task.physical_id,
                              task.physical_id, task.spec.program,
                              self._shared_params[task.logical], task.restored,
-                             task.incarnation, self._epoch))
+                             task.incarnation, self._epoch, self._spool, task.uid))
         # Only after the assignment: the slot's idle loop drops anything
         # that arrives earlier.
         self._replay_dead_letters(task)
@@ -461,6 +476,9 @@ class ProcessBackend(WallClockBackend):
                 self._pool.discard(task.slot)
         if self._owns_pool and self._pool is not None:
             self._pool.close()
+        if self._spool is not None:  # after the slots: nothing reports any more
+            self._doorbell.close()
+            shutil.rmtree(self._spool, ignore_errors=True)
         for cube in self._shared_cubes:
             cube.close()
         self._shared_cubes.clear()

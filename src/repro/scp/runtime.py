@@ -184,18 +184,6 @@ class Backend(abc.ABC):
     #: Human-readable backend kind recorded in run metrics.
     kind: str = "abstract"
 
-    @classmethod
-    def from_spec(cls, spec: Any, context: Any = None) -> "Backend":
-        """Build a backend from a registry spec such as ``"process:8"``.
-
-        Delegates to :func:`repro.scp.registry.create_backend`; see that
-        module for the spec grammar and the registered names.  ``context``
-        is an optional :class:`~repro.scp.registry.BackendContext`.
-        """
-        from .registry import create_backend
-
-        return create_backend(spec, context)
-
     @abc.abstractmethod
     def run(self, app: Application, **kwargs: Any) -> RunResult:
         """Execute ``app`` to completion and return its result."""

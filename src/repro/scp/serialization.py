@@ -18,18 +18,29 @@ transport reuses :func:`commit_spool_file` rather than growing its own
 rename-commit implementation.  Beside the commit sits the *doorbell*
 (:func:`ring_doorbell`): one byte into the spool's FIFO telling the owner a
 scan is worth making now.  It is a hint and carries no information -- the
-directory scan stays the only thing that says what was committed.
+directory scan stays the only thing that says what was committed.  The
+owner's half lives here too -- :func:`collect_spool` (the scan),
+:class:`_Doorbell` (the wait) and :func:`_join_fired` -- because both spool
+owners need it: the stage transports and the process backend, which
+:mod:`repro.scp.transport` imports through the backend registry.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import select
 import sys
+import threading
+import time
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
+
+from ..logging_utils import get_logger
+
+_LOG = get_logger("scp.serialization")
 
 #: Fixed envelope overhead in bytes: logical addresses, port name, sequence
 #: number, flags.  Matches the order of magnitude of an SCPlib/TCP header.
@@ -43,6 +54,10 @@ ERROR_SUFFIX = ".error"
 #: Name of the wake-up FIFO inside a spool directory (no result/error suffix,
 #: so the scan skips it; removed with the directory).
 DOORBELL_NAME = "doorbell"
+
+#: Commit-scan interval of a spool owner whose spool could not get a doorbell
+#: (``os.mkfifo`` failed) -- the one timed scan left on the spool path.
+_NO_DOORBELL_SCAN_SECONDS = 0.005
 
 
 def spool_root() -> Optional[str]:
@@ -94,6 +109,160 @@ def ring_doorbell(spool_dir: str) -> None:
         pass
     finally:
         os.close(fd)
+
+
+@dataclass
+class CommittedResult:
+    """A durably committed task outcome collected by ``poll_committed``.
+
+    ``error`` marks a deterministic task failure (``value`` is the error
+    text, or the exception object itself on the in-process transport);
+    ``crash`` marks a committed payload that could not be read back --
+    abnormal, surfaced as :class:`~repro.scp.stages.StageCrashError`.
+    ``payload_nbytes`` is 0 when no serialisation happened (host
+    threads), so thread-backed executors keep empty payload accounting.
+    """
+
+    task_id: int
+    attempt: int
+    value: Any = None
+    error: bool = False
+    crash: bool = False
+    payload_nbytes: int = 0
+
+
+def collect_spool(spool_dir: str) -> List[CommittedResult]:
+    """Consume every committed spool file in ``spool_dir``.
+
+    The shared read half of the spool protocol: stage workers commit
+    ``{task_id}-{attempt}.result`` / ``.error`` files and SCP replicas
+    ``{uid}-{seq}.result`` records (atomic rename, :func:`commit_spool_file`)
+    and this scan picks them up, in the order the directory lists them.
+    In-progress ``.tmp`` files and foreign names (the doorbell FIFO) are
+    ignored; consumed files are unlinked.
+    """
+    try:
+        names = os.listdir(spool_dir)
+    except OSError:  # spool removed by close()
+        return []
+    committed: List[CommittedResult] = []
+    for name in names:
+        if name.endswith(RESULT_SUFFIX):
+            error = False
+        elif name.endswith(ERROR_SUFFIX):
+            error = True
+        else:
+            continue  # an in-progress .tmp, or the doorbell
+        stem = name.rsplit(".", 1)[0]
+        try:
+            task_id, attempt = (int(part) for part in stem.split("-"))
+        except ValueError:  # pragma: no cover - foreign file in the spool
+            continue
+        path = os.path.join(spool_dir, name)
+        crash = False
+        nbytes = 0
+        value: Any = None
+        try:
+            with open(path, "rb") as fh:
+                payload = fh.read()
+            nbytes = len(payload)
+            if error:
+                value = payload.decode("utf-8", "replace")
+            else:
+                value = pickle.loads(payload)
+        except Exception as err:  # the rename committed, so this is abnormal
+            crash = True
+            value = f"could not read spooled result: {err!r}"
+        unlink_quietly(path)
+        committed.append(CommittedResult(task_id=task_id, attempt=attempt,
+                                         value=value, error=error, crash=crash,
+                                         payload_nbytes=nbytes))
+    return committed
+
+
+class _Doorbell:
+    """Owner side of a spool's wake-up FIFO; every spool owner waits here.
+
+    The FIFO is held ``O_RDWR | O_NONBLOCK``: a writer always exists, so
+    workers coming and going never produce EOF, and :meth:`ring` is the
+    owner writing to its own doorbell.  Workers ring it by path
+    (:func:`repro.scp.serialization.ring_doorbell`) -- the path travels with
+    every task, which reaches workers no inherited descriptor could (a pool
+    warmed before the spool existed, a node agent's grandchildren).  Pending
+    bytes keep the FIFO readable until the next :meth:`wait` drains them, so
+    a ring that lands before the wait is not lost.
+
+    Where the spool's filesystem has no FIFOs the transport still works:
+    :meth:`wait` degrades to a short timed sleep and reports every wait as
+    timed out.
+    """
+
+    def __init__(self, spool_dir: str) -> None:
+        self._lock = threading.Lock()  # ring()/drain never touch a closed fd
+        self._fd: Optional[int] = None
+        path = os.path.join(spool_dir, DOORBELL_NAME)
+        try:
+            os.mkfifo(path)
+            self._fd = os.open(path, os.O_RDWR | os.O_NONBLOCK)
+        except OSError as err:
+            _LOG.warning("no commit doorbell in %s (%r); falling back to a "
+                         "timed spool scan", spool_dir, err)
+
+    def ring(self) -> None:
+        with self._lock:
+            if self._fd is None:
+                return
+            try:
+                os.write(self._fd, b"\0")
+            except OSError:  # full pipe: a wake-up is already pending
+                pass
+
+    def wait(self, timeout: float, sentinels: Iterable[int] = ()) -> List[int]:
+        """Sleep until rung, until a process sentinel fires, or ``timeout``;
+        returns the descriptors that ended the wait (empty: the clock did).
+        The FIFO is drained here, *before* the caller scans: a commit racing
+        the drain leaves either its byte or its file for the scan that
+        follows."""
+        fd = self._fd
+        if fd is None:
+            time.sleep(min(timeout, _NO_DOORBELL_SCAN_SECONDS))
+            return []
+        # poll(), not select(): a long-lived session process may hold more
+        # descriptors than FD_SETSIZE, and a descriptor closed underneath a
+        # late router reads as POLLNVAL instead of raising.
+        poller = select.poll()
+        for watched in (fd, *sentinels):
+            poller.register(watched, select.POLLIN)
+        fired = [ready for ready, _ in poller.poll(timeout * 1000.0)]
+        if fd in fired:
+            with self._lock:
+                if self._fd is not None:
+                    try:
+                        os.read(fd, 65536)  # the whole pipe in one read
+                    except BlockingIOError:  # spurious readiness
+                        pass
+        return fired
+
+    def close(self) -> None:
+        with self._lock:
+            fd, self._fd = self._fd, None
+        if fd is not None:
+            os.close(fd)
+
+
+def _join_fired(watched: Dict[int, Any], fired: Iterable[Any]) -> None:
+    """Reap the processes among ``watched`` (sentinel -> process) whose
+    sentinel is in ``fired``.
+
+    A sentinel fires when the dying process closes its descriptors, a moment
+    before it can be reaped.  Wait that moment out (as ``Process.join``
+    itself does) or the liveness check that follows would still see the
+    process alive and its caller spin on the readable sentinel.
+    """
+    for descriptor in fired:
+        process = watched.get(descriptor)
+        if process is not None:
+            process.join()
 
 
 def payload_nbytes(payload: Any) -> int:
@@ -184,11 +353,13 @@ class Envelope:
 
 
 __all__ = [
+    "CommittedResult",
     "DOORBELL_NAME",
     "ENVELOPE_OVERHEAD_BYTES",
     "ERROR_SUFFIX",
     "Envelope",
     "RESULT_SUFFIX",
+    "collect_spool",
     "commit_spool_file",
     "payload_nbytes",
     "ring_doorbell",

@@ -573,14 +573,6 @@ class SimBackend(Backend):
         self.collector.increment("replicas_regenerated")
         return task.physical_id
 
-    def inject_message(self, dst_logical: str, port: str, payload: Any = None,
-                       *, urgent: bool = True) -> None:
-        """Deposit a control message from outside the thread system."""
-        envelope = Envelope(src="<control>", dst=dst_logical, port=port, payload=payload,
-                            urgent=urgent, send_time=self.engine.now)
-        for pid in self.live_replicas(dst_logical):
-            self._route_to_physical(None, envelope, pid)
-
     # -------------------------------------------------------------- heartbeat
     def enable_heartbeats(self, period: float, listener: Callable[[str, float], None],
                           monitor_node: Optional[str] = None) -> None:

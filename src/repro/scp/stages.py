@@ -49,8 +49,12 @@ router discovers completions by scanning the spool directory.  A kill
 either commits a complete file or leaves nothing, no lock is shared on
 the result path, and the router can never block -- which is what makes
 the "completes or fails typed, never hangs" contract hold.  This
-invariant now lives in :mod:`repro.scp.transport`, where every transport
-(forked pool slots and socket node agents alike) reuses it.
+invariant lives in :mod:`repro.scp.transport`, where every transport
+(forked pool slots and socket node agents alike) reuses it, and it holds
+on the other worker substrate too: the replicas of an SCP ``process`` run
+commit their records to their run's spool the same way
+(:mod:`repro.scp.process_backend`).  The one queue a worker touches is its
+slot's inbox, which only the slot's owner writes.
 
 The router does not *poll* for those files, though: it sleeps in the
 transport's ``wait`` until something may have changed.  ``submit`` and
@@ -78,7 +82,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..logging_utils import get_logger
 from .errors import SCPError
-from .pool import _DEATH_CONFIRM_SECONDS
 from .serialization import (ERROR_SUFFIX as _ERROR_SUFFIX,
                             RESULT_SUFFIX as _RESULT_SUFFIX,
                             commit_spool_file as _commit_spool_file,
@@ -91,6 +94,12 @@ _LOG = get_logger("scp.stages")
 #: Longest the router sleeps with work in flight: the safety net behind a
 #: lost doorbell ring, and the tick of the timed death confirmation.
 _SAFETY_NET_SECONDS = 0.05
+
+#: Seconds a worker that probes dead, but that its transport cannot certify
+#: reaped (a lost node agent's orphans may still be renaming), is given before
+#: its task is declared lost.  A reaped process needs no such window:
+#: everything it committed is already visible to one more scan.
+_DEATH_CONFIRM_SECONDS = 0.25
 
 #: Longest an idle router sleeps.  Nothing can commit while nothing is in
 #: flight and ``submit``/``close`` wake it, so this is only a backstop.

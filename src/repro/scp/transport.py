@@ -53,10 +53,10 @@ Crash-safety invariants (kept here, in one place lintlab can see):
   costs one safety-net timeout or one empty scan, and ``collect_spool``
   alone decides what was committed.  That is why a doorbell pipe is
   allowed where a result pipe is not;
-* multiprocessing queues appear only between a parent and workers it
-  alone manages, and a condemned worker's queue is released with
-  ``cancel_join_thread`` so a feeder thread can never wedge shutdown;
-* every deadline in this module is ``time.monotonic`` arithmetic.
+* the only multiprocessing queue a worker touches is its slot's inbox,
+  built by :mod:`repro.scp.pool`, written only by the parent that owns the
+  worker and released with ``cancel_join_thread`` when the worker is
+  condemned, so a feeder thread can never wedge shutdown.
 """
 
 from __future__ import annotations
@@ -73,18 +73,16 @@ import subprocess
 import sys
 import tempfile
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional, Set,
-                    Tuple)
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..logging_utils import get_logger
 from .errors import RuntimeStateError
 from .pool import ProcessPool, default_start_method
 from .registry import BackendSpec
-from .serialization import (DOORBELL_NAME, ERROR_SUFFIX, RESULT_SUFFIX,
-                            spool_root, unlink_quietly)
+from .serialization import (CommittedResult, _Doorbell, _join_fired,
+                            collect_spool, spool_root)
 
 _LOG = get_logger("scp.transport")
 
@@ -94,10 +92,6 @@ STAGE_ASSIGN = "__scp_stage_assign__"
 
 #: Seconds the parent waits for a freshly launched node agent to call back.
 _AGENT_CONNECT_TIMEOUT = 15.0
-
-#: Commit-scan interval of a transport whose spool could not get a doorbell
-#: (``os.mkfifo`` failed) -- the one timed scan left in the module.
-_NO_DOORBELL_SCAN_SECONDS = 0.005
 
 
 @dataclass(frozen=True)
@@ -110,159 +104,6 @@ class TaskFrame:
     fn: Callable
     args: Tuple
     kwargs: Dict
-
-
-@dataclass
-class CommittedResult:
-    """A durably committed task outcome collected by ``poll_committed``.
-
-    ``error`` marks a deterministic task failure (``value`` is the error
-    text, or the exception object itself on the in-process transport);
-    ``crash`` marks a committed payload that could not be read back --
-    abnormal, surfaced as :class:`~repro.scp.stages.StageCrashError`.
-    ``payload_nbytes`` is 0 when no serialisation happened (host
-    threads), so thread-backed executors keep empty payload accounting.
-    """
-
-    task_id: int
-    attempt: int
-    value: Any = None
-    error: bool = False
-    crash: bool = False
-    payload_nbytes: int = 0
-
-
-def collect_spool(spool_dir: str) -> List[CommittedResult]:
-    """Consume every committed spool file in ``spool_dir``.
-
-    The shared read half of the spool protocol: both process transports
-    commit results as ``{task_id}-{attempt}.result`` / ``.error`` files
-    (atomic rename; see :mod:`repro.scp.serialization`) and this scan
-    picks them up.  In-progress ``.tmp`` files and foreign names (the
-    doorbell FIFO) are ignored; consumed files are unlinked.
-    """
-    try:
-        names = os.listdir(spool_dir)
-    except OSError:  # spool removed by close()
-        return []
-    committed: List[CommittedResult] = []
-    for name in names:
-        if name.endswith(RESULT_SUFFIX):
-            error = False
-        elif name.endswith(ERROR_SUFFIX):
-            error = True
-        else:
-            continue  # an in-progress .tmp, or the doorbell
-        stem = name.rsplit(".", 1)[0]
-        try:
-            task_id, attempt = (int(part) for part in stem.split("-"))
-        except ValueError:  # pragma: no cover - foreign file in the spool
-            continue
-        path = os.path.join(spool_dir, name)
-        crash = False
-        nbytes = 0
-        value: Any = None
-        try:
-            with open(path, "rb") as fh:
-                payload = fh.read()
-            nbytes = len(payload)
-            if error:
-                value = payload.decode("utf-8", "replace")
-            else:
-                value = pickle.loads(payload)
-        except Exception as err:  # the rename committed, so this is abnormal
-            crash = True
-            value = f"could not read spooled result: {err!r}"
-        unlink_quietly(path)
-        committed.append(CommittedResult(task_id=task_id, attempt=attempt,
-                                         value=value, error=error, crash=crash,
-                                         payload_nbytes=nbytes))
-    return committed
-
-
-class _Doorbell:
-    """Owner side of a spool's wake-up FIFO; both process transports wait here.
-
-    The FIFO is held ``O_RDWR | O_NONBLOCK``: a writer always exists, so
-    workers coming and going never produce EOF, and :meth:`ring` is the
-    owner writing to its own doorbell.  Workers ring it by path
-    (:func:`repro.scp.serialization.ring_doorbell`) -- the path travels with
-    every task, which reaches workers no inherited descriptor could (a pool
-    warmed before the spool existed, a node agent's grandchildren).  Pending
-    bytes keep the FIFO readable until the next :meth:`wait` drains them, so
-    a ring that lands before the wait is not lost.
-
-    Where the spool's filesystem has no FIFOs the transport still works:
-    :meth:`wait` degrades to a short timed sleep and reports every wait as
-    timed out.
-    """
-
-    def __init__(self, spool_dir: str) -> None:
-        self._lock = threading.Lock()  # ring()/drain never touch a closed fd
-        self._fd: Optional[int] = None
-        path = os.path.join(spool_dir, DOORBELL_NAME)
-        try:
-            os.mkfifo(path)
-            self._fd = os.open(path, os.O_RDWR | os.O_NONBLOCK)
-        except OSError as err:
-            _LOG.warning("no commit doorbell in %s (%r); falling back to a "
-                         "timed spool scan", spool_dir, err)
-
-    def ring(self) -> None:
-        with self._lock:
-            if self._fd is None:
-                return
-            try:
-                os.write(self._fd, b"\0")
-            except OSError:  # full pipe: a wake-up is already pending
-                pass
-
-    def wait(self, timeout: float, sentinels: Iterable[int] = ()) -> List[int]:
-        """Sleep until rung, until a process sentinel fires, or ``timeout``;
-        returns the descriptors that ended the wait (empty: the clock did).
-        The FIFO is drained here, *before* the caller scans: a commit racing
-        the drain leaves either its byte or its file for the scan that
-        follows."""
-        fd = self._fd
-        if fd is None:
-            time.sleep(min(timeout, _NO_DOORBELL_SCAN_SECONDS))
-            return []
-        # poll(), not select(): a long-lived session process may hold more
-        # descriptors than FD_SETSIZE, and a descriptor closed underneath a
-        # late router reads as POLLNVAL instead of raising.
-        poller = select.poll()
-        for watched in (fd, *sentinels):
-            poller.register(watched, select.POLLIN)
-        fired = [ready for ready, _ in poller.poll(timeout * 1000.0)]
-        if fd in fired:
-            with self._lock:
-                if self._fd is not None:
-                    try:
-                        os.read(fd, 65536)  # the whole pipe in one read
-                    except BlockingIOError:  # spurious readiness
-                        pass
-        return fired
-
-    def close(self) -> None:
-        with self._lock:
-            fd, self._fd = self._fd, None
-        if fd is not None:
-            os.close(fd)
-
-
-def _join_fired(watched: Dict[int, Any], fired: Iterable[Any]) -> None:
-    """Reap the processes among ``watched`` (sentinel -> process) whose
-    sentinel is in ``fired``.
-
-    A sentinel fires when the dying process closes its descriptors, a moment
-    before it can be reaped.  Wait that moment out (as ``Process.join``
-    itself does) or the liveness check that follows would still see the
-    process alive and its caller spin on the readable sentinel.
-    """
-    for descriptor in fired:
-        process = watched.get(descriptor)
-        if process is not None:
-            process.join()
 
 
 # ---------------------------------------------------------------------------
@@ -1011,8 +852,7 @@ def _node_agent_main(port: int, workers: int, inc_base: int,
     EOF) tears the whole agent down, workers included -- and should the
     agent itself be SIGKILLed, the slots' own orphan check ends them.
     Results go straight to the parent-owned spool directory named in each
-    task frame -- never back through an inbox, the pool's outbox or the
-    socket.
+    task frame -- never back through an inbox or the socket.
     """
     conn = socket_module.create_connection(("127.0.0.1", port))
     conn.setsockopt(socket_module.IPPROTO_TCP, socket_module.TCP_NODELAY, 1)

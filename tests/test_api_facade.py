@@ -12,7 +12,6 @@ from repro.scp.local_backend import LocalBackend
 from repro.scp.process_backend import ProcessBackend
 from repro.scp.registry import (BackendContext, BackendSpec, backend_names,
                                 create_backend, describe_backends)
-from repro.scp.runtime import Backend
 from repro.scp.sim_backend import SimBackend
 
 
@@ -87,9 +86,6 @@ class TestBackendRegistry:
     def test_create_backend_instance_passthrough(self):
         instance = LocalBackend()
         assert create_backend(instance) is instance
-
-    def test_backend_from_spec_classmethod(self):
-        assert isinstance(Backend.from_spec("local"), LocalBackend)
 
     def test_sim_factory_resolves_cluster_into_context(self):
         context = BackendContext(workers=3, manager="manager")

@@ -82,14 +82,6 @@ class TestDuplicateSuppression:
         assert box.deposit(envelope(seq=1))
         assert box.pending == 2
 
-    def test_imported_seen_keys_suppress(self):
-        box = Mailbox("m")
-        box.deposit(envelope(src="w", seq=1, key=("result", 7)))
-        keys = box.seen_keys()
-        fresh = Mailbox("m2")
-        fresh.import_seen_keys(keys)
-        assert not fresh.deposit(envelope(src="w", seq=2, key=("result", 7)))
-
 
 class TestCloseAndDrain:
     def test_close_drops_pending_and_rejects_new(self):

@@ -467,17 +467,6 @@ class TestControlSurface:
         with_ack = run(ProtocolConfig(ack_enabled=True))
         assert with_ack > without_ack
 
-    def test_inject_message_reaches_thread(self):
-        def listener(ctx):
-            msg = yield Recv(port="control")
-            return msg.payload
-
-        app = Application()
-        app.add_thread("listener", listener)
-        backend = make_backend()
-        backend.schedule(0.1, lambda: backend.inject_message("listener", "control", "wake"))
-        assert backend.run(app).return_of("listener") == "wake"
-
 
 # ---------------------------------------------------------------------------
 # Determinism

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.scp.errors import UnknownDestinationError
 from repro.scp.group import Router
 from repro.scp.thread import ThreadSpec, parse_physical, physical_name
 
@@ -83,33 +82,5 @@ class TestRouter:
         assert router.physical_targets("w") == []
         assert router.unregister("w#0") is None
 
-    def test_logical_of_falls_back_to_parsing(self):
-        router = Router()
-        assert router.logical_of("worker.5#2") == "worker.5"
-
     def test_unknown_logical_targets_empty(self):
         assert Router().physical_targets("ghost") == []
-
-    def test_require_targets_raises_for_unknown(self):
-        with pytest.raises(UnknownDestinationError):
-            Router().require_targets("ghost")
-
-    def test_require_targets_empty_but_known(self):
-        router = Router()
-        router.register("w", "w#0")
-        router.unregister("w#0")
-        assert router.require_targets("w") == []
-
-    def test_snapshot_is_a_copy(self):
-        router = Router()
-        router.register("w", "w#0")
-        snapshot = router.snapshot()
-        snapshot["w"].append("fake")
-        assert router.physical_targets("w") == ["w#0"]
-
-    def test_all_listings(self):
-        router = Router()
-        router.register("a", "a#0")
-        router.register("b", "b#0")
-        assert router.all_logical() == ["a", "b"]
-        assert router.all_physical() == ["a#0", "b#0"]
