@@ -2,13 +2,14 @@
 
 An *engine* decides how the eight algorithm steps are orchestrated
 (sequentially in-process, manager/worker on an SCP backend, manager/worker
-with computational resiliency); a *backend* decides where the orchestrated
-threads execute (simulated cluster, host threads, real processes).  Engines
-are registered by name with :func:`register_engine` and looked up with
-:func:`get_engine`; :func:`repro.fuse` and :class:`repro.api.session.
-FusionSession` drive everything through the common :class:`FusionEngine`
-protocol, so adding an engine is one decorated class -- no CLI or
-experiment-harness surgery.
+with computational resiliency, staged dataflow); a *backend* decides where
+the orchestrated work executes (simulated cluster, host threads, real
+processes).  Engines are registered by name with :func:`register_engine` and
+looked up with :func:`get_engine`.  A request reaches an engine one way:
+:class:`~repro.api.session.FusionSession` validates it, places its cube and
+calls ``engine.run(request, session)``, and the engine takes what it runs on
+from the session (:func:`repro.fuse` is a session of one request).  Adding
+an engine is one decorated class -- no CLI or experiment-harness surgery.
 
 Built-in engines
 ----------------
@@ -29,9 +30,10 @@ it through this registry.
 
 from __future__ import annotations
 
+import threading
 import time
-from typing import (Callable, Dict, List, Optional, Protocol, Tuple, Type,
-                    TypeVar, cast, runtime_checkable)
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Protocol,
+                    Tuple, Type, TypeVar, cast, runtime_checkable)
 
 from ..cluster.machine import Cluster
 from ..cluster.metrics import RunMetrics
@@ -40,14 +42,19 @@ from ..core.distributed import MANAGER_NAME, build_application, worker_name
 from ..core.pipeline import FusionResult, SpectralScreeningPCT
 from ..core.profiling import (StageTiming, build_stage_timings,
                               stage_timings_from_result)
+from ..core.streaming import execute_pipeline_request
 from ..registry import Registry
 from ..resilience.coordinator import ResilienceCoordinator, protocol_config_for
 from ..resilience.policy import ReplicationPolicy
-from ..scp.registry import BackendContext, create_backend
+from ..scp.process_backend import ProcessBackend
+from ..scp.registry import BackendContext, BackendSpec, create_backend
 from ..scp.runtime import Application, Backend, RunResult
 from ..scp.sim_backend import SimBackend
 from ..scp.wallclock import WallClockBackend
 from .request import FusionReport, FusionRequest
+
+if TYPE_CHECKING:
+    from .session import FusionSession
 
 
 @runtime_checkable
@@ -56,16 +63,22 @@ class FusionEngine(Protocol):
 
     #: Registered name (filled in by :func:`register_engine`).
     name: str
-    #: Whether the engine executes on an SCP backend (``False`` = inline).
-    uses_backend: bool
+    #: Backend a one-shot run uses when the request names none; ``None``
+    #: means the engine executes inline and accepts no backend.
+    default_backend: Optional[str]
+    #: Cubes a session stream keeps in flight unless the request's
+    #: ``max_inflight`` says otherwise (1: the engine runs serially).
+    max_inflight: int
+    #: Whether runs execute as stage tasks on the session's stage executor.
+    stage_tasks: bool
 
-    def validate(self, request: FusionRequest,
-                 backend: Optional[Backend] = None) -> None:
+    def validate(self, request: FusionRequest) -> None:
         """Raise an actionable :class:`ValueError` for options this engine
         cannot honour on the requested backend.
 
-        :meth:`run` calls it first; sessions also call it *before* copying
-        the cube into shared memory, so a bad option costs nothing.
+        The session calls it when it opens (on a probe request without a
+        cube) and before every run, ahead of copying the cube into shared
+        memory, so a bad option costs nothing.
         """
         ...
 
@@ -75,13 +88,10 @@ class FusionEngine(Protocol):
         ...
 
     def run(self, request: FusionRequest,
-            backend: Optional[Backend] = None) -> FusionReport:
-        """Execute ``request`` and return the unified report.
-
-        ``backend`` optionally injects an already-built backend instance
-        (sessions use this to hand engines their pooled backend); when it is
-        ``None`` the engine resolves ``request.backend`` via the registry.
-        """
+            session: "FusionSession") -> FusionReport:
+        """Execute a validated, placed ``request`` and return the report,
+        on what ``session`` holds: its worker pool, stage executor, output
+        placements."""
         ...
 
 
@@ -176,21 +186,21 @@ class SequentialEngine:
     rejected with a pointer at the backend-using engines.
     """
 
-    uses_backend = False
+    default_backend: Optional[str] = None
+    max_inflight = 1
+    stage_tasks = False
 
-    def validate(self, request: FusionRequest,
-                 backend: Optional[Backend] = None) -> None:
+    def validate(self, request: FusionRequest) -> None:
         _reject_resilience_options(request, self.name)
         _reject_pipeline_options(request, self.name)
-        if request.backend is not None or backend is not None:
+        if request.backend is not None:
             raise ValueError(
                 "engine 'sequential' executes inline and accepts no backend; "
                 "use engine='distributed' or engine='resilient' to run on a "
                 "registered backend, or omit backend=")
 
     def run(self, request: FusionRequest,
-            backend: Optional[Backend] = None) -> FusionReport:
-        self.validate(request, backend)
+            session: "FusionSession") -> FusionReport:
         config = request.resolved_config()
         pipeline = SpectralScreeningPCT(config, n_components=request.n_components,
                                         full_projection=request.full_projection)
@@ -211,22 +221,34 @@ class DistributedEngine:
     """Manager/worker fusion on any registered SCP backend.
 
     The engine *is* the implementation: :meth:`run` resolves the config,
-    builds the one :class:`~repro.scp.registry.BackendContext`, creates (or
-    is handed) the backend, assembles the manager/worker application
+    builds the one :class:`~repro.scp.registry.BackendContext`, takes the
+    backend (the session's pool, the request's instance, or the registry's
+    build of its spec), assembles the manager/worker application
     (:func:`~repro.core.distributed.build_application`), runs it and packages
     the :class:`FusionReport`.  :class:`ResilientEngine` overrides only the
     three facts that differ: :meth:`_worker_replicas`, :meth:`_context` and
     :meth:`_execute`.
     """
 
-    uses_backend = True
+    default_backend: Optional[str] = "sim"
+    max_inflight = 1
+    stage_tasks = False
 
-    def validate(self, request: FusionRequest,
-                 backend: Optional[Backend] = None) -> None:
-        """Reject options this engine cannot honour, before anything is
-        spawned or placed (sessions call this ahead of cube placement)."""
+    def __init__(self) -> None:
+        self._run_lock = threading.Lock()
+
+    def validate(self, request: FusionRequest) -> None:
         _reject_resilience_options(request, self.name)
+        self._reject_streaming(request)
+
+    def _reject_streaming(self, request: FusionRequest) -> None:
+        """What no batch engine runs: streaming knobs, and a ``socket`` spec
+        (stage-task workers with no SCP program runtime -- its registry
+        factory raises the actionable error)."""
         _reject_pipeline_options(request, self.name)
+        choice = request.backend_choice()
+        if isinstance(choice, BackendSpec) and choice.name == "socket":
+            create_backend(choice)
 
     def _worker_replicas(self, config: FusionConfig) -> int:
         """Replication level applied to every worker thread."""
@@ -254,23 +276,27 @@ class DistributedEngine:
         return backend.run(app), None
 
     def run(self, request: FusionRequest,
-            backend: Optional[Backend] = None) -> FusionReport:
-        self.validate(request, backend)
+            session: "FusionSession") -> FusionReport:
         config = request.resolved_config()
         context = self._context(request, config)
-        label = backend.kind if backend is not None else request.backend_label()
-        # Spec strings resolve through the backend registry (instances pass
-        # through); the sim factory writes the preset cluster it sized back
-        # into the context, where the resiliency layer reads it.
-        backend = create_backend(
-            backend if backend is not None else request.backend_choice(), context)
-        app = build_application(
-            request.cube, config, n_components=request.n_components,
-            full_projection=request.full_projection, prefetch=request.prefetch,
-            reassign_timeout=request.reassign_timeout,
-            worker_replicas=self._worker_replicas(config))
-        run, resilience = self._execute(backend, app, request, config,
-                                        context.cluster)
+        # Runs are serialised (a session owns its engine instance) even when
+        # submit() drivers and direct fuse() callers overlap: two at once
+        # would grow the pool past the session's slot budget, forking from
+        # one thread while another's inbox feeders hold locks.
+        with self._run_lock:
+            # A process session's pool serves every run; otherwise the
+            # registry passes the request's instance through or builds its
+            # spec (the sim factory writes the preset cluster it sized back
+            # into the context, where the resiliency layer reads it).
+            backend = (ProcessBackend(session._pool) if session._pool is not None
+                       else create_backend(request.backend_choice(), context))
+            app = build_application(
+                request.cube, config, n_components=request.n_components,
+                full_projection=request.full_projection, prefetch=request.prefetch,
+                reassign_timeout=request.reassign_timeout,
+                worker_replicas=self._worker_replicas(config))
+            run, resilience = self._execute(backend, app, request, config,
+                                            context.cluster)
         result = run.return_of(MANAGER_NAME)
         if not isinstance(result, FusionResult):
             raise TypeError(f"manager returned {type(result).__name__}, "
@@ -284,7 +310,8 @@ class DistributedEngine:
             result.metadata["resilience"] = resilience
             result.metadata["mode"] = self.name
         return FusionReport(result=result, metrics=metrics, engine=self.name,
-                            backend=label, run=run, resilience=resilience,
+                            backend=request.backend_label(), run=run,
+                            resilience=resilience,
                             stage_timings=_backend_stage_timings(
                                 request, result, metrics))
 
@@ -318,10 +345,9 @@ class ResilientEngine(DistributedEngine):
     exactly what the paper's Figure 4 measures.
     """
 
-    def validate(self, request: FusionRequest,
-                 backend: Optional[Backend] = None) -> None:
-        _reject_pipeline_options(request, self.name)
-        choice = backend if backend is not None else request.backend_choice()
+    def validate(self, request: FusionRequest) -> None:
+        self._reject_streaming(request)
+        choice = request.backend_choice()
         if isinstance(choice, Backend):
             on_sim, label = isinstance(choice, SimBackend), choice.kind
         else:
@@ -376,11 +402,37 @@ class ResilientEngine(DistributedEngine):
         return run, coordinator.report()
 
 
-# Registered at the bottom: the streaming module must see register_engine
-# (defined above) while this module is still initialising.
-from ..core.streaming import PipelineEngine  # noqa: E402
+@register_engine("pipeline")
+class PipelineEngine:
+    """Streaming tile-pipelined fusion (:mod:`repro.core.streaming`).
 
-register_engine("pipeline")(PipelineEngine)
+    Every run submits its stage tasks to the session's one stage executor
+    and borrows its output placements, so concurrent runs of a session
+    stream: they overlap on one bounded slot budget.
+    """
+
+    default_backend: Optional[str] = "process"
+    #: The default stream window of a session (``max_inflight``).
+    max_inflight = 4
+    stage_tasks = True
+
+    def validate(self, request: FusionRequest) -> None:
+        _reject_resilience_options(request, self.name)
+        if isinstance(request.backend, Backend):
+            raise ValueError(
+                "engine 'pipeline' executes stage tasks, not SCP programs; "
+                "pass a backend spec string such as 'process:8', not a "
+                "backend instance")
+
+    def slots_needed(self, config: FusionConfig) -> int:
+        """One pool slot per worker (stage slots carry no manager)."""
+        return config.partition.workers
+
+    def run(self, request: FusionRequest,
+            session: "FusionSession") -> FusionReport:
+        return execute_pipeline_request(
+            request, session.stage_executor(), backend_label=session.backend,
+            output_pool=session._output_runtime())
 
 
 __all__ = ["FusionEngine", "register_engine", "engine_names", "get_engine",

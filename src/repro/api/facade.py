@@ -2,12 +2,14 @@
 
 Every engine x backend combination is reachable through this single
 function; the CLI, the experiments and the benchmarks are all thin layers
-over it.  For repeated workloads, :func:`repro.open_session` amortises the
-setup the one-shot path pays per call.
+over it.  A one-shot call is a :class:`~repro.api.session.FusionSession` of
+one request, closed on return; for repeated workloads,
+:func:`repro.open_session` keeps that setup alive between calls.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Optional, Union
 
 from ..config import FusionConfig
@@ -16,11 +18,28 @@ from ..scp.registry import BackendSpec
 from ..scp.runtime import Backend
 from .engines import get_engine
 from .request import FusionReport, FusionRequest
+from .session import FusionSession
 
 
 def run_request(request: FusionRequest) -> FusionReport:
-    """Execute an already-built :class:`FusionRequest`."""
-    return get_engine(request.engine).run(request)
+    """Execute an already-built :class:`FusionRequest` on a session of its
+    own: nothing pre-spawned, one placement, everything released on return.
+    """
+    if request.max_inflight is not None:
+        raise ValueError(
+            "max_inflight schedules concurrent cubes across a session "
+            "stream, which a one-shot run does not have; use "
+            "repro.open_session(engine='pipeline', "
+            "max_inflight=...).fuse_stream(cubes)")
+    options = {field.name: getattr(request, field.name)
+               for field in dataclasses.fields(request)
+               if field.name not in ("cube", "engine", "backend")}
+    backend = request.backend
+    if backend is None:
+        backend = get_engine(request.engine).default_backend
+    with FusionSession(engine=request.engine, backend=backend, warm=False,
+                       max_placements=1, **options) as session:
+        return session.fuse(request.cube)
 
 
 def fuse(cube: HyperspectralCube, *,

@@ -1,15 +1,16 @@
-"""Reusable fusion sessions: amortise setup across repeated workloads.
+"""Fusion sessions: the one runtime every request runs on.
 
-A one-shot :func:`repro.fuse` on the process backend pays two setup costs on
-every call: the worker *processes* are spawned fresh (interpreter start-up),
-and the cube's samples are *copied* into a new shared-memory segment.  For a
-service fusing a stream of requests those costs dominate small runs.
+A request reaches an engine one way: :meth:`FusionSession.fuse` validates it
+(:meth:`~repro.api.engines.FusionEngine.validate`), places its cube and calls
+``engine.run(request, session)``, and the engine takes what it runs on from
+the session.  :func:`repro.fuse` is a session of one request, closed on
+return.  A session opened for a stream of requests keeps its setup alive
+between calls:
 
-:class:`FusionSession` keeps both alive between calls:
-
-* a persistent :class:`~repro.scp.pool.ProcessPool` of worker processes that
-  successive runs borrow instead of spawning (each run's
-  :class:`~repro.scp.process_backend.ProcessBackend` is handed the pool), and
+* a persistent :class:`~repro.scp.pool.ProcessPool` of worker processes
+  (``process`` specs) that the batch engines borrow through
+  ``ProcessBackend(pool)`` and the pipeline engine through its stage
+  executor, instead of spawning per run, and
 * a :class:`~repro.data.shared.SharedCube` placement cache, so fusing the
   same cube again -- a parameter sweep, a retry, a monitoring loop -- never
   re-copies the samples.
@@ -20,9 +21,10 @@ Usage::
         for cube in stream:
             report = session.fuse(cube)
 
-On the ``pipeline`` engine a session additionally *streams*: independent
-cubes overlap on the shared worker slots instead of queueing behind each
-other, with a bounded in-flight window for backpressure::
+On the ``pipeline`` engine a session additionally *streams*: its runs share
+one stage executor, so independent cubes overlap on the worker slots instead
+of queueing behind each other, with a bounded in-flight window for
+backpressure::
 
     with repro.open_session(engine="pipeline", backend="process:4",
                             max_inflight=4) as session:
@@ -40,24 +42,18 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict, deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Union, cast
 
 from ..config import FusionConfig
-from ..core.streaming import execute_pipeline_request, validate_pipeline_request
 from ..data.cube import HyperspectralCube
 from ..data.shared import OutputPool, SharedCube
 from ..scp.pool import ProcessPool
-from ..scp.process_backend import ProcessBackend
-from ..scp.registry import BackendSpec, create_backend
+from ..scp.registry import BackendSpec
 from ..scp.runtime import Backend
 from ..scp.stages import TransportStageExecutor
 from ..scp.transport import transport_for_spec
 from .engines import get_engine
 from .request import FusionReport, FusionRequest
-
-#: Concurrent cubes a streaming session keeps in flight when the request
-#: does not say otherwise (pipeline engine only; batch engines are serial).
-DEFAULT_MAX_INFLIGHT = 4
 
 #: FusionRequest fields a per-call override may set.  ``engine`` and
 #: ``backend`` are pinned at session open -- they determine what the session
@@ -65,6 +61,12 @@ DEFAULT_MAX_INFLIGHT = 4
 _OVERRIDABLE = frozenset(
     field for field in FusionRequest.__dataclass_fields__
     if field not in ("cube", "engine", "backend"))
+
+#: The backend whose worker processes a session pools.
+_POOLED_BACKEND = "process"
+#: Backends whose workers are other processes (a pool or a socket node
+#: agent).
+_PROCESS_BACKENDS = frozenset({_POOLED_BACKEND, "socket"})
 
 
 class FusionSession:
@@ -75,9 +77,11 @@ class FusionSession:
     engine:
         Registered engine name; fixed for the session's lifetime.
     backend:
-        Backend spec string or :class:`BackendSpec`.  ``None`` defaults to
-        ``"process"`` for backend-using engines (the backend whose setup a
-        session actually amortises) and inline execution for ``sequential``.
+        Backend spec string or :class:`BackendSpec` (:func:`repro.fuse` also
+        passes a request's single-use backend instance through).  ``None``
+        defaults to ``"process"`` for backend-using engines (the backend
+        whose setup a session actually amortises) and inline execution for
+        ``sequential``.
     workers / subcubes / config / options:
         Session-wide request defaults; any :class:`FusionRequest` field
         except ``engine``/``backend`` can be overridden per
@@ -98,7 +102,7 @@ class FusionSession:
     DEFAULT_MAX_PLACEMENTS = 8
 
     def __init__(self, *, engine: str = "distributed",
-                 backend: Optional[str] = None,
+                 backend: Union[str, BackendSpec, Backend, None] = None,
                  workers: Optional[int] = None,
                  subcubes: Optional[int] = None,
                  start_method: Optional[str] = None,
@@ -109,10 +113,6 @@ class FusionSession:
         if max_placements < 1:
             raise ValueError("max_placements must be >= 1")
         self._max_placements = max_placements
-        if backend is not None and not self._engine.uses_backend:
-            raise ValueError(
-                f"engine {engine!r} executes inline and accepts no backend; "
-                f"omit backend= or open the session on a backend-using engine")
         unknown = set(options) - _OVERRIDABLE
         if unknown:
             raise ValueError(f"unknown session option(s) {sorted(unknown)}; "
@@ -121,33 +121,24 @@ class FusionSession:
         self._defaults["workers"] = workers
         self._defaults["subcubes"] = subcubes
 
-        if backend is None and self._engine.uses_backend:
-            backend = "process"
-        self._spec: Optional[BackendSpec] = (
-            BackendSpec.parse(backend) if backend is not None else None)
-
-        if (self._spec is not None and self._spec.name == "socket"
-                and self._engine.name != "pipeline"):
-            # A node agent runs stage tasks, not SCP programs: let the
-            # registry's factory raise its actionable error now rather than
-            # at the first fuse(), after a cube was copied into /dev/shm.
-            create_backend(self._spec)
+        if backend is None and self._engine.default_backend is not None:
+            backend = _POOLED_BACKEND
+        self._backend = (backend if backend is None or isinstance(backend, Backend)
+                         else BackendSpec.parse(backend))
+        # Before anything is spawned: an option the engine cannot honour on
+        # this backend fails at open, not at the first fuse().
+        self._request(None, {})
         self._start_method = start_method
         self._pool: Optional[ProcessPool] = None
-        if self._spec is not None and self._spec.name == "process":
+        if self._backend_name == _POOLED_BACKEND:
             self._pool = ProcessPool(
-                start_method=start_method or self._spec.variant or None)
+                start_method=start_method or self._backend.variant or None)
         #: id(cube) -> [cube, placement, pins]; ``pins`` counts in-flight
         #: runs using the placement (see :meth:`_place` / :meth:`_unpin`).
         self._placements: "OrderedDict[int, List[object]]" = OrderedDict()
-        if self._engine.name != "pipeline" and options.get("max_inflight") is not None:
-            raise ValueError(
-                f"engine {engine!r} runs its batches serially; max_inflight "
-                f"needs engine='pipeline'")
         self._closed = False
         self._runs = 0
         self._lock = threading.Lock()
-        self._run_lock = threading.Lock()
         # Streaming machinery, created lazily on first use: one stage
         # executor shared by every in-flight pipeline run, the driver
         # threads of submit()/fuse_stream(), and the pool of reusable
@@ -166,7 +157,9 @@ class FusionSession:
 
     @property
     def backend(self) -> str:
-        return str(self._spec) if self._spec is not None else "inline"
+        if isinstance(self._backend, Backend):
+            return self._backend.kind
+        return str(self._backend) if self._backend is not None else "inline"
 
     @property
     def runs_completed(self) -> int:
@@ -181,10 +174,28 @@ class FusionSession:
     def closed(self) -> bool:
         return self._closed
 
+    @property
+    def _backend_name(self) -> Optional[str]:
+        """The registered name of the session's backend spec, if it has one."""
+        return self._backend.name if isinstance(self._backend, BackendSpec) else None
+
     def _probe_config(self) -> FusionConfig:
-        probe = FusionRequest(cube=None, engine=self.engine,  # type: ignore[arg-type]
-                              backend=self._spec, **self._defaults)
-        return probe.resolved_config()
+        return self._request(None, {}).resolved_config()
+
+    def _request(self, cube: Optional[HyperspectralCube],
+                 overrides: Dict[str, Any]) -> FusionRequest:
+        """``cube``'s request: the session's defaults, then ``overrides``,
+        validated by the engine.  ``cube=None`` builds the probe that checks
+        options before anything is spawned or placed."""
+        illegal = set(overrides) - _OVERRIDABLE
+        if illegal:
+            raise ValueError(f"cannot override {sorted(illegal)} per call; "
+                             f"open a new session instead")
+        request = FusionRequest(cube=cube, engine=self.engine,  # type: ignore[arg-type]
+                                backend=self._backend,
+                                **{**self._defaults, **overrides})
+        self._engine.validate(request)
+        return request
 
     # ------------------------------------------------------------------ fuse
     def fuse(self, cube: HyperspectralCube, **overrides: Any) -> FusionReport:
@@ -195,37 +206,11 @@ class FusionSession:
         open another session to change them).
         """
         self._check_open()
-        self._check_overrides(overrides)
-        merged = {**self._defaults, **overrides}
-        request = FusionRequest(cube=cube, engine=self.engine,
-                                backend=self._spec, **merged)
-        if self.engine != "pipeline":
-            # Before placement: a rejected option must not cost a copy of
-            # the cube into shared memory (the pipeline branch validates
-            # below, on the path it shares with the one-shot engine).
-            self._engine.validate(request)
+        request = self._request(cube, overrides)
+        # Only a validated request costs a copy of the cube into shared memory.
         request.cube = self._place(cube)
         try:
-            if self.engine == "pipeline":
-                # Pipeline runs share one long-lived stage executor, so
-                # several concurrent fuse() calls (the streaming scheduler's
-                # drivers) interleave their tile tasks on the same bounded
-                # slot budget.  The engine's option validation applies here
-                # too, even though engine.run() is bypassed.
-                validate_pipeline_request(request, one_shot=False)
-                report = execute_pipeline_request(request, self._stage_runtime(),
-                                                  backend_label=self.backend,
-                                                  output_pool=self._output_runtime())
-            else:
-                # Batch-engine runs are serialised even when submit()
-                # drivers and direct fuse() callers overlap: two at once
-                # would grow the pool past the session's slot budget, forking
-                # from one thread while another's inbox feeders hold locks.
-                with self._run_lock:
-                    backend_instance: Optional[Backend] = None
-                    if self._pool is not None:
-                        backend_instance = ProcessBackend(self._pool)
-                    report = self._engine.run(request, backend=backend_instance)
+            report = self._engine.run(request, self)
         finally:
             self._unpin(cube)
         with self._lock:
@@ -241,7 +226,7 @@ class FusionSession:
         callers never see engine-dependent behaviour at the boundary.
         """
         self._check_open()
-        self._check_overrides(overrides)
+        self._request(None, overrides)
         return [self.fuse(cube, **overrides) for cube in cubes]
 
     # ------------------------------------------------------------- streaming
@@ -256,7 +241,6 @@ class FusionSession:
         their resources reclaimed, by :meth:`close`.
         """
         self._check_open()
-        self._check_overrides(overrides)
         return self._driver_pool(self._max_inflight(overrides)) \
             .submit(self.fuse, cube, **overrides)
 
@@ -278,7 +262,6 @@ class FusionSession:
         the same boundary contract as :meth:`fuse_many`.
         """
         self._check_open()
-        self._check_overrides(overrides)
         inflight = self._max_inflight(overrides)
         return self._stream(cubes, inflight, overrides)
 
@@ -296,15 +279,12 @@ class FusionSession:
             for future in window:  # abandoned mid-stream: drop what we can
                 future.cancel()
 
-    def _max_inflight(self, overrides: Optional[Dict[str, Any]] = None) -> int:
-        if self.engine != "pipeline":
-            # Backends of the batch engines run one fusion at a time (see
-            # ``_run_lock`` in fuse()); the stream still flows, just serially.
-            return 1
-        merged = {**self._defaults, **(overrides or {})}
-        inflight = merged.get("max_inflight")
+    def _max_inflight(self, overrides: Dict[str, Any]) -> int:
+        """The stream window: the request's ``max_inflight`` (which engines
+        that run serially reject), else the engine's own."""
+        inflight = self._request(None, overrides).max_inflight
         if inflight is None:
-            inflight = DEFAULT_MAX_INFLIGHT
+            inflight = self._engine.max_inflight
         if inflight < 1:
             raise ValueError("max_inflight must be >= 1")
         return inflight
@@ -320,7 +300,7 @@ class FusionSession:
         afterwards.  Created on first use, exactly like the first pipeline
         run would.
         """
-        if self.engine != "pipeline":
+        if not self._engine.stage_tasks:
             raise ValueError(
                 f"engine {self.engine!r} does not run on a stage executor; "
                 f"chaos injection and stage-level metrics need "
@@ -341,8 +321,10 @@ class FusionSession:
             self._check_open()
             if self._stage_executor is None:
                 workers = max(self._probe_config().partition.workers, 1)
+                # The pipeline engine's validation rejected anything but a spec.
+                spec = cast(BackendSpec, self._backend)
                 self._stage_executor = TransportStageExecutor(
-                    transport_for_spec(self._spec, workers=workers,
+                    transport_for_spec(spec, workers=workers,
                                        pool=self._pool,
                                        start_method=self._start_method),
                     workers=workers)
@@ -353,8 +335,7 @@ class FusionSession:
         """Whether this session's runs cross a process boundary (pool or
         socket node agent) -- the gate on shared-memory cube and output
         placement, which only pays off when workers are other processes."""
-        return self._pool is not None or (
-            self._spec is not None and self._spec.name == "socket")
+        return self._backend_name in _PROCESS_BACKENDS
 
     def _output_runtime(self) -> Optional[OutputPool]:
         """The session-wide pool of reusable zero-copy output placements.
@@ -372,7 +353,7 @@ class FusionSession:
             self._check_open()
             if self._output_pool is None:
                 self._output_pool = OutputPool(
-                    max_segments=max(self._max_inflight(None), 1))
+                    max_segments=self._max_inflight({}))
             return self._output_pool
 
     def _driver_pool(self, width: int) -> ThreadPoolExecutor:
@@ -454,12 +435,6 @@ class FusionSession:
     def _check_open(self) -> None:
         if self._closed:
             raise RuntimeError("fusion session is closed")
-
-    def _check_overrides(self, overrides: Dict[str, Any]) -> None:
-        illegal = set(overrides) - _OVERRIDABLE
-        if illegal:
-            raise ValueError(f"cannot override {sorted(illegal)} per call; "
-                             f"open a new session instead")
 
     def close(self) -> None:
         """Release the worker pool and every owned shared-memory segment.

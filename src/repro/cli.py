@@ -240,7 +240,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     cube = HyperspectralCube.load_npz(args.cube)
     # --backend always has a default; only hand it to engines that use one
     # (the sequential engine rejects an explicit backend).
-    backend = args.backend if get_engine(args.engine).uses_backend else None
+    backend = args.backend if get_engine(args.engine).default_backend else None
     options = {}
     if args.angle_threshold is not None:
         # ScreeningConfig validates the range (0, pi/2) and raises an

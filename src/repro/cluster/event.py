@@ -60,7 +60,6 @@ class EventEngine:
         self._heap: List[_QueueEntry] = []
         self._counter = itertools.count()
         self._now = 0.0
-        self._processed = 0
         self._running = False
 
     # ------------------------------------------------------------------ API
@@ -68,16 +67,6 @@ class EventEngine:
     def now(self) -> float:
         """Current virtual time in seconds."""
         return self._now
-
-    @property
-    def processed_events(self) -> int:
-        """Number of events that have fired so far."""
-        return self._processed
-
-    @property
-    def pending_events(self) -> int:
-        """Number of queued (possibly cancelled) events."""
-        return sum(1 for entry in self._heap if not entry.event.cancelled)
 
     def schedule(self, delay: float, callback: Callable[[], None], label: str = "") -> Event:
         """Schedule ``callback`` to fire ``delay`` seconds from now.
@@ -105,7 +94,6 @@ class EventEngine:
             if entry.event.cancelled:
                 continue
             self._now = entry.time
-            self._processed += 1
             entry.event.callback()
             return True
         return False
@@ -146,7 +134,6 @@ class EventEngine:
                         f"event limit exceeded ({max_events} events); possible livelock")
                 heapq.heappop(self._heap)
                 self._now = entry.time
-                self._processed += 1
                 fired += 1
                 entry.event.callback()
         finally:
@@ -158,16 +145,6 @@ class EventEngine:
         while self._heap and self._heap[0].event.cancelled:
             heapq.heappop(self._heap)
         return self._heap[0].time if self._heap else None
-
-    def advance_to(self, time: float) -> None:
-        """Advance the clock without firing events (no pending earlier events allowed)."""
-        nxt = self.peek_time()
-        if nxt is not None and nxt < time:
-            raise SimulationError(
-                f"cannot advance to t={time}: event pending at t={nxt}")
-        if time < self._now:
-            raise SimulationError(f"cannot move clock backwards to t={time}")
-        self._now = time
 
 
 __all__ = ["Event", "EventEngine", "SimulationError"]

@@ -78,10 +78,6 @@ class Cluster:
         """Return the node name hosting ``thread_id`` or None if unplaced/dead."""
         return self._placement.get(thread_id)
 
-    def co_located(self, thread_a: str, thread_b: str) -> bool:
-        loc_a = self._placement.get(thread_a)
-        return loc_a is not None and loc_a == self._placement.get(thread_b)
-
     # --------------------------------------------------------------- compute
     def compute_seconds(self, thread_id: str, flop: float) -> float:
         """Virtual seconds for ``thread_id`` to retire ``flop`` operations.
@@ -118,13 +114,6 @@ class Cluster:
             self._placement.pop(tid, None)
         return victims
 
-    def recover_node(self, node_name: str) -> None:
-        self.node(node_name).recover()
-
-    def fail_thread(self, thread_id: str) -> None:
-        """Remove a single thread (process-level failure, node stays up)."""
-        self.unplace(thread_id)
-
     # ------------------------------------------------------------- selection
     def least_loaded_nodes(self, exclude: Iterable[str] = (), alive_only: bool = True
                            ) -> List[str]:
@@ -137,13 +126,6 @@ class Cluster:
         order_index = {name: i for i, name in enumerate(self._order)}
         candidates.sort(key=lambda n: (n.load, order_index[n.name]))
         return [node.name for node in candidates]
-
-    # --------------------------------------------------------------- summary
-    def utilisation_summary(self, elapsed: float) -> Dict[str, float]:
-        """Per-node utilisation (busy time / elapsed) for a finished run."""
-        if elapsed <= 0:
-            return {name: 0.0 for name in self._order}
-        return {name: self._nodes[name].busy_time / elapsed for name in self._order}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         up = sum(1 for n in self.nodes() if n.alive)

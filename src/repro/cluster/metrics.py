@@ -64,11 +64,6 @@ class RunMetrics:
     duplicate_messages_suppressed: int = 0
     extra: Dict[str, float] = field(default_factory=dict)
 
-    # ------------------------------------------------------------- recording
-    def record_phase(self, name: str, seconds: float) -> None:
-        self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + seconds
-        self.phase_invocations[name] = self.phase_invocations.get(name, 0) + 1
-
     # ----------------------------------------------------------- derivations
     @property
     def total_compute_seconds(self) -> float:
@@ -88,23 +83,6 @@ class RunMetrics:
         """Fraction of total compute time spent in a phase."""
         total = self.total_compute_seconds
         return self.phase_seconds.get(name, 0.0) / total if total > 0 else 0.0
-
-    def as_row(self) -> Dict[str, float]:
-        """Flat dictionary suitable for tabulation in the benchmark reports."""
-        row: Dict[str, float] = {
-            "workers": self.workers,
-            "subcubes": self.subcubes,
-            "replication_level": self.replication_level,
-            "elapsed_seconds": self.elapsed_seconds,
-            "messages": self.messages,
-            "bytes_sent": self.bytes_sent,
-            "failures_injected": self.failures_injected,
-            "replicas_regenerated": self.replicas_regenerated,
-        }
-        for name, seconds in sorted(self.phase_seconds.items()):
-            row[f"phase::{name}"] = seconds
-        row.update({f"extra::{k}": v for k, v in sorted(self.extra.items())})
-        return row
 
 
 class MetricsCollector:

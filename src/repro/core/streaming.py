@@ -14,17 +14,19 @@ small global reductions, which suggests a *staged dataflow* instead:
                                                                  │
               reassemble ◀── project + colour-map (par) ◀────────┘
 
-Each parallel stage is a set of pure *stage tasks* executed through a
-:class:`~repro.scp.stages.TransportStageExecutor` on whatever workers the
-backend spec names (:func:`~repro.scp.transport.transport_for_spec`:
-:class:`~repro.scp.pool.ProcessPool` slots, a socket node agent, or host
-threads for the ``local``/``sim`` specs).  The two barriers are tiny: merging unique
-sets, a ``bands x bands`` eigen-decomposition and the colour-stretch
-statistics -- all independent of image size.  Because the executor bounds
-the number of tasks in flight, several independent fusions can stream
-through one executor concurrently (that is what
-:meth:`repro.api.session.FusionSession.fuse_stream` does) with bounded
-memory and no cross-talk.
+Each parallel stage is a set of pure *stage tasks* executed through the
+session's :class:`~repro.scp.stages.TransportStageExecutor`, on whatever
+workers the backend spec names (:func:`~repro.scp.transport.
+transport_for_spec`: :class:`~repro.scp.pool.ProcessPool` slots, a socket
+node agent, or host threads for the ``local``/``sim`` specs).  The engine
+class, :class:`~repro.api.engines.PipelineEngine`, only hands a request and
+its session's executor to :func:`execute_pipeline_request`.  The two
+barriers are tiny: merging unique sets, a ``bands x bands``
+eigen-decomposition and the colour-stretch statistics -- all independent of
+image size.  Because the executor bounds the number of tasks in flight,
+several independent fusions can stream through one executor concurrently
+(that is what :meth:`repro.api.session.FusionSession.fuse_stream` does) with
+bounded memory and no cross-talk.
 
 Bit-identity
 ------------
@@ -108,10 +110,7 @@ from ..cluster.metrics import RunMetrics
 from ..config import FusionConfig, ScreeningConfig
 from ..data.cube import CubeError, HyperspectralCube
 from ..data.shared import (OutputPool, SharedComposite, SharedCompositeHandle,
-                           SharedCube, output_tile_views)
-from ..scp.runtime import Backend
-from ..scp.stages import TransportStageExecutor
-from ..scp.transport import transport_for_spec
+                           output_tile_views)
 from .kernels import kernel_covariance_sum, kernel_project_and_map
 from .partition import (SubcubeSpec, decompose, extract_subcube,
                         reassemble_composite, subcube_pixel_matrix)
@@ -432,28 +431,8 @@ def run_pipeline(cube: HyperspectralCube, config: FusionConfig, executor, *,
 
 
 # ---------------------------------------------------------------------------
-# Request execution and the registered engine
+# Request execution
 # ---------------------------------------------------------------------------
-
-def validate_pipeline_request(request, *, one_shot: bool) -> None:
-    """Reject knobs the pipeline cannot honour, on every entry path.
-
-    Shared by :meth:`PipelineEngine.run` and the session's streaming branch
-    (which bypasses the engine), so an ignored option can never differ in
-    behaviour between ``repro.fuse`` and ``session.fuse``.  ``one_shot``
-    additionally rejects ``max_inflight``: a single run has no stream for
-    it to schedule, whereas session-built requests legitimately carry it.
-    """
-    from ..api.engines import _reject_resilience_options
-
-    _reject_resilience_options(request, "pipeline")
-    if one_shot and request.max_inflight is not None:
-        raise ValueError(
-            "max_inflight schedules concurrent cubes across a session "
-            "stream, which a one-shot run does not have; use "
-            "repro.open_session(engine='pipeline', "
-            "max_inflight=...).fuse_stream(cubes)")
-
 
 #: Largest request, in samples (``cube.pixels * cube.bands``), that is placed
 #: *whole*: one stage task runs all of :func:`run_pipeline` on one worker.
@@ -555,11 +534,10 @@ def execute_pipeline_request(request, executor, *, backend_label: str,
                              output_pool: Optional[OutputPool] = None):
     """Run one :class:`~repro.api.request.FusionRequest` on ``executor``.
 
-    Shared by :class:`PipelineEngine` (one-shot, private executor) and
-    :class:`~repro.api.session.FusionSession` (streaming, one executor for
-    every in-flight cube; sessions also pass their reusable ``output_pool``
-    of zero-copy placements).  Returns the unified
-    :class:`~repro.api.request.FusionReport`.
+    What the ``pipeline`` engine runs (:class:`~repro.api.engines.
+    PipelineEngine`), on its session's executor -- one for every in-flight
+    cube -- and its reusable ``output_pool`` of zero-copy placements.
+    Returns the unified :class:`~repro.api.request.FusionReport`.
 
     This is where the request is *placed* (see the module docstring): at or
     below :data:`WHOLE_REQUEST_MAX_SAMPLES` it runs as one slot task, above
@@ -589,53 +567,7 @@ def execute_pipeline_request(request, executor, *, backend_label: str,
                         stage_timings=stage_timings_from_result(result))
 
 
-class PipelineEngine:
-    """Streaming tile-pipelined fusion on pooled processes or host threads.
-
-    Registered as ``"pipeline"`` by :mod:`repro.api.engines`.  One-shot runs
-    build (and tear down) a private stage executor; sessions keep a shared
-    executor alive instead and bypass :meth:`run` -- see
-    :meth:`repro.api.session.FusionSession.fuse_stream`.
-    """
-
-    uses_backend = True
-
-    def validate(self, request, backend: Optional[Backend] = None) -> None:
-        validate_pipeline_request(request, one_shot=True)
-
-    def slots_needed(self, config) -> int:
-        """One pool slot per worker (stage slots carry no manager)."""
-        return config.partition.workers
-
-    def run(self, request, backend: Optional[Backend] = None):
-        self.validate(request, backend)
-        spec = request.backend_choice(default="process")
-        if backend is not None or isinstance(spec, Backend):
-            raise ValueError(
-                "engine 'pipeline' executes stage tasks, not SCP programs; "
-                "pass a backend spec string such as 'process:8', not a "
-                "backend instance")
-        workers = max(request.resolved_config().partition.workers, 1)
-        executor = TransportStageExecutor(
-            transport_for_spec(spec, workers=workers), workers=workers)
-        placed: Optional[SharedCube] = None
-        try:
-            working = request
-            if executor.uses_processes and not isinstance(request.cube, SharedCube):
-                # Place the samples in shared memory once, so stage tasks
-                # ship a tiny handle instead of pickling the cube per task.
-                placed = SharedCube.from_cube(request.cube)
-                working = request.replace(cube=placed)
-            return execute_pipeline_request(working, executor,
-                                            backend_label=str(spec))
-        finally:
-            executor.close()
-            if placed is not None:
-                placed.close()
-
-
-__all__ = ["PipelineEngine", "run_pipeline",
-           "execute_pipeline_request", "validate_pipeline_request",
+__all__ = ["run_pipeline", "execute_pipeline_request",
            "WHOLE_REQUEST_MAX_SAMPLES", "STAGE_LABELS", "fuse_whole_request",
            "run_whole_request",
            "plan_tiles", "default_tile_rows",

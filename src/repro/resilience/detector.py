@@ -125,12 +125,6 @@ class HeartbeatFailureDetector:
     def suspicion_history(self) -> List[SuspicionRecord]:
         return list(self._history)
 
-    def detection_latency(self) -> Optional[float]:
-        """Mean time from last heartbeat to detection over all suspicions."""
-        if not self._history:
-            return None
-        return sum(r.silence for r in self._history) / len(self._history)
-
     @classmethod
     def from_config(cls, config: ResilienceConfig, *, clock: Callable[[], float],
                     on_suspect: Callable[[str, SuspicionRecord], None]

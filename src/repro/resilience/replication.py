@@ -10,7 +10,7 @@ the recovery service (what to *do* when a replica dies).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from ..scp.thread import ThreadSpec, parse_physical, physical_name
 
@@ -126,10 +126,6 @@ class ReplicationManager:
         return group
 
     # --------------------------------------------------------------- reports
-    def degraded_groups(self) -> List[ReplicaGroup]:
-        """Groups currently running below their target replication level."""
-        return [g for g in self._groups.values() if g.deficit > 0]
-
     def summary(self) -> Dict[str, Dict[str, int]]:
         """Per-group counters for reports and tests."""
         return {

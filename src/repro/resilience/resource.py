@@ -91,13 +91,5 @@ class ResourceManager:
             raise ValueError("multiplier must be >= 1")
         return min(workers * multiplier, max(cap, workers))
 
-    def utilisation_imbalance(self, elapsed: float) -> float:
-        """Max/mean busy-time ratio across live nodes (1.0 = perfectly even)."""
-        busy = [node.busy_time for node in self.cluster.alive_nodes()]
-        if not busy or max(busy) == 0:
-            return 1.0
-        mean = sum(busy) / len(busy)
-        return max(busy) / mean if mean > 0 else 1.0
-
 
 __all__ = ["ResourceManager"]

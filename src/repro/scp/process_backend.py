@@ -65,7 +65,7 @@ from .pool import _ASSIGN, QUEUE_BROKEN_ERRORS, ProcessPool, _PoolSlot
 from .runtime import Context
 from .serialization import (RESULT_SUFFIX, CommittedResult, Envelope, _Doorbell,
                             _join_fired, collect_spool, commit_spool_file,
-                            ring_doorbell, spool_root)
+                            discard_partials, ring_doorbell, spool_root)
 from .thread import ThreadSpec
 from .wallclock import ReplicaTask, WallClockBackend
 
@@ -389,6 +389,7 @@ class ProcessBackend(WallClockBackend):
                 self._handle_record(task, *record)
                 handled += 1
         for task in reaped:
+            discard_partials(self._spool, f"{task.uid}-")  # killed mid-commit
             self._crash(task.physical_id, "process died without reporting "
                         f"(exit code {task.slot.process.exitcode})")
         return handled

@@ -27,6 +27,7 @@ owners need it: the stage transports and the process backend, which
 
 from __future__ import annotations
 
+import glob
 import os
 import pickle
 import select
@@ -79,13 +80,26 @@ def commit_spool_file(spool_dir: str, name: str, payload: bytes) -> None:
     The partial file lives in the same directory as its final name so the
     rename never crosses a filesystem boundary (``os.rename`` is only
     atomic within one).  Used by every worker transport: a process killed
-    mid-write leaves only the ``.tmp``, which scanners ignore.
+    mid-write leaves only the ``.tmp``, which scanners ignore and
+    :func:`discard_partials` removes once the writer is reaped.
     """
     final = os.path.join(spool_dir, name)
     partial = final + ".tmp"
     with open(partial, "wb") as fh:
         fh.write(payload)
     os.rename(partial, final)
+
+
+def discard_partials(spool_dir: str, prefix: str) -> None:
+    """Unlink the partial (``.tmp``) commits whose names start with ``prefix``.
+
+    Scanners ignore a partial, but nothing else removes it before its spool
+    goes, and a live spool outlasts any number of killed writers.  Call it
+    only once the writer is reaped: a live one would fail its rename.
+    """
+    pattern = glob.escape(os.path.join(spool_dir, prefix)) + "*.tmp"
+    for path in glob.glob(pattern):
+        unlink_quietly(path)
 
 
 def ring_doorbell(spool_dir: str) -> None:
@@ -361,6 +375,7 @@ __all__ = [
     "RESULT_SUFFIX",
     "collect_spool",
     "commit_spool_file",
+    "discard_partials",
     "payload_nbytes",
     "ring_doorbell",
     "spool_root",

@@ -487,18 +487,19 @@ class TransportStageExecutor:
         A worker the transport certifies *reaped* needs no timer: it can
         commit nothing more, so one scan made after the death was observed
         sees everything it ever renamed, and a task still pending after
-        that scan is lost.  Only a ref whose transport cannot say so waits
-        out ``_DEATH_CONFIRM_SECONDS``.
+        that scan is lost -- as is whatever its attempt left half-written
+        (a kill mid-commit), which is removed before the retry.  Only a ref
+        whose transport cannot say so waits out ``_DEATH_CONFIRM_SECONDS``.
         """
         now = time.monotonic()
         lost = []
-        reaped = False
+        reaped = []
         with self._lock:
             for record in self._pending.values():
                 if record.ref is None or self._transport.probe(record.ref):
                     record.first_seen_dead = None
                 elif self._transport.reaped(record.ref):
-                    reaped = True
+                    reaped.append((record.task_id, record.attempt))
                     lost.append(record)
                 elif record.first_seen_dead is None:
                     record.first_seen_dead = now
@@ -506,6 +507,8 @@ class TransportStageExecutor:
                     lost.append(record)
         if reaped:
             self._collect()
+            for task_id, attempt in reaped:
+                self._transport.discard_partial(task_id, attempt)
             with self._lock:
                 lost = [record for record in lost
                         if record.task_id in self._pending]

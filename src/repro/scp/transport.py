@@ -82,7 +82,7 @@ from .errors import RuntimeStateError
 from .pool import ProcessPool, default_start_method
 from .registry import BackendSpec
 from .serialization import (CommittedResult, _Doorbell, _join_fired,
-                            collect_spool, spool_root)
+                            collect_spool, discard_partials, spool_root)
 
 _LOG = get_logger("scp.transport")
 
@@ -176,6 +176,11 @@ class WorkerTransport:
 
     def poll_committed(self) -> List[CommittedResult]:
         """Collect results committed since the last poll (consuming)."""
+        raise NotImplementedError
+
+    def discard_partial(self, task_id: int, attempt: int) -> None:
+        """Remove what the attempt's worker left mid-commit.  Called once
+        :meth:`reaped` certified that worker dead: no writer is left."""
         raise NotImplementedError
 
     def wait(self, timeout: float) -> bool:
@@ -276,6 +281,9 @@ class InProcessTransport(WorkerTransport):
     def discard(self, ref) -> None:
         pass
 
+    def discard_partial(self, task_id: int, attempt: int) -> None:
+        pass  # results hand over in memory: nothing is ever half-written
+
     def poll_committed(self) -> List[CommittedResult]:
         committed: List[CommittedResult] = []
         while True:
@@ -372,6 +380,9 @@ class ForkedProcessTransport(WorkerTransport):
 
     def poll_committed(self) -> List[CommittedResult]:
         return collect_spool(self._spool)
+
+    def discard_partial(self, task_id: int, attempt: int) -> None:
+        discard_partials(self._spool, f"{task_id}-{attempt}.")
 
     def wait(self, timeout: float) -> bool:
         with self._busy_lock:
@@ -758,6 +769,9 @@ class SocketTransport(WorkerTransport):
     def poll_committed(self) -> List[CommittedResult]:
         return collect_spool(self._spool)
 
+    def discard_partial(self, task_id: int, attempt: int) -> None:
+        discard_partials(self._spool, f"{task_id}-{attempt}.")
+
     def wait(self, timeout: float) -> bool:
         return bool(self._doorbell.wait(timeout))
 
@@ -789,8 +803,8 @@ def transport_for_spec(spec: BackendSpec, *, workers: int,
                        start_method: Optional[str] = None) -> WorkerTransport:
     """Build the worker transport a parsed backend spec names.
 
-    The one place a spec becomes a transport; sessions and the one-shot
-    pipeline engine both come through here.  ``process`` specs run on
+    The one place a spec becomes a transport: a session's stage executor
+    comes through here, one-shot runs included.  ``process`` specs run on
     :class:`~repro.scp.pool.ProcessPool` slots -- the caller's ``pool`` when
     it has one (a session's persistent pool, which outlives the transport),
     else a private pool the transport owns; ``socket`` specs launch a node

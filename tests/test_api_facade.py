@@ -114,6 +114,33 @@ class TestEngineRegistry:
                            match="distributed, pipeline, resilient, sequential"):
             get_engine("typo")
 
+    def test_registered_engine_gets_one_call_from_fuse_and_session(
+            self, tiny_cube):
+        # repro.fuse is a session of one request: a registered engine sees
+        # the same run(request, session) call from either door.
+        from repro.api import engines
+        from repro.api.session import FusionSession
+
+        calls = []
+
+        @engines.register_engine("recording")
+        class RecordingEngine(engines.SequentialEngine):
+            def run(self, request, session):
+                calls.append((request, session))
+                return super().run(request, session)
+
+        try:
+            fuse(tiny_cube, engine="recording", workers=2)
+            with open_session(engine="recording", workers=2) as session:
+                session.fuse(tiny_cube)
+        finally:
+            del engines._ENGINES._items["recording"]
+        (one_shot, its_session), (streamed, session_seen) = calls
+        assert isinstance(its_session, FusionSession) and its_session.closed
+        assert session_seen is session
+        assert one_shot.cube is streamed.cube is tiny_cube
+        assert one_shot.replace(cube=None) == streamed.replace(cube=None)
+
 
 class TestFuseFacadeErrors:
     def test_unknown_engine(self, tiny_cube):

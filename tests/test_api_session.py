@@ -489,14 +489,17 @@ class TestStreamingSession:
 
     def test_pipeline_session_rejects_resilience_options(self, tiny_cube,
                                                          fast_config):
-        # The session's streaming branch bypasses engine.run(); the option
-        # validation must not be bypassed with it.
-        with open_session(engine="pipeline", backend="local",
-                          config=fast_config) as session:
+        # Rejected before placement: a bad option costs no copy of the cube
+        # into shared memory, on the pipeline engine as on the others.
+        with open_session(engine="pipeline", backend="process:2",
+                          config=fast_config, warm=False) as session:
+            segments = owned_segment_names()
             with pytest.raises(ValueError, match="replication"):
                 session.fuse(tiny_cube, replication=3)
             with pytest.raises(ValueError, match="camouflage"):
                 session.fuse(tiny_cube, camouflage_period=1.0)
+            assert session.cubes_placed == 0
+            assert owned_segment_names() == segments
 
     def test_max_inflight_rejected_outside_pipeline_streams(self, tiny_cube):
         # Inert knobs fail loudly: a serial session cannot honour it, and a

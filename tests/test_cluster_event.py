@@ -64,9 +64,9 @@ class TestCancellation:
     def test_cancelled_events_not_counted_as_pending(self):
         engine = EventEngine()
         event = engine.schedule(1.0, lambda: None)
-        assert engine.pending_events == 1
+        assert engine.peek_time() == pytest.approx(1.0)
         event.cancel()
-        assert engine.pending_events == 0
+        assert engine.peek_time() is None
 
 
 class TestRunControl:
@@ -104,35 +104,11 @@ class TestRunControl:
         assert fired == ["a"]
         assert engine.now == 1.0
 
-    def test_processed_events_counter(self):
-        engine = EventEngine()
-        for _ in range(4):
-            engine.schedule(1.0, lambda: None)
-        engine.run()
-        assert engine.processed_events == 4
-
     def test_peek_time(self):
         engine = EventEngine()
         assert engine.peek_time() is None
         engine.schedule(3.0, lambda: None)
         assert engine.peek_time() == pytest.approx(3.0)
-
-    def test_advance_to_without_events(self):
-        engine = EventEngine()
-        engine.advance_to(10.0)
-        assert engine.now == 10.0
-
-    def test_advance_to_blocked_by_pending_event(self):
-        engine = EventEngine()
-        engine.schedule(1.0, lambda: None)
-        with pytest.raises(SimulationError):
-            engine.advance_to(5.0)
-
-    def test_advance_backwards_rejected(self):
-        engine = EventEngine()
-        engine.advance_to(5.0)
-        with pytest.raises(SimulationError):
-            engine.advance_to(1.0)
 
     def test_run_not_reentrant(self):
         engine = EventEngine()

@@ -54,15 +54,6 @@ class TestPlacement:
         assert cluster.location_of("t1") is None
         assert cluster.node("n0").load == 0
 
-    def test_co_located(self):
-        cluster = make_cluster()
-        cluster.place("a", "n0")
-        cluster.place("b", "n0")
-        cluster.place("c", "n1")
-        assert cluster.co_located("a", "b")
-        assert not cluster.co_located("a", "c")
-        assert not cluster.co_located("a", "ghost")
-
     def test_least_loaded_nodes_ordering(self):
         cluster = make_cluster(3)
         cluster.place("a", "n1")
@@ -106,14 +97,6 @@ class TestComputeAndComms:
         with pytest.raises(ClusterError):
             cluster.transfer_window("a", "ghost", 100, earliest=0.0)
 
-    def test_utilisation_summary(self):
-        cluster = make_cluster(flops=1e7)
-        cluster.place("a", "n0")
-        cluster.compute_seconds("a", 1e7)
-        util = cluster.utilisation_summary(elapsed=2.0)
-        assert util["n0"] == pytest.approx(0.5)
-        assert util["n1"] == 0.0
-
 
 class TestFailures:
     def test_fail_node_returns_victims(self):
@@ -131,23 +114,6 @@ class TestFailures:
         cluster = make_cluster(3)
         cluster.fail_node("n1")
         assert [n.name for n in cluster.alive_nodes()] == ["n0", "n2"]
-
-    def test_recover_node(self):
-        cluster = make_cluster()
-        cluster.fail_node("n0")
-        cluster.recover_node("n0")
-        assert cluster.node("n0").alive
-        cluster.place("x", "n0")
-        assert cluster.location_of("x") == "n0"
-
-    def test_fail_thread_removes_single_placement(self):
-        cluster = make_cluster()
-        cluster.place("a", "n0")
-        cluster.place("b", "n0")
-        cluster.fail_thread("a")
-        assert cluster.location_of("a") is None
-        assert cluster.location_of("b") == "n0"
-        assert cluster.node("n0").alive
 
     def test_placement_on_failed_node_rejected(self):
         cluster = make_cluster()

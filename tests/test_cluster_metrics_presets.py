@@ -11,19 +11,8 @@ from repro.cluster.presets import (SUN_ULTRA_FLOPS, heterogeneous_lan,
 
 
 class TestRunMetrics:
-    def test_record_phase_accumulates(self):
-        metrics = RunMetrics()
-        metrics.record_phase("screening", 1.5)
-        metrics.record_phase("screening", 0.5)
-        metrics.record_phase("transform", 1.0)
-        assert metrics.phase_seconds["screening"] == pytest.approx(2.0)
-        assert metrics.phase_invocations["screening"] == 2
-        assert metrics.total_compute_seconds == pytest.approx(3.0)
-
     def test_phase_fraction(self):
-        metrics = RunMetrics()
-        metrics.record_phase("a", 3.0)
-        metrics.record_phase("b", 1.0)
+        metrics = RunMetrics(phase_seconds={"a": 3.0, "b": 1.0})
         assert metrics.phase_fraction("a") == pytest.approx(0.75)
         assert metrics.phase_fraction("missing") == 0.0
 
@@ -38,14 +27,6 @@ class TestRunMetrics:
     def test_utilisation_zero_elapsed(self):
         metrics = RunMetrics(elapsed_seconds=0.0, node_busy_seconds={"n0": 5.0})
         assert metrics.utilisation()["n0"] == 0.0
-
-    def test_as_row_contains_key_fields(self):
-        metrics = RunMetrics(elapsed_seconds=2.0, workers=4, subcubes=8)
-        metrics.record_phase("screening", 1.0)
-        row = metrics.as_row()
-        assert row["workers"] == 4
-        assert row["subcubes"] == 8
-        assert row["phase::screening"] == pytest.approx(1.0)
 
 
 class TestMetricsCollector:

@@ -6,17 +6,21 @@ at top-level ``*.md`` documents.  A pointer that outlives its target sends
 the reader nowhere, so deleting or renaming a file must update its mentions
 in the same change.  The same goes for a backticked dotted name such as
 ``repro.scp.pool.ProcessPool`` in README.md / CONTRIBUTING.md: it must still
-resolve by import + ``getattr``.
+resolve by import + ``getattr``; and for a backticked ``--flag`` there: it
+must still parse on the ``repro-fusion`` command it is given to.
 """
 
 from __future__ import annotations
 
+import argparse
 import glob
 import importlib
 import re
 from pathlib import Path
 
 import pytest
+
+from repro.cli import _build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -28,6 +32,10 @@ TOP_LEVEL_MD_PATTERN = re.compile(r"(?<![\w/.-])[A-Za-z][\w-]*\.md\b")
 
 #: A backticked ``repro.a.b`` name, with or without a call's argument list.
 DOTTED_NAME_PATTERN = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)(?:\([^`]*\))?`")
+
+#: A backticked span, and a ``--flag`` in it.
+SPAN_PATTERN = re.compile(r"`([^`\n]+)`")
+FLAG_PATTERN = re.compile(r"(?<![\w-])--[a-z][\w-]*")
 
 #: Deliberate placeholders: CONTRIBUTING's "add a lint rule" recipe names
 #: the fixture file a contributor is about to create.
@@ -67,6 +75,46 @@ def _resolves(dotted: str) -> bool:
             return False
         return True
     return False
+
+
+def _commands(parser: argparse.ArgumentParser, words=()):
+    """``(command words, flags)`` for the CLI and each (sub)command; a
+    subcommand accepts its parents' flags too."""
+    flags = {option for action in parser._actions
+             for option in action.option_strings}
+    yield words, flags
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                for sub_words, sub_flags in _commands(sub, words + (name,)):
+                    yield sub_words, flags | sub_flags
+
+
+@pytest.mark.parametrize("document", ["README.md", "CONTRIBUTING.md"])
+def test_every_named_cli_flag_parses(document):
+    """A ``repro-fusion ...`` span is checked against its subcommand, a bare
+    ``--flag`` against every command; spans that start with another program
+    (``pytest --cov``, ``run.py --smoke``) are that program's business."""
+    commands = dict(_commands(_build_parser()))
+    any_command = set().union(*commands.values())
+    unknown, checked = [], 0
+    for span in SPAN_PATTERN.findall((ROOT / document).read_text("utf-8")):
+        words = span.split()
+        if words[0] == "repro-fusion":
+            path = tuple(words[1:])
+            while path not in commands:
+                path = path[:-1]
+            known = commands[path]
+        elif words[0].startswith("--"):
+            known = any_command
+        else:
+            continue
+        for flag in FLAG_PATTERN.findall(span):
+            checked += 1
+            if flag not in known:
+                unknown.append(f"{flag} in `{span}`")
+    assert checked, f"{document} cites no repro-fusion flag: has the pattern rotted?"
+    assert not unknown, f"{document} names flags the CLI does not parse: {unknown}"
 
 
 @pytest.mark.parametrize("document", ["README.md", "CONTRIBUTING.md"])

@@ -152,9 +152,6 @@ def test_sigkilled_replica_is_regenerated_and_the_request_survives(small_cube,
     import os
     import signal
 
-    from repro.api.engines import get_engine
-    from repro.api.request import FusionRequest
-
     config = make_config(workers=2, subcubes=8).with_resilience(
         ResilienceConfig(replication_level=2))
     sequential = SpectralScreeningPCT(config).fuse(small_cube)
@@ -176,8 +173,7 @@ def test_sigkilled_replica_is_regenerated_and_the_request_survives(small_cube,
             time.sleep(0.001)
 
     threading.Thread(target=killer, daemon=True).start()
-    request = FusionRequest(cube=small_cube, engine="resilient", config=config)
-    report = get_engine("resilient").run(request, backend=backend)
+    report = fuse(small_cube, engine="resilient", config=config, backend=backend)
 
     np.testing.assert_array_equal(report.composite, sequential.composite)
     outcome = report.run.outcomes["worker.1#0"]
@@ -201,9 +197,23 @@ def _pool_residue():
             set(shm_residue()))
 
 
-@pytest.mark.parametrize("crash", [False, True], ids=["completes", "raises"])
-def test_one_shot_run_closes_its_private_pool(tiny_cube, monkeypatch, crash):
-    # A one-shot process run owns a private worker pool for its lifetime:
+def _failing_copy_out(placement):
+    raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize("engine, backend, crash", [
+    ("distributed", "process:fork", False),
+    ("distributed", "process:fork", True),
+    ("pipeline", "process:fork", False),
+    ("pipeline", "process:fork", True),
+    ("pipeline", "socket:2", False),
+    ("pipeline", "socket:2", True),
+], ids=["completes", "raises", "pipeline-process-completes",
+        "pipeline-process-raises", "pipeline-socket-completes",
+        "pipeline-socket-raises"])
+def test_one_shot_run_closes_its_private_pool(tiny_cube, monkeypatch, engine,
+                                              backend, crash):
+    # A one-shot process run owns a private session for its lifetime:
     # whether the run returns or raises, no worker process, shared-memory
     # segment or spool directory may outlive the call.
     import multiprocessing
@@ -215,18 +225,44 @@ def test_one_shot_run_closes_its_private_pool(tiny_cube, monkeypatch, crash):
     children_before, residue_before = _pool_residue()
     config = make_config(workers=2, subcubes=4)
     if crash:
+        # Fail in the parent once the workers have run: the manager program
+        # of a batch run, the output copy of a pipeline run.
         monkeypatch.setattr("repro.core.distributed.manager_program",
                             _crashing_manager)
-        with pytest.raises(ThreadCrashedError, match="boom"):
-            fuse(tiny_cube, engine="distributed", config=config,
-                 backend="process:fork")
+        monkeypatch.setattr("repro.core.streaming._copy_out",
+                            _failing_copy_out)
+        expected = ThreadCrashedError if engine == "distributed" else RuntimeError
+        with pytest.raises(expected, match="boom"):
+            fuse(tiny_cube, engine=engine, config=config, backend=backend)
     else:
-        report = fuse(tiny_cube, engine="distributed", config=config,
-                      backend="process:fork")
-        assert report.backend == "process:fork"
+        report = fuse(tiny_cube, engine=engine, config=config, backend=backend)
+        assert report.backend == backend
     children_after, residue_after = _pool_residue()
     assert children_after - children_before == set()
     assert residue_after - residue_before == set()
+
+
+@pytest.mark.parametrize("backend, start_method", [
+    ("process", None), ("process:spawn", "spawn")])
+def test_one_shot_process_run_uses_the_session_start_method(
+        tiny_cube, monkeypatch, backend, start_method):
+    # One rule for every process run, one-shot or session: an explicit
+    # start method, else the spec's variant, else the platform default.
+    from repro.api import session as session_module
+    from repro.scp.pool import ProcessPool, default_start_method
+
+    pools = []
+
+    class RecordingPool(ProcessPool):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(session_module, "ProcessPool", RecordingPool)
+    fuse(tiny_cube, engine="distributed", backend=backend,
+         config=make_config(workers=2, subcubes=4))
+    assert [pool.start_method for pool in pools] == [
+        start_method or default_start_method()]
 
 
 @pytest.mark.slow

@@ -122,14 +122,6 @@ class TestReplicaGroup:
         indices = [group.allocate_replica_index() for _ in range(5)]
         assert indices == [0, 1, 2, 3, 4]
 
-    def test_degraded_groups_listing(self):
-        manager = ReplicationManager()
-        manager.register_group(worker_spec("worker.0", replicas=2), 2)
-        manager.register_group(worker_spec("worker.1", replicas=2), 2)
-        manager.record_death("worker.1#0")
-        degraded = manager.degraded_groups()
-        assert [g.logical for g in degraded] == ["worker.1"]
-
     def test_summary_and_totals(self):
         manager = ReplicationManager()
         manager.register_group(worker_spec(replicas=2), 2)

@@ -348,7 +348,13 @@ def test_a_kill_in_the_middle_of_a_report_wedges_nobody():
     deaths, killed = [], []
     with ProcessPool() as pool:
         backend = ProcessBackend(pool, crash_policy="record", default_timeout=12.0)
-        backend.subscribe_thread_death(lambda *args: deaths.append(args))
+        partials_at_death = []
+
+        def on_death(*args):
+            deaths.append(args)
+            partials_at_death.append(_partial_commit_in(backend)(None))
+
+        backend.subscribe_thread_death(on_death)
         _kill_once(backend, "victim#0", _partial_commit_in(backend), killed)
         started = time.monotonic()
         run = backend.run(app, until_thread="bystander")
@@ -358,6 +364,8 @@ def test_a_kill_in_the_middle_of_a_report_wedges_nobody():
         assert run.outcomes["victim#0"].status == "crashed"
         assert "died without reporting" in run.outcomes["victim#0"].error
         assert deaths == [("victim#0", "victim", "crashed")]
+        # Reaping the victim removed its partial from the still-live spool.
+        assert partials_at_death == [False]
         assert pool.size == pool.idle == 1  # the victim's slot is gone
     assert set(shm_residue()) - before == set()
 

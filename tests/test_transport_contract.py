@@ -431,8 +431,56 @@ def test_kill_after_commit_resolves_once_and_ignores_the_stale_attempt(kind):
         assert executor.kills_delivered == {"covariance": 6}
         assert executor.retries <= 12  # at most both tasks of a round
         assert executor._router.is_alive()  # no double resolution killed it
-        time.sleep(0.1)
+        # A kill mid-commit left a partial; the retry removed it first.
         assert os.listdir(executor.transport._spool) == [DOORBELL_NAME]
+
+
+class _DieMidWrite:
+    """A result file whose writer is SIGKILLed half-way through the write."""
+
+    def __init__(self, path, mode):
+        self._file = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._file.close()
+
+    def write(self, data):
+        self._file.write(data[:len(data) // 2])
+        self._file.flush()
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def payload_killed_mid_commit(marker, nbytes):
+    """Return ``nbytes`` of payload.  The first attempt (the one that creates
+    ``marker``) is SIGKILLed mid-commit, half its result file written -- as
+    an OOM kill during the write would leave it."""
+    try:
+        os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return bytes(nbytes)
+    from repro.scp import serialization
+    serialization.open = _DieMidWrite  # this worker's commits only
+    return bytes(nbytes)
+
+
+@pytest.mark.parametrize("kind", KILLABLE_TRANSPORTS)
+def test_kill_mid_commit_leaves_nothing_in_a_live_spool(kind, tmp_path):
+    """A worker killed while writing a multi-MiB result leaves its partial
+    behind; the retry removes it, so a long-lived session's spool does not
+    collect one per kill."""
+    with repro.open_session(engine="pipeline", backend=SPECS[kind]) as session:
+        executor = session.stage_executor()
+        spool = executor.transport._spool
+        for request in range(3):
+            marker = str(tmp_path / f"killed-{request}")
+            payload = executor.submit("screen", payload_killed_mid_commit,
+                                      marker, 8 << 20)
+            assert len(payload.result(timeout=60)) == 8 << 20
+            assert os.listdir(spool) == [DOORBELL_NAME]
+        assert executor.retries == 3
 
 
 def test_socket_slot_is_not_handed_out_before_its_reset_frame_is_sent():
