@@ -440,29 +440,31 @@ def run_pipeline(cube: HyperspectralCube, config: FusionConfig, executor, *,
 #:
 #: Measured, not derived: ``benchmarks/bench_fig5_granularity.py`` (the
 #: "measured" series; re-run it before changing this -- CONTRIBUTING,
-#: "Changing the plan constant").  On the 2-vCPU build host, ``process:2``,
-#: one BLAS thread, warm executor, 3 s closed loops, split -> whole:
+#: "Changing the plan constant").  On a shared 2-vCPU host, ``process:2``,
+#: one BLAS thread, warm executor, 3 s closed loops, with each worker
+#: running one task and holding the next, split -> whole:
 #:
 #: ====================  =====================  ======================
 #: scene (samples)       1 client, p50 latency  4 outstanding, cubes/s
 #: ====================  =====================  ======================
-#: 64x64x32     (131 k)  15.1 -> 12.0 ms        63.7 -> 111.8
-#: 96x96x32     (295 k)  18.0 -> 17.1 ms        60.2 -> 114.3
-#: 128x128x32   (524 k)  23.1 -> 25.6 ms        48.4 -> 84.5
-#: 96x96x64     (590 k)  32.9 -> 34.3 ms        31.5 -> 56.1
-#: 128x128x64  (1.05 M)  33.1 -> 35.7 ms        33.6 -> 47.1
-#: 256x256x64   (4.2 M)  91.1 -> 151.2 ms       12.2 -> 13.5
+#: 64x64x32     (131 k)  14.6 -> 11.5 ms        82.3 -> 165.2
+#: 96x96x32     (295 k)  18.4 -> 16.7 ms        61.6 -> 124.2
+#: 128x128x32   (524 k)  29.5 -> 23.6 ms        53.5 -> 84.6
+#: 96x96x64     (590 k)  27.6 -> 32.6 ms        47.4 -> 69.0
+#: 128x128x64  (1.05 M)  30.4 -> 40.4 ms        38.0 -> 51.3
+#: 256x256x64   (4.2 M)  86.3 -> 141.1 ms       14.3 -> 15.0
 #: ====================  =====================  ======================
 #:
 #: Whole wins on both loops up to 295 k samples and wins under load at every
-#: size, but a lone client pays for it from ~400 k up (three more seeds
-#: each: 112x112x32 one win and two losses of ~12 %, 128x128x32 -6 to
-#: -18 %).  ``1 << 18`` is the largest power of two at which whole lost on
-#: neither loop in any run made.  Whatever it becomes, it must stay strictly
-#: below 1 048 576: 128x128x64 is faster split for a single client, and a
-#: request that size must keep dispatching ``screen`` / ``covariance`` /
-#: ``project`` tasks for stage-targeted chaos (``benchmarks/e2e``'s
-#: ``socket_killstorm``) to land on.
+#: size, but a lone client pays for it from ~400 k up (this run: from 590 k;
+#: the previous table, with one task per worker, lost at 524 k, and three
+#: more seeds each gave 112x112x32 one win and two losses of ~12 %,
+#: 128x128x32 -6 to -18 %).  ``1 << 18`` is the largest power of two at
+#: which whole lost on neither loop in any run made.  Whatever it becomes,
+#: it must stay strictly below 1 048 576: 128x128x64 is faster split for a
+#: single client, and a request that size must keep dispatching ``screen`` /
+#: ``covariance`` / ``project`` tasks for stage-targeted chaos
+#: (``benchmarks/e2e``'s ``socket_killstorm``) to land on.
 WHOLE_REQUEST_MAX_SAMPLES = 1 << 18
 
 #: Labels of the stage tasks :func:`run_pipeline` submits -- the stages a

@@ -19,10 +19,12 @@ This module provides that layer on top of the worker-transport seam
   borrows a worker per task from its transport, routes committed results
   back to per-task futures, sweeps for workers that died mid-task
   (SIGKILL, OOM, whole-node loss) and transparently re-dispatches the
-  task on a fresh worker, and enforces *backpressure*: at most
-  ``workers`` tasks are in flight and further ``submit`` calls block,
-  which is what bounds the memory of a streaming fusion to O(tiles in
-  flight) instead of O(cube); it also keeps the kill-request bookkeeping
+  task on a fresh worker, and enforces *backpressure*: each worker runs
+  one task and holds the next
+  (:data:`~repro.scp.transport.TASKS_PER_WORKER`), so at most ``2 x
+  workers`` tasks are in flight and further ``submit`` calls block, which
+  is what bounds the memory of a streaming fusion to O(tiles in flight)
+  instead of O(cube); it also keeps the kill-request bookkeeping
   and the per-stage observability counters (identical semantics on
   threads and processes, because there is one executor);
 * a typed error taxonomy (:class:`StageError`, :class:`StageCrashError`)
@@ -86,8 +88,8 @@ from .serialization import (ERROR_SUFFIX as _ERROR_SUFFIX,
                             RESULT_SUFFIX as _RESULT_SUFFIX,
                             commit_spool_file as _commit_spool_file,
                             ring_doorbell as _ring_doorbell)
-from .transport import (STAGE_ASSIGN as _STAGE_ASSIGN, CommittedResult,
-                        TaskFrame, WorkerTransport)
+from .transport import (STAGE_ASSIGN as _STAGE_ASSIGN, TASKS_PER_WORKER,
+                        CommittedResult, TaskFrame, WorkerTransport)
 
 _LOG = get_logger("scp.stages")
 
@@ -195,9 +197,11 @@ class TransportStageExecutor:
         -- e.g. a session's :class:`~repro.scp.pool.ProcessPool` -- leaves
         that resource open (it closes only what it created itself).
     workers:
-        Maximum stage tasks in flight; the bounded stage queue.  A
-        ``submit`` beyond it blocks the caller (backpressure) until a
-        worker frees up.
+        Workers the tasks run on.  Each worker runs one task and holds the
+        next, already on its inbox, so it never waits out a refill between
+        tasks: the dispatch window is ``TASKS_PER_WORKER x workers`` tasks,
+        and a ``submit`` beyond it blocks the caller (backpressure) until a
+        task commits.
     max_retries:
         How many times a task whose *worker died* is re-dispatched on a
         fresh worker before its future fails with
@@ -214,9 +218,10 @@ class TransportStageExecutor:
         self._transport = transport
         self._workers = workers
         self._max_retries = max_retries
-        self._slots_free = threading.BoundedSemaphore(workers)
+        self._window = threading.BoundedSemaphore(TASKS_PER_WORKER * workers)
         self._pending: Dict[int, _PendingStage] = {}
-        #: Crash-retry tasks waiting for a warm worker (see _flush_deferred).
+        #: Tasks waiting for a place on a warm worker: crash retries, and
+        #: submits that found every place held by a dying worker.
         self._deferred: List[_PendingStage] = []
         self._lock = threading.Lock()
         self._ids = itertools.count()
@@ -284,14 +289,17 @@ class TransportStageExecutor:
                covers: Sequence[str] = (), **kwargs) -> Future:
         """Queue one stage task; returns its future.
 
-        Blocks while ``workers`` tasks are already in flight -- that is the
-        bounded stage queue providing backpressure to the tile producers.
+        Blocks while the dispatch window is full -- each worker running one
+        task and holding the next -- which is the bounded stage queue
+        providing backpressure to the tile producers.  A task that cannot
+        be dispatched (say, it does not pickle) raises here, and gives back
+        its place in the window, its worker and no armed kill.
 
         ``covers`` names further stages whose work this one task *runs* (a
         whole-request task runs screening, covariance and projection), so
         :meth:`inject_kill` on any of them still finds a task to fire on.
         """
-        while not self._slots_free.acquire(timeout=0.1):
+        while not self._window.acquire(timeout=0.1):
             if self._closed:
                 raise StageError(stage, "stage executor is closed")
         record = _PendingStage(next(self._ids), stage, covers, fn, args, kwargs)
@@ -302,18 +310,23 @@ class TransportStageExecutor:
             # here -- a task can never be registered with no router left to
             # resolve it.
             if self._closed:
-                self._slots_free.release()
+                self._window.release()
                 raise StageError(stage, "stage executor is closed")
             self._pending[record.task_id] = record
         try:
             ref = self._transport.acquire()
             if ref is None:
-                raise StageError(stage, "no worker available to dispatch")
-            self._dispatch(record, ref)
+                # Every place is held by a worker that is dying (sent a kill,
+                # or dead and not yet swept); the sweep frees them and the
+                # router dispatches this task then.
+                with self._lock:
+                    self._deferred.append(record)
+            else:
+                self._dispatch(record, ref)
         except Exception:
             with self._lock:
                 self._pending.pop(record.task_id, None)
-            self._slots_free.release()
+            self._window.release()
             raise
         self._transport.wake()  # an idle router sleeps until told
         return record.future
@@ -393,25 +406,32 @@ class TransportStageExecutor:
 
     # ------------------------------------------------------------- dispatch
     def _dispatch(self, record: _PendingStage, ref) -> None:
+        """Send ``record`` to ``ref``, then fire any kill armed on it.  A
+        send that raises hands ``ref`` back and leaves the armed kills."""
         with self._lock:
-            if self._pending.get(record.task_id) is not record:
-                # close() failed this task between registration and dispatch;
-                # hand the unused worker straight back.
-                abandoned = True
-                chaos = []
-            else:
-                abandoned = False
+            abandoned = self._pending.get(record.task_id) is not record
+            if not abandoned:
                 record.ref = ref
                 record.first_seen_dead = None
                 record.attempt += 1
-                chaos = [stage for stage in record.runs
-                         if self._take_kill_request_locked(stage)]
         if abandoned:
+            # close() failed this task between registration and dispatch;
+            # hand the unused worker straight back.
             self._transport.release(ref)
             return
-        self._transport.send(ref, TaskFrame(
-            task_id=record.task_id, attempt=record.attempt, stage=record.stage,
-            fn=record.fn, args=record.args, kwargs=record.kwargs))
+        try:
+            self._transport.send(ref, TaskFrame(
+                task_id=record.task_id, attempt=record.attempt,
+                stage=record.stage, fn=record.fn, args=record.args,
+                kwargs=record.kwargs))
+        except Exception:
+            with self._lock:
+                record.ref = None
+            self._transport.release(ref)
+            raise
+        with self._lock:
+            chaos = [stage for stage in record.runs
+                     if self._take_kill_request_locked(stage)]
         if chaos:
             self._transport.kill(ref)
             with self._lock:
@@ -458,7 +478,7 @@ class TransportStageExecutor:
             del self._pending[committed.task_id]
         if record.ref is not None:
             self._transport.release(record.ref)
-        self._slots_free.release()
+        self._window.release()
         if committed.payload_nbytes:
             with self._lock:
                 self.stage_payload_bytes[record.stage] = (
@@ -483,6 +503,10 @@ class TransportStageExecutor:
 
     def _sweep(self) -> None:
         """Detect workers that died mid-task; retry or fail their tasks.
+
+        Every pending record bound to a dead ref is lost, so one SIGKILL
+        retries both tasks its worker held: the one it ran and the one
+        queued behind it.  Each retry resolves once, by attempt number.
 
         A worker the transport certifies *reaped* needs no timer: it can
         commit nothing more, so one scan made after the death was observed
@@ -531,15 +555,17 @@ class TransportStageExecutor:
         self._flush_deferred()
 
     def _flush_deferred(self) -> None:
-        """Re-dispatch crash-retry tasks onto warm workers as they free up.
+        """Dispatch deferred tasks onto warm workers as places free up.
 
         Run on the router thread, which must not *spawn* new worker
         processes while driver threads are mid-put on other queues (a
         forked child can inherit feeder state that loses its first
-        assignment -- observed as a wedged retry slot).  Retries therefore
-        wait for an existing idle worker; only when every worker is gone
-        (total loss -- a dead pool, or a SIGKILLed node agent) does the
-        substrate grow or restart from here as a last resort.
+        assignment -- observed as a wedged retry slot).  Deferred tasks
+        therefore wait for a place on an existing worker; only when every
+        worker is gone (total loss -- a dead pool, or a SIGKILLed node
+        agent) does the substrate grow or restart from here as a last
+        resort.  A task whose dispatch raises (the transport closed
+        underneath it) fails typed; the router carries on.
         """
         while True:
             with self._lock:
@@ -550,26 +576,26 @@ class TransportStageExecutor:
                 ref = self._transport.acquire(spawn=False)
                 if ref is None and self._transport.alive_workers() == 0:
                     ref = self._transport.acquire()
-            except Exception as err:  # transport closed underneath the retry
+                if ref is None:
+                    return  # every place taken; a resolve frees one, next tick
                 with self._lock:
                     if self._deferred and self._deferred[0] is record:
                         self._deferred.pop(0)
-                self._fail(record, StageCrashError(
-                    record.stage,
-                    f"could not re-dispatch after slot death: {err!r}"))
-                continue
-            if ref is None:
-                return  # all workers busy; a resolve will free one, next tick
-            with self._lock:
-                if self._deferred and self._deferred[0] is record:
-                    self._deferred.pop(0)
-            self._dispatch(record, ref)
+                self._dispatch(record, ref)
+            except Exception as err:  # noqa: BLE001 - failed typed, never fatal
+                with self._lock:
+                    if self._deferred and self._deferred[0] is record:
+                        self._deferred.pop(0)
+                crash = StageCrashError(record.stage,
+                                        f"could not dispatch: {err!r}")
+                crash.__cause__ = err
+                self._fail(record, crash)
 
     def _fail(self, record: _PendingStage, error: StageError) -> None:
         with self._lock:
             if self._pending.pop(record.task_id, None) is None:
                 return
-        self._slots_free.release()
+        self._window.release()
         record.future.set_exception(error)
 
     # ------------------------------------------------------------ lifecycle
@@ -600,7 +626,7 @@ class TransportStageExecutor:
             pending = list(self._pending.values())
             self._pending.clear()
             self._deferred.clear()
-        for record in pending:
+        for record in pending:  # a worker's running and queued task alike
             if record.ref is not None:
                 self._transport.discard(record.ref)
             if not record.future.done():

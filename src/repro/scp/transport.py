@@ -6,7 +6,9 @@ execution substrate is one subclass, not another copy of the worker
 plumbing:
 
 * ``start`` -- pre-provision the worker budget (spawn or attach);
-* ``acquire``/``send`` -- borrow a worker and hand it one task frame;
+* ``acquire``/``send`` -- borrow a place on a worker and hand it a task
+  frame: each worker runs one task and holds the next
+  (:data:`TASKS_PER_WORKER`);
 * ``poll_committed`` -- collect results that were durably *committed*
   (an atomic spool rename, or an in-memory hand-off for host threads);
 * ``wait``/``wake`` -- park the router until a commit, a worker death or
@@ -79,7 +81,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..logging_utils import get_logger
 from .errors import RuntimeStateError
-from .pool import ProcessPool, default_start_method
+from .pool import QUEUE_BROKEN_ERRORS, ProcessPool, default_start_method
 from .registry import BackendSpec
 from .serialization import (CommittedResult, _Doorbell, _join_fired,
                             collect_spool, discard_partials, spool_root)
@@ -93,6 +95,15 @@ STAGE_ASSIGN = "__scp_stage_assign__"
 #: Seconds the parent waits for a freshly launched node agent to call back.
 _AGENT_CONNECT_TIMEOUT = 15.0
 
+#: Stage tasks a worker holds at once: the one it runs and the next, already
+#: waiting on its inbox.  The worker starts that one the moment it commits, so
+#: the parent's refill round trip (doorbell, router scan, dispatch, inbox
+#: feeder, unpickle -- about 1 ms, each hop a thread wake on the cores the
+#: workers compute on) runs during compute instead of between tasks.  One
+#: queued task hides that refill; a deeper queue hides nothing more and only
+#: adds head-of-line blocking behind a long task.  A constant, not a knob.
+TASKS_PER_WORKER = 2
+
 
 @dataclass(frozen=True)
 class TaskFrame:
@@ -104,6 +115,25 @@ class TaskFrame:
     fn: Callable
     args: Tuple
     kwargs: Dict
+
+
+class _Pickled:
+    """An inbox item pickled on the thread that sends it.
+
+    ``multiprocessing.Queue`` pickles in its feeder thread, where a failure
+    is only printed and the item dropped -- the task would never start.
+    Pickled up front, an unpicklable task raises to its sender; the feeder
+    then only copies the bytes, and the reader's unpickling returns the
+    original item.
+    """
+
+    __slots__ = ("payload",)
+
+    def __init__(self, item: Any) -> None:
+        self.payload = pickle.dumps(item, protocol=pickle.HIGHEST_PROTOCOL)
+
+    def __reduce__(self):
+        return pickle.loads, (self.payload,)
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +166,16 @@ class WorkerTransport:
         raise NotImplementedError
 
     def acquire(self, *, spawn: bool = True):
-        """Borrow an idle worker ref, or ``None`` when none is available.
+        """Borrow a place on a worker, or ``None`` when none is free.
 
-        ``spawn=False`` must never create a new OS process -- callers on
-        router threads use it so forking cannot race other threads'
-        queue feeders; ``spawn=True`` may grow/restart the substrate.
+        Each worker runs one task and holds the next, so the ref may name
+        a worker that is already running one task (at most
+        :data:`TASKS_PER_WORKER`).  An idle worker is handed out before a
+        half-full one, and a worker sent a :meth:`kill` gets no further
+        task.  ``spawn=False`` must never create a new OS process --
+        callers on router threads use it so forking cannot race other
+        threads' queue feeders; ``spawn=True`` may grow/restart the
+        substrate.
         """
         raise NotImplementedError
 
@@ -167,7 +202,7 @@ class WorkerTransport:
         raise NotImplementedError
 
     def release(self, ref) -> None:
-        """Return a worker whose task committed; it may be reused."""
+        """Free the place a committed task held on ``ref``'s worker."""
         raise NotImplementedError
 
     def discard(self, ref) -> None:
@@ -337,27 +372,51 @@ class ForkedProcessTransport(WorkerTransport):
                       else ProcessPool(start_method=start_method))
         self._spool = tempfile.mkdtemp(prefix="scp-stages-", dir=spool_root())
         self._doorbell = _Doorbell(self._spool)
-        #: Slots with a task in flight: their process sentinels join the
-        #: doorbell in wait(), so a death mid-task is an event, not a poll.
-        #: A dead process's sentinel stays readable for ever; it leaves the
-        #: set through discard(), which the executor calls the moment it
-        #: sees the death.
-        self._busy: Set[Any] = set()
-        self._busy_lock = threading.Lock()
+        #: Tasks each borrowed slot holds, running plus queued.  A slot is
+        #: borrowed from the pool while it holds any, and its process
+        #: sentinel joins the doorbell in wait(), so a death mid-task is an
+        #: event, not a poll.  A dead process's sentinel stays readable for
+        #: ever; it leaves through discard(), which the executor calls the
+        #: moment it sees the death.
+        self._load: Dict[Any, int] = {}
+        #: Borrowed slots sent a kill: they get no further task.
+        self._killed: Set[Any] = set()
+        self._load_lock = threading.Lock()
+        self._workers = 1
         self._closed = False
 
     def start(self, workers: int) -> None:
+        self._workers = workers
         if not self._pool.closed:
             self._pool.ensure(workers)
 
     def acquire(self, *, spawn: bool = True):
-        return self._pool.acquire(allow_spawn=spawn)
+        with self._load_lock:
+            slot = self._pool.acquire(allow_spawn=False)  # an idle worker first
+            if slot is None:
+                live = [held for held in self._load if held not in self._killed
+                        and held.process.exitcode is None]
+                # A lost worker is replaced (when spawning is allowed) before
+                # a survivor is handed a second task.
+                if not (spawn and len(live) < self._workers):
+                    slot = next((held for held in live
+                                 if self._load[held] < TASKS_PER_WORKER), None)
+                if slot is None and spawn:
+                    slot = self._pool.acquire()
+            if slot is not None:
+                self._load[slot] = self._load.get(slot, 0) + 1
+            return slot
 
     def send(self, ref, frame: TaskFrame) -> None:
-        with self._busy_lock:
-            self._busy.add(ref)
-        ref.inbox.put((STAGE_ASSIGN, frame.task_id, frame.attempt, self._spool,
-                       frame.fn, frame.args, frame.kwargs))
+        item = _Pickled((STAGE_ASSIGN, frame.task_id, frame.attempt, self._spool,
+                         frame.fn, frame.args, frame.kwargs))
+        try:
+            ref.inbox.put(item)
+        except QUEUE_BROKEN_ERRORS:
+            # The slot was discarded between acquire and send (its worker
+            # died holding an earlier task): the sweep sees the ref dead and
+            # retries this task too.
+            pass
 
     def probe(self, ref) -> bool:
         return ref.process.exitcode is None
@@ -366,16 +425,22 @@ class ForkedProcessTransport(WorkerTransport):
         return ref.process.exitcode is not None  # reading it is the reaping
 
     def kill(self, ref) -> None:
+        with self._load_lock:
+            self._killed.add(ref)
         ref.process.kill()
 
     def release(self, ref) -> None:
-        with self._busy_lock:
-            self._busy.discard(ref)
+        with self._load_lock:
+            held = self._load.pop(ref, 0) - 1
+            if held > 0:
+                self._load[ref] = held
+                return
         self._pool.release(ref)
 
     def discard(self, ref) -> None:
-        with self._busy_lock:
-            self._busy.discard(ref)
+        with self._load_lock:
+            self._load.pop(ref, None)
+            self._killed.discard(ref)
         self._pool.discard(ref)
 
     def poll_committed(self) -> List[CommittedResult]:
@@ -385,8 +450,8 @@ class ForkedProcessTransport(WorkerTransport):
         discard_partials(self._spool, f"{task_id}-{attempt}.")
 
     def wait(self, timeout: float) -> bool:
-        with self._busy_lock:
-            watched = {ref.process.sentinel: ref.process for ref in self._busy}
+        with self._load_lock:
+            watched = {ref.process.sentinel: ref.process for ref in self._load}
         fired = self._doorbell.wait(timeout, watched)
         _join_fired(watched, fired)
         return bool(fired)
@@ -463,13 +528,16 @@ class _SocketWorkerRef:
 class _SocketSlot:
     """Parent-side state of one agent worker slot."""
 
-    __slots__ = ("index", "incarnation", "alive", "busy")
+    __slots__ = ("index", "incarnation", "alive", "tasks", "killed")
 
     def __init__(self, index: int, incarnation: int) -> None:
         self.index = index
         self.incarnation = incarnation
         self.alive = True
-        self.busy = False
+        #: Tasks the worker holds, running plus queued.
+        self.tasks = 0
+        #: Sent a kill: the worker gets no further task.
+        self.killed = False
 
 
 class SocketTransport(WorkerTransport):
@@ -651,6 +719,14 @@ class SocketTransport(WorkerTransport):
             return False
         return True
 
+    def _take_locked(self, limit: int) -> Optional[_SocketWorkerRef]:
+        """A place on a live worker holding fewer than ``limit`` tasks."""
+        for slot in self._slots:
+            if slot.alive and not slot.killed and slot.tasks < limit:
+                slot.tasks += 1
+                return _SocketWorkerRef(slot.index, slot.incarnation)
+        return None
+
     # ------------------------------------------------------------- contract
     def start(self, workers: int) -> None:
         with self._lock:
@@ -673,24 +749,23 @@ class SocketTransport(WorkerTransport):
             ref: Optional[_SocketWorkerRef] = None
             reset_frame: Optional[Tuple] = None
             if agent_up:
-                for slot in self._slots:
-                    if slot.alive and not slot.busy:
-                        slot.busy = True
-                        ref = _SocketWorkerRef(slot.index, slot.incarnation)
-                        break
+                ref = self._take_locked(1)
                 if ref is None:
                     # No live idle worker: recycle a dead idle slot in place
                     # (the agent swaps in a fresh worker before any later
                     # task frame reaches it -- the stream is ordered).
                     for slot in self._slots:
-                        if not slot.alive and not slot.busy:
+                        if not slot.alive and slot.tasks == 0:
                             incarnation = next(self._incs)
                             slot.incarnation = incarnation
                             slot.alive = True
-                            slot.busy = True
+                            slot.killed = False
+                            slot.tasks = 1
                             ref = _SocketWorkerRef(slot.index, incarnation)
                             reset_frame = ("reset", slot.index, incarnation)
                             break
+                if ref is None:
+                    ref = self._take_locked(TASKS_PER_WORKER)
         if agent_up:
             if reset_frame is not None and not self._send(reset_frame):
                 self.release(ref)
@@ -700,11 +775,7 @@ class SocketTransport(WorkerTransport):
             return None
         self._respawn()
         with self._lock:
-            for slot in self._slots:
-                if slot.alive and not slot.busy:
-                    slot.busy = True
-                    return _SocketWorkerRef(slot.index, slot.incarnation)
-        return None
+            return self._take_locked(1)
 
     def send(self, ref: _SocketWorkerRef, frame: TaskFrame) -> None:
         # A failed send is not an error: the sweep will see the ref probe
@@ -735,6 +806,10 @@ class SocketTransport(WorkerTransport):
             return slot.incarnation == ref.incarnation and not slot.alive
 
     def kill(self, ref: _SocketWorkerRef) -> None:
+        with self._lock:
+            if (0 <= ref.index < len(self._slots)
+                    and self._slots[ref.index].incarnation == ref.incarnation):
+                self._slots[ref.index].killed = True
         self._send(("kill", ref.index, ref.incarnation))
 
     def release(self, ref: Optional[_SocketWorkerRef]) -> None:
@@ -743,8 +818,8 @@ class SocketTransport(WorkerTransport):
         with self._lock:
             if 0 <= ref.index < len(self._slots):
                 slot = self._slots[ref.index]
-                if slot.incarnation == ref.incarnation:
-                    slot.busy = False
+                if slot.incarnation == ref.incarnation and slot.tasks > 0:
+                    slot.tasks -= 1
 
     def discard(self, ref: _SocketWorkerRef) -> None:
         with self._lock:
@@ -755,16 +830,19 @@ class SocketTransport(WorkerTransport):
             slot = self._slots[ref.index]
             if slot.incarnation != ref.incarnation:
                 return  # already recycled under a newer incarnation
-            recycled = _SocketWorkerRef(ref.index, next(self._incs))
-            slot.incarnation = recycled.incarnation
+            incarnation = next(self._incs)
+            slot.incarnation = incarnation
             slot.alive = True
-            # The slot stays busy until its reset frame is on the stream: a
+            slot.killed = False
+            # The slot stays full until its reset frame is on the stream: a
             # driver thread that acquired it in between could get its task
             # frame out first, and the agent drops a task whose incarnation
             # it has not been told about yet -- a task nobody would retry.
-            slot.busy = True
-        self._send(("reset", recycled.index, recycled.incarnation))
-        self.release(recycled)
+            slot.tasks = TASKS_PER_WORKER
+        self._send(("reset", ref.index, incarnation))
+        with self._lock:
+            if slot.incarnation == incarnation:
+                slot.tasks = 0
 
     def poll_committed(self) -> List[CommittedResult]:
         return collect_spool(self._spool)

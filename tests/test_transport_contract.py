@@ -22,13 +22,16 @@ documented determinism contract.
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
+import pickle
 import signal
 import statistics
 import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 import repro
@@ -38,7 +41,8 @@ from repro.scp.registry import BackendSpec
 from repro.scp.serialization import DOORBELL_NAME, ring_doorbell
 from repro.scp.stages import (StageCrashError, StageError,
                               TransportStageExecutor, try_run_stage)
-from repro.scp.transport import (STAGE_ASSIGN, ForkedProcessTransport, TaskFrame,
+from repro.scp.transport import (STAGE_ASSIGN, TASKS_PER_WORKER,
+                                 ForkedProcessTransport, TaskFrame,
                                  transport_for_spec)
 
 TRANSPORTS = ("inprocess", "forked", "socket")
@@ -488,11 +492,13 @@ def test_socket_slot_is_not_handed_out_before_its_reset_frame_is_sent():
     with a ``reset`` frame.  A driver thread acquiring the slot in between
     could get its task frame onto the stream first; the agent drops a task
     whose incarnation it has not heard of, and nobody would retry it (seen as
-    a hung request once retries became immediate)."""
+    a hung request once retries became immediate).  The sibling holds both
+    of its places, so the doomed slot is the only one acquire could pick."""
     transport = make_transport("socket")
     try:
         transport.start(2)
-        doomed, _sibling = transport.acquire(), transport.acquire()
+        doomed = transport.acquire()
+        assert [transport.acquire().index for _ in range(3)] == [1, 0, 1]
         resetting = threading.Event()
         real_send = transport._send
 
@@ -592,6 +598,169 @@ def test_concurrent_submitters_keep_the_wait_set_consistent():
             assert results == {100 * n + i: 100 * n + i + 1
                                for n in range(6) for i in range(25)}
             assert executor.in_flight == 0
-            assert executor.transport._busy == set()
+            assert executor.transport._load == {}
     finally:
         sys.setswitchinterval(interval)
+
+
+# ---------------------------------------------------------------------------
+# The dispatch window: each worker runs one task and holds the next
+# ---------------------------------------------------------------------------
+
+def noise(seed):
+    return np.random.default_rng(seed).standard_normal(4096).cumsum()
+
+
+def gated(gate, index, stamps=None):
+    """Block until the test writes one byte into the FIFO ``gate``; then
+    record ``pid start end`` under ``stamps`` (if given) and return
+    ``noise(index)``."""
+    started = time.monotonic_ns()
+    fd = os.open(gate, os.O_RDONLY)
+    try:
+        os.read(fd, 1)
+    finally:
+        os.close(fd)
+    if stamps is not None:
+        with open(os.path.join(stamps, str(index)), "w") as fh:
+            fh.write(f"{os.getpid()} {started} {time.monotonic_ns()}")
+    return noise(index)
+
+
+@pytest.fixture
+def gate(tmp_path):
+    """``(path, fd)`` of a FIFO the test holds open: each byte written to
+    ``fd`` lets exactly one :func:`gated` task through."""
+    path = str(tmp_path / "gate")
+    os.mkfifo(path)
+    fd = os.open(path, os.O_RDWR)  # a writer from the start: readers open at once
+    yield path, fd
+    os.close(fd)
+
+
+def submit_in_thread(executor, *args):
+    """``(box, returned)``: ``executor.submit(*args)`` on a thread of its own;
+    ``returned`` is set once the call came back with ``box["future"]``."""
+    box, returned = {}, threading.Event()
+
+    def run():
+        box["future"] = executor.submit(*args)
+        returned.set()
+
+    threading.Thread(target=run, daemon=True).start()
+    return box, returned
+
+
+@pytest.mark.parametrize("kind", KILLABLE_TRANSPORTS)
+def test_each_worker_runs_one_task_and_holds_the_next(kind, gate, tmp_path):
+    """Two workers take four gated tasks without blocking the submitter; the
+    fifth submit waits for the first commit; and no worker ever runs two
+    tasks at once -- judged by the stamps the tasks record, not a clock."""
+    path, fd = gate
+    stamps = tmp_path / "stamps"
+    stamps.mkdir()
+    with make_executor(kind) as executor:
+        futures = []
+        for index in range(4):
+            box, returned = submit_in_thread(executor, "probe", gated, path,
+                                             index, str(stamps))
+            assert returned.wait(timeout=30), f"submit {index} blocked"
+            futures.append(box["future"])
+        assert executor.in_flight == 4
+        box, returned = submit_in_thread(executor, "probe", gated, path, 4,
+                                         str(stamps))
+        assert not returned.wait(timeout=0.3)  # the window is full
+        os.write(fd, b"\0")
+        done, _ = concurrent.futures.wait(futures, timeout=30,
+                                          return_when="FIRST_COMPLETED")
+        assert len(done) == 1
+        assert returned.wait(timeout=30)
+        futures.append(box["future"])
+        os.write(fd, b"\0" * 4)
+        for index, future in enumerate(futures):
+            assert future.result(timeout=60).tobytes() == noise(index).tobytes()
+        assert executor.in_flight == 0 and executor.retries == 0
+    runs = {}
+    for name in os.listdir(stamps):
+        pid, started, ended = map(int, (stamps / name).read_text().split())
+        runs.setdefault(pid, []).append((started, ended))
+    assert len(runs) == 2 and sum(map(len, runs.values())) == 5
+    for intervals in runs.values():
+        intervals.sort()
+        assert all(later[0] >= earlier[1]
+                   for earlier, later in zip(intervals, intervals[1:]))
+
+
+@pytest.mark.parametrize("kind", KILLABLE_TRANSPORTS)
+def test_kill_of_a_worker_holding_a_queued_task_retries_both(kind, gate):
+    """A SIGKILL lands on a worker that runs one task and holds the next: both
+    are retried, each resolves once and bit-identically, and the live spool
+    is left holding only its doorbell."""
+    path, fd = gate
+    with make_executor(kind) as executor:
+        running = executor.submit("screen", gated, path, 1)
+        sibling = executor.submit("screen", gated, path, 2)
+        executor.inject_kill("project")
+        queued = executor.submit("project", noise, 3)  # behind `running`
+        deadline = time.monotonic() + 30
+        while executor.retries < 2 and time.monotonic() < deadline:
+            time.sleep(0.002)  # the kill lands before the gate opens
+        assert executor.retries == 2
+        os.write(fd, b"\0\0")  # the sibling, then the retried `running`
+        futures = {1: running, 2: sibling, 3: queued}
+        for seed, future in futures.items():
+            assert future.result(timeout=60).tobytes() == noise(seed).tobytes()
+        assert os.listdir(executor.transport._spool) == [DOORBELL_NAME]
+        assert executor.retries == 2
+        assert executor.kills_delivered == {"project": 1}
+        assert executor.pending_kills == {}
+        assert executor.in_flight == 0
+        assert executor._router.is_alive()  # no double resolution killed it
+
+
+# ---------------------------------------------------------------------------
+# A dispatch that raises costs nothing: no worker, no place, no armed kill
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", KILLABLE_TRANSPORTS)
+def test_unpicklable_task_raises_at_submit(kind):
+    with make_executor(kind) as executor:
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            executor.submit("probe", lambda: 1)
+        assert executor.in_flight == 0
+        assert executor.submit("probe", add, 40, 2).result(timeout=60) == 42
+
+
+@pytest.mark.parametrize("kind", KILLABLE_TRANSPORTS)
+def test_failed_dispatches_leak_no_worker_and_no_armed_kill(kind):
+    workers = 2
+    with make_executor(kind, workers=workers) as executor:
+        executor.inject_kill("probe")
+        for _ in range(TASKS_PER_WORKER * workers + 1):  # more than the window
+            with pytest.raises((pickle.PicklingError, AttributeError)):
+                executor.submit("probe", lambda: 1)
+        assert executor.pending_kills == {"probe": 1}
+        assert executor.transport.alive_workers() == workers  # none spawned
+        window = TASKS_PER_WORKER * workers
+        futures = [executor.submit("probe", add, i, 1) for i in range(window)]
+        assert [f.result(timeout=60) for f in futures] == list(range(1, window + 1))
+        assert executor.kills_delivered == {"probe": 1}
+        assert executor.pending_kills == {}
+
+
+class _RetryCannotBeSent(CountingTransport):
+    def send(self, ref, frame):
+        if frame.attempt > 1:
+            raise RuntimeError("no route to worker")
+        return self._inner.send(ref, frame)
+
+
+def test_a_retry_that_cannot_be_sent_fails_typed_and_spares_the_router():
+    transport = _RetryCannotBeSent(make_transport("forked"))
+    with TransportStageExecutor(transport, workers=2) as executor:
+        executor.inject_kill("screen")
+        lost = executor.submit("screen", slow_add, 1, 1, 0.05)
+        with pytest.raises(StageCrashError, match="could not dispatch"):
+            lost.result(timeout=60)
+        assert executor._router.is_alive()
+        assert executor.submit("screen", add, 40, 2).result(timeout=60) == 42
