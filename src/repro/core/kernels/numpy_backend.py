@@ -40,6 +40,15 @@ from .registry import ComputeBackend, register_compute
 #: run (tiles differ by at most one row) without hoarding a sweep's worth.
 _SCRATCH_LIMIT = 8
 
+#: Still-alive survivors :meth:`NumpyBackend.eliminate_survivors` settles per
+#: Gram matrix.  Measured, median screening ms per request of the
+#: pipe_small_overlap / socket_killstorm / resilient_repl2 scenes (benchmark
+#: seeds 0-2, 2-vCPU host, one BLAS thread): 16 -> 3.7/20.8/20.4,
+#: 32 -> 3.1/19.8/19.4, 64 -> 3.1/22.3/22.5, 128 -> 3.4/24.8/24.2,
+#: 256 -> 3.9/24.6/24.5; one pivot at a time: 7.3/31/30.  Flat from 32 to
+#: 128 within the host's ~15 % run-to-run noise, worse at both ends.
+_ELIMINATION_BLOCK = 64
+
 
 class _ScratchPool(threading.local):
     """Per-thread pool of reusable ndarray buffers, keyed by tag+shape+dtype.
@@ -215,31 +224,49 @@ class NumpyBackend(ComputeBackend):
                             *, room: Optional[int] = None):
         """Greedy elimination among one chunk's screening survivors.
 
-        The first remaining survivor (lowest pixel index) is admitted;
-        every remaining survivor within the cosine threshold of it is
-        eliminated in one vectorised pass, and the procedure repeats on the
-        shrinking remainder -- the inner loop of
-        :func:`~repro.core.steps.screening.screen_unique_set`, verbatim.
-        Returns the admitted (already normalised) rows and their chunk-row
-        indices.
+        Survivors are admitted in row order, each unless it lies within the
+        cosine threshold of a survivor admitted before it (at most ``room``
+        of them).  The walk is blocked: one ``block @ block.T`` Gram matrix
+        settles the greedy order among the next :data:`_ELIMINATION_BLOCK`
+        remaining survivors, one ``rest @ pivots.T`` product removes every
+        later survivor within the threshold of a pivot the block admitted,
+        and the remainder is compacted once per block.  The decisions are
+        those of admitting one pivot at a time and eliminating against it
+        (only the cosines' BLAS call shapes differ).  Returns the admitted
+        (already normalised) rows and their chunk-row indices.
         """
         admitted: List[np.ndarray] = []
-        admitted_rows: List[int] = []
+        admitted_rows: List[np.ndarray] = []
+        count = 0
         remaining = survivors
         remaining_rows = survivor_rows
-        while remaining.shape[0]:
-            if room is not None and len(admitted) >= room:
-                break
-            admitted.append(remaining[0])
-            admitted_rows.append(int(remaining_rows[0]))
-            alive = remaining @ remaining[0] < cos_threshold
-            alive[0] = False  # the pivot itself, even when cos_threshold == 1.0
-            remaining = remaining[alive]
-            remaining_rows = remaining_rows[alive]
+        while remaining.shape[0] and (room is None or count < room):
+            block = remaining[:_ELIMINATION_BLOCK]
+            apart = block @ block.T < cos_threshold
+            alive = np.ones(block.shape[0], dtype=bool)
+            picks: List[int] = []
+            for row in range(block.shape[0]):
+                if not alive[row]:
+                    continue
+                picks.append(row)
+                if room is not None and count + len(picks) >= room:
+                    break
+                # Only later rows: the diagonal is the pivot itself, even
+                # when cos_threshold == 1.0.
+                alive[row + 1:] &= apart[row, row + 1:]
+            pivots = block[picks]
+            admitted.append(pivots)
+            admitted_rows.append(remaining_rows[picks])
+            count += len(picks)
+            rest = remaining[_ELIMINATION_BLOCK:]
+            keep = (rest @ pivots.T < cos_threshold).all(axis=1)
+            remaining = rest[keep]
+            remaining_rows = remaining_rows[_ELIMINATION_BLOCK:][keep]
         if not admitted:
             return (np.empty((0, survivors.shape[1]), dtype=survivors.dtype),
                     np.empty(0, dtype=np.intp))
-        return np.stack(admitted), np.asarray(admitted_rows, dtype=np.intp)
+        return (np.concatenate(admitted),
+                np.concatenate(admitted_rows).astype(np.intp, copy=False))
 
 
 __all__ = ["NumpyBackend"]

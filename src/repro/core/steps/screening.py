@@ -27,9 +27,12 @@ its angle to every current member exceeds the threshold.  The hot kernel
   themselves are produced by exactly the reference arithmetic (normalise
   the chunk, one GEMM against the unit members), so the comparison sees the
   same bits the seed kernel's ``arccos`` saw;
-* chunk survivors that may still be mutually similar are resolved against one
-  survivor-by-survivor cosine matrix (a single small GEMM walked in row
-  order), not a per-row Python loop of repeated ``vstack``/GEMM calls.
+* chunk survivors that may still be mutually similar are resolved by a
+  blocked greedy walk (``eliminate_survivors``): one small Gram matrix
+  settles the admission order inside each block of still-alive survivors,
+  and one GEMM against the block's admitted pivots removes every later
+  survivor they cover, so the remainder is compacted once per block, not
+  once per admitted member.
 
 :func:`screen_unique_set_reference` retains the seed implementation verbatim.
 It is the ground truth the equivalence property tests
@@ -47,6 +50,7 @@ No finite-precision scene sits on that boundary by accident.
 
 from __future__ import annotations
 
+import functools
 from typing import List, Sequence
 
 import numpy as np
@@ -136,6 +140,7 @@ class UniqueSetBuffer:
         self._count = need
 
 
+@functools.lru_cache(maxsize=64)
 def _cosine_admission_threshold(angle_threshold: float) -> float:
     """The exclusive cosine bound equivalent to the arccos-domain decision.
 
@@ -150,8 +155,9 @@ def _cosine_admission_threshold(angle_threshold: float) -> float:
     ``arccos`` round independently (e.g. ``cos(pi/2)`` is ``6.1e-17``, not
     the ``0.0`` whose ``arccos`` equals the float ``pi/2``).  A float
     bisection calibrates the constant against ``arccos`` itself -- ~60
-    iterations, paid once per screening pass.  (A nextafter walk would not
-    do: ``arccos`` is constant over ~1e16 consecutive floats around 0.)
+    iterations, memoised per threshold, since every sub-cube of every
+    request screens at the same one.  (A nextafter walk would not do:
+    ``arccos`` is constant over ~1e16 consecutive floats around 0.)
     """
     if np.arccos(-1.0) <= angle_threshold:  # pragma: no cover - thr >= pi
         return -1.0
@@ -239,7 +245,7 @@ def screen_unique_set(pixels: np.ndarray, angle_threshold: float, *,
 
     buffer = UniqueSetBuffer(pixels.shape[1], dtype=dtype)
     buffer.append(normalize_rows(pixels[:1], dtype=dtype))
-    indices: List[int] = [0]
+    indices: List[np.ndarray] = [np.zeros(1, dtype=np.intp)]
 
     for start in range(1, pixels.shape[0], chunk_size):
         if max_unique is not None and len(buffer) >= max_unique:
@@ -250,11 +256,10 @@ def screen_unique_set(pixels: np.ndarray, angle_threshold: float, *,
         if survivor_rows.size == 0:
             continue
         survivors = chunk[survivor_rows]
-        # Survivors may still be mutually similar: resolve them greedily.
-        # The first survivor (lowest pixel index) is always admitted; every
-        # remaining survivor within the threshold of it is eliminated, and
-        # the procedure repeats on the shrinking remainder.  The inner pass
-        # is a registered compute kernel (the reference implementation is
+        # Survivors may still be mutually similar: resolve them greedily, in
+        # row order -- a survivor is admitted unless it lies within the
+        # threshold of one admitted before it.  The inner pass is a
+        # registered compute kernel (the reference implementation is
         # :meth:`~repro.core.kernels.numpy_backend.NumpyBackend.
         # eliminate_survivors`); it makes the same decisions as the
         # sequential greedy pass on every backend.
@@ -263,8 +268,8 @@ def screen_unique_set(pixels: np.ndarray, angle_threshold: float, *,
             survivors, survivor_rows, cos_threshold, room=room)
         if admitted.shape[0]:
             buffer.append(admitted)
-            indices.extend(start + int(row) for row in admitted_rows)
-    return pixels[np.asarray(indices, dtype=np.intp)]
+            indices.append(start + admitted_rows)
+    return pixels[np.concatenate(indices)]
 
 
 def screen_unique_set_reference(pixels: np.ndarray, angle_threshold: float, *,

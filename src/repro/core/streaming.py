@@ -442,27 +442,29 @@ def run_pipeline(cube: HyperspectralCube, config: FusionConfig, executor, *,
 #: "measured" series; re-run it before changing this -- CONTRIBUTING,
 #: "Changing the plan constant").  On a shared 2-vCPU host, ``process:2``,
 #: one BLAS thread, warm executor, 3 s closed loops, with each worker
-#: running one task and holding the next, split -> whole:
+#: running one task and holding the next and the blocked survivor
+#: elimination in screening, split -> whole:
 #:
 #: ====================  =====================  ======================
 #: scene (samples)       1 client, p50 latency  4 outstanding, cubes/s
 #: ====================  =====================  ======================
-#: 64x64x32     (131 k)  14.6 -> 11.5 ms        82.3 -> 165.2
-#: 96x96x32     (295 k)  18.4 -> 16.7 ms        61.6 -> 124.2
-#: 128x128x32   (524 k)  29.5 -> 23.6 ms        53.5 -> 84.6
-#: 96x96x64     (590 k)  27.6 -> 32.6 ms        47.4 -> 69.0
-#: 128x128x64  (1.05 M)  30.4 -> 40.4 ms        38.0 -> 51.3
-#: 256x256x64   (4.2 M)  86.3 -> 141.1 ms       14.3 -> 15.0
+#: 64x64x32     (131 k)  26.6 -> 13.0 ms        53.2 -> 188.2
+#: 96x96x32     (295 k)  27.3 -> 18.6 ms        47.9 -> 118.7
+#: 128x128x32   (524 k)  28.4 -> 25.9 ms        40.1 -> 80.0
+#: 96x96x64     (590 k)  29.8 -> 28.9 ms        39.8 -> 77.8
+#: 128x128x64  (1.05 M)  35.4 -> 39.5 ms        35.1 -> 51.7
+#: 256x256x64   (4.2 M)  110.8 -> 162.7 ms      10.0 -> 11.0
 #: ====================  =====================  ======================
 #:
 #: Whole wins on both loops up to 295 k samples and wins under load at every
-#: size, but a lone client pays for it from ~400 k up (this run: from 590 k;
-#: the previous table, with one task per worker, lost at 524 k, and three
-#: more seeds each gave 112x112x32 one win and two losses of ~12 %,
-#: 128x128x32 -6 to -18 %).  ``1 << 18`` is the largest power of two at
-#: which whole lost on neither loop in any run made.  Whatever it becomes,
-#: it must stay strictly below 1 048 576: 128x128x64 is faster split for a
-#: single client, and a request that size must keep dispatching ``screen`` /
+#: size.  A lone client now breaks even at 524-590 k (a second run: 26.5 ->
+#: 26.6 ms and 25.8 -> 27.0 ms there), where the tables measured before the
+#: blocked survivor elimination lost (three more seeds then each gave
+#: 112x112x32 one win and two losses of ~12 %, 128x128x32 -6 to -18 %), and
+#: loses from 1.05 M up.  ``1 << 18`` is the largest power of two at which whole lost on
+#: neither loop in any run made.  Whatever it becomes, it must stay strictly
+#: below 1 048 576: 128x128x64 is faster split for a single client, and a
+#: request that size must keep dispatching ``screen`` /
 #: ``covariance`` / ``project`` tasks for stage-targeted chaos
 #: (``benchmarks/e2e``'s ``socket_killstorm``) to land on.
 WHOLE_REQUEST_MAX_SAMPLES = 1 << 18

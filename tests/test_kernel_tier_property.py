@@ -12,7 +12,9 @@ never bytes.  This suite asserts that contract kernel by kernel:
   :func:`repro.core.steps.transform.project` / ``project_cube_block``;
 * the fused step-7/8 tile (``project_and_map``, with and without the
   zero-copy ``*_out`` destinations) against ``project_cube_block`` followed
-  by :func:`repro.core.steps.colormap.color_map`.
+  by :func:`repro.core.steps.colormap.color_map`;
+* the blocked survivor elimination (``eliminate_survivors``) against a
+  one-pivot-at-a-time oracle written here, across block edges.
 
 Registry mechanics (unknown names, duplicate registration, caching, the
 open extension point) and the policy threading through
@@ -33,9 +35,10 @@ from repro.core.kernels import (NumpyBackend, compute_names, get_compute,
                                 kernel_covariance_sum, kernel_project_and_map,
                                 register_compute)
 from repro.core.kernels import registry as kernel_registry
+from repro.core.kernels.numpy_backend import _ELIMINATION_BLOCK
 from repro.core.steps.colormap import color_map, component_statistics
 from repro.core.steps.statistics import covariance_sum, mean_vector
-from repro.core.steps.screening import screen_unique_set
+from repro.core.steps.screening import normalize_rows, screen_unique_set
 from repro.core.steps.statistics import covariance_matrix
 from repro.core.steps.transform import (project, project_cube_block,
                                         transformation_matrix)
@@ -304,23 +307,119 @@ class TestProjectAndMap:
 # Survivor elimination
 # --------------------------------------------------------------------------
 
-class TestEliminateSurvivors:
-    @given(pixels=pixel_matrices(max_pixels=120),
-           threshold=st.floats(0.01, 0.6),
-           room=st.one_of(st.none(), st.integers(0, 20)))
-    @settings(**COMMON_SETTINGS)
-    def test_backends_make_identical_decisions(self, pixels, threshold, room):
-        norms = np.linalg.norm(pixels, axis=1, keepdims=True)
-        survivors = pixels / np.where(norms > 0, norms, 1.0)
-        rows = np.arange(survivors.shape[0], dtype=np.intp)
-        cos_threshold = np.float64(np.cos(threshold))
-        ref_admitted, ref_rows = get_compute("numpy").eliminate_survivors(
+def one_pivot_at_a_time(survivors, rows, cos_threshold, room):
+    """Oracle: admit the first remaining survivor, eliminate every remaining
+    survivor within the threshold of it with one GEMV, repeat."""
+    admitted, admitted_rows = [], []
+    remaining, remaining_rows = survivors, rows
+    while remaining.shape[0]:
+        if room is not None and len(admitted) >= room:
+            break
+        admitted.append(remaining[0])
+        admitted_rows.append(int(remaining_rows[0]))
+        alive = remaining @ remaining[0] < cos_threshold
+        alive[0] = False  # the pivot itself, even when cos_threshold == 1.0
+        remaining = remaining[alive]
+        remaining_rows = remaining_rows[alive]
+    if not admitted:
+        return (np.empty((0, survivors.shape[1]), dtype=survivors.dtype),
+                np.empty(0, dtype=np.intp))
+    return np.stack(admitted), np.asarray(admitted_rows, dtype=np.intp)
+
+
+#: Survivor counts from one row to past four blocks, so block edges are
+#: crossed; ``room`` of none, nothing, mid-block and exactly on a block edge.
+SURVIVOR_COUNTS = st.integers(1, 4 * _ELIMINATION_BLOCK + 3)
+ROOMS = st.sampled_from([None, 0, _ELIMINATION_BLOCK // 2 + 5,
+                         _ELIMINATION_BLOCK, 2 * _ELIMINATION_BLOCK])
+
+
+def _with_degenerate_rows(matrix, rng, zeros, duplicates):
+    """Overwrite random rows with zero rows and with copies of earlier rows."""
+    n = matrix.shape[0]
+    for _ in range(duplicates if n > 1 else 0):
+        target = int(rng.integers(1, n))
+        matrix[target] = matrix[int(rng.integers(0, target))]
+    matrix[rng.integers(0, n, size=zeros)] = 0.0
+    return matrix
+
+
+def _threshold_clear_of(survivors, angle):
+    """A cosine threshold near ``cos(angle)`` in the widest gap between the
+    survivors' pairwise cosines: no decision then sits within rounding of
+    the threshold, where a GEMM and a GEMV may legitimately disagree."""
+    unit = survivors.astype(np.float64)
+    cosines = np.sort((unit @ unit.T)[np.triu_indices(unit.shape[0], 1)])
+    cosines = np.concatenate([[-1.0], cosines, [1.0]])
+    at = int(np.searchsorted(cosines, np.cos(angle)))
+    window = cosines[max(at - 16, 0): at + 16]
+    widest = int(np.argmax(np.diff(window)))
+    return survivors.dtype.type((window[widest] + window[widest + 1]) / 2)
+
+
+def _assert_matches_oracle(survivors, cos_threshold, room):
+    # Chunk-row ids offset from positions, so a kernel returning positions
+    # instead of ids fails.
+    rows = np.arange(3, 3 + survivors.shape[0], dtype=np.intp)
+    want, want_rows = one_pivot_at_a_time(survivors, rows, cos_threshold, room)
+    for backend in BACKENDS:
+        admitted, admitted_rows = backend.eliminate_survivors(
             survivors, rows, cos_threshold, room=room)
+        assert admitted.dtype == survivors.dtype
+        assert admitted_rows.dtype == np.intp
+        np.testing.assert_array_equal(admitted_rows, want_rows,
+                                      err_msg=f"compute={backend.name!r}")
+        np.testing.assert_array_equal(admitted, want)
+
+
+class TestEliminateSurvivors:
+    @given(n=SURVIVOR_COUNTS, bands=st.integers(3, 24),
+           seed=st.integers(0, 2**31 - 1), angle=st.floats(0.01, 0.6),
+           room=ROOMS, zeros=st.integers(0, 4), duplicates=st.integers(0, 40),
+           dtype=st.sampled_from([np.float64, np.float32]))
+    @settings(**COMMON_SETTINGS)
+    def test_matches_one_pivot_at_a_time(self, n, bands, seed, angle, room,
+                                         zeros, duplicates, dtype):
+        rng = np.random.default_rng(seed)
+        pixels = _with_degenerate_rows(_make_pixels(n, bands, seed), rng,
+                                       zeros, duplicates)
+        survivors = normalize_rows(pixels, dtype=dtype)
+        _assert_matches_oracle(survivors, _threshold_clear_of(survivors, angle),
+                               room)
+
+    @given(n=SURVIVOR_COUNTS, bands=st.integers(4, 12),
+           seed=st.integers(0, 2**31 - 1),
+           cos_threshold=st.sampled_from([1.0, 0.75, 0.5, 0.25, 0.0, -0.5]),
+           room=ROOMS, zeros=st.integers(0, 4), duplicates=st.integers(0, 40),
+           dtype=st.sampled_from([np.float64, np.float32]))
+    @settings(**COMMON_SETTINGS)
+    def test_matches_one_pivot_at_a_time_on_exact_cosines(
+            self, n, bands, seed, cos_threshold, room, zeros, duplicates, dtype):
+        # Unit rows of four +-0.5 entries: every cosine is a multiple of
+        # 0.25, exact in any summation order, so thresholds may sit exactly
+        # on a cosine -- 1.0 included, where only a duplicate is eliminated
+        # and the pivot itself must still be skipped.
+        rng = np.random.default_rng(seed)
+        survivors = np.zeros((n, bands), dtype=dtype)
+        for row in survivors:
+            row[rng.choice(bands, size=4, replace=False)] = \
+                rng.choice([-0.5, 0.5], size=4)
+        survivors = _with_degenerate_rows(survivors, rng, zeros, duplicates)
+        _assert_matches_oracle(survivors, dtype(cos_threshold), room)
+
+    @pytest.mark.parametrize("room", [_ELIMINATION_BLOCK - 1, _ELIMINATION_BLOCK,
+                                      _ELIMINATION_BLOCK + 1,
+                                      2 * _ELIMINATION_BLOCK + 7])
+    def test_room_stops_mid_block_and_on_block_edges(self, room):
+        # Mutually orthogonal survivors are all admitted, so the room is
+        # what stops the walk, wherever it falls in a block.
+        survivors = np.eye(3 * _ELIMINATION_BLOCK)
+        rows = np.arange(survivors.shape[0], dtype=np.intp)
         for backend in BACKENDS:
             admitted, admitted_rows = backend.eliminate_survivors(
-                survivors, rows, cos_threshold, room=room)
-            np.testing.assert_array_equal(admitted, ref_admitted)
-            np.testing.assert_array_equal(admitted_rows, ref_rows)
+                survivors, rows, np.float64(0.5), room=room)
+            np.testing.assert_array_equal(admitted_rows, rows[:room])
+            np.testing.assert_array_equal(admitted, survivors[:room])
 
     @given(pixels=pixel_matrices(max_pixels=150),
            threshold=st.floats(0.01, 0.4),

@@ -19,9 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import ScreeningConfig
+from repro.core.partition import (decompose, extract_subcube,
+                                  subcube_pixel_matrix)
 from repro.core.steps.screening import (UniqueSetBuffer, screen_unique_set,
                                         screen_unique_set_reference,
                                         spectral_angles)
+from repro.data.hydice import HydiceConfig, HydiceGenerator
 
 COMMON_SETTINGS = dict(max_examples=40, deadline=None)
 
@@ -108,6 +112,28 @@ class TestSeedEquivalence:
             np.testing.assert_array_equal(
                 screen_unique_set(ortho, threshold, chunk_size=2),
                 screen_unique_set_reference(ortho, threshold, chunk_size=2))
+
+    @pytest.mark.parametrize("rows, cols, bands", [(64, 64, 32),
+                                                   (128, 128, 64),
+                                                   (256, 256, 64)])
+    def test_workload_scale_sub_cube_matches_seed_kernel(self, rows, cols,
+                                                        bands):
+        # The hypothesis scenes stop at 400 pixels x 24 bands; a HYDICE
+        # sub-cube at these sizes sends ~2,000 survivors per chunk through
+        # the blocked elimination.  Default screening on the first sub-cube
+        # of a two-worker request (the seed kernel's per-row loop makes each
+        # ~0.3 s).  The seed is one no benchmark workload generates (those
+        # use seed * 1000 + cube, cube < 12).
+        cube = HydiceGenerator(HydiceConfig(bands=bands, rows=rows, cols=cols,
+                                            seed=424242)).generate()
+        screening = ScreeningConfig()
+        block = subcube_pixel_matrix(
+            extract_subcube(cube, decompose(cube.rows, 2)[0]))
+        np.testing.assert_array_equal(
+            screen_unique_set(block, screening.angle_threshold,
+                              max_unique=screening.max_unique),
+            screen_unique_set_reference(block, screening.angle_threshold,
+                                        max_unique=screening.max_unique))
 
 
 class TestCoverInvariants:
