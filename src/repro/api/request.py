@@ -46,6 +46,8 @@ class FusionRequest:
     engine-specific options (``replication``, ``attack``,
     ``camouflage_period`` for the resilient engine) are rejected with an
     actionable error by engines that do not support them.
+    ``full_projection`` keeps every eigenvector in ``report.basis`` and the
+    simulated cost; step 7 multiplies only the leading ``n_components``.
     """
 
     cube: HyperspectralCube

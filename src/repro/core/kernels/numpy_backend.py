@@ -5,17 +5,16 @@ is *not* a naive transliteration of the step functions, though -- it removes
 the per-call allocation traffic the generic expressions pay while keeping
 every floating-point operation identical:
 
-* centred temporaries (``pixels - mean``) are written with ``np.subtract
+* the covariance centring (``pixels - mean``) is written with ``np.subtract
   (..., out=...)`` into a **thread-local scratch pool** instead of a fresh
-  ``(pixels, bands)`` float64 array per call.  Same ufunc, same operands,
-  same bytes -- only the allocator leaves the hot loop;
-* the covariance reduction stays ``centred.T @ centred`` (numpy recognises
-  the ``A.T @ A`` form and dispatches a symmetric rank-k update), and the
-  projection GEMM gains an ``out=`` destination so the zero-copy tile path
-  can point it at the shared-memory placement directly;
-* the colour-map stretch/mix chain runs in place on a small scratch --
-  the same operation sequence as :func:`~repro.core.steps.colormap.
-  color_map`, element for element, so the composite is bit-identical.
+  ``(pixels, bands)`` float64 array per call, and the reduction stays
+  ``centred.T @ centred`` (numpy recognises the ``A.T @ A`` form and
+  dispatches a symmetric rank-k update);
+* the fused step-7/8 tile runs the step functions' own fixed-width panel
+  helpers (:func:`~repro.core.steps.transform.project_panels`,
+  :func:`~repro.core.steps.colormap.mix_opponency`) on pooled buffers, and
+  its colour-map stretch runs in place on the projected planes -- the
+  operation sequence of ``color_map``, so the composite is bit-identical.
 
 Scratch buffers are keyed by (tag, shape, dtype) and live in
 ``threading.local`` storage: the pipeline engine's thread executors run
@@ -32,13 +31,15 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..steps.colormap import OPPONENCY_MATRIX, _OFFSET, _SCALE
-from ..steps.transform import PCTBasis, project
+from ..steps.colormap import _OFFSET, _SCALE, mix_opponency
+from ..steps.transform import (PCTBasis, project, project_cube_block,
+                               project_panels)
 from .registry import ComputeBackend, register_compute
 
 #: Buffers kept per thread; enough for the distinct shapes of one streaming
-#: run (tiles differ by at most one row) without hoarding a sweep's worth.
-_SCRATCH_LIMIT = 8
+#: run (a fused tile draws six; tiles differ by at most one row) without
+#: hoarding a sweep's worth.
+_SCRATCH_LIMIT = 12
 
 #: Still-alive survivors :meth:`NumpyBackend.eliminate_survivors` settles per
 #: Gram matrix.  Measured, median screening ms per request of the
@@ -54,9 +55,9 @@ class _ScratchPool(threading.local):
     """Per-thread pool of reusable ndarray buffers, keyed by tag+shape+dtype.
 
     The *tag* keeps two live buffers of the same shape distinct (the fused
-    projection uses a centred ``(pixels, bands)`` scratch and, at full
-    projection rank, an equally-shaped product buffer -- aliasing them would
-    hand BLAS an overlapping ``out=``).
+    tile's step-7 and step-8 product panels are both ``(PANEL_PIXELS, 3)``
+    at three components -- aliasing them would hand BLAS an overlapping
+    ``out=``).
     """
 
     def __init__(self) -> None:
@@ -88,16 +89,6 @@ def _validated_pixel_matrix(pixels: np.ndarray,
         raise ValueError(f"mean of shape {mean.shape} does not match "
                          f"{pixels.shape[1]} bands")
     return pixels, mean
-
-
-def _block_matrix(block: np.ndarray, basis: PCTBasis) -> Tuple[np.ndarray, int, int]:
-    """Reshape a ``(bands, rows, cols)`` sub-cube to its pixel matrix view."""
-    block = np.asarray(block)
-    if block.ndim != 3 or block.shape[0] != basis.bands:
-        raise ValueError(f"block of shape {block.shape} does not match "
-                         f"basis bands {basis.bands}")
-    bands, rows, cols = block.shape
-    return block.reshape(bands, -1).T, rows, cols
 
 
 def _stretch_statistics(stretch_mean: np.ndarray, stretch_std: np.ndarray,
@@ -136,32 +127,13 @@ class NumpyBackend(ComputeBackend):
     def project(self, pixels: np.ndarray, basis: PCTBasis, *,
                 compute_dtype=np.float64,
                 out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Step-7 projection of a pixel matrix, scratch-centred.
-
-        The float64 path subtracts into a pooled scratch and runs the same
-        GEMM (optionally straight into ``out``); the float32 fast mode
-        delegates to :func:`~repro.core.steps.transform.project`, which
-        already skips no-op dtype conversions.
-        """
-        dtype = np.dtype(compute_dtype)
-        if dtype != np.float64:
-            return project(pixels, basis, compute_dtype=dtype, out=out)
-        pixels = np.asarray(pixels, dtype=np.float64)
-        if pixels.ndim != 2 or pixels.shape[1] != basis.bands:
-            raise ValueError(f"pixels of shape {pixels.shape} do not match "
-                             f"basis with {basis.bands} bands")
-        centred = _scratch.get("centred", pixels.shape, np.float64)
-        np.subtract(pixels, basis.mean[None, :], out=centred)
-        if out is not None:
-            return np.matmul(centred, basis.components.T, out=out)
-        return centred @ basis.components.T
+        """Step-7 projection of a pixel matrix: the step function itself."""
+        return project(pixels, basis, compute_dtype=compute_dtype, out=out)
 
     def project_block(self, block: np.ndarray, basis: PCTBasis, *,
                       compute_dtype=np.float64) -> np.ndarray:
         """Project a ``(bands, rows, cols)`` sub-cube to component planes."""
-        matrix, rows, cols = _block_matrix(block, basis)
-        transformed = self.project(matrix, basis, compute_dtype=compute_dtype)
-        return transformed.reshape(rows, cols, basis.n_components)
+        return project_cube_block(block, basis, compute_dtype=compute_dtype)
 
     # ------------------------------------------------- fused step-7/8 tiles
     def project_and_map(self, block: np.ndarray, basis: PCTBasis, *,
@@ -172,44 +144,38 @@ class NumpyBackend(ComputeBackend):
                         composite_out: Optional[np.ndarray] = None):
         """Fused centre+project+stretch+mix of one step-7 output tile.
 
-        One pass over the tile: the projection GEMM lands in a pooled
-        product buffer, the retained components are copied out once (into
-        ``components_out`` when the zero-copy path supplies the shared
-        placement view), and the colour chain runs in place on a
-        ``(pixels, 3)`` scratch with its final clip writing ``composite_out``
-        directly.  Operation-for-operation the arithmetic of
-        ``project_cube_block`` followed by ``color_map``, so the results are
-        bit-identical to the unfused path.
+        Projects onto the ``max(n_components, 3)`` leading eigenvectors
+        only (every one that reaches an output) into a pooled buffer, copies
+        the retained components out once (into ``components_out`` on the
+        zero-copy path), stretches the first three in place, mixes them and
+        clips into ``composite_out``.  ``project_cube_block`` plus
+        ``color_map`` run the same panel helpers and operations, so the
+        results are bit-identical to the unfused path and to any tiling.
         """
-        matrix, rows, cols = _block_matrix(block, basis)
-        pixels = rows * cols
-        product = _scratch.get("product", (pixels, basis.n_components),
-                               np.float64)
-        self.project(matrix, basis, compute_dtype=compute_dtype, out=product)
-        planes = product.reshape(rows, cols, basis.n_components)
+        keep = max(n_components, 3)
+        product = project_panels(block, basis, keep,
+                                 compute_dtype=compute_dtype,
+                                 scratch=_scratch.get)
+        rows, cols = np.shape(block)[1:]
+        planes = product.reshape(rows, cols, keep)
         if components_out is not None:
             np.copyto(components_out, planes[..., :n_components])
             components = components_out
         else:
-            # .copy(), not ascontiguousarray: at projection rank 3 the slice
-            # is the whole (pooled) product buffer and must not escape.
+            # .copy(): the planes are the pooled buffer and must not escape.
             components = planes[..., :n_components].copy()
 
-        chain = _scratch.get("colour", (pixels, 3), np.float64)
-        first_three = product[:, :3]
+        chain = product[:, :3]
         if normalize:
             mean, scale = _stretch_statistics(stretch_mean, stretch_std,
                                               clip_sigma)
-            np.subtract(first_three, mean[None, :], out=chain)
+            np.subtract(chain, mean[None, :], out=chain)
             np.divide(chain, scale[None, :], out=chain)
             np.multiply(chain, _OFFSET, out=chain)
             np.clip(chain, -_OFFSET, _OFFSET, out=chain)
             np.add(chain, _OFFSET, out=chain)
-            np.subtract(chain, _OFFSET, out=chain)
-        else:
-            np.subtract(first_three, _OFFSET, out=chain)
-        mixed = _scratch.get("mixed", (pixels, 3), np.float64)
-        np.matmul(chain, OPPONENCY_MATRIX.T, out=mixed)
+        np.subtract(chain, _OFFSET, out=chain)
+        mixed = mix_opponency(chain, scratch=_scratch.get)
         np.add(mixed, _OFFSET, out=mixed)
         np.divide(mixed, _SCALE, out=mixed)
         if composite_out is not None:

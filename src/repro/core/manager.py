@@ -144,8 +144,10 @@ def manager_program(ctx: Context, *, cube: HyperspectralCube,
     n_components:
         Principal components retained in the output (>= 3 for colour mapping).
     full_projection:
-        Whether step 7 transforms with the full eigenvector matrix (the
-        paper's formulation) or only the retained components.
+        Whether the basis keeps the full eigenvector matrix (the paper's
+        formulation) or only the retained components.  It sets the basis
+        rank and the simulated step-7 cost; the workers' kernel multiplies
+        only the retained components either way.
     prefetch:
         Maximum number of tasks kept outstanding per worker; 2 or more
         enables the computation/communication overlap of Section 3.

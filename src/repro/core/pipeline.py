@@ -82,11 +82,10 @@ class SpectralScreeningPCT:
         Number of principal components *retained in the output*; the colour
         mapping uses the first three.
     full_projection:
-        When True (default, the paper's formulation) step 7 projects every
-        pixel onto *all* eigenvectors of the covariance and the first
-        ``n_components`` are kept afterwards.  When False only the leading
-        ``n_components`` eigenvectors are applied, which shrinks the step-7
-        GEMM from ``bands`` to ``n_components`` output columns.
+        When True (default, the paper's formulation) the basis holds *all*
+        eigenvectors and the cost model charges step 7 for every one; when
+        False both stop at ``n_components``.  The kernel multiplies only
+        the ``n_components`` leading eigenvectors either way.
     """
 
     def __init__(self, config: Optional[FusionConfig] = None, *, n_components: int = 3,
@@ -181,10 +180,13 @@ class SpectralScreeningPCT:
             timed("component_stats", int(unique.shape[0]), project,
                   unique, stats_basis))
 
-        # Step 7: transform the original cube, keeping the leading components.
+        # Step 7: transform the original cube onto the retained components
+        # only -- the same leading rows every engine's step 7 multiplies.
+        retained = PCTBasis(eigenvalues=basis.eigenvalues,
+                            components=basis.components[:self.n_components],
+                            mean=basis.mean)
         components = timed("projection", cube.pixels, kernel.project_block,
-                           cube.data, basis,
-                           compute_dtype=compute_dtype)[..., : self.n_components]
+                           cube.data, retained, compute_dtype=compute_dtype)
 
         # Step 8: human-centred colour mapping.
         composite = timed("colormap", cube.pixels, color_map, components,

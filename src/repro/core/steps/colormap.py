@@ -32,9 +32,11 @@ distributed composite would not match the sequential reference.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
+
+from .transform import _fresh_buffer, matmul_panels
 
 #: Opponency-to-RGB mixing matrix.  Rows produce (R, G, B); columns take
 #: (achromatic, red-green, blue-yellow) inputs.
@@ -90,6 +92,16 @@ def stretch_components(components: np.ndarray, *, mean: Optional[np.ndarray] = N
     return np.clip(scaled, -_OFFSET, _OFFSET) + _OFFSET
 
 
+def mix_opponency(centred: np.ndarray, *,
+                  scratch: Callable[..., np.ndarray] = _fresh_buffer) -> np.ndarray:
+    """``centred @ OPPONENCY_MATRIX.T`` of a ``(pixels, 3)`` matrix, in the
+    fixed-width padded panels of :func:`~repro.core.steps.transform.
+    matmul_panels`, so a pixel's mix has the same bits in a tile of any size.
+    """
+    return matmul_panels(centred, OPPONENCY_MATRIX.T, tag="mixed",
+                         scratch=scratch)
+
+
 def color_map(components: np.ndarray, *, normalize: bool = True,
               mean: Optional[np.ndarray] = None, std: Optional[np.ndarray] = None,
               clip_sigma: float = 2.5, as_uint8: bool = False) -> np.ndarray:
@@ -126,7 +138,7 @@ def color_map(components: np.ndarray, *, normalize: bool = True,
                                          clip_sigma=clip_sigma)
     # R_ij = (128 + M (C_ij - 128)) / 256, vectorised over all pixels.
     centred = first_three - _OFFSET
-    mixed = centred @ OPPONENCY_MATRIX.T
+    mixed = mix_opponency(centred.reshape(-1, 3)).reshape(centred.shape)
     rgb = (_OFFSET + mixed) / _SCALE
     rgb = np.clip(rgb, 0.0, 1.0)
     if as_uint8:
@@ -156,6 +168,7 @@ __all__ = [
     "component_statistics",
     "stretch_components",
     "color_map",
+    "mix_opponency",
     "luminance",
     "color_map_flops",
 ]

@@ -9,13 +9,17 @@ checks).
 
 Step 7 projects every pixel vector of the *original* cube onto the leading
 eigenvectors; it is embarrassingly parallel over pixels and is distributed
-over the workers together with the colour mapping.
+over the workers together with the colour mapping.  Every engine projects a
+cube block through :func:`project_panels`: the block in its stored band-major
+layout, only the eigenvectors that reach an output, and the pixels in
+zero-padded panels of :data:`PANEL_PIXELS` -- so a pixel's bits do not depend
+on the size of the tile, sub-cube or cube it arrived in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -120,10 +124,10 @@ def project(pixels: np.ndarray, basis: PCTBasis, *,
     the float64 default is the seed arithmetic, bit for bit.
 
     ``out`` optionally receives the result: a preallocated float64
-    ``(pixels, n_components)`` array the matrix product writes into directly
-    (the zero-copy tile path points it at a shared-memory view).  The same
-    BLAS call runs on the same operands, so the bytes are identical to the
-    allocating path -- ``out`` only removes the per-call output allocation.
+    ``(pixels, n_components)`` array the matrix product writes into
+    directly.  The same BLAS call runs on the same operands, so the bytes
+    are identical to the allocating path -- ``out`` only removes the
+    per-call output allocation.
     """
     source = np.asarray(pixels)
     if source.ndim != 2 or source.shape[1] != basis.bands:
@@ -155,16 +159,77 @@ def project(pixels: np.ndarray, basis: PCTBasis, *,
     return narrow.astype(np.float64)
 
 
-def project_cube_block(block: np.ndarray, basis: PCTBasis, *,
-                       compute_dtype=np.float64) -> np.ndarray:
-    """Project a ``(bands, rows, cols)`` sub-cube; returns ``(rows, cols, n_components)``."""
+#: Pixels per step-7 GEMM (and step-8 mix) panel.  Fixed, so a tile of any
+#: size makes the same BLAS calls: OpenBLAS takes a small-matrix path with a
+#: different summation order for a product over a few pixels.  Measured, ms
+#: of ``project_and_map`` per request at the default tiles of the
+#: 256x256x64 / 128x128x64 / 64x64x32 scenes (shared 2-vCPU host, one BLAS
+#: thread, lower of two runs): 128 -> 21.8/4.1/0.74, 256 -> 16.0/3.7/0.78,
+#: 512 -> 12.3/3.1/0.59, 1024 -> 13.3/3.1/0.55, 2048 -> 14.6/4.2/0.76,
+#: 4096 -> 12.9/3.1/0.97; the unpanelled full-rank product: 75/11/1.2.
+PANEL_PIXELS = 512
+
+
+def _fresh_buffer(tag: str, shape: tuple, dtype) -> np.ndarray:
+    """The default ``scratch`` source ``(tag, shape, dtype)``: a new array."""
+    return np.empty(shape, dtype=dtype)
+
+
+def matmul_panels(matrix: np.ndarray, weights: np.ndarray, *, tag: str,
+                  centre: Optional[np.ndarray] = None,
+                  scratch: Callable[..., np.ndarray] = _fresh_buffer) -> np.ndarray:
+    """``(matrix - centre) @ weights`` of a ``(pixels, k)`` matrix, float64,
+    :data:`PANEL_PIXELS` pixels at a time.
+
+    Each panel is centred (or copied) into a zero-padded buffer, so every
+    GEMM has one shape.  ``scratch`` supplies the buffers and the result.
+    """
+    pixels, width_in = matrix.shape
+    out = scratch(tag, (pixels, weights.shape[1]), np.float64)
+    # Band-major, so centring a band-major block streams both operands.
+    panel = scratch(tag + "-panel", (width_in, PANEL_PIXELS), np.float64).T
+    product = scratch(tag + "-product", (PANEL_PIXELS, weights.shape[1]),
+                      np.float64)
+    for start in range(0, pixels, PANEL_PIXELS):
+        width = min(PANEL_PIXELS, pixels - start)
+        if centre is None:
+            panel[:width] = matrix[start:start + width]
+        else:
+            np.subtract(matrix[start:start + width], centre, out=panel[:width])
+        panel[width:] = 0.0
+        np.matmul(panel, weights, out=product)
+        out[start:start + width] = product[:width]
+    return out
+
+
+def project_panels(block: np.ndarray, basis: PCTBasis, keep: int, *,
+                   compute_dtype=np.float64,
+                   scratch: Callable[..., np.ndarray] = _fresh_buffer) -> np.ndarray:
+    """Step 7 of a ``(bands, rows, cols)`` block onto ``basis``'s leading
+    ``keep`` eigenvectors; returns ``(pixels, keep)`` float64.
+
+    The float64 path runs :func:`matmul_panels` on the block's
+    ``(bands, pixels)`` view (no copy for a row tile of a C-ordered cube);
+    the float32 fast mode runs :func:`project` on the pixel matrix.
+    """
     block = np.asarray(block)
     if block.ndim != 3 or block.shape[0] != basis.bands:
         raise ValueError(f"block of shape {block.shape} does not match basis bands {basis.bands}")
-    bands, rows, cols = block.shape
-    matrix = block.reshape(bands, -1).T
-    transformed = project(matrix, basis, compute_dtype=compute_dtype)
-    return transformed.reshape(rows, cols, basis.n_components)
+    pixel_matrix = block.reshape(block.shape[0], -1).T
+    lead = basis.components[:keep]
+    if np.dtype(compute_dtype) != np.float64:
+        return project(pixel_matrix, PCTBasis(basis.eigenvalues, lead, basis.mean),
+                       compute_dtype=compute_dtype)
+    return matmul_panels(pixel_matrix, lead.T, tag="planes", centre=basis.mean,
+                         scratch=scratch)
+
+
+def project_cube_block(block: np.ndarray, basis: PCTBasis, *,
+                       compute_dtype=np.float64) -> np.ndarray:
+    """Project a ``(bands, rows, cols)`` sub-cube; returns ``(rows, cols, n_components)``."""
+    transformed = project_panels(block, basis, basis.n_components,
+                                 compute_dtype=compute_dtype)
+    return transformed.reshape(*np.shape(block)[1:], basis.n_components)
 
 
 # --------------------------------------------------------------------------
@@ -196,6 +261,9 @@ __all__ = [
     "transformation_matrix",
     "project",
     "project_cube_block",
+    "project_panels",
+    "matmul_panels",
+    "PANEL_PIXELS",
     "eigendecomposition_flops",
     "projection_flops",
     "EIGH_FLOP_CONSTANT",

@@ -42,10 +42,13 @@ reference for the same :class:`~repro.api.request.FusionRequest`:
   in partition order (float summation order preserved);
 * the eigen-decomposition barrier pins one global basis and one set of
   colour-stretch constants, after which projection and colour mapping are
-  per-pixel operations -- any row tiling of step 7/8 reassembles to the
-  untiled result exactly.  ``tile_rows`` therefore only tunes streaming
-  granularity, never the output, which is what the tiling property tests
-  assert for arbitrary cube shapes and tilings.
+  per-pixel operations run in fixed-width, zero-padded pixel panels
+  (:data:`~repro.core.steps.transform.PANEL_PIXELS`), so the host BLAS
+  takes one path whatever the tile, and any row tiling of step 7/8
+  reassembles to the untiled result exactly, however few pixels a tile
+  holds.  ``tile_rows`` therefore only tunes streaming granularity,
+  never the output, which is what the tiling property tests assert for
+  arbitrary cube shapes and tilings.
 
 Placement
 ---------
@@ -179,10 +182,11 @@ def project_tile(cube: HyperspectralCube, spec: SubcubeSpec, basis: PCTBasis,
                  n_components: int, normalize: bool, stretch_mean: np.ndarray,
                  stretch_std: np.ndarray, compute_dtype: str = "float64",
                  compute: str = "numpy"):
-    """Stage 3 task: fused projection + colour mapping of one output tile."""
+    """Stage 3 task: fused projection + colour mapping of one output tile
+    (read in place from the cube: no copy of the tile's rows)."""
     return kernel_project_and_map(
-        extract_subcube(cube, spec), basis, n_components=n_components,
-        normalize=normalize, stretch_mean=stretch_mean,
+        cube.data[:, spec.row_start:spec.row_stop], basis,
+        n_components=n_components, normalize=normalize, stretch_mean=stretch_mean,
         stretch_std=stretch_std, compute_dtype=compute_dtype, compute=compute)
 
 
@@ -203,7 +207,7 @@ def project_tile_into(cube: HyperspectralCube, spec: SubcubeSpec,
     with output_tile_views(out, spec.row_start, spec.row_stop) as views:
         components_view, composite_view = views
         kernel_project_and_map(
-            extract_subcube(cube, spec), basis,
+            cube.data[:, spec.row_start:spec.row_stop], basis,
             n_components=n_components, normalize=normalize,
             stretch_mean=stretch_mean, stretch_std=stretch_std,
             compute_dtype=compute_dtype, compute=compute,

@@ -76,9 +76,10 @@ def _transform_and_map(block: np.ndarray, basis, stretch_mean, stretch_std,
                        compute: str = "numpy") -> Dict[str, np.ndarray]:
     """Steps 7-8 fused into one call: project a sub-cube and colour-map it.
 
-    The projection uses every eigenvector carried by ``basis`` (the paper's
-    full transform); only the leading ``keep_components`` planes are kept in
-    the result to bound the size of the message sent back to the manager.
+    The projection multiplies only the leading ``keep_components``
+    eigenvectors of ``basis`` (the ones that reach an output; the basis may
+    carry all of them, which the simulated cost charges for) and only those
+    planes are sent back to the manager.
     The named compute kernel does the fusing, so forked and socket workers
     pick it by name rather than by a pickled function.
     """
