@@ -29,6 +29,7 @@ then the measured sub-cube sweep on the 256x256x64 acceptance scene.
 """
 
 import argparse
+import functools
 import math
 import statistics
 import threading
@@ -40,8 +41,9 @@ from _bench_utils import fusion_config, record_report, scaled_extent
 from repro import fuse
 from repro.api.request import FusionRequest
 from repro.config import PAPER_SETUP
-from repro.core.streaming import (WHOLE_REQUEST_MAX_SAMPLES, run_pipeline,
-                                  run_whole_request)
+from repro.core.streaming import (STAGE_LABELS, WHOLE_REQUEST_MAX_SAMPLES,
+                                  _borrowed_placement, _copy_out,
+                                  fuse_whole_request, run_pipeline)
 from repro.data.hydice import HydiceConfig, HydiceGenerator
 from repro.data.shared import OutputPool, SharedCube
 from repro.experiments import run_figure5
@@ -147,6 +149,19 @@ def _closed_loop(run, seconds, clients):
     return statistics.median(latencies), len(latencies) / elapsed
 
 
+def _placed_run(pool, cube, plan):
+    """One plan the way the engine runs it: borrow an output placement,
+    run ``plan(out)`` into it, copy the pixels out."""
+    with _borrowed_placement(pool, cube.rows, cube.cols, 3) as placement:
+        plan(placement.handle())
+        return _copy_out(placement)
+
+
+def _place_cube(cube, spec):
+    """The cube as a session places it: shared memory for process workers."""
+    return cube if spec.name == "local" else SharedCube.from_cube(cube)
+
+
 def measure_placements(backend, scenes, seconds):
     """Whole vs split on one warm executor: a row of numbers per scene."""
     spec = BackendSpec.parse(backend)
@@ -156,14 +171,16 @@ def measure_placements(backend, scenes, seconds):
             OutputPool(max_segments=OUTSTANDING) as pool:
         for rows, cols, bands in scenes:
             cube = _scene(rows, cols, bands)
-            placed = SharedCube.from_cube(cube) if executor.uses_processes else cube
-            request = FusionRequest(cube=placed, engine="pipeline", workers=WORKERS)
-            config = request.resolved_config()
-            runs = {
-                "split": lambda: run_pipeline(placed, config, executor,
-                                              output_pool=pool),
-                "whole": lambda: run_whole_request(request, config, executor,
-                                                   pool)}
+            placed = _place_cube(cube, spec)
+            config = FusionRequest(cube=placed, engine="pipeline",
+                                   workers=WORKERS).resolved_config()
+            plans = {
+                "split": lambda out: run_pipeline(placed, config, executor, out),
+                "whole": lambda out: executor.submit(
+                    "request", fuse_whole_request, placed, config, 3, None,
+                    out, covers=STAGE_LABELS).result()}
+            runs = {name: functools.partial(_placed_run, pool, placed, plan)
+                    for name, plan in plans.items()}
             try:
                 row = {"scene": (rows, cols, bands),
                        "samples": cube.pixels * cube.bands}
@@ -199,8 +216,8 @@ def measure_subcubes(backend, counts, seconds):
             tile_rows = math.ceil(rows / count)
 
             def run():
-                return run_pipeline(placed, config, executor,
-                                    tile_rows=tile_rows, output_pool=pool)
+                return _placed_run(pool, placed, lambda out: run_pipeline(
+                    placed, config, executor, out, tile_rows=tile_rows))
 
             run()
             measured[count] = _closed_loop(run, seconds, 1)[0]

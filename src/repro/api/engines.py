@@ -149,8 +149,7 @@ def _backend_stage_timings(request: FusionRequest, result: FusionResult,
     """
     cube = request.cube
     estimator = SpectralScreeningPCT(request.resolved_config(),
-                                     n_components=request.n_components,
-                                     full_projection=request.full_projection)
+                                     n_components=request.n_components)
     estimates = estimator.estimate_phase_flops(cube, result.unique_set_size)
     flops = {"screening": estimates["screening"],
              "mean": estimates["mean"],
@@ -202,8 +201,7 @@ class SequentialEngine:
     def run(self, request: FusionRequest,
             session: "FusionSession") -> FusionReport:
         config = request.resolved_config()
-        pipeline = SpectralScreeningPCT(config, n_components=request.n_components,
-                                        full_projection=request.full_projection)
+        pipeline = SpectralScreeningPCT(config, n_components=request.n_components)
         start = time.perf_counter()
         result = pipeline.fuse(request.cube)
         elapsed = time.perf_counter() - start
@@ -292,7 +290,7 @@ class DistributedEngine:
                        else create_backend(request.backend_choice(), context))
             app = build_application(
                 request.cube, config, n_components=request.n_components,
-                full_projection=request.full_projection, prefetch=request.prefetch,
+                prefetch=request.prefetch,
                 reassign_timeout=request.reassign_timeout,
                 worker_replicas=self._worker_replicas(config))
             run, resilience = self._execute(backend, app, request, config,

@@ -46,8 +46,6 @@ class FusionRequest:
     engine-specific options (``replication``, ``attack``,
     ``camouflage_period`` for the resilient engine) are rejected with an
     actionable error by engines that do not support them.
-    ``full_projection`` keeps every eigenvector in ``report.basis`` and the
-    simulated cost; step 7 multiplies only the leading ``n_components``.
     """
 
     cube: HyperspectralCube
@@ -57,7 +55,6 @@ class FusionRequest:
     subcubes: Optional[int] = None
     config: Optional[FusionConfig] = None
     n_components: int = 3
-    full_projection: bool = True
     prefetch: int = 2
     reassign_timeout: Optional[float] = None
     cluster: Optional[Cluster] = None

@@ -47,7 +47,6 @@ def worker_name(index: int) -> str:
 
 def build_application(cube: HyperspectralCube, config: FusionConfig, *,
                       n_components: int = 3,
-                      full_projection: bool = True,
                       prefetch: int = 2,
                       reassign_timeout: Optional[float] = None,
                       worker_replicas: int = 1) -> Application:
@@ -81,7 +80,6 @@ def build_application(cube: HyperspectralCube, config: FusionConfig, *,
             "config": config,
             "worker_names": worker_names,
             "n_components": n_components,
-            "full_projection": full_projection,
             "prefetch": prefetch,
             "reassign_timeout": reassign_timeout,
         },

@@ -124,7 +124,6 @@ def manager_program(ctx: Context, *, cube: HyperspectralCube,
                     config: Optional[FusionConfig] = None,
                     worker_names: Sequence[str] = (),
                     n_components: int = 3,
-                    full_projection: bool = True,
                     prefetch: int = 2,
                     reassign_timeout: Optional[float] = None) -> Generator:
     """Generator program executed by the manager thread.
@@ -142,12 +141,10 @@ def manager_program(ctx: Context, *, cube: HyperspectralCube,
     worker_names:
         Logical names of the worker threads.
     n_components:
-        Principal components retained in the output (>= 3 for colour mapping).
-    full_projection:
-        Whether the basis keeps the full eigenvector matrix (the paper's
-        formulation) or only the retained components.  It sets the basis
-        rank and the simulated step-7 cost; the workers' kernel multiplies
-        only the retained components either way.
+        Principal components retained in the output (>= 3 for colour
+        mapping).  The basis keeps the full eigenvector matrix (the paper's
+        formulation); the workers' kernel multiplies only the retained
+        components.
     prefetch:
         Maximum number of tasks kept outstanding per worker; 2 or more
         enables the computation/communication overlap of Section 3.
@@ -214,9 +211,8 @@ def manager_program(ctx: Context, *, cube: HyperspectralCube,
                                phase="covariance_combine")
 
     # --------------------------------------------------------------- phase 6
-    rank = bands if full_projection else n_components
     basis = yield Compute(fn=transformation_matrix, args=(covariance, mean),
-                          kwargs={"n_components": rank},
+                          kwargs={"n_components": bands},
                           flops=eigendecomposition_flops(bands),
                           phase="eigendecomposition")
 

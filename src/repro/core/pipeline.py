@@ -80,21 +80,18 @@ class SpectralScreeningPCT:
         partition and colour-map sections are used by the sequential path.
     n_components:
         Number of principal components *retained in the output*; the colour
-        mapping uses the first three.
-    full_projection:
-        When True (default, the paper's formulation) the basis holds *all*
-        eigenvectors and the cost model charges step 7 for every one; when
-        False both stop at ``n_components``.  The kernel multiplies only
-        the ``n_components`` leading eigenvectors either way.
+        mapping uses the first three.  The basis holds *all* eigenvectors
+        (the paper's formulation), and the cost model charges step 7 for
+        every one; the kernel multiplies only the ``n_components`` leading
+        ones.
     """
 
-    def __init__(self, config: Optional[FusionConfig] = None, *, n_components: int = 3,
-                 full_projection: bool = True) -> None:
+    def __init__(self, config: Optional[FusionConfig] = None, *,
+                 n_components: int = 3) -> None:
         self.config = config or FusionConfig()
         if n_components < 3:
             raise ValueError("at least 3 components are required for colour mapping")
         self.n_components = n_components
-        self.full_projection = full_projection
 
     # ------------------------------------------------------------------ fuse
     def fuse(self, cube: HyperspectralCube) -> FusionResult:
@@ -165,9 +162,8 @@ class SpectralScreeningPCT:
         # Step 6: transformation matrix.  The paper's formulation transforms
         # with the full eigenvector matrix and then keeps the first three
         # components for colour mapping.
-        rank = cube.bands if self.full_projection else self.n_components
         basis = timed("eigendecomposition", None, transformation_matrix,
-                      covariance, mean, n_components=rank)
+                      covariance, mean, n_components=cube.bands)
 
         # Global colour-stretch statistics, derived from the screened unique
         # set so that the distributed workers (which normalise their blocks
@@ -223,13 +219,12 @@ class SpectralScreeningPCT:
         """
         n_pixels = cube.pixels
         bands = cube.bands
-        rank = bands if self.full_projection else self.n_components
         return {
             "screening": screening_flops(n_pixels, unique_size, bands),
             "mean": mean_flops(unique_size, bands),
             "covariance": covariance_sum_flops(unique_size, bands),
             "eigendecomposition": eigendecomposition_flops(bands),
-            "projection": projection_flops(n_pixels, bands, rank),
+            "projection": projection_flops(n_pixels, bands, bands),
             "colormap": color_map_flops(n_pixels),
         }
 

@@ -12,7 +12,7 @@ small global reductions, which suggests a *staged dataflow* instead:
               (par)       (barrier)           partials        + stretch]
                                               (par)           (barrier)
                                                                  │
-              reassemble ◀── project + colour-map (par) ◀────────┘
+        output placement ◀── project + colour-map (par) ◀────────┘
 
 Each parallel stage is a set of pure *stage tasks* executed through the
 session's :class:`~repro.scp.stages.TransportStageExecutor`, on whatever
@@ -65,8 +65,7 @@ shape alone, *where* the stage tasks run -- never how the work is cut:
 * ``cube.pixels * cube.bands <=`` :data:`WHOLE_REQUEST_MAX_SAMPLES` --
   placement ``"request"``: one stage task (:func:`fuse_whole_request`) runs
   :func:`run_pipeline` itself on one worker, against an inline executor
-  (submit = run now).  The driver only borrows the output placement, waits
-  for the one future and copies the arrays out: zero barriers.
+  (submit = run now), and waits for nothing in the driver: zero barriers.
 * larger -- placement ``"stages"``: :func:`run_pipeline` runs in the driver
   and submits per-stage tasks to the shared executor, as described above.
 
@@ -76,15 +75,18 @@ Both placements execute the same :func:`run_pipeline`: the same
 ``tile_rows`` / ``subcubes`` are honoured inside the worker), so the bits
 cannot differ -- ``tests/test_streaming_placement.py`` holds the two
 against each other and against the sequential reference on both sides of
-the constant.  The decision is transport-blind (on thread transports the
-whole-request task hands its result over in-process, exactly as tiles are)
-and has no knob: no request field, session option, flag or environment
-variable selects it.  The constant's docstring carries the measured table
-(``benchmarks/bench_fig5_granularity.py``).  The report says what happened:
-``metadata["placement"]``, ``metadata["stage_tasks"]`` (tasks through the
-executor: 1 for a whole request) next to ``stage_invocations`` (kernel
-calls per stage, the same on both); stage clocks are taken where the stage
-ran.
+the constant.  Both also have one result path, whatever the transport: the
+driver borrows one :class:`~repro.data.shared.SharedComposite` output
+placement per request, the projection tiles are written straight into it
+(:func:`project_tile_into`; a worker thread maps the same segment the
+driver does), and the driver copies the pixels out once the plan is done.
+The decision has no knob: no request field, session option, flag or
+environment variable selects it.  The constant's docstring carries the
+measured table (``benchmarks/bench_fig5_granularity.py``).  The report says
+what happened: ``metadata["placement"]``, ``metadata["stage_tasks"]`` (tasks
+through the executor: 1 for a whole request) next to ``stage_invocations``
+(kernel calls per stage, the same on both); stage clocks are taken where the
+stage ran.
 
 Chaos keeps working because a whole-request task declares the stages it
 ``covers`` and :meth:`~repro.scp.stages.TransportStageExecutor.inject_kill`
@@ -116,7 +118,7 @@ from ..data.shared import (OutputPool, SharedComposite, SharedCompositeHandle,
                            output_tile_views)
 from .kernels import kernel_covariance_sum, kernel_project_and_map
 from .partition import (SubcubeSpec, decompose, extract_subcube,
-                        reassemble_composite, subcube_pixel_matrix)
+                        subcube_pixel_matrix)
 from .pipeline import FusionResult, SpectralScreeningPCT
 from .profiling import stage_timings_from_result
 from .steps.colormap import component_statistics
@@ -178,31 +180,21 @@ def covariance_partial(part: np.ndarray, mean: np.ndarray,
     return kernel_covariance_sum(part, mean, compute=compute)
 
 
-def project_tile(cube: HyperspectralCube, spec: SubcubeSpec, basis: PCTBasis,
-                 n_components: int, normalize: bool, stretch_mean: np.ndarray,
-                 stretch_std: np.ndarray, compute_dtype: str = "float64",
-                 compute: str = "numpy"):
-    """Stage 3 task: fused projection + colour mapping of one output tile
-    (read in place from the cube: no copy of the tile's rows)."""
-    return kernel_project_and_map(
-        cube.data[:, spec.row_start:spec.row_stop], basis,
-        n_components=n_components, normalize=normalize, stretch_mean=stretch_mean,
-        stretch_std=stretch_std, compute_dtype=compute_dtype, compute=compute)
-
-
 def project_tile_into(cube: HyperspectralCube, spec: SubcubeSpec,
                       basis: PCTBasis, n_components: int, normalize: bool,
                       stretch_mean: np.ndarray, stretch_std: np.ndarray,
                       out: SharedCompositeHandle,
                       compute_dtype: str = "float64",
                       compute: str = "numpy") -> Tuple[int, int]:
-    """Stage 3 task, zero-copy variant: write the tile into ``out`` directly.
+    """Stage 3 task: fused projection + colour mapping of one output tile,
+    written straight into the request's output placement ``out``.
 
-    The kernel's ``out=`` path computes straight into the shared-memory
-    output placement views (no tile-sized temporaries, nothing through the
-    result spool) and only the row range is acknowledged back.  Safe under
-    crash retry: tiles own disjoint row ranges and the computation is
-    deterministic, so re-running a killed task rewrites the same bytes.
+    The cube's rows are read in place, and the kernel's ``out=`` path
+    computes into the placement views (no tile-sized temporaries, nothing
+    through the result spool); only the row range is acknowledged back.
+    Safe under crash retry: tiles own disjoint row ranges and the
+    computation is deterministic, so re-running a killed task rewrites the
+    same bytes.
     """
     with output_tile_views(out, spec.row_start, spec.row_stop) as views:
         components_view, composite_view = views
@@ -272,36 +264,25 @@ def _copy_out(placement: SharedComposite) -> Tuple[np.ndarray, np.ndarray]:
     return components, composite
 
 
-def run_pipeline(cube: HyperspectralCube, config: FusionConfig, executor, *,
-                 n_components: int = 3, full_projection: bool = True,
-                 tile_rows: Optional[int] = None,
-                 output_pool: Optional[OutputPool] = None,
-                 out: Optional[SharedCompositeHandle] = None) -> FusionResult:
+def run_pipeline(cube: HyperspectralCube, config: FusionConfig, executor,
+                 out: SharedCompositeHandle, *, n_components: int = 3,
+                 tile_rows: Optional[int] = None) -> FusionResult:
     """Drive one cube through the staged screen/statistics/transform DAG.
 
     ``executor`` is a :class:`~repro.scp.stages.TransportStageExecutor` on
-    any transport; several concurrent ``run_pipeline`` calls may share one
-    executor, which is how independent cubes overlap.
+    any transport (or the inline executor of a whole-request task); several
+    concurrent ``run_pipeline`` calls may share one executor, which is how
+    independent cubes overlap.
 
-    The executor decides the result path of the projection stage: on
-    process-backed executors (``executor.uses_processes``) workers write
-    tiles straight into a :class:`~repro.data.shared.SharedComposite`
-    placement, where the alternative would be pickling every tile through
-    the spool; thread executors share the driver's address space and
-    return the blocks in-process.  Both paths carry identical bytes, and
-    ``tile_rows`` cannot change the composite either -- tiling is
-    output-invariant past the eigen-decomposition barrier.
-    ``output_pool`` lets sessions reuse placement segments across runs.
-
-    ``out`` names a placement the *caller* owns: the tiles are written into
-    it whatever the executor, and the returned result carries zero-row
-    ``composite`` / ``components`` -- the pixels are in the placement, for
-    the caller to copy out.  That is how a whole-request task
-    (:func:`fuse_whole_request`) runs this driver inside a worker without
-    shipping an array back through the spool.
+    ``out`` is the caller's output placement: every projection tile is
+    written into it (:func:`project_tile_into`), on every transport, and the
+    returned result carries zero-row ``composite`` / ``components`` -- the
+    pixels are in the placement, for the caller to copy out
+    (:func:`execute_pipeline_request` does).  ``tile_rows`` cannot change
+    the pixels -- tiling is output-invariant past the eigen-decomposition
+    barrier.
     """
-    reference = SpectralScreeningPCT(config, n_components=n_components,
-                                     full_projection=full_projection)
+    reference = SpectralScreeningPCT(config, n_components=n_components)
     screening = config.screening
     compute_dtype = config.compute_dtype
     compute = config.compute
@@ -344,52 +325,26 @@ def run_pipeline(cube: HyperspectralCube, config: FusionConfig, executor, *,
 
     # Barrier B: eigen-decomposition and global colour-stretch statistics.
     stage_marks["eigendecomposition"] = time.perf_counter()
-    rank = cube.bands if full_projection else n_components
-    basis = transformation_matrix(covariance, mean, n_components=rank)
+    basis = transformation_matrix(covariance, mean, n_components=cube.bands)
     stats_basis = PCTBasis(eigenvalues=basis.eigenvalues,
                            components=basis.components[:3], mean=basis.mean)
     stretch_mean, stretch_std = component_statistics(project(unique, stats_basis))
     _stage_done("eigendecomposition", stage_marks["eigendecomposition"])
 
-    # Stage 3: per-tile projection + colour mapping (parallel).  Process
-    # workers write straight into a shared-memory output placement and
-    # acknowledge row ranges (zero-copy path); thread workers return their
-    # blocks in-process and the driver reassembles them here.
+    # Stage 3: per-tile projection + colour mapping (parallel), written
+    # straight into the output placement; each task acknowledges its rows.
     effective_tile_rows = (tile_rows if tile_rows is not None
                            else default_tile_rows(cube.rows, workers))
     normalize = config.colormap.normalize_components
-    use_zero_copy = out is not None or executor.uses_processes
     tiles = plan_tiles(cube.rows, effective_tile_rows)
-
-    def _project(task: Callable, *placed_args: SharedCompositeHandle) -> List:
-        stage_marks["projection"] = time.perf_counter()
-        payloads = _gather([
-            executor.submit("project", task, cube, spec, basis, n_components,
-                            normalize, stretch_mean, stretch_std, *placed_args,
-                            compute_dtype, compute)
-            for spec in tiles])
-        _stage_done("projection", stage_marks["projection"])
-        if placed_args:
-            _validate_row_coverage(payloads, cube.rows)
-        return payloads
-
-    if out is not None:
-        _project(project_tile_into, out)
-        components = np.empty((0, cube.cols, n_components))
-        composite = np.empty((0, cube.cols, 3))
-    elif use_zero_copy:
-        with _borrowed_placement(output_pool, cube.rows, cube.cols,
-                                 n_components) as placement:
-            _project(project_tile_into, placement.handle())
-            components, composite = _copy_out(placement)
-    else:
-        payloads = _project(project_tile)
-        components = reassemble_composite(
-            [(spec, block[0]) for spec, block in zip(tiles, payloads)],
-            cube.rows, cube.cols, channels=n_components)
-        composite = reassemble_composite(
-            [(spec, block[1]) for spec, block in zip(tiles, payloads)],
-            cube.rows, cube.cols, channels=3)
+    stage_marks["projection"] = time.perf_counter()
+    acks = _gather([executor.submit("project", project_tile_into, cube, spec,
+                                    basis, n_components, normalize,
+                                    stretch_mean, stretch_std, out,
+                                    compute_dtype, compute)
+                    for spec in tiles])
+    _stage_done("projection", stage_marks["projection"])
+    _validate_row_coverage(acks, cube.rows)
 
     phase_flops = reference.estimate_phase_flops(cube, unique.shape[0])
     stage_rows = {"screening": cube.pixels, "mean": int(unique.shape[0]),
@@ -415,10 +370,9 @@ def run_pipeline(cube: HyperspectralCube, config: FusionConfig, executor, *,
         "stretch_std": stretch_std,
         "tile_rows": effective_tile_rows,
         "tiles": len(tiles),
-        "zero_copy": use_zero_copy,
         # Where the work ran and how many tasks that put through the
-        # executor; run_whole_request overwrites both ("request", 1) on
-        # the result of the run it placed inside one task.
+        # executor; execute_pipeline_request overwrites both ("request",
+        # 1) on the result of a run it placed inside one task.
         # stage_invocations below keeps the per-stage kernel counts.
         "placement": "stages",
         "stage_tasks": len(screen_futures) + len(cov_futures) + len(tiles),
@@ -429,8 +383,9 @@ def run_pipeline(cube: HyperspectralCube, config: FusionConfig, executor, *,
         "stage_invocations": stage_invocations,
         "stage_flops": stage_flops,
     }
-    return FusionResult(composite=composite, components=components, basis=basis,
-                        unique_set_size=int(unique.shape[0]),
+    return FusionResult(composite=np.empty((0, cube.cols, 3)),
+                        components=np.empty((0, cube.cols, n_components)),
+                        basis=basis, unique_set_size=int(unique.shape[0]),
                         phase_flops=phase_flops, metadata=metadata)
 
 
@@ -483,8 +438,6 @@ class _InlineStages:
     """The executor of a whole-request task: ``submit`` runs the stage task
     now, on the calling worker, and returns its resolved future."""
 
-    uses_processes = False
-
     def submit(self, stage: str, fn: Callable, *args, **kwargs) -> Future:
         future: Future = Future()
         future.set_result(fn(*args, **kwargs))
@@ -492,50 +445,19 @@ class _InlineStages:
 
 
 def fuse_whole_request(cube: HyperspectralCube, config: FusionConfig,
-                       n_components: int, full_projection: bool,
-                       tile_rows: Optional[int],
-                       out: Optional[SharedCompositeHandle] = None) -> FusionResult:
+                       n_components: int, tile_rows: Optional[int],
+                       out: SharedCompositeHandle) -> FusionResult:
     """Stage task covering a whole request: every stage, on this worker.
 
     Calls :func:`run_pipeline` -- same decomposition, same merge order, same
     unique-set partition, same tiling as a split request, so the same bits --
-    against an inline executor.  With ``out`` (process transports) the tiles
-    land in the caller's placement and no array rides the result spool;
-    without it (host threads) the full result is handed over in-process.
-    Pure and deterministic like every stage task: a retry after a worker
-    death rewrites the same bytes into the same placement.
+    against an inline executor.  The tiles land in the caller's placement
+    ``out``, so no array rides back with the result.  Pure and deterministic
+    like every stage task: a retry after a worker death rewrites the same
+    bytes into the same placement.
     """
-    return run_pipeline(cube, config, _InlineStages(),
-                        n_components=n_components,
-                        full_projection=full_projection, tile_rows=tile_rows,
-                        out=out)
-
-
-def run_whole_request(request, config: FusionConfig, executor,
-                      output_pool: Optional[OutputPool] = None) -> FusionResult:
-    """Place ``request`` whole: one slot task, zero barriers in the driver.
-
-    :func:`execute_pipeline_request` picks this placement by size; the
-    Figure-5 script calls it directly to measure it past the constant.
-    """
-    cube = request.cube
-
-    def _whole(out: Optional[SharedCompositeHandle] = None) -> FusionResult:
-        return executor.submit("request", fuse_whole_request, cube, config,
-                               request.n_components, request.full_projection,
-                               request.tile_rows, out,
-                               covers=STAGE_LABELS).result()
-
-    if executor.uses_processes:
-        with _borrowed_placement(output_pool, cube.rows, cube.cols,
-                                 request.n_components) as placement:
-            result = _whole(placement.handle())
-            components, composite = _copy_out(placement)
-        result = replace(result, components=components, composite=composite)
-    else:
-        result = _whole()
-    result.metadata.update(placement="request", stage_tasks=1)
-    return result
+    return run_pipeline(cube, config, _InlineStages(), out,
+                        n_components=n_components, tile_rows=tile_rows)
 
 
 def execute_pipeline_request(request, executor, *, backend_label: str,
@@ -544,32 +466,40 @@ def execute_pipeline_request(request, executor, *, backend_label: str,
 
     What the ``pipeline`` engine runs (:class:`~repro.api.engines.
     PipelineEngine`), on its session's executor -- one for every in-flight
-    cube -- and its reusable ``output_pool`` of zero-copy placements.
+    cube -- and its reusable ``output_pool`` of output placements.
     Returns the unified :class:`~repro.api.request.FusionReport`.
 
     This is where the request is *placed* (see the module docstring): at or
     below :data:`WHOLE_REQUEST_MAX_SAMPLES` it runs as one slot task, above
     it as per-stage tasks.  ``report.result.metadata["placement"]`` says
-    which.
+    which.  Either plan writes into the one output placement borrowed here,
+    which is copied out after success and retired after a failure.
     """
     from ..api.request import FusionReport
 
     config = request.resolved_config()
     cube = request.cube
+    n_components = request.n_components
     start = time.perf_counter()
-    if cube.pixels * cube.bands <= WHOLE_REQUEST_MAX_SAMPLES:
-        result = run_whole_request(request, config, executor, output_pool)
-    else:
-        result = run_pipeline(cube, config, executor,
-                              n_components=request.n_components,
-                              full_projection=request.full_projection,
-                              tile_rows=request.tile_rows,
-                              output_pool=output_pool)
+    with _borrowed_placement(output_pool, cube.rows, cube.cols,
+                             n_components) as placement:
+        if cube.pixels * cube.bands <= WHOLE_REQUEST_MAX_SAMPLES:
+            result = executor.submit(
+                "request", fuse_whole_request, cube, config, n_components,
+                request.tile_rows, placement.handle(),
+                covers=STAGE_LABELS).result()
+            result.metadata.update(placement="request", stage_tasks=1)
+        else:
+            result = run_pipeline(cube, config, executor, placement.handle(),
+                                  n_components=n_components,
+                                  tile_rows=request.tile_rows)
+        components, composite = _copy_out(placement)
+    result = replace(result, components=components, composite=composite)
     elapsed = time.perf_counter() - start
     metrics = RunMetrics(elapsed_seconds=elapsed, backend=backend_label,
                          workers=config.partition.workers,
                          subcubes=min(config.partition.effective_subcubes,
-                                      request.cube.rows))
+                                      cube.rows))
     return FusionReport(result=result, metrics=metrics, engine="pipeline",
                         backend=backend_label,
                         stage_timings=stage_timings_from_result(result))
@@ -577,7 +507,5 @@ def execute_pipeline_request(request, executor, *, backend_label: str,
 
 __all__ = ["run_pipeline", "execute_pipeline_request",
            "WHOLE_REQUEST_MAX_SAMPLES", "STAGE_LABELS", "fuse_whole_request",
-           "run_whole_request",
            "plan_tiles", "default_tile_rows",
-           "screen_tile", "covariance_partial", "project_tile",
-           "project_tile_into"]
+           "screen_tile", "covariance_partial", "project_tile_into"]

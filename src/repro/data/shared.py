@@ -295,9 +295,10 @@ class SharedCube(HyperspectralCube):
 # Output placements: SharedComposite
 # ---------------------------------------------------------------------------
 
-#: Element type of the output arrays; matches the float64 accumulation of
-#: :func:`~repro.core.partition.reassemble_composite`, so the zero-copy path
-#: is bit-identical to the reassembled spool path.
+#: Element type of the output arrays: float64, the dtype of every other
+#: engine's composite and components (the sequential reference's, and the
+#: manager's :func:`~repro.core.partition.reassemble_composite`), so the
+#: pipeline's output compares with theirs bit for bit.
 _OUTPUT_DTYPE = np.float64
 
 
@@ -599,7 +600,11 @@ class OutputPool:
             return len(self._segments)
 
     def acquire(self, rows: int, cols: int, n_components: int = 3) -> SharedComposite:
-        """Borrow a pinned placement of the requested output shape."""
+        """Borrow a pinned placement of the requested output shape.
+
+        Allocating a new segment first evicts idle ones over the bound, so
+        the pool exceeds ``max_segments`` only while every segment is pinned.
+        """
         with self._lock:
             if self._closed:
                 raise CubeError("output pool is closed")
@@ -607,6 +612,9 @@ class OutputPool:
                 if (placement.pins == 0 and not placement.closed
                         and placement.matches(rows, cols, n_components)):
                     return placement.pin()
+            evicted = self._evict_idle(len(self._segments) + 1)
+        for stale in evicted:
+            stale.close()
         placement = SharedComposite.create(rows, cols, n_components).pin()
         with self._lock:
             if self._closed:  # closed underneath the allocation
@@ -624,19 +632,24 @@ class OutputPool:
         failed run must :meth:`discard` instead.
         """
         placement.unpin()
-        evicted: List[SharedComposite] = []
         with self._lock:
-            over = len(self._segments) - self._max_segments
-            if over > 0:
-                for candidate in list(self._segments):
-                    if candidate.pins == 0:
-                        self._segments.remove(candidate)
-                        evicted.append(candidate)
-                        over -= 1
-                        if over <= 0:
-                            break
+            evicted = self._evict_idle(len(self._segments))
         for stale in evicted:
             stale.close()
+
+    def _evict_idle(self, wanted: int) -> List[SharedComposite]:
+        """Under the lock: drop idle segments, oldest first, until ``wanted``
+        segments fit the bound; the caller closes what is returned."""
+        evicted: List[SharedComposite] = []
+        over = wanted - self._max_segments
+        for candidate in list(self._segments):
+            if over <= 0:
+                break
+            if candidate.pins == 0:
+                self._segments.remove(candidate)
+                evicted.append(candidate)
+                over -= 1
+        return evicted
 
     def discard(self, placement: SharedComposite) -> None:
         """Retire a borrowed placement whose run failed.

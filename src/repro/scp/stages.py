@@ -237,9 +237,9 @@ class TransportStageExecutor:
         #: leave 50 ms of silence, e.g. while a killed worker is respawned.)
         self.late_commits = 0
         #: Result-payload bytes read back through the spool, per stage.
-        #: The zero-copy path's primary observable: with shared-memory
-        #: output placement the ``project`` stage's entry is O(1) row-range
-        #: acknowledgements per tile instead of O(pixels) pickled arrays.
+        #: The output placement's observable: the ``project`` stage's entry
+        #: is O(1) row-range acknowledgements per tile, not O(pixels)
+        #: pickled arrays.
         #: Stays empty on in-process transports (nothing is serialised).
         self.stage_payload_bytes: Dict[str, int] = {}
         #: Injected kills that actually fired, per stage (chaos
@@ -279,11 +279,6 @@ class TransportStageExecutor:
     def supports_kill(self) -> bool:
         """Whether :meth:`inject_kill` can SIGKILL a real worker."""
         return self._transport.supports_kill
-
-    @property
-    def uses_processes(self) -> bool:
-        """Whether results cross a process boundary (zero-copy payoff)."""
-        return self._transport.uses_processes
 
     def submit(self, stage: str, fn: Callable, *args,
                covers: Sequence[str] = (), **kwargs) -> Future:

@@ -153,10 +153,6 @@ class WorkerTransport:
     kind: str = "abstract"
     #: Whether :meth:`kill` can actually SIGKILL a worker (chaos hooks).
     supports_kill: bool = False
-    #: Whether workers live in other OS processes (drives zero-copy
-    #: shared-memory placement: results must cross a process boundary
-    #: for spool/SharedComposite accounting to mean anything).
-    uses_processes: bool = False
     #: Whether close() waits for in-flight tasks to finish and commit
     #: (host threads cannot be abandoned mid-task; processes can).
     drain_on_close: bool = False
@@ -260,7 +256,6 @@ class InProcessTransport(WorkerTransport):
 
     kind = "inprocess"
     supports_kill = False
-    uses_processes = False
     drain_on_close = True
 
     def __init__(self, *, workers: int = 4) -> None:
@@ -361,7 +356,6 @@ class ForkedProcessTransport(WorkerTransport):
 
     kind = "forked-process"
     supports_kill = True
-    uses_processes = True
 
     def __init__(self, pool: Optional[ProcessPool] = None, *,
                  start_method: Optional[str] = None) -> None:
@@ -567,7 +561,6 @@ class SocketTransport(WorkerTransport):
 
     kind = "socket"
     supports_kill = True
-    uses_processes = True
 
     def __init__(self, *, workers: int = 4,
                  start_method: Optional[str] = None) -> None:

@@ -26,7 +26,6 @@ REQUEST_FIELDS = [
     ("subcubes", None),
     ("config", None),
     ("n_components", 3),
-    ("full_projection", True),
     ("prefetch", 2),
     ("reassign_timeout", None),
     ("cluster", None),

@@ -45,17 +45,20 @@ PIPELINE_CASE = ParityCase(
 def broken_projection(monkeypatch):
     """Perturb the streaming projection kernel by +1e-4 (clipped).
 
-    The perturbation stays finite and inside [0, 1], so the metadata
-    invariants keep passing and only the bit-parity diff can catch it --
-    exactly the class of bug the differential harness exists for.
+    The kernel writes each tile into the output placement; the wrapper
+    shifts the written composite rows in place.  The perturbation stays
+    finite and inside [0, 1], so the metadata invariants keep passing and
+    only the bit-parity diff can catch it -- exactly the class of bug the
+    differential harness exists for.
     """
-    real = streaming.project_tile
+    real = streaming.kernel_project_and_map
 
-    def crooked(*pargs, **kwargs):
-        components, composite = real(*pargs, **kwargs)
-        return components, np.clip(composite + 1e-4, 0.0, 1.0)
+    def crooked(*pargs, composite_out, **kwargs):
+        result = real(*pargs, composite_out=composite_out, **kwargs)
+        np.clip(composite_out + 1e-4, 0.0, 1.0, out=composite_out)
+        return result
 
-    monkeypatch.setattr(streaming, "project_tile", crooked)
+    monkeypatch.setattr(streaming, "kernel_project_and_map", crooked)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +130,7 @@ def test_crashing_combo_is_recorded_not_raised(monkeypatch):
     def boom(*pargs, **kwargs):
         raise RuntimeError("kernel exploded")
 
-    monkeypatch.setattr(streaming, "project_tile", boom)
+    monkeypatch.setattr(streaming, "project_tile_into", boom)
     outcome = run_case(PIPELINE_CASE)
     assert [v.kind for v in outcome.violations] == ["error"]
     assert "kernel exploded" in outcome.violations[0].detail

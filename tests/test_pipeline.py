@@ -71,13 +71,6 @@ class TestFusePipeline:
             screening=ScreeningConfig(angle_threshold=0.15))).fuse(small_cube)
         assert tight.unique_set_size > loose.unique_set_size
 
-    def test_full_vs_truncated_projection_same_composite(self, small_cube, fast_config):
-        """Projecting with the full eigenvector matrix and keeping 3 components
-        equals projecting directly onto the first 3 eigenvectors."""
-        full = SpectralScreeningPCT(fast_config, full_projection=True).fuse(small_cube)
-        reduced = SpectralScreeningPCT(fast_config, full_projection=False).fuse(small_cube)
-        np.testing.assert_allclose(full.composite, reduced.composite, atol=1e-9)
-
     def test_phase_flops_populated(self, small_cube, fast_config):
         result = SpectralScreeningPCT(fast_config).fuse(small_cube)
         for phase in ("screening", "projection", "eigendecomposition", "covariance"):

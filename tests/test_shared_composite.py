@@ -9,8 +9,10 @@ import textwrap
 import numpy as np
 import pytest
 
+from _process_utils import run_pipeline_copied
+from repro.api.request import FusionRequest
 from repro.config import FusionConfig, PartitionConfig, ScreeningConfig
-from repro.core.streaming import run_pipeline
+from repro.core.streaming import execute_pipeline_request
 from repro.data.cube import CubeError
 from repro.data.hydice import HydiceConfig, HydiceGenerator
 from repro.data.shared import (OutputPool, SharedComposite, output_tile_views,
@@ -163,6 +165,18 @@ class TestOutputPool:
             np.testing.assert_array_equal(pinned.components.shape, (8, 4, 3))
             pool.release(pinned)
 
+    def test_new_shape_evicts_an_idle_segment_before_allocating(self):
+        # Over the bound only while everything is pinned: a stream of
+        # distinct shapes never holds an idle segment beside a full window.
+        with OutputPool(max_segments=2) as pool:
+            busy = pool.acquire(8, 4, 3)
+            idle = pool.acquire(9, 4, 3)
+            pool.release(idle)
+            fresh = pool.acquire(10, 4, 3)
+            assert idle.closed and pool.segments == 2
+            pool.release(fresh)
+            pool.release(busy)
+
     def test_discard_retires_the_segment_instead_of_reissuing(self):
         # A failed run's placement may still have straggler writers; discard
         # must unlink it and the next acquire must get a fresh segment.
@@ -206,7 +220,7 @@ class TestSegmentRegistry:
 
 
 class TestZeroCopyParity:
-    """Neither result path changes outputs; the executor picks the path."""
+    """The one result path changes no output, on any transport."""
 
     @pytest.fixture(scope="class")
     def cube(self):
@@ -230,13 +244,10 @@ class TestZeroCopyParity:
         reference = fuse(cube, engine="sequential", config=config)
         transport = transport_for_spec(BackendSpec.parse(kind), workers=2)
         with TransportStageExecutor(transport, workers=2) as executor:
-            result = run_pipeline(cube, config, executor)
-            uses_processes = executor.uses_processes
+            result = run_pipeline_copied(cube, config, executor)
         np.testing.assert_array_equal(result.composite, reference.composite)
         np.testing.assert_array_equal(result.components,
                                       reference.result.components)
-        assert uses_processes is (kind == "process")
-        assert result.metadata["zero_copy"] is uses_processes
         assert owned_segment_names() == ()  # every placement released
 
     def test_zero_copy_project_stage_returns_acknowledgements_not_pixels(
@@ -249,9 +260,8 @@ class TestZeroCopyParity:
         with ProcessPool() as pool:
             with TransportStageExecutor(ForkedProcessTransport(pool),
                                         workers=2) as executor:
-                result = run_pipeline(cube, config, executor)
+                result = run_pipeline_copied(cube, config, executor)
                 project_bytes = executor.stage_payload_bytes["project"]
-        assert result.metadata["zero_copy"] is True
         assert project_bytes <= 64 * result.metadata["tiles"]
         assert project_bytes * 10 <= (result.components.nbytes
                                       + result.composite.nbytes)
@@ -272,19 +282,25 @@ class TestFailedRunDiscardsPlacement:
         from repro.scp.stages import StageCrashError
 
         pool = OutputPool(max_segments=2)
+        request = FusionRequest(cube=tiny_cube, engine="pipeline",
+                                config=fast_config)
+
+        def run(executor):
+            return execute_pipeline_request(request, executor,
+                                            backend_label="process:2",
+                                            output_pool=pool)
+
         with ProcessPool() as workers:
             with TransportStageExecutor(ForkedProcessTransport(workers),
                                         workers=2, max_retries=0) as executor:
                 executor.inject_kill("project", kills=8)
                 with pytest.raises(StageCrashError):
-                    run_pipeline(tiny_cube, fast_config, executor,
-                                 output_pool=pool)
+                    run(executor)
             assert pool.segments == 0  # discarded, not returned for reuse
             with TransportStageExecutor(ForkedProcessTransport(workers),
                                         workers=2) as executor:
-                result = run_pipeline(tiny_cube, fast_config, executor,
-                                      output_pool=pool)
-            assert result.composite.shape == (tiny_cube.rows, tiny_cube.cols, 3)
+                report = run(executor)
+            assert report.composite.shape == (tiny_cube.rows, tiny_cube.cols, 3)
             assert pool.segments == 1
         pool.close()
 

@@ -16,12 +16,12 @@ import time
 import numpy as np
 import pytest
 
-from _process_utils import shm_residue
+from _process_utils import run_pipeline_copied, shm_residue
 from repro import fuse, open_session
 from repro.api.request import FusionRequest
 from repro.config import FusionConfig, PartitionConfig, ScreeningConfig
 from repro.core.streaming import (STAGE_LABELS, WHOLE_REQUEST_MAX_SAMPLES,
-                                  execute_pipeline_request, run_pipeline)
+                                  execute_pipeline_request)
 from repro.data.cube import HyperspectralCube
 from repro.data.hydice import HydiceConfig, HydiceGenerator
 from repro.data.shared import owned_segment_names
@@ -72,7 +72,6 @@ class TestPlanBoundary:
                     1 if placement == "request" else 4 + 2 + 4)
                 assert metadata["stage_invocations"] == KERNEL_COUNTS
                 assert metadata["tiles"] == 4
-                assert metadata["zero_copy"] is (spec != "local:2")
                 assert set(report.stage_timings) == set(KERNEL_COUNTS)
                 np.testing.assert_array_equal(report.composite,
                                               reference.composite)
@@ -94,7 +93,6 @@ class TestPlanBoundary:
                       config=fast_config)
         assert report.result.metadata["placement"] == "request"
         assert report.result.metadata["stage_tasks"] == 1
-        assert report.result.metadata["zero_copy"] is True
         np.testing.assert_array_equal(report.composite, reference.composite)
         assert owned_segment_names() == ()
 
@@ -116,9 +114,9 @@ class TestWholeRequestHonoursExplicitTiling:
         request = FusionRequest(cube=cube, engine="pipeline",
                                 backend="process:2",
                                 **{**session._defaults, **overrides})
-        return run_pipeline(cube, request.resolved_config(),
-                            session.stage_executor(),
-                            tile_rows=request.tile_rows)
+        return run_pipeline_copied(cube, request.resolved_config(),
+                                   session.stage_executor(),
+                                   tile_rows=request.tile_rows)
 
     @pytest.mark.parametrize("tile_rows", [1, 5, 32])
     def test_tile_rows(self, session, tiny_cube, tile_rows):
@@ -188,7 +186,8 @@ class TestWholeEqualsSplitProperty:
                                     tile_rows=tile_rows)
             report = execute_pipeline_request(request, executor,
                                               backend_label="local")
-            split = run_pipeline(cube, config, executor, tile_rows=tile_rows)
+            split = run_pipeline_copied(cube, config, executor,
+                                        tile_rows=tile_rows)
             whole = report.result
             assert whole.metadata["placement"] == "request"
             assert whole.metadata["tiles"] == split.metadata["tiles"]

@@ -19,10 +19,11 @@ The two property families mirror the streaming engine's two trust anchors:
 import numpy as np
 import pytest
 
+from _process_utils import run_pipeline_copied
 from repro import fuse
 from repro.config import FusionConfig, PartitionConfig, ScreeningConfig
 from repro.core.partition import reassemble_composite
-from repro.core.streaming import default_tile_rows, plan_tiles, run_pipeline
+from repro.core.streaming import default_tile_rows, plan_tiles
 from repro.data.hydice import HydiceConfig, HydiceGenerator
 from repro.scp.registry import BackendSpec
 from repro.scp.stages import TransportStageExecutor
@@ -213,7 +214,8 @@ class TestTilingIsOutputInvariant:
         rng = np.random.default_rng(rows * 31 + cols)
         tilings = {1, rows, *(int(rng.integers(1, rows + 1)) for _ in range(6))}
         for tile_rows in sorted(tilings):
-            result = run_pipeline(cube, config, executor, tile_rows=tile_rows)
+            result = run_pipeline_copied(cube, config, executor,
+                                         tile_rows=tile_rows)
             np.testing.assert_array_equal(result.composite, reference.composite)
             np.testing.assert_array_equal(result.components,
                                           reference.result.components)

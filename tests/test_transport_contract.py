@@ -247,9 +247,8 @@ def test_capability_flags_match_substrate():
     flags = {}
     for kind in TRANSPORTS:
         with make_executor(kind) as executor:
-            flags[kind] = (executor.supports_kill, executor.uses_processes)
-    assert flags == {"inprocess": (False, False), "forked": (True, True),
-                     "socket": (True, True)}
+            flags[kind] = executor.supports_kill
+    assert flags == {"inprocess": False, "forked": True, "socket": True}
 
 
 # ---------------------------------------------------------------------------
