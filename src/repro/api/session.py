@@ -55,12 +55,15 @@ from ..scp.transport import transport_for_spec
 from .engines import get_engine
 from .request import FusionReport, FusionRequest
 
-#: FusionRequest fields a per-call override may set.  ``engine`` and
-#: ``backend`` are pinned at session open -- they determine what the session
-#: keeps alive -- and ``cube`` is the positional argument of ``fuse``.
-_OVERRIDABLE = frozenset(
+#: FusionRequest fields a session takes as options at open.  ``engine`` and
+#: ``backend`` are parameters of their own -- they determine what the
+#: session keeps alive -- and ``cube`` is the positional argument of ``fuse``.
+_SESSION_OPTIONS = frozenset(
     field for field in FusionRequest.__dataclass_fields__
     if field not in ("cube", "engine", "backend"))
+#: The options a per-call override may set: all but ``max_inflight``, which
+#: sizes the session's driver threads and output pool once, at open.
+_OVERRIDABLE = _SESSION_OPTIONS - {"max_inflight"}
 
 #: The backend whose worker processes a session pools.
 _POOLED_BACKEND = "process"
@@ -84,8 +87,11 @@ class FusionSession:
         ``sequential``.
     workers / subcubes / config / options:
         Session-wide request defaults; any :class:`FusionRequest` field
-        except ``engine``/``backend`` can be overridden per
+        except ``engine``/``backend``/``max_inflight`` can be overridden per
         :meth:`fuse` call.
+    max_inflight (option):
+        Requests in flight on the pipeline engine (the others run serially);
+        it sizes the driver threads and output pool, so no call overrides it.
     start_method:
         Start method of the worker pool; defaults to the spec's variant
         (``"process:fork"``) or the platform's cheapest safe method.
@@ -113,10 +119,10 @@ class FusionSession:
         if max_placements < 1:
             raise ValueError("max_placements must be >= 1")
         self._max_placements = max_placements
-        unknown = set(options) - _OVERRIDABLE
+        unknown = set(options) - _SESSION_OPTIONS
         if unknown:
             raise ValueError(f"unknown session option(s) {sorted(unknown)}; "
-                             f"valid options: {sorted(_OVERRIDABLE)}")
+                             f"valid options: {sorted(_SESSION_OPTIONS)}")
         self._defaults = dict(options)
         self._defaults["workers"] = workers
         self._defaults["subcubes"] = subcubes
@@ -127,7 +133,11 @@ class FusionSession:
                          else BackendSpec.parse(backend))
         # Before anything is spawned: an option the engine cannot honour on
         # this backend fails at open, not at the first fuse().
-        self._request(None, {})
+        max_inflight = self._request(None, {}).max_inflight
+        self._max_inflight = (self._engine.max_inflight if max_inflight is None
+                              else max_inflight)
+        if self._max_inflight < 1:
+            raise ValueError("max_inflight must be >= 1")
         self._start_method = start_method
         self._pool: Optional[ProcessPool] = None
         if self._backend_name == _POOLED_BACKEND:
@@ -145,7 +155,6 @@ class FusionSession:
         # output placements.
         self._stage_executor: Optional[TransportStageExecutor] = None
         self._drivers: Optional[ThreadPoolExecutor] = None
-        self._driver_width: Optional[int] = None
         self._output_pool: Optional[OutputPool] = None
         if warm and self._pool is not None:
             self._pool.ensure(self._engine.slots_needed(self._probe_config()))
@@ -241,8 +250,8 @@ class FusionSession:
         their resources reclaimed, by :meth:`close`.
         """
         self._check_open()
-        return self._driver_pool(self._max_inflight(overrides)) \
-            .submit(self.fuse, cube, **overrides)
+        self._request(None, overrides)
+        return self._driver_pool().submit(self.fuse, cube, **overrides)
 
     def fuse_stream(self, cubes: Iterable[HyperspectralCube],
                     **overrides: Any) -> Iterator[FusionReport]:
@@ -262,32 +271,22 @@ class FusionSession:
         the same boundary contract as :meth:`fuse_many`.
         """
         self._check_open()
-        inflight = self._max_inflight(overrides)
-        return self._stream(cubes, inflight, overrides)
+        self._request(None, overrides)
+        return self._stream(cubes, overrides)
 
-    def _stream(self, cubes: Iterable[HyperspectralCube], inflight: int,
+    def _stream(self, cubes: Iterable[HyperspectralCube],
                 overrides: Dict[str, Any]) -> Iterator[FusionReport]:
         window: "deque[Future[FusionReport]]" = deque()
         try:
             for cube in cubes:
                 window.append(self.submit(cube, **overrides))
-                while len(window) > inflight:
+                while len(window) > self._max_inflight:
                     yield window.popleft().result()
             while window:
                 yield window.popleft().result()
         finally:
             for future in window:  # abandoned mid-stream: drop what we can
                 future.cancel()
-
-    def _max_inflight(self, overrides: Dict[str, Any]) -> int:
-        """The stream window: the request's ``max_inflight`` (which engines
-        that run serially reject), else the engine's own."""
-        inflight = self._request(None, overrides).max_inflight
-        if inflight is None:
-            inflight = self._engine.max_inflight
-        if inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
-        return inflight
 
     def stage_executor(self) -> TransportStageExecutor:
         """The session-wide stage executor (pipeline engine only).
@@ -341,28 +340,17 @@ class FusionSession:
         with self._lock:
             self._check_open()
             if self._output_pool is None:
-                self._output_pool = OutputPool(
-                    max_segments=self._max_inflight({}))
+                self._output_pool = OutputPool(max_segments=self._max_inflight)
             return self._output_pool
 
-    def _driver_pool(self, width: int) -> ThreadPoolExecutor:
-        """The driver threads, sized by the first stream's ``max_inflight``.
-
-        Thread pools cannot grow after creation, so a later call asking for
-        a *different* width is an error rather than a silent cap -- losing
-        the requested overlap quietly would defeat the engine's purpose.
-        """
+    def _driver_pool(self) -> ThreadPoolExecutor:
+        """The driver threads, one per request in flight (``max_inflight``)."""
         with self._lock:
             self._check_open()
             if self._drivers is None:
-                self._driver_width = width
                 self._drivers = ThreadPoolExecutor(
-                    max_workers=width, thread_name_prefix="fuse-stream")
-            elif width != self._driver_width:
-                raise ValueError(
-                    f"max_inflight is pinned to {self._driver_width} by this "
-                    f"session's first stream; open a new session (or set "
-                    f"max_inflight at open_session) to change it")
+                    max_workers=self._max_inflight,
+                    thread_name_prefix="fuse-stream")
             return self._drivers
 
     # -------------------------------------------------------------- placement

@@ -23,10 +23,10 @@ class, :class:`~repro.api.engines.PipelineEngine`, only hands a request and
 its session's executor to :func:`execute_pipeline_request`.  The two
 barriers are tiny: merging unique sets, a ``bands x bands``
 eigen-decomposition and the colour-stretch statistics -- all independent of
-image size.  Because the executor bounds the number of tasks in flight,
-several independent fusions can stream through one executor concurrently
-(that is what :meth:`repro.api.session.FusionSession.fuse_stream` does) with
-bounded memory and no cross-talk.
+image size.  Because the transport bounds the tasks in flight and the
+session the requests (``max_inflight``), several independent fusions can
+stream through one executor concurrently (that is what :meth:`repro.api.
+session.FusionSession.fuse_stream` does) with bounded memory.
 
 Bit-identity
 ------------

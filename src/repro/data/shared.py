@@ -54,6 +54,12 @@ from ..forksafe import ForkSafeLock
 from .cube import CubeError, HyperspectralCube
 
 
+#: Held by every segment creation and by the process-wide tracker-hook swap
+#: in :func:`_attach_untracked`, so no creation goes unregistered (its
+#: unlink would upset the tracker, and a crash leak it).  Fork-safe (RPL003).
+_tracker_lock = ForkSafeLock()
+
+
 def _attach_untracked(name: str) -> shared_memory.SharedMemory:
     """Attach to an existing segment without resource-tracker registration.
 
@@ -70,12 +76,13 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
         pass
     from multiprocessing import resource_tracker
 
-    original = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original
+    with _tracker_lock:
+        original = resource_tracker.register
+        resource_tracker.register = lambda *args, **kwargs: None
+        try:
+            return shared_memory.SharedMemory(name=name)
+        finally:
+            resource_tracker.register = original
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +215,8 @@ class SharedCube(HyperspectralCube):
         if isinstance(cube, SharedCube):
             return cube
         data = np.ascontiguousarray(cube.data, dtype=np.float32)
-        shm = shared_memory.SharedMemory(create=True, size=max(data.nbytes, 1))
+        with _tracker_lock:
+            shm = shared_memory.SharedMemory(create=True, size=max(data.nbytes, 1))
         view = np.ndarray(data.shape, dtype=np.float32, buffer=shm.buf)
         view[:] = data
         return cls(view, cube.wavelengths_nm.copy(), dict(cube.metadata),
@@ -361,8 +369,9 @@ class SharedComposite:
         """Allocate a fresh output segment sized for one run's outputs."""
         if rows < 1 or cols < 1 or n_components < 1:
             raise ValueError("output placement dimensions must be >= 1")
-        shm = shared_memory.SharedMemory(
-            create=True, size=max(cls._nbytes(rows, cols, n_components), 1))
+        with _tracker_lock:
+            shm = shared_memory.SharedMemory(
+                create=True, size=max(cls._nbytes(rows, cols, n_components), 1))
         return cls(shm, rows, cols, n_components, owner=True)
 
     @classmethod
@@ -592,6 +601,8 @@ class OutputPool:
         self._max_segments = max_segments
         self._lock = threading.Lock()
         self._segments: List[SharedComposite] = []
+        #: Segments being allocated: each holds its place under the bound.
+        self._allocating = 0
         self._closed = False
 
     @property
@@ -602,8 +613,9 @@ class OutputPool:
     def acquire(self, rows: int, cols: int, n_components: int = 3) -> SharedComposite:
         """Borrow a pinned placement of the requested output shape.
 
-        Allocating a new segment first evicts idle ones over the bound, so
-        the pool exceeds ``max_segments`` only while every segment is pinned.
+        Allocating a new segment first reserves its place and evicts idle
+        ones over the bound, so the pool exceeds ``max_segments`` only while
+        every segment is pinned.
         """
         with self._lock:
             if self._closed:
@@ -612,11 +624,18 @@ class OutputPool:
                 if (placement.pins == 0 and not placement.closed
                         and placement.matches(rows, cols, n_components)):
                     return placement.pin()
-            evicted = self._evict_idle(len(self._segments) + 1)
+            self._allocating += 1
+            evicted = self._evict_idle()
         for stale in evicted:
             stale.close()
-        placement = SharedComposite.create(rows, cols, n_components).pin()
-        with self._lock:
+        try:
+            placement = SharedComposite.create(rows, cols, n_components).pin()
+        except BaseException:
+            with self._lock:
+                self._allocating -= 1
+            raise
+        with self._lock:  # the reservation becomes the segment atomically
+            self._allocating -= 1
             if self._closed:  # closed underneath the allocation
                 placement.unpin()
                 placement.close()
@@ -633,15 +652,15 @@ class OutputPool:
         """
         placement.unpin()
         with self._lock:
-            evicted = self._evict_idle(len(self._segments))
+            evicted = self._evict_idle()
         for stale in evicted:
             stale.close()
 
-    def _evict_idle(self, wanted: int) -> List[SharedComposite]:
-        """Under the lock: drop idle segments, oldest first, until ``wanted``
-        segments fit the bound; the caller closes what is returned."""
+    def _evict_idle(self) -> List[SharedComposite]:
+        """Under the lock: drop idle segments, oldest first, until they and
+        the allocations fit the bound; the caller closes what is returned."""
         evicted: List[SharedComposite] = []
-        over = wanted - self._max_segments
+        over = len(self._segments) + self._allocating - self._max_segments
         for candidate in list(self._segments):
             if over <= 0:
                 break

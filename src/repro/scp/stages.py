@@ -15,18 +15,15 @@ This module provides that layer on top of the worker-transport seam
   loop understands -- every process worker, forked or behind a node agent,
   is a pool slot -- so stage tasks execute on whatever substrate the
   transport provides;
-* :class:`TransportStageExecutor` -- the parent-side dispatcher: it
-  borrows a worker per task from its transport, routes committed results
-  back to per-task futures, sweeps for workers that died mid-task
-  (SIGKILL, OOM, whole-node loss) and transparently re-dispatches the
-  task on a fresh worker, and enforces *backpressure*: each worker runs
-  one task and holds the next
-  (:data:`~repro.scp.transport.TASKS_PER_WORKER`), so at most ``2 x
-  workers`` tasks are in flight and further ``submit`` calls block, which
-  is what bounds the memory of a streaming fusion to O(tiles in flight)
-  instead of O(cube); it also keeps the kill-request bookkeeping
-  and the per-stage observability counters (identical semantics on
-  threads and processes, because there is one executor);
+* :class:`TransportStageExecutor` -- the parent-side dispatcher: it keeps
+  one FIFO *ready queue*, sends its oldest task whenever the transport
+  grants a place (the transport alone bounds the tasks in flight, so
+  ``submit`` never blocks), routes committed results back to per-task
+  futures, sweeps for workers that died mid-task (SIGKILL, OOM, whole-node
+  loss) and transparently re-dispatches the task on a fresh worker, ahead
+  of everything queued; it also keeps the kill-request bookkeeping and the
+  per-stage observability counters (identical semantics on threads and
+  processes, because there is one executor);
 * a typed error taxonomy (:class:`StageError`, :class:`StageCrashError`)
   so a stream either completes or fails cleanly -- never hangs.
 
@@ -75,12 +72,13 @@ still be running.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import pickle
 import threading
 import time
 from concurrent.futures import Future
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, Optional, Sequence, Tuple
 
 from ..logging_utils import get_logger
 from .errors import SCPError
@@ -88,8 +86,8 @@ from .serialization import (ERROR_SUFFIX as _ERROR_SUFFIX,
                             RESULT_SUFFIX as _RESULT_SUFFIX,
                             commit_spool_file as _commit_spool_file,
                             ring_doorbell as _ring_doorbell)
-from .transport import (STAGE_ASSIGN as _STAGE_ASSIGN, TASKS_PER_WORKER,
-                        CommittedResult, TaskFrame, WorkerTransport)
+from .transport import (STAGE_ASSIGN as _STAGE_ASSIGN, CommittedResult,
+                        TaskFrame, WorkerTransport)
 
 _LOG = get_logger("scp.stages")
 
@@ -197,11 +195,9 @@ class TransportStageExecutor:
         -- e.g. a session's :class:`~repro.scp.pool.ProcessPool` -- leaves
         that resource open (it closes only what it created itself).
     workers:
-        Workers the tasks run on.  Each worker runs one task and holds the
-        next, already on its inbox, so it never waits out a refill between
-        tasks: the dispatch window is ``TASKS_PER_WORKER x workers`` tasks,
-        and a ``submit`` beyond it blocks the caller (backpressure) until a
-        task commits.
+        Workers the tasks run on, provisioned at construction.  How many
+        tasks each one holds at once is the transport's to grant; the rest
+        wait in the executor's ready queue.
     max_retries:
         How many times a task whose *worker died* is re-dispatched on a
         fresh worker before its future fails with
@@ -218,12 +214,14 @@ class TransportStageExecutor:
         self._transport = transport
         self._workers = workers
         self._max_retries = max_retries
-        self._window = threading.BoundedSemaphore(TASKS_PER_WORKER * workers)
         self._pending: Dict[int, _PendingStage] = {}
-        #: Tasks waiting for a place on a warm worker: crash retries, and
-        #: submits that found every place held by a dying worker.
-        self._deferred: List[_PendingStage] = []
+        #: Tasks waiting for a place on a worker, oldest first: submits join
+        #: the back, crash retries the front.
+        self._ready: Deque[_PendingStage] = collections.deque()
         self._lock = threading.Lock()
+        #: Held while the ready queue is drained: tasks leave it in order,
+        #: whichever thread -- a submitter or the router -- sends them.
+        self._dispatch_lock = threading.Lock()
         self._ids = itertools.count()
         self._closed = False
         #: Tasks re-dispatched after their worker died (chaos metric).
@@ -282,47 +280,31 @@ class TransportStageExecutor:
 
     def submit(self, stage: str, fn: Callable, *args,
                covers: Sequence[str] = (), **kwargs) -> Future:
-        """Queue one stage task; returns its future.
+        """Queue one stage task; returns its future at once.
 
-        Blocks while the dispatch window is full -- each worker running one
-        task and holding the next -- which is the bounded stage queue
-        providing backpressure to the tile producers.  A task that cannot
-        be dispatched (say, it does not pickle) raises here, and gives back
-        its place in the window, its worker and no armed kill.
+        The task joins the back of the ready queue, which is then drained
+        for as long as the transport grants a place, so a task that finds a
+        free place is sent before ``submit`` returns; the others are sent
+        by the router as commits free places.  A task that cannot be sent
+        (say, it does not pickle) fails its future with
+        :class:`StageCrashError` and costs no worker, place or armed kill.
 
         ``covers`` names further stages whose work this one task *runs* (a
         whole-request task runs screening, covariance and projection), so
         :meth:`inject_kill` on any of them still finds a task to fire on.
         """
-        while not self._window.acquire(timeout=0.1):
-            if self._closed:
-                raise StageError(stage, "stage executor is closed")
         record = _PendingStage(next(self._ids), stage, covers, fn, args, kwargs)
         with self._lock:
-            # Re-checked under the lock: close() drains _pending under the
-            # same lock after setting _closed, so a racing submit either
-            # lands before the drain (and is failed by it) or sees _closed
-            # here -- a task can never be registered with no router left to
-            # resolve it.
+            # Checked under the lock: close() drains _pending under the same
+            # lock after setting _closed, so a racing submit either lands
+            # before the drain (and is failed by it) or sees _closed here --
+            # a task can never be registered with no router left to resolve
+            # it.
             if self._closed:
-                self._window.release()
                 raise StageError(stage, "stage executor is closed")
             self._pending[record.task_id] = record
-        try:
-            ref = self._transport.acquire()
-            if ref is None:
-                # Every place is held by a worker that is dying (sent a kill,
-                # or dead and not yet swept); the sweep frees them and the
-                # router dispatches this task then.
-                with self._lock:
-                    self._deferred.append(record)
-            else:
-                self._dispatch(record, ref)
-        except Exception:
-            with self._lock:
-                self._pending.pop(record.task_id, None)
-            self._window.release()
-            raise
+            self._ready.append(record)
+        self._dispatch_ready(spawn=True)
         self._transport.wake()  # an idle router sleeps until told
         return record.future
 
@@ -400,6 +382,39 @@ class TransportStageExecutor:
         return True
 
     # ------------------------------------------------------------- dispatch
+    def _dispatch_ready(self, *, spawn: bool) -> None:
+        """Send ready tasks, oldest first, while the transport grants a place.
+
+        Only a submitter (``spawn=True``) may replace a lost worker: the
+        router must not fork while driver threads are mid-put on other
+        queues (a forked child can inherit feeder state that loses its
+        first assignment -- observed as a wedged retry slot), so it grows
+        or restarts the substrate only on total loss (a dead pool, or a
+        SIGKILLed node agent).  A task whose dispatch raises fails typed;
+        the drain goes on.
+        """
+        with self._dispatch_lock:
+            while True:
+                with self._lock:
+                    if not self._ready:
+                        return
+                    record = self._ready.popleft()
+                try:
+                    ref = self._transport.acquire(spawn=spawn)
+                    if (ref is None and not spawn
+                            and self._transport.alive_workers() == 0):
+                        ref = self._transport.acquire()
+                    if ref is None:  # every place taken; a commit frees one
+                        with self._lock:
+                            self._ready.appendleft(record)
+                        return
+                    self._dispatch(record, ref)
+                except Exception as err:  # noqa: BLE001 - failed typed, never fatal
+                    crash = StageCrashError(record.stage,
+                                            f"could not dispatch: {err!r}")
+                    crash.__cause__ = err
+                    self._fail(record, crash)
+
     def _dispatch(self, record: _PendingStage, ref) -> None:
         """Send ``record`` to ``ref``, then fire any kill armed on it.  A
         send that raises hands ``ref`` back and leaves the armed kills."""
@@ -450,9 +465,8 @@ class TransportStageExecutor:
             resolved = self._collect()
             if not woken:
                 self.late_commits += resolved
-            if resolved:
-                self._flush_deferred()  # the resolves just freed workers
             self._sweep()
+            self._dispatch_ready(spawn=False)  # resolves and sweeps free places
             woken = self._transport.wait(_SAFETY_NET_SECONDS if self._pending
                                          else _IDLE_BACKSTOP_SECONDS)
 
@@ -473,7 +487,6 @@ class TransportStageExecutor:
             del self._pending[committed.task_id]
         if record.ref is not None:
             self._transport.release(record.ref)
-        self._window.release()
         if committed.payload_nbytes:
             with self._lock:
                 self.stage_payload_bytes[record.stage] = (
@@ -501,7 +514,9 @@ class TransportStageExecutor:
 
         Every pending record bound to a dead ref is lost, so one SIGKILL
         retries both tasks its worker held: the one it ran and the one
-        queued behind it.  Each retry resolves once, by attempt number.
+        queued behind it.  Retries join the front of the ready queue, so
+        they are sent before any task submitted after the death was seen.
+        Each retry resolves once, by attempt number.
 
         A worker the transport certifies *reaped* needs no timer: it can
         commit nothing more, so one scan made after the death was observed
@@ -531,66 +546,30 @@ class TransportStageExecutor:
             with self._lock:
                 lost = [record for record in lost
                         if record.task_id in self._pending]
+        retried = []
         for record in lost:
             self._transport.discard(record.ref)
             if record.attempt <= self._max_retries:
-                self.retries += 1
                 _LOG.warning("stage %r task %d lost its worker (attempt %d); "
                              "re-dispatching", record.stage, record.task_id,
                              record.attempt)
-                with self._lock:
-                    record.ref = None
-                    record.first_seen_dead = None
-                    self._deferred.append(record)
+                retried.append(record)
             else:
                 self._fail(record, StageCrashError(
                     record.stage,
                     f"worker process died {record.attempt} time(s) running "
                     f"task {record.task_id}; retry budget exhausted"))
-        self._flush_deferred()
-
-    def _flush_deferred(self) -> None:
-        """Dispatch deferred tasks onto warm workers as places free up.
-
-        Run on the router thread, which must not *spawn* new worker
-        processes while driver threads are mid-put on other queues (a
-        forked child can inherit feeder state that loses its first
-        assignment -- observed as a wedged retry slot).  Deferred tasks
-        therefore wait for a place on an existing worker; only when every
-        worker is gone (total loss -- a dead pool, or a SIGKILLed node
-        agent) does the substrate grow or restart from here as a last
-        resort.  A task whose dispatch raises (the transport closed
-        underneath it) fails typed; the router carries on.
-        """
-        while True:
-            with self._lock:
-                if not self._deferred:
-                    return
-                record = self._deferred[0]
-            try:
-                ref = self._transport.acquire(spawn=False)
-                if ref is None and self._transport.alive_workers() == 0:
-                    ref = self._transport.acquire()
-                if ref is None:
-                    return  # every place taken; a resolve frees one, next tick
-                with self._lock:
-                    if self._deferred and self._deferred[0] is record:
-                        self._deferred.pop(0)
-                self._dispatch(record, ref)
-            except Exception as err:  # noqa: BLE001 - failed typed, never fatal
-                with self._lock:
-                    if self._deferred and self._deferred[0] is record:
-                        self._deferred.pop(0)
-                crash = StageCrashError(record.stage,
-                                        f"could not dispatch: {err!r}")
-                crash.__cause__ = err
-                self._fail(record, crash)
+        if retried:
+            with self._dispatch_lock, self._lock:  # not amid a drain's put-back
+                for record in retried:
+                    record.ref = None
+                self._ready.extendleft(reversed(retried))  # ahead of all queued
+                self.retries += len(retried)
 
     def _fail(self, record: _PendingStage, error: StageError) -> None:
         with self._lock:
             if self._pending.pop(record.task_id, None) is None:
                 return
-        self._window.release()
         record.future.set_exception(error)
 
     # ------------------------------------------------------------ lifecycle
@@ -620,7 +599,7 @@ class TransportStageExecutor:
         with self._lock:
             pending = list(self._pending.values())
             self._pending.clear()
-            self._deferred.clear()
+            self._ready.clear()
         for record in pending:  # a worker's running and queued task alike
             if record.ref is not None:
                 self._transport.discard(record.ref)

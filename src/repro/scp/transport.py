@@ -8,7 +8,7 @@ plumbing:
 * ``start`` -- pre-provision the worker budget (spawn or attach);
 * ``acquire``/``send`` -- borrow a place on a worker and hand it a task
   frame: each worker runs one task and holds the next
-  (:data:`TASKS_PER_WORKER`);
+  (:data:`TASKS_PER_WORKER`: the one bound on tasks in flight);
 * ``poll_committed`` -- collect results that were durably *committed*
   (an atomic spool rename, or an in-memory hand-off for host threads);
 * ``wait``/``wake`` -- park the router until a commit, a worker death or
@@ -145,8 +145,9 @@ class WorkerTransport:
 
     Implementations provide workers (threads, pool slots, node-agent
     processes), move task frames to them, and surface *committed*
-    results back.  The executor owns retries, futures, backpressure and
-    kill accounting; the transport owns processes, sockets and spools.
+    results back.  The executor owns the ready queue, retries, futures and
+    kill accounting; the transport owns processes, sockets, spools and the
+    places on its workers.
     """
 
     #: Short name of the transport kind (logs, benchmark labels).
@@ -162,16 +163,17 @@ class WorkerTransport:
         raise NotImplementedError
 
     def acquire(self, *, spawn: bool = True):
-        """Borrow a place on a worker, or ``None`` when none is free.
+        """Borrow a place on a worker, or ``None`` when every place is held.
 
-        Each worker runs one task and holds the next, so the ref may name
-        a worker that is already running one task (at most
-        :data:`TASKS_PER_WORKER`).  An idle worker is handed out before a
+        The transport alone bounds the tasks in flight: each worker runs
+        one task and holds the next (:data:`TASKS_PER_WORKER` places, so the
+        ref may name a worker already running one), and no more workers run
+        than ``start`` was given.  An idle worker is handed out before a
         half-full one, and a worker sent a :meth:`kill` gets no further
-        task.  ``spawn=False`` must never create a new OS process --
-        callers on router threads use it so forking cannot race other
-        threads' queue feeders; ``spawn=True`` may grow/restart the
-        substrate.
+        task.  ``spawn=False`` must never create a new OS process -- callers
+        on router threads use it so forking cannot race other threads'
+        queue feeders; ``spawn=True`` may replace a lost worker or restart
+        the substrate.
         """
         raise NotImplementedError
 
@@ -266,13 +268,20 @@ class InProcessTransport(WorkerTransport):
                                             thread_name_prefix="stage")
         self._committed: Deque[CommittedResult] = collections.deque()
         self._wakeup = threading.Event()
+        #: Places granted and not yet given back, running plus queued.
+        self._held = 0
+        self._held_lock = threading.Lock()
         self._closed = False
 
     def start(self, workers: int) -> None:
         pass  # the thread pool grows lazily up to max_workers
 
     def acquire(self, *, spawn: bool = True) -> Optional[str]:
-        return _THREAD_WORKER_REF  # executor backpressure bounds concurrency
+        with self._held_lock:
+            if self._held >= TASKS_PER_WORKER * self._workers:
+                return None
+            self._held += 1
+        return _THREAD_WORKER_REF
 
     def send(self, ref, frame: TaskFrame) -> None:
         def run() -> None:
@@ -306,10 +315,11 @@ class InProcessTransport(WorkerTransport):
             "recovery")
 
     def release(self, ref) -> None:
-        pass
+        with self._held_lock:
+            self._held -= 1
 
     def discard(self, ref) -> None:
-        pass
+        self.release(ref)  # a host thread is never lost: only its place
 
     def discard_partial(self, task_id: int, attempt: int) -> None:
         pass  # results hand over in memory: nothing is ever half-written
@@ -391,12 +401,12 @@ class ForkedProcessTransport(WorkerTransport):
                 live = [held for held in self._load if held not in self._killed
                         and held.process.exitcode is None]
                 # A lost worker is replaced (when spawning is allowed) before
-                # a survivor is handed a second task.
-                if not (spawn and len(live) < self._workers):
+                # a survivor is handed a second task; none is ever added.
+                if spawn and len(live) < self._workers:
+                    slot = self._pool.acquire()
+                else:
                     slot = next((held for held in live
                                  if self._load[held] < TASKS_PER_WORKER), None)
-                if slot is None and spawn:
-                    slot = self._pool.acquire()
             if slot is not None:
                 self._load[slot] = self._load.get(slot, 0) + 1
             return slot
@@ -428,8 +438,8 @@ class ForkedProcessTransport(WorkerTransport):
             held = self._load.pop(ref, 0) - 1
             if held > 0:
                 self._load[ref] = held
-                return
-        self._pool.release(ref)
+            else:  # under the lock, or acquire() sees a lost worker and forks
+                self._pool.release(ref)
 
     def discard(self, ref) -> None:
         with self._load_lock:

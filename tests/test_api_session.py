@@ -438,11 +438,13 @@ class TestStreamingSession:
         with pytest.raises(RuntimeError, match="closed"):
             session.fuse(tiny_cube)
 
-    def test_max_inflight_validated(self, tiny_cube, fast_config):
-        with open_session(engine="pipeline", backend="process", warm=False,
-                          config=fast_config, max_inflight=0) as session:
-            with pytest.raises(ValueError, match="max_inflight"):
-                list(session.fuse_stream([tiny_cube]))
+    def test_max_inflight_validated(self, fast_config):
+        # At open, before a worker or a segment exists.
+        segments = owned_segment_names()
+        with pytest.raises(ValueError, match="max_inflight"):
+            open_session(engine="pipeline", backend="process", warm=False,
+                         config=fast_config, max_inflight=0)
+        assert owned_segment_names() == segments
 
     @pytest.mark.parametrize("engine,backend", [
         ("sequential", None), ("distributed", "sim"), ("pipeline", "local")])
@@ -536,14 +538,19 @@ class TestStreamingSession:
         with pytest.raises(ValueError, match="max_inflight"):
             fuse(tiny_cube, engine="pipeline", backend="local", max_inflight=8)
 
-    def test_max_inflight_is_pinned_by_first_stream(self, tiny_cube, fast_config):
-        # Driver threads cannot grow after creation; asking for a different
-        # width later must be loud, not a silent cap.
+    def test_max_inflight_is_fixed_at_open(self, tiny_cube, fast_config):
+        # One value sizes the driver threads and the output pool, so no call
+        # may ask for another: loud, not a silent cap.
         with open_session(engine="pipeline", backend="process",
                           config=fast_config, max_inflight=1) as session:
-            list(session.fuse_stream([tiny_cube]))
-            with pytest.raises(ValueError, match="pinned"):
-                list(session.fuse_stream([tiny_cube], max_inflight=8))
+            for call in (session.fuse, session.submit, session.fuse_stream):
+                with pytest.raises(ValueError, match="cannot override"):
+                    call(tiny_cube, max_inflight=8)
+            assert session._drivers is None  # rejected before any was built
+            reference = fuse(tiny_cube, config=fast_config)
+            (report,) = session.fuse_stream([tiny_cube])
+            np.testing.assert_array_equal(report.composite, reference.composite)
+            assert session._output_pool.segments == 1
 
     def test_thread_executor_close_rejects_submits_with_typed_error(self):
         from repro.scp.stages import StageError, TransportStageExecutor

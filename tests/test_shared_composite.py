@@ -5,6 +5,7 @@ import pickle
 import subprocess
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -177,6 +178,35 @@ class TestOutputPool:
             pool.release(fresh)
             pool.release(busy)
 
+    def test_concurrent_new_shapes_count_each_others_allocations(self, monkeypatch):
+        # Two threads allocate new shapes, and neither creates its segment
+        # before both have run their eviction pass: each pass must count the
+        # other's allocation, or an idle segment survives beside the two new
+        # ones and the pool ends over its bound.
+        create = SharedComposite.create
+        both_evicted = threading.Barrier(2, timeout=10)
+
+        def gated_create(*args, **kwargs):
+            both_evicted.wait()
+            return create(*args, **kwargs)
+
+        with OutputPool(max_segments=2) as pool:
+            for rows in (8, 9):
+                pool.release(pool.acquire(rows, 4, 3))
+            monkeypatch.setattr(SharedComposite, "create", gated_create)
+            placements = []
+            threads = [threading.Thread(
+                target=lambda rows=rows: placements.append(
+                    pool.acquire(rows, 4, 3))) for rows in (10, 11)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert len(placements) == 2
+            assert pool.segments <= 2
+            for placement in placements:
+                pool.release(placement)
+
     def test_discard_retires_the_segment_instead_of_reissuing(self):
         # A failed run's placement may still have straggler writers; discard
         # must unlink it and the next acquire must get a fresh segment.
@@ -217,6 +247,51 @@ class TestSegmentRegistry:
         assert sweep_owned_segments() >= 1
         assert leaked.closed and not _segment_exists(name)
         assert name not in owned_segment_names()
+
+    @pytest.mark.skipif(sys.version_info >= (3, 13),
+                        reason="attaching swaps no tracker hook from 3.13 on")
+    def test_a_create_during_an_attach_is_still_tracked(self, monkeypatch):
+        # Before 3.13 an attach silences the process-wide tracker hook for a
+        # moment; a segment created on another thread in that moment must
+        # still be registered, or its unlink upsets the tracker and a crash
+        # leaks it.
+        from multiprocessing import resource_tracker, shared_memory
+
+        registered = []
+        register = resource_tracker.register
+
+        def spy(name, rtype):
+            registered.append(name)
+            register(name, rtype)
+
+        monkeypatch.setattr(resource_tracker, "register", spy)
+        real = shared_memory.SharedMemory
+        inside, leave = threading.Event(), threading.Event()
+
+        def gated(*args, **kwargs):
+            if kwargs.keys() == {"name"}:  # the attach, with the hook off
+                inside.set()
+                leave.wait(timeout=10)
+            return real(*args, **kwargs)
+
+        with SharedComposite.create(4, 3) as owner:
+            monkeypatch.setattr(shared_memory, "SharedMemory", gated)
+            attacher = threading.Thread(
+                target=lambda: SharedComposite.attach(owner.handle()).close())
+            attacher.start()
+            assert inside.wait(timeout=10)
+            created = []
+            creator = threading.Thread(
+                target=lambda: created.append(SharedComposite.create(4, 3)))
+            creator.start()
+            creator.join(timeout=0.3)  # it must wait for the hook to return
+            leave.set()
+            attacher.join(timeout=10)
+            creator.join(timeout=10)
+            monkeypatch.setattr(shared_memory, "SharedMemory", real)
+            (fresh,) = created
+            assert "/" + fresh.segment_name in registered
+            fresh.close()
 
 
 class TestZeroCopyParity:

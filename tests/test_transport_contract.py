@@ -22,6 +22,7 @@ documented determinism contract.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import os
 import pickle
@@ -91,6 +92,65 @@ class CountingTransport:
     def wait(self, timeout):
         self.waits += 1
         return self._inner.wait(timeout)
+
+
+class SpyTransport(CountingTransport):
+    """Also records every send in order -- ``(task_id, attempt, worker,
+    places given back before it)`` -- and the most places one worker, and
+    the most workers holding a place, the transport ever granted at once."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.sent = []
+        self.given_back = 0
+        self.most_places = 0
+        self.most_workers = 0
+        self._held = collections.Counter()
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def _worker(ref):
+        # A socket ref names a slot at one incarnation; a forked one is the slot.
+        return (ref.index, ref.incarnation) if hasattr(ref, "incarnation") else ref
+
+    def acquire(self, *, spawn=True):
+        ref = self._inner.acquire(spawn=spawn)
+        if ref is not None:
+            with self._lock:
+                self._held[self._worker(ref)] += 1
+                self.most_places = max(self.most_places, *self._held.values())
+                self.most_workers = max(self.most_workers, sum(
+                    1 for places in self._held.values() if places > 0))
+        return ref
+
+    def _give_back(self, ref):
+        with self._lock:
+            self._held[self._worker(ref)] -= 1
+            self.given_back += 1
+
+    def release(self, ref):
+        self._give_back(ref)
+        self._inner.release(ref)
+
+    def discard(self, ref):
+        self._give_back(ref)
+        self._inner.discard(ref)
+
+    def send(self, ref, frame):
+        with self._lock:
+            self.sent.append((frame.task_id, frame.attempt, self._worker(ref),
+                              self.given_back))
+        self._inner.send(ref, frame)
+
+
+def wait_for(predicate, timeout=30.0):
+    """Whether ``predicate()`` came true within ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.002)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -573,20 +633,25 @@ def test_router_does_not_spin_through_a_lost_agents_confirmation_window():
 
 
 def test_concurrent_submitters_keep_the_wait_set_consistent():
-    """More driver threads than cores, a shortened switch interval: every
-    result arrives, and no worker is left in the forked transport's
-    sentinel wait set (a lost update there would spin or miss a death)."""
+    """More driver threads than cores, each with two tasks out, so twice the
+    window is submitted at once; a shortened switch interval: every result
+    arrives, no worker is granted more than ``TASKS_PER_WORKER`` places and
+    none is spawned past ``workers``, and no worker is left in the forked
+    transport's sentinel wait set (a lost update there would spin or miss a
+    death)."""
     results = {}
 
     def driver(base):
-        for i in range(25):
-            results[base + i] = executor.submit(
-                "screen", add, base + i, 1).result(timeout=60)
+        for i in range(0, 24, 2):
+            pair = [executor.submit("screen", add, base + j, 1) for j in (i, i + 1)]
+            for j, future in zip((i, i + 1), pair):
+                results[base + j] = future.result(timeout=60)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with make_executor("forked", workers=3) as executor:
+        transport = SpyTransport(make_transport("forked", workers=3))
+        with TransportStageExecutor(transport, workers=3) as executor:
             threads = [threading.Thread(target=driver, args=(100 * n,))
                        for n in range(6)]
             for thread in threads:
@@ -595,9 +660,12 @@ def test_concurrent_submitters_keep_the_wait_set_consistent():
                 thread.join(timeout=120)
             assert not any(thread.is_alive() for thread in threads)
             assert results == {100 * n + i: 100 * n + i + 1
-                               for n in range(6) for i in range(25)}
+                               for n in range(6) for i in range(24)}
             assert executor.in_flight == 0
-            assert executor.transport._load == {}
+            assert transport._load == {}
+            assert transport._pool.spawned_processes == 3
+        assert transport.most_places <= TASKS_PER_WORKER
+        assert transport.most_workers <= 3
     finally:
         sys.setswitchinterval(interval)
 
@@ -652,33 +720,35 @@ def submit_in_thread(executor, *args):
 
 @pytest.mark.parametrize("kind", KILLABLE_TRANSPORTS)
 def test_each_worker_runs_one_task_and_holds_the_next(kind, gate, tmp_path):
-    """Two workers take four gated tasks without blocking the submitter; the
-    fifth submit waits for the first commit; and no worker ever runs two
-    tasks at once -- judged by the stamps the tasks record, not a clock."""
+    """Two workers take four gated tasks; a fifth ``submit`` returns at once,
+    but its task is sent only after the first commit, to one of the two
+    workers.  No third worker is spawned, no worker is granted more than
+    ``TASKS_PER_WORKER`` places, and none runs two tasks at once -- judged
+    by the stamps the tasks record, not a clock."""
     path, fd = gate
     stamps = tmp_path / "stamps"
     stamps.mkdir()
-    with make_executor(kind) as executor:
-        futures = []
-        for index in range(4):
-            box, returned = submit_in_thread(executor, "probe", gated, path,
-                                             index, str(stamps))
-            assert returned.wait(timeout=30), f"submit {index} blocked"
-            futures.append(box["future"])
-        assert executor.in_flight == 4
-        box, returned = submit_in_thread(executor, "probe", gated, path, 4,
-                                         str(stamps))
-        assert not returned.wait(timeout=0.3)  # the window is full
+    transport = SpyTransport(make_transport(kind))
+    with TransportStageExecutor(transport, workers=2) as executor:
+        futures = [executor.submit("probe", gated, path, index, str(stamps))
+                   for index in range(5)]
+        assert executor.in_flight == 5
+        assert [given_back for *_, given_back in transport.sent] == [0] * 4
+        assert not wait_for(lambda: len(transport.sent) > 4, timeout=0.3)
         os.write(fd, b"\0")
-        done, _ = concurrent.futures.wait(futures, timeout=30,
+        done, _ = concurrent.futures.wait(futures[:4], timeout=30,
                                           return_when="FIRST_COMPLETED")
         assert len(done) == 1
-        assert returned.wait(timeout=30)
-        futures.append(box["future"])
+        assert wait_for(lambda: len(transport.sent) == 5)
+        assert transport.sent[4][3] == 1  # sent once the first place came back
         os.write(fd, b"\0" * 4)
         for index, future in enumerate(futures):
             assert future.result(timeout=60).tobytes() == noise(index).tobytes()
         assert executor.in_flight == 0 and executor.retries == 0
+        assert transport.alive_workers() == 2
+    assert len({worker for _, _, worker, _ in transport.sent}) == 2
+    assert transport.most_places == TASKS_PER_WORKER
+    assert transport.most_workers == 2
     runs = {}
     for name in os.listdir(stamps):
         pid, started, ended = map(int, (stamps / name).read_text().split())
@@ -717,15 +787,52 @@ def test_kill_of_a_worker_holding_a_queued_task_retries_both(kind, gate):
         assert executor._router.is_alive()  # no double resolution killed it
 
 
+@pytest.mark.parametrize("kind", KILLABLE_TRANSPORTS)
+def test_a_crash_retry_is_sent_before_later_submits(kind, gate):
+    """A SIGKILL lands while every place is held: the dead worker's two tasks
+    are retried ahead of every task submitted after the death was seen,
+    even when the first place to come back is taken by a submitter's
+    thread -- judged by the order the transport was handed the frames."""
+    path, fd = gate
+    transport = SpyTransport(make_transport(kind))
+    with TransportStageExecutor(transport, workers=2) as executor:
+        held = [executor.submit("screen", gated, path, seed) for seed in (1, 2, 3)]
+        executor.inject_kill("project")
+        killed = executor.submit("project", noise, 4)  # the fourth place
+        assert wait_for(lambda: executor.retries == 2)
+        later = [submit_in_thread(executor, "screen", noise, seed)
+                 for seed in (5, 6)]
+        os.write(fd, b"\0" * 3)  # the two survivors and the retried one
+        for box, returned in later:
+            assert returned.wait(timeout=30)
+        futures = dict(zip((1, 2, 3, 4), (*held, killed)))
+        futures.update(zip((5, 6), (box["future"] for box, _ in later)))
+        for seed, future in futures.items():
+            assert future.result(timeout=60).tobytes() == noise(seed).tobytes()
+        assert executor.retries == 2
+    # Task ids count submits: 0-3 were in flight at the kill, 4-5 came later.
+    retried = [at for at, (_, attempt, _, _) in enumerate(transport.sent)
+               if attempt == 2]
+    later_sent = [at for at, (task_id, *_) in enumerate(transport.sent)
+                  if task_id >= 4]
+    assert len(retried) == 2 and len(later_sent) == 2
+    assert max(retried) < min(later_sent)
+    assert transport.most_places <= TASKS_PER_WORKER
+    assert transport.most_workers <= 2
+
+
 # ---------------------------------------------------------------------------
 # A dispatch that raises costs nothing: no worker, no place, no armed kill
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("kind", KILLABLE_TRANSPORTS)
-def test_unpicklable_task_raises_at_submit(kind):
+def test_unpicklable_task_fails_its_future_typed(kind):
     with make_executor(kind) as executor:
-        with pytest.raises((pickle.PicklingError, AttributeError)):
-            executor.submit("probe", lambda: 1)
+        future = executor.submit("probe", lambda: 1)
+        with pytest.raises(StageCrashError, match="could not dispatch") as info:
+            future.result(timeout=60)
+        assert isinstance(info.value.__cause__,
+                          (pickle.PicklingError, AttributeError))
         assert executor.in_flight == 0
         assert executor.submit("probe", add, 40, 2).result(timeout=60) == 42
 
@@ -735,12 +842,15 @@ def test_failed_dispatches_leak_no_worker_and_no_armed_kill(kind):
     workers = 2
     with make_executor(kind, workers=workers) as executor:
         executor.inject_kill("probe")
-        for _ in range(TASKS_PER_WORKER * workers + 1):  # more than the window
-            with pytest.raises((pickle.PicklingError, AttributeError)):
-                executor.submit("probe", lambda: 1)
+        window = TASKS_PER_WORKER * workers
+        failed = [executor.submit("probe", lambda: 1)
+                  for _ in range(window + 1)]  # more than the window
+        for future in failed:
+            with pytest.raises(StageCrashError, match="could not dispatch"):
+                future.result(timeout=60)
+        assert executor.in_flight == 0
         assert executor.pending_kills == {"probe": 1}
         assert executor.transport.alive_workers() == workers  # none spawned
-        window = TASKS_PER_WORKER * workers
         futures = [executor.submit("probe", add, i, 1) for i in range(window)]
         assert [f.result(timeout=60) for f in futures] == list(range(1, window + 1))
         assert executor.kills_delivered == {"probe": 1}
