@@ -430,7 +430,7 @@ class PipelineEngine:
             session: "FusionSession") -> FusionReport:
         return execute_pipeline_request(
             request, session.stage_executor(), backend_label=session.backend,
-            output_pool=session._output_runtime())
+            output_pool=session._segments)
 
 
 __all__ = ["FusionEngine", "register_engine", "engine_names", "get_engine",

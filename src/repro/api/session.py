@@ -11,9 +11,11 @@ between calls:
   (``process`` specs) that the batch engines borrow through
   ``ProcessBackend(pool)`` and the pipeline engine through its stage
   executor, instead of spawning per run, and
-* a :class:`~repro.data.shared.SharedCube` placement cache, so fusing the
-  same cube again -- a parameter sweep, a retry, a monitoring loop -- never
-  re-copies the samples.
+* a :class:`~repro.data.shared.SegmentPool` of shared-memory segments: a
+  cube placement cache, so fusing the same cube again -- a parameter sweep,
+  a retry, a monitoring loop -- never re-copies the samples, and a cube
+  evicted from it hands its segment to the next cube of its size; the
+  pipeline engine's output placements come from the same pool.
 
 Usage::
 
@@ -40,13 +42,13 @@ on the ``pipe_*`` workloads and ``baseline.speedup_vs_sequential``.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Union, cast
 
 from ..config import FusionConfig
 from ..data.cube import HyperspectralCube
-from ..data.shared import OutputPool, SharedCube
+from ..data.shared import SegmentPool, SharedCube
 from ..scp.pool import ProcessPool
 from ..scp.registry import BackendSpec
 from ..scp.runtime import Backend
@@ -91,7 +93,8 @@ class FusionSession:
         :meth:`fuse` call.
     max_inflight (option):
         Requests in flight on the pipeline engine (the others run serially);
-        it sizes the driver threads and output pool, so no call overrides it.
+        it sizes the driver threads and bounds the output placements, so no
+        call overrides it.
     start_method:
         Start method of the worker pool; defaults to the spec's variant
         (``"process:fork"``) or the platform's cheapest safe method.
@@ -99,13 +102,15 @@ class FusionSession:
         When True (default), the pool is pre-spawned at open time so the
         first request does not pay the growth cost.
     max_placements:
-        Bound on the shared-memory placement cache (least-recently-used
-        eviction).  Segments live in RAM-backed ``/dev/shm``, so an
-        unbounded cache over a stream of distinct cubes would exhaust it;
-        re-fusing an evicted cube simply re-places it.
+        Bound on the cube segments of the shared-memory placement cache
+        (least-recently-used eviction).  Segments live in RAM-backed
+        ``/dev/shm``, so an unbounded cache over a stream of distinct cubes
+        would exhaust it.  An evicted cube's segment is not unlinked: the
+        next cube of the same byte size is copied into it, and re-fusing
+        the evicted cube simply re-places it.
     """
 
-    DEFAULT_MAX_PLACEMENTS = 8
+    DEFAULT_MAX_PLACEMENTS = SegmentPool.DEFAULT_MAX_PLACEMENTS
 
     def __init__(self, *, engine: str = "distributed",
                  backend: Union[str, BackendSpec, Backend, None] = None,
@@ -116,9 +121,6 @@ class FusionSession:
                  max_placements: int = DEFAULT_MAX_PLACEMENTS,
                  **options: Any) -> None:
         self._engine = get_engine(engine)  # fail fast on typos
-        if max_placements < 1:
-            raise ValueError("max_placements must be >= 1")
-        self._max_placements = max_placements
         unknown = set(options) - _SESSION_OPTIONS
         if unknown:
             raise ValueError(f"unknown session option(s) {sorted(unknown)}; "
@@ -138,24 +140,23 @@ class FusionSession:
                               else max_inflight)
         if self._max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
+        #: Cube placements (process backends) and the pipeline's output
+        #: placements: one bounded pool, recycled by byte size.
+        self._segments = SegmentPool(max_segments=self._max_inflight,
+                                     max_placements=max_placements)
         self._start_method = start_method
         self._pool: Optional[ProcessPool] = None
         if self._backend_name == _POOLED_BACKEND:
             self._pool = ProcessPool(
                 start_method=start_method or self._backend.variant or None)
-        #: id(cube) -> [cube, placement, pins]; ``pins`` counts in-flight
-        #: runs using the placement (see :meth:`_place` / :meth:`_unpin`).
-        self._placements: "OrderedDict[int, List[object]]" = OrderedDict()
         self._closed = False
         self._runs = 0
         self._lock = threading.Lock()
         # Streaming machinery, created lazily on first use: one stage
-        # executor shared by every in-flight pipeline run, the driver
-        # threads of submit()/fuse_stream(), and the pool of reusable
-        # output placements.
+        # executor shared by every in-flight pipeline run, and the driver
+        # threads of submit()/fuse_stream().
         self._stage_executor: Optional[TransportStageExecutor] = None
         self._drivers: Optional[ThreadPoolExecutor] = None
-        self._output_pool: Optional[OutputPool] = None
         if warm and self._pool is not None:
             self._pool.ensure(self._engine.slots_needed(self._probe_config()))
 
@@ -216,12 +217,18 @@ class FusionSession:
         """
         self._check_open()
         request = self._request(cube, overrides)
-        # Only a validated request costs a copy of the cube into shared memory.
-        request.cube = self._place(cube)
+        # Only a validated request costs a copy of the cube into shared
+        # memory, and only for workers in other processes: host-thread
+        # workers read the caller's cube, and a copy would gain them nothing.
+        placed = (self._backend_name in _PROCESS_BACKENDS
+                  and not isinstance(cube, SharedCube))
+        if placed:
+            request.cube = self._segments.place(cube)
         try:
             report = self._engine.run(request, self)
         finally:
-            self._unpin(cube)
+            if placed:
+                self._segments.release(request.cube)
         with self._lock:
             self._runs += 1
         return report
@@ -329,20 +336,6 @@ class FusionSession:
                     workers=workers)
             return self._stage_executor
 
-    def _output_runtime(self) -> OutputPool:
-        """The session-wide pool of reusable output placements.
-
-        Every pipeline run, on every transport, writes its pixels into one
-        placement borrowed from here.  Sized to the streaming window: each
-        in-flight run pins one placement, and the pool may transiently
-        exceed its bound only while every segment is pinned.
-        """
-        with self._lock:
-            self._check_open()
-            if self._output_pool is None:
-                self._output_pool = OutputPool(max_segments=self._max_inflight)
-            return self._output_pool
-
     def _driver_pool(self) -> ThreadPoolExecutor:
         """The driver threads, one per request in flight (``max_inflight``)."""
         with self._lock:
@@ -353,63 +346,10 @@ class FusionSession:
                     thread_name_prefix="fuse-stream")
             return self._drivers
 
-    # -------------------------------------------------------------- placement
-    def _place(self, cube: HyperspectralCube) -> HyperspectralCube:
-        """Shared-memory placement with LRU caching (process backends only:
-        host-thread workers read the caller's cube, and a copy would gain
-        them nothing).
-
-        The cache is bounded by ``max_placements``, but an entry is *pinned*
-        while a run uses it: concurrent stream drivers may overlap distinct
-        cubes, and a segment must never be released under an in-flight run.
-        Eviction therefore happens at unpin time, oldest unpinned first; the
-        cache may transiently exceed its bound while everything is in use.
-        """
-        if (self._backend_name not in _PROCESS_BACKENDS
-                or isinstance(cube, SharedCube)):
-            return cube
-        with self._lock:  # concurrent stream drivers share the cache
-            entry = self._placements.pop(id(cube), None)
-            if entry is not None and entry[0] is cube:
-                self._placements[id(cube)] = entry  # re-insert: most recent
-                entry[2] += 1
-                return entry[1]
-        # The O(cube-bytes) copy happens outside the lock so concurrent
-        # drivers placing distinct cubes overlap; double-check on re-entry
-        # (another driver may have placed this very cube meanwhile).
-        shared = SharedCube.from_cube(cube)
-        with self._lock:
-            entry = self._placements.pop(id(cube), None)
-            if entry is None or entry[0] is not cube:
-                entry = [cube, shared, 0]
-            self._placements[id(cube)] = entry
-            entry[2] += 1
-            winner = entry[1]
-        if winner is not shared:
-            shared.close()  # lost the race; release the duplicate segment
-        return winner
-
-    def _unpin(self, cube: HyperspectralCube) -> None:
-        """Release a run's pin and evict over-bound idle placements."""
-        evicted = []
-        with self._lock:
-            entry = self._placements.get(id(cube))
-            if entry is not None and entry[0] is cube:
-                entry[2] -= 1
-            over = len(self._placements) - self._max_placements
-            if over > 0:
-                for key in [k for k, e in self._placements.items() if e[2] <= 0]:
-                    evicted.append(self._placements.pop(key)[1])
-                    over -= 1
-                    if over <= 0:
-                        break
-        for stale in evicted:
-            stale.close()
-
     @property
     def cubes_placed(self) -> int:
         """Distinct cubes currently held in the shared-memory cache."""
-        return len(self._placements)
+        return self._segments.held(SharedCube)
 
     # ------------------------------------------------------------- lifecycle
     def _check_open(self) -> None:
@@ -444,19 +384,11 @@ class FusionSession:
             executor = self._stage_executor
         if executor is not None and not executor.closed:
             executor.close()
-        # Output placements are released only after the stage executor is
-        # gone (no task can still be writing) -- abandoned-run pins are
-        # force-released by OutputPool.close, so nothing survives into
+        # Placements are released only after the stage executor is gone (no
+        # task can still be using them) -- abandoned-run pins are
+        # force-released by the pool's close, so nothing survives into
         # /dev/shm.
-        with self._lock:
-            output_pool = self._output_pool
-        if output_pool is not None:
-            output_pool.close()
-        with self._lock:
-            placements = [entry[1] for entry in self._placements.values()]
-            self._placements.clear()
-        for shared in placements:
-            shared.close()
+        self._segments.close()
         if self._pool is not None:
             self._pool.close()
 

@@ -114,7 +114,7 @@ import numpy as np
 from ..cluster.metrics import RunMetrics
 from ..config import FusionConfig, ScreeningConfig
 from ..data.cube import CubeError, HyperspectralCube
-from ..data.shared import (OutputPool, SharedComposite, SharedCompositeHandle,
+from ..data.shared import (SegmentPool, SharedComposite, SharedCompositeHandle,
                            output_tile_views)
 from .kernels import kernel_covariance_sum, kernel_project_and_map
 from .partition import (SubcubeSpec, decompose, extract_subcube,
@@ -229,7 +229,7 @@ def _validate_row_coverage(acks: Sequence[Tuple[int, int]], rows: int) -> None:
 
 
 @contextmanager
-def _borrowed_placement(output_pool: Optional[OutputPool], rows: int, cols: int,
+def _borrowed_placement(output_pool: Optional[SegmentPool], rows: int, cols: int,
                         n_components: int) -> Iterator[SharedComposite]:
     """One run's output placement: reusable after success, retired after failure.
 
@@ -461,12 +461,13 @@ def fuse_whole_request(cube: HyperspectralCube, config: FusionConfig,
 
 
 def execute_pipeline_request(request, executor, *, backend_label: str,
-                             output_pool: Optional[OutputPool] = None):
+                             output_pool: Optional[SegmentPool] = None):
     """Run one :class:`~repro.api.request.FusionRequest` on ``executor``.
 
     What the ``pipeline`` engine runs (:class:`~repro.api.engines.
     PipelineEngine`), on its session's executor -- one for every in-flight
-    cube -- and its reusable ``output_pool`` of output placements.
+    cube -- borrowing the output placement from the session's segment pool
+    (``output_pool``).
     Returns the unified :class:`~repro.api.request.FusionReport`.
 
     This is where the request is *placed* (see the module docstring): at or

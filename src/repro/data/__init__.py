@@ -12,7 +12,7 @@ process-parallel backend (:mod:`.shared`).
 
 from .cube import CubeError, HyperspectralCube
 from .hydice import HydiceConfig, HydiceGenerator, generate_cube, solar_illumination
-from .shared import (OutputPool, SharedComposite, SharedCompositeHandle,
+from .shared import (OutputPool, SegmentPool, SharedComposite, SharedCompositeHandle,
                      SharedCube, SharedCubeHandle, owned_segment_names,
                      share_cube_params, sweep_owned_segments)
 from .noise import NoiseModel, apply_sensor_noise, band_noise_sigma
@@ -33,6 +33,7 @@ __all__ = [
     "SharedCubeHandle",
     "SharedComposite",
     "SharedCompositeHandle",
+    "SegmentPool",
     "OutputPool",
     "share_cube_params",
     "owned_segment_names",

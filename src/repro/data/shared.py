@@ -1,30 +1,39 @@
 """Zero-copy sharing of hyper-spectral cubes and fusion outputs.
 
-The process-parallel backend (:mod:`repro.scp.process_backend`) runs the
-manager and the workers in separate operating-system processes.  Shipping the
-full data cube to the manager process by pickling it through a pipe would
-copy hundreds of megabytes at paper scale, so :class:`SharedCube` places the
-sample array in a POSIX shared-memory segment
-(:mod:`multiprocessing.shared_memory`) instead.  Pickling a :class:`SharedCube`
-transfers only a tiny :class:`SharedCubeHandle`; the receiving process maps
-the same physical pages and reads the samples without any copy.
+Bulk pixel data crosses process boundaries through POSIX shared-memory
+segments (:mod:`multiprocessing.shared_memory`), never through pickles, in
+both directions:
 
-A :class:`SharedCube` *is a* :class:`~repro.data.cube.HyperspectralCube`, so
-every consumer of a cube (the manager program, ``extract_subcube`` and so on)
-works on it unchanged.  The creating process owns the segment: it must keep
-the cube alive for the duration of the run and call :meth:`SharedCube.close`
-(or use the cube as a context manager) to release the segment afterwards.
+* a *cube placement* (:class:`SharedCube`) holds a cube's samples for the
+  workers to read, and
+* an *output placement* (:class:`SharedComposite`) holds a run's component
+  and composite arrays, into which projection/colour-map stage tasks write
+  their tiles directly (:func:`output_tile_views`); the tile results travel
+  back as row-range acknowledgements instead of pickled arrays.
 
-Output placements
------------------
-:class:`SharedComposite` is the mirror image for fusion *outputs*: one
-preallocated segment holding a run's component and composite arrays, into
-which projection/colour-map stage tasks write their tiles directly
-(:func:`output_tile_views`).  The tile results then travel back to the
-driver as tiny row-range acknowledgements instead of pickled arrays -- the
-streaming engine's zero-copy result path.  Placements are *pin-counted*:
-a pinned placement (one an in-flight run is writing into) can neither be
-evicted from an :class:`OutputPool` nor released early by ``close``.
+Pickling a placement transfers only its handle -- the segment name and
+shape, plus a cube's wavelengths (:class:`SharedCubeHandle`); a cube's
+metadata (ground-truth label maps and the like) stays on the owner, since
+no worker reads it.  The receiving process maps the same physical pages.
+A :class:`SharedCube` *is a* :class:`~repro.data.cube.HyperspectralCube`,
+so every consumer of a cube works on it unchanged.
+
+Placements are *pin-counted*: a pinned placement (one an in-flight run
+uses) is never recycled, evicted or released early by ``close``.
+
+Segment pool
+------------
+A session fuses many cubes, so creating and unlinking a segment per request
+would churn ``/dev/shm``: ``shm_open``, ``ftruncate``, ``mmap`` and a
+resource-tracker registration, then an unlink -- about 450 us on a 2-vCPU
+Linux host, against 16 us to copy a 64x64x32 cube into a mapped segment.
+:class:`SegmentPool` keeps a bounded set of segments alive for both
+directions and recycles them *by byte size*: a cube-cache miss copies the
+samples into the least recently used idle segment of the same size, and an
+output placement reuses an idle one the same way; a segment is created only
+when no idle one fits.  A segment is never reissued while a run holds a pin
+on it.  :meth:`SharedCube.from_cube` and :meth:`SharedComposite.create`
+remain the one-shot constructors.
 
 Leak-proofing
 -------------
@@ -41,12 +50,13 @@ a forgotten reference can no longer leak a whole segment.
 from __future__ import annotations
 
 import atexit
+import math
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Callable, Dict, Iterator, List, Protocol, Tuple
+from typing import Callable, Dict, Iterator, List, Protocol, Tuple, TypeVar, cast
 
 import numpy as np
 
@@ -58,6 +68,12 @@ from .cube import CubeError, HyperspectralCube
 #: in :func:`_attach_untracked`, so no creation goes unregistered (its
 #: unlink would upset the tracker, and a crash leak it).  Fork-safe (RPL003).
 _tracker_lock = ForkSafeLock()
+
+
+def _create_segment(nbytes: int) -> shared_memory.SharedMemory:
+    """A new segment of ``nbytes`` bytes, created by (and owned by) this process."""
+    with _tracker_lock:
+        return shared_memory.SharedMemory(create=True, size=max(nbytes, 1))
 
 
 def _attach_untracked(name: str) -> shared_memory.SharedMemory:
@@ -101,18 +117,19 @@ class _SegmentOwner(Protocol):
 class SegmentRegistry:
     """Process-wide record of every shared-memory segment this process owns.
 
-    Owning objects (:class:`SharedCube`, :class:`SharedComposite`) register
-    at creation and unregister from ``close``; :meth:`sweep` force-closes
-    whatever is left.  The module installs one instance plus an ``atexit``
-    sweep, so segments abandoned by crashed runs or never-closed sessions
-    are unlinked at interpreter exit instead of leaking into ``/dev/shm``
-    (and instead of tripping the resource tracker's shutdown warnings).
+    Owning placements register at creation and unregister from ``close``;
+    :meth:`sweep` force-closes whatever is left.  The module installs one
+    instance plus an ``atexit`` sweep, so segments abandoned by crashed runs
+    or never-closed sessions are unlinked at interpreter exit instead of
+    leaking into ``/dev/shm`` (and instead of tripping the resource
+    tracker's shutdown warnings).
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         #: segment name -> owning object (strong ref: a leaked owner must
-        #: stay reachable so the sweep can still close it).
+        #: stay reachable so the sweep can still close it).  A recycled
+        #: segment is re-registered under its new placement.
         self._owners: Dict[str, object] = {}
 
     def register(self, owner: _SegmentOwner) -> None:
@@ -169,66 +186,41 @@ def sweep_owned_segments() -> int:
     return _registry.sweep()
 
 
-@dataclass(frozen=True)
-class SharedCubeHandle:
-    """Everything a process needs to attach to a shared cube.
+# ---------------------------------------------------------------------------
+# Placements: one pin-counted segment each
+# ---------------------------------------------------------------------------
 
-    The handle is what actually travels through a pipe when a
-    :class:`SharedCube` is pickled: the segment name plus the (small) shape,
-    wavelength and metadata information.
+_P = TypeVar("_P", bound="_Placement")
+
+
+class _Placement:
+    """A view of one shared-memory segment, pin-counted.
+
+    :meth:`pin` marks the placement in use by an in-flight run; :meth:`close`
+    on a pinned placement is *deferred* (it completes when the last pin is
+    released), so a concurrent run can never lose a segment it still uses.
+    ``close`` is idempotent, including after the segment was already
+    unlinked by a crashed peer (close-after-crash).  The owner (the creating
+    process) unlinks the segment on close; an attachment only unmaps it.
     """
 
-    name: str
-    shape: Tuple[int, int, int]
-    wavelengths_nm: np.ndarray
-    metadata: Dict[str, object] = field(default_factory=dict)
-
-
-class SharedCube(HyperspectralCube):
-    """A :class:`HyperspectralCube` whose samples live in shared memory.
-
-    Create one with :meth:`from_cube` (copies the samples into a fresh
-    segment exactly once) or :meth:`attach` (maps an existing segment with no
-    copy at all).  Pickling produces an :meth:`attach` call on the receiving
-    side, which is how the process backend hands the cube to the manager
-    process for free.
-    """
-
-    def __init__(self, data: np.ndarray, wavelengths_nm: np.ndarray,
-                 metadata: Dict[str, object], *,
-                 shm: shared_memory.SharedMemory, owner: bool) -> None:
+    def __init__(self, shm: shared_memory.SharedMemory, nbytes: int, *,
+                 owner: bool) -> None:
         self._shm = shm
         self._owner = owner
         self._closed = False
-        super().__init__(data, wavelengths_nm, metadata)
+        self._pins = 0
+        self._close_deferred = False
+        self._lock = threading.Lock()
+        #: Bytes the placement's arrays occupy: what a recycled segment
+        #: must match.
+        self.nbytes = nbytes
         if owner:
             _registry.register(self)
 
-    # -------------------------------------------------------------- creation
-    @classmethod
-    def from_cube(cls, cube: HyperspectralCube) -> "SharedCube":
-        """Copy ``cube``'s samples into a new shared-memory segment.
-
-        Passing a :class:`SharedCube` returns it unchanged (sharing an
-        already-shared cube must not duplicate the segment).
-        """
-        if isinstance(cube, SharedCube):
-            return cube
-        data = np.ascontiguousarray(cube.data, dtype=np.float32)
-        with _tracker_lock:
-            shm = shared_memory.SharedMemory(create=True, size=max(data.nbytes, 1))
-        view = np.ndarray(data.shape, dtype=np.float32, buffer=shm.buf)
-        view[:] = data
-        return cls(view, cube.wavelengths_nm.copy(), dict(cube.metadata),
-                   shm=shm, owner=True)
-
-    @classmethod
-    def attach(cls, handle: SharedCubeHandle) -> "SharedCube":
-        """Map an existing segment described by ``handle`` (zero copy)."""
-        shm = _attach_untracked(handle.name)
-        view = np.ndarray(tuple(handle.shape), dtype=np.float32, buffer=shm.buf)
-        return cls(view, np.asarray(handle.wavelengths_nm), dict(handle.metadata),
-                   shm=shm, owner=False)
+    def _drop_views(self) -> None:
+        """Replace the arrays over the segment with stubs (before unmapping)."""
+        raise NotImplementedError
 
     # -------------------------------------------------------------- identity
     @property
@@ -245,32 +237,49 @@ class SharedCube(HyperspectralCube):
     def closed(self) -> bool:
         return self._closed
 
-    def handle(self) -> SharedCubeHandle:
-        """The picklable description other processes attach with."""
-        if self._closed:
-            raise CubeError("shared cube segment has been released")
-        return SharedCubeHandle(name=self._shm.name,
-                                shape=(self.bands, self.rows, self.cols),
-                                wavelengths_nm=self.wavelengths_nm.copy(),
-                                metadata=dict(self.metadata))
+    @property
+    def pins(self) -> int:
+        with self._lock:
+            return self._pins
+
+    # -------------------------------------------------------------- pinning
+    def pin(self: _P) -> _P:
+        """Mark the placement in use by an in-flight run."""
+        with self._lock:
+            if self._closed:
+                raise CubeError("cannot pin a released placement")
+            self._pins += 1
+        return self
+
+    def unpin(self) -> None:
+        """Release one pin; performs any close deferred while pinned."""
+        with self._lock:
+            if self._pins > 0:
+                self._pins -= 1
+            do_close = self._close_deferred and self._pins == 0
+        if do_close:
+            self.close()
 
     # ------------------------------------------------------------- lifecycle
     def close(self, *, _force: bool = False) -> None:
-        """Release the local mapping; the owner also destroys the segment.
+        """Release the mapping; the owner also unlinks the segment.
 
-        After closing, the cube's data may no longer be accessed.  Closing
-        twice is harmless.  The owner unlinks the segment *even when* a
-        stray numpy view keeps the local mapping alive: the view's pages
-        stay valid, but the operating-system name is released, so a
-        forgotten reference can no longer leak the segment (``_force`` is
-        accepted for registry-sweep symmetry with :class:`SharedComposite`).
+        After closing, the arrays may no longer be accessed.  While pinned
+        the close is deferred to the last :meth:`unpin` (unless ``_force``,
+        the registry-sweep path, where the pin holders are already gone).
+        The owner unlinks *even when* a stray numpy view keeps the local
+        mapping alive: the view's pages stay valid, but the name is
+        released, so a forgotten reference can no longer leak the segment.
         """
-        if self._closed:
-            return
-        self._closed = True
-        # Drop the numpy view so the exported memoryview can be released.
-        self.data = np.zeros((1, 1, 1), dtype=np.float32)
+        with self._lock:
+            if self._closed:
+                return
+            if self._pins > 0 and not _force:
+                self._close_deferred = True
+                return
+            self._closed = True
         name = self._shm.name
+        self._drop_views()  # so the exported memoryviews can be released
         try:
             self._shm.close()
         except BufferError:  # a caller still holds a view; unlink regardless
@@ -278,15 +287,108 @@ class SharedCube(HyperspectralCube):
         if self._owner:
             try:
                 self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already unlinked
+            except FileNotFoundError:  # already unlinked (close-after-crash)
                 pass
             _registry.unregister(name)
+            # When writers ran in this very process (thread executors), the
+            # attachment cache still maps the now-unlinked pages; drop it so
+            # the memory is genuinely released, not just nameless.
+            _evict_attachment(name)
 
-    def __enter__(self) -> "SharedCube":
+    def _retire(self) -> shared_memory.SharedMemory:
+        """Hand the segment on to a successor placement (pool recycling):
+        this placement is closed, the segment stays mapped and named."""
+        with self._lock:
+            self._closed = True
+        self._drop_views()
+        return self._shm
+
+    def __enter__(self: _P) -> _P:
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+@dataclass(frozen=True)
+class SharedCubeHandle:
+    """Everything a process needs to attach to a shared cube.
+
+    The handle is what actually travels through a pipe when a
+    :class:`SharedCube` is pickled: the segment name, the shape and the
+    wavelengths -- never the owner's metadata.
+    """
+
+    name: str
+    shape: Tuple[int, int, int]
+    wavelengths_nm: np.ndarray
+
+
+#: Element type of a cube placement (the cube container's sample type).
+_CUBE_DTYPE = np.float32
+_CUBE_ITEMSIZE = np.dtype(_CUBE_DTYPE).itemsize
+
+
+class SharedCube(HyperspectralCube, _Placement):
+    """A :class:`HyperspectralCube` whose samples live in shared memory.
+
+    Create one with :meth:`from_cube` (copies the samples into a fresh
+    segment exactly once), borrow one from a :class:`SegmentPool`
+    (:meth:`SegmentPool.place`), or :meth:`attach` (maps an existing segment
+    with no copy at all).  Pickling produces an :meth:`attach` call on the
+    receiving side, which is how the process backends hand the cube to
+    their workers for free.  An attached cube carries no metadata.
+    """
+
+    def __init__(self, shm: shared_memory.SharedMemory,
+                 shape: Tuple[int, int, int], wavelengths_nm: np.ndarray,
+                 metadata: Dict[str, object], *, owner: bool) -> None:
+        _Placement.__init__(self, shm, self._nbytes(shape), owner=owner)
+        HyperspectralCube.__init__(
+            self, np.ndarray(shape, dtype=_CUBE_DTYPE, buffer=shm.buf),
+            wavelengths_nm, metadata)
+
+    # -------------------------------------------------------------- creation
+    @staticmethod
+    def _nbytes(shape: Tuple[int, ...]) -> int:
+        return math.prod(shape) * _CUBE_ITEMSIZE
+
+    @classmethod
+    def _fill(cls, shm: shared_memory.SharedMemory,
+              cube: HyperspectralCube) -> "SharedCube":
+        """An owning placement of ``cube`` over ``shm``: one copy of the samples."""
+        placement = cls(shm, cube.shape, cube.wavelengths_nm.copy(),
+                        dict(cube.metadata), owner=True)
+        placement.data[...] = cube.data
+        return placement
+
+    @classmethod
+    def from_cube(cls, cube: HyperspectralCube) -> "SharedCube":
+        """Copy ``cube``'s samples into a new shared-memory segment.
+
+        Passing a :class:`SharedCube` returns it unchanged (sharing an
+        already-shared cube must not duplicate the segment).
+        """
+        if isinstance(cube, SharedCube):
+            return cube
+        return cls._fill(_create_segment(cls._nbytes(cube.shape)), cube)
+
+    @classmethod
+    def attach(cls, handle: SharedCubeHandle) -> "SharedCube":
+        """Map an existing segment described by ``handle`` (zero copy)."""
+        return cls(_attach_untracked(handle.name), handle.shape,
+                   np.asarray(handle.wavelengths_nm), {}, owner=False)
+
+    def handle(self) -> SharedCubeHandle:
+        """The picklable description other processes attach with."""
+        if self._closed:
+            raise CubeError("shared cube segment has been released")
+        return SharedCubeHandle(name=self._shm.name,
+                                shape=(self.bands, self.rows, self.cols),
+                                wavelengths_nm=self.wavelengths_nm.copy())
+
+    def _drop_views(self) -> None:
+        self.data = np.zeros((1, 1, 1), dtype=_CUBE_DTYPE)
 
     # -------------------------------------------------------------- pickling
     def __reduce__(self) -> Tuple[Callable[[SharedCubeHandle], "SharedCube"],
@@ -320,58 +422,41 @@ class SharedCompositeHandle:
     n_components: int
 
 
-class SharedComposite:
+class SharedComposite(_Placement):
     """A run's output arrays, preallocated in one shared-memory segment.
 
     Layout: a ``(rows, cols, n_components)`` float64 component array followed
-    by a ``(rows, cols, 3)`` float64 colour composite.  The driver creates
-    the placement (:meth:`create`), ships the tiny :meth:`handle` with each
-    projection task, and the workers write their tiles straight into the
-    mapped pages (:func:`output_tile_views`) -- the result path carries row
-    ranges, not pixel data.
-
-    Placements are pin-counted.  :meth:`pin` marks the placement in use by
-    an in-flight run; :meth:`close` on a pinned placement is *deferred* (it
-    completes when the last pin is released) so a concurrent stream can
-    never unlink a segment another run is still writing.  ``close`` is
-    idempotent, including after the segment was already unlinked by a
-    crashed peer (close-after-crash).
+    by a ``(rows, cols, 3)`` float64 colour composite.  The driver borrows
+    the placement (:meth:`SegmentPool.acquire`, or :meth:`create` for a
+    one-shot run), ships the tiny :meth:`handle` with each projection task,
+    and the workers write their tiles straight into the mapped pages
+    (:func:`output_tile_views`) -- the result path carries row ranges, not
+    pixel data.
     """
 
     def __init__(self, shm: shared_memory.SharedMemory, rows: int, cols: int,
                  n_components: int, *, owner: bool) -> None:
-        self._shm = shm
-        self._owner = owner
-        self._closed = False
-        self._pins = 0
-        self._close_deferred = False
-        self._lock = threading.Lock()
+        super().__init__(shm, self._nbytes(rows, cols, n_components), owner=owner)
         self.rows = rows
         self.cols = cols
         self.n_components = n_components
-        itemsize = np.dtype(_OUTPUT_DTYPE).itemsize
-        split = rows * cols * n_components * itemsize
+        split = rows * cols * n_components * np.dtype(_OUTPUT_DTYPE).itemsize
         self.components = np.ndarray((rows, cols, n_components),
                                      dtype=_OUTPUT_DTYPE, buffer=shm.buf)
         self.composite = np.ndarray((rows, cols, 3), dtype=_OUTPUT_DTYPE,
                                     buffer=shm.buf, offset=split)
-        if owner:
-            _registry.register(self)
 
     @staticmethod
     def _nbytes(rows: int, cols: int, n_components: int) -> int:
-        itemsize = np.dtype(_OUTPUT_DTYPE).itemsize
-        return rows * cols * (n_components + 3) * itemsize
+        if rows < 1 or cols < 1 or n_components < 1:
+            raise ValueError("output placement dimensions must be >= 1")
+        return rows * cols * (n_components + 3) * np.dtype(_OUTPUT_DTYPE).itemsize
 
     # -------------------------------------------------------------- creation
     @classmethod
     def create(cls, rows: int, cols: int, n_components: int = 3) -> "SharedComposite":
         """Allocate a fresh output segment sized for one run's outputs."""
-        if rows < 1 or cols < 1 or n_components < 1:
-            raise ValueError("output placement dimensions must be >= 1")
-        with _tracker_lock:
-            shm = shared_memory.SharedMemory(
-                create=True, size=max(cls._nbytes(rows, cols, n_components), 1))
+        shm = _create_segment(cls._nbytes(rows, cols, n_components))
         return cls(shm, rows, cols, n_components, owner=True)
 
     @classmethod
@@ -379,24 +464,6 @@ class SharedComposite:
         """Map an existing output segment described by ``handle`` (zero copy)."""
         shm = _attach_untracked(handle.name)
         return cls(shm, handle.rows, handle.cols, handle.n_components, owner=False)
-
-    # -------------------------------------------------------------- identity
-    @property
-    def segment_name(self) -> str:
-        return self._shm.name
-
-    @property
-    def is_owner(self) -> bool:
-        return self._owner
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def pins(self) -> int:
-        with self._lock:
-            return self._pins
 
     def handle(self) -> SharedCompositeHandle:
         """The picklable description workers attach and write through."""
@@ -407,67 +474,12 @@ class SharedComposite:
                                      n_components=self.n_components)
 
     def matches(self, rows: int, cols: int, n_components: int) -> bool:
-        """Whether this placement can hold a run of the given output shape."""
+        """Whether this placement has the given output shape."""
         return (self.rows, self.cols, self.n_components) == (rows, cols, n_components)
 
-    # -------------------------------------------------------------- pinning
-    def pin(self) -> "SharedComposite":
-        """Mark the placement in use by an in-flight run."""
-        with self._lock:
-            if self._closed:
-                raise CubeError("cannot pin a released output placement")
-            self._pins += 1
-        return self
-
-    def unpin(self) -> None:
-        """Release one pin; performs any close deferred while pinned."""
-        do_close = False
-        with self._lock:
-            if self._pins > 0:
-                self._pins -= 1
-            do_close = self._close_deferred and self._pins == 0
-        if do_close:
-            self.close()
-
-    # ------------------------------------------------------------- lifecycle
-    def close(self, *, _force: bool = False) -> None:
-        """Release the mapping; the owner also unlinks the segment.
-
-        Idempotent.  While pinned the close is deferred to the last
-        :meth:`unpin` (unless ``_force``, the registry-sweep path, where the
-        pin holders are already gone).
-        """
-        with self._lock:
-            if self._closed:
-                return
-            if self._pins > 0 and not _force:
-                self._close_deferred = True
-                return
-            self._closed = True
-        name = self._shm.name
-        # Drop the views so the exported memoryviews can be released.
+    def _drop_views(self) -> None:
         self.components = np.zeros((1, 1, 1), dtype=_OUTPUT_DTYPE)
         self.composite = np.zeros((1, 1, 1), dtype=_OUTPUT_DTYPE)
-        try:
-            self._shm.close()
-        except BufferError:  # a caller still holds a view; unlink regardless
-            pass
-        if self._owner:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # already unlinked (close-after-crash)
-                pass
-            _registry.unregister(name)
-            # When writers ran in this very process (thread executors), the
-            # attachment cache still maps the now-unlinked pages; drop it so
-            # the memory is genuinely released, not just nameless.
-            _evict_attachment(name)
-
-    def __enter__(self) -> "SharedComposite":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     # -------------------------------------------------------------- pickling
     def __reduce__(self) -> Tuple[
@@ -505,12 +517,17 @@ def _attach_output(handle: SharedCompositeHandle) -> SharedComposite:
     The pin is taken under the cache lock and eviction only considers
     unpinned entries, so a concurrent writer's placement can never be
     closed out from under its in-progress tile write -- the cache
-    transiently exceeds its bound instead when every entry is in use.
+    transiently exceeds its bound instead when every entry is in use.  A
+    pooled segment recycled for another output shape of its byte size is
+    re-attached with the new shape.
     """
     evicted: List[SharedComposite] = []
     with _attachments_lock:
         cached = _ATTACHMENTS.get(handle.name)
-        if cached is None or cached.closed:
+        if (cached is None or cached.closed
+                or not cached.matches(handle.rows, handle.cols, handle.n_components)):
+            if cached is not None and cached.pins == 0:
+                evicted.append(cached)
             cached = SharedComposite.attach(handle)
             _ATTACHMENTS[handle.name] = cached
         else:
@@ -578,113 +595,151 @@ def release_attachments() -> int:
 
 
 # ---------------------------------------------------------------------------
-# Bounded pool of reusable output placements
+# One bounded pool of segments for both directions
 # ---------------------------------------------------------------------------
 
-class OutputPool:
-    """Reusable :class:`SharedComposite` segments for a stream of runs.
+class SegmentPool:
+    """Pin-counted, bounded pool of owned segments, recycled by byte size.
 
-    A streaming session fuses many cubes of (typically) the same shape;
-    allocating and unlinking an output segment per run would churn
-    ``/dev/shm``.  The pool keeps up to ``max_segments`` placements alive
-    and hands out an *unpinned, shape-matching* one when available --
-    pinned placements (in use by a concurrent stream) are never reissued
-    and never evicted, so two overlapping runs always write to distinct
-    segments.
+    A session borrows both kinds of placement here:
+
+    * **cube placements** (:meth:`place`) are cached by cube identity, least
+      recently used first, at most ``max_placements`` of them: fusing a
+      cached cube again copies nothing.  A miss on a full cache reissues the
+      least recently used idle segment of the cube's byte size and copies
+      the samples into it (an evicted cube's segment is not unlinked);
+    * **output placements** (:meth:`acquire`) are at most ``max_segments``
+      (the stream window): a run borrows the least recently used idle one
+      of its byte size, :meth:`release` returns it after success and
+      :meth:`discard` retires it after a failure.
+
+    A new segment is created only when no idle one of the size fits; making
+    room first unlinks idle placements of the same kind, oldest first, so a
+    kind exceeds its bound only while every one of its segments is pinned.
+    Every reservation -- hit, reissue or creation -- is made under the
+    pool's lock, so two runs missing at once never share a segment or both
+    allocate past the bound.
+
+    Safety rule: a segment is never reissued while a run holds a pin on it.
+    A failed run releases its cube placement like any other, so its
+    straggler tasks (workers are not cancelled when a driver gives up) may
+    read the next cube's samples -- but they write only into that run's
+    discarded output placement, so no result is affected.
     """
 
     DEFAULT_MAX_SEGMENTS = 4
+    DEFAULT_MAX_PLACEMENTS = 8
 
-    def __init__(self, max_segments: int = DEFAULT_MAX_SEGMENTS) -> None:
+    def __init__(self, max_segments: int = DEFAULT_MAX_SEGMENTS,
+                 max_placements: int = DEFAULT_MAX_PLACEMENTS) -> None:
         if max_segments < 1:
             raise ValueError("max_segments must be >= 1")
-        self._max_segments = max_segments
+        if max_placements < 1:
+            raise ValueError("max_placements must be >= 1")
+        self._bounds: Dict[type, int] = {SharedComposite: max_segments,
+                                         SharedCube: max_placements}
         self._lock = threading.Lock()
-        self._segments: List[SharedComposite] = []
-        #: Segments being allocated: each holds its place under the bound.
-        self._allocating = 0
+        #: id(holder) -> (holder, placement), least recently used first.  A
+        #: cube placement's holder is the cube it caches (the reference
+        #: keeps that id unique); an output placement holds itself.
+        self._entries: "OrderedDict[int, Tuple[object, _Placement]]" = OrderedDict()
         self._closed = False
 
     @property
     def segments(self) -> int:
+        """Segments the pool holds, in both directions."""
         with self._lock:
-            return len(self._segments)
+            return len(self._entries)
 
-    def acquire(self, rows: int, cols: int, n_components: int = 3) -> SharedComposite:
-        """Borrow a pinned placement of the requested output shape.
-
-        Allocating a new segment first reserves its place and evicts idle
-        ones over the bound, so the pool exceeds ``max_segments`` only while
-        every segment is pinned.
-        """
+    def held(self, kind: type) -> int:
+        """Segments the pool holds as ``SharedCube`` or ``SharedComposite``."""
         with self._lock:
-            if self._closed:
-                raise CubeError("output pool is closed")
-            for placement in self._segments:
-                if (placement.pins == 0 and not placement.closed
-                        and placement.matches(rows, cols, n_components)):
-                    return placement.pin()
-            self._allocating += 1
-            evicted = self._evict_idle()
-        for stale in evicted:
-            stale.close()
-        try:
-            placement = SharedComposite.create(rows, cols, n_components).pin()
-        except BaseException:
-            with self._lock:
-                self._allocating -= 1
-            raise
-        with self._lock:  # the reservation becomes the segment atomically
-            self._allocating -= 1
-            if self._closed:  # closed underneath the allocation
-                placement.unpin()
-                placement.close()
-                raise CubeError("output pool is closed")
-            self._segments.append(placement)
+            return sum(type(placement) is kind for _, placement in self._entries.values())
+
+    # --------------------------------------------------------------- borrow
+    def place(self, cube: HyperspectralCube) -> SharedCube:
+        """Borrow a pinned placement holding ``cube``'s samples (see class)."""
+        with self._lock:
+            self._check_open()
+            entry = self._entries.get(id(cube))
+            if entry is not None and not entry[1].closed:
+                self._entries.move_to_end(id(cube))
+                return cast(SharedCube, entry[1]).pin()
+            shm = self._reserve(SharedCube, SharedCube._nbytes(cube.shape))
+            placement = SharedCube._fill(shm, cube).pin()
+            self._entries[id(cube)] = (cube, placement)
         return placement
 
-    def release(self, placement: SharedComposite) -> None:
+    def acquire(self, rows: int, cols: int, n_components: int = 3) -> SharedComposite:
+        """Borrow a pinned output placement of the requested shape."""
+        nbytes = SharedComposite._nbytes(rows, cols, n_components)
+        with self._lock:
+            self._check_open()
+            shm = self._reserve(SharedComposite, nbytes)
+            placement = SharedComposite(shm, rows, cols, n_components, owner=True).pin()
+            self._entries[id(placement)] = (placement, placement)
+        return placement
+
+    def _reserve(self, kind: type, nbytes: int) -> shared_memory.SharedMemory:
+        """Under the lock: the segment a miss of ``kind`` fills."""
+        for key in [key for key, (_, placement) in self._entries.items()
+                    if placement.closed]:
+            del self._entries[key]  # force-closed by a registry sweep
+        held, idle = self._census(kind)
+        # An idle output placement is free; an idle cube placement is a
+        # cache entry, given up only when the cache is full.
+        if kind is SharedComposite or held >= self._bounds[kind]:
+            for key in idle:
+                if self._entries[key][1].nbytes == nbytes:
+                    return self._entries.pop(key)[1]._retire()
+        self._evict(kind, incoming=1)  # before creating: never over the bound
+        return _create_segment(nbytes)
+
+    def _census(self, kind: type) -> Tuple[int, List[int]]:
+        """Under the lock: how many ``kind`` placements the pool holds, and
+        the keys of the unpinned ones, least recently used first."""
+        held = [(key, placement) for key, (_, placement) in self._entries.items()
+                if type(placement) is kind]
+        return len(held), [key for key, placement in held if placement.pins == 0]
+
+    def _evict(self, kind: type, incoming: int = 0) -> None:
+        """Under the lock: unlink idle ``kind`` placements, oldest first,
+        until they and ``incoming`` new ones fit the bound."""
+        held, idle = self._census(kind)
+        for key in idle[:max(held + incoming - self._bounds[kind], 0)]:
+            self._entries.pop(key)[1].close()
+
+    # --------------------------------------------------------------- return
+    def release(self, placement: _Placement) -> None:
         """Return a borrowed placement; evicts over-bound idle segments.
 
-        Only for runs that *completed* (every writer acknowledged): a
-        released segment may be reissued to the next run immediately.  A
-        failed run must :meth:`discard` instead.
+        A cube placement stays cached; an output placement may be reissued
+        to the next run at once, so release one only after its run
+        *completed* (every writer acknowledged) -- a failed run must
+        :meth:`discard` it instead.
         """
         placement.unpin()
         with self._lock:
-            evicted = self._evict_idle()
-        for stale in evicted:
-            stale.close()
-
-    def _evict_idle(self) -> List[SharedComposite]:
-        """Under the lock: drop idle segments, oldest first, until they and
-        the allocations fit the bound; the caller closes what is returned."""
-        evicted: List[SharedComposite] = []
-        over = len(self._segments) + self._allocating - self._max_segments
-        for candidate in list(self._segments):
-            if over <= 0:
-                break
-            if candidate.pins == 0:
-                self._segments.remove(candidate)
-                evicted.append(candidate)
-                over -= 1
-        return evicted
+            self._evict(type(placement))
 
     def discard(self, placement: SharedComposite) -> None:
-        """Retire a borrowed placement whose run failed.
+        """Retire a borrowed output placement whose run failed.
 
         A failed run may leave straggler stage tasks still writing into the
-        segment (worker processes are not cancelled when the driver gives
-        up), so the segment must never be reissued to another run --
-        reissuing it would let those stragglers corrupt the next composite.
-        It is unlinked instead; stragglers keep writing into their own
-        still-valid (but now anonymous) mapping, harmlessly.
+        segment, so it is never reissued -- reissuing it would let those
+        stragglers corrupt the next composite.  It is unlinked instead;
+        stragglers keep writing into their own still-valid (but now
+        anonymous) mapping, harmlessly.
         """
         with self._lock:
-            if placement in self._segments:
-                self._segments.remove(placement)
+            self._entries.pop(id(placement), None)
         placement.unpin()
         placement.close()
+
+    # ------------------------------------------------------------- lifecycle
+    def _check_open(self) -> None:
+        if self._closed:
+            raise CubeError("segment pool is closed")
 
     def close(self) -> None:
         """Release every pooled segment (idempotent).
@@ -693,20 +748,22 @@ class OutputPool:
         abandoned rather than completed (the session closes its stage
         executor first), so they are force-closed: leak-proofing wins.
         """
-        if self._closed:
-            return
         with self._lock:
             self._closed = True
-            segments = list(self._segments)
-            self._segments.clear()
-        for placement in segments:
+            placements = [placement for _, placement in self._entries.values()]
+            self._entries.clear()
+        for placement in placements:
             placement.close(_force=True)
 
-    def __enter__(self) -> "OutputPool":
+    def __enter__(self) -> "SegmentPool":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+#: The name the output-only pool had; the same class.
+OutputPool = SegmentPool
 
 
 def share_cube_params(params: Dict[str, object]) -> Tuple[Dict[str, object], list]:
@@ -729,7 +786,7 @@ def share_cube_params(params: Dict[str, object]) -> Tuple[Dict[str, object], lis
 
 
 __all__ = ["SharedCube", "SharedCubeHandle", "SharedComposite",
-           "SharedCompositeHandle", "OutputPool", "SegmentRegistry",
-           "share_cube_params", "output_tile_views",
+           "SharedCompositeHandle", "SegmentPool", "OutputPool",
+           "SegmentRegistry", "share_cube_params", "output_tile_views",
            "release_attachments",
            "owned_segment_names", "sweep_owned_segments"]

@@ -14,7 +14,8 @@ import pytest
 
 from _process_utils import run_pipeline_copied, shm_residue
 from repro import fuse, open_session
-from repro.data.shared import SharedCube, owned_segment_names
+from repro.api.session import FusionSession
+from repro.data.shared import SharedComposite, SharedCube, owned_segment_names
 from repro.resilience.attack import AttackScenario
 from repro.scp.errors import RuntimeStateError
 from repro.scp.pool import ProcessPool, default_start_method
@@ -43,6 +44,14 @@ def _late_sender_program(ctx, *, target, payload, linger):
     yield Send(dst=target, port="data", payload=payload)
     yield Sleep(linger)
     return "sent"
+
+
+def _same_shape_cube(seed):
+    """A 12x20x17 HYDICE cube; every seed gives the same byte size."""
+    from repro.data.hydice import HydiceConfig, HydiceGenerator
+
+    return HydiceGenerator(HydiceConfig(bands=12, rows=20, cols=17, seed=seed,
+                                        vehicles=1, camouflaged_vehicles=0)).generate()
 
 
 class TestProcessPool:
@@ -186,8 +195,11 @@ class TestFusionSession:
         with open_session(backend="process", config=fast_config,
                           max_placements=1) as session:
             session.fuse(tiny_cube)
-            first = session._placements[id(tiny_cube)][1]
-            session.fuse(small_cube)  # evicts (and closes) the first placement
+            first = session._segments.place(tiny_cube)  # a cache hit
+            session._segments.release(first)
+            # Evicts (and closes) the first placement; a segment of another
+            # byte size cannot be reissued, so it is unlinked.
+            session.fuse(small_cube)
             assert session.cubes_placed == 1
             assert first.closed
             # The evicted cube simply gets re-placed on the next request.
@@ -482,10 +494,66 @@ class TestStreamingSession:
                                               reference.composite)
             # The output placements were served by the bounded session pool
             # (streams of one shape never allocate per run)...
-            assert session._output_pool is not None
-            assert session._output_pool.segments <= 2
+            assert 1 <= session._segments.held(SharedComposite) <= 2
+            assert session.cubes_placed == 1
         # ... and the session close released every segment it owned.
         from repro.data.shared import owned_segment_names
+        assert owned_segment_names() == ()
+
+    def test_churned_cubes_reuse_segments_and_stay_bit_identical(
+            self, fast_config):
+        # Twelve distinct cubes of one shape cycled through the default
+        # 8-entry placement cache: after the first cycle every request
+        # misses, and each miss copies the cube into a recycled segment --
+        # no new segment appears, where creating one per miss would add one
+        # per request.
+        cubes = [_same_shape_cube(seed) for seed in range(12)]
+        references = [fuse(cube, engine="sequential", config=fast_config).composite
+                      for cube in cubes]
+        with open_session(engine="pipeline", backend="process:2",
+                          config=fast_config, max_inflight=4) as session:
+            # Fill the output window up front, so a stream that happens to
+            # reach four in-flight runs late cannot look like churn.
+            outputs = [session._segments.acquire(20, 17, 3) for _ in range(4)]
+            for placement in outputs:
+                session._segments.release(placement)
+            for index, report in enumerate(session.fuse_stream(cubes * 10)):
+                np.testing.assert_array_equal(report.composite,
+                                              references[index % len(cubes)])
+                if index == len(cubes) - 1:
+                    segments = set(owned_segment_names())
+                elif index >= len(cubes):
+                    assert set(owned_segment_names()) <= segments
+            assert session.cubes_placed == FusionSession.DEFAULT_MAX_PLACEMENTS
+        assert owned_segment_names() == ()
+
+    @pytest.mark.flaky(reruns=2)
+    def test_a_failed_runs_cube_segment_is_reused_safely(self, fast_config):
+        # The failed run releases its cube placement, so the next cube of
+        # its size is copied into that segment; the run's output placement
+        # is discarded, so nothing it wrote can reach the next composite.
+        from repro.scp.stages import StageCrashError
+
+        failed, following = _same_shape_cube(0), _same_shape_cube(1)
+        reference = fuse(following, engine="sequential", config=fast_config)
+        with open_session(engine="pipeline", backend="process:2",
+                          config=fast_config, max_placements=1) as session:
+            pool = session._segments
+            session.fuse(failed)
+            placement, output = pool.place(failed), pool.acquire(20, 17, 3)
+            cube_segment, output_segment = placement.segment_name, output.segment_name
+            pool.release(placement)
+            pool.release(output)  # the failed run borrows this segment again
+            session.stage_executor().inject_kill("covariance", kills=3)
+            with pytest.raises(StageCrashError):
+                session.fuse(failed)
+            assert pool.held(SharedComposite) == 0
+            assert output_segment not in owned_segment_names()
+            report = session.fuse(following)
+            placement = pool.place(following)
+            assert placement.segment_name == cube_segment
+            pool.release(placement)
+            np.testing.assert_array_equal(report.composite, reference.composite)
         assert owned_segment_names() == ()
 
     def test_thread_session_leaves_no_placement_behind(self, fast_config):
@@ -550,7 +618,7 @@ class TestStreamingSession:
             reference = fuse(tiny_cube, config=fast_config)
             (report,) = session.fuse_stream([tiny_cube])
             np.testing.assert_array_equal(report.composite, reference.composite)
-            assert session._output_pool.segments == 1
+            assert session._segments.held(SharedComposite) == 1
 
     def test_thread_executor_close_rejects_submits_with_typed_error(self):
         from repro.scp.stages import StageError, TransportStageExecutor

@@ -179,33 +179,60 @@ class TestOutputPool:
             pool.release(busy)
 
     def test_concurrent_new_shapes_count_each_others_allocations(self, monkeypatch):
-        # Two threads allocate new shapes, and neither creates its segment
-        # before both have run their eviction pass: each pass must count the
-        # other's allocation, or an idle segment survives beside the two new
-        # ones and the pool ends over its bound.
-        create = SharedComposite.create
-        both_evicted = threading.Barrier(2, timeout=10)
+        # Two threads allocate new shapes at once.  Each reservation -- the
+        # eviction pass and the creation -- is made under the pool's lock,
+        # so each counts the other's allocation: no idle segment survives
+        # beside the two new ones, and the pool ends within its bound.
+        import repro.data.shared as shared
 
-        def gated_create(*args, **kwargs):
-            both_evicted.wait()
-            return create(*args, **kwargs)
+        create = shared._create_segment
+        under_lock = []
+        both_started = threading.Barrier(2, timeout=10)
+
+        def watched_create(nbytes):
+            under_lock.append(pool._lock.locked())
+            return create(nbytes)
 
         with OutputPool(max_segments=2) as pool:
             for rows in (8, 9):
                 pool.release(pool.acquire(rows, 4, 3))
-            monkeypatch.setattr(SharedComposite, "create", gated_create)
+            monkeypatch.setattr(shared, "_create_segment", watched_create)
             placements = []
-            threads = [threading.Thread(
-                target=lambda rows=rows: placements.append(
-                    pool.acquire(rows, 4, 3))) for rows in (10, 11)]
+
+            def borrow(rows):
+                both_started.wait()
+                placements.append(pool.acquire(rows, 4, 3))
+
+            threads = [threading.Thread(target=borrow, args=(rows,))
+                       for rows in (10, 11)]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=30)
             assert len(placements) == 2
+            assert under_lock == [True, True]
             assert pool.segments <= 2
             for placement in placements:
                 pool.release(placement)
+
+    def test_same_byte_size_reuses_the_segment_across_shapes(self):
+        # Recycling is by byte size: an 8x4 output's segment serves a 4x8
+        # one, and a writer's cached attachment is re-mapped to the new
+        # shape instead of writing through the stale one.
+        with OutputPool(max_segments=2) as pool:
+            first = pool.acquire(8, 4, 3)
+            name = first.segment_name
+            with output_tile_views(first.handle(), 0, 8):
+                pass  # the writer side now caches an 8-row attachment
+            pool.release(first)
+            again = pool.acquire(4, 8, 3)
+            assert again.segment_name == name and first.closed
+            assert again.components.shape == (4, 8, 3)
+            with output_tile_views(again.handle(), 1, 4) as (components, composite):
+                assert components.shape == (3, 8, 3)
+                composite[...] = 7.0
+            assert (again.composite[1:] == 7.0).all()
+            pool.release(again)
 
     def test_discard_retires_the_segment_instead_of_reissuing(self):
         # A failed run's placement may still have straggler writers; discard

@@ -24,7 +24,7 @@ from repro.core.streaming import (STAGE_LABELS, WHOLE_REQUEST_MAX_SAMPLES,
                                   execute_pipeline_request)
 from repro.data.cube import HyperspectralCube
 from repro.data.hydice import HydiceConfig, HydiceGenerator
-from repro.data.shared import owned_segment_names
+from repro.data.shared import SharedComposite, owned_segment_names
 from repro.paritylab.harness import FLOAT32_COMPOSITE_ATOL
 from repro.scp.stages import (StageCrashError, StageError,
                               TransportStageExecutor)
@@ -272,13 +272,13 @@ class TestKillsFireOnWholeRequests:
         try:
             executor = session.stage_executor()
             session.fuse(tiny_cube)  # a pooled placement exists to lose
-            assert session._output_pool.segments == 1
+            assert session._segments.held(SharedComposite) == 1
             executor.inject_kill("covariance", kills=3)
             with pytest.raises(StageCrashError, match="request"):
                 session.fuse(tiny_cube)
             assert executor.kills_delivered == {"covariance": 3}
             assert executor.pending_kills == {}
-            assert session._output_pool.segments == 0  # discarded, not reissued
+            assert session._segments.held(SharedComposite) == 0  # discarded, not reissued
             assert session.fuse(tiny_cube).result.metadata["placement"] == "request"
         finally:
             session.close()
