@@ -400,28 +400,30 @@ def run_pipeline(cube: HyperspectralCube, config: FusionConfig, executor,
 #: Measured, not derived: ``benchmarks/bench_fig5_granularity.py`` (the
 #: "measured" series; re-run it before changing this -- CONTRIBUTING,
 #: "Changing the plan constant").  On a shared 2-vCPU host, ``process:2``,
-#: one BLAS thread, warm executor, 3 s closed loops, with each worker
-#: running one task and holding the next and the blocked survivor
-#: elimination in screening, split -> whole:
+#: one BLAS thread, warm executor, ``--quick`` (0.4 s closed loops), with
+#: the hot-first admission test in screening, split -> whole:
 #:
 #: ====================  =====================  ======================
 #: scene (samples)       1 client, p50 latency  4 outstanding, cubes/s
 #: ====================  =====================  ======================
-#: 64x64x32     (131 k)  26.6 -> 13.0 ms        53.2 -> 188.2
-#: 96x96x32     (295 k)  27.3 -> 18.6 ms        47.9 -> 118.7
-#: 128x128x32   (524 k)  28.4 -> 25.9 ms        40.1 -> 80.0
-#: 96x96x64     (590 k)  29.8 -> 28.9 ms        39.8 -> 77.8
-#: 128x128x64  (1.05 M)  35.4 -> 39.5 ms        35.1 -> 51.7
-#: 256x256x64   (4.2 M)  110.8 -> 162.7 ms      10.0 -> 11.0
+#: 64x64x32     (131 k)  10.4 -> 7.5 ms         100.4 -> 306.8
+#: 96x96x32     (295 k)  13.1 -> 9.6 ms         85.7 -> 183.0
+#: 128x128x32   (524 k)  14.7 -> 15.2 ms        77.8 -> 146.3
+#: 96x96x64     (590 k)  16.8 -> 16.7 ms        74.1 -> 126.4
+#: 128x128x64  (1.05 M)  19.8 -> 22.5 ms        55.8 -> 82.3
+#: 256x256x64   (4.2 M)  47.5 -> 66.1 ms        24.7 -> 27.7
 #: ====================  =====================  ======================
 #:
-#: Whole wins on both loops up to 295 k samples and wins under load at every
-#: size.  A lone client now breaks even at 524-590 k (a second run: 26.5 ->
-#: 26.6 ms and 25.8 -> 27.0 ms there), where the tables measured before the
-#: blocked survivor elimination lost (three more seeds then each gave
-#: 112x112x32 one win and two losses of ~12 %, 128x128x32 -6 to -18 %), and
-#: loses from 1.05 M up.  ``1 << 18`` is the largest power of two at which whole lost on
-#: neither loop in any run made.  Whatever it becomes, it must stay strictly
+#: Whole wins under load at every size and, for a lone client, up to 295 k
+#: samples; a lone client breaks even at 524-590 k and loses from 1.05 M
+#: up.  The same ``--quick`` run on the code before the hot-first test had
+#: a lone client lose at 295 k (11.4 -> 12.5 ms) and 590 k (19.2 -> 20.0);
+#: its 3 s tables had whole win at 295 k (27.3 -> 18.6 ms), and three more
+#: seeds then gave 112x112x32 one win and two losses of ~12 %.  On
+#: ``local:2`` a lone client at 131 k loses a little on both sides (5.9 ->
+#: 6.0 ms before, 4.9 -> 5.4 after).  ``1 << 18`` is the largest power of
+#: two at which whole lost on neither ``process:2`` loop in any run made.
+#: Whatever it becomes, it must stay strictly
 #: below 1 048 576: 128x128x64 is faster split for a single client, and a
 #: request that size must keep dispatching ``screen`` /
 #: ``covariance`` / ``project`` tasks for stage-targeted chaos

@@ -22,12 +22,15 @@ from hypothesis import strategies as st
 from repro.config import ScreeningConfig
 from repro.core.partition import (decompose, extract_subcube,
                                   subcube_pixel_matrix)
-from repro.core.steps.screening import (UniqueSetBuffer, screen_unique_set,
+from repro.core.steps.screening import (_HOT_MEMBERS, UniqueSetBuffer,
+                                        merge_unique_sets, screen_unique_set,
                                         screen_unique_set_reference,
                                         spectral_angles)
 from repro.data.hydice import HydiceConfig, HydiceGenerator
 
 COMMON_SETTINGS = dict(max_examples=40, deadline=None)
+#: The hot-tier scenes run the seed kernel's per-row loop over 300-600 px.
+HOT_TIER_SETTINGS = dict(max_examples=25, deadline=None)
 
 
 def pixel_matrices(min_pixels=4, max_pixels=400, min_bands=3, max_bands=24):
@@ -46,6 +49,44 @@ def _make_pixels(n, bands, seed):
     latent = rng.random((n, min(4, bands)))
     mixing = rng.random((min(4, bands), bands)) + 0.05
     return latent @ mixing + 0.01 + 0.05 * rng.random((n, bands))
+
+
+def many_material_scenes():
+    """Strategy producing 300-600 pixel scenes of 8-16 materials plus noise,
+    paired with a small threshold and chunk size: the unique set passes
+    ``_HOT_MEMBERS`` members with chunks still to come, so the two-tier
+    admission test runs (``_members_before_last_chunk`` checks it)."""
+    return st.tuples(
+        st.integers(300, 600),
+        st.integers(12, 24),
+        st.integers(8, 16),
+        st.integers(0, 2**31 - 1),
+    ).map(lambda args: _make_scene(*args))
+
+
+def _make_scene(n, bands, materials, seed):
+    rng = np.random.default_rng(seed)
+    signatures = rng.random((materials, bands)) + 0.05
+    dominant = rng.integers(0, materials, n)
+    abundances = 0.15 * rng.random((n, materials))
+    abundances[np.arange(n), dominant] += 1.0
+    return abundances @ signatures + 0.03 * rng.random((n, bands))
+
+
+HOT_TIER_THRESHOLDS = st.floats(0.01, 0.04)
+HOT_TIER_CHUNKS = st.integers(8, 32)
+
+
+def _admitted_rows(pixels, unique):
+    """Row index in ``pixels`` of each member of ``unique`` (members are
+    pixel rows; a duplicated pixel is admitted at its first occurrence)."""
+    return (unique[:, None, :] == pixels[None, :, :]).all(axis=2).argmax(axis=1)
+
+
+def _members_before_last_chunk(pixels, unique, chunk_size):
+    """Members admitted before the last chunk of an unstrided screening."""
+    last_start = list(range(1, len(pixels), chunk_size))[-1]
+    return int((_admitted_rows(pixels, unique) < last_start).sum())
 
 
 class TestSeedEquivalence:
@@ -136,6 +177,116 @@ class TestSeedEquivalence:
                                         max_unique=screening.max_unique))
 
 
+class TestHotTier:
+    """The two-tier admission test past ``_HOT_MEMBERS`` members."""
+
+    @given(pixels=many_material_scenes(), threshold=HOT_TIER_THRESHOLDS,
+           chunk_size=HOT_TIER_CHUNKS)
+    @settings(**HOT_TIER_SETTINGS)
+    def test_bit_identical_to_seed_kernel(self, pixels, threshold, chunk_size):
+        seed = screen_unique_set_reference(pixels, threshold,
+                                           chunk_size=chunk_size)
+        # The branch is reached: at least one chunk screens against more
+        # than _HOT_MEMBERS members.
+        assert _members_before_last_chunk(pixels, seed,
+                                          chunk_size) > _HOT_MEMBERS
+        np.testing.assert_array_equal(
+            screen_unique_set(pixels, threshold, chunk_size=chunk_size), seed)
+
+    @given(pixels=many_material_scenes(), threshold=HOT_TIER_THRESHOLDS,
+           chunk_size=HOT_TIER_CHUNKS, pick=st.integers(0, 2**31 - 1))
+    @settings(**HOT_TIER_SETTINGS)
+    def test_cap_landing_in_the_cold_tier_matches_seed(self, pixels, threshold,
+                                                       chunk_size, pick):
+        full = screen_unique_set_reference(pixels, threshold,
+                                           chunk_size=chunk_size)
+        rows = _admitted_rows(pixels, full)
+        starts = np.arange(1, len(pixels), chunk_size)
+        # Members at the start of the chunk that admitted each member; a cap
+        # of (index + 1) lands in that chunk, so pick a member whose chunk
+        # started above _HOT_MEMBERS.
+        chunk = np.maximum(rows - 1, 0) // chunk_size
+        at_start = np.searchsorted(rows, starts[chunk])
+        late = np.nonzero(at_start > _HOT_MEMBERS)[0]
+        assert late.size
+        cap = int(late[pick % late.size]) + 1
+        new = screen_unique_set(pixels, threshold, chunk_size=chunk_size,
+                                max_unique=cap)
+        assert len(new) == cap
+        np.testing.assert_array_equal(
+            new, screen_unique_set_reference(pixels, threshold,
+                                             chunk_size=chunk_size,
+                                             max_unique=cap))
+
+    @given(pixels=many_material_scenes(), threshold=HOT_TIER_THRESHOLDS,
+           chunk_size=HOT_TIER_CHUNKS)
+    @settings(**HOT_TIER_SETTINGS)
+    def test_float32_mode_still_covers(self, pixels, threshold, chunk_size):
+        unique = screen_unique_set(pixels, threshold, chunk_size=chunk_size,
+                                   compute_dtype="float32")
+        assert _members_before_last_chunk(pixels, unique,
+                                          chunk_size) > _HOT_MEMBERS
+        # Same tolerance as TestCoverInvariants' float32 case.
+        angles = spectral_angles(pixels, unique)
+        assert angles.min(axis=1).max() <= threshold + 1e-3
+
+    @given(pixels=many_material_scenes(), threshold=HOT_TIER_THRESHOLDS,
+           chunk_size=HOT_TIER_CHUNKS, seed=st.integers(0, 2**31 - 1))
+    @settings(**HOT_TIER_SETTINGS)
+    def test_duplicated_pixels_match_seed(self, pixels, threshold, chunk_size,
+                                          seed):
+        # The second copy repeats every member: cosine 1.0 (to rounding).
+        rng = np.random.default_rng(seed)
+        repeated = np.vstack([pixels, pixels[rng.permutation(len(pixels))]])
+        new = screen_unique_set(repeated, threshold, chunk_size=chunk_size)
+        np.testing.assert_array_equal(
+            new, screen_unique_set_reference(repeated, threshold,
+                                             chunk_size=chunk_size))
+        np.testing.assert_array_equal(
+            new, screen_unique_set(pixels, threshold, chunk_size=chunk_size))
+
+    def test_equal_coverage_counts_give_one_answer(self):
+        # 48 mutually orthogonal members, then three copies of them: the
+        # first two-tier chunk sees all 48 counts tied at zero, and after
+        # each copy (three chunks of 16) every member has covered one more
+        # pixel, so the counts tie again.
+        members = np.eye(48)
+        pixels = np.vstack([members] + [members[::-1]] * 3)
+        first = screen_unique_set(pixels, 0.3, chunk_size=16)
+        np.testing.assert_array_equal(
+            first, screen_unique_set(pixels, 0.3, chunk_size=16))
+        np.testing.assert_array_equal(first, members)
+        np.testing.assert_array_equal(
+            first, screen_unique_set_reference(pixels, 0.3, chunk_size=16))
+
+    def test_nan_first_pixel_gives_a_one_row_set(self):
+        pixels = _make_scene(400, 16, 12, 7)
+        pixels[0, 3] = np.nan
+        for screen in (screen_unique_set, screen_unique_set_reference):
+            unique = screen(pixels, 0.02, chunk_size=16)
+            assert unique.shape == (1, 16)
+            assert np.isnan(unique[0, 3])
+
+    @given(pixels=many_material_scenes(), threshold=HOT_TIER_THRESHOLDS,
+           chunk_size=HOT_TIER_CHUNKS, seed=st.integers(0, 2**31 - 1))
+    @settings(**HOT_TIER_SETTINGS)
+    def test_later_nan_pixels_are_never_admitted(self, pixels, threshold,
+                                                 chunk_size, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.choice(np.arange(1, len(pixels)), size=12, replace=False)
+        poisoned = pixels.copy()
+        poisoned[rows, rng.integers(0, pixels.shape[1], rows.size)] = np.nan
+        new = screen_unique_set(poisoned, threshold, chunk_size=chunk_size)
+        assert not np.isnan(new).any()
+        np.testing.assert_array_equal(
+            new, screen_unique_set_reference(poisoned, threshold,
+                                             chunk_size=chunk_size))
+        # A rejected NaN row changes nothing else.
+        np.testing.assert_array_equal(
+            new, screen_unique_set(np.delete(pixels, rows, axis=0), threshold,
+                                   chunk_size=chunk_size))
+
+
 class TestCoverInvariants:
     @given(pixels=pixel_matrices(), threshold=st.floats(0.02, 0.5))
     @settings(**COMMON_SETTINGS)
@@ -180,6 +331,15 @@ class TestUniqueSetBuffer:
         assert buffer.capacity >= 9
         np.testing.assert_array_equal(buffer.view, rows)
 
+    def test_counts_grow_with_the_rows(self):
+        buffer = UniqueSetBuffer(2, capacity=2)
+        buffer.append(np.ones((2, 2)))
+        counts = buffer.counts
+        counts += [5, 7]
+        buffer.append(np.ones((3, 2)))
+        assert buffer.capacity >= 5
+        np.testing.assert_array_equal(buffer.counts, [5, 7, 0, 0, 0])
+
     def test_view_is_zero_copy(self):
         buffer = UniqueSetBuffer(3, capacity=8)
         buffer.append(np.ones((2, 3)))
@@ -207,3 +367,15 @@ class TestParameterValidation:
             screen_unique_set(pixels, 0.1, sample_stride=0)
         with pytest.raises(ValueError, match="sample_stride"):
             screen_unique_set_reference(pixels, 0.1, sample_stride=-1)
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_max_unique_below_one_rejected(self, cap):
+        pixels = np.random.default_rng(0).random((6, 3))
+        with pytest.raises(ValueError, match="max_unique"):
+            screen_unique_set(pixels, 0.05, max_unique=cap)
+        with pytest.raises(ValueError, match="max_unique"):
+            screen_unique_set_reference(pixels, 0.05, max_unique=cap)
+        for rescreen in (False, True):
+            with pytest.raises(ValueError, match="max_unique"):
+                merge_unique_sets([pixels[:3], pixels[3:]], 0.05,
+                                  max_unique=cap, rescreen=rescreen)
