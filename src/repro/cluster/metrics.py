@@ -41,7 +41,9 @@ class RunMetrics:
     phase_seconds:
         Compute seconds charged per algorithm phase, summed over threads.
     messages / bytes_sent:
-        Interconnect traffic totals.
+        Interconnect traffic totals.  ``bytes_sent`` is the modeled payload
+        volume on every backend -- what the simulated LAN charges, a
+        sub-cube task counting as its block's bytes -- not the bytes pickled.
     node_busy_seconds:
         Per node, the compute seconds it was busy (utilisation numerator).
     failures_injected / replicas_regenerated / reconfigurations:

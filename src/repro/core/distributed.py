@@ -16,11 +16,12 @@ backend the request names:
 
 ``backend="process"``
     Real operating-system processes (one interpreter per replica) with the
-    cube placed in shared memory.  This is the backend that delivers actual
-    wall-clock speed-up on multi-core hosts; its measured per-phase timings
-    feed the same :class:`~repro.cluster.metrics.RunMetrics` record, so
-    Figure-4-style curves can be produced from measured rather than modelled
-    times (see :mod:`repro.experiments.measured`).
+    cube placed in shared memory; messages carry no bulk data either, since
+    a sub-cube task names rows of that placement.  This is the backend that
+    delivers actual wall-clock speed-up on multi-core hosts; its measured
+    per-phase timings feed the same :class:`~repro.cluster.metrics.RunMetrics`
+    record, so Figure-4-style curves can be produced from measured rather
+    than modelled times (see :mod:`repro.experiments.measured`).
 
 The composite produced is identical across backends and identical to the
 sequential :class:`~repro.core.pipeline.SpectralScreeningPCT` reference.

@@ -5,6 +5,8 @@ it partitions the problem into sub-cubes, distributes them to workers, merges
 the per-partition results, executes the inherently sequential steps (unique
 set merging, mean vector, covariance combination, eigen-decomposition), and
 finally assembles the colour composite from the workers' transformed blocks.
+A sub-cube task names its block by reference (see
+:class:`~repro.core.messages.TaskAssignment`), never carries a copy of it.
 
 The distribution protocol is *result driven with prefetch*: the manager keeps
 up to ``prefetch`` tasks outstanding per worker; every incoming result
@@ -33,7 +35,7 @@ from ..scp.runtime import Context
 from .messages import (PHASE_COVARIANCE, PHASE_SCREEN, PHASE_TRANSFORM,
                        PORT_TASK, StopWork, TaskAssignment, TaskResult,
                        WorkerHello)
-from .partition import decompose, extract_subcube, reassemble_composite
+from .partition import decompose, reassemble_composite
 from .pipeline import FusionResult
 from .steps.colormap import component_statistics
 from .steps.screening import merge_flops, merge_unique_sets
@@ -170,7 +172,7 @@ def manager_program(ctx: Context, *, cube: HyperspectralCube,
     # ------------------------------------------------------------- phase 1-2
     screen_tasks = [
         TaskAssignment(phase=PHASE_SCREEN, task_id=spec.task_id,
-                       data={"block": extract_subcube(cube, spec)}, spec=spec)
+                       data={"cube": cube}, spec=spec)
         for spec in subcube_specs
     ]
     screen_results = yield from _phase_runner(ctx, screen_tasks, PHASE_SCREEN,
@@ -232,7 +234,7 @@ def manager_program(ctx: Context, *, cube: HyperspectralCube,
     # ------------------------------------------------------------- phase 7-8
     transform_tasks = [
         TaskAssignment(phase=PHASE_TRANSFORM, task_id=spec.task_id,
-                       data={"block": extract_subcube(cube, spec), "basis": basis,
+                       data={"cube": cube, "basis": basis,
                              "stretch_mean": stretch_mean, "stretch_std": stretch_std,
                              "keep_components": n_components},
                        spec=spec)

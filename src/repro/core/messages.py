@@ -61,9 +61,14 @@ class TaskAssignment:
     data:
         Phase-specific payload:
 
-        * screen: ``{"block": (bands, rows, cols) array}``
+        * screen: ``{"cube": HyperspectralCube}``
         * covariance: ``{"pixels": (m, bands) array, "mean": (bands,) array}``
-        * transform: ``{"block": array, "spec": SubcubeSpec, "basis": PCTBasis}``
+        * transform: ``{"cube": HyperspectralCube, "basis": PCTBasis,
+          "stretch_mean", "stretch_std": (3,) arrays, "keep_components": int}``
+
+        A sub-cube task names its block by reference: the manager's whole
+        cube plus ``spec``.  On the process backend the cube is a
+        :class:`~repro.data.shared.SharedCube` and pickles as its handle.
     spec:
         The sub-cube this task corresponds to, when applicable.
     """
@@ -77,9 +82,13 @@ class TaskAssignment:
         return ("task", self.phase, self.task_id)
 
     def nbytes_estimate(self) -> int:
+        """Modeled payload size: a cube counts as the rows ``spec`` names,
+        the block a worker would receive on a distributed-memory LAN."""
         total = 256
-        for value in self.data.values():
-            if isinstance(value, np.ndarray):
+        for key, value in self.data.items():
+            if key == "cube":
+                total += value.data[:, self.spec.row_start:self.spec.row_stop].nbytes
+            elif isinstance(value, np.ndarray):
                 total += value.nbytes
             elif hasattr(value, "nbytes_estimate"):
                 total += int(value.nbytes_estimate())

@@ -64,9 +64,11 @@ def decompose(cube_rows: int, subcubes: int) -> List[SubcubeSpec]:
 def extract_subcube(cube: HyperspectralCube, spec: SubcubeSpec) -> np.ndarray:
     """Materialise the ``(bands, block_rows, cols)`` array of one sub-cube.
 
-    A copy is taken so the payload shipped to a worker is exactly the block
-    (both for communication-cost realism and to avoid accidentally sharing
-    the full cube's memory in the local backend).
+    Called where the block is computed on -- by a worker on the cube its
+    task names, by the sequential and pipeline screens -- never to build a
+    message.  The contiguous copy gives every engine the same kernel input
+    and detaches the block from a shared-memory cube that a later request
+    may recycle.
     """
     if not 0 <= spec.row_start < spec.row_stop <= cube.rows:
         raise ValueError(f"sub-cube {spec} out of range for cube with {cube.rows} rows")

@@ -6,6 +6,9 @@ A worker participates in the three distributed phases of the algorithm:
 * ``covariance``  -- step 4: covariance sum of a slice of the unique set,
 * ``transform``   -- steps 7-8: projection and colour mapping of a sub-cube.
 
+A sub-cube task carries the manager's cube and the block's row range; the
+worker copies its block out of the cube just before computing it.
+
 The worker is deliberately stateless between tasks: it announces itself to
 the manager, then loops receiving a task, computing it, and returning the
 result.  Idempotent duplicate-suppression keys on both tasks and results make
@@ -34,16 +37,15 @@ from .messages import (PHASE_COVARIANCE, PHASE_SCREEN, PHASE_TRANSFORM,
                        PORT_HELLO, PORT_RESULT, PORT_TASK, StopWork,
                        TaskAssignment, TaskResult, WorkerHello)
 from .kernels import kernel_covariance_sum, kernel_project_and_map
-from .partition import subcube_pixel_matrix
+from .partition import extract_subcube, subcube_pixel_matrix
 from .steps.colormap import color_map_flops
 from .steps.screening import screen_unique_set, screening_flops
 from .steps.statistics import covariance_sum_flops
 from .steps.transform import projection_flops
 
 
-def _compute_screen(task: TaskAssignment, config: FusionConfig) -> Compute:
-    """Build the Compute effect for a screening task."""
-    block = task.data["block"]
+def _compute_screen(block: np.ndarray, config: FusionConfig) -> Compute:
+    """Build the Compute effect for screening one sub-cube block."""
     pixels = subcube_pixel_matrix(block)
     n_pixels, bands = pixels.shape
     screening = config.screening
@@ -90,9 +92,9 @@ def _transform_and_map(block: np.ndarray, basis, stretch_mean, stretch_std,
     return {"components": components, "rgb": rgb}
 
 
-def _compute_transform(task: TaskAssignment, config: FusionConfig) -> Compute:
-    """Build the Compute effect for a transform + colour-map task."""
-    block = task.data["block"]
+def _compute_transform(task: TaskAssignment, block: np.ndarray,
+                       config: FusionConfig) -> Compute:
+    """Build the Compute effect for a transform + colour-map task on ``block``."""
     basis = task.data["basis"]
     stretch_mean = task.data["stretch_mean"]
     stretch_std = task.data["stretch_std"]
@@ -145,14 +147,16 @@ def worker_program(ctx: Context, *, manager: str = "manager",
 
         task = message
         if task.phase == PHASE_SCREEN:
-            unique = yield _compute_screen(task, config)
-            result_data = {"unique": unique, "pixels_screened": int(
-                task.data["block"].shape[1] * task.data["block"].shape[2])}
+            block = extract_subcube(task.data["cube"], task.spec)
+            unique = yield _compute_screen(block, config)
+            result_data = {"unique": unique,
+                           "pixels_screened": int(block.shape[1] * block.shape[2])}
         elif task.phase == PHASE_COVARIANCE:
             cov = yield _compute_covariance(task, config)
             result_data = {"cov_sum": cov, "count": int(task.data["pixels"].shape[0])}
         elif task.phase == PHASE_TRANSFORM:
-            block_result = yield _compute_transform(task, config)
+            block = extract_subcube(task.data["cube"], task.spec)
+            block_result = yield _compute_transform(task, block, config)
             result_data = {"rgb": block_result["rgb"],
                            "components": block_result["components"],
                            "spec": task.spec}

@@ -32,7 +32,12 @@ its long-lived pool, so repeated runs reuse live processes.
 Bulk problem data is *not* pickled: thread parameters holding a
 :class:`~repro.data.cube.HyperspectralCube` are transparently converted to
 :class:`~repro.data.shared.SharedCube`, whose samples live in a shared-memory
-segment that every process maps zero-copy.
+segment that every process maps zero-copy.  Messages carry none either: a
+message naming that cube pickles as its handle, so the fusion manager's
+sub-cube tasks (the cube plus a row range) no longer copy their blocks to
+every replica.  The segment outlives every replica that can read it, regenerated
+ones included: a session pins its placement for the whole run, and a cube
+placed here is closed by :meth:`_cleanup`, after the stragglers' grace.
 
 Crash handling mirrors the local backend (the parent-side bookkeeping is
 literally shared, see :mod:`repro.scp.wallclock`): a program exception is

@@ -206,6 +206,29 @@ class TestFusionSession:
             report = session.fuse(tiny_cube)
             assert report.composite.shape == (tiny_cube.rows, tiny_cube.cols, 3)
 
+    def test_recycled_placements_serve_replicated_sub_cube_tasks(self, fast_config):
+        # Sub-cube tasks name rows of the session's placement, so with one
+        # placement every cube of the cycle is copied into the same segment
+        # while both replicas of each worker read it; no composite may see
+        # another cube's samples, and no segment appears after the first cycle.
+        cubes = [_same_shape_cube(seed) for seed in range(3)]
+        references = [fuse(cube, engine="sequential", config=fast_config).composite
+                      for cube in cubes]
+        with open_session(engine="resilient", backend="process:2",
+                          config=fast_config, max_placements=1) as session:
+            for cycle in range(4):
+                for cube, reference in zip(cubes, references):
+                    report = session.fuse(cube, replication=2)
+                    np.testing.assert_array_equal(report.composite, reference)
+                    assert report.metrics.replication_level == 2
+                if cycle == 0:
+                    segments, residue = set(owned_segment_names()), set(shm_residue())
+                else:
+                    assert set(owned_segment_names()) <= segments
+                    assert set(shm_residue()) <= residue
+            assert session.cubes_placed == 1
+        assert owned_segment_names() == ()
+
     def test_max_placements_validated(self):
         with pytest.raises(ValueError, match="max_placements"):
             open_session(backend="process", max_placements=0)

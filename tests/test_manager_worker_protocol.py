@@ -7,16 +7,22 @@ order -- independently of any scheduling, which is what makes the replication
 and regeneration semantics of the runtime safe to reason about.
 """
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.config import FusionConfig, PartitionConfig, ScreeningConfig
 from repro.core.manager import manager_program
-from repro.core.messages import (PHASE_COVARIANCE, PHASE_SCREEN, PORT_HELLO,
+from repro.core.messages import (PHASE_COVARIANCE, PHASE_SCREEN,
+                                 PHASE_TRANSFORM, PORT_HELLO,
                                  PORT_RESULT, PORT_TASK, StopWork,
                                  TaskAssignment, TaskResult, WorkerHello)
-from repro.core.pipeline import FusionResult
+from repro.core.partition import SubcubeSpec, extract_subcube
+from repro.core.pipeline import FusionResult, SpectralScreeningPCT
 from repro.core.worker import worker_program
 from repro.data.hydice import HydiceConfig, HydiceGenerator
+from repro.data.shared import SharedCube
 from repro.scp.effects import Checkpoint, Compute, Recv, Send
 from repro.scp.runtime import Context
 from repro.scp.serialization import Envelope
@@ -145,8 +151,9 @@ class TestWorkerProtocol:
     def test_screen_task_produces_unique_set_result(self, protocol_cube):
         driver = self.make_driver()
         driver.step_until_blocked()
-        block = protocol_cube.data[:, :8, :]
-        task = TaskAssignment(phase=PHASE_SCREEN, task_id=3, data={"block": block})
+        task = TaskAssignment(phase=PHASE_SCREEN, task_id=3,
+                              data={"cube": protocol_cube},
+                              spec=SubcubeSpec(task_id=3, row_start=0, row_stop=8))
         driver.deliver(task, PORT_TASK)
         driver.resume_with_inbox()
         result_send = driver.sent[-1]
@@ -175,9 +182,10 @@ class TestWorkerProtocol:
     def test_stop_terminates_with_task_count(self, protocol_cube):
         driver = self.make_driver()
         driver.step_until_blocked()
-        block = protocol_cube.data[:, :4, :]
         driver.deliver(TaskAssignment(phase=PHASE_SCREEN, task_id=0,
-                                      data={"block": block}), PORT_TASK)
+                                      data={"cube": protocol_cube},
+                                      spec=SubcubeSpec(task_id=0, row_start=0,
+                                                       row_stop=4)), PORT_TASK)
         driver.resume_with_inbox()
         driver.deliver(StopWork(), PORT_TASK)
         driver.resume_with_inbox()
@@ -244,6 +252,43 @@ class TestManagerProtocol:
         assert isinstance(result, FusionResult)
         assert result.composite.shape == (protocol_cube.rows, protocol_cube.cols, 3)
         assert result.metadata["mode"] == "distributed"
+
+    def test_sub_cube_tasks_over_a_shared_cube_pickle_as_handles(self):
+        # Screen and transform tasks name rows of the manager's cube; over a
+        # SharedCube each pickles as the segment handle plus the small
+        # per-phase arrays, where a copy of the block would be 1 MiB.  The
+        # simulated LAN still charges the block's bytes.
+        cube = HydiceGenerator(HydiceConfig(bands=16, rows=256, cols=128,
+                                            seed=5)).generate()
+        config = FusionConfig(screening=ScreeningConfig(angle_threshold=0.05,
+                                                        max_unique=256),
+                              partition=PartitionConfig(workers=2, subcubes=2))
+        sub_cube_tasks = []
+        with SharedCube.from_cube(cube) as shared:
+            driver = self.run_manager(shared, config)
+            driver.step_until_blocked()
+            tasks = self.drain_tasks(driver)
+            while not driver.finished:
+                for dst, task in tasks:
+                    if task.spec is not None:
+                        sub_cube_tasks.append(task)
+                        assert len(pickle.dumps(task)) < 4096
+                    self.answer(driver, dst, task)
+                    driver.resume_with_inbox()
+                tasks = self.drain_tasks(driver)
+            np.testing.assert_array_equal(
+                driver.result.composite,
+                SpectralScreeningPCT(config).fuse(cube).composite)
+            assert sorted(task.phase for task in sub_cube_tasks) == [
+                PHASE_SCREEN, PHASE_SCREEN, PHASE_TRANSFORM, PHASE_TRANSFORM]
+            for task in sub_cube_tasks:
+                data = dict(task.data)
+                block = extract_subcube(data.pop("cube"), task.spec)
+                assert block.nbytes == 1 << 20
+                copied = TaskAssignment(phase=task.phase, task_id=task.task_id,
+                                        data={"block": block, **data},
+                                        spec=task.spec)
+                assert task.nbytes_estimate() == copied.nbytes_estimate()
 
     def test_rejoining_worker_gets_outstanding_tasks_resent(self, protocol_cube,
                                                             fusion_config):

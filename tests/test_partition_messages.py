@@ -161,10 +161,15 @@ class TestMessages:
     def test_stop_key(self):
         assert StopWork().dedup_key() == ("stop", "complete")
 
-    def test_task_nbytes_counts_arrays(self):
-        block = np.zeros((10, 8, 8), dtype=np.float32)
-        task = TaskAssignment(phase=PHASE_SCREEN, task_id=0, data={"block": block})
+    def test_task_nbytes_counts_arrays(self, tiny_cube):
+        # A sub-cube task names its block by reference; the estimate still
+        # charges the block's bytes, not the whole cube's.
+        spec = decompose(tiny_cube.rows, 4)[1]
+        block = extract_subcube(tiny_cube, spec)
+        task = TaskAssignment(phase=PHASE_SCREEN, task_id=1,
+                              data={"cube": tiny_cube}, spec=spec)
         assert task.nbytes_estimate() >= block.nbytes
+        assert task.nbytes_estimate() < tiny_cube.data.nbytes
 
     def test_result_nbytes_counts_arrays(self):
         result = TaskResult(phase=PHASE_SCREEN, task_id=0, worker="w",

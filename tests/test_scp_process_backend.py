@@ -217,6 +217,37 @@ def test_cube_param_uses_existing_segment_when_already_shared(tiny_cube):
         assert not shared.closed  # the backend must not close foreign segments
 
 
+def test_a_plain_cube_reaches_the_manager_as_a_shared_cube(small_cube, monkeypatch):
+    # A standalone backend places a plain cube itself, so the manager's
+    # sub-cube tasks name rows of a SharedCube; a plain cube there would make
+    # every task pickle the whole cube.
+    from repro import fuse
+    from repro.config import FusionConfig, PartitionConfig
+    from repro.core.distributed import MANAGER_NAME, build_application
+    from repro.core.messages import TaskAssignment
+
+    routed = []
+    route = ProcessBackend._route
+
+    def spy(self, envelope):
+        task = envelope.payload
+        if isinstance(task, TaskAssignment) and "cube" in task.data:
+            routed.append(type(task.data["cube"]))
+        route(self, envelope)
+
+    monkeypatch.setattr(ProcessBackend, "_route", spy)
+    config = FusionConfig(partition=PartitionConfig(workers=2, subcubes=4))
+    assert not isinstance(small_cube, SharedCube)
+    run = fast_backend().run(build_application(small_cube, config),
+                             until_thread=MANAGER_NAME)
+    sequential = fuse(small_cube, engine="sequential", config=config)
+    np.testing.assert_array_equal(run.return_of(MANAGER_NAME).composite,
+                                  sequential.composite)
+    assert len(routed) >= 8  # 4 screen + 4 transform tasks
+    assert set(routed) == {SharedCube}
+    assert shm_residue() == []
+
+
 def test_kill_and_regenerate_replica():
     app = Application(name="regen")
     app.add_thread("receiver", receiver_program)

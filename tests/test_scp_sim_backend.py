@@ -499,3 +499,43 @@ class TestDeterminism:
         order_b, elapsed_b = self._run_once()
         assert order_a == order_b
         assert elapsed_a == elapsed_b
+
+
+# ---------------------------------------------------------------------------
+# Golden numbers of the fusion application (Figures 4 and 5)
+# ---------------------------------------------------------------------------
+
+class TestFusionGoldenNumbers:
+    """The simulated LAN's charges for the paper's application, pinned.
+
+    Figures 4 and 5 are drawn from these three numbers, so a change to the
+    message protocol or to the payload model must leave them exactly as
+    they are: 64x64x32 HYDICE scene (seed 5), 4 workers on the default
+    preset, resilient at replication 2.
+    """
+
+    GOLDEN = {
+        ("distributed", 4): (1.038103272727273, 32, 1470496),
+        ("distributed", 16): (1.037473696969697, 80, 1715296),
+        ("resilient", 4): (1.6835549212121208, 158, 2947008),
+        ("resilient", 16): (1.3616648363636363, 318, 3440704),
+    }
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        from repro.data.hydice import HydiceConfig, HydiceGenerator
+        return HydiceGenerator(HydiceConfig(bands=32, rows=64, cols=64,
+                                            seed=5)).generate()
+
+    @pytest.mark.parametrize("engine,subcubes", sorted(GOLDEN))
+    def test_simulated_costs_are_unchanged(self, scene, engine, subcubes):
+        from repro import fuse
+        from repro.config import FusionConfig, PartitionConfig
+
+        config = FusionConfig(partition=PartitionConfig(workers=4,
+                                                        subcubes=subcubes))
+        options = {"replication": 2} if engine == "resilient" else {}
+        metrics = fuse(scene, engine=engine, backend="sim", config=config,
+                       **options).metrics
+        assert (metrics.elapsed_seconds, metrics.messages,
+                metrics.bytes_sent) == self.GOLDEN[(engine, subcubes)]
