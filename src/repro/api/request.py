@@ -74,9 +74,9 @@ class FusionRequest:
     #: :meth:`~repro.api.session.FusionSession.submit` keep in flight
     #: (pipeline engine; other engines run their batches serially).
     max_inflight: Optional[int] = None
-    #: Arithmetic precision of the hot kernels (screening and the step-7
-    #: projection): ``"float64"`` (default, bit-identical to the seed
-    #: arithmetic) or ``"float32"`` (the documented fast mode).  ``None``
+    #: Arithmetic precision of the step-7 projection: ``"float64"``
+    #: (default, bit-identical to the seed arithmetic) or ``"float32"`` (the
+    #: documented fast mode; screening stays float64-exact).  ``None``
     #: keeps whatever ``config`` says.
     compute_dtype: Optional[str] = None
     #: Compute backend of the hot kernels (:func:`repro.compute_names` lists

@@ -104,9 +104,9 @@ def _build_parser() -> argparse.ArgumentParser:
     fuse.add_argument("--attack", default=None,
                       help="logical worker to attack mid-run (resilient engine only)")
     fuse.add_argument("--compute-dtype", choices=list(COMPUTE_DTYPES), default=None,
-                      help="arithmetic precision of the screening and projection "
-                           "kernels; float64 (default) is bit-identical to the "
-                           "reference, float32 is the documented fast mode")
+                      help="arithmetic precision of the projection kernel "
+                           "(screening is float64-exact under both); float64 "
+                           "(default) is bit-identical to the reference")
     fuse.add_argument("--compute", choices=compute_names(), default=None,
                       help="compute backend of the hot kernels; numpy "
                            "(default) is the reference and the one "

@@ -147,11 +147,11 @@ class FusionConfig:
     #: Random seed controlling any stochastic component (data generation,
     #: placement tie-breaking, attack schedules).
     seed: int = 0
-    #: Arithmetic precision of the hot kernels (spectral screening and the
-    #: stage-3/step-7 projection).  ``"float64"`` (default) reproduces the
-    #: seed arithmetic bit for bit; ``"float32"`` is the documented fast mode
-    #: -- roughly half the memory traffic on the two bandwidth-bound stages,
-    #: at the cost of composites that only match to single precision.
+    #: Arithmetic precision of the stage-3/step-7 projection.  ``"float64"``
+    #: (default) reproduces the seed arithmetic bit for bit; ``"float32"``
+    #: is the documented fast mode -- about half the projection's memory
+    #: traffic, composites matching to single precision only.  Screening is
+    #: float64-exact under both (certified in float32, refined in float64).
     compute_dtype: str = "float64"
     #: Compute backend of the hot kernels (the registry in
     #: :mod:`repro.core.kernels`): ``"numpy"`` (default, the reference) is

@@ -184,7 +184,6 @@ def manager_program(ctx: Context, *, cube: HyperspectralCube,
                            args=(unique_sets, screening.angle_threshold),
                            kwargs={"max_unique": screening.max_unique,
                                    "rescreen": screening.rescreen_merge,
-                                   "compute_dtype": config.compute_dtype,
                                    "compute": config.compute},
                            flops=lambda merged, n=total_members, b=bands,
                                r=screening.rescreen_merge:

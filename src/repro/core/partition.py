@@ -64,11 +64,11 @@ def decompose(cube_rows: int, subcubes: int) -> List[SubcubeSpec]:
 def extract_subcube(cube: HyperspectralCube, spec: SubcubeSpec) -> np.ndarray:
     """Materialise the ``(bands, block_rows, cols)`` array of one sub-cube.
 
-    Called where the block is computed on -- by a worker on the cube its
-    task names, by the sequential and pipeline screens -- never to build a
-    message.  The contiguous copy gives every engine the same kernel input
-    and detaches the block from a shared-memory cube that a later request
-    may recycle.
+    Called where a transform block is computed on -- by a worker on the
+    cube its task names -- never to build a message.  The contiguous copy
+    detaches the block from a shared-memory cube that a later request may
+    recycle.  Screening does not copy: it reads the view
+    ``subcube_pixel_matrix(cube.data[:, row_start:row_stop])`` in place.
     """
     if not 0 <= spec.row_start < spec.row_stop <= cube.rows:
         raise ValueError(f"sub-cube {spec} out of range for cube with {cube.rows} rows")
@@ -76,7 +76,8 @@ def extract_subcube(cube: HyperspectralCube, spec: SubcubeSpec) -> np.ndarray:
 
 
 def subcube_pixel_matrix(block: np.ndarray) -> np.ndarray:
-    """Reshape a ``(bands, rows, cols)`` block to a ``(pixels, bands)`` matrix."""
+    """Reshape a ``(bands, rows, cols)`` block -- or a row range of a cube's
+    ``data`` -- to a ``(pixels, bands)`` view (no copy)."""
     if block.ndim != 3:
         raise ValueError("expected a 3-D sub-cube block")
     bands = block.shape[0]

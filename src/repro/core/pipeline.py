@@ -23,7 +23,7 @@ import numpy as np
 
 from ..config import FusionConfig
 from ..data.cube import HyperspectralCube
-from .partition import decompose, extract_subcube, subcube_pixel_matrix
+from .partition import decompose, subcube_pixel_matrix
 from .steps.colormap import color_map, color_map_flops, component_statistics
 from .steps.screening import (merge_unique_sets, screen_unique_set,
                               screening_flops)
@@ -134,19 +134,18 @@ class SpectralScreeningPCT:
         # Steps 1-2: per-sub-cube spectral screening, then merge.
         unique_sets = []
         for spec in decompose(cube.rows, min(subcubes, cube.rows)):
-            block_pixels = subcube_pixel_matrix(extract_subcube(cube, spec))
+            block_pixels = subcube_pixel_matrix(
+                cube.data[:, spec.row_start:spec.row_stop])
             unique_sets.append(timed(
                 "screening", block_pixels.shape[0], screen_unique_set,
                 block_pixels, screening.angle_threshold,
                 max_unique=screening.max_unique,
-                sample_stride=screening.sample_stride,
-                compute_dtype=compute_dtype, compute=compute))
+                sample_stride=screening.sample_stride, compute=compute))
         total_members = int(sum(u.shape[0] for u in unique_sets))
         unique = timed("merge", total_members, merge_unique_sets,
                        unique_sets, screening.angle_threshold,
                        max_unique=screening.max_unique,
-                       rescreen=screening.rescreen_merge,
-                       compute_dtype=compute_dtype, compute=compute)
+                       rescreen=screening.rescreen_merge, compute=compute)
 
         # Step 3: mean vector of the unique set.
         mean = timed("mean", int(unique.shape[0]), mean_vector, unique)

@@ -13,50 +13,61 @@ The implementation is a greedy cover: a pixel joins the unique set only if
 its angle to every current member exceeds the threshold.  The hot kernel
 (:func:`screen_unique_set`) keeps the pass vectorised and incremental:
 
-* members live in a :class:`UniqueSetBuffer` -- a grow-by-doubling
-  preallocated ``(capacity, bands)`` array of *already-normalised* vectors.
-  Each admitted row is normalised exactly once, instead of re-stacking and
-  re-normalising the entire unique set per chunk;
-* the admission test is **hot first** (``_apart_rows``).  Next to each
-  member the buffer keeps a coverage count: the candidates whose cosine to
-  it reached the threshold.  Up to ``_HOT_MEMBERS`` members a chunk takes
-  one matrix product against them all.  Past it, the chunk is multiplied
-  against the ``_HOT_MEMBERS`` members of highest count first, and only the
-  rows none of them covers against the rest: on a HYDICE sub-cube the
-  busiest 32 of ~130 members cover 81-86 % of the pixels.  The counts are
-  only kept up to date while a later chunk will read them;
-* the admission test runs in the **cosine domain**: a candidate survives when
-  its largest cosine against the members is below an arccos-calibrated
-  ``cos(angle_threshold)`` (see ``_cosine_admission_threshold``).  ``arccos``
-  is monotone decreasing, so the decision -- and therefore the unique set --
-  is the same as thresholding the angles, without evaluating a
-  transcendental over the ``(chunk, unique)`` matrix.  The cosines
-  themselves are produced by exactly the reference arithmetic (normalise
-  the chunk, one GEMM against the unit members), so the comparison sees the
-  same bits the seed kernel's ``arccos`` saw;
-* chunk survivors that may still be mutually similar are resolved by a
-  blocked greedy walk (``eliminate_survivors``): one small Gram matrix
-  settles the admission order inside each block of still-alive survivors,
-  and one GEMM against the block's admitted pivots removes every later
-  survivor they cover, so the remainder is compacted once per block, not
-  once per admitted member.
+* pixels are read **in place, band-major**: each chunk is a ``(bands,
+  chunk)`` view of the stored samples, with no float64 copy of the
+  sub-cube.  Every float64 unit row (first pixel, refined rows, survivors)
+  comes from ``_unit_rows``, which sums squares band by band in stored
+  order whatever the caller's layout or dtype -- the bits
+  ``normalize_rows`` gives an F-order matrix;
+* members live in a :class:`UniqueSetBuffer`, normalised once, with a
+  float32 mirror and a coverage count each;
+* the admission test is **hot first** (``_apart_rows``): up to
+  ``_HOT_MEMBERS`` members, one product against them all; past it, the
+  chunk against the ``_HOT_MEMBERS`` members of highest count, then only
+  the rows none of them covers against the rest (the busiest 32 of ~130
+  members cover 81-86 % of a HYDICE sub-cube).  Counts are kept only while
+  a later chunk will read them;
+* the test runs in the **cosine domain**: a candidate survives when every
+  cosine is below ``T``, the arccos-calibrated ``cos(angle_threshold)``
+  (``_cosine_admission_threshold``), which is the angle test exactly;
+* each product is **certified in float32, refined in float64**
+  (``_settle``): ``G = m32 . x32`` on the raw float32 chunk settles
+  "below" where ``G < (T - delta) |x|`` and "covered" where ``G >= (T +
+  delta) |x|`` (``|x|`` the float32 norm).  A row with any other entry --
+  NaN, or a norm outside ``(2**-30, 2**60)`` -- is recomputed whole in the
+  reference arithmetic (``_refine``; a NaN cosine is not below), counts
+  included, so every decision is the float64 one.  ~2 % of a HYDICE
+  sub-cube's rows are refined;
+* ``delta = 2 g + 8 u`` (``_certify_margin``; 8.3e-6 at 64 bands), ``u =
+  2**-24``, ``g = gamma_{n+2} = (n + 2) u / (1 - (n + 2) u)``, ``n =
+  bands`` (Higham, *Accuracy and Stability of Numerical Algorithms*, §3.1)
+  bounds, in any summation order, FMA or not: the float32 inner product
+  (``gamma_n |m| |x|``), the float32 casts of members and float64 inputs
+  (``u`` each), the float32 norm (``gamma_n / 2 + u``), ``T -+ delta`` and
+  its product with the norm (``u`` each) and the float64 reference cosine
+  (far below ``u``);
+* survivors are resolved by a blocked greedy walk
+  (``eliminate_survivors``) on their float64 unit rows: one Gram matrix
+  settles the order inside a block, one GEMM against its pivots removes
+  every later survivor they cover.
 
 :func:`screen_unique_set_reference` retains the seed implementation verbatim.
 It is the ground truth the equivalence property tests
 (``tests/test_screening_kernel_property.py``) compare the incremental kernel
 against: both make the same greedy decisions, so their unique sets (and
 every composite derived from them) are bit-identical under the default
-float64 compute dtype -- asserted across random scenes, thresholds,
+float64 arithmetic -- asserted across random scenes, thresholds,
 chunkings, strides and caps.  The one theoretical exception is a candidate
 whose cosine to a member lands within one rounding unit (~1e-16) of the
 threshold: the seed kernel evaluates that cosine twice in different BLAS
 call shapes (chunk matrix, then per-row recheck) and may see two
 roundings, so no single-evaluation kernel can match it on such inputs.
-The two-tier test adds call shapes of its own (hot members by chunk, cold
-members by uncovered rows), and BLAS may round an element of a sub-product
-differently in the last bit from the same element of the full product;
-only such a boundary cosine could then resolve differently.  No
-finite-precision scene sits on that boundary by accident.
+The two-tier test and the refinement add call shapes of their own (hot
+members by chunk, cold members by uncovered rows, refined rows alone), and
+BLAS may round an element of a sub-product differently in the last bit
+from the same element of the full product; only such a boundary cosine
+could then resolve differently.  No finite-precision scene sits on that
+boundary by accident.
 """
 
 from __future__ import annotations
@@ -71,16 +82,15 @@ import numpy as np
 _NORM_FLOOR = 1e-12
 
 
-def normalize_rows(matrix: np.ndarray, *, dtype=np.float64) -> np.ndarray:
-    """Return ``matrix`` with every row scaled to unit Euclidean norm.
-
-    ``dtype`` selects the arithmetic precision (the compute-dtype policy of
-    the fast screening mode); the default float64 matches the seed kernel
-    bit for bit.
-    """
-    matrix = np.asarray(matrix, dtype=dtype)
+def normalize_rows(matrix: np.ndarray) -> np.ndarray:
+    """Return ``matrix`` with every row scaled to unit Euclidean norm, in
+    float64.  Layout-dependent: numpy sums a C-contiguous row pairwise, an
+    F-order one band by band.  Only the seed kernel and
+    :func:`spectral_angles` use it (``_unit_rows`` pins the order)."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    # repro: allow[RPL006] the seed kernel's arithmetic, layout and all
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    return matrix / np.maximum(norms, matrix.dtype.type(_NORM_FLOOR))
+    return matrix / np.maximum(norms, _NORM_FLOOR)
 
 
 def spectral_angles(candidates: np.ndarray, references: np.ndarray) -> np.ndarray:
@@ -110,20 +120,21 @@ class UniqueSetBuffer:
 
     The buffer owns a preallocated ``(capacity, bands)`` array; admitted
     members are written in place and read back through :attr:`view` -- a
-    zero-copy slice -- so the screening loop never re-stacks or re-normalises
-    the unique set.  Doubling keeps amortised admission cost O(bands).
-    Next to each member it keeps a coverage count (:attr:`counts`, zero on
+    zero-copy slice -- so the screening loop never re-stacks or
+    re-normalises the unique set.  Doubling keeps amortised admission cost
+    O(bands).  Next to each member it keeps its float32 copy
+    (:attr:`view32`) and a coverage count (:attr:`counts`, zero on
     admission) that the screening loop raises by the candidates the member
     covered; the counts pick the hot tier of the admission test.
     """
 
-    def __init__(self, bands: int, *, capacity: int = 256,
-                 dtype=np.float64) -> None:
+    def __init__(self, bands: int, *, capacity: int = 256) -> None:
         if bands < 1:
             raise ValueError("bands must be >= 1")
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        self._data = np.empty((capacity, bands), dtype=dtype)
+        self._data = np.empty((capacity, bands), dtype=np.float64)
+        self._data32 = np.empty((capacity, bands), dtype=np.float32)
         self._counts = np.zeros(capacity, dtype=np.int64)
         self._count = 0
 
@@ -140,6 +151,11 @@ class UniqueSetBuffer:
         return self._data[: self._count]
 
     @property
+    def view32(self) -> np.ndarray:
+        """Zero-copy ``(members, bands)`` float32 mirror of :attr:`view`."""
+        return self._data32[: self._count]
+
+    @property
     def counts(self) -> np.ndarray:
         """Zero-copy, writable ``(members,)`` view of the coverage counts."""
         return self._counts[: self._count]
@@ -152,14 +168,13 @@ class UniqueSetBuffer:
             capacity = self._data.shape[0]
             while capacity < need:
                 capacity *= 2
-            grown = np.empty((capacity, self._data.shape[1]),
-                             dtype=self._data.dtype)
-            grown[: self._count] = self._data[: self._count]
-            self._data = grown
-            counts = np.zeros(capacity, dtype=np.int64)
-            counts[: self._count] = self._counts[: self._count]
-            self._counts = counts
+            for name in ("_data", "_data32", "_counts"):
+                old = getattr(self, name)
+                grown = np.zeros((capacity,) + old.shape[1:], dtype=old.dtype)
+                grown[: self._count] = old[: self._count]
+                setattr(self, name, grown)
         self._data[self._count: need] = rows
+        self._data32[self._count: need] = rows
         self._count = need
 
 
@@ -224,60 +239,100 @@ def _validate_screening_args(pixels: np.ndarray, angle_threshold: float,
 #: run-to-run noise.
 _HOT_MEMBERS = 32
 
+#: Row norms the float32 test trusts (beyond, squares leave float32's range).
+_TRUSTED_NORMS = (2.0 ** -30, 2.0 ** 60)
 
-def _apart_rows(chunk: np.ndarray, buffer: UniqueSetBuffer, cos_threshold,
-                *, count: bool) -> np.ndarray:
-    """Indices of the ``chunk`` rows whose cosine to every member of
+
+def _certify_margin(bands: int) -> float:
+    """delta at ``bands`` bands (derived in the module docstring)."""
+    u = 2.0 ** -24
+    g = (bands + 2) * u / (1.0 - (bands + 2) * u)
+    return 2.0 * g + 8.0 * u
+
+
+def _unit_rows(slab: np.ndarray) -> np.ndarray:
+    """Float64 unit rows of a ``(bands, k)`` slab of any dtype or layout,
+    as the ``(k, bands)`` transpose of a band-major array."""
+    slab = np.array(slab, dtype=np.float64, order="C")
+    norms = np.sqrt(np.add.reduce(slab * slab, axis=0))  # repro: ordered: C slab, band by band
+    slab /= np.maximum(norms, _NORM_FLOOR)
+    return slab.T
+
+
+def _refine(members: np.ndarray, slab: np.ndarray) -> np.ndarray:
+    """The float64 branch: ``(members, k)`` cosines of ``slab``'s columns."""
+    return members @ _unit_rows(slab).T
+
+
+def _settle(members32: np.ndarray, members: np.ndarray, x32: np.ndarray,
+            limits: np.ndarray, slab: np.ndarray, cos_threshold,
+            columns=None):
+    """``(below, covered)``: the ``(members, rows)`` masks of cosines below
+    ``cos_threshold`` and at or above it (a NaN cosine is neither).
+
+    ``x32`` and the ``(2, rows)`` float32 ``limits`` hold the ``columns``
+    of the chunk ``slab`` (all by default).  A float32 cosine clearly on
+    one side of its row's limits is settled there; a row left with an
+    unsettled one is recomputed whole in float64 (:func:`_refine`).
+    """
+    cosines = members32 @ x32
+    below = cosines < limits[0]
+    covered = cosines >= limits[1]
+    unsure = np.nonzero(~(below | covered).all(axis=0))[0]
+    if unsure.size:
+        picked = unsure if columns is None else columns[unsure]
+        exact = _refine(members, np.take(slab, picked, axis=1))
+        below[:, unsure] = exact < cos_threshold
+        covered[:, unsure] = exact >= cos_threshold
+    return below, covered
+
+
+def _apart_rows(slab: np.ndarray, x32: np.ndarray, limits: np.ndarray,
+                buffer: UniqueSetBuffer, cos_threshold, *,
+                count: bool) -> np.ndarray:
+    """Indices of the chunk columns whose cosine to every member of
     ``buffer`` is below ``cos_threshold`` (a NaN cosine is not below).
 
-    Up to :data:`_HOT_MEMBERS` members this is one ``chunk @ members.T``.
-    Past it the test runs in two tiers: the whole chunk against the hot
-    members -- the :data:`_HOT_MEMBERS` highest coverage counts, ties in
-    member order -- then only the rows none of them covers against the cold
-    rest.  With ``count``, each member's count grows by the rows its
-    cosine reached the threshold for (in the cold tier: of the rows it saw).
+    ``slab`` is the chunk as stored, ``x32`` its float32 values and
+    ``limits`` the per-column bounds of :func:`_settle`.  The test runs in
+    two tiers: the whole chunk against the hot members -- the
+    :data:`_HOT_MEMBERS` highest coverage counts, ties in member order --
+    then only the columns none of them covers against the cold rest, if
+    any.  With
+    ``count``, each member's count grows by the columns its cosine reached
+    the threshold for (in the cold tier: of the columns it saw).
     """
-    members = buffer.view
     counts = buffer.counts
-    if len(buffer) <= _HOT_MEMBERS:
-        cosines = chunk @ members.T
-        if count:
-            counts += (cosines >= cos_threshold).sum(axis=0)
-        return np.nonzero(cosines.max(axis=1) < cos_threshold)[0]
     # A stable sort, not argpartition: ties must not depend on numpy's
     # SIMD selection path.
     order = np.argsort(-counts, kind="stable")
     hot, cold = order[:_HOT_MEMBERS], order[_HOT_MEMBERS:]
-    # Hot tier member-major (32 x rows), cold tier chunk-major (rows x
-    # members): in both the long axis is the contiguous one, which numpy's
-    # reductions are fast along, and the cold counts gather whole rows.
-    cosines = members[hot] @ chunk.T
-    rows = np.nonzero((cosines < cos_threshold).all(axis=0))[0]
+    below, covered = _settle(buffer.view32[hot], buffer.view[hot], x32,
+                             limits, slab, cos_threshold)
+    rows = np.nonzero(below.all(axis=0))[0]
     if count:
-        counts[hot] += (cosines >= cos_threshold).sum(axis=1)
-    if rows.size == 0:
+        counts[hot] += covered.sum(axis=1, dtype=np.int32)
+    if rows.size == 0 or cold.size == 0:
         return rows
-    cosines = chunk[rows] @ members[cold].T
-    apart = cosines.max(axis=1) < cos_threshold
+    below, covered = _settle(buffer.view32[cold], buffer.view[cold],
+                             np.take(x32, rows, axis=1), limits[:, rows],
+                             slab, cos_threshold, rows)
     if count:
-        # A row apart from every member adds to no count: count only the
-        # covered ones (few, when the cold tier is mostly admitting).
-        counts[cold] += (cosines[~apart] >= cos_threshold).sum(
-            axis=0, dtype=np.int32)
-    return rows[apart]
+        counts[cold] += covered.sum(axis=1, dtype=np.int32)
+    return rows[below.all(axis=0)]
 
 
 def screen_unique_set(pixels: np.ndarray, angle_threshold: float, *,
                       max_unique: int | None = None, sample_stride: int = 1,
-                      chunk_size: int = 2048,
-                      compute_dtype=np.float64,
+                      chunk_size: int = 2048, compute_dtype=None,
                       compute: str = "numpy") -> np.ndarray:
     """Greedy spectral screening of a ``(pixels, bands)`` matrix (step 1).
 
     Parameters
     ----------
     pixels:
-        Pixel-vector matrix of one image partition.
+        Pixel-vector matrix of one image partition, float32 or float64; a
+        ``.T`` of the cube's band-major rows is read in place.
     angle_threshold:
         Minimum angle (radians) a candidate must subtend with *every* current
         unique-set member to be admitted.
@@ -291,11 +346,8 @@ def screen_unique_set(pixels: np.ndarray, angle_threshold: float, *,
         Each block is tested hot first (see the module docstring): against
         the busiest members, then only its uncovered rows against the rest.
     compute_dtype:
-        Arithmetic precision of the admission test (float64 default, or
-        float32 for the documented fast mode).  The *returned* unique set is
-        always the raw float64 pixel vectors; only the normalisation and
-        cosine comparisons run in the reduced precision, so float32 may make
-        marginally different admission decisions near the threshold.
+        Ignored: every decision is the float64 one whatever the request's
+        compute dtype, which selects the projection's precision only.
     compute:
         Compute backend executing the survivor-elimination inner pass
         (:func:`repro.core.kernels.compute_names` lists the registered
@@ -311,53 +363,54 @@ def screen_unique_set(pixels: np.ndarray, angle_threshold: float, *,
     from ..kernels import get_compute
 
     kernel = get_compute(compute)
-    pixels = np.asarray(pixels, dtype=np.float64)
+    pixels = np.asarray(pixels)
+    if pixels.dtype != np.float32:
+        pixels = np.asarray(pixels, dtype=np.float64)
     _validate_screening_args(pixels, angle_threshold, sample_stride, chunk_size,
                              max_unique)
-    if sample_stride > 1:
-        pixels = pixels[::sample_stride]
-    if pixels.shape[0] == 0:
-        return np.empty((0, pixels.shape[1]), dtype=np.float64)
+    # Band-major, as the cube stores it: every chunk below is a view.
+    slab = pixels[::sample_stride].T
+    bands, n_pixels = slab.shape
+    if n_pixels == 0:
+        return np.empty((0, bands), dtype=np.float64)
 
-    dtype = np.dtype(compute_dtype)
-    # The admission test compares cosines against an arccos-calibrated
-    # cos(threshold): arccos is monotone decreasing on [-1, 1], so "every
-    # angle > threshold" is exactly "every cosine < T" -- no arccos over the
-    # hot matrix (see _cosine_admission_threshold for the boundary
-    # calibration).  The cosines come from the reference arithmetic --
-    # normalise the chunk, multiply against the unit members -- so the
-    # cosine-domain comparison sees bit-for-bit the values whose arccos the
-    # seed kernel thresholded.
-    cos_threshold = dtype.type(_cosine_admission_threshold(angle_threshold))
+    # "Every angle > threshold" is exactly "every cosine < T"; the float32
+    # limits sit delta either side of T, times each row's norm.
+    cos_threshold = np.float64(_cosine_admission_threshold(angle_threshold))
+    delta = _certify_margin(bands)
+    margins = np.array([cos_threshold - delta, cos_threshold + delta],
+                       dtype=np.float32)
 
-    buffer = UniqueSetBuffer(pixels.shape[1], dtype=dtype)
-    buffer.append(normalize_rows(pixels[:1], dtype=dtype))
+    buffer = UniqueSetBuffer(bands)
+    buffer.append(_unit_rows(slab[:, :1]))
     indices: List[np.ndarray] = [np.zeros(1, dtype=np.intp)]
 
-    for start in range(1, pixels.shape[0], chunk_size):
+    for start in range(1, n_pixels, chunk_size):
         if max_unique is not None and len(buffer) >= max_unique:
             break
-        chunk = normalize_rows(pixels[start:start + chunk_size], dtype=dtype)
+        chunk = slab[:, start:start + chunk_size]
+        with np.errstate(over="ignore", invalid="ignore"):
+            x32 = chunk.astype(np.float32, copy=False)
+            norms = np.sqrt(np.einsum("ij,ij->j", x32, x32))
+            # A NaN limit settles nothing: such rows go to float64 whole.
+            norms[~((norms > _TRUSTED_NORMS[0]) & (norms < _TRUSTED_NORMS[1]))] = np.nan
+            limits = margins[:, None] * norms
         survivor_rows = _apart_rows(
-            chunk, buffer, cos_threshold,
-            count=start + chunk_size < pixels.shape[0])
+            chunk, x32, limits, buffer, cos_threshold,
+            count=start + chunk_size < n_pixels)
         if survivor_rows.size == 0:
             continue
-        survivors = chunk[survivor_rows]
         # Survivors may still be mutually similar: resolve them greedily, in
-        # row order -- a survivor is admitted unless it lies within the
-        # threshold of one admitted before it.  The inner pass is a
-        # registered compute kernel (the reference implementation is
-        # :meth:`~repro.core.kernels.numpy_backend.NumpyBackend.
-        # eliminate_survivors`); it makes the same decisions as the
-        # sequential greedy pass on every backend.
+        # row order, on the registered compute kernel (same decisions on
+        # every backend).
         room = (None if max_unique is None else max_unique - len(buffer))
         admitted, admitted_rows = kernel.eliminate_survivors(
-            survivors, survivor_rows, cos_threshold, room=room)
+            _unit_rows(np.take(chunk, survivor_rows, axis=1)), survivor_rows,
+            cos_threshold, room=room)
         if admitted.shape[0]:
             buffer.append(admitted)
             indices.append(start + admitted_rows)
-    return pixels[np.concatenate(indices)]
+    return np.asarray(slab.T[np.concatenate(indices)], dtype=np.float64)
 
 
 def screen_unique_set_reference(pixels: np.ndarray, angle_threshold: float, *,
@@ -405,7 +458,7 @@ def screen_unique_set_reference(pixels: np.ndarray, angle_threshold: float, *,
 
 def merge_unique_sets(unique_sets: Sequence[np.ndarray], angle_threshold: float, *,
                       max_unique: int | None = None, rescreen: bool = False,
-                      compute_dtype=np.float64,
+                      compute_dtype=None,
                       compute: str = "numpy") -> np.ndarray:
     """Merge per-partition unique sets into a single one (step 2).
 
@@ -422,9 +475,9 @@ def merge_unique_sets(unique_sets: Sequence[np.ndarray], angle_threshold: float,
     * ``rescreen=True``: re-screen the concatenation with the same threshold,
       collapsing cross-partition near-duplicates exactly as if the screening
       had been performed globally.  Cost grows as O(P * K^2) and is exposed
-      for the ablation benchmarks.  ``compute_dtype`` selects the re-screen
-      arithmetic (the compute-dtype policy applies to this screening pass
-      like any other); the plain union never does arithmetic.
+      for the ablation benchmarks.  The float64 stack is screened by the
+      one kernel, its float32 pass reading a float32 cast of each chunk;
+      ``compute_dtype`` is ignored, as by :func:`screen_unique_set`.
     """
     _validate_max_unique(max_unique)
     non_empty = [np.asarray(s, dtype=np.float64) for s in unique_sets
@@ -440,7 +493,7 @@ def merge_unique_sets(unique_sets: Sequence[np.ndarray], angle_threshold: float,
             stacked = stacked[:max_unique]
         return stacked
     return screen_unique_set(stacked, angle_threshold, max_unique=max_unique,
-                             compute_dtype=compute_dtype, compute=compute)
+                             compute=compute)
 
 
 # --------------------------------------------------------------------------

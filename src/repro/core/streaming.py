@@ -117,8 +117,7 @@ from ..data.cube import CubeError, HyperspectralCube
 from ..data.shared import (SegmentPool, SharedComposite, SharedCompositeHandle,
                            output_tile_views)
 from .kernels import kernel_covariance_sum, kernel_project_and_map
-from .partition import (SubcubeSpec, decompose, extract_subcube,
-                        subcube_pixel_matrix)
+from .partition import SubcubeSpec, decompose, subcube_pixel_matrix
 from .pipeline import FusionResult, SpectralScreeningPCT
 from .profiling import stage_timings_from_result
 from .steps.colormap import component_statistics
@@ -164,14 +163,14 @@ def default_tile_rows(rows: int, workers: int) -> int:
 
 def screen_tile(cube: HyperspectralCube, spec: SubcubeSpec,
                 screening: ScreeningConfig,
-                compute_dtype: str = "float64",
                 compute: str = "numpy") -> np.ndarray:
-    """Stage 1 task: spectral screening of one sub-cube block."""
-    block_pixels = subcube_pixel_matrix(extract_subcube(cube, spec))
+    """Stage 1 task: spectral screening of one sub-cube block, in place."""
+    block_pixels = subcube_pixel_matrix(
+        cube.data[:, spec.row_start:spec.row_stop])
     return screen_unique_set(block_pixels, screening.angle_threshold,
                              max_unique=screening.max_unique,
                              sample_stride=screening.sample_stride,
-                             compute_dtype=compute_dtype, compute=compute)
+                             compute=compute)
 
 
 def covariance_partial(part: np.ndarray, mean: np.ndarray,
@@ -300,12 +299,12 @@ def run_pipeline(cube: HyperspectralCube, config: FusionConfig, executor,
     # Stage 1: per-sub-cube screening (parallel), merged in block order.
     stage_marks["screening"] = time.perf_counter()
     screen_futures = [executor.submit("screen", screen_tile, cube, spec,
-                                      screening, compute_dtype, compute)
+                                      screening, compute)
                       for spec in decompose(cube.rows, subcubes)]
     unique = merge_unique_sets(_gather(screen_futures), screening.angle_threshold,
                                max_unique=screening.max_unique,
                                rescreen=screening.rescreen_merge,
-                               compute_dtype=compute_dtype, compute=compute)
+                               compute=compute)
     _stage_done("screening", stage_marks["screening"])
 
     # Barrier A: global mean, then the unique-set partition of step 4.

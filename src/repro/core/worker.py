@@ -7,7 +7,8 @@ A worker participates in the three distributed phases of the algorithm:
 * ``transform``   -- steps 7-8: projection and colour mapping of a sub-cube.
 
 A sub-cube task carries the manager's cube and the block's row range; the
-worker copies its block out of the cube just before computing it.
+worker screens the block's rows in place and copies a transform block out
+of the cube just before computing it.
 
 The worker is deliberately stateless between tasks: it announces itself to
 the manager, then loops receiving a task, computing it, and returning the
@@ -45,7 +46,7 @@ from .steps.transform import projection_flops
 
 
 def _compute_screen(block: np.ndarray, config: FusionConfig) -> Compute:
-    """Build the Compute effect for screening one sub-cube block."""
+    """Build the Compute effect for screening one sub-cube block (a view)."""
     pixels = subcube_pixel_matrix(block)
     n_pixels, bands = pixels.shape
     screening = config.screening
@@ -57,7 +58,6 @@ def _compute_screen(block: np.ndarray, config: FusionConfig) -> Compute:
                    args=(pixels, screening.angle_threshold),
                    kwargs={"max_unique": screening.max_unique,
                            "sample_stride": screening.sample_stride,
-                           "compute_dtype": config.compute_dtype,
                            "compute": config.compute},
                    flops=flops_of, phase="screening")
 
@@ -147,7 +147,8 @@ def worker_program(ctx: Context, *, manager: str = "manager",
 
         task = message
         if task.phase == PHASE_SCREEN:
-            block = extract_subcube(task.data["cube"], task.spec)
+            spec = task.spec
+            block = task.data["cube"].data[:, spec.row_start:spec.row_stop]
             unique = yield _compute_screen(block, config)
             result_data = {"unique": unique,
                            "pixels_screened": int(block.shape[1] * block.shape[2])}

@@ -373,35 +373,62 @@ class SwallowedExceptionRule(Rule):
 _REDUCERS = ("sum", "fsum", "nansum", "prod", "nanprod", "min", "max",
              "mean", "nanmean", "std", "dot")
 _VIEW_METHODS = ("values", "keys", "items")
+_NUMPY_SUMS = ("np.sum", "numpy.sum")
 
 
 @register_rule
 class UnorderedReductionRule(Rule):
     code = "RPL006"
     name = "unordered-reduction-in-parity-kernel"
-    summary = ("set/dict iteration order feeds a numeric reduction in a "
-               "parity-critical kernel; float addition does not commute "
-               "bit-for-bit -- sort the operands or annotate the line "
-               "with `# repro: ordered: <why>`")
+    summary = ("set/dict iteration order or a caller's array layout feeds "
+               "a numeric reduction in a parity-critical kernel; float "
+               "addition does not commute bit-for-bit -- sort the operands "
+               "or annotate the line with `# repro: ordered: <why>`")
     rationale = ("PR 5/PR 6: the parity fuzzer's bit-identity claim dies "
                  "the moment a reduction's operand order depends on hash "
-                 "order; partition summation order is pinned everywhere")
+                 "order (or, numpy summing a contiguous axis pairwise, on "
+                 "the caller's layout); partition order is pinned everywhere")
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         if not (ctx.under_package(*PARITY_CRITICAL_PACKAGES)
                 or ctx.in_module(*PARITY_CRITICAL_MODULES)):
             return
+        # Caller-supplied arrays: anything named like a parameter.
+        params = {arg.arg for arg in ast.walk(ctx.tree)
+                  if isinstance(arg, ast.arg)} - {"self", "cls"}
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
                 name = dotted_name(node.func)
                 if (name is not None and name.split(".")[-1] in _REDUCERS
-                        and node.args and self._unordered(node.args[0])):
+                        and node.args and self._unordered(node.args[0])
+                        or self._layout_dependent(node, params)):
                     yield self.finding(ctx, node)
             elif isinstance(node, ast.For) and self._unordered(node.iter):
                 if any(isinstance(sub, ast.AugAssign)
                        and isinstance(sub.op, (ast.Add, ast.Sub, ast.Mult))
                        for stmt in node.body for sub in ast.walk(stmt)):
                     yield self.finding(ctx, node)
+
+    @staticmethod
+    def _layout_dependent(node: ast.Call, params: Set[str]) -> bool:
+        """Whether a call reduces an axis -- ``np.linalg.norm(x, axis=)``,
+        ``np.add.reduce(x)``, ``np.sum(x, axis=)``, ``x.sum(axis=)`` -- of
+        an array derived from one of ``params``."""
+        name = dotted_name(node.func) or ""
+        method = (isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "sum" and name not in _NUMPY_SUMS)
+        # Positional index of the axis argument (add.reduce defaults to 0).
+        axis_at = (0 if method else 1 if name in _NUMPY_SUMS
+                   else 2 if name.endswith("linalg.norm")
+                   else -1 if name.endswith("add.reduce") else None)
+        if axis_at is None or not (axis_at < 0 or len(node.args) > axis_at
+                                   or any(k.arg == "axis" for k in node.keywords)):
+            return False
+        operand = (node.func.value if isinstance(node.func, ast.Attribute)
+                   and method else (node.args or [None])[0])
+        return operand is not None and any(
+            isinstance(sub, ast.Name) and sub.id in params
+            for sub in ast.walk(operand))
 
     def _unordered(self, node: ast.expr) -> bool:
         """Whether an expression iterates in hash (or otherwise

@@ -11,8 +11,8 @@ combo, then diffs every report against the reference:
   and the repo-wide invariant every optimization PR leans on.
 * ``float32`` (the documented fast mode) composites are compared through a
   tolerance tier (:data:`FLOAT32_COMPOSITE_ATOL`); unique-set sizes must
-  still match exactly because the screening decomposition is deterministic
-  for a fixed dtype.
+  still match exactly because screening is float64-exact under either
+  dtype (only the projection runs in float32).
 * Report metadata invariants (shape, value range, finiteness, engine
   labels, non-negative timings) are checked on every run, reference
   included.

@@ -1,5 +1,8 @@
 # virtual-path: src/repro/core/steps/fixture_kernel.py
-"""Clean twin of rpl006_bad: sorted operands or annotated determinism."""
+"""Clean twin of rpl006_bad: sorted operands, a pinned layout or annotated
+determinism."""
+
+import numpy as np
 
 
 def total_weight(weights: dict) -> float:
@@ -20,3 +23,22 @@ def partial_sums(partials: dict) -> float:
     for value in partials.values():
         total += value
     return total
+
+
+def unit_rows(slab):
+    # The caller's array is copied into one layout first; the annotation
+    # states why the reduction over it is order-pinned.
+    slab = np.array(slab, dtype=np.float64, order="C")
+    norms = np.sqrt(np.add.reduce(slab * slab, axis=0))  # repro: ordered: C slab, band by band
+    return (slab / norms).T
+
+
+def covered_counts(cosines, threshold):
+    # A local boolean mask: integer sums are exact in any order.
+    covered = cosines >= threshold
+    return covered.sum(axis=1)
+
+
+def total(values):
+    # No axis: not a layout-dependent reduction.
+    return np.sum(values)

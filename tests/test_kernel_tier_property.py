@@ -383,7 +383,7 @@ class TestEliminateSurvivors:
         rng = np.random.default_rng(seed)
         pixels = _with_degenerate_rows(_make_pixels(n, bands, seed), rng,
                                        zeros, duplicates)
-        survivors = normalize_rows(pixels, dtype=dtype)
+        survivors = normalize_rows(pixels).astype(dtype)
         _assert_matches_oracle(survivors, _threshold_clear_of(survivors, angle),
                                room)
 

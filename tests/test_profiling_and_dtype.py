@@ -112,6 +112,28 @@ class TestComputeDtypePolicy:
                                    atol=5e-3)
 
     @pytest.mark.parametrize("engine,backend", [
+        ("sequential", None),
+        ("distributed", "sim"),
+        ("pipeline", "local"),
+    ])
+    def test_float32_request_screens_like_float64(self, engine, backend):
+        # float32 is a projection precision only: the unique set, and so the
+        # basis and the stretch constants derived from it, are float64's.
+        # (On this scene float32 screening used to admit other pixels.)
+        cube = HydiceGenerator(HydiceConfig(bands=32, rows=64, cols=64,
+                                            seed=0)).generate()
+        options = {} if backend is None else {"backend": backend}
+        exact, fast = (repro.fuse(cube, engine=engine, workers=2,
+                                  compute_dtype=dtype, **options)
+                       for dtype in ("float64", "float32"))
+        assert fast.result.unique_set_size == exact.result.unique_set_size
+        np.testing.assert_array_equal(fast.result.basis.components,
+                                      exact.result.basis.components)
+        for key in ("stretch_mean", "stretch_std"):
+            np.testing.assert_array_equal(fast.result.metadata[key],
+                                          exact.result.metadata[key])
+
+    @pytest.mark.parametrize("engine,backend", [
         ("distributed", "sim"),
         ("pipeline", "local"),
     ])

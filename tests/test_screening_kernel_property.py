@@ -14,6 +14,9 @@ Two families of invariants:
   and backend shares the one kernel).
 """
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,8 +25,12 @@ from hypothesis import strategies as st
 from repro.config import ScreeningConfig
 from repro.core.partition import (decompose, extract_subcube,
                                   subcube_pixel_matrix)
+from repro.core.steps import screening as screening_module
 from repro.core.steps.screening import (_HOT_MEMBERS, UniqueSetBuffer,
-                                        merge_unique_sets, screen_unique_set,
+                                        _certify_margin,
+                                        _cosine_admission_threshold,
+                                        _unit_rows, merge_unique_sets,
+                                        normalize_rows, screen_unique_set,
                                         screen_unique_set_reference,
                                         spectral_angles)
 from repro.data.hydice import HydiceConfig, HydiceGenerator
@@ -221,14 +228,16 @@ class TestHotTier:
     @given(pixels=many_material_scenes(), threshold=HOT_TIER_THRESHOLDS,
            chunk_size=HOT_TIER_CHUNKS)
     @settings(**HOT_TIER_SETTINGS)
-    def test_float32_mode_still_covers(self, pixels, threshold, chunk_size):
+    def test_float32_request_gets_float64_set(self, pixels, threshold,
+                                              chunk_size):
+        # compute_dtype selects the projection's precision only: a float32
+        # request screens with the same, float64-exact, decisions.
         unique = screen_unique_set(pixels, threshold, chunk_size=chunk_size,
                                    compute_dtype="float32")
         assert _members_before_last_chunk(pixels, unique,
                                           chunk_size) > _HOT_MEMBERS
-        # Same tolerance as TestCoverInvariants' float32 case.
-        angles = spectral_angles(pixels, unique)
-        assert angles.min(axis=1).max() <= threshold + 1e-3
+        np.testing.assert_array_equal(
+            unique, screen_unique_set(pixels, threshold, chunk_size=chunk_size))
 
     @given(pixels=many_material_scenes(), threshold=HOT_TIER_THRESHOLDS,
            chunk_size=HOT_TIER_CHUNKS, seed=st.integers(0, 2**31 - 1))
@@ -287,6 +296,148 @@ class TestHotTier:
                                    chunk_size=chunk_size))
 
 
+def _layouts(pixels32):
+    """The same float32 pixels in every form a caller may hand over: C and
+    F order, a strided band-major view (what the engines pass: the ``.T``
+    of a cube's row range), and float64 copies of the float32 values."""
+    bands, count = pixels32.shape[1], pixels32.shape[0]
+    stored = np.zeros((bands, count + 7), dtype=np.float32)
+    stored[:, 3:3 + count] = pixels32.T
+    pixels64 = pixels32.astype(np.float64)
+    return {"C float32": np.ascontiguousarray(pixels32),
+            "F float32": np.asfortranarray(pixels32),
+            "band-major view": stored[:, 3:3 + count].T,
+            "C float64": np.ascontiguousarray(pixels64),
+            "F float64": np.asfortranarray(pixels64)}
+
+
+class TestPinnedOrder:
+    """One normalisation order, whatever the caller's layout or dtype."""
+
+    @given(pixels=pixel_matrices(min_bands=8, max_bands=40),
+           threshold=st.floats(0.01, 0.6), chunk_size=st.integers(1, 500))
+    @settings(**COMMON_SETTINGS)
+    def test_layout_and_dtype_give_the_same_bits(self, pixels, threshold,
+                                                 chunk_size):
+        copies = _layouts(pixels.astype(np.float32))
+        want = screen_unique_set(copies["band-major view"], threshold,
+                                 chunk_size=chunk_size)
+        # Normalised members: the seed arithmetic on the F-order float64
+        # matrix every engine used to pass, bit for bit.
+        units = normalize_rows(copies["F float64"])
+        for name, copy in copies.items():
+            np.testing.assert_array_equal(
+                screen_unique_set(copy, threshold, chunk_size=chunk_size),
+                want, err_msg=name)
+            np.testing.assert_array_equal(_unit_rows(copy.T), units,
+                                          err_msg=name)
+
+
+def _planted_scene(bands, count, seed, threshold):
+    """A member, then ``count`` pixels whose cosine to it lies within half
+    of delta of the admission threshold, at random scales."""
+    rng = np.random.default_rng(seed)
+    member = rng.random(bands) + 0.1
+    unit = member / np.linalg.norm(member)
+    cos_threshold = _cosine_admission_threshold(threshold)
+    delta = _certify_margin(bands)
+    rows = [member]
+    for _ in range(count):
+        away = rng.standard_normal(bands)
+        away -= (away @ unit) * unit
+        away /= np.linalg.norm(away)
+        cosine = cos_threshold + delta * rng.uniform(-0.5, 0.5)
+        rows.append(rng.uniform(0.5, 2.0)
+                    * (cosine * unit + np.sqrt(1.0 - cosine ** 2) * away))
+    return np.vstack(rows)
+
+
+class TestFilterAndRefine:
+    """Cosines within delta of the threshold are settled in float64."""
+
+    @staticmethod
+    @contextlib.contextmanager
+    def refined():
+        """Count the pixels the float64 branch recomputes."""
+        seen = []
+        real = screening_module._refine
+
+        def spy(members, slab):
+            seen.append(slab.shape[1])
+            return real(members, slab)
+
+        with mock.patch.object(screening_module, "_refine", spy):
+            yield seen
+
+    @given(bands=st.integers(3, 64), count=st.integers(1, 200),
+           seed=st.integers(0, 2**31 - 1), threshold=st.floats(0.01, 0.6),
+           chunk_size=st.integers(1, 500))
+    @settings(**COMMON_SETTINGS)
+    def test_near_threshold_cosines_take_the_float64_branch(
+            self, bands, count, seed, threshold, chunk_size):
+        pixels = _planted_scene(bands, count, seed, threshold)
+        for dtype in (np.float64, np.float32):
+            scene = pixels.astype(dtype)
+            with self.refined() as refined:
+                # One chunk: every pixel meets only the first, within delta.
+                screen_unique_set(scene, threshold, chunk_size=count)
+            assert sum(refined) == count
+            np.testing.assert_array_equal(
+                screen_unique_set(scene, threshold, chunk_size=chunk_size),
+                screen_unique_set_reference(scene, threshold,
+                                            chunk_size=chunk_size))
+
+    def test_clear_cosines_stay_in_float32(self):
+        # Two orthogonal materials: every cosine is ~0 or ~1, far from the
+        # threshold, so the float64 branch never runs.
+        pixels = np.zeros((600, 16), dtype=np.float32)
+        pixels[::2, :8] = 1.0
+        pixels[1::2, 8:] = 2.0
+        with self.refined() as refined:
+            unique = screen_unique_set(pixels, 0.1, chunk_size=64)
+        np.testing.assert_array_equal(unique, pixels[:2])
+        assert refined == []
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("threshold", [0.02, 0.3])
+    def test_edge_rows_match_the_reference(self, dtype, threshold):
+        base = _make_scene(400, 16, 10, 3)
+        rng = np.random.default_rng(11)
+        edges = {"nan": np.where(np.arange(16) == 5, np.nan, base[9]),
+                 "+inf": np.where(np.arange(16) == 2, np.inf, base[10]),
+                 "-inf": np.full(16, -np.inf),
+                 "zero": np.zeros(16),
+                 "tiny": 1e-20 * base[11],
+                 "huge": 1e20 * base[12]}
+        for name, row in edges.items():
+            for at in (0, 1, *rng.integers(2, len(base), 3)):
+                pixels = np.insert(base, at, [row, row * 0.5], axis=0)
+                pixels = pixels.astype(dtype)
+                with np.errstate(invalid="ignore", over="ignore"):
+                    want = screen_unique_set_reference(pixels, threshold,
+                                                       chunk_size=64)
+                    got = screen_unique_set(pixels, threshold, chunk_size=64)
+                np.testing.assert_array_equal(got, want,
+                                              err_msg=f"{name} at {at}")
+
+    def test_the_cube_is_screened_without_a_whole_copy(self):
+        import tracemalloc
+
+        cube = HydiceGenerator(HydiceConfig(bands=64, rows=128, cols=128,
+                                            seed=424242)).generate()
+        view = cube.data[:, :128].reshape(64, -1).T
+        screen_unique_set(view, 0.05)  # warm caches and the BLAS
+        tracemalloc.start()
+        try:
+            screen_unique_set(view, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The float64 copy this cube's rows used to be converted to is
+        # 8 MiB; the chunk temporaries are a fraction of it.
+        assert peak < view.size * 8 // 2
+
+
 class TestCoverInvariants:
     @given(pixels=pixel_matrices(), threshold=st.floats(0.02, 0.5))
     @settings(**COMMON_SETTINGS)
@@ -311,14 +462,11 @@ class TestCoverInvariants:
 
     @given(pixels=pixel_matrices(), threshold=st.floats(0.02, 0.5))
     @settings(**COMMON_SETTINGS)
-    def test_float32_mode_still_covers(self, pixels, threshold):
+    def test_float32_request_gets_float64_set(self, pixels, threshold):
         unique = screen_unique_set(pixels, threshold, compute_dtype="float32")
         assert unique.dtype == np.float64  # raw members, full precision
-        angles = spectral_angles(np.asarray(pixels, dtype=np.float64), unique)
-        # float32 admission decisions may differ near the boundary; the
-        # cover tolerance allows the single-precision cosine error amplified
-        # by d(arccos)/dc ~ 1/sin(threshold) at small angles.
-        assert angles.min(axis=1).max() <= threshold + 1e-3
+        np.testing.assert_array_equal(unique,
+                                      screen_unique_set(pixels, threshold))
 
 
 class TestUniqueSetBuffer:
