@@ -56,7 +56,7 @@ from .core.kernels import compute_names, register_compute
 from .core.profiling import StageTiming
 from .data import HydiceConfig, HydiceGenerator, HyperspectralCube, generate_cube
 
-__version__ = "1.26.0"
+__version__ = "1.27.0"
 
 __all__ = [
     # Unified fusion API

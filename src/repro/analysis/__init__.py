@@ -5,8 +5,7 @@ from .quality import (band_contrast, best_band_contrast, enhancement_report,
 from .report import (dict_table, figure4_table, figure5_table, format_table,
                      overhead_table)
 from .speedup import (OverheadDecomposition, SpeedupCurve, SpeedupPoint,
-                      crossover_processors, mean_protocol_overhead,
-                      overhead_decomposition)
+                      mean_protocol_overhead, overhead_decomposition)
 
 __all__ = [
     "band_contrast",
@@ -22,7 +21,6 @@ __all__ = [
     "OverheadDecomposition",
     "SpeedupCurve",
     "SpeedupPoint",
-    "crossover_processors",
     "mean_protocol_overhead",
     "overhead_decomposition",
 ]

@@ -144,18 +144,4 @@ def figure5_chart(curves: Mapping[int, SpeedupCurve], *, width: int = 60,
                       title="Figure 5: granularity control")
 
 
-def efficiency_bar_chart(curve: SpeedupCurve, *, width: int = 50,
-                         title: Optional[str] = None) -> str:
-    """Horizontal bar chart of parallel efficiency per processor count."""
-    efficiency = curve.efficiency()
-    lines = [title] if title else []
-    for processors in sorted(efficiency):
-        value = efficiency[processors]
-        filled = int(round(min(max(value, 0.0), 1.2) / 1.2 * width))
-        bar = "#" * filled
-        lines.append(f"P={processors:3d} |{bar:<{width}s}| {value:5.2f}")
-    lines.append(" " * 6 + "0" + " " * (int(width / 1.2) - 1) + "1.0")
-    return "\n".join(lines)
-
-
-__all__ = ["line_chart", "figure4_chart", "figure5_chart", "efficiency_bar_chart"]
+__all__ = ["line_chart", "figure4_chart", "figure5_chart"]

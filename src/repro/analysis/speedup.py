@@ -138,26 +138,10 @@ def mean_protocol_overhead(decompositions: Sequence[OverheadDecomposition]) -> f
     return sum(d.protocol_overhead_fraction for d in decompositions) / len(decompositions)
 
 
-def crossover_processors(curve: SpeedupCurve, *, efficiency_floor: float = 0.5
-                         ) -> Optional[int]:
-    """Smallest processor count whose efficiency drops below ``efficiency_floor``.
-
-    The paper observes that, for its problem size, "using more than 16
-    computers will not buy substantial performance improvement"; this helper
-    locates that roll-off point in a regenerated curve.
-    """
-    efficiency = curve.efficiency()
-    for processors in sorted(efficiency):
-        if efficiency[processors] < efficiency_floor:
-            return processors
-    return None
-
-
 __all__ = [
     "SpeedupPoint",
     "SpeedupCurve",
     "OverheadDecomposition",
     "overhead_decomposition",
     "mean_protocol_overhead",
-    "crossover_processors",
 ]

@@ -220,10 +220,14 @@ class FusionSession:
         # Only a validated request costs a copy of the cube into shared
         # memory, and only for workers in other processes: host-thread
         # workers read the caller's cube, and a copy would gain them nothing.
+        # A non-finite sample is rejected before any worker runs: by the
+        # placement on a cache miss, else here.
         placed = (self._backend_name in _PROCESS_BACKENDS
                   and not isinstance(cube, SharedCube))
         if placed:
             request.cube = self._segments.place(cube)
+        else:
+            cube.require_finite()
         try:
             report = self._engine.run(request, self)
         finally:

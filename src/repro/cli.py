@@ -12,8 +12,7 @@ writing any Python::
 
 Every command is a thin layer over :func:`repro.fuse`: engine and backend
 names come straight from the registries, so an engine or backend registered
-by downstream code is usable here without touching this module.  ``--mode``
-is kept as an alias of ``--engine`` for backward compatibility.
+by downstream code is usable here without touching this module.
 """
 
 from __future__ import annotations
@@ -81,9 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fuse = subparsers.add_parser("fuse", help="fuse a cube into a colour composite")
     fuse.add_argument("cube", help="input .npz cube (from the generate command)")
-    fuse.add_argument("--engine", "--mode", dest="engine",
-                      choices=engine_names(), default="sequential",
-                      help="registered fusion engine (--mode is a deprecated alias)")
+    fuse.add_argument("--engine", choices=engine_names(), default="sequential",
+                      help="registered fusion engine")
     fuse.add_argument("--backend", default="sim", metavar="SPEC",
                       help="backend spec for backend-using engines, e.g. "
                            f"{', '.join(backend_names())}; parameterised forms "

@@ -17,8 +17,7 @@ from .network import (BaseInterconnect, LinkSpec, SharedEthernet,
                       SharedMemoryInterconnect, SwitchedNetwork)
 from .node import Node, NodeError, NodeSpec
 from .presets import (HUNDRED_BASE_T, SUN_ULTRA_FLOPS, SUN_ULTRA_MEMORY,
-                      heterogeneous_lan, shared_memory_smp, sun_ultra_lan,
-                      switched_lan)
+                      shared_memory_smp, sun_ultra_lan, switched_lan)
 
 __all__ = [
     "Event",
@@ -39,7 +38,6 @@ __all__ = [
     "HUNDRED_BASE_T",
     "SUN_ULTRA_FLOPS",
     "SUN_ULTRA_MEMORY",
-    "heterogeneous_lan",
     "shared_memory_smp",
     "sun_ultra_lan",
     "switched_lan",

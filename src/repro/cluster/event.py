@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 
 class SimulationError(RuntimeError):
@@ -60,7 +60,6 @@ class EventEngine:
         self._heap: List[_QueueEntry] = []
         self._counter = itertools.count()
         self._now = 0.0
-        self._running = False
 
     # ------------------------------------------------------------------ API
     @property
@@ -97,54 +96,6 @@ class EventEngine:
             entry.event.callback()
             return True
         return False
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
-        """Run the event loop.
-
-        Parameters
-        ----------
-        until:
-            Stop once the clock would advance past this time (the event at
-            exactly ``until`` still fires).
-        max_events:
-            Safety limit on the number of events processed; exceeding it
-            raises :class:`SimulationError` (it almost always indicates a
-            livelock in a protocol under test).
-
-        Returns
-        -------
-        float
-            The virtual time at which the loop stopped.
-        """
-        if self._running:
-            raise SimulationError("EventEngine.run() is not reentrant")
-        self._running = True
-        fired = 0
-        try:
-            while self._heap:
-                entry = self._heap[0]
-                if entry.event.cancelled:
-                    heapq.heappop(self._heap)
-                    continue
-                if until is not None and entry.time > until:
-                    self._now = until
-                    break
-                if max_events is not None and fired >= max_events:
-                    raise SimulationError(
-                        f"event limit exceeded ({max_events} events); possible livelock")
-                heapq.heappop(self._heap)
-                self._now = entry.time
-                fired += 1
-                entry.event.callback()
-        finally:
-            self._running = False
-        return self._now
-
-    def peek_time(self) -> Optional[float]:
-        """Return the time of the next pending event, or None."""
-        while self._heap and self._heap[0].event.cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
 
 
 __all__ = ["Event", "EventEngine", "SimulationError"]

@@ -54,10 +54,10 @@ HUNDRED_BASE_T = LinkSpec(bandwidth_bytes_per_s=11.0e6, latency_s=1.0e-3,
                           per_message_overhead_s=20.0e-3)
 
 
-def _worker_specs(n: int, flops: float, memory: int, prefix: str) -> List[NodeSpec]:
+def _worker_specs(n: int, flops: float, memory: int) -> List[NodeSpec]:
     if n < 1:
         raise ValueError("need at least one worker node")
-    return [NodeSpec(name=f"{prefix}{i:02d}", flops=flops, memory_bytes=memory)
+    return [NodeSpec(name=f"sun{i:02d}", flops=flops, memory_bytes=memory)
             for i in range(n)]
 
 
@@ -74,7 +74,7 @@ def sun_ultra_lan(workers: int = 16, *, manager_node: bool = True,
         If True (default) an additional node ``"manager"`` hosts the manager
         thread, mirroring the paper where the manager represents the sensor.
     """
-    specs = _worker_specs(workers, flops, memory_bytes, "sun")
+    specs = _worker_specs(workers, flops, memory_bytes)
     if manager_node:
         specs = [NodeSpec(name="manager", flops=flops, memory_bytes=memory_bytes)] + specs
     return Cluster(specs, interconnect=SharedEthernet(HUNDRED_BASE_T), name="sun-ultra-lan")
@@ -84,7 +84,7 @@ def switched_lan(workers: int = 16, *, manager_node: bool = True,
                  flops: float = SUN_ULTRA_FLOPS,
                  memory_bytes: int = SUN_ULTRA_MEMORY) -> Cluster:
     """Same workstations behind a full-duplex switch (contention ablation)."""
-    specs = _worker_specs(workers, flops, memory_bytes, "sun")
+    specs = _worker_specs(workers, flops, memory_bytes)
     if manager_node:
         specs = [NodeSpec(name="manager", flops=flops, memory_bytes=memory_bytes)] + specs
     return Cluster(specs, interconnect=SwitchedNetwork(HUNDRED_BASE_T), name="switched-lan")
@@ -106,21 +106,6 @@ def shared_memory_smp(processors: int = 16, *, flops: float = SUN_ULTRA_FLOPS,
     return Cluster(specs, interconnect=SharedMemoryInterconnect(), name="shared-memory-smp")
 
 
-def heterogeneous_lan(fast: int = 8, slow: int = 8, *, manager_node: bool = True) -> Cluster:
-    """A mixed cluster (Section 2 motivates heterogeneous clustered environments).
-
-    Half of the nodes run at the nominal rate, half at 60% of it.  Used by the
-    resource-management tests to check placement decisions prefer faster,
-    less-loaded machines.
-    """
-    specs = _worker_specs(fast, SUN_ULTRA_FLOPS, SUN_ULTRA_MEMORY, "fast")
-    specs += _worker_specs(slow, SUN_ULTRA_FLOPS * 0.6, SUN_ULTRA_MEMORY, "slow")
-    if manager_node:
-        specs = [NodeSpec(name="manager", flops=SUN_ULTRA_FLOPS,
-                          memory_bytes=SUN_ULTRA_MEMORY)] + specs
-    return Cluster(specs, interconnect=SharedEthernet(HUNDRED_BASE_T), name="heterogeneous-lan")
-
-
 __all__ = [
     "SUN_ULTRA_FLOPS",
     "SUN_ULTRA_MEMORY",
@@ -128,5 +113,4 @@ __all__ = [
     "sun_ultra_lan",
     "switched_lan",
     "shared_memory_smp",
-    "heterogeneous_lan",
 ]

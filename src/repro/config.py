@@ -172,12 +172,6 @@ class FusionConfig:
                  f"compute must be one of {tuple(compute_names())}, "
                  f"got {self.compute!r}")
 
-    def with_workers(self, workers: int, subcubes: Optional[int] = None) -> "FusionConfig":
-        """Return a copy configured for a different worker count."""
-        return dataclasses.replace(
-            self, partition=dataclasses.replace(self.partition, workers=workers, subcubes=subcubes)
-        )
-
     def with_resilience(self, resilience: Optional[ResilienceConfig]) -> "FusionConfig":
         return dataclasses.replace(self, resilience=resilience)
 

@@ -19,9 +19,8 @@ from .manager import manager_program
 from .messages import (ALL_PHASES, PHASE_COVARIANCE, PHASE_SCREEN,
                        PHASE_TRANSFORM, PORT_HELLO, PORT_RESULT, PORT_TASK,
                        StopWork, TaskAssignment, TaskResult, WorkerHello)
-from .partition import (SubcubeSpec, decompose, extract_subcube, granularity_for,
-                        merge_subcubes, reassemble_composite, split_subcube,
-                        subcube_pixel_matrix)
+from .partition import (SubcubeSpec, decompose, extract_subcube,
+                        reassemble_composite, subcube_pixel_matrix)
 from .pipeline import FusionResult, SpectralScreeningPCT
 from .worker import worker_program
 
@@ -46,10 +45,7 @@ __all__ = [
     "SubcubeSpec",
     "decompose",
     "extract_subcube",
-    "granularity_for",
-    "merge_subcubes",
     "reassemble_composite",
-    "split_subcube",
     "subcube_pixel_matrix",
     "FusionResult",
     "SpectralScreeningPCT",

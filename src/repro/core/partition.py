@@ -1,4 +1,4 @@
-"""Sub-cube decomposition and granularity control.
+"""Sub-cube decomposition.
 
 The distributed algorithm divides the hyper-spectral cube into *sub-cubes*
 along the spatial (row) axis; each sub-cube is one unit of work handed to a
@@ -8,14 +8,14 @@ sub-cubes than workers allows communication to be overlapped with
 computation, while decomposing too finely (beyond ~32 sub-cubes for the
 320x320x105 cube) makes per-message overhead dominate.
 
-This module owns that decomposition and the small helpers the resource
-manager uses to reason about granularity (merging / splitting work units).
+This module owns that decomposition: splitting the scene rows into blocks,
+extracting one block, and stitching the per-block composites back together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -41,9 +41,6 @@ class SubcubeSpec:
     @property
     def rows(self) -> int:
         return self.row_stop - self.row_start
-
-    def pixel_count(self, cols: int) -> int:
-        return self.rows * cols
 
 
 def decompose(cube_rows: int, subcubes: int) -> List[SubcubeSpec]:
@@ -110,68 +107,10 @@ def reassemble_composite(blocks: Sequence[Tuple[SubcubeSpec, np.ndarray]],
     return composite
 
 
-# --------------------------------------------------------------------------
-# Granularity helpers
-# --------------------------------------------------------------------------
-
-def granularity_for(workers: int, multiplier: int = 2, *, cube_rows: Optional[int] = None,
-                    cap: Optional[int] = None) -> int:
-    """Number of sub-cubes for a worker count and granularity multiplier.
-
-    ``multiplier=1`` reproduces the paper's ``#sub-cube = #proc`` series,
-    2 and 3 the over-decomposed series of Figure 5.  The result is optionally
-    capped (the paper observes performance tails off past 32 sub-cubes for
-    its problem size) and never exceeds the number of scene rows.
-    """
-    if workers < 1 or multiplier < 1:
-        raise ValueError("workers and multiplier must be >= 1")
-    subcubes = workers * multiplier
-    if cap is not None:
-        subcubes = min(subcubes, cap)
-    if cube_rows is not None:
-        subcubes = min(subcubes, cube_rows)
-    return max(subcubes, workers) if cube_rows is None or cube_rows >= workers else cube_rows
-
-
-def merge_subcubes(specs: Sequence[SubcubeSpec], factor: int = 2) -> List[SubcubeSpec]:
-    """Coarsen a decomposition by merging ``factor`` adjacent sub-cubes.
-
-    Used by the resource manager's granularity control (Watts & Taylor 1998
-    in the paper's references): when communication overhead dominates,
-    adjacent work units are merged into larger ones.
-    """
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
-    ordered = sorted(specs, key=lambda s: s.row_start)
-    merged: List[SubcubeSpec] = []
-    for i in range(0, len(ordered), factor):
-        group = ordered[i:i + factor]
-        for a, b in zip(group, group[1:]):
-            if a.row_stop != b.row_start:
-                raise ValueError("can only merge adjacent sub-cubes")
-        merged.append(SubcubeSpec(task_id=len(merged), row_start=group[0].row_start,
-                                  row_stop=group[-1].row_stop))
-    return merged
-
-
-def split_subcube(spec: SubcubeSpec, parts: int, next_task_id: int) -> List[SubcubeSpec]:
-    """Refine one sub-cube into ``parts`` smaller ones (granularity decrease)."""
-    if parts < 1:
-        raise ValueError("parts must be >= 1")
-    if parts > spec.rows:
-        raise ValueError(f"cannot split {spec.rows} rows into {parts} parts")
-    edges = np.linspace(spec.row_start, spec.row_stop, parts + 1, dtype=int)
-    return [SubcubeSpec(task_id=next_task_id + i, row_start=int(edges[i]),
-                        row_stop=int(edges[i + 1])) for i in range(parts)]
-
-
 __all__ = [
     "SubcubeSpec",
     "decompose",
     "extract_subcube",
     "subcube_pixel_matrix",
     "reassemble_composite",
-    "granularity_for",
-    "merge_subcubes",
-    "split_subcube",
 ]

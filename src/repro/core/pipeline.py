@@ -227,13 +227,5 @@ class SpectralScreeningPCT:
             "colormap": color_map_flops(n_pixels),
         }
 
-    def predicted_sequential_seconds(self, cube: HyperspectralCube, unique_size: int,
-                                     flops_per_second: float) -> float:
-        """Predicted single-workstation run time on a node of the given speed."""
-        if flops_per_second <= 0:
-            raise ValueError("flops_per_second must be positive")
-        total = sum(self.estimate_phase_flops(cube, unique_size).values())
-        return total / flops_per_second
-
 
 __all__ = ["SpectralScreeningPCT", "FusionResult"]

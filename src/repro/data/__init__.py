@@ -19,8 +19,7 @@ from .noise import NoiseModel, apply_sensor_noise, band_noise_sigma
 from .scene import (DEFAULT_MATERIALS, SceneLayout, VehiclePlacement,
                     generate_scene)
 from .signatures import (HYDICE_MAX_NM, HYDICE_MIN_NM, SpectralSignature,
-                         available_materials, get_signature, signature_matrix,
-                         spectral_angle)
+                         available_materials, get_signature, signature_matrix)
 
 __all__ = [
     "CubeError",
@@ -51,5 +50,4 @@ __all__ = [
     "available_materials",
     "get_signature",
     "signature_matrix",
-    "spectral_angle",
 ]

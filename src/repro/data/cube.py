@@ -4,15 +4,14 @@ A HYDICE collection is a stack of co-registered images, one per spectral
 band.  :class:`HyperspectralCube` stores the stack as a single
 ``(bands, rows, cols)`` ``float32`` array together with the band-centre
 wavelengths, and provides the views the fusion algorithm needs: the
-pixel-vector matrix (each row one pixel across all bands), individual band
-frames (Figure 2 of the paper), and spatial/spectral subsets used for
-decomposition and for building reduced test problems.
+pixel-vector matrix (each row one pixel across all bands) and individual
+band frames (Figure 2 of the paper).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -101,33 +100,20 @@ class HyperspectralCube:
         index = int(np.argmin(np.abs(self.wavelengths_nm - wavelength_nm)))
         return index, self.data[index]
 
-    # --------------------------------------------------------------- subsets
-    def spatial_subset(self, row_slice: slice, col_slice: slice) -> "HyperspectralCube":
-        """Return a new cube restricted to a spatial window (copies data)."""
-        sub = self.data[:, row_slice, col_slice].copy()
-        if sub.size == 0:
-            raise CubeError("spatial subset is empty")
-        return HyperspectralCube(sub, self.wavelengths_nm.copy(), dict(self.metadata))
+    def require_finite(self) -> None:
+        """Raise :class:`CubeError` if any sample is NaN or infinite.
 
-    def spectral_subset(self, band_slice: slice) -> "HyperspectralCube":
-        """Return a new cube restricted to a subset of bands (copies data)."""
-        sub = self.data[band_slice].copy()
-        wl = self.wavelengths_nm[band_slice].copy()
-        if sub.size == 0:
-            raise CubeError("spectral subset is empty")
-        return HyperspectralCube(sub, wl, dict(self.metadata))
-
-    def row_blocks(self, count: int) -> Tuple[Tuple[int, int], ...]:
-        """Split the row range into ``count`` contiguous, near-equal blocks.
-
-        Returns ``(start, stop)`` pairs; used by the sub-cube decomposition.
+        The fusion arithmetic is undefined on such a sample: a NaN makes
+        the composite non-finite, and an infinity yields a finite but
+        meaningless one.
         """
-        if count < 1:
-            raise CubeError("block count must be >= 1")
-        if count > self.rows:
-            raise CubeError(f"cannot split {self.rows} rows into {count} blocks")
-        edges = np.linspace(0, self.rows, count + 1, dtype=int)
-        return tuple((int(edges[i]), int(edges[i + 1])) for i in range(count))
+        finite = np.isfinite(self.data)
+        if finite.all():
+            return
+        bad = ~finite
+        band, row, col = np.unravel_index(int(np.argmax(bad)), self.shape)
+        raise CubeError(f"cube has {int(np.count_nonzero(bad))} non-finite sample(s); "
+                        f"the first is at (band, row, col) = ({band}, {row}, {col})")
 
     # ------------------------------------------------------------------- i/o
     def save_npz(self, path: str) -> None:
@@ -144,20 +130,6 @@ class HyperspectralCube:
         if "label_map" in archive and archive["label_map"].size:
             metadata["label_map"] = archive["label_map"]
         return cls(archive["data"], archive["wavelengths_nm"], metadata)
-
-    @classmethod
-    def from_pixel_matrix(cls, matrix: np.ndarray, rows: int, cols: int,
-                          wavelengths_nm: Optional[np.ndarray] = None) -> "HyperspectralCube":
-        """Rebuild a cube from a ``(pixels, bands)`` matrix."""
-        matrix = np.asarray(matrix)
-        if matrix.ndim != 2 or matrix.shape[0] != rows * cols:
-            raise CubeError(
-                f"pixel matrix of shape {matrix.shape} does not match {rows}x{cols} pixels")
-        bands = matrix.shape[1]
-        data = matrix.T.reshape(bands, rows, cols)
-        if wavelengths_nm is None:
-            wavelengths_nm = np.linspace(400.0, 2500.0, bands)
-        return cls(data.astype(np.float32), wavelengths_nm)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<HyperspectralCube bands={self.bands} rows={self.rows} cols={self.cols} "

@@ -220,14 +220,6 @@ class HydiceGenerator:
         return cls(config).generate()
 
     @classmethod
-    def paper_full_cube(cls, *, scale: float = 1.0, seed: int = 0) -> HyperspectralCube:
-        """The full 210-band collection used for the fusion result (Figure 3)."""
-        rows = max(32, int(round(320 * scale)))
-        cols = max(32, int(round(320 * scale)))
-        config = HydiceConfig(bands=210, rows=rows, cols=cols, seed=seed)
-        return cls(config).generate()
-
-    @classmethod
     def quicklook_cube(cls, *, bands: int = 32, rows: int = 48, cols: int = 48,
                        seed: int = 0) -> HyperspectralCube:
         """A small cube for unit tests and quick examples."""

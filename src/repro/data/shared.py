@@ -658,13 +658,19 @@ class SegmentPool:
 
     # --------------------------------------------------------------- borrow
     def place(self, cube: HyperspectralCube) -> SharedCube:
-        """Borrow a pinned placement holding ``cube``'s samples (see class)."""
+        """Borrow a pinned placement holding ``cube``'s samples (see class).
+
+        A miss first rejects a cube with a non-finite sample
+        (:meth:`~repro.data.cube.HyperspectralCube.require_finite`), before
+        any segment is reserved.
+        """
         with self._lock:
             self._check_open()
             entry = self._entries.get(id(cube))
             if entry is not None and not entry[1].closed:
                 self._entries.move_to_end(id(cube))
                 return cast(SharedCube, entry[1]).pin()
+            cube.require_finite()  # a miss only: a cached cube was checked
             shm = self._reserve(SharedCube, SharedCube._nbytes(cube.shape))
             placement = SharedCube._fill(shm, cube).pin()
             self._entries[id(cube)] = (cube, placement)

@@ -153,17 +153,6 @@ def signature_matrix(names: Sequence[str], wavelengths_nm: Sequence[float]) -> n
     return np.stack([get_signature(name).reflectance(wl) for name in names])
 
 
-def spectral_angle(a: np.ndarray, b: np.ndarray) -> float:
-    """Spectral angle (radians) between two spectra -- the paper's screening metric."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    denom = float(np.linalg.norm(a) * np.linalg.norm(b))
-    if denom == 0.0:
-        return np.pi / 2
-    cos = float(np.dot(a, b)) / denom
-    return float(np.arccos(np.clip(cos, -1.0, 1.0)))
-
-
 __all__ = [
     "HYDICE_MIN_NM",
     "HYDICE_MAX_NM",
@@ -171,5 +160,4 @@ __all__ = [
     "available_materials",
     "get_signature",
     "signature_matrix",
-    "spectral_angle",
 ]

@@ -15,7 +15,7 @@ so that each workstation ends up hosting replicas of two different workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from ..config import ResilienceConfig
 from ..scp.thread import ThreadSpec, physical_name
@@ -55,10 +55,6 @@ class ReplicationPolicy:
     def replicas_for(self, spec: ThreadSpec) -> int:
         """Replication level applied to ``spec``."""
         return self.level if self.critical(spec) else 1
-
-    def apply(self, specs: Sequence[ThreadSpec]) -> List[ThreadSpec]:
-        """Return copies of ``specs`` with the policy's replication levels."""
-        return [spec.with_replicas(self.replicas_for(spec)) for spec in specs]
 
     # ------------------------------------------------------------- placement
     def plan_placement(self, specs: Sequence[ThreadSpec], worker_nodes: Sequence[str],

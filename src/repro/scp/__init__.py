@@ -42,8 +42,6 @@ from .transport import (CommittedResult, ForkedProcessTransport,
 from .sim_backend import (CONTROL_MESSAGE_BYTES, ProtocolConfig, SimBackend,
                           TaskStatus)
 from .thread import ThreadProgram, ThreadSpec, parse_physical, physical_name
-from .tracing import (ComputeInterval, LifecycleEvent, MessageRecord,
-                      TraceRecorder)
 
 __all__ = [
     "Mailbox",
@@ -100,8 +98,4 @@ __all__ = [
     "ThreadSpec",
     "parse_physical",
     "physical_name",
-    "ComputeInterval",
-    "LifecycleEvent",
-    "MessageRecord",
-    "TraceRecorder",
 ]

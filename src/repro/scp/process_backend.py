@@ -373,15 +373,17 @@ class ProcessBackend(WallClockBackend):
         a moment earlier, so a record waits for its predecessors.  A replica
         reaped before the scan can commit nothing more and all it renamed is
         listed: still ``running`` afterwards, it died without reporting.
+
+        The running replicas' sentinels are the one liveness source: a wake
+        with none fired asks no process for its exit status, and a zero
+        ``block_seconds`` still reports a death that has happened.
         """
         with self._lock:
             running = [t for t in self._tasks.values() if t.status == "running"]
-        if block_seconds > 0:
-            # Not the dead: their sentinels stay readable for ever.
-            watched = {task.slot.process.sentinel: task.slot.process
-                       for task in running if task.slot.process.exitcode is None}
-            _join_fired(watched, self._doorbell.wait(block_seconds, watched))
-        reaped = [task for task in running if task.slot.process.exitcode is not None]
+        watched = {task.slot.process.sentinel: task.slot.process for task in running}
+        fired = self._doorbell.wait(block_seconds, watched)
+        _join_fired(watched, fired)
+        reaped = [task for task in running if task.slot.process.sentinel in fired]
         for item in collect_spool(self._spool):  # named {uid}-{seq}
             self._vehicles[item.task_id].held[item.attempt] = item
         handled = 0

@@ -33,7 +33,6 @@ import pickle
 import select
 import sys
 import threading
-import time
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -207,8 +206,8 @@ class _Doorbell:
     a ring that lands before the wait is not lost.
 
     Where the spool's filesystem has no FIFOs the transport still works:
-    :meth:`wait` degrades to a short timed sleep and reports every wait as
-    timed out.
+    :meth:`wait` degrades to a short timed poll of the sentinels alone, so a
+    commit is found by the next scan and a death is still reported.
     """
 
     def __init__(self, spool_dir: str) -> None:
@@ -238,15 +237,16 @@ class _Doorbell:
         the drain leaves either its byte or its file for the scan that
         follows."""
         fd = self._fd
-        if fd is None:
-            time.sleep(min(timeout, _NO_DOORBELL_SCAN_SECONDS))
-            return []
         # poll(), not select(): a long-lived session process may hold more
         # descriptors than FD_SETSIZE, and a descriptor closed underneath a
         # late router reads as POLLNVAL instead of raising.
         poller = select.poll()
-        for watched in (fd, *sentinels):
+        for watched in sentinels:
             poller.register(watched, select.POLLIN)
+        if fd is None:  # nothing rings: wake for the next timed scan
+            timeout = min(timeout, _NO_DOORBELL_SCAN_SECONDS)
+        else:
+            poller.register(fd, select.POLLIN)
         fired = [ready for ready, _ in poller.poll(timeout * 1000.0)]
         if fd in fired:
             with self._lock:

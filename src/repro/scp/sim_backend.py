@@ -113,8 +113,7 @@ class SimBackend(Backend):
                  protocol: Optional[ProtocolConfig] = None,
                  crash_policy: str = "raise",
                  share_replica_results: bool = True,
-                 spawn_cost_s: float = 0.050,
-                 tracer: Optional[object] = None) -> None:
+                 spawn_cost_s: float = 0.050) -> None:
         """Create a backend bound to ``cluster``.
 
         Parameters
@@ -139,10 +138,6 @@ class SimBackend(Backend):
         spawn_cost_s:
             Virtual seconds needed to create a thread dynamically (process
             startup on a 1999 workstation).
-        tracer:
-            Optional :class:`~repro.scp.tracing.TraceRecorder`; when given,
-            compute intervals, message deliveries and lifecycle events are
-            recorded (purely observational, no effect on results).
         """
         if crash_policy not in ("raise", "record"):
             raise ValueError("crash_policy must be 'raise' or 'record'")
@@ -154,7 +149,6 @@ class SimBackend(Backend):
         self.crash_policy = crash_policy
         self.share_replica_results = share_replica_results
         self.spawn_cost_s = spawn_cost_s
-        self.tracer = tracer
         self._pinned = dict(pinned or {})
         if worker_nodes is None:
             worker_nodes = [n for n in cluster.node_names if n != "manager"]
@@ -284,9 +278,6 @@ class SimBackend(Backend):
         self.router.register(spec.name, pid)
         if self._heartbeat is not None and not task.daemon:
             self._schedule_heartbeat(task)
-        if self.tracer is not None:
-            self.tracer.record_lifecycle(pid, "spawn", self.engine.now,
-                                         detail=f"node={node} incarnation={incarnation}")
         return task
 
     def _schedule_start(self, task: _SimTask, delay: float) -> None:
@@ -363,9 +354,6 @@ class SimBackend(Backend):
         seconds = self.cluster.compute_seconds(task.physical_id, flops)
         self.collector.add_phase(effect.phase, seconds)
         self.collector.add_node_busy(task.node, seconds)
-        if self.tracer is not None:
-            self.tracer.record_compute(task.physical_id, task.node, effect.phase,
-                                       self.engine.now, self.engine.now + seconds, flops)
         self._schedule_resume(task, result, delay=seconds)
 
     # ------------------------------------------------------------------ send
@@ -429,10 +417,6 @@ class SimBackend(Backend):
         if not accepted:
             self.collector.increment("duplicates_suppressed")
             return
-        if self.tracer is not None:
-            self.tracer.record_message(envelope.src, dst_physical, envelope.port,
-                                       envelope.nbytes, envelope.send_time,
-                                       envelope.deliver_time)
         if self.protocol.ack_enabled and not envelope.urgent and envelope.src_physical:
             src_node = self.cluster.location_of(envelope.src_physical)
             if src_node is not None:
@@ -478,8 +462,6 @@ class SimBackend(Backend):
         task.result = result
         self.router.unregister(task.physical_id)
         self.cluster.unplace(task.physical_id)
-        if self.tracer is not None:
-            self.tracer.record_lifecycle(task.physical_id, "finish", self.engine.now)
 
     def _crash(self, task: _SimTask, message: str, error: Optional[BaseException] = None) -> None:
         task.status = TaskStatus.CRASHED
@@ -488,9 +470,6 @@ class SimBackend(Backend):
         self.router.unregister(task.physical_id)
         self.cluster.unplace(task.physical_id)
         _LOG.warning("thread %s crashed: %s", task.physical_id, message)
-        if self.tracer is not None:
-            self.tracer.record_lifecycle(task.physical_id, "crashed", self.engine.now,
-                                         detail=message)
         self.collector.increment("crashes")
         for callback in self._death_callbacks:
             callback(task.physical_id, task.logical, "crashed")
@@ -514,8 +493,6 @@ class SimBackend(Backend):
         self.router.unregister(physical_id)
         self.cluster.unplace(physical_id)
         self.collector.increment("failures_injected")
-        if self.tracer is not None:
-            self.tracer.record_lifecycle(physical_id, "killed", self.engine.now)
         for callback in self._death_callbacks:
             callback(physical_id, task.logical, "killed")
         return True
@@ -536,9 +513,6 @@ class SimBackend(Backend):
             task.mailbox.close()
             self.router.unregister(pid)
             self.collector.increment("failures_injected")
-            if self.tracer is not None:
-                self.tracer.record_lifecycle(pid, "killed", self.engine.now,
-                                             detail=f"node_failure:{node_name}")
             for callback in self._death_callbacks:
                 callback(pid, task.logical, "node_failure")
             killed.append(pid)

@@ -99,19 +99,5 @@ class ThreadSpec:
         """Physical identifiers of the initially created replicas."""
         return tuple(physical_name(self.name, r) for r in range(self.replicas))
 
-    def with_replicas(self, replicas: int,
-                      placement: Optional[Sequence[str]] = None) -> "ThreadSpec":
-        """Return a copy with a different replication level."""
-        return ThreadSpec(
-            name=self.name,
-            program=self.program,
-            params=self.params,
-            replicas=replicas,
-            placement=placement if placement is not None else self.placement,
-            memory_bytes=self.memory_bytes,
-            critical=self.critical,
-            daemon=self.daemon,
-        )
-
 
 __all__ = ["ThreadSpec", "ThreadProgram", "physical_name", "parse_physical"]

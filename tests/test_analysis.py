@@ -9,8 +9,7 @@ from repro.analysis.quality import (band_contrast, best_band_contrast,
 from repro.analysis.report import (dict_table, figure4_table, figure5_table,
                                    format_table, overhead_table)
 from repro.analysis.speedup import (OverheadDecomposition, SpeedupCurve,
-                                    SpeedupPoint, crossover_processors,
-                                    mean_protocol_overhead,
+                                    SpeedupPoint, mean_protocol_overhead,
                                     overhead_decomposition)
 
 
@@ -63,12 +62,6 @@ class TestSpeedupCurve:
     def test_empty_curve_rejected(self):
         with pytest.raises(ValueError):
             SpeedupCurve("empty").baseline_seconds()
-
-    def test_crossover_detection(self):
-        curve = SpeedupCurve("rolls-off")
-        curve.add(1, 100.0).add(2, 52.0).add(4, 30.0).add(8, 26.0).add(16, 24.0)
-        assert crossover_processors(curve, efficiency_floor=0.5) == 8
-        assert crossover_processors(self.linear_curve(), efficiency_floor=0.5) is None
 
 
 class TestOverheadDecomposition:

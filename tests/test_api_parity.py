@@ -12,6 +12,7 @@ import pytest
 from repro import fuse
 from repro.config import (ColorMapConfig, FusionConfig, PartitionConfig,
                           ScreeningConfig)
+from repro.data.cube import HyperspectralCube
 from repro.data.hydice import HydiceConfig, HydiceGenerator
 
 #: One request shape shared by every run in this module.  The sequential
@@ -83,7 +84,8 @@ def test_cube_with_fewer_rows_than_subcubes_keeps_parity(tiny_cube, engine,
     ``decompose`` unclamped, so the two batch engines died on a 3-row cube
     with four workers while ``sequential`` and ``pipeline`` succeeded.
     """
-    sliver = tiny_cube.spatial_subset(slice(0, 3), slice(0, tiny_cube.cols))
+    sliver = HyperspectralCube(tiny_cube.data[:, 0:3, :].copy(),
+                               tiny_cube.wavelengths_nm.copy(), dict(tiny_cube.metadata))
     reference = fuse(sliver, engine="sequential", workers=4)
     report = fuse(sliver, engine=engine, backend=backend, workers=4)
     np.testing.assert_array_equal(report.composite, reference.composite)

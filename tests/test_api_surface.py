@@ -49,7 +49,7 @@ CLI_OPTIONS = {
     "generate": ["--bands", "--camouflaged", "--cols", "--help", "--out",
                  "--rows", "--seed", "--vehicles", "-h"],
     "fuse": ["--angle-threshold", "--attack", "--backend", "--compute",
-             "--compute-dtype", "--engine", "--help", "--mode", "--out",
+             "--compute-dtype", "--engine", "--help", "--out",
              "--profile", "--replication", "--subcubes", "--tile-rows",
              "--workers", "-h"],
     "sweep": ["--backend", "--bands", "--help", "--scale", "--seed",

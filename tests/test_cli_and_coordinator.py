@@ -23,7 +23,7 @@ class TestCLI:
         out_path = str(tmp_path / "fused.npz")
         assert main(["generate", "--bands", "12", "--rows", "24", "--cols", "24",
                      "--seed", "3", "--out", cube_path]) == 0
-        assert main(["fuse", cube_path, "--mode", "sequential", "--out", out_path]) == 0
+        assert main(["fuse", cube_path, "--engine", "sequential", "--out", out_path]) == 0
         captured = capsys.readouterr().out
         assert "fusion summary" in captured
         archive = np.load(out_path)
@@ -33,14 +33,14 @@ class TestCLI:
         cube_path = str(tmp_path / "scene.npz")
         main(["generate", "--bands", "10", "--rows", "24", "--cols", "24",
               "--out", cube_path])
-        assert main(["fuse", cube_path, "--mode", "distributed", "--workers", "2"]) == 0
+        assert main(["fuse", cube_path, "--engine", "distributed", "--workers", "2"]) == 0
         assert "distributed" in capsys.readouterr().out
 
     def test_resilient_fuse_with_attack(self, tmp_path, capsys):
         cube_path = str(tmp_path / "scene.npz")
         main(["generate", "--bands", "10", "--rows", "24", "--cols", "24",
               "--out", cube_path])
-        assert main(["fuse", cube_path, "--mode", "resilient", "--workers", "2",
+        assert main(["fuse", cube_path, "--engine", "resilient", "--workers", "2",
                      "--attack", "worker.0"]) == 0
         assert "resilient" in capsys.readouterr().out
 

@@ -5,6 +5,12 @@ import pytest
 from repro.cluster.event import EventEngine, SimulationError
 
 
+def drain(engine):
+    """Fire events until none remain, the way ``SimBackend`` drives the engine."""
+    while engine.step():
+        pass
+
+
 class TestScheduling:
     def test_clock_starts_at_zero(self):
         assert EventEngine().now == 0.0
@@ -14,7 +20,7 @@ class TestScheduling:
         fired = []
         engine.schedule(2.0, lambda: fired.append("late"))
         engine.schedule(1.0, lambda: fired.append("early"))
-        engine.run()
+        drain(engine)
         assert fired == ["early", "late"]
         assert engine.now == 2.0
 
@@ -23,7 +29,7 @@ class TestScheduling:
         fired = []
         for name in ("a", "b", "c"):
             engine.schedule(1.0, lambda n=name: fired.append(n))
-        engine.run()
+        drain(engine)
         assert fired == ["a", "b", "c"]
 
     def test_negative_delay_rejected(self):
@@ -34,7 +40,7 @@ class TestScheduling:
     def test_schedule_at_in_past_rejected(self):
         engine = EventEngine()
         engine.schedule(1.0, lambda: None)
-        engine.run()
+        drain(engine)
         with pytest.raises(SimulationError):
             engine.schedule_at(0.5, lambda: None)
 
@@ -47,7 +53,7 @@ class TestScheduling:
             engine.schedule(0.5, lambda: fired.append("second"))
 
         engine.schedule(1.0, first)
-        engine.run()
+        drain(engine)
         assert fired == ["first", "second"]
         assert engine.now == pytest.approx(1.5)
 
@@ -58,40 +64,18 @@ class TestCancellation:
         fired = []
         event = engine.schedule(1.0, lambda: fired.append("x"))
         event.cancel()
-        engine.run()
+        drain(engine)
         assert fired == []
 
     def test_cancelled_events_not_counted_as_pending(self):
         engine = EventEngine()
         event = engine.schedule(1.0, lambda: None)
-        assert engine.peek_time() == pytest.approx(1.0)
         event.cancel()
-        assert engine.peek_time() is None
+        assert engine.step() is False
+        assert engine.now == 0.0
 
 
 class TestRunControl:
-    def test_run_until_stops_clock_at_limit(self):
-        engine = EventEngine()
-        fired = []
-        engine.schedule(1.0, lambda: fired.append(1))
-        engine.schedule(5.0, lambda: fired.append(5))
-        engine.run(until=2.0)
-        assert fired == [1]
-        assert engine.now == 2.0
-        # The remaining event still fires when the run resumes.
-        engine.run()
-        assert fired == [1, 5]
-
-    def test_max_events_guard(self):
-        engine = EventEngine()
-
-        def reschedule():
-            engine.schedule(0.1, reschedule)
-
-        engine.schedule(0.1, reschedule)
-        with pytest.raises(SimulationError):
-            engine.run(max_events=50)
-
     def test_step_returns_false_when_empty(self):
         assert EventEngine().step() is False
 
@@ -103,19 +87,3 @@ class TestRunControl:
         assert engine.step() is True
         assert fired == ["a"]
         assert engine.now == 1.0
-
-    def test_peek_time(self):
-        engine = EventEngine()
-        assert engine.peek_time() is None
-        engine.schedule(3.0, lambda: None)
-        assert engine.peek_time() == pytest.approx(3.0)
-
-    def test_run_not_reentrant(self):
-        engine = EventEngine()
-
-        def recurse():
-            engine.run()
-
-        engine.schedule(1.0, recurse)
-        with pytest.raises(SimulationError):
-            engine.run()

@@ -5,9 +5,8 @@ import pytest
 from repro.cluster.metrics import MetricsCollector, RunMetrics
 from repro.cluster.network import (SharedEthernet, SharedMemoryInterconnect,
                                     SwitchedNetwork)
-from repro.cluster.presets import (SUN_ULTRA_FLOPS, heterogeneous_lan,
-                                    shared_memory_smp, sun_ultra_lan,
-                                    switched_lan)
+from repro.cluster.presets import (SUN_ULTRA_FLOPS, shared_memory_smp,
+                                    sun_ultra_lan, switched_lan)
 
 
 class TestRunMetrics:
@@ -73,12 +72,6 @@ class TestPresets:
         cluster = shared_memory_smp(4)
         assert isinstance(cluster.interconnect, SharedMemoryInterconnect)
         assert cluster.size == 5  # manager cpu + 4 worker cpus
-
-    def test_heterogeneous_lan_speeds(self):
-        cluster = heterogeneous_lan(fast=2, slow=2)
-        fast = cluster.node("fast00").spec.flops
-        slow = cluster.node("slow00").spec.flops
-        assert slow < fast
 
     def test_worker_count_validation(self):
         with pytest.raises(ValueError):

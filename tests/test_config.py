@@ -78,14 +78,6 @@ class TestResilienceConfig:
 
 
 class TestFusionConfig:
-    def test_with_workers_returns_new_object(self):
-        base = FusionConfig()
-        derived = base.with_workers(8, subcubes=16)
-        assert derived is not base
-        assert derived.partition.workers == 8
-        assert derived.partition.subcubes == 16
-        assert base.partition.workers == PartitionConfig().workers
-
     def test_with_resilience(self):
         base = FusionConfig()
         assert base.resilience is None

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.steps.screening import screen_unique_set
+from repro.core.steps.screening import screen_unique_set, spectral_angles
 from repro.data.hydice import (HydiceConfig, HydiceGenerator, generate_cube,
                                solar_illumination)
-from repro.data.signatures import spectral_angle
 
 
 class TestConfigValidation:
@@ -78,10 +77,6 @@ class TestGeneration:
         assert scaled.bands == 105
         assert scaled.rows == 32
 
-    def test_full_cube_factory_uses_210_bands(self):
-        scaled = HydiceGenerator.paper_full_cube(scale=0.1, seed=0)
-        assert scaled.bands == 210
-
 
 class TestSpectralStructure:
     """The properties the fusion algorithm depends on (see ``repro.data.hydice``)."""
@@ -94,7 +89,8 @@ class TestSpectralStructure:
         forest_mean = matrix[labels_flat == materials.index("forest")].mean(axis=0)
         vehicle_pixels = matrix[labels_flat == materials.index("vehicle")]
         assert vehicle_pixels.shape[0] > 0
-        angle = spectral_angle(forest_mean, vehicle_pixels.mean(axis=0))
+        angle = spectral_angles(forest_mean[None, :],
+                                vehicle_pixels.mean(axis=0)[None, :])[0, 0]
         assert angle > 0.05
 
     def test_unique_set_is_much_smaller_than_pixel_count(self, small_cube):

@@ -160,9 +160,7 @@ class TestHyperspectralCube:
         cube = self.make_cube()
         matrix = cube.as_pixel_matrix()
         assert matrix.shape == (80, 6)
-        rebuilt = HyperspectralCube.from_pixel_matrix(matrix, cube.rows, cube.cols,
-                                                      cube.wavelengths_nm)
-        np.testing.assert_allclose(rebuilt.data, cube.data)
+        np.testing.assert_array_equal(matrix.T.reshape(cube.shape), cube.data)
 
     def test_pixel_matrix_matches_indexing(self):
         cube = self.make_cube()
@@ -184,42 +182,6 @@ class TestHyperspectralCube:
         assert index_last == cube.bands - 1
         index_mid, _ = cube.band_nearest(1450.0)
         assert 0 < index_mid < cube.bands - 1
-
-    def test_spatial_subset(self):
-        cube = self.make_cube()
-        subset = cube.spatial_subset(slice(0, 4), slice(2, 6))
-        assert subset.shape == (6, 4, 4)
-        np.testing.assert_allclose(subset.data, cube.data[:, 0:4, 2:6])
-
-    def test_spectral_subset(self):
-        cube = self.make_cube()
-        subset = cube.spectral_subset(slice(1, 4))
-        assert subset.bands == 3
-        np.testing.assert_allclose(subset.wavelengths_nm, cube.wavelengths_nm[1:4])
-
-    def test_empty_subset_rejected(self):
-        cube = self.make_cube()
-        with pytest.raises(CubeError):
-            cube.spatial_subset(slice(0, 0), slice(0, 0))
-
-    def test_row_blocks_cover_all_rows(self):
-        cube = self.make_cube(rows=11)
-        blocks = cube.row_blocks(3)
-        assert blocks[0][0] == 0
-        assert blocks[-1][1] == 11
-        covered = sum(stop - start for start, stop in blocks)
-        assert covered == 11
-
-    def test_row_blocks_validation(self):
-        cube = self.make_cube(rows=4)
-        with pytest.raises(CubeError):
-            cube.row_blocks(0)
-        with pytest.raises(CubeError):
-            cube.row_blocks(9)
-
-    def test_from_pixel_matrix_validation(self):
-        with pytest.raises(CubeError):
-            HyperspectralCube.from_pixel_matrix(np.zeros((10, 3)), rows=4, cols=4)
 
     def test_save_and_load_npz(self, tmp_path):
         cube = self.make_cube()

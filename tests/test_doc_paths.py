@@ -7,12 +7,17 @@ the reader nowhere, so deleting or renaming a file must update its mentions
 in the same change.  The same goes for a backticked dotted name such as
 ``repro.scp.pool.ProcessPool`` in README.md / CONTRIBUTING.md: it must still
 resolve by import + ``getattr``; and for a backticked ``--flag`` there: it
-must still parse on the ``repro-fusion`` command it is given to.
+must still parse on the ``repro-fusion`` command it is given to.  In a
+``src/`` docstring, every Sphinx role naming an absolute ``repro.…`` target
+(``:class:``, ``:func:``, ``:meth:``, ``:mod:``, ``:attr:``) must resolve the
+same way.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import dataclasses
 import glob
 import importlib
 import re
@@ -32,6 +37,10 @@ TOP_LEVEL_MD_PATTERN = re.compile(r"(?<![\w/.-])[A-Za-z][\w-]*\.md\b")
 
 #: A backticked ``repro.a.b`` name, with or without a call's argument list.
 DOTTED_NAME_PATTERN = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)(?:\([^`]*\))?`")
+
+#: A Sphinx role on an absolute ``repro.…`` target; a target may wrap lines.
+ROLE_PATTERN = re.compile(
+    r":(?:class|func|meth|mod|attr):`~?(repro(?:\.\s*[A-Za-z_]\w*)+)(?:\(\))?`")
 
 #: A backticked span, and a ``--flag`` in it.
 SPAN_PATTERN = re.compile(r"`([^`\n]+)`")
@@ -60,6 +69,15 @@ def test_every_named_path_exists(where):
     assert not missing, f"paths named in the docs do not exist: {missing}"
 
 
+def _member(owner, name: str):
+    """``getattr``, which also finds a dataclass field without a class-level
+    default."""
+    if dataclasses.is_dataclass(owner) and any(
+            field.name == name for field in dataclasses.fields(owner)):
+        return getattr(owner, name, None)
+    return getattr(owner, name)
+
+
 def _resolves(dotted: str) -> bool:
     """Import the longest module prefix of ``dotted``, ``getattr`` the rest."""
     parts = dotted.split(".")
@@ -70,11 +88,32 @@ def _resolves(dotted: str) -> bool:
             continue
         try:
             for attribute in parts[cut:]:
-                target = getattr(target, attribute)
+                target = _member(target, attribute)
         except AttributeError:
             return False
         return True
     return False
+
+
+def _docstrings(path: Path):
+    """The module, class and function docstrings of one source file."""
+    for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            docstring = ast.get_docstring(node, clean=False)
+            if docstring:
+                yield docstring
+
+
+def test_every_docstring_role_resolves():
+    references = {(str(path.relative_to(ROOT)), re.sub(r"\s+", "", target))
+                  for path in sorted((ROOT / "src").rglob("*.py"))
+                  for docstring in _docstrings(path)
+                  for target in ROLE_PATTERN.findall(docstring)}
+    assert len(references) > 100, "few roles found: has the pattern rotted?"
+    dangling = sorted(f"{path}: {name}" for path, name in references
+                      if not _resolves(name))
+    assert not dangling, f"docstrings name symbols that do not exist: {dangling}"
 
 
 def _commands(parser: argparse.ArgumentParser, words=()):

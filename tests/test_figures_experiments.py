@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.analysis.figures import (efficiency_bar_chart, figure4_chart,
-                                    figure5_chart, line_chart)
+from repro.analysis.figures import figure4_chart, figure5_chart, line_chart
 from repro.analysis.speedup import SpeedupCurve
 from repro.experiments import (run_figure4, run_figure5,
                                run_shared_memory_comparison)
@@ -68,13 +67,6 @@ class TestLineChart:
         chart = figure5_chart(curves)
         assert "Figure 5" in chart
         assert "x 3" in chart
-
-    def test_efficiency_bar_chart(self):
-        curve = make_curve("plain", efficiency=0.9, processors=(1, 2, 4, 8))
-        chart = efficiency_bar_chart(curve, title="efficiency")
-        assert "efficiency" in chart
-        assert "P=  8" in chart
-        assert "#" in chart
 
 
 @pytest.fixture(scope="module")

@@ -283,7 +283,7 @@ def test_cli_fuse_and_sweep_with_process_backend(tmp_path, capsys):
     cube_path = tmp_path / "scene.npz"
     assert main(["generate", "--bands", "16", "--rows", "32", "--cols", "32",
                  "--seed", "3", "--out", str(cube_path)]) == 0
-    assert main(["fuse", str(cube_path), "--mode", "distributed",
+    assert main(["fuse", str(cube_path), "--engine", "distributed",
                  "--backend", "process", "--workers", "2"]) == 0
     out = capsys.readouterr().out
     assert "wall_seconds" in out

@@ -1,4 +1,4 @@
-"""Unit tests for sub-cube decomposition, granularity control and messages."""
+"""Unit tests for sub-cube decomposition and messages."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,7 @@ import pytest
 from repro.core.messages import (PHASE_SCREEN, StopWork, TaskAssignment,
                                  TaskResult, WorkerHello)
 from repro.core.partition import (SubcubeSpec, decompose, extract_subcube,
-                                  granularity_for, merge_subcubes,
-                                  reassemble_composite, split_subcube,
-                                  subcube_pixel_matrix)
+                                  reassemble_composite, subcube_pixel_matrix)
 
 
 class TestDecompose:
@@ -40,10 +38,6 @@ class TestDecompose:
             decompose(10, 0)
         with pytest.raises(ValueError):
             decompose(4, 8)
-
-    def test_pixel_count(self):
-        spec = SubcubeSpec(task_id=0, row_start=3, row_stop=8)
-        assert spec.pixel_count(cols=20) == 100
 
 
 class TestExtractAndReassemble:
@@ -96,51 +90,6 @@ class TestExtractAndReassemble:
         spec = SubcubeSpec(0, 0, 5)
         with pytest.raises(ValueError):
             reassemble_composite([(spec, np.zeros((4, 4, 3)))], 5, 4)
-
-
-class TestGranularity:
-    def test_paper_multipliers(self):
-        assert granularity_for(8, 1) == 8
-        assert granularity_for(8, 2) == 16
-        assert granularity_for(8, 3) == 24
-
-    def test_cap_applies(self):
-        assert granularity_for(16, 3, cap=32) == 32
-
-    def test_row_limit(self):
-        assert granularity_for(8, 3, cube_rows=10) == 10
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            granularity_for(0, 1)
-        with pytest.raises(ValueError):
-            granularity_for(4, 0)
-
-    def test_merge_subcubes(self):
-        specs = decompose(40, 8)
-        merged = merge_subcubes(specs, factor=2)
-        assert len(merged) == 4
-        assert merged[0].row_start == 0
-        assert merged[-1].row_stop == 40
-        assert sum(s.rows for s in merged) == 40
-
-    def test_merge_non_adjacent_rejected(self):
-        specs = [SubcubeSpec(0, 0, 5), SubcubeSpec(1, 10, 15)]
-        with pytest.raises(ValueError):
-            merge_subcubes(specs, factor=2)
-
-    def test_split_subcube(self):
-        spec = SubcubeSpec(0, 10, 30)
-        parts = split_subcube(spec, 4, next_task_id=7)
-        assert len(parts) == 4
-        assert parts[0].task_id == 7
-        assert parts[0].row_start == 10
-        assert parts[-1].row_stop == 30
-        assert sum(p.rows for p in parts) == 20
-
-    def test_split_too_fine_rejected(self):
-        with pytest.raises(ValueError):
-            split_subcube(SubcubeSpec(0, 0, 3), 5, 0)
 
 
 class TestMessages:

@@ -77,16 +77,6 @@ class TestFusePipeline:
             assert result.phase_flops[phase] > 0
         assert result.total_flops() > 0
 
-    def test_predicted_sequential_seconds(self, small_cube, fast_config):
-        engine = SpectralScreeningPCT(fast_config)
-        result = engine.fuse(small_cube)
-        predicted = engine.predicted_sequential_seconds(small_cube,
-                                                        result.unique_set_size,
-                                                        flops_per_second=1e8)
-        assert predicted > 0
-        with pytest.raises(ValueError):
-            engine.predicted_sequential_seconds(small_cube, 10, flops_per_second=0)
-
     def test_requires_three_components(self):
         with pytest.raises(ValueError):
             SpectralScreeningPCT(n_components=2)

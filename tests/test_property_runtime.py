@@ -27,7 +27,8 @@ class TestEventEngineProperties:
         fired = []
         for delay in delays:
             engine.schedule(delay, lambda d=delay: fired.append(engine.now))
-        engine.run()
+        while engine.step():
+            pass
         assert len(fired) == len(delays)
         assert fired == sorted(fired)
         assert engine.now == max(delays)
@@ -45,7 +46,8 @@ class TestEventEngineProperties:
             if cancel:
                 event.cancel()
                 expected.discard(index)
-        engine.run()
+        while engine.step():
+            pass
         assert set(fired) == expected
 
 

@@ -37,13 +37,6 @@ class TestReplicationPolicy:
         assert policy.replicas_for(worker_spec("worker.4", critical=False)) == 2
         assert policy.replicas_for(worker_spec("manager", critical=True)) == 1
 
-    def test_apply_rewrites_replica_counts(self):
-        policy = ReplicationPolicy(level=2)
-        specs = [worker_spec("manager", critical=False), worker_spec("worker.0")]
-        applied = policy.apply(specs)
-        assert applied[0].replicas == 1
-        assert applied[1].replicas == 2
-
     def test_placement_spreads_replicas(self):
         policy = ReplicationPolicy(level=2)
         specs = [worker_spec(f"worker.{i}") for i in range(3)]

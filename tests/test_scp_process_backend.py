@@ -7,6 +7,7 @@ exercises the portable ``spawn`` path.
 """
 
 import glob
+import multiprocessing.connection
 import os
 import shutil
 import signal
@@ -23,9 +24,10 @@ from repro.scp.effects import Compute, Recv, Send, Sleep
 from repro.scp.errors import (ReceiveTimeout, RuntimeStateError, SCPError,
                               ThreadCrashedError)
 from repro.scp.pool import _ASSIGN, ProcessPool
-from repro.scp.process_backend import ProcessBackend
+from repro.scp.process_backend import ProcessBackend, _ProcessTask
 from repro.scp.runtime import Application
 from repro.scp.serialization import collect_spool, spool_root
+from repro.scp.thread import ThreadSpec
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +547,44 @@ def test_a_straggler_survives_its_spool_being_removed():
                 (0, "phase"), (1, "finished")]
     finally:
         shutil.rmtree(spool, ignore_errors=True)
+
+
+@pytest.mark.parametrize("doorbell", [True, False], ids=["fifo", "no-fifo"])
+def test_liveness_comes_from_the_sentinels_alone(doorbell, monkeypatch):
+    """A wake with no sentinel fired asks no process for its exit status (no
+    ``waitpid``), and a death is seen, by the zero-timeout final pump too,
+    with or without the commit doorbell."""
+    def no_fifos(path, *args, **kwargs):
+        raise OSError(1, "Operation not permitted", path)
+
+    if not doorbell:
+        monkeypatch.setattr(os, "mkfifo", no_fifos)
+    with ProcessPool(start_method=FAST_START, warm=1) as pool:
+        backend = ProcessBackend(pool, crash_policy="record")
+        backend._prepare_run()
+        slot = pool.acquire()
+        task = _ProcessTask(ThreadSpec(name="idle", program=idler_program), 0,
+                            "idle#0", 0, slot, None, 0)
+        task.status = "running"
+        backend._tasks[task.physical_id] = task
+        backend._vehicles.append(task)
+        try:
+            waitpid, calls = os.waitpid, []
+            monkeypatch.setattr(os, "waitpid",
+                                lambda *args: calls.append(args) or waitpid(*args))
+            assert backend._pump(0.05) == 0
+            backend._pump(0.0)
+            assert calls == [] and task.status == "running"
+            monkeypatch.setattr(os, "waitpid", waitpid)
+            os.kill(slot.process.pid, signal.SIGKILL)
+            multiprocessing.connection.wait([slot.process.sentinel])
+            backend._pump(0.0)
+            assert task.status == "crashed"
+            assert "exit code -9" in task.error
+        finally:
+            pool.discard(slot)
+            backend._doorbell.close()
+            shutil.rmtree(backend._spool, ignore_errors=True)
 
 
 def test_no_doorbell_degrades_to_a_timed_scan(tiny_cube, monkeypatch):

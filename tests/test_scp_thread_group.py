@@ -53,14 +53,6 @@ class TestThreadSpec:
         with pytest.raises(ValueError):
             ThreadSpec(name="w", program=dummy_program, replicas=3, placement=["n0"])
 
-    def test_with_replicas_copies(self):
-        spec = ThreadSpec(name="w", program=dummy_program, params={"x": 1}, critical=True)
-        doubled = spec.with_replicas(2)
-        assert doubled.replicas == 2
-        assert doubled.params == {"x": 1}
-        assert doubled.critical
-        assert spec.replicas == 1
-
 
 class TestRouter:
     def test_register_and_targets(self):
