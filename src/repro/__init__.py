@@ -28,10 +28,10 @@ resiliency, streaming tile-pipelined dataflow -- and backends
 (``repro.backend_names()``) decide where the threads execute: a
 discrete-event simulated cluster (``"sim"``, virtual
 time), host threads (``"local"``) or real processes with shared-memory data
-placement (``"process"``, measured wall-clock speed-up).  New engines and
-backends register with :func:`repro.register_engine` /
-:func:`repro.register_backend` and become available everywhere, CLI
-included.
+placement (``"process"``, measured wall-clock speed-up) or node-agent
+workers over TCP (``"socket"``, pipeline engine).  Both are closed tables
+in their own modules: a new engine or backend is one class plus one table
+entry, and is available everywhere, CLI included.
 
 The library layers underneath (the "Layout" section of README.md has the
 full inventory):
@@ -42,21 +42,20 @@ full inventory):
 * :mod:`repro.resilience`  -- replication, detection, regeneration,
   reconfiguration, attacks, camouflage,
 * :mod:`repro.core`        -- the spectral-screening PCT fusion algorithm,
-* :mod:`repro.api`         -- the unified facade, registries and sessions.
+* :mod:`repro.api`         -- the unified facade, engine table and sessions.
 """
 
 from .api import (BackendContext, BackendSpec, FusionReport, FusionRequest,
-                  FusionSession, backend_names, create_backend,
-                  describe_backends, engine_names, fuse, get_engine,
-                  open_session, register_backend, register_engine, run_request)
+                  FusionSession, backend_names, create_backend, engine_names,
+                  fuse, get_engine, open_session, run_request)
 from .config import (COMPUTE_DTYPES, FusionConfig, PAPER_SETUP, PaperSetup,
                      PartitionConfig, ResilienceConfig, ScreeningConfig)
 from .core import FusionResult, SpectralScreeningPCT
-from .core.kernels import compute_names, register_compute
+from .core.kernels import compute_names
 from .core.profiling import StageTiming
 from .data import HydiceConfig, HydiceGenerator, HyperspectralCube, generate_cube
 
-__version__ = "1.27.0"
+__version__ = "1.28.0"
 
 __all__ = [
     # Unified fusion API
@@ -70,14 +69,10 @@ __all__ = [
     "BackendSpec",
     "backend_names",
     "create_backend",
-    "describe_backends",
     "engine_names",
     "get_engine",
-    "register_backend",
-    "register_engine",
     # Compute-kernel tier
     "compute_names",
-    "register_compute",
     # Profiling
     "StageTiming",
     # Configuration

@@ -1,24 +1,24 @@
-"""Unified fusion API: one facade, pluggable engines and backends.
+"""Unified fusion API: one facade over named engines and backends.
 
 This package is the stable surface of the library:
 
-* :func:`repro.fuse` -- one-shot fusion of a cube on any registered engine
-  (``sequential`` / ``distributed`` / ``resilient``) and backend (``sim`` /
-  ``local`` / ``process``),
+* :func:`repro.fuse` -- one-shot fusion of a cube on any engine
+  (``sequential`` / ``distributed`` / ``resilient`` / ``pipeline``) and
+  backend (``sim`` / ``local`` / ``process`` / ``socket``),
 * :func:`repro.open_session` -- a context-managed session that keeps the
   worker-process pool and shared-memory cube placement alive across
   repeated :meth:`~repro.api.session.FusionSession.fuse` calls,
-* :func:`register_engine` / :func:`register_backend` -- extension points a
-  new orchestration strategy or execution substrate plugs into, replacing
-  the string ``if/elif`` dispatch that used to be threaded through the CLI
-  and the experiment harness.
+* :func:`get_engine` / :func:`create_backend` -- name lookups in the closed
+  engine and backend tables (:mod:`repro.api.engines`,
+  :mod:`repro.scp.registry`); a new engine or backend is one class or
+  factory plus one table entry, and the CLI lists it at once.
 
 See the package README for the engine x backend support matrix.
 """
 
 from ..scp.registry import (BackendContext, BackendSpec, backend_names,
-                            create_backend, describe_backends, register_backend)
-from .engines import (FusionEngine, engine_names, get_engine, register_engine)
+                            create_backend)
+from .engines import FusionEngine, engine_names, get_engine
 from .facade import fuse, run_request
 from .request import FusionReport, FusionRequest
 from .session import FusionSession, open_session
@@ -28,12 +28,9 @@ __all__ = [
     "BackendSpec",
     "backend_names",
     "create_backend",
-    "describe_backends",
-    "register_backend",
     "FusionEngine",
     "engine_names",
     "get_engine",
-    "register_engine",
     "fuse",
     "run_request",
     "FusionReport",

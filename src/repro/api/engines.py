@@ -1,11 +1,11 @@
-"""Engine registry: named fusion engines behind one protocol.
+"""Engine table: named fusion engines behind one protocol.
 
 An *engine* decides how the eight algorithm steps are orchestrated
 (sequentially in-process, manager/worker on an SCP backend, manager/worker
 with computational resiliency, staged dataflow); a *backend* decides where
 the orchestrated work executes (simulated cluster, host threads, real
-processes).  Engines are registered by name with :func:`register_engine` and
-looked up with :func:`get_engine`.  A request reaches an engine one way:
+processes).  Engines are listed by name in :data:`_ENGINES` and looked up
+with :func:`get_engine`.  A request reaches an engine one way:
 :class:`~repro.api.session.FusionSession` validates it, places its cube and
 calls ``engine.run(request, session)``, and the engine takes what it runs on
 from the session (:func:`repro.fuse` is a session of one request).  Adding
@@ -25,15 +25,15 @@ pipeline    streaming tile-pipelined dataflow on pooled     process, socket,
 
 All engines produce bit-identical composites for the same request -- that
 is the paper's correctness claim, and the cross-engine parity tests assert
-it through this registry.
+it through this table.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Protocol,
-                    Tuple, Type, TypeVar, cast, runtime_checkable)
+from typing import (TYPE_CHECKING, Dict, List, Optional, Protocol, Tuple,
+                    Type, cast, runtime_checkable)
 
 from ..cluster.machine import Cluster
 from ..cluster.metrics import RunMetrics
@@ -43,7 +43,6 @@ from ..core.pipeline import FusionResult, SpectralScreeningPCT
 from ..core.profiling import (StageTiming, build_stage_timings,
                               stage_timings_from_result)
 from ..core.streaming import execute_pipeline_request
-from ..registry import Registry
 from ..resilience.coordinator import ResilienceCoordinator, protocol_config_for
 from ..resilience.policy import ReplicationPolicy
 from ..scp.process_backend import ProcessBackend
@@ -59,9 +58,9 @@ if TYPE_CHECKING:
 
 @runtime_checkable
 class FusionEngine(Protocol):
-    """What every registered engine implements."""
+    """What every engine implements."""
 
-    #: Registered name (filled in by :func:`register_engine`).
+    #: Table name (the key of :data:`_ENGINES`).
     name: str
     #: Backend a one-shot run uses when the request names none; ``None``
     #: means the engine executes inline and accepts no backend.
@@ -95,34 +94,24 @@ class FusionEngine(Protocol):
         ...
 
 
-_ENGINES: Registry[Type[object]] = Registry("engine")
-
-#: The decorated engine class passes through :func:`register_engine` unchanged.
-_EngineClass = TypeVar("_EngineClass", bound=Type[object])
-
-
-def register_engine(name: str) -> Callable[[_EngineClass], _EngineClass]:
-    """Class decorator registering a :class:`FusionEngine` under ``name``."""
-    def decorator(cls: _EngineClass) -> _EngineClass:
-        _ENGINES.add(name, cls)
-        cls.name = name
-        return cls
-    return decorator
-
-
 def engine_names() -> List[str]:
-    """Sorted names of every registered engine."""
-    return _ENGINES.names()
+    """Sorted names of every engine."""
+    return sorted(_ENGINES)
 
 
 def get_engine(name: str) -> FusionEngine:
-    """Instantiate the engine registered under ``name``.
+    """Instantiate the engine named ``name``.
 
-    Raises a :class:`ValueError` listing the registered names when ``name``
-    is unknown, so a typo in ``repro.fuse(cube, engine="...")`` is a
-    one-line fix.
+    Raises a :class:`ValueError` listing the engine names when ``name`` is
+    unknown, so a typo in ``repro.fuse(cube, engine="...")`` is a one-line
+    fix.
     """
-    return cast(FusionEngine, _ENGINES.get(name)())
+    try:
+        engine = _ENGINES[name]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown engine {name!r}; registered engines: "
+                         f"{', '.join(engine_names())}") from None
+    return cast(FusionEngine, engine())
 
 
 def _reject_resilience_options(request: FusionRequest, engine: str) -> None:
@@ -176,7 +165,6 @@ def _reject_pipeline_options(request: FusionRequest, engine: str) -> None:
             f"repro.open_session(engine='pipeline', max_inflight=...)")
 
 
-@register_engine("sequential")
 class SequentialEngine:
     """The single-process reference pipeline, timed on the host.
 
@@ -185,6 +173,7 @@ class SequentialEngine:
     rejected with a pointer at the backend-using engines.
     """
 
+    name = "sequential"
     default_backend: Optional[str] = None
     max_inflight = 1
     stage_tasks = False
@@ -214,20 +203,21 @@ class SequentialEngine:
                             stage_timings=stage_timings_from_result(result))
 
 
-@register_engine("distributed")
 class DistributedEngine:
-    """Manager/worker fusion on any registered SCP backend.
+    """Manager/worker fusion on any SCP backend.
 
     The engine *is* the implementation: :meth:`run` resolves the config,
     builds the one :class:`~repro.scp.registry.BackendContext`, takes the
-    backend (the session's pool, the request's instance, or the registry's
-    build of its spec), assembles the manager/worker application
+    backend (the session's pool, the request's instance, or
+    :func:`~repro.scp.registry.create_backend`'s build of its spec),
+    assembles the manager/worker application
     (:func:`~repro.core.distributed.build_application`), runs it and packages
     the :class:`FusionReport`.  :class:`ResilientEngine` overrides only the
     three facts that differ: :meth:`_worker_replicas`, :meth:`_context` and
     :meth:`_execute`.
     """
 
+    name = "distributed"
     default_backend: Optional[str] = "sim"
     max_inflight = 1
     stage_tasks = False
@@ -241,8 +231,8 @@ class DistributedEngine:
 
     def _reject_streaming(self, request: FusionRequest) -> None:
         """What no batch engine runs: streaming knobs, and a ``socket`` spec
-        (stage-task workers with no SCP program runtime -- its registry
-        factory raises the actionable error)."""
+        (stage-task workers with no SCP program runtime --
+        :func:`create_backend` raises the actionable error)."""
         _reject_pipeline_options(request, self.name)
         choice = request.backend_choice()
         if isinstance(choice, BackendSpec) and choice.name == "socket":
@@ -282,10 +272,10 @@ class DistributedEngine:
         # would grow the pool past the session's slot budget, forking from
         # one thread while another's inbox feeders hold locks.
         with self._run_lock:
-            # A process session's pool serves every run; otherwise the
-            # registry passes the request's instance through or builds its
-            # spec (the sim factory writes the preset cluster it sized back
-            # into the context, where the resiliency layer reads it).
+            # A process session's pool serves every run; otherwise
+            # create_backend passes the request's instance through or builds
+            # its spec (the sim factory writes the preset cluster it sized
+            # back into the context, where the resiliency layer reads it).
             backend = (ProcessBackend(session._pool) if session._pool is not None
                        else create_backend(request.backend_choice(), context))
             app = build_application(
@@ -319,7 +309,6 @@ def _resilience_of(config: FusionConfig) -> ResilienceConfig:
     return config.resilience or ResilienceConfig()
 
 
-@register_engine("resilient")
 class ResilientEngine(DistributedEngine):
     """Distributed fusion with computational resiliency armed.
 
@@ -342,6 +331,8 @@ class ResilientEngine(DistributedEngine):
     changes *how long* the run takes and *what it survives*, which is
     exactly what the paper's Figure 4 measures.
     """
+
+    name = "resilient"
 
     def validate(self, request: FusionRequest) -> None:
         self._reject_streaming(request)
@@ -400,7 +391,6 @@ class ResilientEngine(DistributedEngine):
         return run, coordinator.report()
 
 
-@register_engine("pipeline")
 class PipelineEngine:
     """Streaming tile-pipelined fusion (:mod:`repro.core.streaming`).
 
@@ -409,6 +399,7 @@ class PipelineEngine:
     stream: they overlap on one bounded slot budget.
     """
 
+    name = "pipeline"
     default_backend: Optional[str] = "process"
     #: The default stream window of a session (``max_inflight``).
     max_inflight = 4
@@ -433,6 +424,15 @@ class PipelineEngine:
             output_pool=session._segments)
 
 
-__all__ = ["FusionEngine", "register_engine", "engine_names", "get_engine",
+#: ``name -> engine class``: every engine :func:`get_engine` can build.
+_ENGINES: Dict[str, Type[object]] = {
+    "sequential": SequentialEngine,
+    "distributed": DistributedEngine,
+    "resilient": ResilientEngine,
+    "pipeline": PipelineEngine,
+}
+
+
+__all__ = ["FusionEngine", "engine_names", "get_engine",
            "SequentialEngine", "DistributedEngine", "ResilientEngine",
            "PipelineEngine"]

@@ -80,7 +80,7 @@ class FusionRequest:
     #: keeps whatever ``config`` says.
     compute_dtype: Optional[str] = None
     #: Compute backend of the hot kernels (:func:`repro.compute_names` lists
-    #: the registered tiers; ``"numpy"``, the reference, is the only one).
+    #: them; ``"numpy"``, the reference, is the only one).
     #: Bit-identical in float64 on every engine and transport.  ``None``
     #: keeps whatever ``config`` says.
     compute: Optional[str] = None
@@ -124,7 +124,7 @@ class FusionRequest:
             # ConfigurationError is a ValueError, message included).
             base = dataclasses.replace(base, compute_dtype=self.compute_dtype)
         if self.compute is not None:
-            # Validated the same way, against the kernel registry's names.
+            # Validated the same way, against repro.compute_names().
             base = dataclasses.replace(base, compute=self.compute)
         return base
 

@@ -11,8 +11,9 @@ writing any Python::
     repro-fusion sweep --workers 1 2 4 8 --scale 0.25
 
 Every command is a thin layer over :func:`repro.fuse`: engine and backend
-names come straight from the registries, so an engine or backend registered
-by downstream code is usable here without touching this module.
+names come straight from their tables (:mod:`repro.api.engines`,
+:mod:`repro.scp.registry`), so a new table entry is usable here without
+touching this module.
 """
 
 from __future__ import annotations
@@ -81,9 +82,11 @@ def _build_parser() -> argparse.ArgumentParser:
     fuse = subparsers.add_parser("fuse", help="fuse a cube into a colour composite")
     fuse.add_argument("cube", help="input .npz cube (from the generate command)")
     fuse.add_argument("--engine", choices=engine_names(), default="sequential",
-                      help="registered fusion engine")
-    fuse.add_argument("--backend", default="sim", metavar="SPEC",
-                      help="backend spec for backend-using engines, e.g. "
+                      help="fusion engine")
+    fuse.add_argument("--backend", default=None, metavar="SPEC",
+                      help="backend spec for backend-using engines (default: "
+                           "the engine's own, sim for distributed and "
+                           "resilient, process for pipeline), e.g. "
                            f"{', '.join(backend_names())}; parameterised forms "
                            "such as 'process:fork', 'sim:switched' or "
                            "'socket:4' (pipeline engine: workers behind a "
@@ -107,8 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            "(default) is bit-identical to the reference")
     fuse.add_argument("--compute", choices=compute_names(), default=None,
                       help="compute backend of the hot kernels; numpy "
-                           "(default) is the reference and the one "
-                           "registered tier")
+                           "(default) is the reference and the one tier")
     fuse.add_argument("--profile", action="store_true",
                       help="print the per-stage profile (seconds, rows/s, "
                            "effective GFLOP/s) after the fusion summary")
@@ -233,12 +235,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuse(args: argparse.Namespace) -> int:
-    from .api.engines import get_engine
-
     cube = HyperspectralCube.load_npz(args.cube)
-    # --backend always has a default; only hand it to engines that use one
-    # (the sequential engine rejects an explicit backend).
-    backend = args.backend if get_engine(args.engine).default_backend else None
     options = {}
     if args.angle_threshold is not None:
         # ScreeningConfig validates the range (0, pi/2) and raises an
@@ -255,12 +252,14 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
         options["replication"] = args.replication
         if args.attack:
             options["attack"] = AttackScenario.single_worker_kill(args.attack, at=1.0)
-    report = api_fuse(cube, engine=args.engine, backend=backend,
+    # Without --backend the facade runs the engine's default backend.
+    report = api_fuse(cube, engine=args.engine, backend=args.backend,
                       workers=args.workers, subcubes=args.subcubes, **options)
     result = report.result
 
     summary = {
         "mode": result.metadata.get("mode"),
+        "backend": report.backend,
         "unique_set_size": result.unique_set_size,
         "composite_shape": str(result.composite.shape),
     }
@@ -269,7 +268,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
         # "sim" to host threads); only the batch engines simulate time.
         label = ("virtual_seconds"
                  if report.engine != "pipeline"
-                 and BackendSpec.parse(args.backend).name == "sim"
+                 and BackendSpec.parse(report.backend).name == "sim"
                  else "wall_seconds")
         summary[label] = f"{report.elapsed_seconds:.2f}"
     if args.compute_dtype is not None:
@@ -461,8 +460,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return handler(args)
     except ValueError as exc:
-        # Registry lookups raise actionable ValueErrors (they list the
-        # registered engine/backend names); show them without a traceback.
+        # Name lookups raise actionable ValueErrors (they list the valid
+        # engine/backend names); show them without a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

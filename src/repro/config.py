@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 
 class ConfigurationError(ValueError):
@@ -135,6 +135,23 @@ class ResilienceConfig:
 #: Compute dtypes the numeric kernels accept (the compute-dtype policy).
 COMPUTE_DTYPES = ("float64", "float32")
 
+#: Compute backends of the hot kernels (the ``compute=`` policy); ``numpy``,
+#: the reference, is the one tier.
+_COMPUTE_BACKENDS = ("numpy",)
+
+
+def compute_names() -> List[str]:
+    """Names of the compute backends ``compute=`` accepts."""
+    return list(_COMPUTE_BACKENDS)
+
+
+def require_compute(compute: str) -> None:
+    """Raise a :class:`ValueError` naming the compute backends unless
+    ``compute`` is one of them."""
+    if compute not in _COMPUTE_BACKENDS:
+        raise ValueError(f"unknown compute backend {compute!r}; registered "
+                         f"compute backends: {', '.join(_COMPUTE_BACKENDS)}")
+
 
 @dataclass(frozen=True)
 class FusionConfig:
@@ -153,23 +170,18 @@ class FusionConfig:
     #: traffic, composites matching to single precision only.  Screening is
     #: float64-exact under both (certified in float32, refined in float64).
     compute_dtype: str = "float64"
-    #: Compute backend of the hot kernels (the registry in
-    #: :mod:`repro.core.kernels`): ``"numpy"`` (default, the reference) is
-    #: the one registered tier.  Orthogonal to ``compute_dtype``: the
-    #: backend picks *how* the arithmetic runs, the dtype picks its
-    #: precision, and every backend is bit-identical in float64 -- the
-    #: policy can change throughput, never bytes.
+    #: Compute backend of the hot kernels (:func:`compute_names`):
+    #: ``"numpy"`` (default, the reference) is the one tier.  Orthogonal to
+    #: ``compute_dtype``: the backend picks *how* the arithmetic runs, the
+    #: dtype picks its precision.
     compute: str = "numpy"
 
     def __post_init__(self) -> None:
         _require(self.compute_dtype in COMPUTE_DTYPES,
                  f"compute_dtype must be one of {COMPUTE_DTYPES}, "
                  f"got {self.compute_dtype!r}")
-        # Imported lazily: the kernels registry lives in the numeric core,
-        # which this module must not import at module scope.
-        from .core.kernels.registry import compute_names
-        _require(self.compute in compute_names(),
-                 f"compute must be one of {tuple(compute_names())}, "
+        _require(self.compute in _COMPUTE_BACKENDS,
+                 f"compute must be one of {_COMPUTE_BACKENDS}, "
                  f"got {self.compute!r}")
 
     def with_resilience(self, resilience: Optional[ResilienceConfig]) -> "FusionConfig":

@@ -23,6 +23,7 @@ import numpy as np
 
 from ..config import FusionConfig
 from ..data.cube import HyperspectralCube
+from .kernels import kernel_covariance_sum
 from .partition import decompose, subcube_pixel_matrix
 from .steps.colormap import color_map, color_map_flops, component_statistics
 from .steps.screening import (merge_unique_sets, screen_unique_set,
@@ -31,7 +32,8 @@ from .steps.statistics import (covariance_matrix, covariance_sum_flops,
                                mean_flops, mean_vector,
                                partition_pixel_matrix)
 from .steps.transform import (PCTBasis, eigendecomposition_flops, project,
-                              projection_flops, transformation_matrix)
+                              project_cube_block, projection_flops,
+                              transformation_matrix)
 
 
 @dataclass
@@ -110,13 +112,10 @@ class SpectralScreeningPCT:
         ``metadata["stage_invocations"]``, from which the engine layer
         derives :attr:`~repro.api.request.FusionReport.stage_timings`.
         """
-        from .kernels import get_compute
-
         screening = self.config.screening
         subcubes = self.config.partition.effective_subcubes
         compute_dtype = self.config.compute_dtype
         compute = self.config.compute
-        kernel = get_compute(compute)
         stage_seconds: Dict[str, float] = {}
         stage_rows: Dict[str, int] = {}
         stage_invocations: Dict[str, int] = {}
@@ -154,7 +153,7 @@ class SpectralScreeningPCT:
         # exactly as the distributed workers do (identical summation order).
         parts = partition_pixel_matrix(unique, max(self.config.partition.workers, 1))
         partial_sums = [timed("covariance", int(part.shape[0]),
-                              kernel.covariance_sum, part, mean)
+                              kernel_covariance_sum, part, mean, compute)
                         for part in parts]
         covariance = covariance_matrix(partial_sums, total_pixels=unique.shape[0])
 
@@ -180,7 +179,7 @@ class SpectralScreeningPCT:
         retained = PCTBasis(eigenvalues=basis.eigenvalues,
                             components=basis.components[:self.n_components],
                             mean=basis.mean)
-        components = timed("projection", cube.pixels, kernel.project_block,
+        components = timed("projection", cube.pixels, project_cube_block,
                            cube.data, retained, compute_dtype=compute_dtype)
 
         # Step 8: human-centred colour mapping.

@@ -77,8 +77,15 @@ from typing import List, Sequence
 
 import numpy as np
 
+from ...config import require_compute
+
 #: Numerical floor used when normalising pixel vectors; prevents division by
-#: zero for dead detector pixels.
+#: zero for dead detector pixels.  Such an all-zero pixel has no direction,
+#: so screening defines its angles: two zero vectors are at angle 0, a zero
+#: and a non-zero vector at pi/2.  The first zero pixel thus covers every
+#: later one and nothing else (below a pi/2 threshold), in
+#: :func:`screen_unique_set`, :func:`screen_unique_set_reference` and
+#: ``merge_unique_sets(rescreen=True)`` alike.
 _NORM_FLOOR = 1e-12
 
 
@@ -107,11 +114,13 @@ def spectral_angles(candidates: np.ndarray, references: np.ndarray) -> np.ndarra
     -------
     ndarray
         ``(m, u)`` matrix of angles; this is the paper's
-        ``alpha(i, j) = arccos(x . y / (|x||y|))`` evaluated for all pairs.
+        ``alpha(i, j) = arccos(x . y / (|x||y|))`` evaluated for all pairs,
+        with two all-zero vectors at angle 0 (see :data:`_NORM_FLOOR`).
     """
     cand = normalize_rows(candidates)
     ref = normalize_rows(references)
     cos = np.clip(cand @ ref.T, -1.0, 1.0)
+    cos[np.ix_(~cand.any(axis=1), ~ref.any(axis=1))] = 1.0
     return np.arccos(cos)
 
 
@@ -322,6 +331,82 @@ def _apart_rows(slab: np.ndarray, x32: np.ndarray, limits: np.ndarray,
     return rows[below.all(axis=0)]
 
 
+#: Still-alive survivors :func:`eliminate_survivors` settles per Gram
+#: matrix.  Measured, median screening ms per request of the
+#: pipe_small_overlap / socket_killstorm / resilient_repl2 scenes (benchmark
+#: seeds 0-2, 2-vCPU host, one BLAS thread): 16 -> 3.7/20.8/20.4,
+#: 32 -> 3.1/19.8/19.4, 64 -> 3.1/22.3/22.5, 128 -> 3.4/24.8/24.2,
+#: 256 -> 3.9/24.6/24.5; one pivot at a time: 7.3/31/30.  Flat from 32 to
+#: 128 within the host's ~15 % run-to-run noise, worse at both ends.
+_ELIMINATION_BLOCK = 64
+
+
+def eliminate_survivors(survivors: np.ndarray, survivor_rows: np.ndarray,
+                        cos_threshold, *, room: int | None = None):
+    """Greedy elimination among one chunk's screening survivors.
+
+    Survivors are admitted in row order, each unless it lies within the
+    cosine threshold of a survivor admitted before it (at most ``room``
+    of them).  The walk is blocked: one ``block @ block.T`` Gram matrix
+    settles the greedy order among the next :data:`_ELIMINATION_BLOCK`
+    remaining survivors, one ``rest @ pivots.T`` product removes every
+    later survivor within the threshold of a pivot the block admitted,
+    and the remainder is compacted once per block.  The decisions are
+    those of admitting one pivot at a time and eliminating against it
+    (only the cosines' BLAS call shapes differ).  Returns the admitted
+    (already normalised) rows and their chunk-row indices.
+    """
+    admitted: List[np.ndarray] = []
+    admitted_rows: List[np.ndarray] = []
+    count = 0
+    remaining = survivors
+    remaining_rows = survivor_rows
+    while remaining.shape[0] and (room is None or count < room):
+        block = remaining[:_ELIMINATION_BLOCK]
+        apart = block @ block.T < cos_threshold
+        alive = np.ones(block.shape[0], dtype=bool)
+        picks: List[int] = []
+        for row in range(block.shape[0]):
+            if not alive[row]:
+                continue
+            picks.append(row)
+            if room is not None and count + len(picks) >= room:
+                break
+            # Only later rows: the diagonal is the pivot itself, even
+            # when cos_threshold == 1.0.
+            alive[row + 1:] &= apart[row, row + 1:]
+        pivots = block[picks]
+        admitted.append(pivots)
+        admitted_rows.append(remaining_rows[picks])
+        count += len(picks)
+        rest = remaining[_ELIMINATION_BLOCK:]
+        keep = (rest @ pivots.T < cos_threshold).all(axis=1)
+        remaining = rest[keep]
+        remaining_rows = remaining_rows[_ELIMINATION_BLOCK:][keep]
+    if not admitted:
+        return (np.empty((0, survivors.shape[1]), dtype=survivors.dtype),
+                np.empty(0, dtype=np.intp))
+    return (np.concatenate(admitted),
+            np.concatenate(admitted_rows).astype(np.intp, copy=False))
+
+
+def _drop_covered_zeros(units: np.ndarray, rows: np.ndarray,
+                        zero_member: bool):
+    """``units`` and ``rows`` without the all-zero rows an earlier zero
+    vector covers: every one if a member is zero, else all but the first.
+
+    The float64 arithmetic puts two zero unit rows at cosine 0; this is
+    where they are at angle 0 instead (see :data:`_NORM_FLOOR`).
+    """
+    zeros = np.flatnonzero(~units.any(axis=1))
+    covered = zeros if zero_member else zeros[1:]
+    if covered.size == 0:
+        return units, rows
+    keep = np.ones(rows.size, dtype=bool)
+    keep[covered] = False
+    return units[keep], rows[keep]
+
+
 def screen_unique_set(pixels: np.ndarray, angle_threshold: float, *,
                       max_unique: int | None = None, sample_stride: int = 1,
                       chunk_size: int = 2048, compute_dtype=None,
@@ -349,20 +434,16 @@ def screen_unique_set(pixels: np.ndarray, angle_threshold: float, *,
         Ignored: every decision is the float64 one whatever the request's
         compute dtype, which selects the projection's precision only.
     compute:
-        Compute backend executing the survivor-elimination inner pass
-        (:func:`repro.core.kernels.compute_names` lists the registered
-        tiers).  The decisions -- and therefore the unique set -- are the
-        same on every backend.
+        Compute backend name, checked against
+        :func:`repro.core.kernels.compute_names`; the one tier runs
+        :func:`eliminate_survivors`.
 
     Returns
     -------
     ndarray
         ``(unique, bands)`` float64 array of unique pixel vectors.
     """
-    # Imported lazily: the kernels package imports this module's siblings.
-    from ..kernels import get_compute
-
-    kernel = get_compute(compute)
+    require_compute(compute)
     pixels = np.asarray(pixels)
     if pixels.dtype != np.float32:
         pixels = np.asarray(pixels, dtype=np.float64)
@@ -384,6 +465,7 @@ def screen_unique_set(pixels: np.ndarray, angle_threshold: float, *,
     buffer = UniqueSetBuffer(bands)
     buffer.append(_unit_rows(slab[:, :1]))
     indices: List[np.ndarray] = [np.zeros(1, dtype=np.intp)]
+    zero_member = not buffer.view[0].any()
 
     for start in range(1, n_pixels, chunk_size):
         if max_unique is not None and len(buffer) >= max_unique:
@@ -400,16 +482,18 @@ def screen_unique_set(pixels: np.ndarray, angle_threshold: float, *,
             count=start + chunk_size < n_pixels)
         if survivor_rows.size == 0:
             continue
-        # Survivors may still be mutually similar: resolve them greedily, in
-        # row order, on the registered compute kernel (same decisions on
-        # every backend).
-        room = (None if max_unique is None else max_unique - len(buffer))
-        admitted, admitted_rows = kernel.eliminate_survivors(
+        units, survivor_rows = _drop_covered_zeros(
             _unit_rows(np.take(chunk, survivor_rows, axis=1)), survivor_rows,
-            cos_threshold, room=room)
+            zero_member)
+        # Survivors may still be mutually similar: resolve them greedily, in
+        # row order.
+        room = (None if max_unique is None else max_unique - len(buffer))
+        admitted, admitted_rows = eliminate_survivors(
+            units, survivor_rows, cos_threshold, room=room)
         if admitted.shape[0]:
             buffer.append(admitted)
             indices.append(start + admitted_rows)
+            zero_member = zero_member or not admitted.any(axis=1).all()
     return np.asarray(slab.T[np.concatenate(indices)], dtype=np.float64)
 
 
@@ -417,7 +501,8 @@ def screen_unique_set_reference(pixels: np.ndarray, angle_threshold: float, *,
                                 max_unique: int | None = None,
                                 sample_stride: int = 1,
                                 chunk_size: int = 2048) -> np.ndarray:
-    """The seed screening kernel, retained verbatim as ground truth.
+    """The seed screening kernel, retained verbatim as ground truth (its
+    angles, from :func:`spectral_angles`, put two zero vectors at 0).
 
     Re-``vstack``s and re-normalises the whole unique set on every chunk and
     resolves chunk survivors with a per-row Python loop.  The equivalence

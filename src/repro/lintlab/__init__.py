@@ -9,10 +9,11 @@ and the parity fuzzer (:mod:`repro.paritylab`) ever run.
 
 The subsystem mirrors the shape of the other CLI labs:
 
-* :mod:`repro.lintlab.registry` -- the rule registry (``@register_rule``);
-  a rule is one class with a ``code``, a one-line rationale naming the PR
-  that motivated it, and an AST ``check``.
-* :mod:`repro.lintlab.rules` -- the built-in rules RPL001-RPL006.
+* :mod:`repro.lintlab.registry` -- the :class:`Rule` base class: a rule
+  is one class with a ``code``, a one-line rationale naming the PR that
+  motivated it, and an AST ``check``.
+* :mod:`repro.lintlab.rules` -- the built-in rules RPL001-RPL006 and the
+  closed ``RULES`` tuple every lookup reads.
 * :mod:`repro.lintlab.suppressions` -- ``# repro: allow[RPL004]`` comment
   handling, including the used/dead accounting the CLI reports so stale
   suppressions can be pruned.
@@ -28,14 +29,14 @@ Lint a tree programmatically::
 """
 
 from .findings import Finding, Suppression
-from .registry import Rule, all_rules, get_rule, register_rule, rule_codes
+from .registry import Rule
+from .rules import all_rules, get_rule, rule_codes
 from .runner import LintReport, lint_paths, lint_source
 
 __all__ = [
     "Finding",
     "Suppression",
     "Rule",
-    "register_rule",
     "all_rules",
     "get_rule",
     "rule_codes",

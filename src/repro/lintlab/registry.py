@@ -1,10 +1,10 @@
-"""Rule registry: named lint rules behind one tiny protocol.
+"""The lint-rule protocol: what every rule is and sees.
 
-Mirrors the engine/backend registries (:mod:`repro.api.engines`,
-:mod:`repro.scp.registry`): a rule is registered by decorating its class,
-and the runner, the CLI ``--list-rules`` table and the README rule table
-are all driven from the same registry -- adding a rule is one decorated
-class, no CLI surgery.
+:class:`Rule` is the base class of a rule, :class:`LintContext` the one
+file it checks.  The rules themselves, and the lookups the runner and the
+CLI ``--list-rules`` table use, are the closed tuple in
+:mod:`repro.lintlab.rules` -- adding a rule is one class plus one tuple
+entry, no CLI surgery.
 """
 
 from __future__ import annotations
@@ -12,9 +12,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import PurePosixPath
-from typing import TYPE_CHECKING, Iterator, List, Type, TypeVar
-
-from ..registry import Registry
+from typing import TYPE_CHECKING, Iterator, List
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from .findings import Finding
@@ -82,47 +80,4 @@ class Rule:
                        col=getattr(node, "col_offset", 0))
 
 
-_RULES: Registry[Type[Rule]] = Registry("lint rule", plural="rules")
-
-R = TypeVar("R", bound=Type[Rule])
-
-
-def register_rule(cls: R) -> R:
-    """Class decorator registering a :class:`Rule` under its ``code``."""
-    code = getattr(cls, "code", "")
-    if not code:
-        raise ValueError(f"rule class {cls.__name__} defines no code")
-    _RULES.add(code, cls)
-    return cls
-
-
-def rule_codes() -> List[str]:
-    """Sorted codes of every registered rule."""
-    _ensure_builtin_rules()
-    return _RULES.names()
-
-
-def all_rules() -> List[Rule]:
-    """One instance of every registered rule, sorted by code."""
-    _ensure_builtin_rules()
-    return [_RULES.get(code)() for code in _RULES.names()]
-
-
-def get_rule(code: str) -> Rule:
-    """Instantiate the rule registered under ``code``.
-
-    Raises a :class:`ValueError` listing the registered codes when
-    ``code`` is unknown, matching the engine/backend registry behaviour.
-    """
-    _ensure_builtin_rules()
-    return _RULES.get(code)()
-
-
-def _ensure_builtin_rules() -> None:
-    # Imported lazily so `from repro.lintlab.registry import register_rule`
-    # works while rules.py itself is still initialising.
-    from . import rules  # noqa: F401
-
-
-__all__ = ["LintContext", "Rule", "register_rule", "rule_codes",
-           "all_rules", "get_rule"]
+__all__ = ["LintContext", "Rule"]

@@ -1,4 +1,4 @@
-"""Built-in lint rules RPL001-RPL006.
+"""Built-in lint rules RPL001-RPL006, and the lookups over them.
 
 Each rule codifies one invariant the fusion stack's process-parallel
 debugging already paid for once (the ``rationale`` line names the PR).
@@ -16,10 +16,10 @@ runner's ``virtual_path``.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Type
 
 from .findings import Finding
-from .registry import LintContext, Rule, register_rule
+from .registry import LintContext, Rule
 
 # ---------------------------------------------------------------------------
 # Module roles
@@ -104,7 +104,6 @@ def _body_only_swallows(body: List[ast.stmt]) -> bool:
 # RPL001 -- shared-memory allocation discipline
 # ---------------------------------------------------------------------------
 
-@register_rule
 class SharedMemoryAllocationRule(Rule):
     code = "RPL001"
     name = "raw-shared-memory-allocation"
@@ -145,7 +144,6 @@ _QUEUE_CTORS = ("Queue", "SimpleQueue", "JoinableQueue", "Pipe")
 _MP_BASES = ("multiprocessing", "mp", "ctx", "_ctx", "_mp", "get_context")
 
 
-@register_rule
 class KillableQueueTransportRule(Rule):
     code = "RPL002"
     name = "queue-shared-with-killable-worker"
@@ -187,7 +185,6 @@ _LOCK_CTORS = ("Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore",
 _RNG_CTORS = ("Random", "default_rng", "RandomState")
 
 
-@register_rule
 class ModuleLevelConcurrencyStateRule(Rule):
     code = "RPL003"
     name = "module-level-lock-or-rng"
@@ -255,7 +252,6 @@ _DEADLINE_WORDS = ("deadline", "epoch", "expire", "expiry", "until",
                    "timeout", "cutoff", "grace")
 
 
-@register_rule
 class WallClockDeadlineRule(Rule):
     code = "RPL004"
     name = "wall-clock-deadline"
@@ -318,7 +314,6 @@ class WallClockDeadlineRule(Rule):
 # RPL005 -- no swallowed exceptions in worker / liveness-sweep loops
 # ---------------------------------------------------------------------------
 
-@register_rule
 class SwallowedExceptionRule(Rule):
     code = "RPL005"
     name = "swallowed-exception-in-loop"
@@ -376,7 +371,6 @@ _VIEW_METHODS = ("values", "keys", "items")
 _NUMPY_SUMS = ("np.sum", "numpy.sum")
 
 
-@register_rule
 class UnorderedReductionRule(Rule):
     code = "RPL006"
     name = "unordered-reduction-in-parity-kernel"
@@ -452,10 +446,51 @@ class UnorderedReductionRule(Rule):
         return False
 
 
-#: Documentation order of the built-in rules (the README/CLI table).
-BUILTIN_RULES = ("RPL001", "RPL002", "RPL003", "RPL004", "RPL005", "RPL006")
+# ---------------------------------------------------------------------------
+# The rule table
+# ---------------------------------------------------------------------------
+
+#: Every rule, in documentation order (the README/CLI table).
+RULES: Tuple[Type[Rule], ...] = (
+    SharedMemoryAllocationRule,
+    KillableQueueTransportRule,
+    ModuleLevelConcurrencyStateRule,
+    WallClockDeadlineRule,
+    SwallowedExceptionRule,
+    UnorderedReductionRule,
+)
+
+#: The codes of :data:`RULES`, in the same order.
+BUILTIN_RULES = tuple(rule.code for rule in RULES)
+
+_BY_CODE: Dict[str, Type[Rule]] = {rule.code: rule for rule in RULES}
+
+
+def rule_codes() -> List[str]:
+    """Sorted codes of every rule."""
+    return sorted(_BY_CODE)
+
+
+def all_rules() -> List[Rule]:
+    """One instance of every rule, sorted by code."""
+    return [_BY_CODE[code]() for code in rule_codes()]
+
+
+def get_rule(code: str) -> Rule:
+    """Instantiate the rule with ``code``.
+
+    Raises a :class:`ValueError` listing the rule codes when ``code`` is
+    unknown, as the engine and backend lookups do.
+    """
+    try:
+        return _BY_CODE[code]()
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown lint rule {code!r}; registered rules: "
+                         f"{', '.join(rule_codes())}") from None
+
 
 __all__ = ["SharedMemoryAllocationRule", "KillableQueueTransportRule",
            "ModuleLevelConcurrencyStateRule", "WallClockDeadlineRule",
            "SwallowedExceptionRule", "UnorderedReductionRule",
-           "BUILTIN_RULES", "dotted_name", "imported_names"]
+           "RULES", "BUILTIN_RULES", "rule_codes", "all_rules", "get_rule",
+           "dotted_name", "imported_names"]

@@ -13,7 +13,8 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from .findings import Finding, Suppression
-from .registry import LintContext, Rule, all_rules
+from .registry import LintContext, Rule
+from .rules import all_rules
 from .suppressions import scan_suppressions
 
 #: Pseudo-rule code of files the parser rejects; not suppressible.

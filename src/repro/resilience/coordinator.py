@@ -93,7 +93,7 @@ class ResilienceCoordinator:
         # simply have a target level of 1 and are not regenerated unless the
         # policy says so).
         for spec in app.specs:
-            self.replication.register_group(spec, self.policy.replicas_for(spec))
+            self.replication.add_group(spec, self.policy.replicas_for(spec))
 
         self.recovery = RecoveryService(
             backend=self.backend,

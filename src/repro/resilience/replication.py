@@ -80,8 +80,8 @@ class ReplicationManager:
     def __init__(self) -> None:
         self._groups: Dict[str, ReplicaGroup] = {}
 
-    # ---------------------------------------------------------- registration
-    def register_group(self, spec: ThreadSpec, target_level: int) -> ReplicaGroup:
+    # ---------------------------------------------------------------- groups
+    def add_group(self, spec: ThreadSpec, target_level: int) -> ReplicaGroup:
         """Create the group record for ``spec`` (idempotent)."""
         if spec.name in self._groups:
             return self._groups[spec.name]

@@ -1,9 +1,4 @@
-"""Named-scenario registry.
-
-Mirrors the engine/backend/lint-rule registries: scenarios are registered
-under a one-word name, lookups of unknown names raise a ValueError that
-lists what *is* registered, and downstream code can register its own
-scenarios without touching this module.
+"""What a named scenario is.
 
 A :class:`Scenario` bundles the three halves of a workload:
 
@@ -13,14 +8,16 @@ A :class:`Scenario` bundles the three halves of a workload:
   -- when requests arrive, and
 * an optional chaos profile (:class:`~repro.scenarios.chaos.ChaosProfile`)
   -- what goes wrong while they run.
+
+The scenarios themselves, and the name lookups over them, are the closed
+tuple in :mod:`repro.scenarios.library`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
-from ..registry import Registry
 from .arrivals import ArrivalProcess
 from .chaos import ChaosProfile
 from .scenes import SceneSpec
@@ -33,7 +30,7 @@ class Scenario:
     Attributes
     ----------
     name / description:
-        Registry identity and the one-liner shown by ``simulate --list``.
+        Lookup key and the one-liner shown by ``simulate --list``.
     scene:
         Scene specification the trace's cubes are generated from.
     arrivals:
@@ -66,29 +63,4 @@ class Scenario:
                 raise ValueError("sweep thresholds must be positive")
 
 
-_SCENARIOS: Registry[Scenario] = Registry(
-    "scenario", hint="(repro-fusion simulate --list shows details)")
-
-
-def register_scenario(scenario: Scenario) -> Scenario:
-    """Register ``scenario`` under its name; returns it for chaining."""
-    return _SCENARIOS.add(scenario.name, scenario)
-
-
-def scenario_names() -> List[str]:
-    """Sorted names of every registered scenario."""
-    return _SCENARIOS.names()
-
-
-def describe_scenarios() -> Dict[str, str]:
-    """``name -> one-line description`` for help text and docs."""
-    return {name: _SCENARIOS.get(name).description for name in scenario_names()}
-
-
-def get_scenario(name: str) -> Scenario:
-    """Look up a registered scenario; unknown names raise actionably."""
-    return _SCENARIOS.get(name)
-
-
-__all__ = ["Scenario", "register_scenario", "scenario_names",
-           "describe_scenarios", "get_scenario"]
+__all__ = ["Scenario"]

@@ -36,7 +36,8 @@ from ..api.request import FusionReport, FusionRequest
 from ..api.session import FusionSession
 from ..config import FusionConfig, ScreeningConfig
 from .arrivals import Trace, record_trace
-from .registry import Scenario, get_scenario
+from .library import get_scenario
+from .registry import Scenario
 
 #: Schema tag of the report :meth:`SimulationResult.record` serialises.
 SIMULATE_SCHEMA = "repro-fusion/simulate-report/v1"

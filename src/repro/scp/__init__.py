@@ -31,7 +31,7 @@ from .local_backend import LocalBackend
 from .pool import ProcessPool, default_start_method
 from .process_backend import ProcessBackend
 from .registry import (SIM_PRESETS, BackendContext, BackendSpec, backend_names,
-                       create_backend, describe_backends, register_backend)
+                       create_backend)
 from .runtime import (Application, Backend, Context, RunResult, ThreadOutcome,
                       plan_placement)
 from .serialization import ENVELOPE_OVERHEAD_BYTES, Envelope, payload_nbytes
@@ -69,8 +69,6 @@ __all__ = [
     "BackendSpec",
     "backend_names",
     "create_backend",
-    "describe_backends",
-    "register_backend",
     "Application",
     "Backend",
     "Context",

@@ -1,10 +1,9 @@
-"""Backend registry: named execution backends with spec parsing.
+"""Backend table: named execution backends with spec parsing.
 
 Every caller that wants an execution backend (the distributed and resilient
-engines, the CLI) resolves it through a single registry
-instead of its own ``if backend == "sim": ... elif ...`` ladder:
+engines, the CLI) resolves it through one closed table instead of its own
+``if backend == "sim": ... elif ...`` ladder:
 
-* :func:`register_backend` -- decorator adding a named backend factory,
 * :class:`BackendSpec` -- parsed form of a spec string such as
   ``"process"``, ``"process:8"``, ``"process:fork"`` or ``"sim:sun-ultra"``,
 * :class:`BackendContext` -- run-scoped information a factory may need
@@ -29,8 +28,8 @@ socket     --                                       node-agent workers over TCP
 =========  =======================================  =====================
 
 Unknown backend names and variants raise :class:`ValueError` messages that
-list what *is* registered, so a typo is a one-line fix rather than a dig
-through the source.
+list the valid ones, so a typo is a one-line fix rather than a dig through
+the source.  Adding a backend is one factory plus one :data:`_BACKENDS` line.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..cluster.machine import Cluster
 from ..cluster.presets import shared_memory_smp, sun_ultra_lan, switched_lan
-from ..registry import Registry
 from .local_backend import LocalBackend
 from .process_backend import ProcessBackend
 from .runtime import Backend
@@ -82,40 +80,19 @@ class BackendContext:
 BackendFactory = Callable[["BackendSpec", BackendContext], Backend]
 
 
-@dataclass(frozen=True)
-class _BackendEntry:
-    factory: BackendFactory
-    #: Allowed variant keywords; ``None`` means any, ``()`` means none.
-    variants: Optional[Tuple[str, ...]]
-    description: str
-
-
-_BACKENDS: Registry[_BackendEntry] = Registry("backend")
-
-
-def register_backend(name: str, *, variants: Optional[Tuple[str, ...]] = (),
-                     description: str = "") -> Callable[[BackendFactory], BackendFactory]:
-    """Register ``factory`` under ``name`` (decorator).
-
-    ``variants`` lists the keywords accepted after the colon in a spec
-    string; the empty tuple (default) rejects any variant and ``None``
-    accepts all.
-    """
-    def decorator(factory: BackendFactory) -> BackendFactory:
-        _BACKENDS.add(name, _BackendEntry(factory=factory, variants=variants,
-                                          description=description))
-        return factory
-    return decorator
-
-
 def backend_names() -> List[str]:
-    """Sorted names of every registered backend."""
-    return _BACKENDS.names()
+    """Sorted names of every backend."""
+    return sorted(_BACKENDS)
 
 
-def describe_backends() -> Dict[str, str]:
-    """``name -> one-line description`` for help text and docs."""
-    return {name: _BACKENDS.get(name).description for name in backend_names()}
+def _backend_entry(name: str) -> Tuple[Tuple[str, ...], Optional[BackendFactory]]:
+    """``(variants, factory)`` of backend ``name``; an unknown (or
+    unhashable) name raises a :class:`ValueError` listing the backends."""
+    try:
+        return _BACKENDS[name]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown backend {name!r}; registered backends: "
+                         f"{', '.join(backend_names())}") from None
 
 
 @dataclass(frozen=True)
@@ -125,13 +102,13 @@ class BackendSpec:
     Attributes
     ----------
     name:
-        Registered backend name (``"sim"``, ``"local"``, ``"process"``, ...).
+        Backend name (``"sim"``, ``"local"``, ``"process"``, ``"socket"``).
     variant:
         Optional variant keyword (simulated-cluster preset, process start
         method); ``None`` selects the backend's default.
     workers:
         Optional worker-count hint from an integer token (``"process:8"``).
-        The registry itself never sizes thread counts; the hint is consumed
+        The table itself never sizes thread counts; the hint is consumed
         by higher layers (:func:`repro.fuse` partition sizing).
     """
 
@@ -143,7 +120,7 @@ class BackendSpec:
     def parse(cls, spec: Union[str, "BackendSpec"]) -> "BackendSpec":
         """Parse ``"name[:token...]"`` into a validated :class:`BackendSpec`."""
         if isinstance(spec, BackendSpec):
-            _BACKENDS.get(spec.name)  # unknown names raise, listing the registry
+            _backend_entry(spec.name)  # unknown names raise, listing the table
             return spec
         if not isinstance(spec, str) or not spec.strip():
             raise ValueError(f"backend spec must be a non-empty string or BackendSpec, "
@@ -151,7 +128,7 @@ class BackendSpec:
                              f"{', '.join(backend_names())}")
         tokens = [token.strip() for token in spec.split(":")]
         name = tokens[0]
-        entry = _BACKENDS.get(name)
+        allowed, _ = _backend_entry(name)
         variant: Optional[str] = None
         workers: Optional[int] = None
         for token in tokens[1:]:
@@ -172,11 +149,9 @@ class BackendSpec:
                 if variant is not None:
                     raise ValueError(f"backend spec {spec!r} gives two variants")
                 variant = token
-        if variant is not None and entry.variants is not None:
-            if variant not in entry.variants:
-                allowed = ", ".join(entry.variants) if entry.variants else "none"
-                raise ValueError(f"backend {name!r} has no variant {variant!r}; "
-                                 f"allowed variants: {allowed}")
+        if variant is not None and variant not in allowed:
+            raise ValueError(f"backend {name!r} has no variant {variant!r}; "
+                             f"allowed variants: {', '.join(allowed) or 'none'}")
         return cls(name=name, variant=variant, workers=workers)
 
     def __str__(self) -> str:
@@ -198,17 +173,16 @@ def create_backend(spec: Union[str, BackendSpec, Backend],
     if isinstance(spec, Backend):
         return spec
     parsed = BackendSpec.parse(spec)
-    context = context if context is not None else BackendContext()
-    return _BACKENDS.get(parsed.name).factory(parsed, context)
+    _, factory = _backend_entry(parsed.name)
+    if factory is None:  # socket
+        raise ValueError(
+            "backend 'socket' provides stage-task workers for the streaming "
+            "pipeline engine only and has no SCP program runtime; use "
+            "engine='pipeline' (e.g. backend='socket:4'), or pick 'sim', "
+            "'local' or 'process' for the batch engines")
+    return factory(parsed, context if context is not None else BackendContext())
 
 
-# ---------------------------------------------------------------------------
-# Built-in backends
-# ---------------------------------------------------------------------------
-
-@register_backend("sim", variants=tuple(SIM_PRESETS),
-                  description="discrete-event simulated cluster (virtual time); "
-                              "variants: " + ", ".join(SIM_PRESETS))
 def _make_sim_backend(spec: BackendSpec, context: BackendContext) -> SimBackend:
     if context.cluster is None:
         preset = SIM_PRESETS[spec.variant or "sun-ultra"]
@@ -219,15 +193,10 @@ def _make_sim_backend(spec: BackendSpec, context: BackendContext) -> SimBackend:
                       share_replica_results=context.share_replica_results)
 
 
-@register_backend("local", variants=(),
-                  description="real host threads (genuine concurrency, GIL-bound compute)")
 def _make_local_backend(spec: BackendSpec, context: BackendContext) -> LocalBackend:
     return LocalBackend()
 
 
-@register_backend("process", variants=("spawn", "fork", "forkserver"),
-                  description="real OS processes with shared-memory cube placement; "
-                              "variants: spawn, fork, forkserver")
 def _make_process_backend(spec: BackendSpec, context: BackendContext) -> ProcessBackend:
     method = spec.variant or "spawn"
     if method not in multiprocessing.get_all_start_methods():
@@ -236,21 +205,16 @@ def _make_process_backend(spec: BackendSpec, context: BackendContext) -> Process
     return ProcessBackend(start_method=method)
 
 
-@register_backend("socket", variants=(),
-                  description="localhost node-agent worker processes over TCP "
-                              "(streaming pipeline engine only); the stepping "
-                              "stone toward multi-host cluster specs")
-def _make_socket_backend(spec: BackendSpec, context: BackendContext) -> Backend:
-    # The socket transport provides *stage-task* workers, not an SCP program
-    # runtime: there is no mailbox routing for manager/worker generator
-    # programs behind it.  The pipeline engine resolves "socket:N" through
-    # repro.scp.transport.transport_for_spec; a batch engine asking the
-    # registry for it is a configuration error worth a precise message.
-    raise ValueError(
-        "backend 'socket' provides stage-task workers for the streaming "
-        "pipeline engine only and has no SCP program runtime; use "
-        "engine='pipeline' (e.g. backend='socket:4'), or pick 'sim', "
-        "'local' or 'process' for the batch engines")
+#: ``name -> (allowed variant keywords, factory)``.  ``socket`` has no
+#: factory: its node-agent workers run stage tasks, not SCP programs, and the
+#: pipeline engine reaches them through
+#: :func:`repro.scp.transport.transport_for_spec`.
+_BACKENDS: Dict[str, Tuple[Tuple[str, ...], Optional[BackendFactory]]] = {
+    "sim": (tuple(SIM_PRESETS), _make_sim_backend),
+    "local": ((), _make_local_backend),
+    "process": (("spawn", "fork", "forkserver"), _make_process_backend),
+    "socket": ((), None),
+}
 
 
 __all__ = [
@@ -259,6 +223,4 @@ __all__ = [
     "BackendSpec",
     "backend_names",
     "create_backend",
-    "describe_backends",
-    "register_backend",
 ]

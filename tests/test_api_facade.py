@@ -1,4 +1,4 @@
-"""Unified API: spec parsing, registries, friendly errors, the public surface."""
+"""Unified API: spec parsing, name tables, friendly errors, the public surface."""
 
 import pytest
 
@@ -11,7 +11,7 @@ from repro.resilience.attack import AttackScenario
 from repro.scp.local_backend import LocalBackend
 from repro.scp.process_backend import ProcessBackend
 from repro.scp.registry import (BackendContext, BackendSpec, backend_names,
-                                create_backend, describe_backends)
+                                create_backend)
 from repro.scp.sim_backend import SimBackend
 
 
@@ -72,9 +72,11 @@ class TestBackendSpec:
 class TestBackendRegistry:
     def test_names_and_descriptions(self):
         assert backend_names() == ["local", "process", "sim", "socket"]
-        descriptions = describe_backends()
-        assert set(descriptions) == set(backend_names())
-        assert all(descriptions.values())
+        # Every name parses; only socket builds no SCP backend.
+        for name in backend_names():
+            assert BackendSpec.parse(name).name == name
+        with pytest.raises(ValueError, match="pipeline engine only"):
+            create_backend("socket")
 
     def test_create_backend_types(self):
         assert isinstance(create_backend("local"), LocalBackend)
@@ -115,26 +117,25 @@ class TestEngineRegistry:
             get_engine("typo")
 
     def test_registered_engine_gets_one_call_from_fuse_and_session(
-            self, tiny_cube):
-        # repro.fuse is a session of one request: a registered engine sees
-        # the same run(request, session) call from either door.
+            self, tiny_cube, monkeypatch):
+        # repro.fuse is a session of one request: an engine in the table
+        # sees the same run(request, session) call from either door.
         from repro.api import engines
         from repro.api.session import FusionSession
 
         calls = []
 
-        @engines.register_engine("recording")
         class RecordingEngine(engines.SequentialEngine):
+            name = "recording"
+
             def run(self, request, session):
                 calls.append((request, session))
                 return super().run(request, session)
 
-        try:
-            fuse(tiny_cube, engine="recording", workers=2)
-            with open_session(engine="recording", workers=2) as session:
-                session.fuse(tiny_cube)
-        finally:
-            del engines._ENGINES._items["recording"]
+        monkeypatch.setitem(engines._ENGINES, "recording", RecordingEngine)
+        fuse(tiny_cube, engine="recording", workers=2)
+        with open_session(engine="recording", workers=2) as session:
+            session.fuse(tiny_cube)
         (one_shot, its_session), (streamed, session_seen) = calls
         assert isinstance(its_session, FusionSession) and its_session.closed
         assert session_seen is session
@@ -263,7 +264,11 @@ class TestDeprecationShims:
             assert not hasattr(repro, shim), shim
         for name in ("fuse", "open_session", "FusionRequest", "FusionReport",
                      "FusionSession", "BackendSpec", "engine_names",
-                     "backend_names", "register_engine", "register_backend"):
+                     "backend_names", "compute_names"):
             assert hasattr(repro, name), name
+        # The engine, backend and compute tables are closed: no registration.
+        for name in ("register_engine", "register_backend", "register_compute",
+                     "describe_backends"):
+            assert not hasattr(repro, name), name
         assert repro.engine_names() == ["distributed", "pipeline", "resilient", "sequential"]
         assert repro.backend_names() == ["local", "process", "sim", "socket"]

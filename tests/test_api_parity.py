@@ -95,6 +95,28 @@ def test_cube_with_fewer_rows_than_subcubes_keeps_parity(tiny_cube, engine,
     assert report.metrics.subcubes == reference.metrics.subcubes == 3
 
 
+@pytest.mark.parametrize("engine,backend", [("distributed", "sim"),
+                                            ("resilient", "sim"),
+                                            ("pipeline", None)])
+def test_zeroed_block_keeps_parity(tiny_cube, engine, backend):
+    """Dead (all-zero) pixels screen alike on every engine: the first zero
+    pixel of a sub-cube covers the others, so the zeroed rows add one
+    member to the sub-cube that holds them."""
+    data = tiny_cube.data.copy()
+    data[:, 2:7] = 0.0
+    dead = HyperspectralCube(data, tiny_cube.wavelengths_nm.copy(),
+                             dict(tiny_cube.metadata))
+    reference = fuse(dead, engine="sequential", config=PARITY_CONFIG)
+    report = fuse(dead, engine=engine, backend=backend, config=PARITY_CONFIG)
+    np.testing.assert_array_equal(report.composite, reference.composite)
+    assert report.unique_set_size == reference.unique_set_size
+    live = data.copy()
+    live[:, 2:7] = tiny_cube.data[:, 1:2]  # copies of a live row: covered
+    assert reference.unique_set_size == 1 + fuse(
+        HyperspectralCube(live, tiny_cube.wavelengths_nm.copy()),
+        engine="sequential", config=PARITY_CONFIG).unique_set_size
+
+
 @pytest.mark.parametrize("backend", ["local", "sim"])
 @pytest.mark.parametrize("engine", ["distributed", "resilient", "pipeline"])
 def test_unnormalised_colour_map_keeps_parity(engine, backend):

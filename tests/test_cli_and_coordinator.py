@@ -44,6 +44,35 @@ class TestCLI:
                      "--attack", "worker.0"]) == 0
         assert "resilient" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("engine,backend", [("sequential", "inline"),
+                                                ("distributed", "sim"),
+                                                ("resilient", "sim"),
+                                                ("pipeline", "process")])
+    def test_fuse_without_backend_uses_the_engines_default(
+            self, tmp_path, capsys, engine, backend):
+        # The CLI leaves the choice to repro.fuse, whose default is the
+        # engine's own (the pipeline engine's is process, not sim).
+        from repro.api.engines import get_engine
+
+        assert (get_engine(engine).default_backend or "inline") == backend
+        cube_path = str(tmp_path / "scene.npz")
+        assert main(["generate", "--bands", "8", "--rows", "24", "--cols", "24",
+                     "--out", cube_path]) == 0
+        capsys.readouterr()
+        assert main(["fuse", cube_path, "--engine", engine]) == 0
+        rows = dict(line.split() for line in capsys.readouterr().out.splitlines()
+                    if line.strip().startswith(("backend", "mode")))
+        assert rows == {"mode": engine, "backend": backend}
+
+    def test_sequential_fuse_rejects_a_backend_as_the_facade_does(
+            self, tmp_path, capsys):
+        cube_path = str(tmp_path / "scene.npz")
+        assert main(["generate", "--bands", "8", "--rows", "24", "--cols", "24",
+                     "--out", cube_path]) == 0
+        assert main(["fuse", cube_path, "--engine", "sequential",
+                     "--backend", "process"]) == 2
+        assert "accepts no backend" in capsys.readouterr().err
+
     def test_sweep_command(self, capsys):
         assert main(["sweep", "--workers", "1", "2", "--scale", "0.1",
                      "--bands", "16"]) == 0

@@ -1,28 +1,25 @@
-"""Property suite for the pluggable compute-kernel tier.
+"""Property suite for the compute-kernel tier.
 
-The tier's contract (:mod:`repro.core.kernels.registry`): every registered
-compute backend produces **bit-identical** float64 results to the unfused
-step functions, and float32 runs the documented tolerance tier through the
-same narrowed arithmetic -- the ``compute=`` policy may change throughput,
-never bytes.  This suite asserts that contract kernel by kernel:
+The tier's contract (:mod:`repro.core.kernels`): the ``numpy`` kernels
+produce **bit-identical** float64 results to the unfused step functions,
+and float32 runs the documented tolerance tier through the same narrowed
+arithmetic -- the ``compute=`` policy may change throughput, never bytes.
+This suite asserts that contract kernel by kernel:
 
 * the fused centre+SYRK covariance partial against
   :func:`repro.core.steps.statistics.covariance_sum`;
-* the scratch-centred projection (matrix, block and ``out=`` forms) against
-  :func:`repro.core.steps.transform.project` / ``project_cube_block``;
+* the step-7 projection (matrix, block and ``out=`` forms) against the
+  seed arithmetic and the row tiles of the block;
 * the fused step-7/8 tile (``project_and_map``, with and without the
   zero-copy ``*_out`` destinations) against ``project_cube_block`` followed
   by :func:`repro.core.steps.colormap.color_map`;
 * the blocked survivor elimination (``eliminate_survivors``) against a
   one-pivot-at-a-time oracle written here, across block edges.
 
-Registry mechanics (unknown names, duplicate registration, caching, the
-open extension point) and the policy threading through
-``FusionConfig``/``FusionRequest``/the engines and paritylab round out the
-suite.
+The name check (unknown names list the tier) and the policy threading
+through ``FusionConfig``/``FusionRequest``/the engines and paritylab round
+out the suite.
 """
-
-import contextlib
 
 import numpy as np
 import pytest
@@ -31,43 +28,21 @@ from hypothesis import strategies as st
 
 import repro
 from repro.config import ConfigurationError, FusionConfig
-from repro.core.kernels import (NumpyBackend, compute_names, get_compute,
-                                kernel_covariance_sum, kernel_project_and_map,
-                                register_compute)
-from repro.core.kernels import registry as kernel_registry
-from repro.core.kernels.numpy_backend import _ELIMINATION_BLOCK
+from repro.core.kernels import (compute_names, kernel_covariance_sum,
+                                kernel_project_and_map)
+from repro.core.kernels.numpy_backend import covariance_sum as fused_covariance_sum
+from repro.core.kernels.numpy_backend import project_and_map
 from repro.core.steps.colormap import color_map, component_statistics
 from repro.core.steps.statistics import covariance_sum, mean_vector
-from repro.core.steps.screening import normalize_rows, screen_unique_set
+from repro.core.steps.screening import (_ELIMINATION_BLOCK, eliminate_survivors,
+                                        normalize_rows, screen_unique_set,
+                                        screen_unique_set_reference)
 from repro.core.steps.statistics import covariance_matrix
 from repro.core.steps.transform import (project, project_cube_block,
                                         transformation_matrix)
 from repro.data.hydice import HydiceConfig, HydiceGenerator
 
 COMMON_SETTINGS = dict(max_examples=40, deadline=None)
-
-#: Every registered tier (today the numpy reference alone).
-BACKENDS = [get_compute(name) for name in compute_names()]
-
-
-@contextlib.contextmanager
-def registered_test_tier():
-    """A second registered tier, so policy threading is observable."""
-    @register_compute("test-tier")
-    class TestTier(NumpyBackend):
-        pass
-
-    try:
-        yield "test-tier"
-    finally:
-        kernel_registry._COMPUTE_BACKENDS._items.pop("test-tier", None)
-        kernel_registry._INSTANCES.pop("test-tier", None)
-
-
-@pytest.fixture
-def extra_tier():
-    with registered_test_tier() as name:
-        yield name
 
 
 def pixel_matrices(min_pixels=4, max_pixels=300, min_bands=3, max_bands=24):
@@ -111,11 +86,8 @@ class TestCovarianceKernel:
     @settings(**COMMON_SETTINGS)
     def test_bit_identical_to_step_function(self, pixels):
         mean = mean_vector(pixels)
-        reference = covariance_sum(pixels, mean)
-        for backend in BACKENDS:
-            np.testing.assert_array_equal(
-                backend.covariance_sum(pixels, mean), reference,
-                err_msg=f"compute={backend.name!r}")
+        np.testing.assert_array_equal(fused_covariance_sum(pixels, mean),
+                                      covariance_sum(pixels, mean))
 
     @given(pixels=pixel_matrices(max_pixels=100))
     @settings(**COMMON_SETTINGS)
@@ -124,20 +96,17 @@ class TestCovarianceKernel:
         # result must still match a fresh step-function evaluation.
         mean = mean_vector(pixels)
         half = pixels.shape[0] // 2 or 1
-        for backend in BACKENDS:
-            first = backend.covariance_sum(pixels[:half], mean)
-            np.testing.assert_array_equal(
-                first, covariance_sum(pixels[:half], mean))
-            second = backend.covariance_sum(pixels[half:half + half], mean)
-            np.testing.assert_array_equal(
-                second, covariance_sum(pixels[half:half + half], mean))
+        first = fused_covariance_sum(pixels[:half], mean)
+        np.testing.assert_array_equal(first, covariance_sum(pixels[:half], mean))
+        second = fused_covariance_sum(pixels[half:half + half], mean)
+        np.testing.assert_array_equal(
+            second, covariance_sum(pixels[half:half + half], mean))
 
     def test_input_validation_matches_step_function(self):
-        for backend in BACKENDS:
-            with pytest.raises(ValueError, match="2-D"):
-                backend.covariance_sum(np.ones(5), np.ones(5))
-            with pytest.raises(ValueError, match="does not match"):
-                backend.covariance_sum(np.ones((4, 5)), np.ones(3))
+        with pytest.raises(ValueError, match="2-D"):
+            fused_covariance_sum(np.ones(5), np.ones(5))
+        with pytest.raises(ValueError, match="does not match"):
+            fused_covariance_sum(np.ones((4, 5)), np.ones(3))
 
 
 # --------------------------------------------------------------------------
@@ -148,59 +117,55 @@ class TestProjectionKernels:
     @given(pixels=pixel_matrices())
     @settings(**COMMON_SETTINGS)
     def test_project_bit_identical_float64(self, pixels):
+        # The float64 path is the seed arithmetic, bit for bit.
         basis = _basis_for(pixels)
-        reference = project(pixels, basis)
-        for backend in BACKENDS:
-            np.testing.assert_array_equal(
-                backend.project(pixels, basis), reference,
-                err_msg=f"compute={backend.name!r}")
+        reference = (pixels - basis.mean[None, :]) @ basis.components.T
+        np.testing.assert_array_equal(project(pixels, basis), reference)
 
     @given(pixels=pixel_matrices())
     @settings(**COMMON_SETTINGS)
     def test_project_out_path_is_identical(self, pixels):
         basis = _basis_for(pixels)
         reference = project(pixels, basis)
-        for backend in BACKENDS:
-            out = np.empty((pixels.shape[0], basis.n_components))
-            returned = backend.project(pixels, basis, out=out)
-            assert returned is out
-            np.testing.assert_array_equal(out, reference)
+        out = np.empty((pixels.shape[0], basis.n_components))
+        returned = project(pixels, basis, out=out)
+        assert returned is out
+        np.testing.assert_array_equal(out, reference)
 
     @given(pixels=pixel_matrices())
     @settings(**COMMON_SETTINGS)
     def test_project_float32_matches_reference_tier(self, pixels):
-        # float32 is the tolerance tier against *float64*, but across
-        # backends the narrowed arithmetic itself is still the same ops in
-        # the same order -- so backend-vs-step-function stays exact.
+        # float32 is the tolerance tier against *float64*, but the narrowed
+        # arithmetic itself is fixed: centre and multiply in float32, widen.
         basis = _basis_for(pixels)
-        reference = project(pixels, basis, compute_dtype=np.float32)
-        for backend in BACKENDS:
-            np.testing.assert_array_equal(
-                backend.project(pixels, basis, compute_dtype=np.float32),
-                reference, err_msg=f"compute={backend.name!r}")
+        narrow = np.float32
+        reference = ((pixels.astype(narrow) - basis.mean.astype(narrow)[None, :])
+                     @ basis.components.astype(narrow).T).astype(np.float64)
+        np.testing.assert_array_equal(
+            project(pixels, basis, compute_dtype=np.float32), reference)
 
     @given(pixels=pixel_matrices(min_pixels=12),
            rows=st.integers(2, 6),
            keep_all=st.booleans())
     @settings(**COMMON_SETTINGS)
     def test_project_block_bit_identical(self, pixels, rows, keep_all):
+        # A block projects to the same bits as its rows projected one by one.
         n_components = None if keep_all else 3
         basis = _basis_for(pixels, n_components=n_components)
         block = _block_from(pixels, rows)
-        reference = project_cube_block(block, basis)
-        for backend in BACKENDS:
-            np.testing.assert_array_equal(
-                backend.project_block(block, basis), reference,
-                err_msg=f"compute={backend.name!r}")
+        reference = np.concatenate(
+            [project_cube_block(block[:, row:row + 1], basis)
+             for row in range(rows)])
+        np.testing.assert_array_equal(project_cube_block(block, basis),
+                                      reference)
 
     def test_shape_mismatch_raises(self):
         pixels = _make_pixels(20, 6, seed=0)
         basis = _basis_for(pixels)
-        for backend in BACKENDS:
-            with pytest.raises(ValueError, match="do not match"):
-                backend.project(pixels[:, :4], basis)
-            with pytest.raises(ValueError, match="does not match"):
-                backend.project_block(np.ones((4, 2, 2)), basis)
+        with pytest.raises(ValueError, match="do not match"):
+            project(pixels[:, :4], basis)
+        with pytest.raises(ValueError, match="does not match"):
+            project_cube_block(np.ones((4, 2, 2)), basis)
 
 
 # --------------------------------------------------------------------------
@@ -225,14 +190,11 @@ class TestProjectAndMap:
         ref_components = planes[..., :n_components]
         ref_composite = color_map(planes[..., :3], normalize=normalize,
                                   mean=stretch_mean, std=stretch_std)
-        for backend in BACKENDS:
-            components, composite = backend.project_and_map(
-                block, basis, n_components=n_components, normalize=normalize,
-                stretch_mean=stretch_mean, stretch_std=stretch_std)
-            np.testing.assert_array_equal(components, ref_components,
-                                          err_msg=f"compute={backend.name!r}")
-            np.testing.assert_array_equal(composite, ref_composite,
-                                          err_msg=f"compute={backend.name!r}")
+        components, composite = project_and_map(
+            block, basis, n_components=n_components, normalize=normalize,
+            stretch_mean=stretch_mean, stretch_std=stretch_std)
+        np.testing.assert_array_equal(components, ref_components)
+        np.testing.assert_array_equal(composite, ref_composite)
 
     @given(pixels=pixel_matrices(min_pixels=12, min_bands=3),
            rows=st.integers(2, 6))
@@ -245,20 +207,19 @@ class TestProjectAndMap:
         stretch_mean, stretch_std = component_statistics(
             project(pixels, basis)[:, :3])
         cols = block.shape[2]
-        for backend in BACKENDS:
-            reference_components, reference_composite = backend.project_and_map(
-                block, basis, n_components=3, normalize=True,
-                stretch_mean=stretch_mean, stretch_std=stretch_std)
-            components_out = np.empty((rows, cols, 3))
-            composite_out = np.empty((rows, cols, 3))
-            returned = backend.project_and_map(
-                block, basis, n_components=3, normalize=True,
-                stretch_mean=stretch_mean, stretch_std=stretch_std,
-                components_out=components_out, composite_out=composite_out)
-            assert returned[0] is components_out
-            assert returned[1] is composite_out
-            np.testing.assert_array_equal(components_out, reference_components)
-            np.testing.assert_array_equal(composite_out, reference_composite)
+        reference_components, reference_composite = project_and_map(
+            block, basis, n_components=3, normalize=True,
+            stretch_mean=stretch_mean, stretch_std=stretch_std)
+        components_out = np.empty((rows, cols, 3))
+        composite_out = np.empty((rows, cols, 3))
+        returned = project_and_map(
+            block, basis, n_components=3, normalize=True,
+            stretch_mean=stretch_mean, stretch_std=stretch_std,
+            components_out=components_out, composite_out=composite_out)
+        assert returned[0] is components_out
+        assert returned[1] is composite_out
+        np.testing.assert_array_equal(components_out, reference_components)
+        np.testing.assert_array_equal(composite_out, reference_composite)
 
     def test_full_rank_components_do_not_alias_the_scratch(self):
         # At full projection rank the retained slice spans the whole pooled
@@ -268,15 +229,14 @@ class TestProjectAndMap:
         block = _block_from(pixels, rows=4)
         stretch_mean, stretch_std = component_statistics(
             project(pixels, basis)[:, :3])
-        for backend in BACKENDS:
-            first, _ = backend.project_and_map(
-                block, basis, n_components=5, normalize=True,
-                stretch_mean=stretch_mean, stretch_std=stretch_std)
-            snapshot = first.copy()
-            backend.project_and_map(
-                2.0 * block, basis, n_components=5, normalize=True,
-                stretch_mean=stretch_mean, stretch_std=stretch_std)
-            np.testing.assert_array_equal(first, snapshot)
+        first, _ = project_and_map(
+            block, basis, n_components=5, normalize=True,
+            stretch_mean=stretch_mean, stretch_std=stretch_std)
+        snapshot = first.copy()
+        project_and_map(
+            2.0 * block, basis, n_components=5, normalize=True,
+            stretch_mean=stretch_mean, stretch_std=stretch_std)
+        np.testing.assert_array_equal(first, snapshot)
 
     @given(pixels=pixel_matrices(min_pixels=12, min_bands=3),
            rows=st.integers(2, 5))
@@ -362,14 +322,12 @@ def _assert_matches_oracle(survivors, cos_threshold, room):
     # instead of ids fails.
     rows = np.arange(3, 3 + survivors.shape[0], dtype=np.intp)
     want, want_rows = one_pivot_at_a_time(survivors, rows, cos_threshold, room)
-    for backend in BACKENDS:
-        admitted, admitted_rows = backend.eliminate_survivors(
-            survivors, rows, cos_threshold, room=room)
-        assert admitted.dtype == survivors.dtype
-        assert admitted_rows.dtype == np.intp
-        np.testing.assert_array_equal(admitted_rows, want_rows,
-                                      err_msg=f"compute={backend.name!r}")
-        np.testing.assert_array_equal(admitted, want)
+    admitted, admitted_rows = eliminate_survivors(
+        survivors, rows, cos_threshold, room=room)
+    assert admitted.dtype == survivors.dtype
+    assert admitted_rows.dtype == np.intp
+    np.testing.assert_array_equal(admitted_rows, want_rows)
+    np.testing.assert_array_equal(admitted, want)
 
 
 class TestEliminateSurvivors:
@@ -415,11 +373,10 @@ class TestEliminateSurvivors:
         # what stops the walk, wherever it falls in a block.
         survivors = np.eye(3 * _ELIMINATION_BLOCK)
         rows = np.arange(survivors.shape[0], dtype=np.intp)
-        for backend in BACKENDS:
-            admitted, admitted_rows = backend.eliminate_survivors(
-                survivors, rows, np.float64(0.5), room=room)
-            np.testing.assert_array_equal(admitted_rows, rows[:room])
-            np.testing.assert_array_equal(admitted, survivors[:room])
+        admitted, admitted_rows = eliminate_survivors(
+            survivors, rows, np.float64(0.5), room=room)
+        np.testing.assert_array_equal(admitted_rows, rows[:room])
+        np.testing.assert_array_equal(admitted, survivors[:room])
 
     @given(pixels=pixel_matrices(max_pixels=150),
            threshold=st.floats(0.01, 0.4),
@@ -428,28 +385,27 @@ class TestEliminateSurvivors:
     @settings(**COMMON_SETTINGS)
     def test_screening_output_is_compute_invariant(self, pixels, threshold,
                                                    cap, chunk_size):
-        # End-to-end through screen_unique_set: the compute policy never
-        # changes the unique set.
-        reference = screen_unique_set(pixels, threshold, max_unique=cap,
-                                      chunk_size=chunk_size, compute="numpy")
-        with registered_test_tier() as tier:
-            via_policy = screen_unique_set(pixels, threshold, max_unique=cap,
-                                           chunk_size=chunk_size, compute=tier)
+        # End-to-end through screen_unique_set: the named tier makes the
+        # seed kernel's decisions.
+        reference = screen_unique_set_reference(pixels, threshold,
+                                                max_unique=cap,
+                                                chunk_size=chunk_size)
+        via_policy = screen_unique_set(pixels, threshold, max_unique=cap,
+                                       chunk_size=chunk_size, compute="numpy")
         np.testing.assert_array_equal(via_policy, reference)
 
     def test_room_zero_admits_nothing(self):
         survivors = np.eye(4)
         rows = np.arange(4, dtype=np.intp)
-        for backend in BACKENDS:
-            admitted, admitted_rows = backend.eliminate_survivors(
-                survivors, rows, np.float64(0.9), room=0)
-            assert admitted.shape == (0, 4)
-            assert admitted_rows.shape == (0,)
-            assert admitted_rows.dtype == np.intp
+        admitted, admitted_rows = eliminate_survivors(
+            survivors, rows, np.float64(0.9), room=0)
+        assert admitted.shape == (0, 4)
+        assert admitted_rows.shape == (0,)
+        assert admitted_rows.dtype == np.intp
 
 
 # --------------------------------------------------------------------------
-# Registry mechanics
+# Names
 # --------------------------------------------------------------------------
 
 class TestRegistry:
@@ -460,35 +416,25 @@ class TestRegistry:
         assert repro.compute_names() == names
 
     def test_unknown_name_error_lists_backends(self):
-        with pytest.raises(ValueError) as excinfo:
-            get_compute("cupyy")
-        message = str(excinfo.value)
-        assert "unknown compute backend 'cupyy'" in message
-        for name in compute_names():
-            assert name in message
-
-    def test_instances_are_cached(self):
-        assert get_compute("numpy") is get_compute("numpy")
-        assert isinstance(get_compute("numpy"), NumpyBackend)
-
-    def test_duplicate_registration_raises(self):
-        with pytest.raises(ValueError, match="already registered"):
-            @register_compute("numpy")
-            class Rogue(kernel_registry.ComputeBackend):
-                pass
-        assert kernel_registry._COMPUTE_BACKENDS.get("numpy") is NumpyBackend
-
-    def test_registry_is_open_for_new_tiers(self, extra_tier):
-        # The documented extension point: one decorated class, like engines.
-        assert extra_tier in compute_names()
-        assert get_compute(extra_tier).name == extra_tier
-        assert FusionConfig(compute=extra_tier).compute == extra_tier
-
-    def test_base_class_kernels_are_abstract(self):
-        backend = kernel_registry.ComputeBackend()
-        pixels = np.ones((2, 2))
-        with pytest.raises(NotImplementedError):
-            backend.covariance_sum(pixels, np.ones(2))
+        # Every picklable entry point and the screening kernel check the
+        # name they are handed.
+        pixels = _make_pixels(8, 4, seed=0)
+        calls = [
+            lambda: kernel_covariance_sum(pixels, mean_vector(pixels),
+                                          compute="cupyy"),
+            lambda: kernel_project_and_map(
+                _block_from(pixels, 2), _basis_for(pixels), n_components=3,
+                normalize=False, stretch_mean=np.zeros(3),
+                stretch_std=np.ones(3), compute="cupyy"),
+            lambda: screen_unique_set(pixels, 0.1, compute="cupyy"),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as excinfo:
+                call()
+            message = str(excinfo.value)
+            assert "unknown compute backend 'cupyy'" in message
+            for name in compute_names():
+                assert name in message
 
 
 # --------------------------------------------------------------------------
@@ -503,40 +449,49 @@ class TestPolicyThreading:
             FusionConfig(compute="fortran")
         assert FusionConfig().compute == "numpy"
 
-    def test_request_merges_compute_policy(self, extra_tier):
+    def test_request_merges_compute_policy(self):
         cube = HydiceGenerator(HydiceConfig(bands=8, rows=24, cols=24,
                                             seed=2)).generate()
         assert repro.FusionRequest(cube).resolved_config().compute == "numpy"
-        request = repro.FusionRequest(cube, compute=extra_tier)
-        assert request.resolved_config().compute == extra_tier
-        base = FusionConfig(compute=extra_tier)
+        request = repro.FusionRequest(cube, compute="numpy")
+        assert request.resolved_config().compute == "numpy"
+        base = FusionConfig(compute="numpy")
         assert repro.FusionRequest(
-            cube, config=base).resolved_config().compute == extra_tier
+            cube, config=base).resolved_config().compute == "numpy"
+        with pytest.raises(ValueError, match="numpy"):
+            repro.FusionRequest(cube, compute="cupyy").resolved_config()
 
-    def test_engines_are_compute_invariant_and_echo_the_policy(self, extra_tier):
+    def test_engines_are_compute_invariant_and_echo_the_policy(self):
         cube = HydiceGenerator(HydiceConfig(bands=8, rows=24, cols=24,
                                             seed=3)).generate()
         reference = repro.fuse(cube, compute="numpy")
         assert reference.result.metadata["compute"] == "numpy"
-        via_tier = repro.fuse(cube, compute=extra_tier)
+        via_tier = repro.fuse(cube, engine="distributed", compute="numpy")
         pipelined = repro.fuse(cube, engine="pipeline", backend="local:2",
-                               workers=2, compute=extra_tier)
-        assert via_tier.result.metadata["compute"] == extra_tier
-        assert pipelined.result.metadata["compute"] == extra_tier
+                               workers=2, compute="numpy")
+        assert via_tier.result.metadata["compute"] == "numpy"
+        assert pipelined.result.metadata["compute"] == "numpy"
         np.testing.assert_array_equal(via_tier.composite, reference.composite)
         matched = repro.fuse(cube, workers=2, compute="numpy")
         np.testing.assert_array_equal(pipelined.composite, matched.composite)
 
-    def test_parity_case_carries_the_compute_policy(self, extra_tier):
-        from repro.paritylab.harness import ParityCase, sample_case
+    def test_parity_case_carries_the_compute_policy(self):
+        import dataclasses
         import random
 
+        from repro.paritylab.harness import ParityCase, sample_case
+
         case = ParityCase(bands=8, rows=32, cols=32, scene_seed=1,
-                          compute=extra_tier)
-        assert case.config().compute == extra_tier
+                          compute="numpy")
+        assert case.config().compute == "numpy"
         assert ParityCase.from_dict(case.to_dict()) == case
-        assert case.case_id() != ParityCase(bands=8, rows=32, cols=32,
-                                            scene_seed=1).case_id()
+        # A case names its policy: another name is another case, whose
+        # config then rejects the unknown name.
+        other = dataclasses.replace(case, compute="fortran")
+        assert ParityCase.from_dict(other.to_dict()) == other
+        assert other.case_id() != case.case_id()
+        with pytest.raises(ConfigurationError, match="numpy"):
+            other.config()
         # Pre-PR-10 case dicts have no "compute" key; they backfill to the
         # reference tier.
         legacy = case.to_dict()

@@ -15,10 +15,9 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as cli_main
-from repro.lintlab import (Finding, all_rules, get_rule, lint_paths,
-                           lint_source, register_rule, rule_codes)
-from repro.lintlab.registry import Rule
-from repro.lintlab.rules import BUILTIN_RULES
+from repro.lintlab import (Finding, Rule, all_rules, get_rule, lint_paths,
+                           lint_source, rule_codes)
+from repro.lintlab.rules import BUILTIN_RULES, RULES
 from repro.lintlab.runner import PARSE_ERROR_CODE
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -207,7 +206,7 @@ def test_suppression_of_other_code_does_not_silence():
 
 
 # ---------------------------------------------------------------------------
-# Registry
+# Rule table
 # ---------------------------------------------------------------------------
 
 def test_rule_codes_cover_the_documented_set():
@@ -223,18 +222,13 @@ def test_get_rule_unknown_code_lists_registered():
         get_rule("RPL999")
 
 
-def test_duplicate_rule_code_rejected():
-    with pytest.raises(ValueError, match="already registered"):
-        @register_rule
-        class Duplicate(Rule):  # noqa: F811
-            code = "RPL001"
-
-
-def test_rule_without_code_rejected():
-    with pytest.raises(ValueError, match="no code"):
-        @register_rule
-        class Nameless(Rule):
-            pass
+def test_rule_table_holds_each_documented_rule_once():
+    # The table is closed: six rules, one code each, nothing else.
+    assert BUILTIN_RULES == ("RPL001", "RPL002", "RPL003", "RPL004",
+                             "RPL005", "RPL006")
+    assert rule_codes() == sorted(BUILTIN_RULES)
+    assert all(issubclass(rule, Rule) for rule in RULES)
+    assert [rule.code for rule in all_rules()] == rule_codes()
 
 
 # ---------------------------------------------------------------------------

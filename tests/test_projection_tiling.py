@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.kernels import compute_names, get_compute
+from repro.core.kernels.numpy_backend import project_and_map
 from repro.core.partition import extract_subcube
 from repro.core.steps.colormap import (OPPONENCY_MATRIX, color_map,
                                        component_statistics,
@@ -34,9 +34,6 @@ from repro.core.steps.transform import (PANEL_PIXELS, project,
                                         transformation_matrix)
 from repro.core.streaming import default_tile_rows, plan_tiles
 from repro.data.hydice import HydiceConfig, HydiceGenerator
-
-BACKENDS = [get_compute(name) for name in compute_names()]
-
 
 def _scene(bands, rows, cols, seed):
     """A low-rank-plus-noise ``(bands, rows, cols)`` block, its full-rank
@@ -53,8 +50,8 @@ def _scene(bands, rows, cols, seed):
     return pixels.T.reshape(bands, rows, cols).copy(), basis, stretch
 
 
-def _fused(backend, block, basis, stretch, n_components, normalize=True, **outs):
-    return backend.project_and_map(
+def _fused(block, basis, stretch, n_components, normalize=True, **outs):
+    return project_and_map(
         block, basis, n_components=n_components, normalize=normalize,
         stretch_mean=stretch[0], stretch_std=stretch[1], **outs)
 
@@ -87,20 +84,17 @@ def test_tiles_concatenate_to_the_whole_cube(bands, rows, cols, tile_rows,
                                   std=stretch[1])
                         for start, stop in row_ranges]), whole_rgb)
 
-    for backend in BACKENDS:
-        components, composite = _fused(backend, block, basis, stretch,
-                                       n_components, normalize)
-        np.testing.assert_array_equal(components, planes[..., :n_components])
-        np.testing.assert_array_equal(composite, whole_rgb)
-        parts = [_fused(backend, block[:, start:stop], basis, stretch,
-                        n_components, normalize)
-                 for start, stop in row_ranges]
-        np.testing.assert_array_equal(
-            np.concatenate([part[0] for part in parts]), components,
-            err_msg=f"compute={backend.name!r}")
-        np.testing.assert_array_equal(
-            np.concatenate([part[1] for part in parts]), composite,
-            err_msg=f"compute={backend.name!r}")
+    components, composite = _fused(block, basis, stretch, n_components,
+                                   normalize)
+    np.testing.assert_array_equal(components, planes[..., :n_components])
+    np.testing.assert_array_equal(composite, whole_rgb)
+    parts = [_fused(block[:, start:stop], basis, stretch, n_components,
+                    normalize)
+             for start, stop in row_ranges]
+    np.testing.assert_array_equal(
+        np.concatenate([part[0] for part in parts]), components)
+    np.testing.assert_array_equal(
+        np.concatenate([part[1] for part in parts]), composite)
 
 
 @pytest.mark.parametrize("pixels", [1, PANEL_PIXELS - 1, PANEL_PIXELS,
@@ -113,22 +107,21 @@ def test_panel_edges_match_the_whole_cube(pixels, all_components):
     bands = 9
     block, basis, stretch = _scene(bands, 3, pixels, seed=pixels)
     n_components = bands if all_components else 3
-    for backend in BACKENDS:
-        whole = _fused(backend, block, basis, stretch, n_components)
-        placed_components = np.full((3, pixels, n_components), np.nan)
-        placed_composite = np.full((3, pixels, 3), np.nan)
-        returned = _fused(backend, block[:, 1:2], basis, stretch, n_components,
-                          components_out=placed_components[1:2],
-                          composite_out=placed_composite[1:2])
-        assert returned[0].base is placed_components
-        assert returned[1].base is placed_composite
-        np.testing.assert_array_equal(placed_components[1], whole[0][1])
-        np.testing.assert_array_equal(placed_composite[1], whole[1][1])
-        assert np.isnan(placed_components[[0, 2]]).all()
-        assert np.isnan(placed_composite[[0, 2]]).all()
-        np.testing.assert_array_equal(
-            project_cube_block(block[:, 1:2], basis)[..., :n_components],
-            whole[0][1:2])
+    whole = _fused(block, basis, stretch, n_components)
+    placed_components = np.full((3, pixels, n_components), np.nan)
+    placed_composite = np.full((3, pixels, 3), np.nan)
+    returned = _fused(block[:, 1:2], basis, stretch, n_components,
+                      components_out=placed_components[1:2],
+                      composite_out=placed_composite[1:2])
+    assert returned[0].base is placed_components
+    assert returned[1].base is placed_composite
+    np.testing.assert_array_equal(placed_components[1], whole[0][1])
+    np.testing.assert_array_equal(placed_composite[1], whole[1][1])
+    assert np.isnan(placed_components[[0, 2]]).all()
+    assert np.isnan(placed_composite[[0, 2]]).all()
+    np.testing.assert_array_equal(
+        project_cube_block(block[:, 1:2], basis)[..., :n_components],
+        whole[0][1:2])
 
 
 def _seed_arithmetic(block, basis, stretch):
@@ -155,10 +148,9 @@ def test_workload_scale_matches_seed_arithmetic(rows, cols, bands):
     basis = transformation_matrix(covariance, mean, n_components=None)
     stretch = component_statistics(project(sample, basis)[:, :3])
     want_planes, want_rgb = _seed_arithmetic(cube.data, basis, stretch)
-    for backend in BACKENDS:
-        parts = [_fused(backend, extract_subcube(cube, spec), basis, stretch, 3)
-                 for spec in plan_tiles(rows, default_tile_rows(rows, 2))]
-        np.testing.assert_allclose(np.concatenate([p[0] for p in parts]),
-                                   want_planes, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(np.concatenate([p[1] for p in parts]),
-                                   want_rgb, rtol=0, atol=1e-12)
+    parts = [_fused(extract_subcube(cube, spec), basis, stretch, 3)
+             for spec in plan_tiles(rows, default_tile_rows(rows, 2))]
+    np.testing.assert_allclose(np.concatenate([p[0] for p in parts]),
+                               want_planes, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.concatenate([p[1] for p in parts]),
+                               want_rgb, rtol=0, atol=1e-12)

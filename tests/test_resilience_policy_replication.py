@@ -69,20 +69,20 @@ class TestReplicationPolicy:
 class TestReplicaGroup:
     def test_initial_members_from_spec(self):
         manager = ReplicationManager()
-        group = manager.register_group(worker_spec(replicas=2), target_level=2)
+        group = manager.add_group(worker_spec(replicas=2), target_level=2)
         assert group.live_count == 2
         assert group.deficit == 0
         assert group.members == {"worker.0#0", "worker.0#1"}
 
     def test_register_is_idempotent(self):
         manager = ReplicationManager()
-        first = manager.register_group(worker_spec(replicas=2), 2)
-        second = manager.register_group(worker_spec(replicas=2), 2)
+        first = manager.add_group(worker_spec(replicas=2), 2)
+        second = manager.add_group(worker_spec(replicas=2), 2)
         assert first is second
 
     def test_death_creates_deficit(self):
         manager = ReplicationManager()
-        manager.register_group(worker_spec(replicas=2), 2)
+        manager.add_group(worker_spec(replicas=2), 2)
         group = manager.record_death("worker.0#1")
         assert group is not None
         assert group.deficit == 1
@@ -90,7 +90,7 @@ class TestReplicaGroup:
 
     def test_stale_death_ignored(self):
         manager = ReplicationManager()
-        manager.register_group(worker_spec(replicas=2), 2)
+        manager.add_group(worker_spec(replicas=2), 2)
         assert manager.record_death("worker.0#1") is not None
         # The same replica reported again (e.g. a late suspicion) is ignored.
         assert manager.record_death("worker.0#1") is None
@@ -101,7 +101,7 @@ class TestReplicaGroup:
 
     def test_regeneration_restores_level_and_bumps_incarnation(self):
         manager = ReplicationManager()
-        group = manager.register_group(worker_spec(replicas=2), 2)
+        group = manager.add_group(worker_spec(replicas=2), 2)
         manager.record_death("worker.0#0")
         new_index = group.allocate_replica_index()
         assert new_index == 2
@@ -117,7 +117,7 @@ class TestReplicaGroup:
 
     def test_summary_and_totals(self):
         manager = ReplicationManager()
-        manager.register_group(worker_spec(replicas=2), 2)
+        manager.add_group(worker_spec(replicas=2), 2)
         manager.record_death("worker.0#0")
         manager.record_regeneration("worker.0", "worker.0#2")
         summary = manager.summary()

@@ -74,7 +74,7 @@ def make_recovery(regenerate=True, cluster=None, backend=None):
     backend = backend or FakeBackend(cluster)
     replication = ReplicationManager()
     spec = ThreadSpec(name="worker.0", program=dummy_program, replicas=2, critical=True)
-    replication.register_group(spec, 2)
+    replication.add_group(spec, 2)
     for replica in range(2):
         cluster.place(physical_name("worker.0", replica), f"sun{replica:02d}")
         backend._live.setdefault("worker.0", []).append(physical_name("worker.0", replica))

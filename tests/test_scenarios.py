@@ -20,8 +20,9 @@ from repro.cli import main
 from repro.scenarios import (SIMULATE_SCHEMA, TRACE_SCHEMA, BurstyArrivals,
                              HeavyTailArrivals, KillStorm, Scenario, SceneSpec,
                              SteadyArrivals, Trace, describe_scenarios,
-                             get_scenario, record_trace, register_scenario,
-                             run_simulation, scenario_names)
+                             get_scenario, record_trace, run_simulation,
+                             scenario_names)
+from repro.scenarios.library import SCENARIOS
 from repro.scenarios.scenes import SceneSpec as _SceneSpec
 
 
@@ -47,9 +48,10 @@ class TestScenarioRegistry:
         assert "unknown scenario 'does-not-exist'" in message
         assert "steady" in message and "kill-storm" in message
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_scenario(get_scenario("steady"))
+    def test_library_names_each_scenario_once(self):
+        # The tuple is closed: a repeated name would shadow an entry.
+        assert len(SCENARIOS) == len(scenario_names()) == 12
+        assert all(get_scenario(s.name) is s for s in SCENARIOS)
 
     def test_scenario_validation(self):
         scene = SceneSpec()

@@ -130,13 +130,14 @@ class TestSeedEquivalence:
 
     def test_degenerate_rows_match_seed(self):
         # Zero rows, duplicated rows and axis-aligned rows exercise the norm
-        # floor and the exact-cosine edges of the admission test.
+        # floor and the exact-cosine edges of the admission test; past pi/2
+        # a zero and a non-zero vector cover each other.
         pixels = np.zeros((12, 5))
         pixels[2] = [1, 0, 0, 0, 0]
         pixels[5] = [0, 1, 0, 0, 0]
         pixels[8] = [1, 0, 0, 0, 0]
         pixels[11] = [2, 0, 0, 0, 0]
-        for threshold in (0.05, 0.5, 1.2):
+        for threshold in (0.05, 0.5, 1.2, 2.0):
             np.testing.assert_array_equal(
                 screen_unique_set(pixels, threshold, chunk_size=3),
                 screen_unique_set_reference(pixels, threshold, chunk_size=3))
@@ -294,6 +295,58 @@ class TestHotTier:
         np.testing.assert_array_equal(
             new, screen_unique_set(np.delete(pixels, rows, axis=0), threshold,
                                    chunk_size=chunk_size))
+
+
+class TestDeadPixels:
+    """All-zero ("dead detector") pixels: two zero vectors are at angle 0,
+    a zero and a non-zero vector at pi/2, so the first zero pixel covers
+    every later one and nothing else."""
+
+    @given(pixels=pixel_matrices(), threshold=st.floats(0.01, 0.6),
+           chunk_size=st.integers(1, 500), zeros=st.integers(1, 40),
+           seed=st.integers(0, 2**31 - 1))
+    @settings(**COMMON_SETTINGS)
+    def test_zero_pixels_give_one_member_and_move_nothing_else(
+            self, pixels, threshold, chunk_size, zeros, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.choice(len(pixels), size=min(zeros, len(pixels)),
+                          replace=False)
+        dead = pixels.copy()
+        dead[rows] = 0.0
+        new = screen_unique_set(dead, threshold, chunk_size=chunk_size)
+        np.testing.assert_array_equal(
+            new, screen_unique_set_reference(dead, threshold,
+                                             chunk_size=chunk_size))
+        zero = ~new.any(axis=1)
+        assert zero.sum() == 1
+        # The live pixels screen as if the dead ones were not there.
+        np.testing.assert_array_equal(
+            new[~zero], screen_unique_set(np.delete(pixels, rows, axis=0),
+                                          threshold, chunk_size=chunk_size))
+
+    def test_one_spectrum_cube_with_dead_rows(self):
+        # Four sub-cubes: one member each, plus one for the zeroed top rows
+        # of the first; an all-zero cube has one zero member per sub-cube.
+        import repro
+        from repro.data.cube import HyperspectralCube
+
+        wavelengths = np.linspace(400.0, 2500.0, 8)
+        flat = np.ones((8, 32, 32)) * np.arange(1.0, 9.0)[:, None, None]
+        dead_rows = flat.copy()
+        dead_rows[:, :4] = 0.0
+        for data, members in ((flat, 4), (dead_rows, 5),
+                              (np.zeros_like(flat), 4)):
+            cube = HyperspectralCube(data, wavelengths)
+            assert repro.fuse(cube, subcubes=4).unique_set_size == members
+
+    def test_rescreening_merge_keeps_one_zero_member(self):
+        sets = [np.vstack([np.eye(4)[i], np.zeros(4)]) for i in range(3)]
+        merged = merge_unique_sets(sets, 0.1, rescreen=True)
+        assert (~merged.any(axis=1)).sum() == 1
+        np.testing.assert_array_equal(merged[merged.any(axis=1)],
+                                      np.eye(4)[:3])
+        plain = merge_unique_sets(sets, 0.1)
+        assert (~plain.any(axis=1)).sum() == 3
 
 
 def _layouts(pixels32):
