@@ -539,3 +539,85 @@ class TestFusionGoldenNumbers:
                        **options).metrics
         assert (metrics.elapsed_seconds, metrics.messages,
                 metrics.bytes_sent) == self.GOLDEN[(engine, subcubes)]
+
+
+def _group(target, *, lost):
+    """One ``report.resilience["replication"]`` entry: every lost replica
+    regenerated, so the group is back at its target."""
+    return {"live": target, "target": target, "lost": lost,
+            "regenerated": lost, "incarnation": lost}
+
+
+class TestResilienceGoldenNumbers:
+    """Resilient runs under an attack campaign and under camouflage, pinned.
+
+    The attack is the escalating campaign of
+    ``examples/resilient_fusion_under_attack.py`` at its ``--quick`` size
+    (48x48x24 scene, seed 11, 4 workers, 8 sub-cubes, replication 2,
+    heartbeats every 0.1 s, 2 misses).  Detection, regeneration and
+    reconfiguration must leave the virtual run and the whole resiliency
+    report exactly as they are.
+    """
+
+    GOLDEN = {
+        "attack": (
+            (0.7024250909090911, 209, 1441176, 1, 1),
+            {"replication": {"manager": _group(1, lost=0),
+                             "worker.0": _group(2, lost=1),
+                             **{f"worker.{i}": _group(2, lost=0)
+                                for i in (1, 2, 3)}},
+             "reconfigurations": {"total": 1, "completed": 1, "aborted": 0,
+                                  "by_logical": {"worker.0": 1}},
+             "recoveries": 1, "failed_recoveries": 0,
+             "suspicions": ["worker.0#0"], "attacks_executed": 1,
+             "migrations": 0}),
+        "camouflage": (
+            (0.724815781818182, 194, 1366480, 4, 4),
+            {"replication": {"manager": _group(1, lost=0),
+                             **{f"worker.{i}": _group(2, lost=1)
+                                for i in range(4)}},
+             "reconfigurations": {"total": 4, "completed": 4, "aborted": 0,
+                                  "by_logical": {f"worker.{i}": 1
+                                                 for i in range(4)}},
+             "recoveries": 4, "failed_recoveries": 0,
+             "suspicions": ["worker.3#1", "worker.2#0", "worker.1#0"],
+             "attacks_executed": 0, "migrations": 4}),
+    }
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        from repro.data.hydice import HydiceConfig, HydiceGenerator
+        return HydiceGenerator(HydiceConfig(bands=24, rows=48, cols=48,
+                                            seed=11)).generate()
+
+    @staticmethod
+    def escalating_campaign():
+        from repro.resilience.attack import AttackScenario
+        scenario = AttackScenario("escalating-campaign")
+        scenario.add(0.5, "kill_replica", "worker.0")
+        scenario.add(1.0, "fail_node", "sun01")
+        for i in range(3):
+            scenario.add(2.0 + 0.001 * i, "kill_replica", "worker.3")
+        return scenario
+
+    @pytest.mark.parametrize("layer", sorted(GOLDEN))
+    def test_resilience_report_is_unchanged(self, scene, layer):
+        from repro import fuse
+        from repro.config import (FusionConfig, PartitionConfig,
+                                  ResilienceConfig)
+
+        config = FusionConfig(
+            partition=PartitionConfig(workers=4, subcubes=8),
+            resilience=ResilienceConfig(replication_level=2,
+                                        heartbeat_period=0.1,
+                                        heartbeat_misses=2))
+        options = ({"attack": self.escalating_campaign()} if layer == "attack"
+                   else {"camouflage_period": 0.15})
+        report = fuse(scene, engine="resilient", backend="sim", config=config,
+                      **options)
+        metrics = report.metrics
+        numbers, resilience = self.GOLDEN[layer]
+        assert (metrics.elapsed_seconds, metrics.messages, metrics.bytes_sent,
+                report.replicas_regenerated,
+                report.failures_injected) == numbers
+        assert report.resilience == resilience
