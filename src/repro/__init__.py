@@ -39,8 +39,8 @@ full inventory):
 * :mod:`repro.data`        -- synthetic HYDICE-like hyper-spectral scenes,
 * :mod:`repro.scp`         -- the SCPlib-like message-passing runtime and
   its backends, plus the persistent worker pool (:mod:`repro.scp.pool`),
-* :mod:`repro.resilience`  -- replication, detection, regeneration,
-  reconfiguration, attacks, camouflage,
+* :mod:`repro.resilience`  -- the resilience coordinator (replica groups,
+  detection, regeneration, one recovery log), attacks, camouflage,
 * :mod:`repro.core`        -- the spectral-screening PCT fusion algorithm,
 * :mod:`repro.api`         -- the unified facade, engine table and sessions.
 """
@@ -55,7 +55,7 @@ from .core.kernels import compute_names
 from .core.profiling import StageTiming
 from .data import HydiceConfig, HydiceGenerator, HyperspectralCube, generate_cube
 
-__version__ = "1.28.0"
+__version__ = "1.29.0"
 
 __all__ = [
     # Unified fusion API

@@ -44,7 +44,6 @@ from ..core.profiling import (StageTiming, build_stage_timings,
                               stage_timings_from_result)
 from ..core.streaming import execute_pipeline_request
 from ..resilience.coordinator import ResilienceCoordinator, protocol_config_for
-from ..resilience.policy import ReplicationPolicy
 from ..scp.process_backend import ProcessBackend
 from ..scp.registry import BackendContext, BackendSpec, create_backend
 from ..scp.runtime import Application, Backend, RunResult
@@ -182,10 +181,12 @@ class SequentialEngine:
         _reject_resilience_options(request, self.name)
         _reject_pipeline_options(request, self.name)
         if request.backend is not None:
+            backend_engines = " or ".join(
+                f"engine={name!r}" for name, engine in _ENGINES.items()
+                if getattr(engine, "default_backend") is not None)
             raise ValueError(
-                "engine 'sequential' executes inline and accepts no backend; "
-                "use engine='distributed' or engine='resilient' to run on a "
-                "registered backend, or omit backend=")
+                f"engine 'sequential' executes inline and accepts no backend; "
+                f"use {backend_engines} to run on a backend, or omit backend=")
 
     def run(self, request: FusionRequest,
             session: "FusionSession") -> FusionReport:
@@ -367,14 +368,8 @@ class ResilientEngine(DistributedEngine):
                  request: FusionRequest, config: FusionConfig,
                  cluster: Optional[Cluster]
                  ) -> Tuple[RunResult, Optional[Dict[str, object]]]:
-        resilience = _resilience_of(config)
-        pinned = ({MANAGER_NAME: "manager"}
-                  if cluster is not None and "manager" in cluster.node_names
-                  else {})
-        coordinator = ResilienceCoordinator(
-            backend, cluster, resilience,
-            policy=ReplicationPolicy.from_config(resilience), pinned=pinned)
-        placement = coordinator.attach(app)
+        coordinator = ResilienceCoordinator(backend, cluster, _resilience_of(config))
+        coordinator.attach(app)
         if request.attack is not None:
             coordinator.arm_attack(request.attack)
         if request.camouflage_period is not None:
@@ -384,8 +379,8 @@ class ResilientEngine(DistributedEngine):
                                  for i in range(config.partition.workers)],
                 seed=config.seed)
         if isinstance(backend, SimBackend):
-            run = backend.run(app, placement=placement,
-                              until_thread=MANAGER_NAME)
+            # The backend places every replica by the shifted round-robin.
+            run = backend.run(app, until_thread=MANAGER_NAME)
         else:
             run, _ = super()._execute(backend, app, request, config, cluster)
         return run, coordinator.report()

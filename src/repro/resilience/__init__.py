@@ -1,25 +1,20 @@
 """Computational resiliency library.
 
 Implements Section 2 of the paper as an application-independent layer over
-the SCP runtime: replication policies (:mod:`.policy`), replica-group
-bookkeeping (:mod:`.replication`), heartbeat failure detection
-(:mod:`.detector`), dynamic regeneration with state restoration
-(:mod:`.recovery`), race-free communication reconfiguration
-(:mod:`.reconfigure`), resource-aware placement (:mod:`.resource`),
-scripted attack campaigns (:mod:`.attack`), camouflage through migration
-(:mod:`.camouflage`) and the coordinator that wires it all onto a run
-(:mod:`.coordinator`).
+the SCP runtime: the coordinator that keeps the replica groups, regenerates
+lost replicas with their checkpointed state and logs every recovery
+(:mod:`.coordinator`), heartbeat failure detection in virtual time
+(:mod:`.detector`), resource-aware placement of regenerated replicas
+(:mod:`.resource`), scripted attack campaigns (:mod:`.attack`) and
+camouflage through migration (:mod:`.camouflage`).
 """
 
 from .attack import (FAIL_NODE, KILL_REPLICA, KILL_THREAD, AttackEvent,
                      AttackScenario, ScriptedAdversary)
 from .camouflage import CamouflagePolicy, MigrationRecord
-from .coordinator import ResilienceCoordinator, protocol_config_for
+from .coordinator import (RecoveryEvent, ReplicaGroup, ResilienceCoordinator,
+                          protocol_config_for)
 from .detector import HeartbeatFailureDetector, SuspicionRecord
-from .policy import ReplicationPolicy
-from .reconfigure import ReconfigurationProtocol, ReconfigurationRecord
-from .recovery import RecoveryEvent, RecoveryService
-from .replication import ReplicaGroup, ReplicationManager
 from .resource import ResourceManager
 
 __all__ = [
@@ -32,15 +27,10 @@ __all__ = [
     "CamouflagePolicy",
     "MigrationRecord",
     "ResilienceCoordinator",
+    "RecoveryEvent",
+    "ReplicaGroup",
     "protocol_config_for",
     "HeartbeatFailureDetector",
     "SuspicionRecord",
-    "ReplicationPolicy",
-    "ReconfigurationProtocol",
-    "ReconfigurationRecord",
-    "RecoveryEvent",
-    "RecoveryService",
-    "ReplicaGroup",
-    "ReplicationManager",
     "ResourceManager",
 ]

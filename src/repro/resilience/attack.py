@@ -20,6 +20,7 @@ from typing import List, Sequence
 import numpy as np
 
 from ..logging_utils import get_logger
+from ..scp.sim_backend import SimBackend
 
 _LOG = get_logger("resilience.attack")
 
@@ -112,7 +113,7 @@ class AttackScenario:
 class ScriptedAdversary:
     """Arms an :class:`AttackScenario` on an execution backend."""
 
-    def __init__(self, backend, scenario: AttackScenario) -> None:
+    def __init__(self, backend: SimBackend, scenario: AttackScenario) -> None:
         self.backend = backend
         self.scenario = scenario
         self.executed: List[AttackEvent] = []
@@ -120,22 +121,11 @@ class ScriptedAdversary:
 
     # ------------------------------------------------------------------- arm
     def arm(self) -> None:
-        """Schedule every event of the scenario on the backend's clock.
-
-        Requires the backend to expose ``schedule`` (the simulated backend
-        does).  For the local backend use :meth:`execute_now` from a separate
-        controller thread instead.
-        """
-        schedule = getattr(self.backend, "schedule", None)
-        if schedule is None:
-            raise TypeError("backend does not support scheduling; use execute_now()")
+        """Schedule every event of the scenario on the backend's clock
+        (the simulated backend's ``schedule``)."""
         for event in self.scenario.sorted_events():
-            schedule(event.time, lambda e=event: self._execute(e),
-                     label=f"attack:{event.kind}:{event.target}")
-
-    def execute_now(self, event: AttackEvent) -> bool:
-        """Execute one event immediately (local-backend campaigns)."""
-        return self._execute(event)
+            self.backend.schedule(event.time, lambda e=event: self._execute(e),
+                                  label=f"attack:{event.kind}:{event.target}")
 
     # --------------------------------------------------------------- execute
     def _execute(self, event: AttackEvent) -> bool:

@@ -9,9 +9,10 @@ machinery regeneration uses:
 
 * every ``period`` seconds the :class:`CamouflagePolicy` picks one replica of
   a randomly chosen critical thread,
-* spawns a fresh replica of that thread on a different node (via the
-  recovery service, so checkpoints, routing and the audit trail are handled
-  identically to failure recovery), and
+* spawns a fresh replica of that thread on a different node (through the
+  coordinator's :meth:`~repro.resilience.coordinator.ResilienceCoordinator.regenerate`,
+  so checkpoints, routing and the event log are handled identically to
+  failure recovery), and
 * retires the old replica once the new one is live.
 
 Because migration reuses the regeneration path, enabling camouflage does not
@@ -23,13 +24,14 @@ application independent".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
 from ..logging_utils import get_logger
-from .recovery import RecoveryService
-from .replication import ReplicationManager
+
+if TYPE_CHECKING:
+    from .coordinator import ResilienceCoordinator
 
 _LOG = get_logger("resilience.camouflage")
 
@@ -48,19 +50,17 @@ class MigrationRecord:
 class CamouflagePolicy:
     """Periodic migration of critical replicas between nodes."""
 
-    def __init__(self, *, backend, replication: ReplicationManager,
-                 recovery: RecoveryService, period: float,
+    def __init__(self, coordinator: ResilienceCoordinator, *, period: float,
                  logical_threads: Sequence[str], seed: int = 0,
                  max_migrations: Optional[int] = None) -> None:
         """Create a camouflage policy.
 
         Parameters
         ----------
-        backend:
-            Execution backend exposing ``schedule``/``kill_thread``/
-            ``live_replicas`` (the simulated backend).
-        replication / recovery:
-            The same services used for failure recovery.
+        coordinator:
+            The coordinator that also recovers failures; its backend must
+            expose ``schedule``/``kill_thread``/``live_replicas`` (the
+            simulated backend does).
         period:
             Seconds between migrations.
         logical_threads:
@@ -72,9 +72,8 @@ class CamouflagePolicy:
         """
         if period <= 0:
             raise ValueError("period must be positive")
-        self.backend = backend
-        self.replication = replication
-        self.recovery = recovery
+        self.coordinator = coordinator
+        self.backend = coordinator.backend
         self.period = period
         self.logical_threads = list(logical_threads)
         self.rng = np.random.default_rng(seed)
@@ -120,13 +119,13 @@ class CamouflagePolicy:
         # Spawn-first, retire-after ordering: the group never drops below its
         # pre-migration replication level, so an attack landing mid-migration
         # finds at least as many replicas as before.
-        event = self.recovery._regenerate(logical, victim, reason="camouflage")  # noqa: SLF001
+        event = self.coordinator.regenerate(logical, victim, reason="camouflage")
         if not event.succeeded:
             record = MigrationRecord(now, logical, victim, None, False)
             self.records.append(record)
             return record
         self.backend.kill_thread(victim)
-        self.replication.record_death(victim)
+        self.coordinator.record_loss(victim)
         record = MigrationRecord(now, logical, victim, event.replacement_physical, True)
         self.records.append(record)
         _LOG.info("camouflage migration of %s: %s -> %s", logical, victim,

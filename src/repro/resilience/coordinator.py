@@ -1,41 +1,64 @@
-"""Resilience coordinator: wiring the library onto an application run.
+"""Resilience coordinator: computational resiliency for one backend run.
 
-The coordinator is the single object an application (or the
-``resilient`` engine, :mod:`repro.api.engines`) has to create in order
-to obtain computational resiliency.  Given an execution backend, a cluster
-model and a :class:`~repro.config.ResilienceConfig`, it
+Section 2 of the paper is one mechanism: a mission-critical thread is
+replicated, a lost replica is detected and regenerated elsewhere with its
+checkpointed state, and routing is rebound to the new replica.  The
+coordinator is that mechanism, and the single object an application (or
+the ``resilient`` engine, :mod:`repro.api.engines`) creates to obtain it.
+Given an execution backend, a cluster model and a
+:class:`~repro.config.ResilienceConfig`, it
 
-* derives the replication policy and the replica placement,
-* registers every critical thread's replica group,
-* arms failure detection (heartbeats + periodic sweeps in virtual time on
-  the simulated backend, immediate death notifications on the local backend),
-* connects detection to the recovery service so lost replicas are
-  regenerated and communication reconfigured, and
+* keeps one :class:`ReplicaGroup` per logical thread (live members and the
+  counters the report prints),
+* arms failure detection (heartbeats and periodic sweeps in virtual time on
+  the simulated backend, immediate death notifications on the wall-clock
+  backends),
+* regenerates a lost replica of a critical thread on a node chosen by the
+  :class:`~repro.resilience.resource.ResourceManager`, restoring the
+  group's most recent checkpoint,
+* keeps one log of :class:`RecoveryEvent` from which the report derives
+  recoveries and reconfigurations alike, and
 * optionally arms an attack scenario and/or a camouflage policy.
 
+What is replicated, and where, is data: the critical flag and replica count
+of each :class:`~repro.scp.thread.ThreadSpec` (the replication level of
+:class:`~repro.config.ResilienceConfig`), placed by the backend's
+shifted round-robin (:func:`~repro.scp.runtime.plan_placement`).  Routing,
+dead-letter replay and duplicate suppression belong to the SCP backends.
 The application's thread programs are never modified -- the paper's
 "application independent library" property.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 from ..cluster.machine import Cluster
 from ..config import ResilienceConfig
 from ..logging_utils import get_logger
-from ..scp.runtime import Application
+from ..scp.errors import PlacementError
+from ..scp.runtime import Application, Backend
+from ..scp.serialization import payload_nbytes
 from ..scp.sim_backend import ProtocolConfig, SimBackend
+from ..scp.thread import ThreadSpec, parse_physical, physical_name
 from .attack import AttackScenario, ScriptedAdversary
 from .camouflage import CamouflagePolicy
 from .detector import HeartbeatFailureDetector, SuspicionRecord
-from .policy import ReplicationPolicy
-from .reconfigure import ReconfigurationProtocol
-from .recovery import RecoveryService
-from .replication import ReplicationManager
 from .resource import ResourceManager
 
 _LOG = get_logger("resilience.coordinator")
+
+#: Safety valve against regeneration storms under sustained attack.
+MAX_REGENERATIONS_PER_GROUP = 64
+#: Charge the transfer of the restored state (size / link bandwidth) to the
+#: new replica's start-up delay (simulated backend only).
+STATE_TRANSFER = True
+
+# Reasons of the losses that never reach regeneration, so are not
+# reconfigurations.
+_STATIC = "regeneration disabled (static replication)"
+_BUDGET = "regeneration budget exhausted"
 
 
 def protocol_config_for(config: ResilienceConfig,
@@ -51,128 +74,192 @@ def protocol_config_for(config: ResilienceConfig,
                           ack_enabled=True)
 
 
+@dataclass
+class ReplicaGroup:
+    """Live replicas and counters of one logical thread.
+
+    The target level is ``spec.replicas``; ``next_index`` only grows, so a
+    regenerated replica never reuses a physical id, and ``incarnation`` is
+    carried in the new replica's context so the application can tell a
+    rejoin from an initial announcement.
+    """
+
+    spec: ThreadSpec
+    members: Set[str]
+    next_index: int
+    lost: int = 0
+    regenerated: int = 0
+    incarnation: int = 0
+
+
+@dataclass
+class RecoveryEvent:
+    """Outcome of one recovery attempt (a migration is one too)."""
+
+    time: float
+    logical: str
+    failed_physical: str
+    replacement_physical: Optional[str]
+    node: Optional[str]
+    succeeded: bool
+    reason: str = ""
+
+
 class ResilienceCoordinator:
     """Applies computational resiliency to one backend run."""
 
-    def __init__(self, backend, cluster: Optional[Cluster], config: ResilienceConfig, *,
-                 policy: Optional[ReplicationPolicy] = None,
-                 monitor_node: Optional[str] = None,
-                 pinned: Optional[Dict[str, str]] = None) -> None:
+    def __init__(self, backend: Backend, cluster: Optional[Cluster],
+                 config: ResilienceConfig) -> None:
         self.backend = backend
         self.cluster = cluster if cluster is not None else getattr(backend, "cluster", None)
         self.config = config
-        self.policy = policy or ReplicationPolicy.from_config(config)
-        self.monitor_node = monitor_node
-        self.pinned = dict(pinned or {})
-
-        self.replication = ReplicationManager()
-        self.reconfiguration = ReconfigurationProtocol()
-        if self.cluster is not None:
-            self.resources = ResourceManager(self.cluster)
-        else:
-            self.resources = None  # local backend: placement is a no-op
-        self.recovery: Optional[RecoveryService] = None
+        # Without a cluster model (wall-clock backends) there is no node to
+        # choose: the backend places the replacement itself.
+        self.resources = (ResourceManager(self.cluster)
+                          if self.cluster is not None else None)
+        self.groups: Dict[str, ReplicaGroup] = {}
+        self.events: List[RecoveryEvent] = []
         self.detector: Optional[HeartbeatFailureDetector] = None
         self.adversary: Optional[ScriptedAdversary] = None
         self.camouflage: Optional[CamouflagePolicy] = None
         self._attached = False
 
     # ---------------------------------------------------------------- attach
-    def attach(self, app: Application) -> Optional[Dict[str, str]]:
-        """Wire resiliency onto ``app`` before the backend run starts.
-
-        Returns the replica placement map for the simulated backend (to be
-        passed to ``backend.run(app, placement=...)``) or ``None`` for
-        backends that do not place threads on modelled nodes.
-        """
+    def attach(self, app: Application) -> None:
+        """Wire resiliency onto ``app`` before the backend run starts."""
         if self._attached:
             raise RuntimeError("coordinator already attached to an application")
         self._attached = True
-
-        # Replica groups for every thread, critical or not (non-critical ones
-        # simply have a target level of 1 and are not regenerated unless the
-        # policy says so).
         for spec in app.specs:
-            self.replication.add_group(spec, self.policy.replicas_for(spec))
-
-        self.recovery = RecoveryService(
-            backend=self.backend,
-            replication=self.replication,
-            resources=self.resources if self.resources is not None
-            else _NullResourceManager(),
-            reconfiguration=self.reconfiguration,
-            regenerate=self.config.regenerate,
-        )
-
-        self._arm_detection(app)
-
-        if self.resources is not None:
-            placement = self.policy.plan_placement(
-                app.specs,
-                worker_nodes=[n for n in self.cluster.node_names if n != "manager"],
-                pinned=self.pinned)
-            return placement
-        return None
-
-    # -------------------------------------------------------------- detection
-    def _arm_detection(self, app: Application) -> None:
-        clock = (lambda: self.backend.now) if hasattr(self.backend, "now") else (lambda: 0.0)
-        self.detector = HeartbeatFailureDetector.from_config(
-            self.config, clock=clock, on_suspect=self._on_suspect)
+            self.groups[spec.name] = ReplicaGroup(
+                spec=spec, next_index=spec.replicas,
+                members={physical_name(spec.name, r) for r in range(spec.replicas)})
 
         if isinstance(self.backend, SimBackend):
-            monitor = self.monitor_node
-            if monitor is None and self.cluster is not None:
-                monitor = ("manager" if "manager" in self.cluster.node_names
-                           else self.cluster.node_names[0])
-            self.backend.enable_heartbeats(self.config.heartbeat_period,
-                                           self.detector.on_heartbeat,
-                                           monitor_node=monitor)
-            for spec in app.specs:
-                if self.policy.critical(spec):
-                    for pid in spec.physical_ids():
-                        self.detector.watch(pid)
-            self._schedule_sweep()
+            self._arm_heartbeats(self.backend, app)
         else:
-            # Local backend: rely on immediate death notifications (thread
-            # kills are observable in-process); heartbeat plumbing would add
-            # wall-clock latency without adding information.
+            # Wall-clock backends: rely on immediate death notifications (a
+            # killed thread, a SIGKILLed worker process); heartbeat plumbing
+            # would add latency without adding information.
             self.backend.subscribe_thread_death(self._on_death_notification)
 
-    def _schedule_sweep(self) -> None:
+    def _arm_heartbeats(self, backend: SimBackend, app: Application) -> None:
+        detector = HeartbeatFailureDetector.from_config(
+            self.config, clock=lambda: backend.now, on_suspect=self._on_suspect)
+        self.detector = detector
+        monitor = ("manager" if "manager" in self.cluster.node_names
+                   else self.cluster.node_names[0])
+        backend.enable_heartbeats(self.config.heartbeat_period,
+                                  detector.on_heartbeat, monitor_node=monitor)
+        for spec in app.specs:
+            if spec.critical:
+                for pid in spec.physical_ids():
+                    detector.watch(pid)
         period = self.config.heartbeat_period
 
         def sweep() -> None:
-            self.detector.sweep()
-            self.backend.schedule(period, sweep, label="resilience:sweep")
+            detector.sweep()
+            backend.schedule(period, sweep, label="resilience:sweep")
 
-        self.backend.schedule(period, sweep, label="resilience:sweep")
+        backend.schedule(period, sweep, label="resilience:sweep")
 
     # -------------------------------------------------------------- callbacks
     def _on_suspect(self, physical_id: str, record: SuspicionRecord) -> None:
-        if self.recovery is None:
+        if self.detector is None:
             return
-        if self.detector is not None:
-            self.detector.forget(physical_id)
-        event = self.recovery.on_replica_lost(physical_id, reason="suspected")
-        if event is not None and event.succeeded and self.detector is not None:
+        self.detector.forget(physical_id)
+        event = self.on_replica_lost(physical_id, reason="suspected")
+        if event is not None and event.replacement_physical is not None:
             self.detector.watch(event.replacement_physical)
 
     def _on_death_notification(self, physical_id: str, logical: str, reason: str) -> None:
-        if self.recovery is None or reason == "shutdown":
+        group = self.groups.get(logical)
+        if reason == "shutdown" or group is None:
             return
-        if not self.replication.has_group(logical):
-            return
-        group = self.replication.group(logical)
-        if not self.policy.critical(group.spec):
+        if not group.spec.critical:
             # Non-critical threads (the manager / the sensor) are not part of
             # the resiliency contract; their loss is reported, not repaired.
             _LOG.warning("non-critical thread %s died (%s); not regenerating",
                          physical_id, reason)
             return
-        event = self.recovery.on_replica_lost(physical_id, reason=reason)
-        if event is not None and self.detector is not None and event.succeeded:
-            self.detector.watch(event.replacement_physical)
+        self.on_replica_lost(physical_id, reason=reason)
+
+    # -------------------------------------------------------------- recovery
+    def record_loss(self, physical_id: str) -> Optional[ReplicaGroup]:
+        """Drop a dead replica from its group.
+
+        Returns the group only when ``physical_id`` was one of its *current*
+        members; a stale or duplicate notification (a suspicion arriving
+        after the replica was already replaced) returns ``None`` so it
+        triggers no spurious regeneration.
+        """
+        group = self.groups.get(parse_physical(physical_id)[0])
+        if group is None or physical_id not in group.members:
+            return None
+        group.members.remove(physical_id)
+        group.lost += 1
+        return group
+
+    def on_replica_lost(self, physical_id: str,
+                        reason: str = "failure") -> Optional[RecoveryEvent]:
+        """Handle the loss of a physical replica: record it, then regenerate
+        unless regeneration is off (static replication, the baseline of
+        :mod:`repro.baselines.static_replication`) or the group's budget is
+        spent."""
+        group = self.record_loss(physical_id)
+        if group is None:
+            _LOG.debug("loss of untracked thread %s ignored", physical_id)
+            return None
+        if self.config.regenerate and group.regenerated < MAX_REGENERATIONS_PER_GROUP:
+            return self.regenerate(group.spec.name, physical_id, reason)
+        refusal = _STATIC if not self.config.regenerate else _BUDGET
+        return self._log(RecoveryEvent(self.backend.now, group.spec.name, physical_id,
+                                       None, None, False, refusal))
+
+    def regenerate(self, logical: str, failed_physical: str, reason: str) -> RecoveryEvent:
+        """Spawn a replacement replica of ``logical`` on a fresh node.
+
+        The new replica restores the group's latest checkpoint and carries
+        the next incarnation number; the backend rebinds routing and replays
+        dead-lettered messages to it.  Failure recovery calls this after
+        :meth:`record_loss`; camouflage calls it before retiring a live
+        replica.
+        """
+        group = self.groups[logical]
+        now = self.backend.now
+        node: Optional[str] = None
+        if self.resources is not None:
+            try:
+                node = self.resources.select_node(memory_bytes=group.spec.memory_bytes,
+                                                  group_members=group.members)
+            except PlacementError as err:
+                _LOG.warning("reconfiguration of %s aborted: %s", logical, err)
+                return self._log(RecoveryEvent(now, logical, failed_physical,
+                                               None, None, False, str(err)))
+
+        restored = self.backend.checkpoint_of(logical)
+        spawn_kwargs: Dict[str, Any] = dict(replica=group.next_index, node=node,
+                                            restored=restored,
+                                            incarnation=group.incarnation + 1)
+        group.next_index += 1
+        if (STATE_TRANSFER and restored is not None and self.cluster is not None
+                and hasattr(self.backend, "spawn_cost_s")):
+            # Ship the restored state from a surviving replica's node.
+            spawn_kwargs["extra_delay"] = self.cluster.interconnect.link.message_cost(
+                payload_nbytes(restored))
+        new_physical = self.backend.spawn_thread(group.spec, **spawn_kwargs)
+
+        group.members.add(new_physical)
+        group.incarnation += 1
+        group.regenerated += 1
+        _LOG.info("regenerated %s: %s -> %s on %s (reason: %s)", logical,
+                  failed_physical, new_physical, node, reason)
+        return self._log(RecoveryEvent(now, logical, failed_physical, new_physical,
+                                       node, True, reason))
+
+    def _log(self, event: RecoveryEvent) -> RecoveryEvent:
+        self.events.append(event)
+        return event
 
     # ------------------------------------------------------- optional layers
     def arm_attack(self, scenario: AttackScenario) -> ScriptedAdversary:
@@ -185,23 +272,37 @@ class ResilienceCoordinator:
                           seed: int = 0, max_migrations: Optional[int] = None
                           ) -> CamouflagePolicy:
         """Enable periodic migration of the given threads."""
-        if self.recovery is None:
+        if not self._attached:
             raise RuntimeError("attach() must be called before enabling camouflage")
         self.camouflage = CamouflagePolicy(
-            backend=self.backend, replication=self.replication, recovery=self.recovery,
-            period=period, logical_threads=list(logical_threads), seed=seed,
-            max_migrations=max_migrations, )
+            self, period=period, logical_threads=list(logical_threads), seed=seed,
+            max_migrations=max_migrations)
         self.camouflage.arm()
         return self.camouflage
 
     # ---------------------------------------------------------------- report
     def report(self) -> Dict[str, object]:
         """Consolidated resiliency activity report for a finished run."""
+        # Every event that reached regeneration is one reconfiguration of
+        # the communication structure: completed, or aborted for want of a
+        # node.
+        reconfigured = [e for e in self.events if e.reason not in (_STATIC, _BUDGET)]
         return {
-            "replication": self.replication.summary(),
-            "reconfigurations": self.reconfiguration.summary(),
-            "recoveries": len(self.recovery.successful_recoveries()) if self.recovery else 0,
-            "failed_recoveries": len(self.recovery.failed_recoveries()) if self.recovery else 0,
+            "replication": {
+                name: {"live": len(g.members), "target": g.spec.replicas,
+                       "lost": g.lost, "regenerated": g.regenerated,
+                       "incarnation": g.incarnation}
+                for name, g in self.groups.items()},
+            "reconfigurations": {
+                "total": len(reconfigured),
+                "completed": sum(e.succeeded for e in reconfigured),
+                "aborted": sum(not e.succeeded for e in reconfigured),
+                "by_logical": {
+                    logical: sum(e.logical == logical for e in reconfigured)
+                    for logical in sorted({e.logical for e in reconfigured})},
+            },
+            "recoveries": sum(e.succeeded for e in self.events),
+            "failed_recoveries": sum(not e.succeeded for e in self.events),
             "suspicions": [r.physical_id for r in self.detector.suspicion_history()]
             if self.detector else [],
             "attacks_executed": len(self.adversary.executed) if self.adversary else 0,
@@ -209,16 +310,5 @@ class ResilienceCoordinator:
         }
 
 
-class _NullResourceManager:
-    """Placement stand-in for backends without a cluster model (local threads)."""
-
-    cluster = None
-
-    def select_node(self, **_kwargs) -> Optional[str]:
-        return None
-
-    def nodes_hosting_group(self, _members) -> List[str]:
-        return []
-
-
-__all__ = ["ResilienceCoordinator", "protocol_config_for"]
+__all__ = ["ResilienceCoordinator", "ReplicaGroup", "RecoveryEvent",
+           "MAX_REGENERATIONS_PER_GROUP", "STATE_TRANSFER", "protocol_config_for"]

@@ -19,7 +19,7 @@ decisions and placement decisions live behind one interface.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, List
 
 from ..cluster.machine import Cluster
 from ..logging_utils import get_logger
@@ -31,9 +31,8 @@ _LOG = get_logger("resilience.resource")
 class ResourceManager:
     """Placement and granularity decisions over a cluster model."""
 
-    def __init__(self, cluster: Cluster, *, exclude_nodes: Sequence[str] = ()) -> None:
+    def __init__(self, cluster: Cluster) -> None:
         self.cluster = cluster
-        self.exclude_nodes = set(exclude_nodes)
 
     # -------------------------------------------------------------- placement
     def nodes_hosting_group(self, group_members: Iterable[str]) -> List[str]:
@@ -46,7 +45,6 @@ class ResourceManager:
         return nodes
 
     def select_node(self, *, memory_bytes: int = 0,
-                    avoid_nodes: Sequence[str] = (),
                     group_members: Iterable[str] = ()) -> str:
         """Choose the node on which to regenerate a replica.
 
@@ -57,15 +55,14 @@ class ResourceManager:
             only to the constraints imposed by the total available
             resources" boundary).
         """
-        avoid = set(avoid_nodes) | set(self.nodes_hosting_group(group_members)) \
-            | self.exclude_nodes
+        avoid = self.nodes_hosting_group(group_members)
         # First pass: respect all constraints.
         candidates = self._candidates(memory_bytes, avoid)
         if candidates:
             return candidates[0]
         # Second pass: relax co-location avoidance (better a co-located
         # replica than none at all), keep memory and liveness constraints.
-        candidates = self._candidates(memory_bytes, self.exclude_nodes)
+        candidates = self._candidates(memory_bytes, ())
         if candidates:
             _LOG.info("placement relaxed co-location constraint; using %s", candidates[0])
             return candidates[0]

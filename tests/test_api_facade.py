@@ -202,6 +202,12 @@ class TestFuseFacadeErrors:
         with pytest.raises(ValueError, match="executes inline"):
             open_session(engine="sequential", backend="process")
 
+    def test_sequential_points_at_every_backend_engine(self, tiny_cube):
+        with pytest.raises(ValueError) as excinfo:
+            fuse(tiny_cube, backend="process")
+        for engine in ("distributed", "resilient", "pipeline"):
+            assert f"engine={engine!r}" in str(excinfo.value)
+
 
 class TestRequestNormalisation:
     def test_backend_worker_hint_sizes_partition(self, tiny_cube):

@@ -9,6 +9,7 @@ from repro.config import ResilienceConfig
 from repro.core.distributed import build_application
 from repro.resilience.coordinator import (ResilienceCoordinator,
                                           protocol_config_for)
+from repro.scp.runtime import plan_placement
 from repro.scp.sim_backend import SimBackend
 
 
@@ -92,19 +93,22 @@ class TestCoordinatorWiring:
         assert protocol.ack_enabled
         assert protocol.per_message_cpu_s == pytest.approx(0.2 * 1.5e-3)
 
-    def test_attach_returns_placement_for_sim_backend(self, small_cube, resilient_config):
+    def test_sim_backend_places_the_replicas(self, small_cube, resilient_config):
         app = build_application(small_cube, resilient_config, worker_replicas=2)
         cluster = sun_ultra_lan(2)
         backend = SimBackend(cluster, pinned={"manager": "manager"})
-        coordinator = ResilienceCoordinator(backend, cluster,
-                                            resilient_config.resilience,
-                                            pinned={"manager": "manager"})
-        placement = coordinator.attach(app)
-        assert placement is not None
-        assert placement["manager#0"] == "manager"
+        ResilienceCoordinator(backend, cluster, resilient_config.resilience).attach(app)
+        placed = {}
+        backend.schedule(0.0, lambda: placed.update(
+            {pid: cluster.location_of(pid) for spec in app.specs
+             for pid in spec.physical_ids()}))
+        backend.run(app, until_thread="manager")
+        assert placed["manager#0"] == "manager"
         # Every worker replica has a placement and shadows are spread out.
         for i in range(2):
-            assert placement[f"worker.{i}#0"] != placement[f"worker.{i}#1"]
+            assert placed[f"worker.{i}#0"] != placed[f"worker.{i}#1"]
+        assert placed == plan_placement(app.specs, ["sun00", "sun01"],
+                                        pinned={"manager": "manager"})
 
     def test_attach_twice_rejected(self, small_cube, resilient_config):
         app = build_application(small_cube, resilient_config, worker_replicas=2)

@@ -136,7 +136,6 @@ class TestStaticReplicationBaseline:
         from repro.core.distributed import MANAGER_NAME, build_application
         from repro.resilience.coordinator import (ResilienceCoordinator,
                                                   protocol_config_for)
-        from repro.resilience.policy import ReplicationPolicy
         from repro.scp.registry import BackendContext, create_backend
         config = make_config(regenerate=False)
         resilience = config.resilience
@@ -147,15 +146,11 @@ class TestStaticReplicationBaseline:
         backend = create_backend("sim", context)
         app = build_application(small_cube, config,
                                 worker_replicas=resilience.replication_level)
-        coordinator = ResilienceCoordinator(
-            backend, context.cluster, resilience,
-            policy=ReplicationPolicy.from_config(resilience),
-            pinned={"manager": "manager"})
-        placement = coordinator.attach(app)
+        coordinator = ResilienceCoordinator(backend, context.cluster, resilience)
+        coordinator.attach(app)
         coordinator.arm_attack(attack)
         with pytest.raises((DeadlockError, SCPError)):
-            backend.run(app, placement=placement, until_thread="manager",
-                        time_limit=200.0)
+            backend.run(app, until_thread="manager", time_limit=200.0)
 
     def test_group_wipeout_rescued_by_manager_reassignment(self, small_cube,
                                                            reference_result):

@@ -1,13 +1,15 @@
-"""Unit tests for the failure detector, resource manager and reconfiguration."""
+"""Unit tests for the failure detector, resource manager and reconfiguration log."""
 
 import pytest
 
 from repro.cluster.presets import sun_ultra_lan
 from repro.config import ResilienceConfig
+from repro.resilience.coordinator import ResilienceCoordinator
 from repro.resilience.detector import HeartbeatFailureDetector
-from repro.resilience.reconfigure import ReconfigurationProtocol
 from repro.resilience.resource import ResourceManager
 from repro.scp.errors import PlacementError
+from repro.scp.runtime import Application
+from repro.scp.thread import ThreadSpec
 
 
 class FakeClock:
@@ -140,11 +142,6 @@ class TestResourceManager:
         with pytest.raises(PlacementError):
             ResourceManager(cluster).select_node()
 
-    def test_excluded_nodes_never_chosen(self):
-        cluster = sun_ultra_lan(2, manager_node=False)
-        manager = ResourceManager(cluster, exclude_nodes=["sun00"])
-        assert manager.select_node() == "sun01"
-
     def test_granularity_advice(self):
         assert ResourceManager.suggest_subcubes(8, multiplier=2) == 16
         assert ResourceManager.suggest_subcubes(16, multiplier=3, cap=32) == 32
@@ -152,30 +149,40 @@ class TestResourceManager:
             ResourceManager.suggest_subcubes(0)
 
 
-class TestReconfigurationProtocol:
-    def test_begin_complete_cycle(self):
-        protocol = ReconfigurationProtocol()
-        record = protocol.begin(time=1.0, logical="worker.0",
-                                failed_physical="worker.0#0")
-        protocol.complete(record, replacement_physical="worker.0#2", node="sun03")
-        assert protocol.count() == 1
-        assert protocol.completed()[0].replacement_physical == "worker.0#2"
-        assert protocol.aborted() == []
+class SpawningBackend:
+    """Just enough backend for the coordinator to regenerate replicas."""
 
-    def test_abort_recorded(self):
-        protocol = ReconfigurationProtocol()
-        record = protocol.begin(time=0.0, logical="worker.1",
-                                failed_physical="worker.1#1")
-        protocol.abort(record, "no resources")
-        assert len(protocol.aborted()) == 1
-        assert protocol.completed() == []
+    now = 0.0
+
+    def subscribe_thread_death(self, callback):
+        pass
+
+    def checkpoint_of(self, logical):
+        return None
+
+    def spawn_thread(self, spec, *, replica, node=None, restored=None, incarnation=1):
+        return f"{spec.name}#{replica}"
+
+
+def dummy_program(ctx):
+    yield  # pragma: no cover
+
+
+class TestReconfigurationProtocol:
+    """Reconfigurations, as the report derives them from the coordinator's
+    recovery events: every loss that reached regeneration."""
 
     def test_summary(self):
-        protocol = ReconfigurationProtocol()
-        r1 = protocol.begin(time=0.0, logical="worker.0", failed_physical="worker.0#0")
-        protocol.complete(r1, replacement_physical="worker.0#2", node="n")
-        protocol.begin(time=1.0, logical="worker.0", failed_physical="worker.0#1")
-        summary = protocol.summary()
-        assert summary["total"] == 2
-        assert summary["completed"] == 1
-        assert summary["by_logical"]["worker.0"] == 2
+        cluster = sun_ultra_lan(2, manager_node=False)
+        app = Application()
+        for name in ("worker.0", "worker.1"):
+            app.add(ThreadSpec(name=name, program=dummy_program, replicas=2))
+        coordinator = ResilienceCoordinator(SpawningBackend(), cluster, ResilienceConfig())
+        coordinator.attach(app)
+        assert coordinator.on_replica_lost("worker.0#0").succeeded
+        cluster.fail_node("sun00")
+        cluster.fail_node("sun01")
+        assert not coordinator.on_replica_lost("worker.0#1").succeeded
+        assert coordinator.on_replica_lost("worker.0#1") is None  # stale
+        assert coordinator.report()["reconfigurations"] == {
+            "total": 2, "completed": 1, "aborted": 1, "by_logical": {"worker.0": 2}}

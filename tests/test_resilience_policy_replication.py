@@ -1,10 +1,20 @@
-"""Unit tests for replication policies and replica-group bookkeeping."""
+"""Unit tests for the replication policy and the coordinator's replica groups.
+
+The policy is data: ``ResilienceConfig.replication_level``, the critical
+flag and replica count that :func:`~repro.core.distributed.build_application`
+gives each thread, and the shifted round-robin of
+:func:`~repro.scp.runtime.plan_placement`.  The replica groups are the
+coordinator's bookkeeping of live members and counters.
+"""
 
 import pytest
 
-from repro.config import ResilienceConfig
-from repro.resilience.policy import ReplicationPolicy
-from repro.resilience.replication import ReplicaGroup, ReplicationManager
+from repro.config import FusionConfig, PartitionConfig, ResilienceConfig
+from repro.core.distributed import build_application
+from repro.data.hydice import HydiceConfig, HydiceGenerator
+from repro.resilience.coordinator import ResilienceCoordinator
+from repro.scp.errors import PlacementError
+from repro.scp.runtime import Application, plan_placement
 from repro.scp.thread import ThreadSpec
 
 
@@ -17,113 +27,135 @@ def worker_spec(name="worker.0", critical=True, replicas=1):
                       replicas=replicas)
 
 
+def paper_specs(workers, level):
+    """The specs the resilient engine runs: ``workers`` replicated workers
+    and the unreplicated manager."""
+    cube = HydiceGenerator(HydiceConfig(bands=8, rows=32, cols=32, seed=0)).generate()
+    config = FusionConfig(partition=PartitionConfig(workers=workers),
+                          resilience=ResilienceConfig(replication_level=level))
+    return build_application(cube, config, worker_replicas=level).specs
+
+
 class TestReplicationPolicy:
+    """The policy as the specs and placement the resilient engine runs."""
+
     def test_paper_defaults(self):
-        policy = ReplicationPolicy.from_config(ResilienceConfig())
-        assert policy.level == 2
+        level = ResilienceConfig().replication_level
+        assert level == 2
+        replicas = {spec.name: spec.replicas for spec in paper_specs(2, level)}
+        assert replicas == {"manager": 1, "worker.0": 2, "worker.1": 2}
 
     def test_level_validation(self):
         with pytest.raises(ValueError):
-            ReplicationPolicy(level=0)
+            ResilienceConfig(replication_level=0)
 
     def test_critical_flag_respected(self):
-        policy = ReplicationPolicy(level=3)
-        assert policy.replicas_for(worker_spec(critical=True)) == 3
-        assert policy.replicas_for(worker_spec("manager", critical=False)) == 1
-
-    def test_custom_criticality_predicate(self):
-        policy = ReplicationPolicy(level=2,
-                                   is_critical=lambda spec: spec.name.startswith("worker"))
-        assert policy.replicas_for(worker_spec("worker.4", critical=False)) == 2
-        assert policy.replicas_for(worker_spec("manager", critical=True)) == 1
+        for spec in paper_specs(2, 3):
+            assert spec.replicas == (3 if spec.critical else 1)
+            assert spec.critical == spec.name.startswith("worker")
 
     def test_placement_spreads_replicas(self):
-        policy = ReplicationPolicy(level=2)
-        specs = [worker_spec(f"worker.{i}") for i in range(3)]
-        placement = policy.plan_placement(specs, ["n0", "n1", "n2"])
+        specs = paper_specs(3, 2)
+        placement = plan_placement(specs, ["n0", "n1", "n2"], pinned={"manager": "m"})
         for spec in specs:
-            primary = placement[f"{spec.name}#0"]
-            shadow = placement[f"{spec.name}#1"]
-            assert primary != shadow
+            if spec.critical:
+                assert placement[f"{spec.name}#0"] != placement[f"{spec.name}#1"]
 
     def test_paper_configuration_two_replicas_per_node(self):
-        policy = ReplicationPolicy(level=2)
-        specs = [worker_spec(f"worker.{i}") for i in range(4)]
-        placement = policy.plan_placement(specs, [f"n{i}" for i in range(4)])
+        nodes = [f"n{i}" for i in range(4)]
+        placement = plan_placement(paper_specs(4, 2), nodes, pinned={"manager": "m"})
         load = {}
         for node in placement.values():
             load[node] = load.get(node, 0) + 1
-        assert all(count == 2 for count in load.values())
+        assert load == {"m": 1, **{node: 2 for node in nodes}}
 
     def test_pinned_thread_placement(self):
-        policy = ReplicationPolicy(level=2)
-        specs = [worker_spec("manager", critical=False), worker_spec("worker.0")]
-        placement = policy.plan_placement(specs, ["n0", "n1"], pinned={"manager": "boss"})
+        placement = plan_placement(paper_specs(2, 2), ["n0", "n1"],
+                                   pinned={"manager": "boss"})
         assert placement["manager#0"] == "boss"
 
     def test_empty_node_list_rejected(self):
-        with pytest.raises(ValueError):
-            ReplicationPolicy().plan_placement([worker_spec()], [])
+        with pytest.raises(PlacementError):
+            plan_placement(paper_specs(1, 2), [])
+
+
+class FakeBackend:
+    """Wall-clock stand-in: no cluster, deaths only by notification."""
+
+    now = 0.0
+
+    def __init__(self):
+        self.spawned = []
+
+    def subscribe_thread_death(self, callback):
+        pass
+
+    def checkpoint_of(self, logical):
+        return None
+
+    def spawn_thread(self, spec, *, replica, node=None, restored=None, incarnation=1):
+        self.spawned.append((replica, incarnation))
+        return f"{spec.name}#{replica}"
+
+
+def attached(*specs):
+    app = Application()
+    for spec in specs:
+        app.add(spec)
+    backend = FakeBackend()
+    coordinator = ResilienceCoordinator(backend, None, ResilienceConfig())
+    coordinator.attach(app)
+    return coordinator, backend
 
 
 class TestReplicaGroup:
     def test_initial_members_from_spec(self):
-        manager = ReplicationManager()
-        group = manager.add_group(worker_spec(replicas=2), target_level=2)
-        assert group.live_count == 2
-        assert group.deficit == 0
+        coordinator, _ = attached(worker_spec(replicas=2))
+        group = coordinator.groups["worker.0"]
         assert group.members == {"worker.0#0", "worker.0#1"}
-
-    def test_register_is_idempotent(self):
-        manager = ReplicationManager()
-        first = manager.add_group(worker_spec(replicas=2), 2)
-        second = manager.add_group(worker_spec(replicas=2), 2)
-        assert first is second
+        assert group.next_index == 2
 
     def test_death_creates_deficit(self):
-        manager = ReplicationManager()
-        manager.add_group(worker_spec(replicas=2), 2)
-        group = manager.record_death("worker.0#1")
+        coordinator, _ = attached(worker_spec(replicas=2))
+        group = coordinator.record_loss("worker.0#1")
         assert group is not None
-        assert group.deficit == 1
+        assert len(group.members) == group.spec.replicas - 1
         assert group.lost == 1
 
     def test_stale_death_ignored(self):
-        manager = ReplicationManager()
-        manager.add_group(worker_spec(replicas=2), 2)
-        assert manager.record_death("worker.0#1") is not None
+        coordinator, _ = attached(worker_spec(replicas=2))
+        assert coordinator.record_loss("worker.0#1") is not None
         # The same replica reported again (e.g. a late suspicion) is ignored.
-        assert manager.record_death("worker.0#1") is None
+        assert coordinator.record_loss("worker.0#1") is None
 
     def test_death_of_untracked_thread_ignored(self):
-        manager = ReplicationManager()
-        assert manager.record_death("ghost#0") is None
+        coordinator, _ = attached(worker_spec(replicas=2))
+        assert coordinator.record_loss("ghost#0") is None
 
     def test_regeneration_restores_level_and_bumps_incarnation(self):
-        manager = ReplicationManager()
-        group = manager.add_group(worker_spec(replicas=2), 2)
-        manager.record_death("worker.0#0")
-        new_index = group.allocate_replica_index()
-        assert new_index == 2
-        manager.record_regeneration("worker.0", f"worker.0#{new_index}")
-        assert group.deficit == 0
+        coordinator, backend = attached(worker_spec(replicas=2))
+        event = coordinator.on_replica_lost("worker.0#0")
+        assert event.replacement_physical == "worker.0#2"
+        assert backend.spawned == [(2, 1)]
+        group = coordinator.groups["worker.0"]
+        assert group.members == {"worker.0#1", "worker.0#2"}
         assert group.incarnation == 1
         assert group.regenerated == 1
 
     def test_replica_indices_never_reused(self):
-        group = ReplicaGroup(spec=worker_spec(replicas=2), target_level=2)
-        indices = [group.allocate_replica_index() for _ in range(5)]
-        assert indices == [0, 1, 2, 3, 4]
+        coordinator, backend = attached(worker_spec(replicas=2))
+        for victim in ("worker.0#0", "worker.0#2", "worker.0#3", "worker.0#1"):
+            assert coordinator.on_replica_lost(victim).succeeded
+        assert backend.spawned == [(2, 1), (3, 2), (4, 3), (5, 4)]
+        assert coordinator.groups["worker.0"].members == {"worker.0#4", "worker.0#5"}
 
     def test_summary_and_totals(self):
-        manager = ReplicationManager()
-        manager.add_group(worker_spec(replicas=2), 2)
-        manager.record_death("worker.0#0")
-        manager.record_regeneration("worker.0", "worker.0#2")
-        summary = manager.summary()
-        assert summary["worker.0"]["lost"] == 1
-        assert summary["worker.0"]["regenerated"] == 1
-
-    def test_unknown_group_lookup_raises(self):
-        with pytest.raises(KeyError):
-            ReplicationManager().group("nope")
+        coordinator, _ = attached(worker_spec(replicas=2),
+                                  worker_spec("manager", critical=False))
+        coordinator.on_replica_lost("worker.0#0")
+        assert coordinator.report()["replication"] == {
+            "worker.0": {"live": 2, "target": 2, "lost": 1, "regenerated": 1,
+                         "incarnation": 1},
+            "manager": {"live": 1, "target": 1, "lost": 0, "regenerated": 0,
+                        "incarnation": 0},
+        }

@@ -1,4 +1,4 @@
-"""Unit tests for the recovery service, attack campaigns and camouflage.
+"""Unit tests for the coordinator's recovery path, attacks and camouflage.
 
 These tests drive the recovery machinery against a *fake* backend so the
 decision logic (placement, incarnation numbering, budget limits, dead-letter
@@ -11,13 +11,14 @@ from typing import Any, Dict, List
 import pytest
 
 from repro.cluster.presets import sun_ultra_lan
+from repro.config import ResilienceConfig
+from repro.resilience import coordinator as coordinator_module
 from repro.resilience.attack import (FAIL_NODE, KILL_REPLICA, KILL_THREAD,
                                      AttackEvent, AttackScenario,
                                      ScriptedAdversary)
 from repro.resilience.camouflage import CamouflagePolicy
-from repro.resilience.recovery import RecoveryService
-from repro.resilience.replication import ReplicationManager
-from repro.resilience.resource import ResourceManager
+from repro.resilience.coordinator import ResilienceCoordinator
+from repro.scp.runtime import Application
 from repro.scp.thread import ThreadSpec, physical_name
 
 
@@ -68,81 +69,111 @@ class FakeBackend:
     def schedule(self, delay, callback, label=""):
         self.scheduled.append((delay, callback, label))
 
+    def subscribe_thread_death(self, callback):
+        self.on_death = callback
 
-def make_recovery(regenerate=True, cluster=None, backend=None):
+
+def make_recovery(regenerate=True, cluster=None):
+    """A coordinator over ``worker.0`` (two replicas, on sun00 and sun01)
+    and the unreplicated, non-critical ``manager``."""
     cluster = cluster or sun_ultra_lan(4, manager_node=False)
-    backend = backend or FakeBackend(cluster)
-    replication = ReplicationManager()
-    spec = ThreadSpec(name="worker.0", program=dummy_program, replicas=2, critical=True)
-    replication.add_group(spec, 2)
+    backend = FakeBackend(cluster)
+    app = Application()
+    app.add(ThreadSpec(name="worker.0", program=dummy_program, replicas=2, critical=True))
+    app.add(ThreadSpec(name="manager", program=dummy_program, critical=False))
     for replica in range(2):
         cluster.place(physical_name("worker.0", replica), f"sun{replica:02d}")
         backend._live.setdefault("worker.0", []).append(physical_name("worker.0", replica))
-    recovery = RecoveryService(backend=backend, replication=replication,
-                               resources=ResourceManager(cluster), regenerate=regenerate)
-    return recovery, backend, replication, cluster
+    coordinator = ResilienceCoordinator(backend, cluster,
+                                        ResilienceConfig(regenerate=regenerate))
+    coordinator.attach(app)
+    return coordinator, backend, cluster
+
+
+def live(coordinator):
+    return len(coordinator.groups["worker.0"].members)
 
 
 class TestRecoveryService:
+    """The coordinator's recovery path: record, regenerate, log."""
+
     def test_regenerates_on_loss(self):
-        recovery, backend, replication, cluster = make_recovery()
-        event = recovery.on_replica_lost("worker.0#1", reason="attack")
+        coordinator, backend, _ = make_recovery()
+        event = coordinator.on_replica_lost("worker.0#1", reason="attack")
         assert event.succeeded
         assert backend.spawned[0]["pid"] == "worker.0#2"
         assert backend.spawned[0]["incarnation"] == 1
         # Placed away from the surviving replica's node.
         assert backend.spawned[0]["node"] != "sun00"
-        assert replication.group("worker.0").deficit == 0
+        assert live(coordinator) == 2
 
     def test_static_replication_records_but_does_not_regenerate(self):
-        recovery, backend, replication, _ = make_recovery(regenerate=False)
-        event = recovery.on_replica_lost("worker.0#1")
+        coordinator, backend, _ = make_recovery(regenerate=False)
+        event = coordinator.on_replica_lost("worker.0#1")
         assert not event.succeeded
         assert backend.spawned == []
-        assert replication.group("worker.0").deficit == 1
+        assert live(coordinator) == 1
+        # Regeneration was never attempted: no reconfiguration either.
+        assert coordinator.report()["reconfigurations"]["total"] == 0
 
     def test_stale_loss_ignored(self):
-        recovery, backend, _, _ = make_recovery()
-        recovery.on_replica_lost("worker.0#1")
-        again = recovery.on_replica_lost("worker.0#1")
+        coordinator, backend, _ = make_recovery()
+        coordinator.on_replica_lost("worker.0#1")
+        again = coordinator.on_replica_lost("worker.0#1")
         assert again is None
         assert len(backend.spawned) == 1
 
     def test_unknown_thread_ignored(self):
-        recovery, backend, _, _ = make_recovery()
-        assert recovery.on_replica_lost("stranger#0") is None
+        coordinator, backend, _ = make_recovery()
+        assert coordinator.on_replica_lost("stranger#0") is None
 
     def test_restored_state_passed_to_new_replica(self):
-        recovery, backend, _, _ = make_recovery()
+        coordinator, backend, _ = make_recovery()
         backend._checkpoints["worker.0"] = {"progress": 5}
-        recovery.on_replica_lost("worker.0#0")
+        coordinator.on_replica_lost("worker.0#0")
         assert backend.spawned[0]["restored"] == {"progress": 5}
         # State transfer charged as extra start-up delay.
         assert backend.spawned[0]["extra_delay"] > 0
 
-    def test_regeneration_budget(self):
-        recovery, backend, replication, cluster = make_recovery()
-        recovery.max_regenerations_per_group = 1
-        recovery.on_replica_lost("worker.0#0")
-        event = recovery.on_replica_lost("worker.0#1")
+    def test_regeneration_budget(self, monkeypatch):
+        monkeypatch.setattr(coordinator_module, "MAX_REGENERATIONS_PER_GROUP", 1)
+        coordinator, backend, _ = make_recovery()
+        coordinator.on_replica_lost("worker.0#0")
+        event = coordinator.on_replica_lost("worker.0#1")
         assert not event.succeeded
         assert "budget" in event.reason
+        assert coordinator.report()["reconfigurations"]["total"] == 1
 
     def test_no_placement_available_aborts(self):
         cluster = sun_ultra_lan(2, manager_node=False)
-        recovery, backend, replication, _ = make_recovery(cluster=cluster)
+        coordinator, backend, _ = make_recovery(cluster=cluster)
         cluster.fail_node("sun00")
         cluster.fail_node("sun01")
-        event = recovery.on_replica_lost("worker.0#0")
+        event = coordinator.on_replica_lost("worker.0#0")
         assert not event.succeeded
-        assert recovery.failed_recoveries()
-        assert recovery.reconfiguration.aborted()
+        assert backend.spawned == []
+        report = coordinator.report()
+        assert report["failed_recoveries"] == 1
+        assert report["reconfigurations"] == {"total": 1, "completed": 0, "aborted": 1,
+                                              "by_logical": {"worker.0": 1}}
+
+    def test_death_notifications_regenerate_critical_replicas_only(self):
+        # A wall-clock backend: deaths arrive as notifications, and no
+        # heartbeat detector is built.
+        coordinator, backend, _ = make_recovery()
+        assert coordinator.detector is None
+        backend.on_death("worker.0#0", "worker.0", "shutdown")
+        backend.on_death("manager#0", "manager", "killed")
+        backend.on_death("stranger#0", "stranger", "killed")
+        assert backend.spawned == [] and coordinator.events == []
+        backend.on_death("worker.0#0", "worker.0", "killed")
+        assert [s["pid"] for s in backend.spawned] == ["worker.0#2"]
 
     def test_event_log(self):
-        recovery, *_ = make_recovery()
-        recovery.on_replica_lost("worker.0#0")
-        assert len(recovery.successful_recoveries()) == 1
-        assert len(recovery.events) == 1
+        coordinator, *_ = make_recovery()
+        coordinator.on_replica_lost("worker.0#0")
+        assert coordinator.report()["recoveries"] == 1
+        assert len(coordinator.events) == 1
 
 
 class TestAttackScenarios:
@@ -176,33 +207,37 @@ class TestAttackScenarios:
         scenario.add(3.0, KILL_REPLICA, "a").add(1.0, KILL_REPLICA, "b")
         assert [e.time for e in scenario.sorted_events()] == [1.0, 3.0]
 
+    @staticmethod
+    def strike(backend, kind, target):
+        """Arm a one-event campaign and fire it from the backend's schedule."""
+        adversary = ScriptedAdversary(backend, AttackScenario("t").add(0.0, kind, target))
+        adversary.arm()
+        (_, fire, _), = backend.scheduled
+        fire()
+        return adversary
+
     def test_adversary_kill_replica_hits_first_live(self):
         backend = FakeBackend()
         backend._live["worker.0"] = ["worker.0#0", "worker.0#1"]
-        adversary = ScriptedAdversary(backend, AttackScenario("t"))
-        hit = adversary.execute_now(AttackEvent(0.0, KILL_REPLICA, "worker.0"))
-        assert hit
+        adversary = self.strike(backend, KILL_REPLICA, "worker.0")
+        assert adversary.executed
         assert backend.killed == ["worker.0#0"]
 
     def test_adversary_kill_specific_physical(self):
         backend = FakeBackend()
         backend._live["worker.0"] = ["worker.0#0", "worker.0#1"]
-        adversary = ScriptedAdversary(backend, AttackScenario("t"))
-        adversary.execute_now(AttackEvent(0.0, KILL_REPLICA, "worker.0#1"))
+        self.strike(backend, KILL_REPLICA, "worker.0#1")
         assert backend.killed == ["worker.0#1"]
 
     def test_adversary_kill_thread_hits_all_replicas(self):
         backend = FakeBackend()
         backend._live["worker.0"] = ["worker.0#0", "worker.0#1"]
-        adversary = ScriptedAdversary(backend, AttackScenario("t"))
-        adversary.execute_now(AttackEvent(0.0, KILL_THREAD, "worker.0"))
+        self.strike(backend, KILL_THREAD, "worker.0")
         assert set(backend.killed) == {"worker.0#0", "worker.0#1"}
 
     def test_adversary_records_misses(self):
         backend = FakeBackend()
-        adversary = ScriptedAdversary(backend, AttackScenario("t"))
-        hit = adversary.execute_now(AttackEvent(0.0, KILL_REPLICA, "nobody"))
-        assert not hit
+        adversary = self.strike(backend, KILL_REPLICA, "nobody")
         assert adversary.skipped and not adversary.executed
 
     def test_arm_schedules_all_events(self):
@@ -214,36 +249,36 @@ class TestAttackScenarios:
 
 class TestCamouflage:
     def test_migration_moves_replica(self):
-        recovery, backend, replication, cluster = make_recovery()
-        policy = CamouflagePolicy(backend=backend, replication=replication,
-                                  recovery=recovery, period=1.0,
+        coordinator, backend, _ = make_recovery()
+        policy = CamouflagePolicy(coordinator, period=1.0,
                                   logical_threads=["worker.0"], seed=0)
         record = policy.migrate_one("worker.0")
         assert record.succeeded
-        assert backend.killed  # the old replica was retired
+        assert backend.killed == [record.from_physical]  # the old replica was retired
         assert backend.spawned  # a replacement was created first
         assert policy.successful_migrations() == 1
+        group = coordinator.groups["worker.0"]
+        assert record.from_physical not in group.members
+        assert (group.lost, group.regenerated, len(group.members)) == (1, 1, 2)
+        # The retired replica's later suspicion is stale.
+        assert coordinator.on_replica_lost(record.from_physical) is None
 
     def test_migration_of_dead_group_fails_gracefully(self):
-        recovery, backend, replication, _ = make_recovery()
+        coordinator, backend, _ = make_recovery()
         backend._live["worker.0"] = []
-        policy = CamouflagePolicy(backend=backend, replication=replication,
-                                  recovery=recovery, period=1.0,
+        policy = CamouflagePolicy(coordinator, period=1.0,
                                   logical_threads=["worker.0"], seed=0)
         record = policy.migrate_one("worker.0")
         assert not record.succeeded
 
     def test_invalid_period(self):
-        recovery, backend, replication, _ = make_recovery()
+        coordinator, *_ = make_recovery()
         with pytest.raises(ValueError):
-            CamouflagePolicy(backend=backend, replication=replication,
-                             recovery=recovery, period=0.0,
-                             logical_threads=["worker.0"])
+            CamouflagePolicy(coordinator, period=0.0, logical_threads=["worker.0"])
 
     def test_arm_schedules_tick(self):
-        recovery, backend, replication, _ = make_recovery()
-        policy = CamouflagePolicy(backend=backend, replication=replication,
-                                  recovery=recovery, period=2.0,
+        coordinator, backend, _ = make_recovery()
+        policy = CamouflagePolicy(coordinator, period=2.0,
                                   logical_threads=["worker.0"])
         policy.arm()
         policy.arm()  # idempotent
