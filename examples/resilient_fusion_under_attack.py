@@ -39,6 +39,13 @@ def build_attack(workers: int) -> AttackScenario:
     return scenario
 
 
+def faults_after_end(attack: AttackScenario, elapsed_seconds: float) -> list:
+    """The scheduled faults that fall after a run of ``elapsed_seconds``
+    ended: the run never reached them."""
+    return [event for event in attack.sorted_events()
+            if event.time > elapsed_seconds]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workers", type=int, default=8)
@@ -84,6 +91,13 @@ def main() -> int:
             resilient.result.composite, plain.result.composite))),
     }
     print(dict_table("resilient run summary", summary))
+
+    missed = faults_after_end(attack, resilient.elapsed_seconds)
+    if missed:
+        print(f"\n{len(missed)} scheduled fault(s) fell after the run ended at "
+              f"{resilient.elapsed_seconds:.2f} virtual s:")
+        for event in missed:
+            print(f"  t={event.time:.3f} {event.kind} {event.target}")
 
     print("\nPer-worker replica groups after the run:")
     for logical, entry in sorted(report["replication"].items()):

@@ -55,7 +55,7 @@ from .core.kernels import compute_names
 from .core.profiling import StageTiming
 from .data import HydiceConfig, HydiceGenerator, HyperspectralCube, generate_cube
 
-__version__ = "1.29.0"
+__version__ = "1.30.0"
 
 __all__ = [
     # Unified fusion API

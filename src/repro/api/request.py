@@ -65,7 +65,7 @@ class FusionRequest:
     #: Resilient engine only: periodic camouflage migration period (seconds).
     camouflage_period: Optional[float] = None
     #: Pipeline engine only: rows per streaming tile in the projection /
-    #: colour-map stage.  ``None`` picks ~2 tiles per worker.  Tiling never
+    #: colour-map stage.  ``None`` picks one tile per worker.  Tiling never
     #: changes the composite (the eigendecomposition barrier pins one global
     #: basis), only the streaming granularity.
     tile_rows: Optional[int] = None

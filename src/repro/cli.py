@@ -97,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fuse.add_argument("--subcubes", type=_positive_int, default=None)
     fuse.add_argument("--tile-rows", type=_positive_int, default=None,
                       help="rows per streaming tile (pipeline engine only; "
-                           "default ~2 tiles per worker)")
+                           "default one tile per worker)")
     fuse.add_argument("--angle-threshold", type=_positive_float, default=None,
                       help="spectral-angle screening threshold in radians "
                            "(default 0.05; must be in (0, pi/2))")

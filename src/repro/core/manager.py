@@ -41,7 +41,7 @@ from .steps.colormap import component_statistics
 from .steps.screening import merge_flops, merge_unique_sets
 from .steps.statistics import (covariance_combine_flops, covariance_matrix,
                                mean_flops, mean_vector, partition_pixel_matrix)
-from .steps.transform import (PCTBasis, eigendecomposition_flops, project,
+from .steps.transform import (eigendecomposition_flops, project,
                               projection_flops, transformation_matrix)
 
 
@@ -222,8 +222,7 @@ def manager_program(ctx: Context, *, cube: HyperspectralCube,
     # components used by the colour mapping are needed, so the manager
     # projects onto a truncated basis -- this keeps the extra sequential work
     # negligible (it is not part of the paper's algorithm).
-    stats_basis = PCTBasis(eigenvalues=basis.eigenvalues,
-                           components=basis.components[:3], mean=basis.mean)
+    stats_basis = basis.leading(3)
     unique_components = yield Compute(fn=project, args=(unique, stats_basis),
                                       flops=projection_flops(unique.shape[0], bands, 3),
                                       phase="component_stats")

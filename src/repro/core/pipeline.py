@@ -168,17 +168,14 @@ class SpectralScreeningPCT:
         # with the same constants) reproduce this composite exactly.  Only the
         # three colour-mapped components are needed, so project onto a
         # truncated basis.
-        stats_basis = PCTBasis(eigenvalues=basis.eigenvalues,
-                               components=basis.components[:3], mean=basis.mean)
+        stats_basis = basis.leading(3)
         stretch_mean, stretch_std = component_statistics(
             timed("component_stats", int(unique.shape[0]), project,
                   unique, stats_basis))
 
         # Step 7: transform the original cube onto the retained components
         # only -- the same leading rows every engine's step 7 multiplies.
-        retained = PCTBasis(eigenvalues=basis.eigenvalues,
-                            components=basis.components[:self.n_components],
-                            mean=basis.mean)
+        retained = basis.leading(self.n_components)
         components = timed("projection", cube.pixels, project_cube_block,
                            cube.data, retained, compute_dtype=compute_dtype)
 

@@ -33,11 +33,13 @@ its angle to every current member exceeds the threshold.  The hot kernel
 * each product is **certified in float32, refined in float64**
   (``_settle``): ``G = m32 . x32`` on the raw float32 chunk settles
   "below" where ``G < (T - delta) |x|`` and "covered" where ``G >= (T +
-  delta) |x|`` (``|x|`` the float32 norm).  A row with any other entry --
+  delta) |x|`` (``|x|`` the float32 norm).  A certain cover decides its
+  row (not apart).  A row with any other entry and no certain cover --
   NaN, or a norm outside ``(2**-30, 2**60)`` -- is recomputed whole in the
-  reference arithmetic (``_refine``; a NaN cosine is not below), counts
-  included, so every decision is the float64 one.  ~2 % of a HYDICE
-  sub-cube's rows are refined;
+  reference arithmetic (``_refine``; a NaN cosine is not below), so every
+  decision is the float64 one.  The coverage counts add the certain
+  covers and the refined rows' covers; they only choose the hot tier.
+  ~0.2 % of a HYDICE sub-cube's rows are refined;
 * ``delta = 2 g + 8 u`` (``_certify_margin``; 8.3e-6 at 64 bands), ``u =
   2**-24``, ``g = gamma_{n+2} = (n + 2) u / (1 - (n + 2) u)``, ``n =
   bands`` (Higham, *Accuracy and Stability of Numerical Algorithms*, §3.1)
@@ -281,13 +283,16 @@ def _settle(members32: np.ndarray, members: np.ndarray, x32: np.ndarray,
 
     ``x32`` and the ``(2, rows)`` float32 ``limits`` hold the ``columns``
     of the chunk ``slab`` (all by default).  A float32 cosine clearly on
-    one side of its row's limits is settled there; a row left with an
-    unsettled one is recomputed whole in float64 (:func:`_refine`).
+    one side of its row's limits is settled there.  A row that some member
+    certainly covers is decided (not apart) whatever its unsettled
+    cosines, which then stay out of ``covered``; any other row left with
+    an unsettled one is recomputed whole in float64 (:func:`_refine`).
     """
     cosines = members32 @ x32
     below = cosines < limits[0]
     covered = cosines >= limits[1]
-    unsure = np.nonzero(~(below | covered).all(axis=0))[0]
+    unsure = np.nonzero(~((below | covered).all(axis=0)
+                          | covered.any(axis=0)))[0]
     if unsure.size:
         picked = unsure if columns is None else columns[unsure]
         exact = _refine(members, np.take(slab, picked, axis=1))
@@ -308,8 +313,8 @@ def _apart_rows(slab: np.ndarray, x32: np.ndarray, limits: np.ndarray,
     :data:`_HOT_MEMBERS` highest coverage counts, ties in member order --
     then only the columns none of them covers against the cold rest, if
     any.  With
-    ``count``, each member's count grows by the columns its cosine reached
-    the threshold for (in the cold tier: of the columns it saw).
+    ``count``, each member's count grows by the columns :func:`_settle`
+    found it to cover (in the cold tier: of the columns it saw).
     """
     counts = buffer.counts
     # A stable sort, not argpartition: ties must not depend on numpy's

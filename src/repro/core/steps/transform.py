@@ -51,6 +51,10 @@ class PCTBasis:
     def bands(self) -> int:
         return self.components.shape[1]
 
+    def leading(self, keep: int) -> "PCTBasis":
+        """The same basis cut to its ``keep`` leading eigenvectors (a view)."""
+        return PCTBasis(self.eigenvalues, self.components[:keep], self.mean)
+
     def explained_variance_ratio(self) -> np.ndarray:
         """Fraction of total variance captured by each retained component."""
         total = float(np.sum(self.eigenvalues))
@@ -216,12 +220,11 @@ def project_panels(block: np.ndarray, basis: PCTBasis, keep: int, *,
     if block.ndim != 3 or block.shape[0] != basis.bands:
         raise ValueError(f"block of shape {block.shape} does not match basis bands {basis.bands}")
     pixel_matrix = block.reshape(block.shape[0], -1).T
-    lead = basis.components[:keep]
+    lead = basis.leading(keep)
     if np.dtype(compute_dtype) != np.float64:
-        return project(pixel_matrix, PCTBasis(basis.eigenvalues, lead, basis.mean),
-                       compute_dtype=compute_dtype)
-    return matmul_panels(pixel_matrix, lead.T, tag="planes", centre=basis.mean,
-                         scratch=scratch)
+        return project(pixel_matrix, lead, compute_dtype=compute_dtype)
+    return matmul_panels(pixel_matrix, lead.components.T, tag="planes",
+                         centre=basis.mean, scratch=scratch)
 
 
 def project_cube_block(block: np.ndarray, basis: PCTBasis, *,

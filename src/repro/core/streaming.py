@@ -53,8 +53,11 @@ reference for the same :class:`~repro.api.request.FusionRequest`:
 Placement
 ---------
 The paper's Figure 5 is a granularity trade: over-decompose 2-3x to overlap,
-and lose once the per-unit overhead beats the unit's work.  Spreading one
-request over the workers costs it eight or more hops and four barriers in
+and lose once the per-unit overhead beats the unit's work.  Within a split
+request the transport already supplies the overlap (each worker holds its
+next task while it runs one), so steps 7-8 are cut into one tile per worker
+(:func:`default_tile_rows` has the measurements).  Spreading one
+request over the workers costs it six or more hops and four barriers in
 its driver thread, whatever its size; below a measured crossover that costs
 more than the kernels it spreads, and small cubes are better parallelised
 *across* the stream (``max_inflight``) than within themselves.
@@ -147,13 +150,33 @@ def plan_tiles(rows: int, tile_rows: int) -> List[SubcubeSpec]:
 
 
 def default_tile_rows(rows: int, workers: int) -> int:
-    """Default streaming granularity: ~2 tiles per worker, at least one row.
+    """Default streaming granularity: one tile per worker, at least one row.
 
-    Mirrors the paper's Figure-5 observation that 2-3x more work units than
-    workers overlaps communication with computation without drowning in
-    per-task overhead.
+    The paper's Figure 5 over-decomposes 2-3x so that communication
+    overlaps computation.  The stage transport already overlaps them one
+    level down: each worker runs one task and holds the next
+    (:data:`~repro.scp.transport.TASKS_PER_WORKER`), so a second tile per
+    worker buys no overlap and costs one more task round trip -- receiving
+    and mapping the cube (~0.6 ms of worker CPU), committing the result and
+    unmapping the cube (~0.3-0.4 ms each), and 1.2-1.7 ms idle between a
+    worker's two tiles of a 256x256x64 request.  Measured on a shared
+    2-vCPU host, one BLAS thread, one warm session, blocks of fuses at one
+    tile per worker against two, alternating:
+
+    =====================  =======================  ======================
+    scene, spec            1 client, p50 latency    4 outstanding, cubes/s
+    =====================  =======================  ======================
+    256x256x64, process:2  48.2 -> 45.1 ms (16/20)  23.8 -> 25.2 (9/10)
+    128x128x64, socket:2   26.6 -> 23.1 ms (16/20)  44.8 -> 50.0 (10/10)
+    =====================  =======================  ======================
+
+    (rounds won in brackets).  ``benchmarks/e2e``'s ``pipe_acceptance``,
+    24 s windows, alternating parent/change runs: p50 44.2 -> 40.5 ms, 10
+    of 10 pairs.  A whole request (:func:`fuse_whole_request`) cuts the
+    same tiles and runs them inline.  An explicit ``tile_rows``
+    still overrides this; tiling never changes the output.
     """
-    return max(1, math.ceil(rows / max(2 * workers, 1)))
+    return max(1, math.ceil(rows / max(workers, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -325,20 +348,21 @@ def run_pipeline(cube: HyperspectralCube, config: FusionConfig, executor,
     # Barrier B: eigen-decomposition and global colour-stretch statistics.
     stage_marks["eigendecomposition"] = time.perf_counter()
     basis = transformation_matrix(covariance, mean, n_components=cube.bands)
-    stats_basis = PCTBasis(eigenvalues=basis.eigenvalues,
-                           components=basis.components[:3], mean=basis.mean)
+    stats_basis = basis.leading(3)
     stretch_mean, stretch_std = component_statistics(project(unique, stats_basis))
     _stage_done("eigendecomposition", stage_marks["eigendecomposition"])
 
     # Stage 3: per-tile projection + colour mapping (parallel), written
-    # straight into the output placement; each task acknowledges its rows.
+    # straight into the output placement; each task acknowledges its rows
+    # and carries only the eigenvectors the kernel reads.
     effective_tile_rows = (tile_rows if tile_rows is not None
                            else default_tile_rows(cube.rows, workers))
     normalize = config.colormap.normalize_components
     tiles = plan_tiles(cube.rows, effective_tile_rows)
+    tile_basis = basis.leading(max(n_components, 3))
     stage_marks["projection"] = time.perf_counter()
     acks = _gather([executor.submit("project", project_tile_into, cube, spec,
-                                    basis, n_components, normalize,
+                                    tile_basis, n_components, normalize,
                                     stretch_mean, stretch_std, out,
                                     compute_dtype, compute)
                     for spec in tiles])
@@ -399,29 +423,28 @@ def run_pipeline(cube: HyperspectralCube, config: FusionConfig, executor,
 #: Measured, not derived: ``benchmarks/bench_fig5_granularity.py`` (the
 #: "measured" series; re-run it before changing this -- CONTRIBUTING,
 #: "Changing the plan constant").  On a shared 2-vCPU host, ``process:2``,
-#: one BLAS thread, warm executor, ``--quick`` (0.4 s closed loops), with
-#: the hot-first admission test in screening, split -> whole:
+#: one BLAS thread, warm executor, 3 s closed loops, one projection tile
+#: per worker on the split side, split -> whole:
 #:
 #: ====================  =====================  ======================
 #: scene (samples)       1 client, p50 latency  4 outstanding, cubes/s
 #: ====================  =====================  ======================
-#: 64x64x32     (131 k)  10.4 -> 7.5 ms         100.4 -> 306.8
-#: 96x96x32     (295 k)  13.1 -> 9.6 ms         85.7 -> 183.0
-#: 128x128x32   (524 k)  14.7 -> 15.2 ms        77.8 -> 146.3
-#: 96x96x64     (590 k)  16.8 -> 16.7 ms        74.1 -> 126.4
-#: 128x128x64  (1.05 M)  19.8 -> 22.5 ms        55.8 -> 82.3
-#: 256x256x64   (4.2 M)  47.5 -> 66.1 ms        24.7 -> 27.7
+#: 64x64x32     (131 k)  12.7 -> 9.6 ms         87.4 -> 242.1
+#: 96x96x32     (295 k)  16.2 -> 12.6 ms        82.8 -> 142.7
+#: 128x128x32   (524 k)  17.4 -> 16.2 ms        75.7 -> 117.0
+#: 96x96x64     (590 k)  19.5 -> 18.1 ms        65.8 -> 115.9
+#: 128x128x64  (1.05 M)  22.4 -> 23.9 ms        52.7 -> 76.2
+#: 256x256x64   (4.2 M)  45.0 -> 60.1 ms        26.2 -> 31.6
 #: ====================  =====================  ======================
 #:
-#: Whole wins under load at every size and, for a lone client, up to 295 k
-#: samples; a lone client breaks even at 524-590 k and loses from 1.05 M
-#: up.  The same ``--quick`` run on the code before the hot-first test had
-#: a lone client lose at 295 k (11.4 -> 12.5 ms) and 590 k (19.2 -> 20.0);
-#: its 3 s tables had whole win at 295 k (27.3 -> 18.6 ms), and three more
-#: seeds then gave 112x112x32 one win and two losses of ~12 %.  On
-#: ``local:2`` a lone client at 131 k loses a little on both sides (5.9 ->
-#: 6.0 ms before, 4.9 -> 5.4 after).  ``1 << 18`` is the largest power of
-#: two at which whole lost on neither ``process:2`` loop in any run made.
+#: Whole wins under load at every size and, for a lone client, up to
+#: 590 k samples; it loses from 1.05 M up.  Earlier runs (two tiles per
+#: worker, ``--quick`` and 3 s loops) had a lone client break even or lose
+#: at 295-590 k, and three seeds at 112x112x32 gave whole one win and two
+#: losses of ~12 %.  On ``local:2`` a lone client loses a little from 295 k
+#: up (15.6 -> 16.3 ms in the run above).  ``1 << 18`` is the largest
+#: power of two at which whole lost on neither ``process:2`` loop in any
+#: run made.
 #: Whatever it becomes, it must stay strictly
 #: below 1 048 576: 128x128x64 is faster split for a single client, and a
 #: request that size must keep dispatching ``screen`` /

@@ -12,10 +12,15 @@ few pixels.  This suite holds that contract:
 * the panel edges (1, ``PANEL_PIXELS`` - 1, ``PANEL_PIXELS``,
   ``PANEL_PIXELS`` + 1 and 2 x ``PANEL_PIXELS`` pixels), at three
   components and at every band, into the zero-copy ``*_out`` views;
+* a tile on the basis a ``project`` task carries (the leading
+  ``max(n_components, 3)`` eigenvectors, pickled) equals the full-basis
+  tile byte for byte;
 * at workload scale (HYDICE 64x64x32, 128x128x64, 256x256x64 at the
   default tiles), the kernel against the seed arithmetic: a full-rank
   pixel-major ``(x - m) @ A.T``, sliced, then the seed colour chain.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -122,6 +127,25 @@ def test_panel_edges_match_the_whole_cube(pixels, all_components):
     np.testing.assert_array_equal(
         project_cube_block(block[:, 1:2], basis)[..., :n_components],
         whole[0][1:2])
+
+
+@pytest.mark.parametrize("n_components", [1, 3, 5, 12])
+@pytest.mark.parametrize("compute_dtype", ["float64", "float32"])
+def test_a_tile_on_the_trimmed_basis_matches_the_full_basis(n_components,
+                                                            compute_dtype):
+    # run_pipeline ships project tasks basis.leading(max(n_components, 3)),
+    # pickled on the process and socket transports.
+    bands = 12
+    block, basis, stretch = _scene(bands, 5, 37, seed=n_components)
+    trimmed = pickle.loads(pickle.dumps(basis.leading(max(n_components, 3))))
+    assert trimmed.components.shape == (max(n_components, 3), bands)
+    full = _fused(block, basis, stretch, n_components,
+                  compute_dtype=compute_dtype)
+    tile = _fused(block, trimmed, stretch, n_components,
+                  compute_dtype=compute_dtype)
+    for got, want in zip(tile, full):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def _seed_arithmetic(block, basis, stretch):

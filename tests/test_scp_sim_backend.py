@@ -621,3 +621,36 @@ class TestResilienceGoldenNumbers:
                 report.replicas_regenerated,
                 report.failures_injected) == numbers
         assert report.resilience == resilience
+
+    def test_the_example_lists_the_faults_its_run_never_reached(self, scene):
+        # Every scheduled fault either ran during the run or fell after its
+        # end; examples/resilient_fusion_under_attack.py prints the latter.
+        import importlib.util
+        from pathlib import Path
+
+        from repro import fuse
+        from repro.config import (FusionConfig, PartitionConfig,
+                                  ResilienceConfig)
+
+        path = (Path(__file__).resolve().parents[1] / "examples"
+                / "resilient_fusion_under_attack.py")
+        spec = importlib.util.spec_from_file_location("attack_example", path)
+        example = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(example)
+        attack = example.build_attack(4)
+        assert attack.sorted_events() == \
+            self.escalating_campaign().sorted_events()
+
+        config = FusionConfig(
+            partition=PartitionConfig(workers=4, subcubes=8),
+            resilience=ResilienceConfig(replication_level=2,
+                                        heartbeat_period=0.1,
+                                        heartbeat_misses=2))
+        report = fuse(scene, engine="resilient", backend="sim", config=config,
+                      attack=attack)
+        missed = example.faults_after_end(attack, report.elapsed_seconds)
+        assert report.resilience["attacks_executed"] + len(missed) == len(attack)
+        # At --quick size the run ends before the outage and the wipe-out.
+        assert [(event.time, event.kind) for event in missed] == [
+            (1.0, "fail_node"), (2.0, "kill_replica"), (2.001, "kill_replica"),
+            (2.002, "kill_replica")]

@@ -36,7 +36,7 @@ BANDS, COLS = 32, 128
 ROWS_AT = WHOLE_REQUEST_MAX_SAMPLES // (BANDS * COLS)
 
 KERNEL_COUNTS = {"screening": 4, "mean": 1, "covariance": 2,
-                 "eigendecomposition": 1, "projection": 4}
+                 "eigendecomposition": 1, "projection": 2}
 
 
 def _scene(rows, seed):
@@ -69,9 +69,9 @@ class TestPlanBoundary:
                 metadata = report.result.metadata
                 assert metadata["placement"] == placement
                 assert metadata["stage_tasks"] == (
-                    1 if placement == "request" else 4 + 2 + 4)
+                    1 if placement == "request" else 4 + 2 + 2)
                 assert metadata["stage_invocations"] == KERNEL_COUNTS
-                assert metadata["tiles"] == 4
+                assert metadata["tiles"] == 2
                 assert set(report.stage_timings) == set(KERNEL_COUNTS)
                 np.testing.assert_array_equal(report.composite,
                                               reference.composite)
@@ -117,6 +117,15 @@ class TestWholeRequestHonoursExplicitTiling:
         return run_pipeline_copied(cube, request.resolved_config(),
                                    session.stage_executor(),
                                    tile_rows=request.tile_rows)
+
+    def test_default_tiling_is_one_tile_per_worker_on_both_sides(
+            self, session, tiny_cube):
+        split = self._split(session, tiny_cube)
+        metadata = session.fuse(tiny_cube).result.metadata
+        assert metadata["placement"] == "request"
+        assert (metadata["tiles"], metadata["tile_rows"]) == \
+            (split.metadata["tiles"], split.metadata["tile_rows"]) == \
+            (2, tiny_cube.rows // 2)
 
     @pytest.mark.parametrize("tile_rows", [1, 5, 32])
     def test_tile_rows(self, session, tiny_cube, tile_rows):

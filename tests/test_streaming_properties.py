@@ -131,13 +131,18 @@ class TestTilePlanProperties:
             assert max(sizes) - min(sizes) <= 1
             assert max(sizes) <= max(tile_rows, 1 + rows // max(len(tiles), 1))
 
-    def test_default_tile_rows_yields_roughly_two_tiles_per_worker(self):
+    def test_default_tile_rows_yields_one_tile_per_worker(self):
         rng = np.random.default_rng(5)
         for _ in range(CASES):
             rows = int(rng.integers(1, 400))
             workers = int(rng.integers(1, 17))
             tiles = plan_tiles(rows, default_tile_rows(rows, workers))
-            assert 1 <= len(tiles) <= min(rows, 2 * workers)
+            # No worker gets a second tile, and no tile is larger than an
+            # even share of the rows.
+            assert 1 <= len(tiles) <= min(rows, workers)
+            assert max(tile.rows for tile in tiles) <= -(-rows // workers)
+            if rows % workers == 0:
+                assert len(tiles) == workers
 
     def test_any_tiling_reassembles_any_array(self):
         rng = np.random.default_rng(99)
